@@ -16,6 +16,10 @@ Metric definitions:
 * one-way network estimate (per sync edge) — (caller round trip minus
   callee execution) / 2, assuming both directions take comparably long.
 
+``decompose`` walks each complete tree once; the one-way estimate, publish
+latency and trigger delay are then read from its breakdowns (network / 2 per
+sync edge, one row per async edge), not from further walks over the trees.
+
 Conservation: for a complete tree, root round trip equals total compute +
 total network + total db exactly, where parallel blocks contribute their
 blocking span as network-wait (branch internals are drill-down detail, not
@@ -346,16 +350,7 @@ class AsyncEdgeMetric:
     caller: str
     target: str
     publish_latency_us: int
-    trigger_delay_us: int | None
-
-
-@dataclass
-class OneWayEstimate:
-    caller: str
-    callee: str
-    from_platform: str
-    to_platform: str
-    estimate_us: float
+    trigger_delays_us: tuple[int, ...]
 
 
 @dataclass
@@ -459,72 +454,44 @@ def _decompose_node(node: TreeNode, conserved: bool, bd: LatencyBreakdown) -> No
 
     for e in async_edges:
         pub = e.child
-        publish_latency = e.record.duration_us - pub.record.duration_us
-        trigger_edges = [t for t in pub.calls if t.mode == MODE_TRIGGER]
-        if not trigger_edges:
-            bd.asyncs.append(
-                AsyncEdgeMetric(e.record.platform_id, pub.record.platform_id, rec.function,
-                                e.record.callee or "?", publish_latency, None)
-            )
-        for t in trigger_edges:
-            triggered = t.child
-            delay = triggered.record.start_us - pub.record.start_us
-            bd.asyncs.append(
-                AsyncEdgeMetric(e.record.platform_id, pub.record.platform_id, rec.function,
-                                e.record.callee or "?", publish_latency, delay)
-            )
-            _decompose_node(triggered, False, bd)
-        _decompose_publisher(pub, bd)
+        pub_rec = pub.record
+        triggered = [t.child for t in pub.calls if t.mode == MODE_TRIGGER]
+        bd.asyncs.append(
+            AsyncEdgeMetric(e.record.platform_id, pub_rec.platform_id, rec.function, e.record.callee or "?",
+                            e.record.duration_us - pub_rec.duration_us,
+                            tuple(t.record.start_us - pub_rec.start_us for t in triggered))
+        )
+        for t in triggered:
+            _decompose_node(t, False, bd)
+        bd.nodes.append(
+            NodeBreakdown(pub_rec.function, pub_rec.platform_id, pub_rec.duration_us, pub_rec.duration_us,
+                          0, 0, False)
+        )
 
 
-def _decompose_publisher(pub: TreeNode, bd: LatencyBreakdown) -> None:
-    rec = pub.record
-    bd.nodes.append(
-        NodeBreakdown(rec.function, rec.platform_id, rec.duration_us, rec.duration_us, 0, 0, False)
-    )
-
-
-def trigger_metrics(trees: list[CallTree]) -> tuple[list[AsyncEdgeMetric], list[AsyncEdgeMetric]]:
-    """(publish latencies, trigger delays) over all paired async edges;
-    sync-only trees contribute nothing."""
-    publishes: list[AsyncEdgeMetric] = []
-    triggers: list[AsyncEdgeMetric] = []
-    for tree in trees:
-        for node in tree.nodes():
-            for e in node.calls:
-                if e.mode != MODE_ASYNC or e.child is None:
-                    continue
-                pub = e.child
-                publish_latency = e.record.duration_us - pub.record.duration_us
-                base = AsyncEdgeMetric(
-                    e.record.platform_id, pub.record.platform_id, node.record.function,
-                    e.record.callee or "?", publish_latency, None,
-                )
-                publishes.append(base)
-                for t in pub.calls:
-                    if t.mode == MODE_TRIGGER and t.child is not None:
-                        delay = t.child.record.start_us - pub.record.start_us
-                        triggers.append(
-                            AsyncEdgeMetric(base.origin_platform, base.dest_platform, base.caller,
-                                            base.target, publish_latency, delay)
-                        )
+def trigger_metrics(breakdowns: list[LatencyBreakdown]) -> tuple[dict[str, list], dict[str, list]]:
+    """({"origin->dest": publish latencies}, {"origin->dest": trigger delays})
+    read from the decomposed async edges; sync-only trees contribute nothing."""
+    publishes: dict[str, list] = {}
+    triggers: dict[str, list] = {}
+    for bd in breakdowns:
+        for m in bd.asyncs:
+            group = f"{m.origin_platform}->{m.dest_platform}"
+            publishes.setdefault(group, []).append(m.publish_latency_us)
+            if m.trigger_delays_us:
+                triggers.setdefault(group, []).extend(m.trigger_delays_us)
     return publishes, triggers
 
 
-def estimate_skew_corrected_network(tree: CallTree) -> list[OneWayEstimate]:
-    """Per sync edge: (caller round trip − callee execution) / 2. Duration
-    based, so constant per-platform clock offsets cancel; under asymmetric
-    legs the estimate is the two-leg mean (documented bias)."""
-    out: list[OneWayEstimate] = []
-    for node in tree.nodes():
-        for e in node.calls:
-            if e.mode != MODE_SYNC or e.child is None:
-                continue
-            est = (e.record.duration_us - e.child.record.duration_us) / 2
-            out.append(
-                OneWayEstimate(node.record.function, e.child.record.function,
-                               node.record.platform_id, e.child.record.platform_id, est)
-            )
+def estimate_skew_corrected_network(breakdowns: list[LatencyBreakdown]) -> dict[str, list]:
+    """{"from->to": one-way estimates}, per sync edge (caller round trip −
+    callee execution) / 2. Duration based, so constant per-platform clock
+    offsets cancel; under asymmetric legs the estimate is the two-leg mean
+    (documented bias)."""
+    out: dict[str, list] = {}
+    for bd in breakdowns:
+        for em in bd.edges:
+            out.setdefault(f"{em.from_platform}->{em.to_platform}", []).append(em.network_us / 2)
     return out
 
 
@@ -685,20 +652,18 @@ class RunAnalysis:
 def analyze_records(records: list[TraceRecord], parse_report: ParseReport,
                     phases: list[PhaseWindow] | None = None) -> RunAnalysis:
     trees = build_trees(records)
-    breakdowns = []
-    for tree in trees:
-        if tree.complete:
-            breakdowns.append(decompose(tree))
+    breakdowns = [decompose(tree) for tree in trees if tree.complete]
+    publishes, triggers = trigger_metrics(breakdowns)
 
     metrics: dict[str, dict[str, list]] = {
         "root_round_trip": {},
         "exec_duration": {},
         "compute": {},
         "network": {},
-        "network_oneway": {},
+        "network_oneway": estimate_skew_corrected_network(breakdowns),
         "db": {},
-        "publish_latency": {},
-        "trigger_delay": {},
+        "publish_latency": publishes,
+        "trigger_delay": triggers,
     }
 
     def add(metric: str, group: str, value) -> None:
@@ -717,17 +682,6 @@ def analyze_records(records: list[TraceRecord], parse_report: ParseReport,
             add("network", f"{em.caller}->{em.callee}", em.network_us)
         for dm in bd.dbs:
             add("db", f"{dm.platform_id}/{dm.service}", dm.duration_us)
-
-    complete_trees = [t for t in trees if t.complete]
-    for tree in complete_trees:
-        for est in estimate_skew_corrected_network(tree):
-            add("network_oneway", f"{est.from_platform}->{est.to_platform}", est.estimate_us)
-
-    publishes, triggers = trigger_metrics(complete_trees)
-    for m in publishes:
-        add("publish_latency", f"{m.origin_platform}->{m.dest_platform}", m.publish_latency_us)
-    for m in triggers:
-        add("trigger_delay", f"{m.origin_platform}->{m.dest_platform}", m.trigger_delay_us)
 
     return RunAnalysis(
         parse=parse_report,

@@ -241,7 +241,6 @@ def validate(app: ApplicationSpec) -> ValidationReport:
     by_name = {fn.name: fn for fn in app.functions}
 
     for fn in app.functions:
-        saw_return = False
         for step, _ in _walk_steps(fn.body):
             if step.kind not in STEP_KINDS:
                 violations.append(Violation("UnknownStepKind", fn.name, f"step kind {step.kind!r}"))
@@ -263,31 +262,59 @@ def validate(app: ApplicationSpec) -> ValidationReport:
             if step.kind == "parallelBlock" and len(step.branches) < 2:
                 violations.append(Violation("BadParallelBlock", fn.name, "parallelBlock needs >= 2 branches"))
         for i, step in enumerate(fn.body):
-            if step.kind == "return":
-                saw_return = True
-                if i != len(fn.body) - 1:
-                    violations.append(Violation("ReturnNotLast", fn.name, "return must be the final step"))
-        del saw_return
+            if step.kind == "return" and i != len(fn.body) - 1:
+                violations.append(Violation("ReturnNotLast", fn.name, "return must be the final step"))
 
     entries = [fn for fn in app.functions if fn.entry_point]
     if not entries:
         violations.append(Violation("NoEntryPoint", None, "application has no entry point"))
 
-    # Reachability over call/publish edges from entry points.
+    # Reachability and cycles over call/publish edges.
     if not any(v.code in ("DuplicateName", "UnknownTarget") for v in violations):
+        succ = {
+            fn.name: [step.target for step, _ in _walk_steps(fn.body) if step.kind in ("call", "publish")]
+            for fn in app.functions
+        }
         reachable = {fn.name for fn in entries}
         frontier = list(reachable)
         while frontier:
-            fn = by_name[frontier.pop()]
-            for step, _ in _walk_steps(fn.body):
-                if step.kind in ("call", "publish") and step.target not in reachable:
-                    reachable.add(step.target)
-                    frontier.append(step.target)
+            for target in succ[frontier.pop()]:
+                if target not in reachable:
+                    reachable.add(target)
+                    frontier.append(target)
         for fn in app.functions:
             if fn.name not in reachable:
                 violations.append(Violation("Unreachable", fn.name, "not reachable from any entry point"))
+        cycle = _find_cycle(succ)
+        if cycle:
+            # bodies are unconditional, so every invocation on a cycle recurses forever
+            violations.append(Violation("Cycle", cycle[0], "unbounded cycle " + " -> ".join(cycle)))
 
     return ValidationReport(tuple(violations))
+
+
+def _find_cycle(succ: dict[str, list[str]]) -> list[str] | None:
+    """First cycle found by an iterative depth-first search, as a closed
+    path (``[a, b, a]``); a self-call gives ``[a, a]``."""
+    on_path: dict[str, bool] = {}  # True while on the current path, False once finished
+    for start in succ:
+        if start in on_path:
+            continue
+        path = [start]
+        pending = [iter(succ[start])]
+        on_path[start] = True
+        while pending:
+            target = next(pending[-1], None)
+            if target is None:
+                on_path[path.pop()] = False
+                pending.pop()
+            elif on_path.get(target):
+                return path[path.index(target):] + [target]
+            elif target not in on_path:
+                on_path[target] = True
+                path.append(target)
+                pending.append(iter(succ[target]))
+    return None
 
 
 @dataclass(frozen=True)

@@ -63,13 +63,10 @@ class PlatformSpec:
     trigger_delay: Duration = constant(100)
     log_lines_per_second: int | None = None
     clock_offset_us: int = 0
-    executor_concurrency: int = 1
 
     def __post_init__(self) -> None:
         if self.keep_alive_us <= 0:
             raise DeploymentError(f"platform {self.id}: keepAlive must be > 0")
-        if self.executor_concurrency != 1:
-            raise DeploymentError(f"platform {self.id}: executorConcurrency must be 1")
 
     def leg(self, peer: str) -> Duration:
         try:
@@ -192,7 +189,6 @@ class ResolvedFunction:
 class DeploymentArtifact:
     platform_id: str
     functions: tuple[ResolvedFunction, ...]
-    tracing_enabled: bool = True
 
     def function_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.functions)

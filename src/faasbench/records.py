@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-SCHEMA_VERSION = 1
 HEADER_LINE = "#faastrace v1"
 DROP_PREFIX = "#dropped"
 
@@ -157,26 +156,6 @@ class IdSource:
         return "r" + self._next()[:12]
 
 
-class ExecutorTag:
-    """Executor identity: the key is fixed at creation, the first observation
-    reports a cold start, every later one a warm hit."""
-
-    __slots__ = ("key", "_observed")
-
-    def __init__(self, key: str):
-        self.key = key
-        self._observed = False
-
-    def observe(self) -> tuple[str, bool]:
-        cold = not self._observed
-        self._observed = True
-        return self.key, cold
-
-
-def observe_executor(tag: ExecutorTag) -> tuple[str, bool]:
-    return tag.observe()
-
-
 class RecordSink:
     """Per-platform log sink with a tumbling 1-second rate limit window.
 
@@ -218,14 +197,3 @@ class RecordSink:
     def lines(self, run_id: str) -> list[str]:
         return [line for rid, line in self._lines if rid == run_id]
 
-
-def assemble_log(sections: list[tuple[str, list[str], int]]) -> str:
-    """Build a collected log file: header, per-platform data lines, then one
-    drop-counter line per platform. Sections are (platform_id, lines, drops).
-    """
-    out = [HEADER_LINE]
-    for _, lines, _ in sections:
-        out.extend(lines)
-    for platform_id, _, drops in sections:
-        out.append(format_drop_line(platform_id, drops))
-    return "\n".join(out) + "\n"

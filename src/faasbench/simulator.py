@@ -52,7 +52,6 @@ from .records import (
     MODE_SYNC,
     MODE_TRIGGER,
     OUTGOING_CALL,
-    ExecutorTag,
     HEADER_LINE,
     IdSource,
     RecordSink,
@@ -149,18 +148,12 @@ class Kernel:
 class Executor:
     """One runtime instance; serves its function's invocations sequentially."""
 
-    __slots__ = ("tag", "function", "created_at", "last_idle_at", "busy")
+    __slots__ = ("key", "function", "last_idle_at")
 
-    def __init__(self, tag: ExecutorTag, function: str, created_at: int):
-        self.tag = tag
+    def __init__(self, key: str, function: str, created_at: int):
+        self.key = key
         self.function = function
-        self.created_at = created_at
         self.last_idle_at = created_at
-        self.busy = True
-
-    @property
-    def key(self) -> str:
-        return self.tag.key
 
 
 class KeyedStore:
@@ -338,22 +331,19 @@ class SimPlatform:
             best = max(range(len(alive)), key=lambda i: (alive[i].last_idle_at, i))
             executor = alive.pop(best)
             self._idle[fn_name] = alive
-            executor.busy = True
             return executor, False
         self._idle[fn_name] = []
         key = self.env.ids.new_executor_key()
-        executor = Executor(ExecutorTag(key), fn_name, arrival)
+        executor = Executor(key, fn_name, arrival)
         self.env.truth.executors.append(ExecutorBirth(self.id, fn_name, key, arrival))
         return executor, True
 
     def _release(self, executor: Executor, at_us: int) -> None:
-        executor.busy = False
         executor.last_idle_at = at_us
         self._idle.setdefault(executor.function, []).append(executor)
 
     def _invocation_gen(self, rfn, context_id, inbound_pair, arrival, executor, cold):
         env = self.env
-        key, cold_flag = executor.tag.observe()
         if cold:
             delay = env.sample_us(self.spec.cold_start_delay)
             if delay:
@@ -373,13 +363,13 @@ class SimPlatform:
                 pair_id=inbound_pair,
                 start_us=arrival,
                 end_us=end,
-                executor_key=key,
-                cold_start=cold_flag,
+                executor_key=executor.key,
+                cold_start=cold,
             ),
             at_us=end,
         )
         env.truth.invocations.append(
-            TruthInvocation(context_id, inbound_pair, rfn.name, self.id, arrival, body_start, end, cold_flag, key)
+            TruthInvocation(context_id, inbound_pair, rfn.name, self.id, arrival, body_start, end, cold, executor.key)
         )
         return end, size
 

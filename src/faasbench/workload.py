@@ -263,13 +263,6 @@ def validate_profile_against_app(profile: LoadProfile, app) -> None:
                 raise ProfileError(f"periodic series targets non-entry function {series.entry!r}")
 
 
-def builtin_profile(benchmark: str) -> LoadProfile:
-    """Default load profile of a built-in benchmark."""
-    from . import benchmarks
-
-    return benchmarks.builtin_profile(benchmark)
-
-
 def schedule(profile: LoadProfile, rng: np.random.Generator) -> list[Arrival]:
     """Synthesize the arrival list for one run; deterministic under the rng."""
     profile.check()

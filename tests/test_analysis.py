@@ -25,7 +25,7 @@ from faasbench.analysis import (
     trigger_metrics,
     write_reports,
 )
-from faasbench.benchmarks import load_builtin
+from faasbench.benchmarks import builtin_profile, load_builtin
 from faasbench.charts import BOX_EDGE, INK, MEDIAN
 from faasbench.records import (
     DB_CALL,
@@ -39,8 +39,9 @@ from faasbench.records import (
     TraceRecord,
     serialize_record,
 )
+from faasbench.recipes import exp3_three_way_factory
 from faasbench.runner import default_config
-from faasbench.workload import builtin_profile, execute, schedule
+from faasbench.workload import execute, schedule
 
 from conftest import deployed_env
 
@@ -242,14 +243,15 @@ def test_decompose_async_edges_do_not_reduce_compute():
     bd = decompose(build_trees(records)[0])
     a = next(n for n in bd.nodes if n.function == "A")
     assert a.compute_us == 20 * MS  # async edge not subtracted
+    assert len(bd.asyncs) == 1
     assert bd.asyncs[0].publish_latency_us == 0
-    assert bd.asyncs[0].trigger_delay_us == 100 * MS
+    assert bd.asyncs[0].trigger_delays_us == (100 * MS,)
     assert bd.conservation_residual_us == 0
 
 
 def test_trigger_metrics_empty_for_sync_only():
-    publishes, triggers = trigger_metrics(build_trees(chain_records()))
-    assert publishes == [] and triggers == []
+    publishes, triggers = trigger_metrics([decompose(t) for t in build_trees(chain_records())])
+    assert publishes == {} and triggers == {}
 
 
 # -- skew-corrected estimates ------------------------------------------------
@@ -265,16 +267,16 @@ def symmetric_edge_records(offset_us=0):
 
 
 def test_one_way_estimate_symmetric_exact():
-    tree = build_trees(symmetric_edge_records())[0]
-    estimates = estimate_skew_corrected_network(tree)
-    edge = next(e for e in estimates if e.callee == "B")
-    assert edge.estimate_us == 15 * MS
+    bd = decompose(build_trees(symmetric_edge_records())[0])
+    assert estimate_skew_corrected_network([bd]) == {"p1->p2": [15 * MS]}
 
 
 def test_one_way_estimate_ignores_clock_offset():
-    base = estimate_skew_corrected_network(build_trees(symmetric_edge_records())[0])
-    skewed = estimate_skew_corrected_network(build_trees(symmetric_edge_records(offset_us=50 * MS))[0])
-    assert [e.estimate_us for e in base] == [e.estimate_us for e in skewed]
+    base = estimate_skew_corrected_network([decompose(build_trees(symmetric_edge_records())[0])])
+    skewed = estimate_skew_corrected_network(
+        [decompose(build_trees(symmetric_edge_records(offset_us=50 * MS))[0])]
+    )
+    assert base == skewed == {"p1->p2": [15 * MS]}
 
 
 def test_one_way_estimate_asymmetric_mean():
@@ -285,9 +287,8 @@ def test_one_way_estimate_asymmetric_mean():
         rec(OUTGOING_CALL, "A", _id(11), 1 * MS, 33 * MS, callee="B", mode=MODE_SYNC),
         rec(INVOCATION, "B", _id(11), 11 * MS, 13 * MS, platform="p2"),
     ]
-    tree = build_trees(records)[0]
-    edge = next(e for e in estimate_skew_corrected_network(tree) if e.callee == "B")
-    assert edge.estimate_us == 15 * MS
+    bd = decompose(build_trees(records)[0])
+    assert estimate_skew_corrected_network([bd]) == {"p1->p2": [15 * MS]}
 
 
 # -- cold starts -------------------------------------------------------------
@@ -602,4 +603,61 @@ def test_decomposition_components_nonnegative():
         assert all(e.network_us >= 0 for e in bd.edges)
         assert all(d.duration_us >= 0 for d in bd.dbs)
         assert all(a.publish_latency_us >= 0 for a in bd.asyncs)
+        assert all(d >= 0 for a in bd.asyncs for d in a.trigger_delays_us)
         assert bd.conservation_residual_us == 0
+
+
+def walked_groups(trees):
+    """network_oneway, publish_latency and trigger_delay groups by a direct
+    walk over the complete trees, each list sorted."""
+    oneway, publish, trigger = {}, {}, {}
+    for tree in trees:
+        if not tree.complete:
+            continue
+        for node in tree.nodes():
+            for e in node.calls:
+                child = e.child.record
+                group = f"{e.record.platform_id}->{child.platform_id}"
+                if e.mode == MODE_SYNC:
+                    oneway.setdefault(group, []).append((e.record.duration_us - child.duration_us) / 2)
+                elif e.mode == MODE_ASYNC:
+                    publish.setdefault(group, []).append(e.record.duration_us - child.duration_us)
+                    for t in e.child.calls:
+                        if t.mode == MODE_TRIGGER:
+                            trigger.setdefault(group, []).append(t.child.record.start_us - child.start_us)
+    return tuple({g: sorted(v) for g, v in groups.items()} for groups in (oneway, publish, trigger))
+
+
+@pytest.mark.parametrize("name", ["exp3-three-way-factory", "webshop"])
+def test_oneway_publish_and_trigger_read_from_the_decomposition(name):
+    if name == "webshop":
+        app = load_builtin("webshop")
+        cfg, profile = default_config(app), builtin_profile("webshop").scaled(0.005)
+    else:
+        r = exp3_three_way_factory()
+        app, cfg, profile = load_builtin(r.benchmark), r.config, r.profile.scaled(0.05)
+    env, plan, handle = deployed_env(app, cfg, seed=4)
+    execute(schedule(profile, env.loadgen_rng), plan, env)
+    env.run_until_idle()
+    analysis = analyze_records(*parse_logs(env.collect_log(handle.run_id)))
+    complete = [t for t in analysis.trees if t.complete]
+    assert complete and len(complete) == len(analysis.breakdowns)
+
+    # decompose visits exactly the nodes and edges of each tree
+    for tree, bd in zip(complete, analysis.breakdowns):
+        modes = [e.mode for n in tree.nodes() for e in n.calls]
+        assert len(bd.nodes) == tree.node_count()
+        assert len(bd.edges) == modes.count(MODE_SYNC)
+        assert len(bd.asyncs) == modes.count(MODE_ASYNC)
+        assert sum(len(a.trigger_delays_us) for a in bd.asyncs) == modes.count(MODE_TRIGGER)
+
+    derived = tuple(
+        {g: sorted(v) for g, v in analysis.metrics[metric].items()}
+        for metric in ("network_oneway", "publish_latency", "trigger_delay")
+    )
+    walked = walked_groups(analysis.trees)
+    assert derived == walked
+    if name == "webshop":
+        assert walked[0] and not walked[1]
+    else:
+        assert walked[1] and walked[2]

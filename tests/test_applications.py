@@ -130,6 +130,40 @@ def test_db_step_requires_declared_service():
     assert validate(ok).ok
 
 
+def cycle_violations(*functions):
+    return [v for v in validate(ApplicationSpec("app", functions)).violations if v.code == "Cycle"]
+
+
+def test_call_cycle_rejected():
+    a = FunctionSpec("a", HTTP_SYNC, (call("b"),), entry_point=True)
+    b = FunctionSpec("b", HTTP_SYNC, (compute(MS1), call("a")))
+    (v,) = cycle_violations(a, b)
+    assert v.function == "a" and v.detail.endswith("a -> b -> a")
+
+
+def test_publish_cycle_rejected():
+    # the cycle runs through a parallel branch and two published events
+    a = FunctionSpec("a", HTTP_SYNC, (publish("e1"),), entry_point=True)
+    e1 = FunctionSpec("e1", EVENT_ASYNC, (parallel((compute(MS1),), (publish("e2"),)),))
+    e2 = FunctionSpec("e2", EVENT_ASYNC, (publish("e1"),))
+    (v,) = cycle_violations(a, e1, e2)
+    assert v.detail.endswith("e1 -> e2 -> e1")
+
+
+def test_self_call_rejected():
+    a = FunctionSpec("a", HTTP_SYNC, (compute(MS1), call("a")), entry_point=True)
+    (v,) = cycle_violations(a)
+    assert v.detail.endswith("a -> a")
+
+
+def test_diamond_is_not_a_cycle():
+    a = FunctionSpec("a", HTTP_SYNC, (call("b"), call("c")), entry_point=True)
+    b = FunctionSpec("b", HTTP_SYNC, (call("d"),))
+    c = FunctionSpec("c", HTTP_SYNC, (call("d"),))
+    d = FunctionSpec("d", HTTP_SYNC, (compute(MS1),))
+    assert validate(ApplicationSpec("diamond", (a, b, c, d))).ok
+
+
 def test_call_graph_requires_valid_app():
     fn = FunctionSpec("a", HTTP_SYNC, (call("missing"),), entry_point=True)
     with pytest.raises(InvalidApplication):

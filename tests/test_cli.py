@@ -52,6 +52,31 @@ def test_validate_broken_app(tmp_path, capsys):
     assert "UnknownTarget" in capsys.readouterr().out
 
 
+def test_cyclic_app_rejected_by_validate_and_run(tmp_path, capsys):
+    # bodies are unconditional: without the check, run would never go idle
+    app = tmp_path / "cyc.json"
+    app.write_text(json.dumps({
+        "name": "cyc",
+        "functions": [
+            {"name": "a", "trigger": "http-sync", "entryPoint": True,
+             "body": [{"kind": "call", "target": "b"}]},
+            {"name": "b", "trigger": "http-sync", "body": [{"kind": "call", "target": "a"}]},
+        ],
+    }))
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({
+        "name": "one",
+        "workflows": [{"name": "hit", "steps": [{"entry": "a"}]}],
+        "phases": [{"kind": "burst", "durationSeconds": 1, "totalFlows": 1, "mix": {"hit": 1.0}}],
+    }))
+    assert run_cli("validate", str(app)) == EXIT_CONFIG
+    assert capsys.readouterr().out.splitlines() == ["Cycle [a]: unbounded cycle a -> b -> a"]
+    out = tmp_path / "out"
+    assert run_cli("run", str(app), "--profile", str(profile), "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == ["invalid application: Cycle [a]: unbounded cycle a -> b -> a"]
+    assert not out.exists()
+
+
 def test_run_produces_artifacts_and_reports(tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli("run", "webshop", "--seed", "7", "--scale", "0.002", "--out", str(out))

@@ -193,8 +193,6 @@ def test_teardown_reports_and_is_idempotent():
 def test_platform_spec_invariants():
     with pytest.raises(DeploymentError):
         PlatformSpec(id="x", keep_alive_us=0, network_latency={})
-    with pytest.raises(DeploymentError):
-        PlatformSpec(id="x", executor_concurrency=2, network_latency={})
     spec = make_platform()
     with pytest.raises(DeploymentError):
         spec.leg("unknown-peer")

@@ -7,13 +7,11 @@ from faasbench.records import (
     DB_CALL,
     INVOCATION,
     OUTGOING_CALL,
-    ExecutorTag,
     IdSource,
     MalformedRecord,
     RecordSink,
     TraceRecord,
     format_drop_line,
-    observe_executor,
     parse_drop_line,
     parse_record,
     serialize_record,
@@ -155,16 +153,6 @@ def test_id_format():
     ids = IdSource(np.random.default_rng(1))
     ctx = ids.new_context()
     assert len(ctx) == 32 and int(ctx, 16) >= 0
-
-
-def test_observe_executor_cold_then_warm():
-    tag = ExecutorTag("k" * 32)
-    key, cold = observe_executor(tag)
-    assert cold and key == "k" * 32
-    key2, cold2 = observe_executor(tag)
-    assert key2 == key and not cold2
-    other = ExecutorTag("j" * 32)
-    assert observe_executor(other)[0] != key
 
 
 def test_drop_line_round_trip():

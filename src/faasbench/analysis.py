@@ -135,10 +135,14 @@ class TreeNode:
     db_calls: list[TraceRecord] = field(default_factory=list)
 
     def walk(self):
-        yield self
-        for edge in self.calls:
-            if edge.child is not None:
-                yield from edge.child.walk()
+        """Pre-order, children in call order; an explicit stack, so any depth."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            for edge in reversed(node.calls):
+                if edge.child is not None:
+                    stack.append(edge.child)
 
 
 @dataclass
@@ -181,10 +185,12 @@ def build_trees(records: list[TraceRecord]) -> list[CallTree]:
     Orphan invocations (their inbound call record was dropped) attach to the
     context's first tree as loose fragments, or to a synthetic root when the
     context has no load-generator record at all. Any detectable loss in a
-    context (unmatched pairs, orphans, unattachable caller-side records)
-    marks every tree of that context incomplete: a dropped outgoing record
-    would otherwise leave a tree that looks closed while silently missing a
-    subtree, corrupting its decomposition."""
+    context (unmatched pairs, orphans, unattachable caller-side records, an
+    invocation pair id logged twice) marks every tree of that context
+    incomplete: a dropped outgoing record would otherwise leave a tree that
+    looks closed while silently missing a subtree, corrupting its
+    decomposition, and a replayed invocation would be linked in place of the
+    one it repeats."""
     by_ctx: dict[str, list[TraceRecord]] = {}
     for r in records:
         by_ctx.setdefault(r.context_id, []).append(r)
@@ -201,6 +207,7 @@ def build_trees(records: list[TraceRecord]) -> list[CallTree]:
         dbs = [r for r in recs if r.kind == DB_CALL]
 
         nodes = {r.pair_id: TreeNode(r) for r in invocations}
+        duplicated = len(nodes) != len(invocations)  # a later record replaced an earlier one
         by_owner: dict[tuple[str, str], list[TreeNode]] = {}
         for node in nodes.values():
             by_owner.setdefault((node.record.platform_id, node.record.function), []).append(node)
@@ -270,7 +277,7 @@ def build_trees(records: list[TraceRecord]) -> list[CallTree]:
                 )
             )
 
-        if orphan_roots or dangling:
+        if orphan_roots or dangling or duplicated:
             ctx_trees = [replace(t, complete=False) for t in ctx_trees]
         trees.extend(ctx_trees)
     return trees
@@ -296,15 +303,23 @@ def _find_owner(by_owner: dict, rec: TraceRecord) -> TreeNode | None:
 
 
 def _link(node: TreeNode, nodes: dict[str, TreeNode], consumed: set[str]) -> int:
+    """Attach children depth-first in call order; returns unmatched pairs."""
     unmatched = 0
-    for edge in node.calls:
-        child = nodes.get(edge.record.pair_id)
-        if child is None or edge.record.pair_id in consumed:
-            unmatched += 1
-            continue
-        consumed.add(edge.record.pair_id)
-        edge.child = child
-        unmatched += _link(child, nodes, consumed)
+    stack = [iter(node.calls)]
+    while stack:
+        # resume the deepest node's calls; descend at its next linked child
+        for edge in stack[-1]:
+            child = nodes.get(edge.record.pair_id)
+            if child is None or edge.record.pair_id in consumed:
+                unmatched += 1
+                continue
+            consumed.add(edge.record.pair_id)
+            edge.child = child
+            if child.calls:
+                stack.append(iter(child.calls))
+                break
+        else:
+            stack.pop()
     return unmatched
 
 
@@ -387,18 +402,30 @@ def decompose(tree: CallTree) -> LatencyBreakdown:
         root_network_us=root.duration_us - root_node.record.duration_us,
     )
     bd.total_network_us = bd.root_network_us
-    _decompose_node(root_node, True, bd)
+    # each node's step yields its children in visiting order; running the
+    # steps from an explicit stack keeps that order at any tree depth
+    stack = [_decompose_node(root_node, True, bd)]
+    while stack:
+        for child, conserved in stack[-1]:
+            stack.append(_decompose_node(child, conserved, bd))
+            break
+        else:
+            stack.pop()
     return bd
 
 
-def _decompose_node(node: TreeNode, conserved: bool, bd: LatencyBreakdown) -> None:
+def _decompose_node(node: TreeNode, conserved: bool, bd: LatencyBreakdown):
+    """Append one node's metrics to ``bd``; yields each (child, conserved)
+    where the child's own metrics belong in the append order."""
     rec = node.record
-    sync_edges = [e for e in node.calls if e.mode == MODE_SYNC]
-    async_edges = [e for e in node.calls if e.mode == MODE_ASYNC]
-
+    async_edges = []
     items: list[tuple[int, int, str, object]] = []
-    for e in sync_edges:
-        items.append((e.record.start_us, e.record.end_us, "edge", e))
+    for e in node.calls:
+        mode = e.mode
+        if mode == MODE_SYNC:
+            items.append((e.record.start_us, e.record.end_us, "edge", e))
+        elif mode == MODE_ASYNC:
+            async_edges.append(e)
     for db in node.db_calls:
         items.append((db.start_us, db.end_us, "db", db))
     items.sort(key=lambda it: (it[0], it[1]))
@@ -440,7 +467,7 @@ def _decompose_node(node: TreeNode, conserved: bool, bd: LatencyBreakdown) -> No
                     seq_sync_us += edge.record.duration_us
                 if conserved and not in_block:
                     bd.total_network_us += network
-                _decompose_node(child, conserved and not in_block, bd)
+                yield child, conserved and not in_block
         i = j
 
     compute = rec.duration_us - seq_sync_us - seq_db_us - block_wait_us
@@ -462,7 +489,7 @@ def _decompose_node(node: TreeNode, conserved: bool, bd: LatencyBreakdown) -> No
                             tuple(t.record.start_us - pub_rec.start_us for t in triggered))
         )
         for t in triggered:
-            _decompose_node(t, False, bd)
+            yield t, False
         bd.nodes.append(
             NodeBreakdown(pub_rec.function, pub_rec.platform_id, pub_rec.duration_us, pub_rec.duration_us,
                           0, 0, False)

@@ -325,14 +325,14 @@ class SimPlatform:
         return self.start_invocation(fn_name, context_id, inbound_pair)
 
     def _acquire(self, fn_name: str, arrival: int) -> tuple[Executor, bool]:
-        pool = self._idle.get(fn_name, [])
-        alive = [e for e in pool if e.last_idle_at + self.spec.keep_alive_us >= arrival]
-        if alive:
-            best = max(range(len(alive)), key=lambda i: (alive[i].last_idle_at, i))
-            executor = alive.pop(best)
-            self._idle[fn_name] = alive
-            return executor, False
-        self._idle[fn_name] = []
+        # _release appends at kernel.now, which never decreases, so each pool
+        # is sorted by last_idle_at: the top is the most recently idle
+        # executor, and if it has expired so has every executor below it
+        pool = self._idle.get(fn_name)
+        if pool:
+            if pool[-1].last_idle_at + self.spec.keep_alive_us >= arrival:
+                return pool.pop(), False
+            pool.clear()
         key = self.env.ids.new_executor_key()
         executor = Executor(key, fn_name, arrival)
         self.env.truth.executors.append(ExecutorBirth(self.id, fn_name, key, arrival))

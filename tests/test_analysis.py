@@ -137,6 +137,25 @@ def test_tree_chain_structure():
     assert [d.callee for d in a.db_calls] == ["keystore"]
 
 
+def test_walk_and_decompose_keep_depth_first_call_order():
+    records = [
+        root_rec(_id(10), 0, 100 * MS),
+        rec(INVOCATION, "a", _id(10), 10 * MS, 90 * MS),
+        rec(OUTGOING_CALL, "a", _id(11), 20 * MS, 50 * MS, callee="b", mode=MODE_SYNC),
+        rec(INVOCATION, "b", _id(11), 25 * MS, 45 * MS),
+        rec(OUTGOING_CALL, "b", _id(12), 30 * MS, 40 * MS, callee="d", mode=MODE_SYNC),
+        rec(INVOCATION, "d", _id(12), 32 * MS, 38 * MS),
+        rec(OUTGOING_CALL, "a", _id(13), 60 * MS, 80 * MS, callee="c", mode=MODE_SYNC),
+        rec(INVOCATION, "c", _id(13), 65 * MS, 75 * MS),
+    ]
+    (tree,) = build_trees(records)
+    assert tree.complete
+    assert [n.record.function for n in tree.nodes()] == ["a", "b", "d", "c"]  # pre-order
+    bd = decompose(tree)
+    assert [(e.caller, e.callee) for e in bd.edges] == [("a", "b"), ("b", "d"), ("a", "c")]
+    assert [n.function for n in bd.nodes] == ["d", "b", "c", "a"]  # a node after its subtree
+
+
 def test_dropped_invocation_marks_tree_incomplete():
     records = [r for r in chain_records() if not (r.kind == INVOCATION and r.function == "b")]
     trees = build_trees(records)
@@ -179,6 +198,23 @@ def test_dropped_outgoing_record_poisons_the_whole_context():
     assert sum(t.node_count() for t in trees) == n_inv
     with pytest.raises(IncompleteTree):
         decompose(tree)
+
+
+def test_duplicated_invocation_pair_id_marks_only_its_context_incomplete():
+    # a replayed INVOCATION line would silently replace the original node
+    r = exp3_three_way_factory()
+    app, cfg, profile = load_builtin(r.benchmark), r.config, r.profile.scaled(0.05)
+    env, plan, handle = deployed_env(app, cfg, seed=4)
+    execute(schedule(profile, env.loadgen_rng), plan, env)
+    env.run_until_idle()
+    records, _ = parse_logs(env.collect_log(handle.run_id))
+    before = {t.context_id: t.complete for t in build_trees(records)}
+    assert len(before) > 1 and all(before.values())
+
+    replayed = next(rec for rec in records if rec.kind == INVOCATION)
+    after = build_trees(records + [replayed])
+    assert {t.context_id for t in after if not t.complete} == {replayed.context_id}
+    assert len(after) == len(before)
 
 
 # -- decomposition -----------------------------------------------------------

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from faasbench import cli
 from faasbench.cli import EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, main
 from faasbench.records import HEADER_LINE
 
@@ -238,3 +239,43 @@ def test_run_custom_application_requires_profile(tmp_path):
                        "body": [{"kind": "compute", "duration": "constant(1)"}]}],
     }))
     assert run_cli("run", str(app_path), "--out", str(tmp_path / "out")) == EXIT_CONFIG
+
+
+def test_deep_sync_chain_runs_to_completion(tmp_path, monkeypatch):
+    # far deeper than Python's recursion limit: linking, walking and
+    # decomposing the tree must not recurse per level
+    depth = 3000
+    functions = []
+    for i in range(depth):
+        body = [{"kind": "compute", "duration": "constant(1)"}]
+        if i + 1 < depth:
+            body.append({"kind": "call", "target": f"f{i + 1}"})
+        functions.append({"name": f"f{i}", "trigger": "http-sync", "entryPoint": i == 0, "body": body})
+    profile = {
+        "name": "one-chain",
+        "workflows": [{"name": "chain", "steps": [{"entry": "f0"}]}],
+        "phases": [{"kind": "burst", "durationSeconds": 1, "totalFlows": 1, "mix": {"chain": 1.0}}],
+    }
+    app_path = tmp_path / "chain.json"
+    profile_path = tmp_path / "profile.json"
+    app_path.write_text(json.dumps({"name": "chain", "functions": functions}))
+    profile_path.write_text(json.dumps(profile))
+    results = []
+
+    def run_and_keep(*args, **kwargs):
+        results.append(cli_run_benchmark(*args, **kwargs))
+        return results[-1]
+
+    cli_run_benchmark = cli.run_benchmark
+    monkeypatch.setattr(cli, "run_benchmark", run_and_keep)
+    out = tmp_path / "out"
+    assert run_cli("run", str(app_path), "--profile", str(profile_path), "--seed", "1", "--out", str(out)) == EXIT_OK
+
+    (result,) = results
+    (tree,) = result.analysis.trees
+    assert tree.complete and tree.node_count() == depth
+    (bd,) = result.analysis.breakdowns
+    assert bd.conservation_residual_us == 0 and len(bd.edges) == depth - 1
+    assert tree.edge_set() == result.truth.edge_set()
+    summary = json.loads((find_run_dir(out) / "reports" / "summary.json").read_text())
+    assert summary["trees"] == {"total": 1, "complete": 1, "incomplete": 0}

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from faasbench.records import (
     DB_CALL,
+    ID_BLOCK,
     INVOCATION,
     OUTGOING_CALL,
     IdSource,
@@ -147,6 +148,21 @@ def test_id_source_replay_under_seed():
     b = IdSource(np.random.default_rng(42))
     assert [a.new_context() for _ in range(10)] == [b.new_context() for _ in range(10)]
     assert a.new_pair() == b.new_pair()
+
+
+@pytest.mark.parametrize("make_rng", [
+    lambda: np.random.default_rng(7),
+    lambda: np.random.default_rng(np.random.SeedSequence(7).spawn(3)[0]),  # as SimEnvironment seeds ids
+], ids=["seed", "spawned"])
+def test_id_source_blocks_replay_one_draw_per_id(make_rng):
+    ids = IdSource(make_rng())
+    reference = make_rng()
+    makers = (ids.new_context, ids.new_pair, ids.new_executor_key, ids.new_run_id)
+    n = 2 * ID_BLOCK + 300  # crosses two block boundaries
+    for i in range(n):
+        maker = makers[i % 7 % len(makers)]  # an irregular interleaving of the four kinds
+        want = reference.bytes(16).hex()
+        assert maker() == ("r" + want[:12] if maker == ids.new_run_id else want), f"id {i}"
 
 
 def test_id_format():

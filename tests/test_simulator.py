@@ -329,3 +329,56 @@ def test_wire_bytes_track_tracing_overhead():
         wires.append(env.truth.wire_bytes)
     assert logs[0] == logs[1]  # token size never shifts any latency
     assert wires[1] - wires[0] == 64
+
+
+def test_executor_reuse_matches_most_recently_idle_scan():
+    # reference: the full-scan policy written out; keep the executors idle
+    # within keep-alive, take the max of (last_idle_at, pool index), drop the
+    # expired ones. It shadows the platform's pool through _release, so both
+    # see the same append order, and every _acquire is checked against it.
+    app = simple_app(body_ms=2)
+    keep_alive = 10 * MS
+    platform = make_platform(keep_alive_us=keep_alive)
+    env, plan, handle = deployed_env(app, single_platform_config(app, platform))
+    p = env.platforms["p1"]
+    shadow: list = []
+    chosen: list[tuple[str, bool]] = []
+    expected: list[tuple[str | None, bool]] = []
+    real_acquire, real_release = p._acquire, p._release
+
+    def acquire(fn_name, arrival):
+        alive = [e for e in shadow if e.last_idle_at + keep_alive >= arrival]
+        if alive:
+            best = alive.pop(max(range(len(alive)), key=lambda i: (alive[i].last_idle_at, i)))
+            expected.append((best.key, False))
+        else:
+            expected.append((None, True))
+        shadow[:] = alive
+        executor, cold = real_acquire(fn_name, arrival)
+        chosen.append((executor.key, cold))
+        return executor, cold
+
+    def release(executor, at_us):
+        real_release(executor, at_us)
+        shadow.append(executor)
+
+    p._acquire, p._release = acquire, release
+
+    arrivals = [0, 0, 0, 500, 500]  # overlapping: five cold executors, idle at 2.0 ms (x3) and 2.5 ms (x2)
+    arrivals += [3000, 3100, 3200]  # staggered: the two 2.5 ms ones top first, then a tie among the 2.0 ms ones
+    arrivals += [12_100, 12_600]  # partial expiry: the two 2.0 ms executors left have expired below a live top
+    arrivals += [14_600 + keep_alive]  # exactly keep-alive after the last release: still warm
+    arrivals += [100 * MS, 100 * MS + 100]  # whole pool expired: cold, then a second cold overlap
+    for t in arrivals:
+        p.invoke("fn", arrival_us=t)
+    env.run_until_idle()
+
+    assert len(chosen) == len(arrivals)
+    assert [cold for _, cold in chosen] == [cold for _, cold in expected]
+    assert [key for key, cold in chosen if not cold] == [key for key, cold in expected if not cold]
+    assert [cold for _, cold in chosen] == [True] * 5 + [False] * 6 + [True] * 2
+    keys = [key for key, _ in chosen]
+    assert keys[5:8] == [keys[4], keys[3], keys[2]]  # most recent first; equal times: last released
+    assert keys[8:11] == [keys[2], keys[3], keys[3]]
+    truth = [(inv.executor_key, inv.cold) for inv in env.truth.invocations]
+    assert sorted(truth) == sorted(chosen)

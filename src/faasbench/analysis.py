@@ -25,6 +25,18 @@ total network + total db exactly, where parallel blocks contribute their
 blocking span as network-wait (branch internals are drill-down detail, not
 part of the sum) and async subtrees fall outside the root round trip.
 
+Record-level metrics (execution durations, cold-start counts and the
+cold-flag cross-check) count each (context, pair id) invocation once, from
+its first line in log order.
+
+``analyze_log_text`` pauses Python's cyclic garbage collector while it parses
+and analyzes. The analyzer builds no reference cycles, yet the records, tree
+nodes and breakdowns it allocates by the hundred thousand keep triggering
+collections, and each one scans every object that survives, to free nothing.
+Before the collector is restored, ``gc.freeze(); gc.unfreeze()`` moves the
+survivors into the oldest generation without scanning them, so the paused
+allocations do not set off a full collection right after.
+
 All quantiles are nearest-rank; whiskers extend to the most extreme values
 within 1.5 interquartile ranges of the quartiles.
 """
@@ -32,6 +44,7 @@ within 1.5 interquartile ranges of the quartiles.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -82,32 +95,28 @@ class ParseReport:
 
 def parse_logs(text_or_lines) -> tuple[list[TraceRecord], ParseReport]:
     """Parse a collected log; malformed lines are counted and skipped."""
-    if isinstance(text_or_lines, str):
-        lines = text_or_lines.splitlines()
-    else:
-        lines = list(text_or_lines)
+    lines = iter(text_or_lines.splitlines() if isinstance(text_or_lines, str) else text_or_lines)
     report = ParseReport()
     records: list[TraceRecord] = []
-    header_seen = False
+    for line in lines:  # the first line that is not blank is the header
+        if line.strip():
+            if line.strip() != HEADER_LINE:
+                raise UnsupportedSchemaVersion(f"missing or unsupported log header: {line[:60]!r}")
+            break
+    append = records.append
     for line in lines:
         if not line.strip():
             continue
-        if not header_seen:
-            if line.strip() != HEADER_LINE:
-                raise UnsupportedSchemaVersion(f"missing or unsupported log header: {line[:60]!r}")
-            header_seen = True
-            continue
-        if line.startswith(DROP_PREFIX):
-            try:
-                platform_id, count = parse_drop_line(line)
-                report.drops[platform_id] = report.drops.get(platform_id, 0) + count
-            except ValueError:
-                report.parse_errors += 1
-            continue
         if line.startswith("#"):
+            if line.startswith(DROP_PREFIX):
+                try:
+                    platform_id, count = parse_drop_line(line)
+                    report.drops[platform_id] = report.drops.get(platform_id, 0) + count
+                except ValueError:
+                    report.parse_errors += 1
             continue
         try:
-            records.append(parse_record(line))
+            append(parse_record(line))
         except ValueError:
             report.parse_errors += 1
     report.records = len(records)
@@ -189,25 +198,32 @@ def build_trees(records: list[TraceRecord]) -> list[CallTree]:
     invocation pair id logged twice) marks every tree of that context
     incomplete: a dropped outgoing record would otherwise leave a tree that
     looks closed while silently missing a subtree, corrupting its
-    decomposition, and a replayed invocation would be linked in place of the
-    one it repeats."""
-    by_ctx: dict[str, list[TraceRecord]] = {}
+    decomposition. Of an invocation pair id logged twice, the first line in
+    log order is the tree's node, as in ``unique_invocations``."""
+    # per context: invocations, load-generator roots, function calls, db calls
+    by_ctx: dict[str, tuple[list, list, list, list]] = {}
     for r in records:
-        by_ctx.setdefault(r.context_id, []).append(r)
+        buckets = by_ctx.get(r.context_id)
+        if buckets is None:
+            buckets = by_ctx[r.context_id] = ([], [], [], [])
+        kind = r.kind
+        if kind == INVOCATION:
+            buckets[0].append(r)
+        elif kind == OUTGOING_CALL:
+            buckets[1 if r.platform_id == LOADGEN else 2].append(r)
+        elif kind == DB_CALL:
+            buckets[3].append(r)
 
     trees: list[CallTree] = []
     for ctx in sorted(by_ctx):
-        recs = by_ctx[ctx]
-        invocations = [r for r in recs if r.kind == INVOCATION]
-        roots = sorted(
-            (r for r in recs if r.kind == OUTGOING_CALL and r.platform_id == LOADGEN),
-            key=lambda r: (r.start_us, r.pair_id),
-        )
-        fn_calls = [r for r in recs if r.kind == OUTGOING_CALL and r.platform_id != LOADGEN]
-        dbs = [r for r in recs if r.kind == DB_CALL]
+        invocations, roots, fn_calls, dbs = by_ctx[ctx]
+        roots.sort(key=lambda r: (r.start_us, r.pair_id))
 
-        nodes = {r.pair_id: TreeNode(r) for r in invocations}
-        duplicated = len(nodes) != len(invocations)  # a later record replaced an earlier one
+        nodes: dict[str, TreeNode] = {}
+        for r in invocations:
+            if r.pair_id not in nodes:  # a replayed invocation keeps its first line
+                nodes[r.pair_id] = TreeNode(r)
+        duplicated = len(nodes) != len(invocations)
         by_owner: dict[tuple[str, str], list[TreeNode]] = {}
         for node in nodes.values():
             by_owner.setdefault((node.record.platform_id, node.record.function), []).append(node)
@@ -550,36 +566,50 @@ class ColdstartReport:
     timeline: list[BucketStat]  # first burst phase, per-second, first 30 s
 
 
-def coldstart_report(records: list[TraceRecord], phases: list[PhaseWindow] | None = None,
+def unique_invocations(records: list[TraceRecord]) -> list[TraceRecord]:
+    """The INVOCATION records, one per (context, pair id): the first line in
+    log order, so a replayed or concatenated line is not counted twice."""
+    first: dict[tuple[str, str], TraceRecord] = {}
+    for r in records:
+        if r.kind == INVOCATION:
+            first.setdefault((r.context_id, r.pair_id), r)
+    return list(first.values())
+
+
+def coldstart_report(invocations: list[TraceRecord], phases: list[PhaseWindow] | None = None,
                      timeline_seconds: int = 30) -> ColdstartReport:
-    invs = [r for r in records if r.kind == INVOCATION]
-    total_cold = sum(1 for r in invs if r.cold_start)
+    """Cold-start counts of the run's invocations, one record per (context,
+    pair id) as ``unique_invocations`` gives them."""
+    total_cold = sum(1 for r in invocations if r.cold_start)
     per_phase: list[tuple[str, int, int]] = []
     timeline: list[BucketStat] = []
     if phases:
         for ph in phases:
-            within = [r for r in invs if ph.start_us <= r.start_us < ph.end_us]
+            within = [r for r in invocations if ph.start_us <= r.start_us < ph.end_us]
             per_phase.append((ph.name, len(within), sum(1 for r in within if r.cold_start)))
         bursts = [ph for ph in phases if ph.kind == "burst"]
         if bursts:
             # the cold-start profile lives in the load-peak phase: the last
             # burst (the one after any pause)
             burst = bursts[-1]
-            for i in range(timeline_seconds):
-                lo = burst.start_us + i * 1_000_000
-                hi = lo + 1_000_000
-                bucket = [r for r in invs if lo <= r.start_us < hi]
+            buckets: list[list[TraceRecord]] = [[] for _ in range(timeline_seconds)]
+            for r in invocations:
+                i = (r.start_us - burst.start_us) // 1_000_000
+                if 0 <= i < timeline_seconds:
+                    buckets[i].append(r)
+            for i, bucket in enumerate(buckets):
                 execs = sorted(r.duration_us for r in bucket)
                 timeline.append(
                     BucketStat(i, len(bucket), sum(1 for r in bucket if r.cold_start),
                                nearest_rank(execs, 0.5) if execs else None)
                 )
-    return ColdstartReport(len(invs), total_cold, per_phase, timeline)
+    return ColdstartReport(len(invocations), total_cold, per_phase, timeline)
 
 
 def coldstart_crosscheck(records: list[TraceRecord]) -> int:
     """Recompute cold flags from first appearance of each executor key;
-    returns the number of records whose logged flag disagrees."""
+    returns the number of invocations whose logged flag disagrees. Pass
+    ``unique_invocations`` to count a replayed line once."""
     invs = sorted(
         (r for r in records if r.kind == INVOCATION and r.executor_key),
         key=lambda r: (r.start_us, r.end_us, r.pair_id),
@@ -697,9 +727,9 @@ def analyze_records(records: list[TraceRecord], parse_report: ParseReport,
         metrics[metric].setdefault(group, []).append(value)
 
     # record-level metric: execution durations (usable under log loss)
-    for r in records:
-        if r.kind == INVOCATION:
-            add("exec_duration", r.function, r.duration_us)
+    invocations = unique_invocations(records)
+    for r in invocations:
+        add("exec_duration", r.function, r.duration_us)
 
     for bd in breakdowns:
         add("root_round_trip", bd.entry_function, bd.root_round_trip_us)
@@ -714,16 +744,27 @@ def analyze_records(records: list[TraceRecord], parse_report: ParseReport,
         parse=parse_report,
         trees=trees,
         breakdowns=breakdowns,
-        coldstart=coldstart_report(records, phases),
-        cold_flag_mismatches=coldstart_crosscheck(records),
+        coldstart=coldstart_report(invocations, phases),
+        cold_flag_mismatches=coldstart_crosscheck(invocations),
         metrics=metrics,
         phases=phases,
     )
 
 
 def analyze_log_text(text: str, phases: list[PhaseWindow] | None = None) -> RunAnalysis:
-    records, report = parse_logs(text)
-    return analyze_records(records, report, phases)
+    """Parse and analyze a collected log with the cyclic collector paused
+    (module docstring); the caller's collector state is restored."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        records, report = parse_logs(text)
+        return analyze_records(records, report, phases)
+    finally:
+        if not gc.get_freeze_count():  # leave a caller's frozen objects frozen
+            gc.freeze()
+            gc.unfreeze()  # moves what survived into the oldest generation, unscanned
+        if enabled:
+            gc.enable()
 
 
 def _stats_row(metric: str, group: str, s: SummaryStats) -> list:

@@ -14,7 +14,7 @@ metadata lines with per-platform rate-limiter drop counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,10 @@ class MalformedRecord(ValueError):
     """Record violates the schema (bad kind, endTs < startTs, missing fields)."""
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One log line. A tuple: the analyzer holds every record of a run, and a
+    tuple is built from a parsed line in one step and is immutable."""
+
     run_id: str
     platform_id: str
     kind: str
@@ -94,27 +96,24 @@ def serialize_record(r: TraceRecord) -> str:
     return "\t".join(fields)
 
 
+_new_record = tuple.__new__  # builds a TraceRecord from its 13 values, as NamedTuple._make does
+
+
 def parse_record(line: str) -> TraceRecord:
     """Parse one data line; raises ValueError/MalformedRecord on bad input."""
     fields = line.split("\t")
     if len(fields) != _FIELD_COUNT:
         raise MalformedRecord(f"expected {_FIELD_COUNT} fields, got {len(fields)}")
-    cold_raw = fields[11]
-    record = TraceRecord(
-        run_id=fields[0],
-        platform_id=fields[1],
-        kind=fields[2],
-        function=fields[3],
-        context_id=fields[4],
-        pair_id=fields[5],
-        callee=None if fields[6] == _NONE else fields[6],
-        mode=None if fields[7] == _NONE else fields[7],
-        start_us=int(fields[8]),
-        end_us=int(fields[9]),
-        executor_key=None if fields[10] == _NONE else fields[10],
-        cold_start=None if cold_raw == _NONE else cold_raw == "1",
-        db_op=None if fields[12] == _NONE else fields[12],
-    )
+    (run_id, platform_id, kind, function, context_id, pair_id, callee, mode, start, end, executor_key, cold,
+     db_op) = fields
+    record = _new_record(TraceRecord, (
+        run_id, platform_id, kind, function, context_id, pair_id, int(start), int(end),
+        None if callee == _NONE else callee,
+        None if mode == _NONE else mode,
+        None if executor_key == _NONE else executor_key,
+        None if cold == _NONE else cold == "1",
+        None if db_op == _NONE else db_op,
+    ))
     record.check()
     return record
 
@@ -204,8 +203,7 @@ class RecordSink:
                 return False
             self._window_count += 1
         if self.clock_offset_us:
-            record = replace(
-                record,
+            record = record._replace(
                 start_us=record.start_us + self.clock_offset_us,
                 end_us=record.end_us + self.clock_offset_us,
             )

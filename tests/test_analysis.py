@@ -1,4 +1,5 @@
 import csv
+import gc
 import struct
 import zlib
 
@@ -11,6 +12,7 @@ from faasbench.analysis import (
     ParseReport,
     RunAnalysis,
     UnsupportedSchemaVersion,
+    analyze_log_text,
     analyze_records,
     build_trees,
     coldstart_crosscheck,
@@ -39,8 +41,8 @@ from faasbench.records import (
     TraceRecord,
     serialize_record,
 )
-from faasbench.recipes import exp3_three_way_factory
-from faasbench.runner import default_config
+from faasbench.recipes import exp3_three_way_factory, recipe
+from faasbench.runner import analyze_file, default_config, run_benchmark
 from faasbench.workload import execute, schedule
 
 from conftest import deployed_env
@@ -96,6 +98,48 @@ def test_parse_requires_header():
         parse_logs(serialize_record(r))
     with pytest.raises(UnsupportedSchemaVersion):
         parse_logs("#faastrace v999\n")
+
+
+def _edit(line: str, **at) -> str:
+    fields = line.split("\t")
+    for i, value in at.items():
+        fields[int(i[1:])] = value
+    return "\t".join(fields)
+
+
+GOOD_INV = serialize_record(rec(INVOCATION, "fn", _id(2), 10, 20))
+GOOD_CALL = serialize_record(rec(OUTGOING_CALL, "fn", _id(3), 12, 18, callee="g", mode=MODE_SYNC))
+GOOD_DB = serialize_record(rec(DB_CALL, "fn", _id(4), 13, 14, callee="keystore", db_op="get"))
+
+MALFORMED_LINES = {
+    "twelve fields": GOOD_INV.rsplit("\t", 1)[0],
+    "fourteen fields": GOOD_INV + "\t-",
+    "non-integer start": _edit(GOOD_INV, f8="10.5"),
+    "non-integer end": _edit(GOOD_INV, f9="x"),
+    "end before start": _edit(GOOD_INV, f8="21"),
+    "unknown kind": _edit(GOOD_INV, f2="RETURN"),
+    "invocation without executor key": _edit(GOOD_INV, f10="-"),
+    "invocation without cold flag": _edit(GOOD_INV, f11="-"),
+    "call without callee": _edit(GOOD_CALL, f6="-"),
+    "call with a bad mode": _edit(GOOD_CALL, f7="oneway"),
+    "call without a mode": _edit(GOOD_CALL, f7="-"),
+    "db call with a bad op": _edit(GOOD_DB, f12="drop"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LINES))
+def test_parse_counts_and_skips_each_malformed_line(case):
+    text = "\n".join([HEADER_LINE, GOOD_INV, MALFORMED_LINES[case], GOOD_CALL, GOOD_DB]) + "\n"
+    records, report = parse_logs(text)
+    assert report.parse_errors == 1 and report.records == 3
+    assert [serialize_record(r) for r in records] == [GOOD_INV, GOOD_CALL, GOOD_DB]
+
+
+def test_parse_skips_blank_and_comment_lines():
+    lines = ["", "  ", HEADER_LINE, "\t", GOOD_INV, " \t ", "# a note", "#" + GOOD_CALL, "", GOOD_DB]
+    records, report = parse_logs("\n".join(lines))
+    assert report.parse_errors == 0 and report.drops == {}
+    assert [serialize_record(r) for r in records] == [GOOD_INV, GOOD_DB]
 
 
 def test_parse_collects_drop_counters():
@@ -215,6 +259,37 @@ def test_duplicated_invocation_pair_id_marks_only_its_context_incomplete():
     after = build_trees(records + [replayed])
     assert {t.context_id for t in after if not t.complete} == {replayed.context_id}
     assert len(after) == len(before)
+
+
+def test_a_repeated_invocation_pair_counts_its_first_line():
+    records = chain_records()
+    first_b = records[3]
+    later_b = first_b._replace(end_us=first_b.end_us + 5 * MS, cold_start=True)
+    analysis = analyze_records(records + [later_b], ParseReport(records=6))
+    assert analysis.metrics["exec_duration"]["b"] == [first_b.duration_us]
+    assert analysis.coldstart.total_invocations == 2 and analysis.coldstart.total_cold == 0
+    (tree,) = analysis.trees
+    assert not tree.complete
+    assert [n.record for n in tree.nodes()] == [records[1], first_b]
+
+
+def test_replayed_invocation_line_is_counted_once(tmp_path):
+    # factory-events at seed 7: 900 orderSupplies invocations, 29700 in all
+    r = recipe("exp3-three-way-factory")
+    result = run_benchmark(load_builtin(r.benchmark), r.config, r.profile, 7, tmp_path, scale=5.0)
+    lines = result.log_text.splitlines()
+    replayed = next(line for line in lines if line.split("\t")[2:4] == [INVOCATION, "orderSupplies"])
+    result.log_path.write_text(result.log_text + replayed + "\n")
+
+    analysis = analyze_file(result.log_path)
+    assert len(analysis.metrics["exec_duration"]["orderSupplies"]) == 900
+    assert analysis.coldstart.total_invocations == 29700
+    assert analysis.metrics["exec_duration"] == result.analysis.metrics["exec_duration"]
+    assert analysis.coldstart == result.analysis.coldstart
+    assert analysis.cold_flag_mismatches == 0
+    ctx = replayed.split("\t")[4]
+    assert {t.context_id for t in analysis.trees if not t.complete} == {ctx}
+    assert analysis.parse.records == result.analysis.parse.records + 1
 
 
 # -- decomposition -----------------------------------------------------------
@@ -349,6 +424,31 @@ def test_coldstart_report_phases_and_timeline():
     assert by_name["1:pause"] == (2, 0)
     assert report.timeline[0].count == 2  # bucket 0 of the last burst covers [3s, 4s)
     assert report.timeline[0].p50_exec_us == 9 * MS
+
+
+def test_coldstart_timeline_bucket_edges():
+    lo = 7_000_000
+    starts = [lo - 1, lo, lo + 999_999, lo + 1_000_000, lo + 30_000_000]
+    records = [rec(INVOCATION, "fn", _id(20 + i), s, s + (i + 1) * MS, ctx=_id(50 + i), cold_start=(i == 1))
+               for i, s in enumerate(starts)]
+    report = coldstart_report(records, [PhaseWindow("0:burst", "burst", lo, lo + 60_000_000)])
+    assert [(b.index, b.count, b.cold) for b in report.timeline[:3]] == [(0, 2, 1), (1, 1, 0), (2, 0, 0)]
+    assert [b.p50_exec_us for b in report.timeline[:3]] == [2 * MS, 4 * MS, None]
+    assert len(report.timeline) == 30 and sum(b.count for b in report.timeline) == 3
+
+
+def test_coldstart_timeline_equals_a_scan_per_second():
+    rng = np.random.default_rng(5)
+    lo = 2_000_000
+    records = [rec(INVOCATION, "fn", _id(i), int(s), int(s) + int(d), ctx=_id(10_000 + i), cold_start=bool(c))
+               for i, (s, d, c) in enumerate(zip(rng.integers(0, 40_000_000, 400), rng.integers(1, 9_000, 400),
+                                                 rng.integers(0, 2, 400)))]
+    report = coldstart_report(records, [PhaseWindow("0:burst", "burst", lo, lo + 40_000_000)])
+    for i, b in enumerate(report.timeline):
+        bucket = [r for r in records if lo + i * 1_000_000 <= r.start_us < lo + (i + 1) * 1_000_000]
+        execs = sorted(r.duration_us for r in bucket)
+        assert (b.index, b.count, b.cold) == (i, len(bucket), sum(1 for r in bucket if r.cold_start))
+        assert b.p50_exec_us == (nearest_rank(execs, 0.5) if execs else None)
 
 
 def test_coldstart_crosscheck_detects_bad_flags():
@@ -697,3 +797,53 @@ def test_oneway_publish_and_trigger_read_from_the_decomposition(name):
         assert walked[0] and not walked[1]
     else:
         assert walked[1] and walked[2]
+
+
+# -- the paused collector ----------------------------------------------------
+
+
+def _set_collector(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def collector_restored():
+    enabled = gc.isenabled()
+    yield
+    _set_collector(enabled)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_analyze_log_text_restores_the_collector(enabled, collector_restored):
+    _set_collector(enabled)
+    analysis = analyze_log_text("\n".join([HEADER_LINE, GOOD_INV, GOOD_CALL, GOOD_DB]))
+    assert analysis.parse.records == 3
+    assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
+    with pytest.raises(UnsupportedSchemaVersion):
+        analyze_log_text("#faastrace v999\n" + GOOD_INV)
+    assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
+
+
+def test_analyze_log_text_keeps_a_callers_frozen_objects(collector_restored):
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        analyze_log_text("\n".join([HEADER_LINE, GOOD_INV]))
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
+def test_analysis_creates_no_reference_cycles(tmp_path, collector_restored):
+    r = recipe("exp3-three-way-factory")
+    text = run_benchmark(load_builtin(r.benchmark), r.config, r.profile, 7, tmp_path).log_text
+    gc.collect()
+    gc.disable()
+    analysis = analyze_log_text(text)
+    assert analysis.complete_trees > 0
+    assert gc.collect() == 0  # no cycle among what the analyzer dropped
+    del analysis
+    assert gc.collect() == 0  # nor in what it returned

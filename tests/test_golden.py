@@ -1,5 +1,5 @@
 """Byte-identity guard: sha256 digests of ``raw.log`` and ``reports/summary.json``
-for four small runs at a pinned seed.
+for five small runs at a pinned seed.
 
 A refactor that keeps behaviour keeps these digests. The logs depend on
 numpy's ``Generator`` streams, so the digests were recorded together with the
@@ -41,6 +41,13 @@ def _webshop_lognormal_rate_limited():
     return load_builtin(r.benchmark), replace(r.config, platforms=limited), r.profile
 
 
+def _smartcity_edge_cloud_offset():
+    # the only case whose logs carry a platform clock offset: the cloud writes
+    # its timestamps 2.5 ms ahead of the edge
+    r = recipes.exp2_edge_cloud(cloud_clock_offset_ms=2.5)
+    return load_builtin(r.benchmark), r.config, r.profile
+
+
 # case -> (function giving app, config and profile; scale; raw.log sha256; summary.json sha256)
 GOLDEN = {
     "webshop-default-x0.01": (
@@ -62,6 +69,11 @@ GOLDEN = {
         _webshop_lognormal_rate_limited, 0.01,
         "5a5e4fd823f8b4b9ff2272e5d5c9a4a44cd922b7b459ba493d7c62882b4f9e4b",
         "95095d038d6eebee391fb053c258a60598cd44f2bd90c15f9bee977dc5a6b95c",
+    ),
+    "smartcity-exp2-edge-cloud-offset-2.5ms-x0.25": (
+        _smartcity_edge_cloud_offset, 0.25,
+        "8da2d9d35b92b16df19f581e72855da9f33e4b67e9df84d9c920d193035ee30c",
+        "5051bd27dbe7305464aee74aaf02f49bee3ddd211bf47586af40221393548eb4",
     ),
 }
 

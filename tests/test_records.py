@@ -90,6 +90,66 @@ def test_parse_rejects_wrong_field_count():
         parse_record("a\tb\tc\td\te")
 
 
+@pytest.mark.parametrize("cold, want", [("-", None), ("1", True), ("0", False), ("true", False), ("", False)])
+def test_parse_maps_the_cold_field(cold, want):
+    fields = serialize_record(make_invocation()).split("\t")
+    fields[11] = cold
+    if want is None:  # an INVOCATION needs its flag, so read "-" on a call record
+        fields[2], fields[6], fields[7], fields[10] = OUTGOING_CALL, "callee", "sync", "-"
+    assert parse_record("\t".join(fields)).cold_start is want
+
+
+def test_records_are_immutable():
+    r = make_invocation()
+    with pytest.raises(AttributeError):
+        r.start_us = 0
+    assert r._replace(start_us=0).start_us == 0 and r.start_us == 10
+
+
+def _reference_parse(line: str) -> TraceRecord:
+    """The column mapping spelled out field by field, by keyword."""
+    f = line.split("\t")
+    if len(f) != 13:
+        raise MalformedRecord("field count")
+    record = TraceRecord(
+        run_id=f[0], platform_id=f[1], kind=f[2], function=f[3], context_id=f[4], pair_id=f[5],
+        callee=None if f[6] == "-" else f[6], mode=None if f[7] == "-" else f[7],
+        start_us=int(f[8]), end_us=int(f[9]), executor_key=None if f[10] == "-" else f[10],
+        cold_start=None if f[11] == "-" else f[11] == "1", db_op=None if f[12] == "-" else f[12],
+    )
+    record.check()
+    return record
+
+
+def _outcome(parse, line):
+    try:
+        return parse(line)
+    except ValueError as exc:  # MalformedRecord is a ValueError
+        return type(exc)
+
+
+_VALID_LINES = [
+    serialize_record(make_invocation()),
+    serialize_record(make_invocation(cold_start=False)),
+    serialize_record(TraceRecord("r1", "p1", OUTGOING_CALL, "fn", "c" * 32, "b" * 32, 5, 9,
+                                 callee="other", mode="async")),
+    serialize_record(TraceRecord("r1", "p1", DB_CALL, "fn", "c" * 32, "9" * 32, 3, 6, callee="kv", db_op="set")),
+]
+_TOKENS = st.sampled_from(["-", "", "r1", INVOCATION, OUTGOING_CALL, DB_CALL, "WEIRD", "sync", "async", "trigger",
+                           "bad", "get", "set", "drop", "0", "1", "7", "-3", "12x", " 5", "1_0"])
+
+
+@settings(max_examples=300)
+@given(line=st.sampled_from(_VALID_LINES), edits=st.dictionaries(st.integers(0, 12), _TOKENS, max_size=3),
+       width=st.sampled_from([13, 13, 13, 12, 14]))
+def test_parse_record_matches_the_field_by_field_mapping(line, edits, width):
+    fields = line.split("\t")
+    for i, token in edits.items():
+        fields[i] = token
+    line = "\t".join((fields + ["x"])[:width])
+    assert _outcome(parse_record, line) == _outcome(_reference_parse, line)
+
+
 def test_sink_rate_limit_cap_arithmetic():
     # 300 records within one virtual second at limit 250 -> 250 kept, 50 dropped
     sink = RecordSink("p1", lines_per_second=250)

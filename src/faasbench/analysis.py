@@ -16,9 +16,11 @@ Metric definitions:
 * one-way network estimate (per sync edge) — (caller round trip minus
   callee execution) / 2, assuming both directions take comparably long.
 
-``decompose`` walks each complete tree once; the one-way estimate, publish
-latency and trigger delay are then read from its breakdowns (network / 2 per
-sync edge, one row per async edge), not from further walks over the trees.
+``decompose`` walks each complete tree once and appends every tree-level
+metric row (root round trip, compute, network, one-way estimate as network / 2
+per sync edge, db, and publish latency and trigger delays per async edge)
+straight into the run's metric groups; it keeps per tree only the conserved
+totals. No later pass reads the rows back.
 
 Conservation: for a complete tree, root round trip equals total compute +
 total network + total db exactly, where parallel blocks contribute their
@@ -31,7 +33,7 @@ its first line in log order.
 
 ``analyze_log_text`` pauses Python's cyclic garbage collector while it parses
 and analyzes. The analyzer builds no reference cycles, yet the records, tree
-nodes and breakdowns it allocates by the hundred thousand keep triggering
+nodes and metric rows it allocates by the hundred thousand keep triggering
 collections, and each one scans every object that survives, to free nothing.
 Before the collector is restored, ``gc.freeze(); gc.unfreeze()`` moves the
 survivors into the oldest generation without scanning them, so the paused
@@ -344,95 +346,56 @@ def _link(node: TreeNode, nodes: dict[str, TreeNode], consumed: set[str]) -> int
 
 
 @dataclass
-class NodeBreakdown:
-    function: str
-    platform_id: str
-    exec_us: int
-    compute_us: int
-    db_us: int
-    block_wait_us: int
-    conserved: bool
-
-
-@dataclass
-class EdgeMetric:
-    caller: str
-    callee: str
-    from_platform: str
-    to_platform: str
-    network_us: int
-    in_block: bool
-
-
-@dataclass
-class DbMetric:
-    function: str
-    platform_id: str
-    service: str
-    op: str
-    duration_us: int
-    in_block: bool
-
-
-@dataclass
-class AsyncEdgeMetric:
-    origin_platform: str
-    dest_platform: str
-    caller: str
-    target: str
-    publish_latency_us: int
-    trigger_delays_us: tuple[int, ...]
-
-
-@dataclass
 class LatencyBreakdown:
+    """One complete tree's conserved totals; its metric rows live in the
+    run's metric groups."""
     context_id: str
-    root_pair: str
     entry_function: str
     root_round_trip_us: int
-    root_network_us: int
-    nodes: list[NodeBreakdown] = field(default_factory=list)
-    edges: list[EdgeMetric] = field(default_factory=list)
-    dbs: list[DbMetric] = field(default_factory=list)
-    asyncs: list[AsyncEdgeMetric] = field(default_factory=list)
-    total_compute_us: int = 0
-    total_network_us: int = 0
-    total_db_us: int = 0
+    total_compute_us: int
+    total_network_us: int
+    total_db_us: int
 
     @property
     def conservation_residual_us(self) -> int:
         return self.root_round_trip_us - (self.total_compute_us + self.total_network_us + self.total_db_us)
 
 
-def decompose(tree: CallTree) -> LatencyBreakdown:
-    """Split one complete tree into compute/network/db components."""
+# the run's metric groups, in summary.json order
+METRIC_NAMES = ("root_round_trip", "exec_duration", "compute", "network", "network_oneway", "db",
+                "publish_latency", "trigger_delay")
+
+
+def decompose(tree: CallTree, metrics: dict[str, dict[str, list]]) -> LatencyBreakdown:
+    """Split one complete tree into compute/network/db components: append
+    each tree-level metric row to its group in ``metrics`` (the run's
+    ``RunAnalysis.metrics``, keyed by ``METRIC_NAMES``) and return the
+    tree's conserved totals."""
     if not tree.complete or tree.root is None or tree.root_node is None:
         raise IncompleteTree(f"context {tree.context_id} is incomplete")
     root = tree.root
     root_node = tree.root_node
-    bd = LatencyBreakdown(
-        context_id=tree.context_id,
-        root_pair=root.pair_id,
-        entry_function=root.callee or root_node.record.function,
-        root_round_trip_us=root.duration_us,
-        root_network_us=root.duration_us - root_node.record.duration_us,
-    )
-    bd.total_network_us = bd.root_network_us
+    entry = root.callee or root_node.record.function
+    metrics["root_round_trip"].setdefault(entry, []).append(root.duration_us)
+    bd = LatencyBreakdown(context_id=tree.context_id, entry_function=entry, root_round_trip_us=root.duration_us,
+                          total_compute_us=0, total_network_us=root.duration_us - root_node.record.duration_us,
+                          total_db_us=0)
     # each node's step yields its children in visiting order; running the
     # steps from an explicit stack keeps that order at any tree depth
-    stack = [_decompose_node(root_node, True, bd)]
+    stack = [_decompose_node(root_node, True, bd, metrics)]
     while stack:
         for child, conserved in stack[-1]:
-            stack.append(_decompose_node(child, conserved, bd))
+            stack.append(_decompose_node(child, conserved, bd, metrics))
             break
         else:
             stack.pop()
     return bd
 
 
-def _decompose_node(node: TreeNode, conserved: bool, bd: LatencyBreakdown):
-    """Append one node's metrics to ``bd``; yields each (child, conserved)
-    where the child's own metrics belong in the append order."""
+def _decompose_node(node: TreeNode, conserved: bool, bd: LatencyBreakdown, metrics: dict[str, dict[str, list]]):
+    """Append one node's metric rows to ``metrics`` and, when the node is
+    conserved, its components to ``bd``'s totals; yields each (child,
+    conserved) where the child's own rows belong in the append order."""
     rec = node.record
     async_edges = []
     items: list[tuple[int, int, str, object]] = []
@@ -460,36 +423,28 @@ def _decompose_node(node: TreeNode, conserved: bool, bd: LatencyBreakdown):
             j += 1
         in_block = len(cluster) > 1
         if in_block:
-            span = cluster_end - cluster[0][0]
-            block_wait_us += span
+            block_wait_us += cluster_end - cluster[0][0]
         for start, end, kind, item in cluster:
             if kind == "db":
                 db_rec: TraceRecord = item
-                bd.dbs.append(
-                    DbMetric(rec.function, rec.platform_id, db_rec.callee or "?", db_rec.db_op or "?",
-                             db_rec.duration_us, in_block)
-                )
+                metrics["db"].setdefault(f"{rec.platform_id}/{db_rec.callee or '?'}", []).append(db_rec.duration_us)
                 if not in_block:
                     seq_db_us += db_rec.duration_us
             else:
                 edge: TreeEdge = item
-                child = edge.child
-                network = edge.record.duration_us - child.record.duration_us
-                bd.edges.append(
-                    EdgeMetric(rec.function, child.record.function, rec.platform_id,
-                               child.record.platform_id, network, in_block)
-                )
+                child = edge.child.record
+                network = edge.record.duration_us - child.duration_us
+                metrics["network"].setdefault(f"{rec.function}->{child.function}", []).append(network)
+                metrics["network_oneway"].setdefault(f"{rec.platform_id}->{child.platform_id}", []).append(network / 2)
                 if not in_block:
                     seq_sync_us += edge.record.duration_us
-                if conserved and not in_block:
-                    bd.total_network_us += network
-                yield child, conserved and not in_block
+                    if conserved:
+                        bd.total_network_us += network
+                yield edge.child, conserved and not in_block
         i = j
 
     compute = rec.duration_us - seq_sync_us - seq_db_us - block_wait_us
-    bd.nodes.append(
-        NodeBreakdown(rec.function, rec.platform_id, rec.duration_us, compute, seq_db_us, block_wait_us, conserved)
-    )
+    metrics["compute"].setdefault(rec.function, []).append(compute)
     if conserved:
         bd.total_compute_us += compute
         bd.total_db_us += seq_db_us
@@ -498,44 +453,31 @@ def _decompose_node(node: TreeNode, conserved: bool, bd: LatencyBreakdown):
     for e in async_edges:
         pub = e.child
         pub_rec = pub.record
+        group = f"{e.record.platform_id}->{pub_rec.platform_id}"
+        metrics["publish_latency"].setdefault(group, []).append(e.record.duration_us - pub_rec.duration_us)
         triggered = [t.child for t in pub.calls if t.mode == MODE_TRIGGER]
-        bd.asyncs.append(
-            AsyncEdgeMetric(e.record.platform_id, pub_rec.platform_id, rec.function, e.record.callee or "?",
-                            e.record.duration_us - pub_rec.duration_us,
-                            tuple(t.record.start_us - pub_rec.start_us for t in triggered))
-        )
+        if triggered:
+            metrics["trigger_delay"].setdefault(group, []).extend(
+                t.record.start_us - pub_rec.start_us for t in triggered)
         for t in triggered:
             yield t, False
-        bd.nodes.append(
-            NodeBreakdown(pub_rec.function, pub_rec.platform_id, pub_rec.duration_us, pub_rec.duration_us,
-                          0, 0, False)
-        )
+        # a publisher only forwards: all of its execution is compute, outside the root round trip
+        metrics["compute"].setdefault(pub_rec.function, []).append(pub_rec.duration_us)
 
 
-def trigger_metrics(breakdowns: list[LatencyBreakdown]) -> tuple[dict[str, list], dict[str, list]]:
-    """({"origin->dest": publish latencies}, {"origin->dest": trigger delays})
-    read from the decomposed async edges; sync-only trees contribute nothing."""
-    publishes: dict[str, list] = {}
-    triggers: dict[str, list] = {}
-    for bd in breakdowns:
-        for m in bd.asyncs:
-            group = f"{m.origin_platform}->{m.dest_platform}"
-            publishes.setdefault(group, []).append(m.publish_latency_us)
-            if m.trigger_delays_us:
-                triggers.setdefault(group, []).extend(m.trigger_delays_us)
-    return publishes, triggers
+def trigger_metrics(metrics: dict[str, dict[str, list]]) -> tuple[dict[str, list], dict[str, list]]:
+    """({"origin->dest": publish latencies}, {"origin->dest": trigger delays}),
+    the groups ``decompose`` filled in the run's metrics, one publish row per
+    async edge; sync-only trees contribute nothing."""
+    return metrics["publish_latency"], metrics["trigger_delay"]
 
 
-def estimate_skew_corrected_network(breakdowns: list[LatencyBreakdown]) -> dict[str, list]:
-    """{"from->to": one-way estimates}, per sync edge (caller round trip −
-    callee execution) / 2. Duration based, so constant per-platform clock
-    offsets cancel; under asymmetric legs the estimate is the two-leg mean
-    (documented bias)."""
-    out: dict[str, list] = {}
-    for bd in breakdowns:
-        for em in bd.edges:
-            out.setdefault(f"{em.from_platform}->{em.to_platform}", []).append(em.network_us / 2)
-    return out
+def estimate_skew_corrected_network(metrics: dict[str, dict[str, list]]) -> dict[str, list]:
+    """{"from->to": one-way estimates}, the group ``decompose`` filled in the
+    run's metrics: per sync edge (caller round trip − callee execution) / 2.
+    Duration based, so constant per-platform clock offsets cancel; under
+    asymmetric legs the estimate is the two-leg mean (documented bias)."""
+    return metrics["network_oneway"]
 
 
 # ---------------------------------------------------------------------------
@@ -709,36 +651,14 @@ class RunAnalysis:
 def analyze_records(records: list[TraceRecord], parse_report: ParseReport,
                     phases: list[PhaseWindow] | None = None) -> RunAnalysis:
     trees = build_trees(records)
-    breakdowns = [decompose(tree) for tree in trees if tree.complete]
-    publishes, triggers = trigger_metrics(breakdowns)
-
-    metrics: dict[str, dict[str, list]] = {
-        "root_round_trip": {},
-        "exec_duration": {},
-        "compute": {},
-        "network": {},
-        "network_oneway": estimate_skew_corrected_network(breakdowns),
-        "db": {},
-        "publish_latency": publishes,
-        "trigger_delay": triggers,
-    }
-
-    def add(metric: str, group: str, value) -> None:
-        metrics[metric].setdefault(group, []).append(value)
+    metrics: dict[str, dict[str, list]] = {name: {} for name in METRIC_NAMES}
+    breakdowns = [decompose(tree, metrics) for tree in trees if tree.complete]
 
     # record-level metric: execution durations (usable under log loss)
     invocations = unique_invocations(records)
+    exec_duration = metrics["exec_duration"]
     for r in invocations:
-        add("exec_duration", r.function, r.duration_us)
-
-    for bd in breakdowns:
-        add("root_round_trip", bd.entry_function, bd.root_round_trip_us)
-        for nd in bd.nodes:
-            add("compute", nd.function, nd.compute_us)
-        for em in bd.edges:
-            add("network", f"{em.caller}->{em.callee}", em.network_us)
-        for dm in bd.dbs:
-            add("db", f"{dm.platform_id}/{dm.service}", dm.duration_us)
+        exec_duration.setdefault(r.function, []).append(r.duration_us)
 
     return RunAnalysis(
         parse=parse_report,

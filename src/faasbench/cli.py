@@ -7,6 +7,7 @@ failure, 4 run failure, 5 analysis failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -30,6 +31,26 @@ EXIT_ANALYSIS = 5
 OUT_ENV_VAR = "FAASBENCH_OUT"
 
 
+def _positive_scale(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="faasbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -38,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("benchmark", help=f"built-in name {BENCHMARK_NAMES} or application JSON path")
     run.add_argument("--config", help="deployment config JSON (default: single-platform config)")
     run.add_argument("--profile", help="load profile JSON (default: the benchmark's built-in profile)")
-    run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--scale", type=float, default=1.0, help="scale flow counts and phase durations")
+    run.add_argument("--seed", type=_seed, default=1)
+    run.add_argument("--scale", type=_positive_scale, default=1.0, help="scale flow counts and phase durations")
     run.add_argument("--out", default=None, help=f"output directory (or ${OUT_ENV_VAR}; default ./out)")
     charts_help = "also write one box chart per metric, charts/<metric>.png, from the summary.csv statistics"
     run.add_argument("--charts", action="store_true", help=charts_help)

@@ -11,6 +11,7 @@ them into the platform's trigger pipeline).
 from __future__ import annotations
 
 import json
+import math
 import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,14 +88,20 @@ class PlatformSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PlatformSpec":
+        def finite(key: str, default: float) -> float:
+            value = float(d.get(key, default))
+            if not math.isfinite(value):
+                raise DeploymentError(f"platform {d['id']}: {key} must be finite, got {value}")
+            return value
+
         return cls(
             id=d["id"],
             cold_start_delay=parse_duration(d.get("coldStartDelay", "constant(400)")),
-            keep_alive_us=int(round(float(d.get("keepAliveSeconds", 300)) * 1_000_000)),
+            keep_alive_us=int(round(finite("keepAliveSeconds", 300) * 1_000_000)),
             network_latency={peer: parse_duration(s) for peer, s in d.get("networkLatency", {}).items()},
             trigger_delay=parse_duration(d.get("triggerDelay", "constant(100)")),
             log_lines_per_second=d.get("logLinesPerSecond"),
-            clock_offset_us=int(round(float(d.get("clockOffsetMs", 0)) * 1000)),
+            clock_offset_us=int(round(finite("clockOffsetMs", 0) * 1000)),
         )
 
 
@@ -110,6 +117,10 @@ class DeploymentConfig:
     assignment: dict[str, str]
     service_bindings: dict[str, ServiceBinding] = field(default_factory=dict)
     tracing_overhead_bytes: int = DEFAULT_TRACING_OVERHEAD_BYTES
+
+    def __post_init__(self) -> None:
+        if self.tracing_overhead_bytes < 0:
+            raise DeploymentError(f"tracingOverheadBytes must be >= 0, got {self.tracing_overhead_bytes}")
 
     def platform(self, platform_id: str) -> PlatformSpec:
         for p in self.platforms:

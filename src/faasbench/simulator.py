@@ -209,9 +209,6 @@ class GroundTruth:
     invocations: list[TruthInvocation] = field(default_factory=list)
     wire_bytes: int = 0  # payloads plus the per-call tracing token
 
-    def executor_count(self) -> int:
-        return len(self.executors)
-
     def edge_set(self) -> set[tuple[str, str | None, str, str]]:
         return {(e.context_id, e.parent_pair, e.pair, e.kind) for e in self.edges}
 

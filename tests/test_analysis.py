@@ -9,6 +9,7 @@ import pytest
 from faasbench.analysis import (
     ColdstartReport,
     IncompleteTree,
+    METRIC_NAMES,
     ParseReport,
     RunAnalysis,
     UnsupportedSchemaVersion,
@@ -152,6 +153,12 @@ def test_parse_collects_drop_counters():
 # -- tree building -----------------------------------------------------------
 
 
+def decomposed(tree):
+    """decompose one tree into fresh metric groups: (its totals, the groups)."""
+    metrics = {name: {} for name in METRIC_NAMES}
+    return decompose(tree, metrics), metrics
+
+
 def chain_records():
     """loadgen -> a -> b with one db call on a; constant 15ms legs."""
     return [
@@ -195,9 +202,9 @@ def test_walk_and_decompose_keep_depth_first_call_order():
     (tree,) = build_trees(records)
     assert tree.complete
     assert [n.record.function for n in tree.nodes()] == ["a", "b", "d", "c"]  # pre-order
-    bd = decompose(tree)
-    assert [(e.caller, e.callee) for e in bd.edges] == [("a", "b"), ("b", "d"), ("a", "c")]
-    assert [n.function for n in bd.nodes] == ["d", "b", "c", "a"]  # a node after its subtree
+    _, metrics = decomposed(tree)
+    assert list(metrics["network"]) == ["a->b", "b->d", "a->c"]
+    assert list(metrics["compute"]) == ["d", "b", "c", "a"]  # a node after its subtree
 
 
 def test_dropped_invocation_marks_tree_incomplete():
@@ -205,8 +212,10 @@ def test_dropped_invocation_marks_tree_incomplete():
     trees = build_trees(records)
     assert len(trees) == 1
     assert not trees[0].complete and trees[0].unmatched_pairs == 1
+    metrics = {name: {} for name in METRIC_NAMES}
     with pytest.raises(IncompleteTree):
-        decompose(trees[0])
+        decompose(trees[0], metrics)
+    assert metrics == {name: {} for name in METRIC_NAMES}  # no row of an incomplete tree
 
 
 def test_orphans_grouped_under_synthetic_root():
@@ -241,7 +250,7 @@ def test_dropped_outgoing_record_poisons_the_whole_context():
     n_inv = sum(1 for r in records if r.kind == INVOCATION)
     assert sum(t.node_count() for t in trees) == n_inv
     with pytest.raises(IncompleteTree):
-        decompose(tree)
+        decomposed(tree)
 
 
 def test_duplicated_invocation_pair_id_marks_only_its_context_incomplete():
@@ -303,20 +312,23 @@ def test_decompose_forced_arithmetic():
         rec(OUTGOING_CALL, "A", _id(11), 6 * MS, 12 * MS, callee="B", mode=MODE_SYNC),
         rec(INVOCATION, "B", _id(11), 8 * MS, 10 * MS),
     ]
-    bd = decompose(build_trees(records)[0])
-    by_fn = {n.function: n for n in bd.nodes}
-    assert by_fn["A"].compute_us == 4 * MS
-    assert by_fn["B"].compute_us == 2 * MS
-    assert bd.edges[0].network_us == 4 * MS
+    bd, metrics = decomposed(build_trees(records)[0])
+    assert metrics["compute"] == {"B": [2 * MS], "A": [4 * MS]}
+    assert metrics["network"] == {"A->B": [4 * MS]}
+    assert metrics["root_round_trip"] == {"a": [20 * MS]}  # keyed by the root call's callee
+    # root leg 20 - 10 plus the A->B leg 4
+    assert (bd.total_compute_us, bd.total_network_us, bd.total_db_us) == (6 * MS, 14 * MS, 0)
     assert bd.conservation_residual_us == 0
 
 
 def test_decompose_leaf_only():
     records = [root_rec(_id(10), 0, 9 * MS), rec(INVOCATION, "A", _id(10), 2 * MS, 7 * MS)]
-    bd = decompose(build_trees(records)[0])
-    assert bd.nodes[0].compute_us == 5 * MS
-    assert bd.nodes[0].db_us == 0 and bd.nodes[0].block_wait_us == 0
-    assert bd.root_network_us == 4 * MS
+    bd, metrics = decomposed(build_trees(records)[0])
+    assert metrics["compute"] == {"A": [5 * MS]}
+    assert metrics["network"] == {} and metrics["db"] == {}
+    # the only network is the root's: load-generator round trip minus A's execution
+    assert (bd.total_compute_us, bd.total_network_us, bd.total_db_us) == (5 * MS, 4 * MS, 0)
+    assert bd.conservation_residual_us == 0
 
 
 def test_decompose_parallel_block_span():
@@ -329,15 +341,15 @@ def test_decompose_parallel_block_span():
         rec(OUTGOING_CALL, "A", _id(12), 6 * MS, 14 * MS, callee="C", mode=MODE_SYNC),
         rec(INVOCATION, "C", _id(12), 9 * MS, 11 * MS),
     ]
-    bd = decompose(build_trees(records)[0])
-    a = next(n for n in bd.nodes if n.function == "A")
-    assert a.block_wait_us == 8 * MS
-    assert a.compute_us == 20 * MS - 8 * MS
-    assert all(e.in_block for e in bd.edges)
-    # branch internals are drill-down only: conservation uses the span
+    bd, metrics = decomposed(build_trees(records)[0])
+    assert metrics["compute"] == {"B": [2 * MS], "C": [2 * MS], "A": [20 * MS - 8 * MS]}
+    # in-block edges keep their drill-down rows
+    assert metrics["network"] == {"A->B": [4 * MS], "A->C": [6 * MS]}
+    # branch internals are drill-down only: conservation uses the span, so the
+    # totals hold A's compute, the root leg 10 and the 8ms block wait, and
+    # neither B and C's compute nor the in-block network legs
+    assert (bd.total_compute_us, bd.total_network_us, bd.total_db_us) == (12 * MS, 18 * MS, 0)
     assert bd.conservation_residual_us == 0
-    # nodes inside the block are excluded from the conserved totals
-    assert not next(n for n in bd.nodes if n.function == "B").conserved
 
 
 def test_decompose_async_edges_do_not_reduce_compute():
@@ -351,18 +363,21 @@ def test_decompose_async_edges_do_not_reduce_compute():
         rec(OUTGOING_CALL, pub_name, _id(12), 10 * MS, 10 * MS, callee="evt", mode=MODE_TRIGGER),
         rec(INVOCATION, "evt", _id(12), 110 * MS, 111 * MS),
     ]
-    bd = decompose(build_trees(records)[0])
-    a = next(n for n in bd.nodes if n.function == "A")
-    assert a.compute_us == 20 * MS  # async edge not subtracted
-    assert len(bd.asyncs) == 1
-    assert bd.asyncs[0].publish_latency_us == 0
-    assert bd.asyncs[0].trigger_delays_us == (100 * MS,)
+    bd, metrics = decomposed(build_trees(records)[0])
+    # async edge not subtracted; the publisher and the triggered function are
+    # outside the root round trip
+    assert metrics["compute"] == {"A": [20 * MS], "evt": [1 * MS], pub_name: [2 * MS]}
+    assert metrics["publish_latency"] == {"p1->p1": [0]}
+    assert metrics["trigger_delay"] == {"p1->p1": [100 * MS]}
+    assert metrics["network"] == {}
+    assert (bd.total_compute_us, bd.total_network_us, bd.total_db_us) == (20 * MS, 10 * MS, 0)
     assert bd.conservation_residual_us == 0
 
 
 def test_trigger_metrics_empty_for_sync_only():
-    publishes, triggers = trigger_metrics([decompose(t) for t in build_trees(chain_records())])
-    assert publishes == {} and triggers == {}
+    _, metrics = decomposed(build_trees(chain_records())[0])
+    assert metrics["network"] and metrics["db"]
+    assert trigger_metrics(metrics) == ({}, {})
 
 
 # -- skew-corrected estimates ------------------------------------------------
@@ -377,16 +392,17 @@ def symmetric_edge_records(offset_us=0):
     ]
 
 
+def one_way_estimates(records):
+    return estimate_skew_corrected_network(decomposed(build_trees(records)[0])[1])
+
+
 def test_one_way_estimate_symmetric_exact():
-    bd = decompose(build_trees(symmetric_edge_records())[0])
-    assert estimate_skew_corrected_network([bd]) == {"p1->p2": [15 * MS]}
+    assert one_way_estimates(symmetric_edge_records()) == {"p1->p2": [15 * MS]}
 
 
 def test_one_way_estimate_ignores_clock_offset():
-    base = estimate_skew_corrected_network([decompose(build_trees(symmetric_edge_records())[0])])
-    skewed = estimate_skew_corrected_network(
-        [decompose(build_trees(symmetric_edge_records(offset_us=50 * MS))[0])]
-    )
+    base = one_way_estimates(symmetric_edge_records())
+    skewed = one_way_estimates(symmetric_edge_records(offset_us=50 * MS))
     assert base == skewed == {"p1->p2": [15 * MS]}
 
 
@@ -398,8 +414,7 @@ def test_one_way_estimate_asymmetric_mean():
         rec(OUTGOING_CALL, "A", _id(11), 1 * MS, 33 * MS, callee="B", mode=MODE_SYNC),
         rec(INVOCATION, "B", _id(11), 11 * MS, 13 * MS, platform="p2"),
     ]
-    bd = decompose(build_trees(records)[0])
-    assert estimate_skew_corrected_network([bd]) == {"p1->p2": [15 * MS]}
+    assert one_way_estimates(records) == {"p1->p2": [15 * MS]}
 
 
 # -- cold starts -------------------------------------------------------------
@@ -734,43 +749,90 @@ def test_decomposition_components_nonnegative():
     _, records, report = smartcity_run()
     analysis = analyze_records(records, report)
     assert analysis.breakdowns and analysis.incomplete_trees == 0
+    for metric in ("compute", "network", "db", "publish_latency", "trigger_delay"):
+        assert all(v >= 0 for values in analysis.metrics[metric].values() for v in values), metric
     for bd in analysis.breakdowns:
-        assert all(n.compute_us >= 0 for n in bd.nodes)
-        assert all(e.network_us >= 0 for e in bd.edges)
-        assert all(d.duration_us >= 0 for d in bd.dbs)
-        assert all(a.publish_latency_us >= 0 for a in bd.asyncs)
-        assert all(d >= 0 for a in bd.asyncs for d in a.trigger_delays_us)
+        assert min(bd.total_compute_us, bd.total_network_us, bd.total_db_us) >= 0
         assert bd.conservation_residual_us == 0
 
 
+TREE_METRICS = ("root_round_trip", "compute", "network", "network_oneway", "db", "publish_latency",
+                "trigger_delay")
+
+
+def _busy_us(intervals):
+    """Length of the union of [start, end) intervals."""
+    busy, reach = 0, None
+    for start, end in sorted(intervals):
+        if reach is None or start > reach:
+            busy += end - start
+            reach = end
+        elif end > reach:
+            busy += end - reach
+            reach = end
+    return busy
+
+
 def walked_groups(trees):
-    """network_oneway, publish_latency and trigger_delay groups by a direct
-    walk over the complete trees, each list sorted."""
-    oneway, publish, trigger = {}, {}, {}
+    """The tree-level metric groups rebuilt by a direct walk over the
+    complete trees, in decompose's row order: per node its sync and db calls
+    by (start, end), each sync edge's rows followed by the callee's subtree,
+    then the node's compute, then per async edge its publish and trigger
+    rows, the triggered subtrees and the publisher's compute. Compute is the
+    execution minus the union of the node's sync and db call intervals.
+    Returns (groups, number of nodes whose sync or db calls overlap)."""
+    groups = {name: {} for name in TREE_METRICS}
+    blocks = 0
+
+    def add(metric, group, value):
+        groups[metric].setdefault(group, []).append(value)
+
+    def visit(node):
+        nonlocal blocks
+        rec = node.record
+        sync = [e for e in node.calls if e.mode == MODE_SYNC]
+        calls = sorted([(e.record.start_us, e.record.end_us, e) for e in sync]
+                       + [(d.start_us, d.end_us, d) for d in node.db_calls], key=lambda c: c[:2])
+        spans = [(start, end) for start, end, _ in calls]
+        for start, end, call in calls:
+            if isinstance(call, TraceRecord):
+                add("db", f"{rec.platform_id}/{call.callee}", call.duration_us)
+                continue
+            callee = call.child.record
+            network = call.record.duration_us - callee.duration_us
+            add("network", f"{rec.function}->{callee.function}", network)
+            add("network_oneway", f"{call.record.platform_id}->{callee.platform_id}", network / 2)
+            visit(call.child)
+        busy = _busy_us(spans)
+        blocks += busy < sum(end - start for start, end in spans)
+        add("compute", rec.function, rec.duration_us - busy)
+        for e in node.calls:
+            if e.mode != MODE_ASYNC:
+                continue
+            pub = e.child.record
+            group = f"{e.record.platform_id}->{pub.platform_id}"
+            add("publish_latency", group, e.record.duration_us - pub.duration_us)
+            triggered = [t.child for t in e.child.calls if t.mode == MODE_TRIGGER]
+            for t in triggered:
+                add("trigger_delay", group, t.record.start_us - pub.start_us)
+            for t in triggered:
+                visit(t)
+            add("compute", pub.function, pub.duration_us)
+
     for tree in trees:
-        if not tree.complete:
-            continue
-        for node in tree.nodes():
-            for e in node.calls:
-                child = e.child.record
-                group = f"{e.record.platform_id}->{child.platform_id}"
-                if e.mode == MODE_SYNC:
-                    oneway.setdefault(group, []).append((e.record.duration_us - child.duration_us) / 2)
-                elif e.mode == MODE_ASYNC:
-                    publish.setdefault(group, []).append(e.record.duration_us - child.duration_us)
-                    for t in e.child.calls:
-                        if t.mode == MODE_TRIGGER:
-                            trigger.setdefault(group, []).append(t.child.record.start_us - child.start_us)
-    return tuple({g: sorted(v) for g, v in groups.items()} for groups in (oneway, publish, trigger))
+        if tree.complete:
+            add("root_round_trip", tree.root.callee, tree.root.duration_us)
+            visit(tree.root_node)
+    return groups, blocks
 
 
-@pytest.mark.parametrize("name", ["exp3-three-way-factory", "webshop"])
+@pytest.mark.parametrize("name", ["exp3-three-way-factory", "webshop", "exp2-edge-cloud"])
 def test_oneway_publish_and_trigger_read_from_the_decomposition(name):
     if name == "webshop":
         app = load_builtin("webshop")
         cfg, profile = default_config(app), builtin_profile("webshop").scaled(0.005)
     else:
-        r = exp3_three_way_factory()
+        r = recipe(name)
         app, cfg, profile = load_builtin(r.benchmark), r.config, r.profile.scaled(0.05)
     env, plan, handle = deployed_env(app, cfg, seed=4)
     execute(schedule(profile, env.loadgen_rng), plan, env)
@@ -779,24 +841,21 @@ def test_oneway_publish_and_trigger_read_from_the_decomposition(name):
     complete = [t for t in analysis.trees if t.complete]
     assert complete and len(complete) == len(analysis.breakdowns)
 
-    # decompose visits exactly the nodes and edges of each tree
-    for tree, bd in zip(complete, analysis.breakdowns):
-        modes = [e.mode for n in tree.nodes() for e in n.calls]
-        assert len(bd.nodes) == tree.node_count()
-        assert len(bd.edges) == modes.count(MODE_SYNC)
-        assert len(bd.asyncs) == modes.count(MODE_ASYNC)
-        assert sum(len(a.trigger_delays_us) for a in bd.asyncs) == modes.count(MODE_TRIGGER)
-
-    derived = tuple(
-        {g: sorted(v) for g, v in analysis.metrics[metric].items()}
-        for metric in ("network_oneway", "publish_latency", "trigger_delay")
-    )
-    walked = walked_groups(analysis.trees)
-    assert derived == walked
+    walked, blocks = walked_groups(analysis.trees)
+    assert list(analysis.metrics) == list(METRIC_NAMES)
+    for metric in TREE_METRICS:
+        # same groups in the same order, each list in the same order
+        assert list(analysis.metrics[metric].items()) == list(walked[metric].items()), metric
+    assert estimate_skew_corrected_network(analysis.metrics) is analysis.metrics["network_oneway"]
+    assert trigger_metrics(analysis.metrics) == (analysis.metrics["publish_latency"],
+                                                 analysis.metrics["trigger_delay"])
     if name == "webshop":
-        assert walked[0] and not walked[1]
+        # the parallel fan-out puts edges in blocks, off the conserved totals
+        assert blocks and walked["network_oneway"] and walked["db"] and not walked["publish_latency"]
+    elif name == "exp2-edge-cloud":
+        assert "cloud-a->edge-1" in walked["network_oneway"]  # a sync edge between platforms
     else:
-        assert walked[1] and walked[2]
+        assert walked["publish_latency"] and walked["trigger_delay"]
 
 
 # -- the paused collector ----------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from faasbench import cli
 from faasbench.cli import EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, main
 from faasbench.records import HEADER_LINE
+from faasbench.recipes import recipe
 
 
 def run_cli(*argv) -> int:
@@ -130,6 +131,36 @@ def test_run_invalid_deployment_config(tmp_path):
     code = run_cli("run", "webshop", "--config", str(cfg), "--seed", "1",
                    "--scale", "0.002", "--out", str(out))
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flag", ["--scale=nan", "--scale=inf", "--scale=-inf", "--scale=0", "--scale=-1",
+                                  "--seed=-3"])
+def test_run_rejects_a_bad_scale_or_seed_at_the_boundary(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "streaming", flag, "--out", str(tmp_path / "out"))
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"argument {flag.split('=')[0]}:" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("tracingOverheadBytes", -64, "tracingOverheadBytes must be >= 0, got -64"),
+    ("keepAliveSeconds", float("nan"), "platform cloud-a: keepAliveSeconds must be finite, got nan"),
+    ("clockOffsetMs", float("nan"), "platform cloud-a: clockOffsetMs must be finite, got nan"),
+    ("clockOffsetMs", float("-inf"), "platform cloud-a: clockOffsetMs must be finite, got -inf"),
+], ids=["negative-overhead", "nan-keep-alive", "nan-clock-offset", "infinite-clock-offset"])
+def test_run_names_the_out_of_range_config_field(tmp_path, capsys, field, value, reason):
+    config = recipe("exp1-single-cloud").config.to_dict()
+    if field == "tracingOverheadBytes":
+        config[field] = value
+    else:
+        config["platforms"][0][field] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))  # NaN and -Infinity as Python's json writes and reads them
+    assert run_cli("run", "webshop", "--config", str(cfg), "--scale", "0.002",
+                   "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {reason}\n"
 
 
 def test_analyze_matches_pipeline_reports(tmp_path):
@@ -275,7 +306,10 @@ def test_deep_sync_chain_runs_to_completion(tmp_path, monkeypatch):
     (tree,) = result.analysis.trees
     assert tree.complete and tree.node_count() == depth
     (bd,) = result.analysis.breakdowns
-    assert bd.conservation_residual_us == 0 and len(bd.edges) == depth - 1
+    metrics = result.analysis.metrics
+    assert bd.conservation_residual_us == 0
+    assert sum(map(len, metrics["network"].values())) == depth - 1
+    assert sum(map(len, metrics["compute"].values())) == depth
     assert tree.edge_set() == result.truth.edge_set()
     summary = json.loads((find_run_dir(out) / "reports" / "summary.json").read_text())
     assert summary["trees"] == {"total": 1, "complete": 1, "incomplete": 0}

@@ -150,12 +150,6 @@ class ApplicationSpec:
     external_services: tuple[str, ...] = ()
     metadata: str = ""
 
-    def function(self, name: str) -> FunctionSpec:
-        for fn in self.functions:
-            if fn.name == name:
-                return fn
-        raise KeyError(name)
-
     @property
     def function_names(self) -> tuple[str, ...]:
         return tuple(fn.name for fn in self.functions)

@@ -1,27 +1,29 @@
 """Deployment compilation: resolve functions to platforms and emit artifacts.
 
 Compilation turns a declarative application plus a deployment configuration
-into one self-contained artifact per platform: every call/publish target and
-every external-service reference is resolved to a concrete endpoint, and a
-publisher function is synthesized for each platform hosting at least one
-event-async function (events are delivered to that publisher, which forwards
-them into the platform's trigger pipeline).
+into one self-contained artifact per platform: every call and publish target
+is resolved to the id of the platform that hosts it, every external-service
+reference to its binding, and a publisher function is synthesized for each
+platform hosting at least one event-async function (events are delivered to
+that publisher, which forwards them into the platform's trigger pipeline).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
 from .applications import EVENT_ASYNC, ApplicationSpec, FunctionSpec, InvalidApplication, validate
-from .distributions import Duration, constant, parse_duration
+from .distributions import DistributionError, Duration, constant, parse_duration
 
 PUBLISHER_PREFIX = "__publisher_"
 DEFAULT_TRACING_OVERHEAD_BYTES = 64
+# a platform's logged clock may be off by at most one day either way; real skew
+# between providers is milliseconds, so a larger offset is a config mistake
+MAX_CLOCK_OFFSET_MS = 86_400_000
 
 
 class DeploymentError(Exception):
@@ -68,6 +70,14 @@ class PlatformSpec:
     def __post_init__(self) -> None:
         if self.keep_alive_us <= 0:
             raise DeploymentError(f"platform {self.id}: keepAlive must be > 0")
+        rate = self.log_lines_per_second
+        if rate is not None and (isinstance(rate, bool) or not isinstance(rate, int) or rate < 1):
+            raise DeploymentError(f"platform {self.id}: logLinesPerSecond must be an integer >= 1 or null, got {rate}")
+        if abs(self.clock_offset_us) > MAX_CLOCK_OFFSET_MS * 1000:
+            raise DeploymentError(
+                f"platform {self.id}: clockOffsetMs must be within +-{MAX_CLOCK_OFFSET_MS} ms, "
+                f"got {self.clock_offset_us / 1000:g}"
+            )
 
     def leg(self, peer: str) -> Duration:
         try:
@@ -94,12 +104,20 @@ class PlatformSpec:
                 raise DeploymentError(f"platform {d['id']}: {key} must be finite, got {value}")
             return value
 
+        def duration(key: str, text: str) -> Duration:
+            try:
+                return parse_duration(text)
+            except DistributionError as exc:
+                raise DeploymentError(f"platform {d['id']}: {key}: {exc}") from None
+
         return cls(
             id=d["id"],
-            cold_start_delay=parse_duration(d.get("coldStartDelay", "constant(400)")),
+            cold_start_delay=duration("coldStartDelay", d.get("coldStartDelay", "constant(400)")),
             keep_alive_us=int(round(finite("keepAliveSeconds", 300) * 1_000_000)),
-            network_latency={peer: parse_duration(s) for peer, s in d.get("networkLatency", {}).items()},
-            trigger_delay=parse_duration(d.get("triggerDelay", "constant(100)")),
+            network_latency={
+                peer: duration(f"networkLatency.{peer}", s) for peer, s in d.get("networkLatency", {}).items()
+            },
+            trigger_delay=duration("triggerDelay", d.get("triggerDelay", "constant(100)")),
             log_lines_per_second=d.get("logLinesPerSecond"),
             clock_offset_us=int(round(finite("clockOffsetMs", 0) * 1000)),
         )
@@ -108,7 +126,6 @@ class PlatformSpec:
 @dataclass(frozen=True)
 class ServiceBinding:
     platform_id: str
-    latency_class: str = "default"
 
 
 @dataclass(frozen=True)
@@ -122,12 +139,6 @@ class DeploymentConfig:
         if self.tracing_overhead_bytes < 0:
             raise DeploymentError(f"tracingOverheadBytes must be >= 0, got {self.tracing_overhead_bytes}")
 
-    def platform(self, platform_id: str) -> PlatformSpec:
-        for p in self.platforms:
-            if p.id == platform_id:
-                return p
-        raise UnknownPlatform(platform_id)
-
     @property
     def platform_ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.platforms)
@@ -136,10 +147,7 @@ class DeploymentConfig:
         return {
             "platforms": [p.to_dict() for p in self.platforms],
             "assignment": dict(self.assignment),
-            "serviceBindings": {
-                svc: {"platform": b.platform_id, "latencyClass": b.latency_class}
-                for svc, b in self.service_bindings.items()
-            },
+            "serviceBindings": {svc: {"platform": b.platform_id} for svc, b in self.service_bindings.items()},
             "tracingOverheadBytes": self.tracing_overhead_bytes,
         }
 
@@ -148,10 +156,9 @@ class DeploymentConfig:
         return cls(
             platforms=tuple(PlatformSpec.from_dict(p) for p in d.get("platforms", [])),
             assignment=dict(d.get("assignment", {})),
-            service_bindings={
-                svc: ServiceBinding(b["platform"], b.get("latencyClass", "default"))
-                for svc, b in d.get("serviceBindings", {}).items()
-            },
+            # a binding's "latencyClass" is accepted and ignored: store latency
+            # comes from the calling platform's networkLatency entry
+            service_bindings={svc: ServiceBinding(b["platform"]) for svc, b in d.get("serviceBindings", {}).items()},
             tracing_overhead_bytes=int(d.get("tracingOverheadBytes", DEFAULT_TRACING_OVERHEAD_BYTES)),
         )
 
@@ -168,27 +175,14 @@ class DeploymentConfig:
 
 
 @dataclass(frozen=True)
-class Endpoint:
-    platform_id: str
-    endpoint_id: str
-
-
-@dataclass(frozen=True)
-class PublishRoute:
-    """Resolved route for one publish step: deliver to the target platform's
-    publisher endpoint; the publisher triggers the target function."""
-
-    target: str
-    publisher: Endpoint
-    target_endpoint: Endpoint
-
-
-@dataclass(frozen=True)
 class ResolvedFunction:
+    """A function as deployed: each call and publish target maps to the id
+    of the platform hosting it. A publish goes to that platform's publisher,
+    which triggers the target on the same platform."""
+
     spec: FunctionSpec
-    platform_id: str
-    call_routes: dict[str, Endpoint]
-    publish_routes: dict[str, PublishRoute]
+    call_routes: dict[str, str]
+    publish_routes: dict[str, str]
     service_routes: dict[str, ServiceBinding]
 
     @property
@@ -207,11 +201,9 @@ class DeploymentArtifact:
 
 @dataclass(frozen=True)
 class DeploymentPlan:
-    app_name: str
     artifacts: tuple[DeploymentArtifact, ...]
-    endpoint_table: dict[str, Endpoint]
-    publisher_table: dict[str, Endpoint]
-    config: DeploymentConfig
+    placement: dict[str, str]  # function -> platform id
+    publisher_platforms: tuple[str, ...]  # sorted ids of the platforms that host a publisher
 
     def artifact(self, platform_id: str) -> DeploymentArtifact:
         for a in self.artifacts:
@@ -235,7 +227,7 @@ def publisher_name(platform_id: str) -> str:
 
 
 def compile(app: ApplicationSpec, cfg: DeploymentConfig) -> DeploymentPlan:  # noqa: A001 - domain term
-    """Resolve every function to a platform and bake endpoints into artifacts.
+    """Resolve every function to a platform and bake the routes into artifacts.
 
     Pure: identical inputs produce structurally identical plans.
     """
@@ -259,54 +251,35 @@ def compile(app: ApplicationSpec, cfg: DeploymentConfig) -> DeploymentPlan:  # n
         if binding.platform_id not in known:
             raise UnknownPlatform(binding.platform_id)
 
-    endpoint_table = {
-        fn.name: Endpoint(cfg.assignment[fn.name], f"ep/{cfg.assignment[fn.name]}/{fn.name}")
-        for fn in app.functions
-    }
-    async_platforms = sorted(
-        {cfg.assignment[fn.name] for fn in app.functions if fn.trigger_kind == EVENT_ASYNC}
-    )
-    publisher_table = {
-        pid: Endpoint(pid, f"ep/{pid}/{publisher_name(pid)}") for pid in async_platforms
-    }
+    placement = {fn.name: cfg.assignment[fn.name] for fn in app.functions}
+    publisher_platforms = tuple(sorted({placement[fn.name] for fn in app.functions if fn.trigger_kind == EVENT_ASYNC}))
 
-    def resolve(fn: FunctionSpec, pid: str) -> ResolvedFunction:
-        calls: dict[str, Endpoint] = {}
-        publishes: dict[str, PublishRoute] = {}
+    def resolve(fn: FunctionSpec) -> ResolvedFunction:
+        calls: dict[str, str] = {}
+        publishes: dict[str, str] = {}
         stack = list(fn.body)
         while stack:
             step = stack.pop()
             if step.kind == "call":
-                calls[step.target] = endpoint_table[step.target]
+                calls[step.target] = placement[step.target]
             elif step.kind == "publish":
-                target_pid = cfg.assignment[step.target]
-                publishes[step.target] = PublishRoute(
-                    target=step.target,
-                    publisher=publisher_table[target_pid],
-                    target_endpoint=endpoint_table[step.target],
-                )
+                publishes[step.target] = placement[step.target]
             elif step.kind == "parallelBlock":
                 for branch in step.branches:
                     stack.extend(branch)
         services = {svc: cfg.service_bindings[svc] for svc in app.external_services}
-        return ResolvedFunction(fn, pid, calls, publishes, services)
+        return ResolvedFunction(fn, calls, publishes, services)
 
     artifacts = []
     for pid in cfg.platform_ids:
-        fns = [resolve(fn, pid) for fn in app.functions if cfg.assignment[fn.name] == pid]
-        if pid in publisher_table:
+        fns = [resolve(fn) for fn in app.functions if placement[fn.name] == pid]
+        if pid in publisher_platforms:
             pub_spec = FunctionSpec(name=publisher_name(pid), trigger_kind=EVENT_ASYNC, body=())
-            fns.append(ResolvedFunction(pub_spec, pid, {}, {}, {}))
+            fns.append(ResolvedFunction(pub_spec, {}, {}, {}))
         if fns:
             artifacts.append(DeploymentArtifact(platform_id=pid, functions=tuple(fns)))
 
-    return DeploymentPlan(
-        app_name=app.name,
-        artifacts=tuple(artifacts),
-        endpoint_table=endpoint_table,
-        publisher_table=publisher_table,
-        config=cfg,
-    )
+    return DeploymentPlan(artifacts=tuple(artifacts), placement=placement, publisher_platforms=publisher_platforms)
 
 
 @dataclass
@@ -326,19 +299,9 @@ class TeardownReport:
         return all(v in ("removed", "skipped") for v in self.outcomes.values())
 
 
-def deploy_all(
-    plan: DeploymentPlan,
-    adapters: dict[str, PlatformAdapter],
-    ids=None,
-    run_id: str | None = None,
-) -> RunHandle:
-    """Deploy every artifact; partial failures are rolled back via remove().
-
-    A fresh run id is drawn from ``ids`` (an IdSource, deterministic) unless
-    one is passed explicitly; with neither, a random id comes from the OS.
-    """
-    if run_id is None:
-        run_id = ids.new_run_id() if ids is not None else "r" + secrets.token_hex(6)
+def deploy_all(plan: DeploymentPlan, adapters: dict[str, PlatformAdapter], run_id: str) -> RunHandle:
+    """Deploy every artifact for run ``run_id``; partial failures are rolled
+    back via remove()."""
     deployed: list[DeploymentArtifact] = []
     for artifact in plan.artifacts:
         adapter = adapters.get(artifact.platform_id)

@@ -2,7 +2,8 @@
 
 All distributions are expressed in milliseconds in config files and sampled
 to integer microseconds. Supported forms: ``constant(x)``, ``uniform(a,b)``,
-``lognormal(median,sigma)``, ``exponential(mean)``.
+``lognormal(median,sigma)``, ``exponential(mean)``. Parameters must be finite,
+and no sample the generator can draw may reach ``MAX_SAMPLE_US``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,14 @@ import numpy as np
 _DIST_RE = re.compile(r"^\s*(constant|uniform|lognormal|exponential)\s*\(([^)]*)\)\s*$")
 
 MICROS_PER_MS = 1000
+# 2**53 us (about 285 years): below it a float sample still rounds to the exact
+# microsecond
+MAX_SAMPLE_US = 2**53
+# numpy's ziggurat tails take the log of a 53-bit uniform, so a standard normal
+# draw stays below 12.3 and a standard exponential one below 44.5; the reach
+# check rounds both up
+_NORMAL_REACH = 13.0
+_EXPONENTIAL_REACH = 45.0
 
 
 class DistributionError(ValueError):
@@ -30,6 +39,8 @@ class Duration:
     args: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(a) for a in self.args):
+            raise DistributionError(f"{self.spec()}: parameters must be finite")
         if self.kind == "constant":
             if len(self.args) != 1 or self.args[0] < 0:
                 raise DistributionError(f"constant() takes one nonnegative value: {self.args}")
@@ -44,6 +55,21 @@ class Duration:
                 raise DistributionError(f"exponential(mean) requires mean >= 0: {self.args}")
         else:
             raise DistributionError(f"unknown distribution kind: {self.kind}")
+        if self._reach_ms() * MICROS_PER_MS >= MAX_SAMPLE_US:
+            raise DistributionError(f"{self.spec()}: samples can reach 2**53 us (about 285 years), past microsecond precision")
+
+    def _reach_ms(self) -> float:
+        """The largest sample the generator can draw, in ms (may be inf)."""
+        if self.kind == "constant":
+            return self.args[0]
+        if self.kind == "uniform":
+            return self.args[1]
+        if self.kind == "lognormal":
+            median, sigma = self.args
+            # math.exp raises past 709.78; an exponent capped at 709 still
+            # fails the check
+            return math.exp(min(math.log(median) + _NORMAL_REACH * sigma, 709.0))
+        return self.args[0] * _EXPONENTIAL_REACH
 
     def sample(self, rng: np.random.Generator) -> int:
         """Draw one duration in integer microseconds.
@@ -96,7 +122,7 @@ def exponential(mean_ms: float) -> Duration:
 
 def parse_duration(text: str) -> Duration:
     """Parse the config syntax, e.g. ``lognormal(15,0.25)`` (milliseconds)."""
-    m = _DIST_RE.match(text)
+    m = _DIST_RE.match(text) if isinstance(text, str) else None
     if not m:
         raise DistributionError(f"cannot parse distribution: {text!r}")
     kind, raw_args = m.group(1), m.group(2)

@@ -68,7 +68,7 @@ def exp1_single_cloud(
     cfg = DeploymentConfig(
         platforms=(platform,),
         assignment=_assign_all("webshop", "cloud-a"),
-        service_bindings={KEYSTORE: ServiceBinding("cloud-a", "same-region")},
+        service_bindings={KEYSTORE: ServiceBinding("cloud-a")},
     )
     return Recipe("exp1-single-cloud", "webshop", cfg, builtin_profile("webshop"))
 
@@ -124,7 +124,7 @@ def exp2_edge_cloud(
     cfg = DeploymentConfig(
         platforms=(edge, cloud),
         assignment=assignment,
-        service_bindings={KEYSTORE: ServiceBinding("cloud-a", "cloud-hosted")},
+        service_bindings={KEYSTORE: ServiceBinding("cloud-a")},
     )
     return Recipe("exp2-edge-cloud", "smartcity", cfg, builtin_profile("smartcity"))
 
@@ -141,7 +141,7 @@ def exp2_edge_only(
     cfg = DeploymentConfig(
         platforms=(edge, cloud),
         assignment=_assign_all("smartcity", "edge-1"),
-        service_bindings={KEYSTORE: ServiceBinding("cloud-a", "cloud-hosted")},
+        service_bindings={KEYSTORE: ServiceBinding("cloud-a")},
     )
     return Recipe("exp2-edge-only", "smartcity", cfg, builtin_profile("smartcity"))
 
@@ -199,7 +199,7 @@ def exp3_three_way_factory(
     cfg = DeploymentConfig(
         platforms=tuple(platforms),
         assignment=assignment,
-        service_bindings={KEYSTORE: ServiceBinding("couch", "same-region")},
+        service_bindings={KEYSTORE: ServiceBinding("couch")},
     )
     return Recipe("exp3-three-way-factory", "smartfactory", cfg, builtin_profile("smartfactory"))
 
@@ -225,7 +225,7 @@ def exp4_coldstart(
     cfg = DeploymentConfig(
         platforms=(platform,),
         assignment=_assign_all("streaming", "cloud-a"),
-        service_bindings={KEYSTORE: ServiceBinding("cloud-a", "same-region")},
+        service_bindings={KEYSTORE: ServiceBinding("cloud-a")},
     )
     return Recipe("exp4-coldstart", "streaming", cfg, builtin_profile("streaming"))
 

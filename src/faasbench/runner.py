@@ -94,7 +94,7 @@ class RunResult:
 
 def default_config(app: ApplicationSpec, platform_id: str = "cloud-a") -> DeploymentConfig:
     """Single-platform deployment covering the whole application."""
-    services = {svc: ServiceBinding(platform_id, "same-region") for svc in app.external_services}
+    services = {svc: ServiceBinding(platform_id) for svc in app.external_services}
     network = {platform_id: constant(15), "loadgen": constant(15)}
     for svc in app.external_services:
         network[svc] = constant(3)

@@ -38,8 +38,6 @@ from .deployment import (
     AdapterFailure,
     DeploymentConfig,
     DeploymentError,
-    Endpoint,
-    PublishRoute,
     ResolvedFunction,
     publisher_name,
 )
@@ -217,7 +215,6 @@ class GroundTruth:
 class _Frame:
     """Execution context of one invocation body."""
 
-    platform: "SimPlatform"
     rfn: ResolvedFunction
     context_id: str
     inbound_pair: str
@@ -232,7 +229,6 @@ class SimPlatform:
         self.id = spec.id
         self.sink = RecordSink(spec.id, spec.log_lines_per_second, spec.clock_offset_us)
         self._functions: dict[str, ResolvedFunction] = {}
-        self._endpoints: dict[str, str] = {}
         self._idle: dict[str, list[Executor]] = {}
 
     # -- PlatformAdapter surface -------------------------------------------
@@ -242,14 +238,12 @@ class SimPlatform:
             raise AdapterFailure(self.id, f"artifact targets {artifact.platform_id!r}")
         for rfn in artifact.functions:
             self._functions[rfn.name] = rfn
-            self._endpoints[endpoint_id(self.id, rfn.name)] = rfn.name
 
     def collect_logs(self, run_id: str) -> list[str]:
         return self.sink.lines(run_id) + [format_drop_line(self.id, self.sink.drops)]
 
     def remove(self, artifact) -> None:
         self._functions.clear()
-        self._endpoints.clear()
         self._idle.clear()
 
     # -- public simulation operations --------------------------------------
@@ -291,14 +285,9 @@ class SimPlatform:
             raise NotDeployed(pub)
         ctx = context_id if context_id is not None else self.env.ids.new_context()
         pair1 = self.env.ids.new_pair()
-        route = PublishRoute(
-            target=target,
-            publisher=Endpoint(self.id, endpoint_id(self.id, pub)),
-            target_endpoint=Endpoint(self.id, endpoint_id(self.id, target)),
-        )
 
         def gen():
-            result = yield self._start_publisher(ctx, pair1, route)
+            result = yield self._start_publisher(ctx, pair1, target)
             return result
 
         return self.env.kernel.spawn(gen(), at_us=at_us)
@@ -314,12 +303,6 @@ class SimPlatform:
         executor, cold = self._acquire(fn_name, arrival)
         gen = self._invocation_gen(rfn, context_id, inbound_pair, arrival, executor, cold)
         return self.env.kernel.spawn(gen)
-
-    def start_invocation_by_endpoint(self, ep_id: str, context_id: str, inbound_pair: str) -> Task:
-        fn_name = self._endpoints.get(ep_id)
-        if fn_name is None:
-            raise UnknownEndpoint(ep_id)
-        return self.start_invocation(fn_name, context_id, inbound_pair)
 
     def _acquire(self, fn_name: str, arrival: int) -> tuple[Executor, bool]:
         # _release appends at kernel.now, which never decreases, so each pool
@@ -346,7 +329,7 @@ class SimPlatform:
             if delay:
                 yield delay
         body_start = env.kernel.now
-        frame = _Frame(self, rfn, context_id, inbound_pair)
+        frame = _Frame(rfn, context_id, inbound_pair)
         size = yield from self._run_body(frame, rfn.spec.body)
         end = env.kernel.now
         self._release(executor, end)
@@ -379,7 +362,10 @@ class SimPlatform:
                 if d:
                     yield d
             elif step.kind == "call":
-                yield from self._sync_call(frame, step)
+                yield from env.sync_call(
+                    self.sink, self.id, frame.rfn.name, frame.context_id, frame.inbound_pair,
+                    step.target, frame.rfn.call_routes[step.target], step.payload_bytes, "sync",
+                )
             elif step.kind == "publish":
                 # caller idles until the event is accepted downstream
                 yield self._publish(frame, step)
@@ -394,53 +380,20 @@ class SimPlatform:
                 break
         return response
 
-    def _sync_call(self, frame: _Frame, step):
-        env = self.env
-        t0 = env.kernel.now
-        pair = env.ids.new_pair()
-        ep = frame.rfn.call_routes[step.target]
-        env.account_wire(step.payload_bytes)
-        out = env.leg_us(self.id, ep.platform_id)
-        yield out
-        callee = env.platforms[ep.platform_id]
-        task = callee.start_invocation_by_endpoint(ep.endpoint_id, frame.context_id, pair)
-        result = yield task
-        back = env.leg_us(ep.platform_id, self.id)
-        yield back
-        end = env.kernel.now
-        self.sink.emit(
-            TraceRecord(
-                run_id=env.run_id,
-                platform_id=self.id,
-                kind=OUTGOING_CALL,
-                function=frame.rfn.name,
-                context_id=frame.context_id,
-                pair_id=pair,
-                callee=step.target,
-                mode=MODE_SYNC,
-                start_us=t0,
-                end_us=end,
-            ),
-            at_us=end,
-        )
-        env.truth.edges.append(TruthEdge(frame.context_id, frame.inbound_pair, pair, "sync"))
-        return result[1] if result else 0
-
     def _publish(self, frame: _Frame, step) -> int:
         """Send one event toward its publisher; returns the delivery leg."""
         env = self.env
         t0 = env.kernel.now
         pair1 = env.ids.new_pair()
-        route = frame.rfn.publish_routes[step.target]
+        dst = frame.rfn.publish_routes[step.target]
         env.account_wire(step.payload_bytes)
-        out = env.leg_us(self.id, route.publisher.platform_id)
-        dest = env.platforms[route.publisher.platform_id]
-        env.kernel.spawn(self._async_delivery(frame, t0, pair1, step.target, route, dest), delay_us=out)
+        out = env.leg_us(self.id, dst)
+        env.kernel.spawn(self._async_delivery(frame, t0, pair1, step.target, env.platforms[dst]), delay_us=out)
         return out
 
-    def _async_delivery(self, frame: _Frame, t0: int, pair1: str, target: str, route, dest):
+    def _async_delivery(self, frame: _Frame, t0: int, pair1: str, target: str, dest: "SimPlatform"):
         env = self.env
-        pub_task = dest._start_publisher(frame.context_id, pair1, route)
+        pub_task = dest._start_publisher(frame.context_id, pair1, target)
         yield pub_task
         end = env.kernel.now
         self.sink.emit(
@@ -460,8 +413,9 @@ class SimPlatform:
         )
         env.truth.edges.append(TruthEdge(frame.context_id, frame.inbound_pair, pair1, "async"))
 
-    def _start_publisher(self, context_id: str, pair1: str, route: PublishRoute) -> Task:
-        """Accept an event: schedule the trigger and run the publisher."""
+    def _start_publisher(self, context_id: str, pair1: str, target: str) -> Task:
+        """Accept an event for ``target``, which runs on this platform too:
+        schedule the trigger and run the publisher."""
         env = self.env
         accept = env.kernel.now
         pub = publisher_name(self.id)
@@ -477,7 +431,7 @@ class SimPlatform:
                 function=pub,
                 context_id=context_id,
                 pair_id=pair2,
-                callee=route.target,
+                callee=target,
                 mode=MODE_TRIGGER,
                 start_us=accept,
                 end_us=accept,
@@ -485,14 +439,11 @@ class SimPlatform:
             at_us=accept,
         )
         env.truth.edges.append(TruthEdge(context_id, pair1, pair2, "trigger"))
-        env.kernel.spawn(self._trigger_fire(route, context_id, pair2), delay_us=trig)
+        env.kernel.spawn(self._trigger_fire(target, context_id, pair2), delay_us=trig)
         return self.start_invocation(pub, context_id, pair1)
 
-    def _trigger_fire(self, route: PublishRoute, context_id: str, pair2: str):
-        target_platform = self.env.platforms[route.target_endpoint.platform_id]
-        task = target_platform.start_invocation_by_endpoint(route.target_endpoint.endpoint_id, context_id, pair2)
-        result = yield task
-        return result
+    def _trigger_fire(self, target: str, context_id: str, pair2: str):
+        yield self.start_invocation(target, context_id, pair2)
 
     def _db_op(self, frame: _Frame, step):
         env = self.env
@@ -527,10 +478,6 @@ class SimPlatform:
         )
         env.truth.edges.append(TruthEdge(frame.context_id, frame.inbound_pair, pair, "db"))
         return size
-
-
-def endpoint_id(platform_id: str, fn_name: str) -> str:
-    return f"ep/{platform_id}/{fn_name}"
 
 
 class SimEnvironment:
@@ -573,6 +520,35 @@ class SimEnvironment:
         else:
             dist = self.platforms[src].spec.leg(dst)
         return self.sample_us(dist)
+
+    def sync_call(self, sink, src, function, context_id, parent_pair, target, dst, payload_bytes, kind):
+        """One synchronous request from ``function`` on ``src`` (a platform id
+        or the load generator) to ``target`` on platform ``dst``: draws the
+        pair id, the outbound leg, then the return leg, and records the
+        caller's OUTGOING_CALL in ``sink`` and a truth edge of ``kind``."""
+        t0 = self.kernel.now
+        pair = self.ids.new_pair()
+        self.account_wire(payload_bytes)
+        yield self.leg_us(src, dst)
+        yield self.platforms[dst].start_invocation(target, context_id, pair)
+        yield self.leg_us(dst, src)
+        end = self.kernel.now
+        sink.emit(
+            TraceRecord(
+                run_id=self.run_id,
+                platform_id=src,
+                kind=OUTGOING_CALL,
+                function=function,
+                context_id=context_id,
+                pair_id=pair,
+                callee=target,
+                mode=MODE_SYNC,
+                start_us=t0,
+                end_us=end,
+            ),
+            at_us=end,
+        )
+        self.truth.edges.append(TruthEdge(context_id, parent_pair, pair, kind))
 
     def db_latency_us(self, platform_id: str, service: str) -> int:
         try:

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import LOADGEN, MODE_SYNC, OUTGOING_CALL, TraceRecord
-from .simulator import SimEnvironment, TruthEdge, UnknownEndpoint
+from .records import LOADGEN
+from .simulator import SimEnvironment, UnknownEndpoint
 
 US = 1_000_000  # microseconds per second
 
@@ -319,12 +319,12 @@ class ExecutionStats:
 
 
 def execute(arrivals: list[Arrival], plan, env: SimEnvironment) -> ExecutionStats:
-    """Stamp a fresh context per workflow instance and drive the entry
-    endpoints; the load generator records one OUTGOING_CALL per root request
-    (client-side round trip)."""
+    """Stamp a fresh context per workflow instance and call the entry
+    functions where the plan placed them; the load generator records one
+    OUTGOING_CALL per root request (client-side round trip)."""
     for arrival in arrivals:
         for step in arrival.workflow.steps:
-            if step.entry not in plan.endpoint_table:
+            if step.entry not in plan.placement:
                 raise UnknownEndpoint(step.entry)
     root_calls = 0
     for arrival in arrivals:
@@ -336,33 +336,9 @@ def execute(arrivals: list[Arrival], plan, env: SimEnvironment) -> ExecutionStat
 def _root_flow(env: SimEnvironment, plan, workflow: Workflow):
     context_id = env.ids.new_context()
     for step in workflow.steps:
-        pair = env.ids.new_pair()
-        ep = plan.endpoint_table[step.entry]
-        t0 = env.kernel.now
-        env.account_wire(step.payload_bytes)
-        out = env.leg_us(LOADGEN, ep.platform_id)
-        yield out
-        platform = env.platforms[ep.platform_id]
-        task = platform.start_invocation_by_endpoint(ep.endpoint_id, context_id, pair)
-        yield task
-        back = env.leg_us(ep.platform_id, LOADGEN)
-        yield back
-        end = env.kernel.now
-        env.loadgen_sink.emit(
-            TraceRecord(
-                run_id=env.run_id,
-                platform_id=LOADGEN,
-                kind=OUTGOING_CALL,
-                function=LOADGEN,
-                context_id=context_id,
-                pair_id=pair,
-                callee=step.entry,
-                mode=MODE_SYNC,
-                start_us=t0,
-                end_us=end,
-            ),
-            at_us=end,
+        yield from env.sync_call(
+            env.loadgen_sink, LOADGEN, LOADGEN, context_id, None,
+            step.entry, plan.placement[step.entry], step.payload_bytes, "root",
         )
-        env.truth.edges.append(TruthEdge(context_id, None, pair, "root"))
         if step.think_time_us:
             yield step.think_time_us

@@ -38,7 +38,7 @@ def deployed_env(app: ApplicationSpec, cfg: DeploymentConfig, seed: int = 1):
     """Compile, deploy, and return (env, plan, handle) ready to stimulate."""
     env = SimEnvironment(cfg, seed)
     plan = compile_deployment(app, cfg)
-    handle = deploy_all(plan, env.adapters(), ids=env.ids)
+    handle = deploy_all(plan, env.adapters(), env.ids.new_run_id())
     env.begin_run(handle.run_id)
     return env, plan, handle
 

@@ -149,7 +149,18 @@ def test_run_rejects_a_bad_scale_or_seed_at_the_boundary(tmp_path, capsys, flag)
     ("keepAliveSeconds", float("nan"), "platform cloud-a: keepAliveSeconds must be finite, got nan"),
     ("clockOffsetMs", float("nan"), "platform cloud-a: clockOffsetMs must be finite, got nan"),
     ("clockOffsetMs", float("-inf"), "platform cloud-a: clockOffsetMs must be finite, got -inf"),
-], ids=["negative-overhead", "nan-keep-alive", "nan-clock-offset", "infinite-clock-offset"])
+    ("clockOffsetMs", 1e30, "platform cloud-a: clockOffsetMs must be within +-86400000 ms, got 1e+30"),
+    ("logLinesPerSecond", -5, "platform cloud-a: logLinesPerSecond must be an integer >= 1 or null, got -5"),
+    ("logLinesPerSecond", float("nan"), "platform cloud-a: logLinesPerSecond must be an integer >= 1 or null, got nan"),
+    ("logLinesPerSecond", 2.5, "platform cloud-a: logLinesPerSecond must be an integer >= 1 or null, got 2.5"),
+    ("coldStartDelay", "constant(inf)", "platform cloud-a: coldStartDelay: constant(inf): parameters must be finite"),
+    ("coldStartDelay", "constant(nan)", "platform cloud-a: coldStartDelay: constant(nan): parameters must be finite"),
+    ("coldStartDelay", "lognormal(1e300,5)", "platform cloud-a: coldStartDelay: lognormal(1e+300,5): "
+                                             "samples can reach 2**53 us (about 285 years), past microsecond precision"),
+    ("coldStartDelay", 400, "platform cloud-a: coldStartDelay: cannot parse distribution: 400"),
+], ids=["negative-overhead", "nan-keep-alive", "nan-clock-offset", "infinite-clock-offset", "huge-clock-offset",
+        "negative-log-rate", "nan-log-rate", "fractional-log-rate", "infinite-cold-start", "nan-cold-start",
+        "overflowing-cold-start", "numeric-cold-start"])
 def test_run_names_the_out_of_range_config_field(tmp_path, capsys, field, value, reason):
     config = recipe("exp1-single-cloud").config.to_dict()
     if field == "tracingOverheadBytes":

@@ -55,7 +55,7 @@ def test_factory_three_way_split_artifacts_and_publishers():
     app = load_builtin("smartfactory")
     plan = compile_deployment(app, three_platform_factory_config())
     assert len(plan.artifacts) == 3
-    assert set(plan.publisher_table) == {"couch", "panel", "cushion"}
+    assert plan.publisher_platforms == ("couch", "cushion", "panel")
     # every artifact carries its synthesized publisher
     for artifact in plan.artifacts:
         assert publisher_name(artifact.platform_id) in artifact.function_names()
@@ -66,7 +66,7 @@ def test_webshop_single_platform_no_publishers():
     cfg = single_platform_config(app, make_platform("cloud-a", peers={"keystore": 3}))
     plan = compile_deployment(app, cfg)
     assert len(plan.artifacts) == 1
-    assert plan.publisher_table == {}
+    assert plan.publisher_platforms == ()
 
 
 def test_endpoint_resolution_is_total():
@@ -78,16 +78,13 @@ def test_endpoint_resolution_is_total():
             while stack:
                 step = stack.pop()
                 if step.kind == "call":
-                    assert step.target in rfn.call_routes
+                    assert rfn.call_routes[step.target] == plan.placement[step.target]
                 elif step.kind == "publish":
-                    route = rfn.publish_routes[step.target]
-                    assert route.publisher.platform_id == route.target_endpoint.platform_id
+                    assert rfn.publish_routes[step.target] == plan.placement[step.target]
                 elif step.kind == "parallelBlock":
                     for branch in step.branches:
                         stack.extend(branch)
-    assert set(plan.endpoint_table) == set(app.function_names)
-    endpoints = [ep.endpoint_id for ep in plan.endpoint_table.values()]
-    assert len(endpoints) == len(set(endpoints))
+    assert set(plan.placement) == set(app.function_names)
 
 
 def test_publisher_injection_is_minimal():
@@ -100,7 +97,7 @@ def test_publisher_injection_is_minimal():
         service_bindings={"keystore": ServiceBinding("cloud-a")},
     )
     plan = compile_deployment(app, cfg)
-    assert set(plan.publisher_table) == {"edge-1"}
+    assert plan.publisher_platforms == ("edge-1",)
 
 
 def test_compile_is_pure():
@@ -155,8 +152,8 @@ def test_deploy_all_and_fresh_run_ids():
     plan = compile_deployment(app, three_platform_factory_config())
     adapters = {pid: RecordingAdapter() for pid in ("couch", "panel", "cushion")}
     ids = IdSource(np.random.default_rng(0))
-    h1 = deploy_all(plan, adapters, ids=ids)
-    h2 = deploy_all(plan, adapters, ids=ids)
+    h1 = deploy_all(plan, adapters, ids.new_run_id())
+    h2 = deploy_all(plan, adapters, ids.new_run_id())
     assert h1.run_id != h2.run_id
     assert set(h1.deployed) == {"couch", "panel", "cushion"}
 
@@ -170,7 +167,7 @@ def test_deploy_failure_rolls_back():
         "cushion": RecordingAdapter(),
     }
     with pytest.raises(AdapterFailure) as err:
-        deploy_all(plan, adapters)
+        deploy_all(plan, adapters, "r-test")
     assert err.value.platform_id == "panel"
     assert adapters["couch"].removed == ["couch"]  # rolled back
     assert adapters["cushion"].deployed == []
@@ -181,7 +178,7 @@ def test_teardown_reports_and_is_idempotent():
     plan = compile_deployment(app, three_platform_factory_config())
     adapters = {pid: RecordingAdapter() for pid in ("couch", "panel", "cushion")}
     adapters["panel"].fail_remove = True
-    handle = deploy_all(plan, adapters)
+    handle = deploy_all(plan, adapters, "r-test")
     report = teardown(handle, adapters)
     assert report.outcomes["couch"] == "removed"
     assert report.outcomes["panel"].startswith("failed")

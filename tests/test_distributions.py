@@ -28,14 +28,16 @@ def test_constant_consumes_no_randomness():
 
 
 def test_parse_round_trip():
-    for text in ("constant(15)", "uniform(1,2)", "lognormal(3,0.25)", "exponential(7)"):
+    for text in ("constant(15)", "uniform(1,2)", "lognormal(3,0.25)", "lognormal(15,2)", "exponential(7)"):
         d = parse_duration(text)
         assert parse_duration(d.spec()) == d
 
 
 @pytest.mark.parametrize(
     "bad",
-    ["gauss(1)", "constant()", "uniform(2,1)", "lognormal(0,1)", "constant(-1)", "uniform(1)", "nope"],
+    ["gauss(1)", "constant()", "uniform(2,1)", "lognormal(0,1)", "constant(-1)", "uniform(1)", "nope",
+     "constant(inf)", "constant(nan)", "uniform(0,nan)", "lognormal(1e300,5)", "lognormal(15,2.5)",
+     "lognormal(1e-300,100)", "exponential(1e12)", "uniform(0,1e13)"],
 )
 def test_parse_rejects_bad_expressions(bad):
     with pytest.raises(DistributionError):

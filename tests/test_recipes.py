@@ -19,7 +19,7 @@ def test_every_recipe_compiles(name):
     r = recipe(name)
     app = load_builtin(r.benchmark)
     plan = compile_deployment(app, r.config)
-    assert set(plan.endpoint_table) == set(app.function_names)
+    assert set(plan.placement) == set(app.function_names)
 
 
 def test_unknown_recipe():

@@ -16,7 +16,7 @@ from faasbench.deployment import DeploymentConfig, ServiceBinding
 from faasbench.distributions import constant, lognormal
 from faasbench.records import INVOCATION, MODE_TRIGGER, OUTGOING_CALL
 from faasbench.analysis import parse_logs
-from faasbench.simulator import Kernel, KeyedStore, NotAsync, NotDeployed, SimEnvironment, UnknownEndpoint
+from faasbench.simulator import Kernel, KeyedStore, NotAsync, NotDeployed, SimEnvironment
 
 from conftest import deployed_env, make_platform, single_platform_config
 
@@ -139,11 +139,11 @@ def test_invoke_not_deployed():
         env.platforms["p1"].invoke("ghost", arrival_us=0)
 
 
-def test_unknown_endpoint():
+def test_start_invocation_not_deployed():
     app = simple_app()
     env, plan, handle = deployed_env(app, single_platform_config(app, make_platform()))
-    with pytest.raises(UnknownEndpoint):
-        env.platforms["p1"].start_invocation_by_endpoint("ep/p1/ghost", "c" * 32, "d" * 32)
+    with pytest.raises(NotDeployed):
+        env.platforms["p1"].start_invocation("ghost", "c" * 32, "d" * 32)
 
 
 def test_trigger_delay_sampling_median():

@@ -32,12 +32,10 @@ cold-flag cross-check) count each (context, pair id) invocation once, from
 its first line in log order.
 
 ``analyze_log_text`` pauses Python's cyclic garbage collector while it parses
-and analyzes. The analyzer builds no reference cycles, yet the records, tree
-nodes and metric rows it allocates by the hundred thousand keep triggering
-collections, and each one scans every object that survives, to free nothing.
-Before the collector is restored, ``gc.freeze(); gc.unfreeze()`` moves the
-survivors into the oldest generation without scanning them, so the paused
-allocations do not set off a full collection right after.
+and analyzes (``collector.collector_paused``). The analyzer builds no
+reference cycles, yet the records, tree nodes and metric rows it allocates by
+the hundred thousand keep triggering collections, and each one scans every
+object that survives, to free nothing.
 
 All quantiles are nearest-rank; whiskers extend to the most extreme values
 within 1.5 interquartile ranges of the quartiles.
@@ -46,12 +44,12 @@ within 1.5 interquartile ranges of the quartiles.
 from __future__ import annotations
 
 import csv
-import gc
 import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .collector import collector_paused
 from .records import (
     DB_CALL,
     DROP_PREFIX,
@@ -674,17 +672,9 @@ def analyze_records(records: list[TraceRecord], parse_report: ParseReport,
 def analyze_log_text(text: str, phases: list[PhaseWindow] | None = None) -> RunAnalysis:
     """Parse and analyze a collected log with the cyclic collector paused
     (module docstring); the caller's collector state is restored."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         records, report = parse_logs(text)
         return analyze_records(records, report, phases)
-    finally:
-        if not gc.get_freeze_count():  # leave a caller's frozen objects frozen
-            gc.freeze()
-            gc.unfreeze()  # moves what survived into the oldest generation, unscanned
-        if enabled:
-            gc.enable()
 
 
 def _stats_row(metric: str, group: str, s: SummaryStats) -> list:

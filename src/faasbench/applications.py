@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .distributions import Duration, parse_duration
+from .distributions import DistributionError, Duration, parse_duration
 
 HTTP_SYNC = "http-sync"
 EVENT_ASYNC = "event-async"
@@ -83,11 +83,21 @@ class BodyStep:
         if kind == "dbSet":
             return db_set(d["key"], d.get("valueSize", 0))
         if kind == "parallelBlock":
-            branches = [tuple(cls.from_dict(s) for s in branch) for branch in d["branches"]]
-            return parallel(*branches)
+            return parallel(*(_steps_from_dicts(branch, f"branch {b} step") for b, branch in enumerate(d["branches"])))
         if kind == "return":
             return returns(d.get("sizeBytes", DEFAULT_RESPONSE_BYTES))
         raise InvalidApplication(f"unknown body step kind: {kind!r}")
+
+
+def _steps_from_dicts(steps: list, where: str) -> tuple[BodyStep, ...]:
+    """Parse a step list; an error names the step as ``<where> <index> (<kind>)``."""
+    body = []
+    for i, d in enumerate(steps):
+        try:
+            body.append(BodyStep.from_dict(d))
+        except (DistributionError, InvalidApplication) as exc:
+            raise InvalidApplication(f"{where} {i} ({d.get('kind')}): {exc}") from None
+    return tuple(body)
 
 
 def compute(duration: Duration) -> BodyStep:
@@ -138,7 +148,7 @@ class FunctionSpec:
         return cls(
             name=d["name"],
             trigger_kind=d.get("trigger", HTTP_SYNC),
-            body=tuple(BodyStep.from_dict(s) for s in d.get("body", [])),
+            body=_steps_from_dicts(d.get("body", []), f"function {d['name']}: body step"),
             entry_point=bool(d.get("entryPoint", False)),
         )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,8 @@ class Duration:
 
     kind: str
     args: tuple[float, ...]
+    # a constant's sample, converted once (None for the sampled kinds)
+    constant_us: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(a) for a in self.args):
@@ -57,6 +59,8 @@ class Duration:
             raise DistributionError(f"unknown distribution kind: {self.kind}")
         if self._reach_ms() * MICROS_PER_MS >= MAX_SAMPLE_US:
             raise DistributionError(f"{self.spec()}: samples can reach 2**53 us (about 285 years), past microsecond precision")
+        if self.kind == "constant":
+            object.__setattr__(self, "constant_us", _to_micros(self.args[0]))
 
     def _reach_ms(self) -> float:
         """The largest sample the generator can draw, in ms (may be inf)."""
@@ -77,8 +81,8 @@ class Duration:
         Constants consume no randomness so that configs which only differ in
         constant values replay the same sample stream.
         """
-        if self.kind == "constant":
-            return _to_micros(self.args[0])
+        if self.constant_us is not None:
+            return self.constant_us
         if self.kind == "uniform":
             return _to_micros(rng.uniform(self.args[0], self.args[1]))
         if self.kind == "lognormal":

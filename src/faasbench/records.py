@@ -64,36 +64,34 @@ class TraceRecord(NamedTuple):
         return self.end_us - self.start_us
 
     def check(self) -> None:
-        if self.kind not in RECORD_KINDS:
-            raise MalformedRecord(f"unknown record kind {self.kind!r}")
-        if self.end_us < self.start_us:
-            raise MalformedRecord(f"endTs {self.end_us} < startTs {self.start_us}")
-        if self.kind == INVOCATION and (self.executor_key is None or self.cold_start is None):
-            raise MalformedRecord("INVOCATION requires executorKey and coldStart")
-        if self.kind == OUTGOING_CALL and (self.callee is None or self.mode not in MODES):
-            raise MalformedRecord("OUTGOING_CALL requires calleeName and a valid mode")
-        if self.kind == DB_CALL and (self.callee is None or self.db_op not in ("get", "set")):
-            raise MalformedRecord("DB_CALL requires service name and dbOpKind get|set")
+        _check_fields(self.kind, self.start_us, self.end_us, self.callee, self.mode, self.executor_key,
+                      self.cold_start, self.db_op)
+
+
+def _check_fields(kind, start_us, end_us, callee, mode, executor_key, cold_start, db_op) -> None:
+    """Raise MalformedRecord unless the fields form a valid record."""
+    if kind not in RECORD_KINDS:
+        raise MalformedRecord(f"unknown record kind {kind!r}")
+    if end_us < start_us:
+        raise MalformedRecord(f"endTs {end_us} < startTs {start_us}")
+    if kind == INVOCATION and (executor_key is None or cold_start is None):
+        raise MalformedRecord("INVOCATION requires executorKey and coldStart")
+    if kind == OUTGOING_CALL and (callee is None or mode not in MODES):
+        raise MalformedRecord("OUTGOING_CALL requires calleeName and a valid mode")
+    if kind == DB_CALL and (callee is None or db_op not in ("get", "set")):
+        raise MalformedRecord("DB_CALL requires service name and dbOpKind get|set")
+
+
+def _format_line(run_id, platform_id, kind, function, context_id, pair_id, start_us, end_us, callee, mode,
+                 executor_key, cold_start, db_op) -> str:
+    """One log line from a record's fields, taken in ``TraceRecord`` order."""
+    cold = _NONE if cold_start is None else ("1" if cold_start else "0")
+    return (f"{run_id}\t{platform_id}\t{kind}\t{function}\t{context_id}\t{pair_id}\t{callee or _NONE}\t"
+            f"{mode or _NONE}\t{start_us}\t{end_us}\t{executor_key or _NONE}\t{cold}\t{db_op or _NONE}")
 
 
 def serialize_record(r: TraceRecord) -> str:
-    cold = _NONE if r.cold_start is None else ("1" if r.cold_start else "0")
-    fields = (
-        r.run_id,
-        r.platform_id,
-        r.kind,
-        r.function,
-        r.context_id,
-        r.pair_id,
-        r.callee or _NONE,
-        r.mode or _NONE,
-        str(r.start_us),
-        str(r.end_us),
-        r.executor_key or _NONE,
-        cold,
-        r.db_op or _NONE,
-    )
-    return "\t".join(fields)
+    return _format_line(*r)
 
 
 _new_record = tuple.__new__  # builds a TraceRecord from its 13 values, as NamedTuple._make does
@@ -106,16 +104,16 @@ def parse_record(line: str) -> TraceRecord:
         raise MalformedRecord(f"expected {_FIELD_COUNT} fields, got {len(fields)}")
     (run_id, platform_id, kind, function, context_id, pair_id, callee, mode, start, end, executor_key, cold,
      db_op) = fields
-    record = _new_record(TraceRecord, (
-        run_id, platform_id, kind, function, context_id, pair_id, int(start), int(end),
-        None if callee == _NONE else callee,
-        None if mode == _NONE else mode,
-        None if executor_key == _NONE else executor_key,
-        None if cold == _NONE else cold == "1",
-        None if db_op == _NONE else db_op,
-    ))
-    record.check()
-    return record
+    start = int(start)
+    end = int(end)
+    callee = None if callee == _NONE else callee
+    mode = None if mode == _NONE else mode
+    executor_key = None if executor_key == _NONE else executor_key
+    cold = None if cold == _NONE else cold == "1"
+    db_op = None if db_op == _NONE else db_op
+    _check_fields(kind, start, end, callee, mode, executor_key, cold, db_op)
+    return _new_record(TraceRecord, (run_id, platform_id, kind, function, context_id, pair_id, start, end, callee,
+                                     mode, executor_key, cold, db_op))
 
 
 def format_drop_line(platform_id: str, count: int) -> str:
@@ -178,21 +176,25 @@ class RecordSink:
 
     Timestamps are written on the platform's logged clock (true virtual time
     plus the platform's clock offset); rate limiting and emission order use
-    true virtual time.
+    true virtual time. Lines are kept in one list per run id.
     """
 
     def __init__(self, platform_id: str, lines_per_second: int | None = None, clock_offset_us: int = 0):
         self.platform_id = platform_id
         self.lines_per_second = lines_per_second
         self.clock_offset_us = clock_offset_us
-        self._lines: list[tuple[str, str]] = []  # (run_id, line)
+        self._runs: dict[str, list[str]] = {}
         self._window: int | None = None
         self._window_count = 0
         self.drops = 0
 
-    def emit(self, record: TraceRecord, at_us: int) -> bool:
-        """Append one record; returns False when the rate limiter drops it."""
-        record.check()
+    def emit(self, at_us: int, run_id: str, kind: str, function: str, context_id: str, pair_id: str,
+             start_us: int, end_us: int, callee: str | None = None, mode: str | None = None,
+             executor_key: str | None = None, cold_start: bool | None = None, db_op: str | None = None) -> bool:
+        """Append one record of this platform at virtual time ``at_us``, given
+        by its fields; raises MalformedRecord where ``TraceRecord.check``
+        would, and returns False when the rate limiter drops it."""
+        _check_fields(kind, start_us, end_us, callee, mode, executor_key, cold_start, db_op)
         if self.lines_per_second is not None:
             window = at_us // 1_000_000
             if window != self._window:
@@ -202,14 +204,11 @@ class RecordSink:
                 self.drops += 1
                 return False
             self._window_count += 1
-        if self.clock_offset_us:
-            record = record._replace(
-                start_us=record.start_us + self.clock_offset_us,
-                end_us=record.end_us + self.clock_offset_us,
-            )
-        self._lines.append((record.run_id, serialize_record(record)))
+        offset = self.clock_offset_us
+        line = _format_line(run_id, self.platform_id, kind, function, context_id, pair_id, start_us + offset,
+                            end_us + offset, callee, mode, executor_key, cold_start, db_op)
+        self._runs.setdefault(run_id, []).append(line)
         return True
 
     def lines(self, run_id: str) -> list[str]:
-        return [line for rid, line in self._lines if rid == run_id]
-
+        return list(self._runs.get(run_id, ()))

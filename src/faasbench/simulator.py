@@ -23,6 +23,14 @@ Platform semantics:
   scheduled at publisher-accept plus a trigger-delay sample.
 * Keyed-store operations cost one sample of the calling platform's latency
   entry for the service; the store itself is never a bottleneck.
+
+Each emitter hands its record's fields to ``RecordSink.emit``, which checks
+them and writes the log line in one step. ``SimEnvironment.run_until_idle``
+pauses Python's cyclic garbage collector (``collector.collector_paused``):
+the simulation builds no reference cycles, yet the tasks, generator frames,
+log lines and truth rows it allocates keep setting off collections that scan
+every surviving object, the growing log and executor pools included, to free
+nothing.
 """
 
 from __future__ import annotations
@@ -30,10 +38,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .applications import EVENT_ASYNC, DEFAULT_RESPONSE_BYTES
+from .collector import collector_paused
 from .deployment import (
     AdapterFailure,
     DeploymentConfig,
@@ -53,7 +63,6 @@ from .records import (
     HEADER_LINE,
     IdSource,
     RecordSink,
-    TraceRecord,
     format_drop_line,
 )
 
@@ -113,34 +122,38 @@ class Kernel:
         heapq.heappush(self._heap, (fire, next(self._seq), task, None))
         return task
 
-    def _resume(self, task: Task, delay_us: int, value=None) -> None:
-        if delay_us < 0:
-            raise SimulationError(f"negative delay {delay_us}")
-        heapq.heappush(self._heap, (self.now + delay_us, next(self._seq), task, value))
-
     def run_until_idle(self) -> None:
-        while self._heap:
-            fire, _, task, value = heapq.heappop(self._heap)
-            self.now = fire
-            self._step(task, value)
+        """Step tasks in (fire_at, insertion order) until none is scheduled.
 
-    def _step(self, task: Task, value) -> None:
-        try:
-            cmd = task.gen.send(value)
-        except StopIteration as stop:
-            task.done = True
-            task.result = stop.value
-            for waiter in task.waiters:
-                self._resume(waiter, 0, stop.value)
-            task.waiters.clear()
-            return
-        if isinstance(cmd, Task):
-            if cmd.done:
-                self._resume(task, 0, cmd.result)
-            else:
-                cmd.waiters.append(task)
-        else:
-            self._resume(task, int(cmd))
+        A task yields an int delay to resume after it, or a Task to resume
+        with its result once it has finished."""
+        heap = self._heap
+        seq = self._seq
+        push = heapq.heappush
+        pop = heapq.heappop
+        while heap:
+            now, _, task, value = pop(heap)
+            self.now = now
+            try:
+                cmd = task.gen.send(value)
+            except StopIteration as stop:
+                task.done = True
+                result = task.result = stop.value
+                for waiter in task.waiters:
+                    push(heap, (now, next(seq), waiter, result))
+                task.waiters.clear()
+                continue
+            if type(cmd) is not int:
+                if isinstance(cmd, Task):
+                    if cmd.done:
+                        push(heap, (now, next(seq), task, cmd.result))
+                    else:
+                        cmd.waiters.append(task)
+                    continue
+                cmd = int(cmd)
+            if cmd < 0:
+                raise SimulationError(f"negative delay {cmd}")
+            push(heap, (now + cmd, next(seq), task, None))
 
 
 class Executor:
@@ -169,24 +182,21 @@ class KeyedStore:
         return self._values.get((service, key), 0)
 
 
-@dataclass(frozen=True)
-class ExecutorBirth:
+class ExecutorBirth(NamedTuple):
     platform_id: str
     function: str
     key: str
     at_us: int
 
 
-@dataclass(frozen=True)
-class TruthEdge:
+class TruthEdge(NamedTuple):
     context_id: str
     parent_pair: str | None
     pair: str
     kind: str  # root | sync | async | trigger | db
 
 
-@dataclass(frozen=True)
-class TruthInvocation:
+class TruthInvocation(NamedTuple):
     context_id: str
     pair: str
     function: str
@@ -208,16 +218,7 @@ class GroundTruth:
     wire_bytes: int = 0  # payloads plus the per-call tracing token
 
     def edge_set(self) -> set[tuple[str, str | None, str, str]]:
-        return {(e.context_id, e.parent_pair, e.pair, e.kind) for e in self.edges}
-
-
-@dataclass
-class _Frame:
-    """Execution context of one invocation body."""
-
-    rfn: ResolvedFunction
-    context_id: str
-    inbound_pair: str
+        return set(self.edges)
 
 
 class SimPlatform:
@@ -329,31 +330,17 @@ class SimPlatform:
             if delay:
                 yield delay
         body_start = env.kernel.now
-        frame = _Frame(rfn, context_id, inbound_pair)
-        size = yield from self._run_body(frame, rfn.spec.body)
+        size = yield from self._run_body(rfn, context_id, inbound_pair, rfn.spec.body)
         end = env.kernel.now
         self._release(executor, end)
-        self.sink.emit(
-            TraceRecord(
-                run_id=env.run_id,
-                platform_id=self.id,
-                kind=INVOCATION,
-                function=rfn.name,
-                context_id=context_id,
-                pair_id=inbound_pair,
-                start_us=arrival,
-                end_us=end,
-                executor_key=executor.key,
-                cold_start=cold,
-            ),
-            at_us=end,
-        )
+        self.sink.emit(end, env.run_id, INVOCATION, rfn.name, context_id, inbound_pair, arrival, end,
+                       executor_key=executor.key, cold_start=cold)
         env.truth.invocations.append(
             TruthInvocation(context_id, inbound_pair, rfn.name, self.id, arrival, body_start, end, cold, executor.key)
         )
         return end, size
 
-    def _run_body(self, frame: _Frame, steps):
+    def _run_body(self, rfn, context_id, inbound_pair, steps):
         env = self.env
         response = DEFAULT_RESPONSE_BYTES
         for step in steps:
@@ -363,16 +350,17 @@ class SimPlatform:
                     yield d
             elif step.kind == "call":
                 yield from env.sync_call(
-                    self.sink, self.id, frame.rfn.name, frame.context_id, frame.inbound_pair,
-                    step.target, frame.rfn.call_routes[step.target], step.payload_bytes, "sync",
+                    self.sink, self.id, rfn.name, context_id, inbound_pair,
+                    step.target, rfn.call_routes[step.target], step.payload_bytes, "sync",
                 )
             elif step.kind == "publish":
                 # caller idles until the event is accepted downstream
-                yield self._publish(frame, step)
+                yield self._publish(rfn, context_id, inbound_pair, step)
             elif step.kind in ("dbGet", "dbSet"):
-                yield from self._db_op(frame, step)
+                yield from self._db_op(rfn, context_id, inbound_pair, step)
             elif step.kind == "parallelBlock":
-                branches = [env.kernel.spawn(self._run_body(frame, branch)) for branch in step.branches]
+                branches = [env.kernel.spawn(self._run_body(rfn, context_id, inbound_pair, branch))
+                            for branch in step.branches]
                 for branch in branches:
                     yield branch
             elif step.kind == "return":
@@ -380,38 +368,25 @@ class SimPlatform:
                 break
         return response
 
-    def _publish(self, frame: _Frame, step) -> int:
+    def _publish(self, rfn, context_id, inbound_pair, step) -> int:
         """Send one event toward its publisher; returns the delivery leg."""
         env = self.env
         t0 = env.kernel.now
         pair1 = env.ids.new_pair()
-        dst = frame.rfn.publish_routes[step.target]
+        dst = rfn.publish_routes[step.target]
         env.account_wire(step.payload_bytes)
         out = env.leg_us(self.id, dst)
-        env.kernel.spawn(self._async_delivery(frame, t0, pair1, step.target, env.platforms[dst]), delay_us=out)
+        delivery = self._async_delivery(rfn.name, context_id, inbound_pair, t0, pair1, step.target, env.platforms[dst])
+        env.kernel.spawn(delivery, delay_us=out)
         return out
 
-    def _async_delivery(self, frame: _Frame, t0: int, pair1: str, target: str, dest: "SimPlatform"):
+    def _async_delivery(self, function, context_id, inbound_pair, t0, pair1, target, dest: "SimPlatform"):
         env = self.env
-        pub_task = dest._start_publisher(frame.context_id, pair1, target)
-        yield pub_task
+        yield dest._start_publisher(context_id, pair1, target)
         end = env.kernel.now
-        self.sink.emit(
-            TraceRecord(
-                run_id=env.run_id,
-                platform_id=self.id,
-                kind=OUTGOING_CALL,
-                function=frame.rfn.name,
-                context_id=frame.context_id,
-                pair_id=pair1,
-                callee=target,
-                mode=MODE_ASYNC,
-                start_us=t0,
-                end_us=end,
-            ),
-            at_us=end,
-        )
-        env.truth.edges.append(TruthEdge(frame.context_id, frame.inbound_pair, pair1, "async"))
+        self.sink.emit(end, env.run_id, OUTGOING_CALL, function, context_id, pair1, t0, end,
+                       callee=target, mode=MODE_ASYNC)
+        env.truth.edges.append(TruthEdge(context_id, inbound_pair, pair1, "async"))
 
     def _start_publisher(self, context_id: str, pair1: str, target: str) -> Task:
         """Accept an event for ``target``, which runs on this platform too:
@@ -423,21 +398,8 @@ class SimPlatform:
             raise NotDeployed(pub)
         pair2 = env.ids.new_pair()
         trig = env.sample_us(self.spec.trigger_delay)
-        self.sink.emit(
-            TraceRecord(
-                run_id=env.run_id,
-                platform_id=self.id,
-                kind=OUTGOING_CALL,
-                function=pub,
-                context_id=context_id,
-                pair_id=pair2,
-                callee=target,
-                mode=MODE_TRIGGER,
-                start_us=accept,
-                end_us=accept,
-            ),
-            at_us=accept,
-        )
+        self.sink.emit(accept, env.run_id, OUTGOING_CALL, pub, context_id, pair2, accept, accept,
+                       callee=target, mode=MODE_TRIGGER)
         env.truth.edges.append(TruthEdge(context_id, pair1, pair2, "trigger"))
         env.kernel.spawn(self._trigger_fire(target, context_id, pair2), delay_us=trig)
         return self.start_invocation(pub, context_id, pair1)
@@ -445,11 +407,11 @@ class SimPlatform:
     def _trigger_fire(self, target: str, context_id: str, pair2: str):
         yield self.start_invocation(target, context_id, pair2)
 
-    def _db_op(self, frame: _Frame, step):
+    def _db_op(self, rfn, context_id, inbound_pair, step):
         env = self.env
-        if not frame.rfn.service_routes:
-            raise NoServiceBinding(f"{frame.rfn.name}: db step but no service bound")
-        service = next(iter(frame.rfn.service_routes))
+        if not rfn.service_routes:
+            raise NoServiceBinding(f"{rfn.name}: db step but no service bound")
+        service = next(iter(rfn.service_routes))
         t0 = env.kernel.now
         pair = env.ids.new_pair()
         latency = env.db_latency_us(self.id, service)
@@ -461,22 +423,8 @@ class SimPlatform:
             size = env.store.get(service, step.key)
             op = "get"
         end = env.kernel.now
-        self.sink.emit(
-            TraceRecord(
-                run_id=env.run_id,
-                platform_id=self.id,
-                kind=DB_CALL,
-                function=frame.rfn.name,
-                context_id=frame.context_id,
-                pair_id=pair,
-                callee=service,
-                db_op=op,
-                start_us=t0,
-                end_us=end,
-            ),
-            at_us=end,
-        )
-        env.truth.edges.append(TruthEdge(frame.context_id, frame.inbound_pair, pair, "db"))
+        self.sink.emit(end, env.run_id, DB_CALL, rfn.name, context_id, pair, t0, end, callee=service, db_op=op)
+        env.truth.edges.append(TruthEdge(context_id, inbound_pair, pair, "db"))
         return size
 
 
@@ -525,7 +473,8 @@ class SimEnvironment:
         """One synchronous request from ``function`` on ``src`` (a platform id
         or the load generator) to ``target`` on platform ``dst``: draws the
         pair id, the outbound leg, then the return leg, and records the
-        caller's OUTGOING_CALL in ``sink`` and a truth edge of ``kind``."""
+        caller's OUTGOING_CALL in ``sink`` (the sink of ``src``) and a truth
+        edge of ``kind``."""
         t0 = self.kernel.now
         pair = self.ids.new_pair()
         self.account_wire(payload_bytes)
@@ -533,21 +482,7 @@ class SimEnvironment:
         yield self.platforms[dst].start_invocation(target, context_id, pair)
         yield self.leg_us(dst, src)
         end = self.kernel.now
-        sink.emit(
-            TraceRecord(
-                run_id=self.run_id,
-                platform_id=src,
-                kind=OUTGOING_CALL,
-                function=function,
-                context_id=context_id,
-                pair_id=pair,
-                callee=target,
-                mode=MODE_SYNC,
-                start_us=t0,
-                end_us=end,
-            ),
-            at_us=end,
-        )
+        sink.emit(end, self.run_id, OUTGOING_CALL, function, context_id, pair, t0, end, callee=target, mode=MODE_SYNC)
         self.truth.edges.append(TruthEdge(context_id, parent_pair, pair, kind))
 
     def db_latency_us(self, platform_id: str, service: str) -> int:
@@ -558,7 +493,8 @@ class SimEnvironment:
         return self.sample_us(dist)
 
     def run_until_idle(self) -> None:
-        self.kernel.run_until_idle()
+        with collector_paused():
+            self.kernel.run_until_idle()
 
     def loadgen_logs(self, run_id: str) -> list[str]:
         return self.loadgen_sink.lines(run_id) + [format_drop_line(LOADGEN, self.loadgen_sink.drops)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from faasbench.applications import ApplicationSpec, FunctionSpec, HTTP_SYNC, compute
@@ -47,3 +49,14 @@ def deployed_env(app: ApplicationSpec, cfg: DeploymentConfig, seed: int = 1):
 def one_fn_app() -> ApplicationSpec:
     fn = FunctionSpec("solo", HTTP_SYNC, (compute(constant(2)),), entry_point=True)
     return ApplicationSpec(name="solo-app", functions=(fn,))
+
+
+@pytest.fixture
+def collector_restored():
+    """Restore the cyclic collector's on/off state after the test."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()

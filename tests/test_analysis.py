@@ -868,13 +868,6 @@ def _set_collector(enabled: bool) -> None:
         gc.disable()
 
 
-@pytest.fixture
-def collector_restored():
-    enabled = gc.isenabled()
-    yield
-    _set_collector(enabled)
-
-
 @pytest.mark.parametrize("enabled", [True, False])
 def test_analyze_log_text_restores_the_collector(enabled, collector_restored):
     _set_collector(enabled)

@@ -79,6 +79,35 @@ def test_cyclic_app_rejected_by_validate_and_run(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("body, where", [
+    ([{"kind": "compute", "duration": "constant(1)"}, {"kind": "compute", "duration": "constant(inf)"}],
+     "function a: body step 1 (compute): "),
+    ([{"kind": "parallelBlock", "branches": [[], [{"kind": "call", "target": "b"},
+                                                  {"kind": "compute", "duration": "constant(inf)"}]]}],
+     "function a: body step 0 (parallelBlock): branch 1 step 1 (compute): "),
+], ids=["top-level", "in-a-branch"])
+def test_validate_and_run_name_the_body_step_of_a_bad_distribution(tmp_path, capsys, body, where):
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({
+        "name": "inf",
+        "functions": [{"name": "a", "trigger": "http-sync", "entryPoint": True, "body": body},
+                      {"name": "b", "trigger": "http-sync", "body": []}],
+    }))
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({
+        "name": "one",
+        "workflows": [{"name": "hit", "steps": [{"entry": "a"}]}],
+        "phases": [{"kind": "burst", "durationSeconds": 1, "totalFlows": 1, "mix": {"hit": 1.0}}],
+    }))
+    reason = f"{where}constant(inf): parameters must be finite"
+    assert run_cli("validate", str(app)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"cannot load application: {reason}\n"
+    out = tmp_path / "out"
+    assert run_cli("run", str(app), "--profile", str(profile), "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {reason}\n"
+    assert not out.exists()
+
+
 def test_run_produces_artifacts_and_reports(tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli("run", "webshop", "--seed", "7", "--scale", "0.002", "--out", str(out))

@@ -3,10 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faasbench import recipes, runner
+from faasbench.benchmarks import load_builtin
 from faasbench.records import (
     DB_CALL,
+    DROP_PREFIX,
+    HEADER_LINE,
     ID_BLOCK,
     INVOCATION,
+    LOADGEN,
     OUTGOING_CALL,
     IdSource,
     MalformedRecord,
@@ -19,10 +24,10 @@ from faasbench.records import (
 )
 
 
-def make_invocation(**kw) -> TraceRecord:
+def invocation_fields(**kw) -> dict:
+    """The fields of an INVOCATION record on platform p1, as RecordSink.emit takes them."""
     base = dict(
         run_id="r1",
-        platform_id="p1",
         kind=INVOCATION,
         function="fn",
         context_id="c" * 32,
@@ -33,7 +38,11 @@ def make_invocation(**kw) -> TraceRecord:
         cold_start=True,
     )
     base.update(kw)
-    return TraceRecord(**base)
+    return base
+
+
+def make_invocation(**kw) -> TraceRecord:
+    return TraceRecord(platform_id="p1", **invocation_fields(**kw))
 
 
 def test_round_trip_all_kinds():
@@ -154,7 +163,7 @@ def test_sink_rate_limit_cap_arithmetic():
     # 300 records within one virtual second at limit 250 -> 250 kept, 50 dropped
     sink = RecordSink("p1", lines_per_second=250)
     for i in range(300):
-        sink.emit(make_invocation(pair_id=f"{i:032x}"), at_us=i * 1000)
+        sink.emit(i * 1000, **invocation_fields(pair_id=f"{i:032x}"))
     assert len(sink.lines("r1")) == 250
     assert sink.drops == 50
 
@@ -162,39 +171,78 @@ def test_sink_rate_limit_cap_arithmetic():
 def test_sink_window_is_tumbling():
     sink = RecordSink("p1", lines_per_second=2)
     times = [0, 100, 900, 1_000_000, 1_000_001, 1_999_999, 2_000_000]
-    accepted = [sink.emit(make_invocation(pair_id=f"{i:032x}"), at_us=t) for i, t in enumerate(times)]
+    accepted = [sink.emit(t, **invocation_fields(pair_id=f"{i:032x}")) for i, t in enumerate(times)]
     assert accepted == [True, True, False, True, True, False, True]
 
 
 def test_unlimited_sink_never_drops():
     sink = RecordSink("p1", lines_per_second=None)
     for i in range(1000):
-        sink.emit(make_invocation(pair_id=f"{i:032x}"), at_us=0)
+        sink.emit(0, **invocation_fields(pair_id=f"{i:032x}"))
     assert sink.drops == 0
 
 
 def test_sink_validates_on_emit():
     sink = RecordSink("p1")
     with pytest.raises(MalformedRecord):
-        sink.emit(make_invocation(start_us=9, end_us=1), at_us=0)
+        sink.emit(0, **invocation_fields(start_us=9, end_us=1))
+
+
+_CALL = dict(run_id="r1", function="fn", context_id="c" * 32, pair_id="b" * 32, start_us=5, end_us=9)
+
+
+@pytest.mark.parametrize("fields", [
+    invocation_fields(start_us=21),
+    invocation_fields(executor_key=None),
+    invocation_fields(cold_start=None),
+    dict(_CALL, kind=OUTGOING_CALL, callee="other", mode="bad"),
+    dict(_CALL, kind=OUTGOING_CALL, callee="other"),
+    dict(_CALL, kind=OUTGOING_CALL, mode="sync"),
+    dict(_CALL, kind=DB_CALL, callee="kv", db_op="drop"),
+    dict(_CALL, kind=DB_CALL, callee="kv"),
+    dict(_CALL, kind="WEIRD", callee="other", mode="sync"),
+], ids=["end-before-start", "no-executor-key", "no-cold-flag", "bad-mode", "no-mode", "no-callee", "bad-db-op",
+        "no-db-op", "unknown-kind"])
+def test_sink_rejects_at_emit_each_record_that_check_rejects(fields):
+    record = TraceRecord(platform_id="p1", **fields)
+    with pytest.raises(MalformedRecord):
+        record.check()
+    sink = RecordSink("p1")
+    with pytest.raises(MalformedRecord):
+        sink.emit(0, **fields)
+    assert sink.lines("r1") == [] and sink.drops == 0
 
 
 def test_sink_applies_clock_offset_to_lines_only():
-    record = make_invocation(start_us=100, end_us=200)
     sink = RecordSink("p1", clock_offset_us=50_000)
-    sink.emit(record, at_us=200)
+    sink.emit(200, **invocation_fields(start_us=100, end_us=200))
     parsed = parse_record(sink.lines("r1")[0])
     assert parsed.start_us == 50_100 and parsed.end_us == 50_200
-    assert record.start_us == 100  # the record object keeps true time
+    # the rate limiter windows true time: a logged clock 999 990 us ahead
+    # does not carry the second line into the next window
+    sink = RecordSink("p1", lines_per_second=1, clock_offset_us=999_990)
+    assert sink.emit(0, **invocation_fields(start_us=0, end_us=0))
+    assert not sink.emit(20, **invocation_fields(start_us=20, end_us=20))
 
 
 def test_sink_separates_runs():
     sink = RecordSink("p1")
-    sink.emit(make_invocation(run_id="rA"), at_us=0)
-    sink.emit(make_invocation(run_id="rB"), at_us=1)
+    sink.emit(0, **invocation_fields(run_id="rA"))
+    sink.emit(1, **invocation_fields(run_id="rB"))
     assert len(sink.lines("rA")) == 1
     assert len(sink.lines("rB")) == 1
     assert "rB" in sink.lines("rB")[0]
+
+
+def test_simulated_lines_with_a_clock_offset_parse_back(tmp_path):
+    r = recipes.exp2_edge_cloud(cloud_clock_offset_ms=2.5)
+    result = runner.run_benchmark(load_builtin(r.benchmark), r.config, r.profile, 7, tmp_path, scale=0.05)
+    lines = result.log_text.splitlines()
+    assert lines[0] == HEADER_LINE
+    records = [parse_record(line) for line in lines[1:] if not line.startswith(DROP_PREFIX)]
+    platforms = {rec.platform_id for rec in records}
+    assert platforms == {LOADGEN, "edge-1", "cloud-a"}
+    assert len(records) == result.analysis.parse.records
 
 
 def test_id_source_uniqueness_at_scale():

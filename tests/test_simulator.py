@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,10 @@ from faasbench.deployment import DeploymentConfig, ServiceBinding
 from faasbench.distributions import constant, lognormal
 from faasbench.records import INVOCATION, MODE_TRIGGER, OUTGOING_CALL
 from faasbench.analysis import parse_logs
-from faasbench.simulator import Kernel, KeyedStore, NotAsync, NotDeployed, SimEnvironment
+from faasbench.benchmarks import load_builtin
+from faasbench.recipes import RECIPE_NAMES, recipe
+from faasbench.simulator import Kernel, KeyedStore, NotAsync, NotDeployed, SimEnvironment, SimulationError
+from faasbench.workload import execute, schedule
 
 from conftest import deployed_env, make_platform, single_platform_config
 
@@ -382,3 +387,67 @@ def test_executor_reuse_matches_most_recently_idle_scan():
     assert keys[8:11] == [keys[2], keys[3], keys[3]]
     truth = [(inv.executor_key, inv.cold) for inv in env.truth.invocations]
     assert sorted(truth) == sorted(chosen)
+
+
+# -- the paused collector ----------------------------------------------------
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_until_idle_restores_the_collector(enabled, collector_restored):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    app = simple_app()
+    env, plan, handle = deployed_env(app, single_platform_config(app, make_platform()))
+    env.platforms["p1"].invoke("fn", arrival_us=0)
+    seen = []
+
+    def probe():
+        seen.append(gc.isenabled())
+        yield 0
+
+    env.kernel.spawn(probe())
+    env.run_until_idle()
+    assert len(env.truth.invocations) == 1 and seen == [False]
+    assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
+
+    def backwards():
+        yield -1
+
+    env.kernel.spawn(backwards())
+    with pytest.raises(SimulationError, match="negative delay -1"):
+        env.run_until_idle()
+    assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
+
+
+def test_run_until_idle_keeps_a_callers_frozen_objects(collector_restored):
+    app = simple_app()
+    env, plan, handle = deployed_env(app, single_platform_config(app, make_platform()))
+    p = env.platforms["p1"]
+    p.invoke("fn", arrival_us=0)
+    env.run_until_idle()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        p.invoke("fn", arrival_us=1_000_000)
+        env.run_until_idle()
+        assert len(env.truth.invocations) == 2
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
+@pytest.mark.parametrize("name", RECIPE_NAMES)
+def test_simulation_creates_no_reference_cycles(name, collector_restored):
+    r = recipe(name)
+    app = load_builtin(r.benchmark)
+    gc.collect()  # an earlier test's environment is a cycle with its platforms
+    gc.disable()
+    env, plan, handle = deployed_env(app, r.config, seed=7)
+    execute(schedule(r.profile.scaled(0.2), env.loadgen_rng), plan, env)
+    env.run_until_idle()
+    assert env.truth.invocations
+    assert gc.collect() == 0
+    env.collect_log(handle.run_id)
+    assert gc.collect() == 0

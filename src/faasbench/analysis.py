@@ -37,6 +37,17 @@ reference cycles, yet the records, tree nodes and metric rows it allocates by
 the hundred thousand keep triggering collections, and each one scans every
 object that survives, to free nothing.
 
+The analyzer takes the log as text or as its lines (the run hands over the
+sinks' line list, ``analyze_file`` the file's lines as it reads them), so it
+never needs a joined copy of the log. Each parsed record shares one string
+per value of the columns that take a handful of values in a run: run id,
+platform, kind, function, callee, mode and db op (``records.parse_record``).
+A run's hundreds of thousands of records name a few dozen functions, and a
+copy of these strings per record made up about 40% of the parsed records'
+memory (factory-events: 66,600 records, 48.1 MB copied, 28.0 MB shared).
+The dicts keyed on these columns also compare shared strings by identity
+before their characters.
+
 All quantiles are nearest-rank; whiskers extend to the most extreme values
 within 1.5 interquartile ranges of the quartiles.
 """
@@ -94,7 +105,8 @@ class ParseReport:
 
 
 def parse_logs(text_or_lines) -> tuple[list[TraceRecord], ParseReport]:
-    """Parse a collected log; malformed lines are counted and skipped."""
+    """Parse a collected log, given as text or as an iterable of its lines;
+    malformed lines are counted and skipped."""
     lines = iter(text_or_lines.splitlines() if isinstance(text_or_lines, str) else text_or_lines)
     report = ParseReport()
     records: list[TraceRecord] = []
@@ -669,11 +681,12 @@ def analyze_records(records: list[TraceRecord], parse_report: ParseReport,
     )
 
 
-def analyze_log_text(text: str, phases: list[PhaseWindow] | None = None) -> RunAnalysis:
-    """Parse and analyze a collected log with the cyclic collector paused
-    (module docstring); the caller's collector state is restored."""
+def analyze_log_text(text_or_lines, phases: list[PhaseWindow] | None = None) -> RunAnalysis:
+    """Parse and analyze a collected log, given as text or as its lines, with
+    the cyclic collector paused (module docstring); the caller's collector
+    state is restored."""
     with collector_paused():
-        records, report = parse_logs(text)
+        records, report = parse_logs(text_or_lines)
         return analyze_records(records, report, phases)
 
 

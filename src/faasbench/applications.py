@@ -15,11 +15,13 @@ from pathlib import Path
 from typing import Iterator
 
 from .distributions import DistributionError, Duration, parse_duration
+from .records import is_log_name
 
 HTTP_SYNC = "http-sync"
 EVENT_ASYNC = "event-async"
 
 STEP_KINDS = ("compute", "call", "publish", "dbGet", "dbSet", "parallelBlock", "return")
+NAME_RULE = "must be a non-empty string other than '-', with no tab or line break"
 
 DEFAULT_PAYLOAD_BYTES = 256
 DEFAULT_RESPONSE_BYTES = 128
@@ -232,8 +234,15 @@ def _walk_steps(body: tuple[BodyStep, ...]) -> Iterator[tuple[BodyStep, bool]]:
 def validate(app: ApplicationSpec) -> ValidationReport:
     """Check all application invariants; violations are data, not errors."""
     violations: list[Violation] = []
+    # names are written into every log line; the violation quotes a bad one
+    # rather than printing it, so the report stays one line per violation
+    for svc in app.external_services:
+        if not is_log_name(svc):
+            violations.append(Violation("BadName", None, f"external service name {svc!r} {NAME_RULE}"))
     seen: set[str] = set()
     for fn in app.functions:
+        if not is_log_name(fn.name):
+            violations.append(Violation("BadName", None, f"function name {fn.name!r} {NAME_RULE}"))
         if fn.name in seen:
             violations.append(Violation("DuplicateName", fn.name, "function name is not unique"))
         seen.add(fn.name)

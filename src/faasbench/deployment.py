@@ -18,6 +18,7 @@ from typing import Protocol
 
 from .applications import EVENT_ASYNC, ApplicationSpec, FunctionSpec, InvalidApplication, validate
 from .distributions import DistributionError, Duration, constant, parse_duration
+from .records import LOADGEN, is_log_name
 
 PUBLISHER_PREFIX = "__publisher_"
 DEFAULT_TRACING_OVERHEAD_BYTES = 64
@@ -55,6 +56,16 @@ class AdapterFailure(DeploymentError):
         self.cause = cause
 
 
+def _check_platform_id(platform_id) -> None:
+    """Raise DeploymentError unless the id can fill the platform column of a
+    log line and the whitespace-separated ``#dropped <id> <count>`` line."""
+    if not (is_log_name(platform_id) and platform_id.split() == [platform_id]):
+        raise DeploymentError(f"platform id {platform_id!r} must be a non-empty string other than '-', "
+                              "with no whitespace")
+    if platform_id == LOADGEN:
+        raise DeploymentError(f"platform id {LOADGEN!r} is reserved for the load generator")
+
+
 @dataclass(frozen=True)
 class PlatformSpec:
     """Parameters of one simulated FaaS platform."""
@@ -68,6 +79,7 @@ class PlatformSpec:
     clock_offset_us: int = 0
 
     def __post_init__(self) -> None:
+        _check_platform_id(self.id)
         if self.keep_alive_us <= 0:
             raise DeploymentError(f"platform {self.id}: keepAlive must be > 0")
         rate = self.log_lines_per_second
@@ -98,6 +110,8 @@ class PlatformSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PlatformSpec":
+        _check_platform_id(d["id"])  # before the errors that name the platform by its id
+
         def finite(key: str, default: float) -> float:
             value = float(d.get(key, default))
             if not math.isfinite(value):

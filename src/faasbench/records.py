@@ -14,6 +14,7 @@ metadata lines with per-platform rate-limiter drop counters.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -95,10 +96,22 @@ def serialize_record(r: TraceRecord) -> str:
 
 
 _new_record = tuple.__new__  # builds a TraceRecord from its 13 values, as NamedTuple._make does
+_intern = sys.intern
+# the parsed value of each known kind, mode and db op column, one shared string
+# apiece; "-" reads as None, and a value not listed here is kept as written
+_KIND_OF = {kind: kind for kind in RECORD_KINDS}
+_MODE_OF = {_NONE: None, **{mode: mode for mode in MODES}}
+_DB_OP_OF = {_NONE: None, "get": "get", "set": "set"}
 
 
 def parse_record(line: str) -> TraceRecord:
-    """Parse one data line; raises ValueError/MalformedRecord on bad input."""
+    """Parse one data line; raises ValueError/MalformedRecord on bad input.
+
+    The columns that take a handful of distinct values in a run (run id,
+    platform, kind, function, callee, mode and db op) come out as one shared
+    string per value: the kind, mode and db op from fixed tables, the names
+    through ``sys.intern``.
+    """
     fields = line.split("\t")
     if len(fields) != _FIELD_COUNT:
         raise MalformedRecord(f"expected {_FIELD_COUNT} fields, got {len(fields)}")
@@ -106,14 +119,23 @@ def parse_record(line: str) -> TraceRecord:
      db_op) = fields
     start = int(start)
     end = int(end)
-    callee = None if callee == _NONE else callee
-    mode = None if mode == _NONE else mode
+    kind = _KIND_OF.get(kind, kind)
+    callee = None if callee == _NONE else _intern(callee)
+    mode = _MODE_OF.get(mode, mode)
     executor_key = None if executor_key == _NONE else executor_key
     cold = None if cold == _NONE else cold == "1"
-    db_op = None if db_op == _NONE else db_op
+    db_op = _DB_OP_OF.get(db_op, db_op)
     _check_fields(kind, start, end, callee, mode, executor_key, cold, db_op)
-    return _new_record(TraceRecord, (run_id, platform_id, kind, function, context_id, pair_id, start, end, callee,
-                                     mode, executor_key, cold, db_op))
+    return _new_record(TraceRecord, (_intern(run_id), _intern(platform_id), kind, _intern(function), context_id,
+                                     pair_id, start, end, callee, mode, executor_key, cold, db_op))
+
+
+def is_log_name(name: object) -> bool:
+    """True when ``name`` can fill a name column of a log line (function,
+    callee or platform): a non-empty string other than ``-``, which reads as
+    an empty column, with no tab and nothing ``str.splitlines`` ends a line
+    at. Any other name would split or shift the columns of its lines."""
+    return isinstance(name, str) and name != _NONE and "\t" not in name and name.splitlines() == [name]
 
 
 def format_drop_line(platform_id: str, count: int) -> str:

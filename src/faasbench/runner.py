@@ -5,6 +5,7 @@ succeeded, whatever happens afterwards."""
 from __future__ import annotations
 
 import datetime as _dt
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -13,6 +14,7 @@ from . import __version__
 from .analysis import PhaseWindow, RunAnalysis, analyze_log_text, write_reports
 from .applications import ApplicationSpec, InvalidApplication, validate
 from .benchmarks import BENCHMARK_NAMES, load_builtin
+from .collector import collector_paused
 from .deployment import (
     DeploymentConfig,
     PlatformSpec,
@@ -28,6 +30,7 @@ from .workload import ExecutionStats, LoadProfile, execute, schedule, validate_p
 RAW_LOG_NAME = "raw.log"
 MANIFEST_NAME = "manifest.json"
 REPORTS_DIR = "reports"
+WRITE_CHUNK_LINES = 4096  # log lines joined per write of raw.log
 
 
 @dataclass
@@ -84,12 +87,16 @@ class RunResult:
     run_id: str
     run_dir: Path
     log_path: Path
-    log_text: str
     manifest: RunManifest
     analysis: RunAnalysis
     truth: GroundTruth
     stats: ExecutionStats
     env: SimEnvironment
+
+    @property
+    def log_text(self) -> str:
+        """The run's raw log, read back from ``log_path``."""
+        return self.log_path.read_text()
 
 
 def default_config(app: ApplicationSpec, platform_id: str = "cloud-a") -> DeploymentConfig:
@@ -183,30 +190,41 @@ def run_benchmark(
     adapters = env.adapters()
     handle = deploy_all(plan, adapters, run_id=run_id)
     try:
-        arrivals = schedule(profile, env.loadgen_rng)
-        stats = execute(arrivals, plan, env)
-        env.run_until_idle()
-        log_text = env.collect_log(run_id)
+        # set-up spawns a task and a generator per arrival and, like the
+        # simulation, builds no reference cycles (collector.py)
+        with collector_paused():
+            arrivals = schedule(profile, env.loadgen_rng)
+            stats = execute(arrivals, plan, env)
+            env.run_until_idle()
+        log_lines = env.collect_log(run_id)
     finally:
         teardown(handle, adapters)
 
     log_path = run_dir / RAW_LOG_NAME
-    log_path.write_text(log_text)
+    _write_lines(log_path, log_lines)
 
-    analysis = analyze_log_text(log_text, phases)
+    analysis = analyze_log_text(log_lines, phases)
     write_reports(analysis, run_dir / REPORTS_DIR, charts=charts)
 
     return RunResult(
         run_id=run_id,
         run_dir=run_dir,
         log_path=log_path,
-        log_text=log_text,
         manifest=manifest,
         analysis=analysis,
         truth=env.truth,
         stats=stats,
         env=env,
     )
+
+
+def _write_lines(path: Path, lines: list[str]) -> None:
+    """Write each line followed by a newline, a bounded slice at a time, so no
+    string of the whole log is ever built."""
+    with path.open("w") as fh:
+        for i in range(0, len(lines), WRITE_CHUNK_LINES):
+            fh.write("\n".join(lines[i:i + WRITE_CHUNK_LINES]))
+            fh.write("\n")
 
 
 def _fresh_run_dir(out_dir: Path, run_id: str) -> Path:
@@ -223,14 +241,20 @@ def _fresh_run_dir(out_dir: Path, run_id: str) -> Path:
 
 
 def analyze_file(log_path: str | Path, out_dir: str | Path | None = None, charts: bool = False) -> RunAnalysis:
-    """Re-run the analyzer offline on an existing raw log."""
+    """Re-run the analyzer offline on an existing raw log.
+
+    The file is parsed as it is read, a line at a time, and gives the lines
+    of ``read_text().splitlines()``: the reader's universal newlines turn
+    ``\\r\\n`` and ``\\r`` into ``\\n`` and end each line there, and
+    ``splitlines`` splits it further at the other line boundaries it knows.
+    """
     log_path = Path(log_path)
-    text = log_path.read_text()
     phases = None
     manifest_path = log_path.parent / MANIFEST_NAME
     if manifest_path.exists():
         phases = phases_from_manifest(RunManifest.load(manifest_path))
-    analysis = analyze_log_text(text, phases)
+    with log_path.open() as fh:
+        analysis = analyze_log_text(itertools.chain.from_iterable(map(str.splitlines, fh)), phases)
     if out_dir is not None:
         write_reports(analysis, out_dir, charts=charts)
     return analysis

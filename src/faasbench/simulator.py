@@ -499,10 +499,14 @@ class SimEnvironment:
     def loadgen_logs(self, run_id: str) -> list[str]:
         return self.loadgen_sink.lines(run_id) + [format_drop_line(LOADGEN, self.loadgen_sink.drops)]
 
-    def collect_log(self, run_id: str) -> str:
-        """Aggregate the run's log: header, loadgen section, platforms sorted."""
+    def collect_log(self, run_id: str) -> list[str]:
+        """The run's log lines: header, loadgen section, platforms sorted.
+
+        The list holds the sinks' own line strings, not copies; the log file
+        is these lines, each ended by a newline.
+        """
         out = [HEADER_LINE]
         out.extend(self.loadgen_logs(run_id))
         for pid in sorted(self.platforms):
             out.extend(self.platforms[pid].collect_logs(run_id))
-        return "\n".join(out) + "\n"
+        return out

@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from faasbench import analysis as analysis_module, runner
 from faasbench.analysis import (
     ColdstartReport,
     IncompleteTree,
@@ -148,6 +149,65 @@ def test_parse_collects_drop_counters():
     _, report = parse_logs(text)
     assert report.drops == {"p1": 42, "loadgen": 0}
     assert report.total_drops == 42
+
+
+def test_analyze_file_splits_lines_like_splitlines(tmp_path, monkeypatch):
+    # the file reader ends lines at \n, \r and \r\n, splitlines at all of these
+    lines = [HEADER_LINE, GOOD_INV, GOOD_CALL, GOOD_DB, "#dropped p1 3", _edit(GOOD_INV, f3="f\x85n"), GOOD_CALL,
+             "", _edit(GOOD_DB, f3="f\u2028n"), GOOD_DB]
+    separators = ["\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028", "\n", "\r\n", "\x0b"]
+    text = "".join(line + sep for line, sep in zip(lines, separators + ["\r"]))
+    path = tmp_path / "raw.log"
+    path.write_text(text, newline="")  # keep every \r as written
+    parsed = []
+
+    def recording_parse_logs(text_or_lines):
+        parsed.append(parse_logs(text_or_lines))
+        return parsed[-1]
+
+    monkeypatch.setattr(analysis_module, "parse_logs", recording_parse_logs)
+    analyze_file(path)
+    records, report = parse_logs(path.read_text())
+    assert parsed == [(records, report)]
+    assert report == ParseReport(records=5, parse_errors=4, drops={"p1": 3})
+
+
+def _column_values(records, column):
+    """Distinct values of a column, and the distinct string objects holding them."""
+    values = [getattr(r, column) for r in records]
+    return {v for v in values if v is not None}, {id(v) for v in values if v is not None}
+
+
+def test_parsed_records_share_one_string_per_column_value(tmp_path):
+    r = recipe("exp3-three-way-factory")
+    result = run_benchmark(load_builtin(r.benchmark), r.config, r.profile, 7, tmp_path, scale=0.2)
+    from_lines, _ = parse_logs(result.env.collect_log(result.run_id))
+    from_text, _ = parse_logs(result.log_text)
+    records = from_lines + from_text
+    for column in ("run_id", "platform_id", "kind", "function", "callee", "mode", "db_op"):
+        values, objects = _column_values(records, column)
+        assert len(objects) == len(values), column
+    # the kinds and modes are the module's own constants
+    assert _column_values(records, "kind")[1] == {id(INVOCATION), id(OUTGOING_CALL), id(DB_CALL)}
+    assert _column_values(records, "mode")[1] == {id(MODE_SYNC), id(MODE_ASYNC), id(MODE_TRIGGER)}
+    # the per-record ids stay the line's own strings
+    values, objects = _column_values(records, "pair_id")
+    assert len(objects) == len(records) and len(values) < len(records)
+
+
+def test_raw_log_is_the_collected_lines_each_ended_by_a_newline(tmp_path, monkeypatch):
+    r = recipe("exp3-three-way-factory")
+    app = load_builtin(r.benchmark)
+    result = run_benchmark(app, r.config, r.profile, 7, tmp_path / "a", scale=0.2)
+    lines = result.env.collect_log(result.run_id)
+    assert result.log_path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert result.log_text == result.log_path.read_text()
+    result.log_path.write_text(HEADER_LINE + "\n")
+    assert result.log_text == HEADER_LINE + "\n"  # read from the file, not kept
+    # a chunk size that divides nothing evenly writes the same bytes
+    monkeypatch.setattr(runner, "WRITE_CHUNK_LINES", 7)
+    chunked = run_benchmark(app, r.config, r.profile, 7, tmp_path / "b", scale=0.2)
+    assert len(lines) % 7 and chunked.log_path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 # -- tree building -----------------------------------------------------------

@@ -108,6 +108,75 @@ def test_validate_and_run_name_the_body_step_of_a_bad_distribution(tmp_path, cap
     assert not out.exists()
 
 
+_BAD_NAMES = ["a\tb", "-", "", "a\nb", "a\r\nb", "a\rb", "a\x0bb", "a\x1cb", "a\x85b", "a\u2028b"]
+_BAD_NAME_IDS = ["tab", "dash", "empty", "newline", "crlf", "cr", "vertical-tab", "file-separator", "next-line",
+                 "line-separator"]
+
+
+def _write_app_and_profile(tmp_path, fn: str = "a", service: str | None = None) -> tuple[Path, Path]:
+    body = [{"kind": "compute", "duration": "constant(1)"}]
+    if service is not None:
+        body.append({"kind": "dbGet", "key": "k"})
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({
+        "name": "names",
+        "externalServices": [] if service is None else [service],
+        "functions": [{"name": fn, "trigger": "http-sync", "entryPoint": True, "body": body}],
+    }))
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({
+        "name": "five",
+        "workflows": [{"name": "hit", "steps": [{"entry": fn}]}],
+        "phases": [{"kind": "burst", "durationSeconds": 1, "totalFlows": 5, "mix": {"hit": 1.0}}],
+    }))
+    return app, profile
+
+
+@pytest.mark.parametrize("field", ["function", "external service"])
+@pytest.mark.parametrize("name", _BAD_NAMES, ids=_BAD_NAME_IDS)
+def test_validate_and_run_reject_a_name_that_breaks_the_log(tmp_path, capsys, field, name):
+    # the name lands in a column of every line it is logged in
+    if field == "function":
+        app, profile = _write_app_and_profile(tmp_path, fn=name)
+    else:
+        app, profile = _write_app_and_profile(tmp_path, service=name)
+    reason = f"BadName: {field} name {name!r} must be a non-empty string other than '-', with no tab or line break"
+    assert run_cli("validate", str(app)) == EXIT_CONFIG
+    assert capsys.readouterr().out == reason + "\n"
+    out = tmp_path / "out"
+    assert run_cli("run", str(app), "--profile", str(profile), "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"invalid application: {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pid, reason", [
+    ("loadgen", "platform id 'loadgen' is reserved for the load generator"),
+    *((name, f"platform id {name!r} must be a non-empty string other than '-', with no whitespace")
+      for name in [*_BAD_NAMES, "a b", "a\u3000b"]),
+], ids=["loadgen", *_BAD_NAME_IDS, "space", "ideographic-space"])
+def test_run_rejects_a_platform_id_that_breaks_the_log(tmp_path, capsys, pid, reason):
+    # "loadgen" would read every call as a load-generator root; whitespace
+    # would also break the "#dropped <id> <count>" line
+    assert _run_with_platform_id(tmp_path, pid) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_bad_platform_id_is_named_before_the_errors_that_print_it(tmp_path, capsys):
+    assert _run_with_platform_id(tmp_path, "a\nb", keepAliveSeconds=float("nan")) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("configuration error: platform id 'a\\nb' must be a non-empty string "
+                                       "other than '-', with no whitespace\n")
+
+
+def _run_with_platform_id(tmp_path, pid: str, **platform_fields) -> int:
+    """Exit code of a webshop run on exp1-single-cloud with its platform id replaced."""
+    config = json.loads(recipe("exp1-single-cloud").config.to_json().replace('"cloud-a"', json.dumps(pid)))
+    config["platforms"][0].update(platform_fields)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return run_cli("run", "webshop", "--config", str(cfg), "--scale", "0.002", "--out", str(tmp_path / "out"))
+
+
 def test_run_produces_artifacts_and_reports(tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli("run", "webshop", "--seed", "7", "--scale", "0.002", "--out", str(out))

@@ -20,6 +20,7 @@ from faasbench.deployment import (
 from faasbench.distributions import constant
 from faasbench.records import IdSource
 from faasbench.recipes import exp3_three_way_factory
+from faasbench.runner import default_config
 
 from conftest import make_platform, single_platform_config
 
@@ -193,6 +194,12 @@ def test_platform_spec_invariants():
     spec = make_platform()
     with pytest.raises(DeploymentError):
         spec.leg("unknown-peer")
+
+
+def test_default_config_refuses_the_load_generators_platform_id():
+    # every call would read as a load-generator root call
+    with pytest.raises(DeploymentError, match="'loadgen' is reserved for the load generator"):
+        default_config(load_builtin("webshop"), platform_id="loadgen")
 
 
 def test_config_json_round_trip():

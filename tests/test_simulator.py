@@ -3,6 +3,7 @@ import gc
 import numpy as np
 import pytest
 
+from faasbench import runner
 from faasbench.applications import (
     ApplicationSpec,
     EVENT_ASYNC,
@@ -436,6 +437,46 @@ def test_run_until_idle_keeps_a_callers_frozen_objects(collector_restored):
         assert gc.get_freeze_count() == frozen
     finally:
         gc.unfreeze()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_benchmark_pauses_the_collector_over_set_up(enabled, collector_restored, monkeypatch, tmp_path):
+    # schedule and execute spawn a task and a generator per arrival; at a
+    # threshold of 50 they would set off collections all the way
+    starts = []
+    marks = {}
+
+    def on_gc(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    def traced_schedule(*args, **kwargs):
+        marks["schedule"] = (len(starts), gc.isenabled())
+        return schedule(*args, **kwargs)
+
+    class ProbeEnvironment(SimEnvironment):
+        def run_until_idle(self) -> None:
+            marks["run_until_idle"] = (len(starts), gc.isenabled())
+            super().run_until_idle()
+
+    monkeypatch.setattr(runner, "schedule", traced_schedule)
+    monkeypatch.setattr(runner, "SimEnvironment", ProbeEnvironment)
+    r = recipe("exp4-coldstart")
+    threshold = gc.get_threshold()
+    gc.set_threshold(50)
+    gc.callbacks.append(on_gc)
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        result = runner.run_benchmark(load_builtin(r.benchmark), r.config, r.profile, 7, tmp_path, scale=0.1)
+    finally:
+        gc.callbacks.remove(on_gc)
+        gc.set_threshold(*threshold)
+    assert result.stats.instances == 205
+    assert marks["schedule"][1] is False and marks["run_until_idle"] == marks["schedule"]
+    assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
 
 
 @pytest.mark.parametrize("name", RECIPE_NAMES)

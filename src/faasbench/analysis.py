@@ -242,9 +242,12 @@ def build_trees(records: list[TraceRecord]) -> list[CallTree]:
         for owner_nodes in by_owner.values():
             owner_nodes.sort(key=lambda n: (n.record.start_us, n.record.pair_id))
 
+        # the callee of each async call, by its pair id: the inbound pair of
+        # the publisher invocation the call started
+        published = {r.pair_id: r.callee for r in fn_calls if r.mode == MODE_ASYNC}
         dangling = 0
         for rec in fn_calls + dbs:
-            owner = _find_owner(by_owner, rec)
+            owner = _find_owner(by_owner, rec, published)
             if owner is None:
                 dangling += 1
                 continue
@@ -311,10 +314,15 @@ def build_trees(records: list[TraceRecord]) -> list[CallTree]:
     return trees
 
 
-def _find_owner(by_owner: dict, rec: TraceRecord) -> TreeNode | None:
+def _find_owner(by_owner: dict, rec: TraceRecord, published: dict[str, str]) -> TreeNode | None:
     candidates = by_owner.get((rec.platform_id, rec.function))
     if not candidates:
         return None
+    if rec.mode == MODE_TRIGGER:
+        # publishers of one context may start in the same microsecond; a
+        # trigger record belongs to the one whose inbound async call names
+        # the same callee
+        candidates = [n for n in candidates if published.get(n.record.pair_id) == rec.callee]
     # sync/db records complete within their invocation; an async record closes
     # when the publisher finishes, which may be after the caller's own end, so
     # only its send instant must fall inside the owner
@@ -515,7 +523,7 @@ class ColdstartReport:
     total_invocations: int
     total_cold: int
     per_phase: list[tuple[str, int, int]]  # (phase name, invocations, cold)
-    timeline: list[BucketStat]  # first burst phase, per-second, first 30 s
+    timeline: list[BucketStat]  # last burst phase, per second, first TIMELINE_SECONDS
 
 
 def unique_invocations(records: list[TraceRecord]) -> list[TraceRecord]:
@@ -528,8 +536,10 @@ def unique_invocations(records: list[TraceRecord]) -> list[TraceRecord]:
     return list(first.values())
 
 
-def coldstart_report(invocations: list[TraceRecord], phases: list[PhaseWindow] | None = None,
-                     timeline_seconds: int = 30) -> ColdstartReport:
+TIMELINE_SECONDS = 30  # seconds of the cold-start timeline, from the start of the last burst
+
+
+def coldstart_report(invocations: list[TraceRecord], phases: list[PhaseWindow] | None = None) -> ColdstartReport:
     """Cold-start counts of the run's invocations, one record per (context,
     pair id) as ``unique_invocations`` gives them."""
     total_cold = sum(1 for r in invocations if r.cold_start)
@@ -544,10 +554,10 @@ def coldstart_report(invocations: list[TraceRecord], phases: list[PhaseWindow] |
             # the cold-start profile lives in the load-peak phase: the last
             # burst (the one after any pause)
             burst = bursts[-1]
-            buckets: list[list[TraceRecord]] = [[] for _ in range(timeline_seconds)]
+            buckets: list[list[TraceRecord]] = [[] for _ in range(TIMELINE_SECONDS)]
             for r in invocations:
                 i = (r.start_us - burst.start_us) // 1_000_000
-                if 0 <= i < timeline_seconds:
+                if 0 <= i < TIMELINE_SECONDS:
                     buckets[i].append(r)
             for i, bucket in enumerate(buckets):
                 execs = sorted(r.duration_us for r in bucket)
@@ -586,7 +596,6 @@ class SummaryStats:
     max: float | None = None
     whisker_low: float | None = None
     whisker_high: float | None = None
-    drop_count: int | None = None
 
 
 def nearest_rank(sorted_values, p: float):
@@ -598,10 +607,10 @@ def nearest_rank(sorted_values, p: float):
     return sorted_values[idx - 1]
 
 
-def summary_stats(values, drop_count: int | None = None) -> SummaryStats:
+def summary_stats(values) -> SummaryStats:
     vals = sorted(values)
     if not vals:
-        return SummaryStats(count=0, drop_count=drop_count)
+        return SummaryStats(count=0)
     p25 = nearest_rank(vals, 0.25)
     p75 = nearest_rank(vals, 0.75)
     iqr = p75 - p25
@@ -617,14 +626,13 @@ def summary_stats(values, drop_count: int | None = None) -> SummaryStats:
         max=vals[-1],
         whisker_low=min(inside) if inside else None,
         whisker_high=max(inside) if inside else None,
-        drop_count=drop_count,
     )
 
 
-def summarize(groups: dict[str, list], include_all: bool = True) -> dict[str, SummaryStats]:
+def summarize(groups: dict[str, list]) -> dict[str, SummaryStats]:
     """Per-group nearest-rank summaries; adds an ``_all`` pooled group."""
     out = {key: summary_stats(vals) for key, vals in sorted(groups.items())}
-    if include_all and groups:
+    if groups:
         pooled: list = []
         for vals in groups.values():
             pooled.extend(vals)

@@ -42,7 +42,8 @@ class BodyStep:
     Fields are kind-dependent: ``compute`` uses compute_time; ``call``/
     ``publish`` use target (and payload_bytes); db steps use key/value_size;
     ``parallelBlock`` holds branch step lists that run concurrently and join
-    when all complete; ``return`` carries the response size.
+    when all complete; ``return`` carries a response size, which is
+    written back but changes nothing in a run.
     """
 
     kind: str
@@ -191,7 +192,10 @@ class ApplicationSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ApplicationSpec":
-        return cls.from_dict(json.loads(text))
+        try:
+            return cls.from_dict(json.loads(text))
+        except KeyError as exc:
+            raise InvalidApplication(f"missing required field {exc}") from None
 
     @classmethod
     def load(cls, path: str | Path) -> "ApplicationSpec":
@@ -274,6 +278,8 @@ def validate(app: ApplicationSpec) -> ValidationReport:
                 violations.append(Violation("NoServiceDeclared", fn.name, "db step but no external service"))
             if step.kind == "parallelBlock" and len(step.branches) < 2:
                 violations.append(Violation("BadParallelBlock", fn.name, "parallelBlock needs >= 2 branches"))
+            if step.kind == "parallelBlock" and any(s.kind == "return" for b in step.branches for s in b[:-1]):
+                violations.append(Violation("ReturnNotLast", fn.name, "return must be the final step of its branch"))
         for i, step in enumerate(fn.body):
             if step.kind == "return" and i != len(fn.body) - 1:
                 violations.append(Violation("ReturnNotLast", fn.name, "return must be the final step"))

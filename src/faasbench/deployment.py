@@ -181,7 +181,10 @@ class DeploymentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "DeploymentConfig":
-        return cls.from_dict(json.loads(text))
+        try:
+            return cls.from_dict(json.loads(text))
+        except KeyError as exc:
+            raise DeploymentError(f"missing required field {exc}") from None
 
     @classmethod
     def load(cls, path: str | Path) -> "DeploymentConfig":

@@ -194,25 +194,28 @@ class IdSource:
 
 
 class RecordSink:
-    """Per-platform log sink with a tumbling 1-second rate limit window.
+    """Log sink of one platform in one run, with a tumbling 1-second rate
+    limit window.
 
     Timestamps are written on the platform's logged clock (true virtual time
     plus the platform's clock offset); rate limiting and emission order use
-    true virtual time. Lines are kept in one list per run id.
+    true virtual time. ``lines`` holds the kept lines in emission order.
     """
 
-    def __init__(self, platform_id: str, lines_per_second: int | None = None, clock_offset_us: int = 0):
+    def __init__(self, run_id: str, platform_id: str, lines_per_second: int | None = None,
+                 clock_offset_us: int = 0):
+        self.run_id = run_id
         self.platform_id = platform_id
         self.lines_per_second = lines_per_second
         self.clock_offset_us = clock_offset_us
-        self._runs: dict[str, list[str]] = {}
+        self.lines: list[str] = []
         self._window: int | None = None
         self._window_count = 0
         self.drops = 0
 
-    def emit(self, at_us: int, run_id: str, kind: str, function: str, context_id: str, pair_id: str,
-             start_us: int, end_us: int, callee: str | None = None, mode: str | None = None,
-             executor_key: str | None = None, cold_start: bool | None = None, db_op: str | None = None) -> bool:
+    def emit(self, at_us: int, kind: str, function: str, context_id: str, pair_id: str, start_us: int,
+             end_us: int, callee: str | None = None, mode: str | None = None, executor_key: str | None = None,
+             cold_start: bool | None = None, db_op: str | None = None) -> bool:
         """Append one record of this platform at virtual time ``at_us``, given
         by its fields; raises MalformedRecord where ``TraceRecord.check``
         would, and returns False when the rate limiter drops it."""
@@ -227,10 +230,13 @@ class RecordSink:
                 return False
             self._window_count += 1
         offset = self.clock_offset_us
-        line = _format_line(run_id, self.platform_id, kind, function, context_id, pair_id, start_us + offset,
-                            end_us + offset, callee, mode, executor_key, cold_start, db_op)
-        self._runs.setdefault(run_id, []).append(line)
+        self.lines.append(_format_line(self.run_id, self.platform_id, kind, function, context_id, pair_id,
+                                       start_us + offset, end_us + offset, callee, mode, executor_key, cold_start,
+                                       db_op))
         return True
 
-    def lines(self, run_id: str) -> list[str]:
-        return list(self._runs.get(run_id, ()))
+    def collect(self, run_id: str) -> list[str]:
+        """The lines of run ``run_id`` (none for another run) followed by
+        this sink's ``#dropped`` line."""
+        lines = self.lines if run_id == self.run_id else []
+        return lines + [format_drop_line(self.platform_id, self.drops)]

@@ -166,8 +166,7 @@ def run_benchmark(
 
     env = SimEnvironment(config, seed)
     plan = compile_deployment(app, config)
-    run_id = env.ids.new_run_id()
-    env.begin_run(run_id)
+    run_id = env.run_id
 
     run_dir = _fresh_run_dir(Path(out_dir), run_id)
     phases = phase_windows_of(profile)

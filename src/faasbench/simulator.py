@@ -22,7 +22,8 @@ Platform semantics:
   ordinary executor semantics, and the triggered function's arrival is
   scheduled at publisher-accept plus a trigger-delay sample.
 * Keyed-store operations cost one sample of the calling platform's latency
-  entry for the service; the store itself is never a bottleneck.
+  entry for the service; the store keeps no contents and is never a
+  bottleneck.
 
 Each emitter hands its record's fields to ``RecordSink.emit``, which checks
 them and writes the log line in one step. ``SimEnvironment.run_until_idle``
@@ -42,7 +43,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .applications import EVENT_ASYNC, DEFAULT_RESPONSE_BYTES
 from .collector import collector_paused
 from .deployment import (
     AdapterFailure,
@@ -63,7 +63,6 @@ from .records import (
     HEADER_LINE,
     IdSource,
     RecordSink,
-    format_drop_line,
 )
 
 
@@ -81,12 +80,6 @@ class UnknownEndpoint(SimulationError):
     def __init__(self, endpoint_id: str):
         super().__init__(f"endpoint {endpoint_id!r} cannot be resolved")
         self.endpoint_id = endpoint_id
-
-
-class NotAsync(SimulationError):
-    def __init__(self, name: str):
-        super().__init__(f"function {name!r} is not event-async")
-        self.function = name
 
 
 class NoServiceBinding(SimulationError):
@@ -167,21 +160,6 @@ class Executor:
         self.last_idle_at = created_at
 
 
-class KeyedStore:
-    """Simulated keyed value store; over-provisioned, never rejects."""
-
-    def __init__(self) -> None:
-        self._values: dict[tuple[str, str], int] = {}
-
-    def set(self, service: str, key: str, size: int) -> int:
-        self._values[(service, key)] = size
-        return size
-
-    def get(self, service: str, key: str) -> int:
-        # absent key replies with an empty marker of size 0
-        return self._values.get((service, key), 0)
-
-
 class ExecutorBirth(NamedTuple):
     platform_id: str
     function: str
@@ -228,7 +206,7 @@ class SimPlatform:
         self.env = env
         self.spec = spec
         self.id = spec.id
-        self.sink = RecordSink(spec.id, spec.log_lines_per_second, spec.clock_offset_us)
+        self.sink = RecordSink(env.run_id, spec.id, spec.log_lines_per_second, spec.clock_offset_us)
         self._functions: dict[str, ResolvedFunction] = {}
         self._idle: dict[str, list[Executor]] = {}
 
@@ -241,7 +219,7 @@ class SimPlatform:
             self._functions[rfn.name] = rfn
 
     def collect_logs(self, run_id: str) -> list[str]:
-        return self.sink.lines(run_id) + [format_drop_line(self.id, self.sink.drops)]
+        return self.sink.collect(run_id)
 
     def remove(self, artifact) -> None:
         self._functions.clear()
@@ -261,7 +239,9 @@ class SimPlatform:
         pair_id: str | None = None,
         payload_bytes: int = 0,
     ) -> Task:
-        """Schedule an invocation arrival; the task result is (end_us, size)."""
+        """Schedule an arrival of ``fn_name`` outside any workflow, the entry
+        point tests drive the simulator through; the task result is the
+        invocation's end time."""
         if fn_name not in self._functions:
             raise NotDeployed(fn_name)
         ctx = context_id if context_id is not None else self.env.ids.new_context()
@@ -273,25 +253,6 @@ class SimPlatform:
             return result
 
         return self.env.kernel.spawn(gen(), at_us=arrival_us)
-
-    def publish_event(self, target: str, at_us: int, context_id: str | None = None) -> Task:
-        """Deliver one event for ``target`` to this platform's publisher."""
-        rfn = self._functions.get(target)
-        if rfn is None:
-            raise NotDeployed(target)
-        if rfn.spec.trigger_kind != EVENT_ASYNC:
-            raise NotAsync(target)
-        pub = publisher_name(self.id)
-        if pub not in self._functions:
-            raise NotDeployed(pub)
-        ctx = context_id if context_id is not None else self.env.ids.new_context()
-        pair1 = self.env.ids.new_pair()
-
-        def gen():
-            result = yield self._start_publisher(ctx, pair1, target)
-            return result
-
-        return self.env.kernel.spawn(gen(), at_us=at_us)
 
     # -- invocation machinery ----------------------------------------------
 
@@ -330,19 +291,18 @@ class SimPlatform:
             if delay:
                 yield delay
         body_start = env.kernel.now
-        size = yield from self._run_body(rfn, context_id, inbound_pair, rfn.spec.body)
+        yield from self._run_body(rfn, context_id, inbound_pair, rfn.spec.body)
         end = env.kernel.now
         self._release(executor, end)
-        self.sink.emit(end, env.run_id, INVOCATION, rfn.name, context_id, inbound_pair, arrival, end,
+        self.sink.emit(end, INVOCATION, rfn.name, context_id, inbound_pair, arrival, end,
                        executor_key=executor.key, cold_start=cold)
         env.truth.invocations.append(
             TruthInvocation(context_id, inbound_pair, rfn.name, self.id, arrival, body_start, end, cold, executor.key)
         )
-        return end, size
+        return end
 
     def _run_body(self, rfn, context_id, inbound_pair, steps):
         env = self.env
-        response = DEFAULT_RESPONSE_BYTES
         for step in steps:
             if step.kind == "compute":
                 d = env.sample_us(step.compute_time)
@@ -363,10 +323,6 @@ class SimPlatform:
                             for branch in step.branches]
                 for branch in branches:
                     yield branch
-            elif step.kind == "return":
-                response = step.size_bytes
-                break
-        return response
 
     def _publish(self, rfn, context_id, inbound_pair, step) -> int:
         """Send one event toward its publisher; returns the delivery leg."""
@@ -384,7 +340,7 @@ class SimPlatform:
         env = self.env
         yield dest._start_publisher(context_id, pair1, target)
         end = env.kernel.now
-        self.sink.emit(end, env.run_id, OUTGOING_CALL, function, context_id, pair1, t0, end,
+        self.sink.emit(end, OUTGOING_CALL, function, context_id, pair1, t0, end,
                        callee=target, mode=MODE_ASYNC)
         env.truth.edges.append(TruthEdge(context_id, inbound_pair, pair1, "async"))
 
@@ -398,7 +354,7 @@ class SimPlatform:
             raise NotDeployed(pub)
         pair2 = env.ids.new_pair()
         trig = env.sample_us(self.spec.trigger_delay)
-        self.sink.emit(accept, env.run_id, OUTGOING_CALL, pub, context_id, pair2, accept, accept,
+        self.sink.emit(accept, OUTGOING_CALL, pub, context_id, pair2, accept, accept,
                        callee=target, mode=MODE_TRIGGER)
         env.truth.edges.append(TruthEdge(context_id, pair1, pair2, "trigger"))
         env.kernel.spawn(self._trigger_fire(target, context_id, pair2), delay_us=trig)
@@ -416,37 +372,28 @@ class SimPlatform:
         pair = env.ids.new_pair()
         latency = env.db_latency_us(self.id, service)
         yield latency
-        if step.kind == "dbSet":
-            size = env.store.set(service, step.key, step.value_size)
-            op = "set"
-        else:
-            size = env.store.get(service, step.key)
-            op = "get"
         end = env.kernel.now
-        self.sink.emit(end, env.run_id, DB_CALL, rfn.name, context_id, pair, t0, end, callee=service, db_op=op)
+        op = "set" if step.kind == "dbSet" else "get"
+        self.sink.emit(end, DB_CALL, rfn.name, context_id, pair, t0, end, callee=service, db_op=op)
         env.truth.edges.append(TruthEdge(context_id, inbound_pair, pair, "db"))
-        return size
 
 
 class SimEnvironment:
-    """All simulated platforms of one run behind a single event kernel."""
+    """All simulated platforms of one run behind a single event kernel. The
+    run id is the first id the environment draws, and every sink writes it."""
 
     def __init__(self, config: DeploymentConfig, seed: int):
         self.config = config
         ss = np.random.SeedSequence(seed)
         ids_ss, sample_ss, loadgen_ss = ss.spawn(3)
         self.ids = IdSource(np.random.default_rng(ids_ss))
+        self.run_id = self.ids.new_run_id()
         self.sample_rng = np.random.default_rng(sample_ss)
         self.loadgen_rng = np.random.default_rng(loadgen_ss)
         self.kernel = Kernel()
-        self.store = KeyedStore()
         self.truth = GroundTruth()
         self.platforms = {p.id: SimPlatform(self, p) for p in config.platforms}
-        self.loadgen_sink = RecordSink(LOADGEN, None, 0)
-        self.run_id = "r-unset"
-
-    def begin_run(self, run_id: str) -> None:
-        self.run_id = run_id
+        self.loadgen_sink = RecordSink(self.run_id, LOADGEN)
 
     def adapters(self) -> dict[str, SimPlatform]:
         return dict(self.platforms)
@@ -482,7 +429,7 @@ class SimEnvironment:
         yield self.platforms[dst].start_invocation(target, context_id, pair)
         yield self.leg_us(dst, src)
         end = self.kernel.now
-        sink.emit(end, self.run_id, OUTGOING_CALL, function, context_id, pair, t0, end, callee=target, mode=MODE_SYNC)
+        sink.emit(end, OUTGOING_CALL, function, context_id, pair, t0, end, callee=target, mode=MODE_SYNC)
         self.truth.edges.append(TruthEdge(context_id, parent_pair, pair, kind))
 
     def db_latency_us(self, platform_id: str, service: str) -> int:
@@ -496,17 +443,15 @@ class SimEnvironment:
         with collector_paused():
             self.kernel.run_until_idle()
 
-    def loadgen_logs(self, run_id: str) -> list[str]:
-        return self.loadgen_sink.lines(run_id) + [format_drop_line(LOADGEN, self.loadgen_sink.drops)]
-
     def collect_log(self, run_id: str) -> list[str]:
-        """The run's log lines: header, loadgen section, platforms sorted.
+        """The log lines of run ``run_id``: header, loadgen section, platforms
+        sorted; another run id gets only the ``#dropped`` lines.
 
         The list holds the sinks' own line strings, not copies; the log file
         is these lines, each ended by a newline.
         """
         out = [HEADER_LINE]
-        out.extend(self.loadgen_logs(run_id))
+        out.extend(self.loadgen_sink.collect(run_id))
         for pid in sorted(self.platforms):
             out.extend(self.platforms[pid].collect_logs(run_id))
         return out

@@ -180,7 +180,10 @@ class LoadProfile:
 
     @classmethod
     def from_json(cls, text: str) -> "LoadProfile":
-        return cls.from_dict(json.loads(text))
+        try:
+            return cls.from_dict(json.loads(text))
+        except KeyError as exc:
+            raise ProfileError(f"missing required field {exc}") from None
 
     @classmethod
     def load(cls, path: str | Path) -> "LoadProfile":
@@ -315,7 +318,6 @@ def _entry_workflow(profile: LoadProfile, entry: str) -> Workflow:
 @dataclass(frozen=True)
 class ExecutionStats:
     instances: int
-    root_calls: int
 
 
 def execute(arrivals: list[Arrival], plan, env: SimEnvironment) -> ExecutionStats:
@@ -326,11 +328,9 @@ def execute(arrivals: list[Arrival], plan, env: SimEnvironment) -> ExecutionStat
         for step in arrival.workflow.steps:
             if step.entry not in plan.placement:
                 raise UnknownEndpoint(step.entry)
-    root_calls = 0
     for arrival in arrivals:
         env.kernel.spawn(_root_flow(env, plan, arrival.workflow), at_us=arrival.at_us)
-        root_calls += len(arrival.workflow.steps)
-    return ExecutionStats(instances=len(arrivals), root_calls=root_calls)
+    return ExecutionStats(instances=len(arrivals))
 
 
 def _root_flow(env: SimEnvironment, plan, workflow: Workflow):

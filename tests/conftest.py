@@ -6,10 +6,11 @@ import gc
 
 import pytest
 
-from faasbench.applications import ApplicationSpec, FunctionSpec, HTTP_SYNC, compute
+from faasbench.applications import EVENT_ASYNC, ApplicationSpec, FunctionSpec, HTTP_SYNC, compute, parallel, publish
 from faasbench.deployment import DeploymentConfig, PlatformSpec, ServiceBinding, compile as compile_deployment, deploy_all
 from faasbench.distributions import constant, parse_duration
 from faasbench.simulator import SimEnvironment
+from faasbench.workload import LoadProfile, Phase, Workflow, WorkflowStep
 
 
 def make_platform(pid: str = "p1", peers: dict | None = None, **kwargs) -> PlatformSpec:
@@ -40,9 +41,34 @@ def deployed_env(app: ApplicationSpec, cfg: DeploymentConfig, seed: int = 1):
     """Compile, deploy, and return (env, plan, handle) ready to stimulate."""
     env = SimEnvironment(cfg, seed)
     plan = compile_deployment(app, cfg)
-    handle = deploy_all(plan, env.adapters(), env.ids.new_run_id())
-    env.begin_run(handle.run_id)
+    handle = deploy_all(plan, env.adapters(), env.run_id)
     return env, plan, handle
+
+
+def parallel_publish_app() -> ApplicationSpec:
+    """An entry point whose one step is a parallel block publishing to two
+    event-async functions: both events reach the publisher in the same
+    microsecond, so its two invocations start together."""
+    entry = FunctionSpec("entry", HTTP_SYNC, (parallel((publish("a"),), (publish("b"),)),), entry_point=True)
+    a = FunctionSpec("a", EVENT_ASYNC, (compute(constant(1)),))
+    b = FunctionSpec("b", EVENT_ASYNC, (compute(constant(2)),))
+    return ApplicationSpec("parallel-publish", (entry, a, b))
+
+
+def burst_profile(entries, flows: int) -> LoadProfile:
+    """One 1-second burst of ``flows`` workflows, each a single call to one
+    of ``entries``, mixed evenly."""
+    workflows = tuple(Workflow(e, (WorkflowStep(e),)) for e in entries)
+    mix = tuple((e, 1 / len(entries)) for e in entries)
+    return LoadProfile("burst", workflows, (Phase(kind="burst", duration_us=1_000_000, total_flows=flows, mix=mix),))
+
+
+def truth_edges_by_context(truth) -> dict[str, set]:
+    """The simulator's truth edges, grouped by context as ``edge_set`` gives them."""
+    out: dict[str, set] = {}
+    for e in truth.edges:
+        out.setdefault(e.context_id, set()).add(tuple(e))
+    return out
 
 
 @pytest.fixture

@@ -191,7 +191,7 @@ def test_criterion_7_log_loss_degradation(outroot):
     )
     res = run_benchmark(app, cfg, profile, seed=2, scale=1.0, out_dir=outroot / "rate")
     analysis = res.analysis
-    offered = res.stats.root_calls
+    offered = res.stats.instances  # one root call per single-step workflow
     retained = sum(1 for r in parse_logs(res.log_text)[0]
                    if r.kind == INVOCATION and r.platform_id == "p1")
     fraction = retained / offered

@@ -47,7 +47,7 @@ from faasbench.recipes import exp3_three_way_factory, recipe
 from faasbench.runner import analyze_file, default_config, run_benchmark
 from faasbench.workload import execute, schedule
 
-from conftest import deployed_env
+from conftest import burst_profile, deployed_env, parallel_publish_app, truth_edges_by_context
 
 MS = 1000
 
@@ -761,6 +761,19 @@ def test_async_records_attach_despite_cold_publishers():
         assert set(values) == {15 * MS}
     for values in analysis.metrics["trigger_delay"].values():
         assert set(values) == {100 * MS}
+
+
+def test_trigger_records_follow_their_event_when_publishers_start_together(tmp_path):
+    # both trigger records fall inside both publisher invocations, which start
+    # in the same microsecond; each goes to the publisher of its own event
+    app = parallel_publish_app()
+    res = run_benchmark(app, default_config(app), burst_profile(["entry"], 5), seed=7, out_dir=tmp_path)
+    truth = truth_edges_by_context(res.truth)
+    assert len(res.analysis.trees) == len(truth) == 5
+    for tree in res.analysis.trees:
+        assert tree.complete
+        assert tree.edge_set() == truth[tree.context_id]
+    assert {bd.conservation_residual_us for bd in res.analysis.breakdowns} == {0}
 
 
 def test_conservation_holds_per_tree_with_sampled_distributions(tmp_path):

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from faasbench import cli
+from faasbench.benchmarks import builtin_profile, load_builtin
 from faasbench.cli import EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, main
 from faasbench.records import HEADER_LINE
 from faasbench.recipes import recipe
@@ -270,6 +271,50 @@ def test_run_names_the_out_of_range_config_field(tmp_path, capsys, field, value,
     assert run_cli("run", "webshop", "--config", str(cfg), "--scale", "0.002",
                    "--out", str(tmp_path / "out")) == EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {reason}\n"
+
+
+def _without(doc: dict, path: tuple) -> dict:
+    """``doc`` with the field at ``path`` (keys and list indexes) deleted."""
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    del node[last]
+    return doc
+
+
+def _first_call_step(app: dict) -> tuple:
+    return next(("functions", f, "body", s) for f, fn in enumerate(app["functions"])
+                for s, step in enumerate(fn["body"]) if step["kind"] == "call")
+
+
+@pytest.mark.parametrize("command, field", [
+    ("config", "id"),
+    ("config", "platform"),
+    ("profile", "kind"),
+    ("validate", "name"),
+    ("validate", "target"),
+], ids=["platform-id", "binding-platform", "phase-kind", "function-name", "call-target"])
+def test_a_missing_required_field_is_named_in_one_line(tmp_path, capsys, command, field):
+    doc_path = tmp_path / "doc.json"
+    out = tmp_path / "out"
+    if command == "validate":
+        app = load_builtin("webshop").to_dict()
+        path = ("functions", 0, "name") if field == "name" else _first_call_step(app) + ("target",)
+        doc_path.write_text(json.dumps(_without(app, path)))
+        argv, prefix = ("validate", str(doc_path)), "cannot load application"
+    else:
+        if command == "config":
+            doc = recipe("exp1-single-cloud").config.to_dict()
+            path = ("platforms", 0, "id") if field == "id" else ("serviceBindings", "keystore", "platform")
+        else:
+            doc = builtin_profile("webshop").to_dict()
+            path = ("phases", 0, "kind")
+        doc_path.write_text(json.dumps(_without(doc, path)))
+        argv, prefix = ("run", "webshop", f"--{command}", str(doc_path), "--out", str(out)), "configuration error"
+    assert run_cli(*argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"{prefix}: missing required field {field!r}\n"
+    assert not out.exists()
 
 
 def test_analyze_matches_pipeline_reports(tmp_path):

@@ -1,0 +1,119 @@
+"""The analyzer's guarantees on generated applications, checked against the
+simulator's ground truth.
+
+Each application stays inside the domain where parent attribution is exact:
+every function is the target of at most one step, and entry points of none,
+so no function but a publisher runs twice in a context. Every workflow is a
+single call to one entry point.
+"""
+
+import tempfile
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from faasbench.applications import (
+    EVENT_ASYNC,
+    HTTP_SYNC,
+    ApplicationSpec,
+    FunctionSpec,
+    call,
+    compute,
+    db_get,
+    db_set,
+    parallel,
+    publish,
+)
+from faasbench.deployment import DeploymentConfig, PlatformSpec, ServiceBinding
+from faasbench.distributions import parse_duration
+from faasbench.runner import default_config, run_benchmark
+
+from conftest import burst_profile, parallel_publish_app, truth_edges_by_context
+
+SERVICE = "kv"
+COMPUTE = ("constant(0)", "constant(2)", "lognormal(3,0.5)", "uniform(1,4)")
+LEGS = ("constant(0)", "constant(5)", "lognormal(5,0.3)", "uniform(1,4)")
+FILLER = st.one_of(
+    st.sampled_from(COMPUTE).map(lambda spec: compute(parse_duration(spec))),
+    st.just(db_get("k")),
+    st.just(db_set("k", 64)),
+)
+
+
+@st.composite
+def bodies(draw, targets):
+    """A body holding one call or publish step per target, plus compute and
+    db steps, in any order; a run of two or more steps may become a parallel
+    block split into two or more branches."""
+    steps = draw(st.permutations(list(targets) + draw(st.lists(FILLER, max_size=3))))
+    if len(steps) >= 2 and draw(st.booleans()):
+        m = draw(st.integers(2, len(steps)))
+        start = draw(st.integers(0, len(steps) - m))
+        cuts = sorted(draw(st.sets(st.integers(1, m - 1), min_size=1)))
+        block = steps[start:start + m]
+        branches = [block[a:b] for a, b in zip([0] + cuts, cuts + [m])]
+        steps = steps[:start] + [parallel(*branches)] + steps[start + m:]
+    return tuple(steps)
+
+
+@st.composite
+def generated_apps(draw):
+    """(application, deployment config): 2-7 functions on 1-3 platforms.
+    Function 0 is an entry point; each later function is another entry point
+    or the target of one call (http-sync) or publish (event-async) step of an
+    earlier function, so the call graph is a forest."""
+    n = draw(st.integers(2, 7))
+    kinds = [HTTP_SYNC]
+    entry = [True]
+    children: list[list] = [[]]
+    for i in range(1, n):
+        parent = draw(st.integers(0, i))  # i: another entry point
+        entry.append(parent == i)
+        kinds.append(HTTP_SYNC if parent == i else draw(st.sampled_from((HTTP_SYNC, EVENT_ASYNC))))
+        if parent < i:
+            children[parent].append((call if kinds[i] == HTTP_SYNC else publish)(f"f{i}"))
+        children.append([])
+    functions = tuple(
+        FunctionSpec(f"f{i}", kinds[i], draw(bodies(children[i])), entry_point=entry[i]) for i in range(n)
+    )
+    app = ApplicationSpec("generated", functions, external_services=(SERVICE,))
+
+    pids = [f"p{i}" for i in range(draw(st.integers(1, 3)))]
+    platforms = tuple(
+        PlatformSpec(
+            id=pid,
+            cold_start_delay=parse_duration(draw(st.sampled_from(("constant(0)", "constant(400)", "uniform(50,300)")))),
+            network_latency={peer: parse_duration(draw(st.sampled_from(LEGS))) for peer in pids + ["loadgen", SERVICE]},
+            trigger_delay=parse_duration(draw(st.sampled_from(("constant(100)", "lognormal(50,0.3)")))),
+            clock_offset_us=draw(st.sampled_from((0, 2_500, -7_000))),
+        )
+        for pid in pids
+    )
+    config = DeploymentConfig(
+        platforms=platforms,
+        assignment={fn.name: draw(st.sampled_from(pids)) for fn in functions},
+        service_bindings={SERVICE: ServiceBinding(draw(st.sampled_from(pids)))},
+    )
+    return app, config
+
+
+_TIE_APP = parallel_publish_app()
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=generated_apps(), flows=st.integers(1, 4), seed=st.integers(0, 2**16))
+@example(case=(_TIE_APP, default_config(_TIE_APP)), flows=5, seed=7)
+def test_generated_app_trees_match_ground_truth(case, flows, seed):
+    app, config = case
+    profile = burst_profile([fn.name for fn in app.entry_points()], flows)
+    with tempfile.TemporaryDirectory() as out:
+        res = run_benchmark(app, config, profile, seed=seed, out_dir=out)
+    analysis = res.analysis
+    truth = truth_edges_by_context(res.truth)
+    assert len(truth) == res.stats.instances == len(analysis.trees)  # one context per arrival
+    for tree in analysis.trees:
+        assert tree.complete
+        assert tree.edge_set() == truth[tree.context_id]
+    assert len(analysis.breakdowns) == len(analysis.trees)
+    assert {bd.conservation_residual_us for bd in analysis.breakdowns} == {0}
+    assert analysis.cold_flag_mismatches == 0

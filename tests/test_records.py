@@ -25,9 +25,8 @@ from faasbench.records import (
 
 
 def invocation_fields(**kw) -> dict:
-    """The fields of an INVOCATION record on platform p1, as RecordSink.emit takes them."""
+    """The fields of an INVOCATION record of run r1 on platform p1, as RecordSink.emit takes them."""
     base = dict(
-        run_id="r1",
         kind=INVOCATION,
         function="fn",
         context_id="c" * 32,
@@ -42,7 +41,7 @@ def invocation_fields(**kw) -> dict:
 
 
 def make_invocation(**kw) -> TraceRecord:
-    return TraceRecord(platform_id="p1", **invocation_fields(**kw))
+    return TraceRecord(run_id="r1", platform_id="p1", **invocation_fields(**kw))
 
 
 def test_round_trip_all_kinds():
@@ -161,34 +160,34 @@ def test_parse_record_matches_the_field_by_field_mapping(line, edits, width):
 
 def test_sink_rate_limit_cap_arithmetic():
     # 300 records within one virtual second at limit 250 -> 250 kept, 50 dropped
-    sink = RecordSink("p1", lines_per_second=250)
+    sink = RecordSink("r1", "p1", lines_per_second=250)
     for i in range(300):
         sink.emit(i * 1000, **invocation_fields(pair_id=f"{i:032x}"))
-    assert len(sink.lines("r1")) == 250
+    assert len(sink.lines) == 250
     assert sink.drops == 50
 
 
 def test_sink_window_is_tumbling():
-    sink = RecordSink("p1", lines_per_second=2)
+    sink = RecordSink("r1", "p1", lines_per_second=2)
     times = [0, 100, 900, 1_000_000, 1_000_001, 1_999_999, 2_000_000]
     accepted = [sink.emit(t, **invocation_fields(pair_id=f"{i:032x}")) for i, t in enumerate(times)]
     assert accepted == [True, True, False, True, True, False, True]
 
 
 def test_unlimited_sink_never_drops():
-    sink = RecordSink("p1", lines_per_second=None)
+    sink = RecordSink("r1", "p1", lines_per_second=None)
     for i in range(1000):
         sink.emit(0, **invocation_fields(pair_id=f"{i:032x}"))
     assert sink.drops == 0
 
 
 def test_sink_validates_on_emit():
-    sink = RecordSink("p1")
+    sink = RecordSink("r1", "p1")
     with pytest.raises(MalformedRecord):
         sink.emit(0, **invocation_fields(start_us=9, end_us=1))
 
 
-_CALL = dict(run_id="r1", function="fn", context_id="c" * 32, pair_id="b" * 32, start_us=5, end_us=9)
+_CALL = dict(function="fn", context_id="c" * 32, pair_id="b" * 32, start_us=5, end_us=9)
 
 
 @pytest.mark.parametrize("fields", [
@@ -204,34 +203,26 @@ _CALL = dict(run_id="r1", function="fn", context_id="c" * 32, pair_id="b" * 32, 
 ], ids=["end-before-start", "no-executor-key", "no-cold-flag", "bad-mode", "no-mode", "no-callee", "bad-db-op",
         "no-db-op", "unknown-kind"])
 def test_sink_rejects_at_emit_each_record_that_check_rejects(fields):
-    record = TraceRecord(platform_id="p1", **fields)
+    record = TraceRecord(run_id="r1", platform_id="p1", **fields)
     with pytest.raises(MalformedRecord):
         record.check()
-    sink = RecordSink("p1")
+    sink = RecordSink("r1", "p1")
     with pytest.raises(MalformedRecord):
         sink.emit(0, **fields)
-    assert sink.lines("r1") == [] and sink.drops == 0
+    assert sink.lines == [] and sink.drops == 0
 
 
 def test_sink_applies_clock_offset_to_lines_only():
-    sink = RecordSink("p1", clock_offset_us=50_000)
+    sink = RecordSink("r1", "p1", clock_offset_us=50_000)
     sink.emit(200, **invocation_fields(start_us=100, end_us=200))
-    parsed = parse_record(sink.lines("r1")[0])
+    parsed = parse_record(sink.lines[0])
     assert parsed.start_us == 50_100 and parsed.end_us == 50_200
+    assert parsed.run_id == "r1" and parsed.platform_id == "p1"  # the sink's own run and platform
     # the rate limiter windows true time: a logged clock 999 990 us ahead
     # does not carry the second line into the next window
-    sink = RecordSink("p1", lines_per_second=1, clock_offset_us=999_990)
+    sink = RecordSink("r1", "p1", lines_per_second=1, clock_offset_us=999_990)
     assert sink.emit(0, **invocation_fields(start_us=0, end_us=0))
     assert not sink.emit(20, **invocation_fields(start_us=20, end_us=20))
-
-
-def test_sink_separates_runs():
-    sink = RecordSink("p1")
-    sink.emit(0, **invocation_fields(run_id="rA"))
-    sink.emit(1, **invocation_fields(run_id="rB"))
-    assert len(sink.lines("rA")) == 1
-    assert len(sink.lines("rB")) == 1
-    assert "rB" in sink.lines("rB")[0]
 
 
 def test_simulated_lines_with_a_clock_offset_parse_back(tmp_path):

@@ -17,11 +17,11 @@ from faasbench.applications import (
 )
 from faasbench.deployment import DeploymentConfig, ServiceBinding
 from faasbench.distributions import constant, lognormal
-from faasbench.records import INVOCATION, MODE_TRIGGER, OUTGOING_CALL
+from faasbench.records import HEADER_LINE, INVOCATION, MODE_TRIGGER, OUTGOING_CALL
 from faasbench.analysis import parse_logs
 from faasbench.benchmarks import load_builtin
 from faasbench.recipes import RECIPE_NAMES, recipe
-from faasbench.simulator import Kernel, KeyedStore, NotAsync, NotDeployed, SimEnvironment, SimulationError
+from faasbench.simulator import Kernel, NotDeployed, SimEnvironment, SimulationError
 from faasbench.workload import execute, schedule
 
 from conftest import deployed_env, make_platform, single_platform_config
@@ -47,7 +47,7 @@ def test_cold_start_then_warm_then_expiry():
 
     t1 = p.invoke("fn", arrival_us=1_000_000)
     env.run_until_idle()
-    end1, _ = t1.result
+    end1 = t1.result
     assert end1 == 1_000_000 + 400 * MS + 2 * MS  # cold delay inside the invocation
 
     inv1 = env.truth.invocations[0]
@@ -61,7 +61,7 @@ def test_cold_start_then_warm_then_expiry():
     assert inv2.executor_key == inv1.executor_key
 
     # gap of exactly keepAlive still hits warm; one microsecond more is cold
-    end2 = t2.result[0]
+    end2 = t2.result
     p.invoke("fn", arrival_us=end2 + 10_000_000)
     env.run_until_idle()
     assert not env.truth.invocations[2].cold
@@ -131,13 +131,6 @@ def test_publish_trigger_timing_degenerate():
     assert caller_out.pair_id != trigger_out.pair_id
 
 
-def test_publish_to_sync_function_raises():
-    app = simple_app()
-    env, plan, handle = deployed_env(app, single_platform_config(app, make_platform()))
-    with pytest.raises(NotAsync):
-        env.platforms["p1"].publish_event("fn", at_us=0)
-
-
 def test_invoke_not_deployed():
     app = simple_app()
     env, plan, handle = deployed_env(app, single_platform_config(app, make_platform()))
@@ -184,8 +177,6 @@ def test_db_ops_latency_and_store_semantics():
     db_records = [r for r in records_of(env, handle) if r.kind == "DB_CALL"]
     assert [r.duration_us for r in db_records] == [3 * MS, 3 * MS, 3 * MS]
     assert [r.db_op for r in db_records] == ["get", "set", "get"]
-    assert env.store.get("keystore", "missing") == 0  # absent key reads back empty
-    assert env.store.get("keystore", "k") == 512
 
 
 def test_db_sampling_median_recovery():
@@ -264,13 +255,10 @@ def test_collect_logs_filters_by_run():
     env, plan, handle = deployed_env(app, single_platform_config(app, make_platform()))
     env.platforms["p1"].invoke("fn", arrival_us=0)
     env.run_until_idle()
-    env.begin_run("r-other")
-    env.platforms["p1"].invoke("fn", arrival_us=10_000_000)
-    env.run_until_idle()
     first = env.platforms["p1"].collect_logs(handle.run_id)
-    second = env.platforms["p1"].collect_logs("r-other")
-    assert len([ln for ln in first if not ln.startswith("#")]) == 1
-    assert len([ln for ln in second if not ln.startswith("#")]) == 1
+    assert len(first) == 2 and first[0].startswith(f"{handle.run_id}\tp1\t") and first[1] == "#dropped p1 0"
+    assert env.platforms["p1"].collect_logs("r-other") == ["#dropped p1 0"]
+    assert env.collect_log("r-other") == [HEADER_LINE, "#dropped loadgen 0", "#dropped p1 0"]
 
 
 def test_kernel_tie_break_is_stable_insertion_order():
@@ -304,14 +292,7 @@ def test_parallel_block_joins_at_max_branch():
     env, plan, handle = deployed_env(app, single_platform_config(app, platform))
     t = env.platforms["p1"].invoke("a", arrival_us=0)
     env.run_until_idle()
-    assert t.result[0] == 30 * MS  # join waits for the slower branch
-
-
-def test_keyed_store_is_shared_across_platforms():
-    store = KeyedStore()
-    store.set("svc", "k", 99)
-    assert store.get("svc", "k") == 99
-    assert store.get("svc", "other") == 0
+    assert t.result == 30 * MS  # join waits for the slower branch
 
 
 def test_wire_bytes_track_tracing_overhead():

@@ -153,7 +153,7 @@ def cmd_run(args) -> int:
 
 def cmd_analyze(args) -> int:
     log_path = Path(args.log)
-    if not log_path.exists():
+    if not log_path.is_file():
         print(f"no such log file: {log_path}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(args.out) if args.out else log_path.parent / "reports"

@@ -2,10 +2,13 @@
 
 Compilation turns a declarative application plus a deployment configuration
 into one self-contained artifact per platform: every call and publish target
-is resolved to the id of the platform that hosts it, every external-service
-reference to its binding, and a publisher function is synthesized for each
-platform hosting at least one event-async function (events are delivered to
-that publisher, which forwards them into the platform's trigger pipeline).
+is resolved to the id of the platform that hosts it, and a publisher function
+is synthesized for each platform hosting at least one event-async function
+(events are delivered to that publisher, which forwards them into the
+platform's trigger pipeline). Every network leg the application can take is
+bound too, as the sending side's ``networkLatency`` entry for the receiving
+side (both legs of a load-generator request use the entry point's platform's
+``loadgen`` entry), so a config that lacks one fails before any run starts.
 """
 
 from __future__ import annotations
@@ -191,16 +194,21 @@ class DeploymentConfig:
         return cls.from_json(Path(path).read_text())
 
 
+# (callee's platform id, outbound leg, return leg)
+CallRoute = tuple[str, Duration, Duration]
+
+
 @dataclass(frozen=True)
 class ResolvedFunction:
-    """A function as deployed: each call and publish target maps to the id
-    of the platform hosting it. A publish goes to that platform's publisher,
-    which triggers the target on the same platform."""
+    """A function as deployed: each call target maps to a CallRoute, each
+    publish target to (its platform id, delivery leg) and, for a function
+    with store steps, ``store`` is (service, store leg). A publish goes to the
+    target platform's publisher, which triggers the target on that platform."""
 
     spec: FunctionSpec
-    call_routes: dict[str, str]
-    publish_routes: dict[str, str]
-    service_routes: dict[str, ServiceBinding]
+    call_routes: dict[str, CallRoute]
+    publish_routes: dict[str, tuple[str, Duration]]
+    store: tuple[str, Duration] | None
 
     @property
     def name(self) -> str:
@@ -221,6 +229,7 @@ class DeploymentPlan:
     artifacts: tuple[DeploymentArtifact, ...]
     placement: dict[str, str]  # function -> platform id
     publisher_platforms: tuple[str, ...]  # sorted ids of the platforms that host a publisher
+    entry_routes: dict[str, CallRoute]  # entry point -> the load generator's route to it
 
     def artifact(self, platform_id: str) -> DeploymentArtifact:
         for a in self.artifacts:
@@ -244,20 +253,22 @@ def publisher_name(platform_id: str) -> str:
 
 
 def compile(app: ApplicationSpec, cfg: DeploymentConfig) -> DeploymentPlan:  # noqa: A001 - domain term
-    """Resolve every function to a platform and bake the routes into artifacts.
+    """Resolve every function to a platform and bake the routes, with their
+    network legs, into artifacts.
 
-    Pure: identical inputs produce structurally identical plans.
+    Pure: identical inputs produce structurally identical plans. A leg with
+    no ``networkLatency`` entry raises DeploymentError naming both ends.
     """
     report = validate(app)
     if not report.ok:
         raise InvalidApplication("; ".join(str(v) for v in report.violations))
 
-    known = set(cfg.platform_ids)
+    specs = {p.id: p for p in cfg.platforms}
     for fn in app.functions:
         pid = cfg.assignment.get(fn.name)
         if pid is None:
             raise UnassignedFunction(fn.name)
-        if pid not in known:
+        if pid not in specs:
             raise UnknownPlatform(pid)
         if fn.name.startswith(PUBLISHER_PREFIX):
             raise InvalidApplication(f"function name {fn.name!r} collides with reserved publisher prefix")
@@ -265,38 +276,52 @@ def compile(app: ApplicationSpec, cfg: DeploymentConfig) -> DeploymentPlan:  # n
         binding = cfg.service_bindings.get(svc)
         if binding is None:
             raise MissingServiceBinding(svc)
-        if binding.platform_id not in known:
+        if binding.platform_id not in specs:
             raise UnknownPlatform(binding.platform_id)
 
     placement = {fn.name: cfg.assignment[fn.name] for fn in app.functions}
     publisher_platforms = tuple(sorted({placement[fn.name] for fn in app.functions if fn.trigger_kind == EVENT_ASYNC}))
 
     def resolve(fn: FunctionSpec) -> ResolvedFunction:
-        calls: dict[str, str] = {}
-        publishes: dict[str, str] = {}
+        here = specs[placement[fn.name]]
+        calls: dict[str, CallRoute] = {}
+        publishes: dict[str, tuple[str, Duration]] = {}
+        store = None
         stack = list(fn.body)
         while stack:
             step = stack.pop()
             if step.kind == "call":
-                calls[step.target] = placement[step.target]
+                there = specs[placement[step.target]]
+                calls[step.target] = (there.id, here.leg(there.id), there.leg(here.id))
             elif step.kind == "publish":
-                publishes[step.target] = placement[step.target]
+                pid = placement[step.target]
+                publishes[step.target] = (pid, here.leg(pid))
+            elif step.kind in ("dbGet", "dbSet"):
+                # validate() guarantees a declared service; the first one serves
+                service = app.external_services[0]
+                store = (service, here.leg(service))
             elif step.kind == "parallelBlock":
                 for branch in step.branches:
                     stack.extend(branch)
-        services = {svc: cfg.service_bindings[svc] for svc in app.external_services}
-        return ResolvedFunction(fn, calls, publishes, services)
+        return ResolvedFunction(fn, calls, publishes, store)
+
+    entry_routes: dict[str, CallRoute] = {}
+    for fn in app.entry_points():
+        there = specs[placement[fn.name]]
+        leg = there.leg(LOADGEN)
+        entry_routes[fn.name] = (there.id, leg, leg)
 
     artifacts = []
     for pid in cfg.platform_ids:
         fns = [resolve(fn) for fn in app.functions if placement[fn.name] == pid]
         if pid in publisher_platforms:
             pub_spec = FunctionSpec(name=publisher_name(pid), trigger_kind=EVENT_ASYNC, body=())
-            fns.append(ResolvedFunction(pub_spec, {}, {}, {}))
+            fns.append(ResolvedFunction(pub_spec, {}, {}, None))
         if fns:
             artifacts.append(DeploymentArtifact(platform_id=pid, functions=tuple(fns)))
 
-    return DeploymentPlan(artifacts=tuple(artifacts), placement=placement, publisher_platforms=publisher_platforms)
+    return DeploymentPlan(artifacts=tuple(artifacts), placement=placement, publisher_platforms=publisher_platforms,
+                          entry_routes=entry_routes)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .analysis import PhaseWindow, RunAnalysis, analyze_log_text, write_reports
+from .analysis import AnalysisError, PhaseWindow, RunAnalysis, analyze_log_text, write_reports
 from .applications import ApplicationSpec, InvalidApplication, validate
 from .benchmarks import BENCHMARK_NAMES, load_builtin
 from .collector import collector_paused
@@ -246,14 +246,23 @@ def analyze_file(log_path: str | Path, out_dir: str | Path | None = None, charts
     of ``read_text().splitlines()``: the reader's universal newlines turn
     ``\\r\\n`` and ``\\r`` into ``\\n`` and end each line there, and
     ``splitlines`` splits it further at the other line boundaries it knows.
+
+    Raises AnalysisError naming the file when the ``manifest.json`` beside
+    the log is not a run manifest or the log is not UTF-8 text.
     """
     log_path = Path(log_path)
     phases = None
     manifest_path = log_path.parent / MANIFEST_NAME
-    if manifest_path.exists():
-        phases = phases_from_manifest(RunManifest.load(manifest_path))
-    with log_path.open() as fh:
-        analysis = analyze_log_text(itertools.chain.from_iterable(map(str.splitlines, fh)), phases)
+    if manifest_path.is_file():
+        try:
+            phases = phases_from_manifest(RunManifest.load(manifest_path))
+        except (KeyError, TypeError, ValueError) as exc:  # a missing field, not JSON or not UTF-8
+            raise AnalysisError(f"{manifest_path}: not a run manifest: {exc!r}") from None
+    try:
+        with log_path.open() as fh:
+            analysis = analyze_log_text(itertools.chain.from_iterable(map(str.splitlines, fh)), phases)
+    except UnicodeDecodeError as exc:
+        raise AnalysisError(f"{log_path}: not UTF-8 text: {exc}") from None
     if out_dir is not None:
         write_reports(analysis, out_dir, charts=charts)
     return analysis

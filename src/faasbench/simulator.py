@@ -14,16 +14,15 @@ Platform semantics:
   pays the cold-start delay before its body runs. Logged invocation
   timestamps span accept-to-completion, so a cold start is contained in the
   logged execution duration.
-* Network legs are sampled one-way and independently per direction from the
-  sending side's latency table (the load generator's legs use the platform's
-  ``loadgen`` entry).
+* Network legs are sampled one-way and independently per direction. Each
+  leg's distribution is bound into the deployment plan by
+  ``deployment.compile``; the simulator only samples it.
 * A publish delivers the event to the target platform's publisher function
-  (one outbound leg); the caller resumes at accept. The publisher runs with
+  (one delivery leg); the caller resumes at accept. The publisher runs with
   ordinary executor semantics, and the triggered function's arrival is
   scheduled at publisher-accept plus a trigger-delay sample.
-* Keyed-store operations cost one sample of the calling platform's latency
-  entry for the service; the store keeps no contents and is never a
-  bottleneck.
+* Keyed-store operations cost one sample of the function's bound store leg;
+  the store keeps no contents and is never a bottleneck.
 
 Each emitter hands its record's fields to ``RecordSink.emit``, which checks
 them and writes the log line in one step. ``SimEnvironment.run_until_idle``
@@ -44,13 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .collector import collector_paused
-from .deployment import (
-    AdapterFailure,
-    DeploymentConfig,
-    DeploymentError,
-    ResolvedFunction,
-    publisher_name,
-)
+from .deployment import AdapterFailure, CallRoute, DeploymentConfig, ResolvedFunction, publisher_name
 from .distributions import Duration
 from .records import (
     DB_CALL,
@@ -80,11 +73,6 @@ class UnknownEndpoint(SimulationError):
     def __init__(self, endpoint_id: str):
         super().__init__(f"endpoint {endpoint_id!r} cannot be resolved")
         self.endpoint_id = endpoint_id
-
-
-class NoServiceBinding(SimulationError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
 
 
 class Task:
@@ -193,7 +181,6 @@ class GroundTruth:
     executors: list[ExecutorBirth] = field(default_factory=list)
     edges: list[TruthEdge] = field(default_factory=list)
     invocations: list[TruthInvocation] = field(default_factory=list)
-    wire_bytes: int = 0  # payloads plus the per-call tracing token
 
     def edge_set(self) -> set[tuple[str, str | None, str, str]]:
         return set(self.edges)
@@ -237,7 +224,6 @@ class SimPlatform:
         arrival_us: int,
         context_id: str | None = None,
         pair_id: str | None = None,
-        payload_bytes: int = 0,
     ) -> Task:
         """Schedule an arrival of ``fn_name`` outside any workflow, the entry
         point tests drive the simulator through; the task result is the
@@ -246,7 +232,6 @@ class SimPlatform:
             raise NotDeployed(fn_name)
         ctx = context_id if context_id is not None else self.env.ids.new_context()
         pair = pair_id if pair_id is not None else self.env.ids.new_pair()
-        self.env.account_wire(payload_bytes)
 
         def gen():
             result = yield self.start_invocation(fn_name, ctx, pair)
@@ -309,10 +294,8 @@ class SimPlatform:
                 if d:
                     yield d
             elif step.kind == "call":
-                yield from env.sync_call(
-                    self.sink, self.id, rfn.name, context_id, inbound_pair,
-                    step.target, rfn.call_routes[step.target], step.payload_bytes, "sync",
-                )
+                yield from env.sync_call(self.sink, rfn.name, context_id, inbound_pair,
+                                         step.target, rfn.call_routes[step.target], "sync")
             elif step.kind == "publish":
                 # caller idles until the event is accepted downstream
                 yield self._publish(rfn, context_id, inbound_pair, step)
@@ -329,9 +312,8 @@ class SimPlatform:
         env = self.env
         t0 = env.kernel.now
         pair1 = env.ids.new_pair()
-        dst = rfn.publish_routes[step.target]
-        env.account_wire(step.payload_bytes)
-        out = env.leg_us(self.id, dst)
+        dst, leg = rfn.publish_routes[step.target]
+        out = env.sample_us(leg)
         delivery = self._async_delivery(rfn.name, context_id, inbound_pair, t0, pair1, step.target, env.platforms[dst])
         env.kernel.spawn(delivery, delay_us=out)
         return out
@@ -365,13 +347,10 @@ class SimPlatform:
 
     def _db_op(self, rfn, context_id, inbound_pair, step):
         env = self.env
-        if not rfn.service_routes:
-            raise NoServiceBinding(f"{rfn.name}: db step but no service bound")
-        service = next(iter(rfn.service_routes))
+        service, leg = rfn.store
         t0 = env.kernel.now
         pair = env.ids.new_pair()
-        latency = env.db_latency_us(self.id, service)
-        yield latency
+        yield env.sample_us(leg)
         end = env.kernel.now
         op = "set" if step.kind == "dbSet" else "get"
         self.sink.emit(end, DB_CALL, rfn.name, context_id, pair, t0, end, callee=service, db_op=op)
@@ -383,7 +362,6 @@ class SimEnvironment:
     run id is the first id the environment draws, and every sink writes it."""
 
     def __init__(self, config: DeploymentConfig, seed: int):
-        self.config = config
         ss = np.random.SeedSequence(seed)
         ids_ss, sample_ss, loadgen_ss = ss.spawn(3)
         self.ids = IdSource(np.random.default_rng(ids_ss))
@@ -401,43 +379,20 @@ class SimEnvironment:
     def sample_us(self, dist: Duration) -> int:
         return dist.sample(self.sample_rng)
 
-    def account_wire(self, payload_bytes: int) -> None:
-        """Track bytes put on the wire per call: payload plus the constant
-        tracing token (latency is size-independent by design)."""
-        self.truth.wire_bytes += payload_bytes + self.config.tracing_overhead_bytes
-
-    def leg_us(self, src: str, dst: str) -> int:
-        """One one-way network leg; the sending side's table provides the
-        distribution, except legs from the load generator which use the
-        receiving platform's ``loadgen`` entry."""
-        if src == LOADGEN:
-            dist = self.platforms[dst].spec.leg(LOADGEN)
-        else:
-            dist = self.platforms[src].spec.leg(dst)
-        return self.sample_us(dist)
-
-    def sync_call(self, sink, src, function, context_id, parent_pair, target, dst, payload_bytes, kind):
-        """One synchronous request from ``function`` on ``src`` (a platform id
-        or the load generator) to ``target`` on platform ``dst``: draws the
-        pair id, the outbound leg, then the return leg, and records the
-        caller's OUTGOING_CALL in ``sink`` (the sink of ``src``) and a truth
-        edge of ``kind``."""
+    def sync_call(self, sink, function, context_id, parent_pair, target, route: CallRoute, kind):
+        """One synchronous request from ``function`` (on a platform or the
+        load generator) to ``target`` along ``route``: draws the pair id, the
+        outbound leg, then the return leg, and records the caller's
+        OUTGOING_CALL in the caller's ``sink`` and a truth edge of ``kind``."""
+        dst, out, back = route
         t0 = self.kernel.now
         pair = self.ids.new_pair()
-        self.account_wire(payload_bytes)
-        yield self.leg_us(src, dst)
+        yield self.sample_us(out)
         yield self.platforms[dst].start_invocation(target, context_id, pair)
-        yield self.leg_us(dst, src)
+        yield self.sample_us(back)
         end = self.kernel.now
         sink.emit(end, OUTGOING_CALL, function, context_id, pair, t0, end, callee=target, mode=MODE_SYNC)
         self.truth.edges.append(TruthEdge(context_id, parent_pair, pair, kind))
-
-    def db_latency_us(self, platform_id: str, service: str) -> int:
-        try:
-            dist = self.platforms[platform_id].spec.leg(service)
-        except DeploymentError as exc:
-            raise NoServiceBinding(str(exc)) from None
-        return self.sample_us(dist)
 
     def run_until_idle(self) -> None:
         with collector_paused():

@@ -15,6 +15,7 @@ executor churn are preserved at desk scale.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -94,12 +95,12 @@ class LoadProfile:
                 if not phase.mix:
                     raise ProfileError(f"{phase.kind} phase needs a workflow mix")
                 weight = sum(w for _, w in phase.mix)
-                if abs(weight - 1.0) > 1e-9:
-                    raise ProfileError(f"mix weights must sum to 1 (got {weight})")
+                if not abs(weight - 1.0) <= 1e-9:  # written so that a nan sum fails too
+                    raise ProfileError(f"mix weights must be finite and sum to 1 (got {weight})")
                 for name, _ in phase.mix:
                     self.workflow(name)
-            if phase.kind == "constantRate" and phase.rate_per_s <= 0:
-                raise ProfileError("constantRate needs rate > 0")
+            if phase.kind == "constantRate" and not (math.isfinite(phase.rate_per_s) and phase.rate_per_s > 0):
+                raise ProfileError(f"constantRate needs a finite ratePerSecond > 0 (got {phase.rate_per_s})")
             if phase.kind == "burst" and phase.total_flows < 1:
                 raise ProfileError("burst needs totalFlows >= 1")
             for series in phase.series:
@@ -163,7 +164,7 @@ class LoadProfile:
                     WorkflowStep(
                         entry=s["entry"],
                         payload_bytes=int(s.get("payloadBytes", 512)),
-                        think_time_us=int(round(float(s.get("thinkSeconds", 0)) * US)),
+                        think_time_us=_us(s.get("thinkSeconds", 0), "thinkSeconds"),
                     )
                     for s in w["steps"]
                 ),
@@ -211,9 +212,17 @@ def _phase_to_dict(p: Phase) -> dict:
     return d
 
 
+def _us(seconds, field: str) -> int:
+    """``seconds`` in whole microseconds; ProfileError names a non-finite one."""
+    value = float(seconds)
+    if not math.isfinite(value):
+        raise ProfileError(f"{field} must be finite, got {value}")
+    return int(round(value * US))
+
+
 def _phase_from_dict(d: dict) -> Phase:
     kind = d["kind"]
-    duration = int(round(float(d["durationSeconds"]) * US))
+    duration = _us(d["durationSeconds"], "durationSeconds")
     if kind == "constantRate":
         return Phase(
             kind=kind,
@@ -235,9 +244,9 @@ def _phase_from_dict(d: dict) -> Phase:
             series=tuple(
                 PeriodicSeries(
                     entry=s["entry"],
-                    interval_us=int(round(float(s["intervalSeconds"]) * US)),
+                    interval_us=_us(s["intervalSeconds"], "intervalSeconds"),
                     train_count=int(s.get("trainCount", 1)),
-                    train_spacing_us=int(round(float(s.get("trainSpacingSeconds", 1)) * US)),
+                    train_spacing_us=_us(s.get("trainSpacingSeconds", 1), "trainSpacingSeconds"),
                 )
                 for s in d["series"]
             ),
@@ -326,7 +335,7 @@ def execute(arrivals: list[Arrival], plan, env: SimEnvironment) -> ExecutionStat
     OUTGOING_CALL per root request (client-side round trip)."""
     for arrival in arrivals:
         for step in arrival.workflow.steps:
-            if step.entry not in plan.placement:
+            if step.entry not in plan.entry_routes:
                 raise UnknownEndpoint(step.entry)
     for arrival in arrivals:
         env.kernel.spawn(_root_flow(env, plan, arrival.workflow), at_us=arrival.at_us)
@@ -336,9 +345,7 @@ def execute(arrivals: list[Arrival], plan, env: SimEnvironment) -> ExecutionStat
 def _root_flow(env: SimEnvironment, plan, workflow: Workflow):
     context_id = env.ids.new_context()
     for step in workflow.steps:
-        yield from env.sync_call(
-            env.loadgen_sink, LOADGEN, LOADGEN, context_id, None,
-            step.entry, plan.placement[step.entry], step.payload_bytes, "root",
-        )
+        yield from env.sync_call(env.loadgen_sink, LOADGEN, context_id, None,
+                                 step.entry, plan.entry_routes[step.entry], "root")
         if step.think_time_us:
             yield step.think_time_us

@@ -317,6 +317,23 @@ def test_a_missing_required_field_is_named_in_one_line(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, platform, entry", [
+    ("exp1-single-cloud", "cloud-a", "keystore"),
+    ("exp1-single-cloud", "cloud-a", "loadgen"),
+    ("exp3-three-way-factory", "couch", "panel"),
+], ids=["store", "entry-point", "publish"])
+def test_run_rejects_a_missing_network_leg_before_the_run(tmp_path, capsys, name, platform, entry):
+    r = recipe(name)
+    doc = r.config.to_dict()
+    del next(p for p in doc["platforms"] if p["id"] == platform)["networkLatency"][entry]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli("run", r.benchmark, "--config", str(cfg), "--scale", "0.01", "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: platform {platform}: no networkLatency entry for {entry!r}\n"
+    assert not out.exists()
+
+
 def test_analyze_matches_pipeline_reports(tmp_path):
     out = tmp_path / "out"
     assert run_cli("run", "webshop", "--seed", "7", "--scale", "0.002", "--out", str(out)) == EXIT_OK
@@ -332,6 +349,30 @@ def test_analyze_matches_pipeline_reports(tmp_path):
 
 def test_analyze_missing_file(tmp_path):
     assert run_cli("analyze", str(tmp_path / "nope.log")) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("case, code, named", [
+    ("directory", EXIT_CONFIG, ""),
+    ("manifest-without-run-id", EXIT_ANALYSIS, "manifest.json"),
+    ("manifest-not-json", EXIT_ANALYSIS, "manifest.json"),
+    ("log-not-utf8", EXIT_ANALYSIS, "raw.log"),
+], ids=["directory", "manifest-without-run-id", "manifest-not-json", "log-not-utf8"])
+def test_analyze_ends_in_one_line_on_bad_input(tmp_path, capsys, case, code, named):
+    # ``named`` is the file the line must name, relative to the run directory
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    log = run_dir / "raw.log"
+    log.write_text(HEADER_LINE + "\n")
+    if case == "manifest-without-run-id":
+        (run_dir / "manifest.json").write_text(json.dumps({"benchmark": "webshop", "phases": []}))
+    elif case == "manifest-not-json":
+        (run_dir / "manifest.json").write_text("{not json")
+    elif case == "log-not-utf8":
+        log.write_bytes(HEADER_LINE.encode() + b"\n\xff\xfe\n")
+    target = run_dir if case == "directory" else log
+    assert run_cli("analyze", str(target), "--out", str(tmp_path / "r")) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(run_dir / named) in err
 
 
 def test_analyze_empty_file_with_header(tmp_path, capsys):

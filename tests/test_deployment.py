@@ -18,8 +18,8 @@ from faasbench.deployment import (
     teardown,
 )
 from faasbench.distributions import constant
-from faasbench.records import IdSource
-from faasbench.recipes import exp3_three_way_factory
+from faasbench.records import LOADGEN, IdSource
+from faasbench.recipes import RECIPE_NAMES, exp3_three_way_factory, recipe
 from faasbench.runner import default_config
 
 from conftest import make_platform, single_platform_config
@@ -71,21 +71,49 @@ def test_webshop_single_platform_no_publishers():
 
 
 def test_endpoint_resolution_is_total():
-    app = load_builtin("smartfactory")
-    plan = compile_deployment(app, three_platform_factory_config())
-    for artifact in plan.artifacts:
-        for rfn in artifact.functions:
-            stack = list(rfn.spec.body)
-            while stack:
-                step = stack.pop()
-                if step.kind == "call":
-                    assert rfn.call_routes[step.target] == plan.placement[step.target]
-                elif step.kind == "publish":
-                    assert rfn.publish_routes[step.target] == plan.placement[step.target]
-                elif step.kind == "parallelBlock":
-                    for branch in step.branches:
-                        stack.extend(branch)
-    assert set(plan.placement) == set(app.function_names)
+    # every leg is the sending side's entry for the receiving side; the load
+    # generator's legs, both ways, are the entry point's platform's loadgen entry
+    for name in RECIPE_NAMES:
+        r = recipe(name)
+        app = load_builtin(r.benchmark)
+        specs = {p.id: p for p in r.config.platforms}
+        plan = compile_deployment(app, r.config)
+        for artifact in plan.artifacts:
+            src = specs[artifact.platform_id]
+            for rfn in artifact.functions:
+                stack = list(rfn.spec.body)
+                while stack:
+                    step = stack.pop()
+                    if step.kind == "call":
+                        dst = specs[plan.placement[step.target]]
+                        assert rfn.call_routes[step.target] == (dst.id, src.leg(dst.id), dst.leg(src.id))
+                    elif step.kind == "publish":
+                        dst = specs[plan.placement[step.target]]
+                        assert rfn.publish_routes[step.target] == (dst.id, src.leg(dst.id))
+                    elif step.kind in ("dbGet", "dbSet"):
+                        assert rfn.store == ("keystore", src.leg("keystore"))
+                    elif step.kind == "parallelBlock":
+                        for branch in step.branches:
+                            stack.extend(branch)
+        assert set(plan.placement) == set(app.function_names)
+        assert set(plan.entry_routes) == {fn.name for fn in app.entry_points()}
+        for entry, route in plan.entry_routes.items():
+            dst = specs[plan.placement[entry]]
+            assert route == (dst.id, dst.leg(LOADGEN), dst.leg(LOADGEN))
+
+
+@pytest.mark.parametrize("name, platform, entry", [
+    ("exp1-single-cloud", "cloud-a", "keystore"),
+    ("exp1-single-cloud", "cloud-a", "loadgen"),
+    ("exp2-edge-cloud", "edge-1", "cloud-a"),
+    ("exp3-three-way-factory", "couch", "panel"),
+], ids=["store", "entry-point", "call-return", "publish"])
+def test_compile_names_a_missing_network_leg(name, platform, entry):
+    r = recipe(name)
+    doc = r.config.to_dict()
+    del next(p for p in doc["platforms"] if p["id"] == platform)["networkLatency"][entry]
+    with pytest.raises(DeploymentError, match=f"^platform {platform}: no networkLatency entry for '{entry}'$"):
+        compile_deployment(load_builtin(r.benchmark), DeploymentConfig.from_dict(doc))
 
 
 def test_publisher_injection_is_minimal():

@@ -295,29 +295,6 @@ def test_parallel_block_joins_at_max_branch():
     assert t.result == 30 * MS  # join waits for the slower branch
 
 
-def test_wire_bytes_track_tracing_overhead():
-    app = simple_app()
-    cfg0 = single_platform_config(app, make_platform())
-    cfg0 = DeploymentConfig(
-        platforms=cfg0.platforms, assignment=cfg0.assignment,
-        service_bindings=cfg0.service_bindings, tracing_overhead_bytes=0,
-    )
-    cfg64 = DeploymentConfig(
-        platforms=cfg0.platforms, assignment=cfg0.assignment,
-        service_bindings=cfg0.service_bindings, tracing_overhead_bytes=64,
-    )
-    logs = []
-    wires = []
-    for cfg in (cfg0, cfg64):
-        env, plan, handle = deployed_env(app, cfg, seed=4)
-        env.platforms["p1"].invoke("fn", arrival_us=0, payload_bytes=100)
-        env.run_until_idle()
-        logs.append(env.collect_log(handle.run_id))
-        wires.append(env.truth.wire_bytes)
-    assert logs[0] == logs[1]  # token size never shifts any latency
-    assert wires[1] - wires[0] == 64
-
-
 def test_executor_reuse_matches_most_recently_idle_scan():
     # reference: the full-scan policy written out; keep the executors idle
     # within keep-alive, take the max of (last_idle_at, pool index), drop the

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,46 @@ def test_profile_validation_errors():
                                     series=(PeriodicSeries("e", interval_us=0),)),)).check()
     with pytest.raises(ProfileError):
         builtin_profile("webshop").scaled(0)
+
+
+def _profile_doc() -> dict:
+    return {
+        "workflows": [{"name": "w", "steps": [{"entry": "fn", "thinkSeconds": 0.5}]}],
+        "phases": [
+            {"kind": "constantRate", "durationSeconds": 1, "ratePerSecond": 5, "mix": {"w": 1.0}},
+            {"kind": "periodic", "durationSeconds": 1,
+             "series": [{"entry": "fn", "intervalSeconds": 0.5, "trainCount": 2, "trainSpacingSeconds": 0.1}]},
+        ],
+    }
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("phases", 0, "ratePerSecond"), float("inf"), "ratePerSecond"),
+    (("phases", 0, "ratePerSecond"), float("nan"), "ratePerSecond"),
+    (("phases", 0, "mix", "w"), float("nan"), "mix weights"),
+    (("phases", 0, "durationSeconds"), float("inf"), "durationSeconds"),
+    (("phases", 1, "durationSeconds"), float("nan"), "durationSeconds"),
+    (("phases", 1, "series", 0, "intervalSeconds"), float("inf"), "intervalSeconds"),
+    (("phases", 1, "series", 0, "trainSpacingSeconds"), float("-inf"), "trainSpacingSeconds"),
+    (("workflows", 0, "steps", 0, "thinkSeconds"), float("inf"), "thinkSeconds"),
+], ids=["infinite-rate", "nan-rate", "nan-mix-weight", "infinite-duration", "nan-duration",
+        "infinite-interval", "infinite-train-spacing", "infinite-think-time"])
+def test_a_non_finite_profile_number_is_named(path, value, field):
+    doc = _profile_doc()
+    LoadProfile.from_json(json.dumps(doc))  # the unchanged document loads
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(ProfileError, match=field):
+        LoadProfile.from_json(json.dumps(doc))  # NaN and Infinity as Python's json writes and reads them
+
+
+@pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+def test_check_rejects_a_non_finite_rate(rate):
+    with pytest.raises(ProfileError, match="ratePerSecond"):
+        flat_profile(kind="constantRate", duration_us=US, rate_per_s=rate).check()
 
 
 def test_profile_json_round_trip():

@@ -4,7 +4,7 @@ An application is a named set of functions. Each function has a trigger kind
 (``http-sync`` functions are invoked by blocking calls, ``event-async``
 functions only by published events) and a scripted body: an ordered list of
 steps (compute delays, calls, publishes, keyed-store operations, parallel
-fan-out blocks, return). Payloads are modeled by size only.
+fan-out blocks, return). Nothing is modeled by size.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .distributions import DistributionError, Duration, parse_duration
+from .distributions import Duration, read
 from .records import is_log_name
 
 HTTP_SYNC = "http-sync"
@@ -22,9 +22,6 @@ EVENT_ASYNC = "event-async"
 
 STEP_KINDS = ("compute", "call", "publish", "dbGet", "dbSet", "parallelBlock", "return")
 NAME_RULE = "must be a non-empty string other than '-', with no tab or line break"
-
-DEFAULT_PAYLOAD_BYTES = 256
-DEFAULT_RESPONSE_BYTES = 128
 
 
 class UnknownBenchmark(KeyError):
@@ -40,20 +37,15 @@ class BodyStep:
     """One scripted step of a function body.
 
     Fields are kind-dependent: ``compute`` uses compute_time; ``call``/
-    ``publish`` use target (and payload_bytes); db steps use key/value_size;
-    ``parallelBlock`` holds branch step lists that run concurrently and join
-    when all complete; ``return`` carries a response size, which is
-    written back but changes nothing in a run.
+    ``publish`` use target; db steps use key; ``parallelBlock`` holds branch
+    step lists that run concurrently and join when all complete.
     """
 
     kind: str
     compute_time: Duration | None = None
     target: str | None = None
-    payload_bytes: int = DEFAULT_PAYLOAD_BYTES
     key: str | None = None
-    value_size: int = 0
     branches: tuple[tuple["BodyStep", ...], ...] = ()
-    size_bytes: int = DEFAULT_RESPONSE_BYTES
 
     def to_dict(self) -> dict:
         d: dict = {"kind": self.kind}
@@ -61,44 +53,36 @@ class BodyStep:
             d["duration"] = self.compute_time.spec()
         elif self.kind in ("call", "publish"):
             d["target"] = self.target
-            d["payloadBytes"] = self.payload_bytes
         elif self.kind in ("dbGet", "dbSet"):
             d["key"] = self.key
-            if self.kind == "dbSet":
-                d["valueSize"] = self.value_size
         elif self.kind == "parallelBlock":
             d["branches"] = [[s.to_dict() for s in branch] for branch in self.branches]
-        elif self.kind == "return":
-            d["sizeBytes"] = self.size_bytes
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "BodyStep":
-        kind = d.get("kind")
+        kind = read(d, "kind", str, InvalidApplication)
         if kind == "compute":
-            return compute(parse_duration(d["duration"]))
-        if kind == "call":
-            return call(d["target"], payload_bytes=d.get("payloadBytes", DEFAULT_PAYLOAD_BYTES))
-        if kind == "publish":
-            return publish(d["target"], payload_bytes=d.get("payloadBytes", DEFAULT_PAYLOAD_BYTES))
-        if kind == "dbGet":
-            return db_get(d["key"])
-        if kind == "dbSet":
-            return db_set(d["key"], d.get("valueSize", 0))
+            return compute(read(d, "duration", Duration, InvalidApplication))
+        if kind in ("call", "publish"):
+            return cls(kind, target=read(d, "target", str, InvalidApplication))
+        if kind in ("dbGet", "dbSet"):
+            return cls(kind, key=read(d, "key", str, InvalidApplication))
         if kind == "parallelBlock":
-            return parallel(*(_steps_from_dicts(branch, f"branch {b} step") for b, branch in enumerate(d["branches"])))
+            branches = read(d, "branches", [[dict]], InvalidApplication)
+            return parallel(*(_steps_from_dicts(branch, f"branch {b} step") for b, branch in enumerate(branches)))
         if kind == "return":
-            return returns(d.get("sizeBytes", DEFAULT_RESPONSE_BYTES))
+            return returns()
         raise InvalidApplication(f"unknown body step kind: {kind!r}")
 
 
-def _steps_from_dicts(steps: list, where: str) -> tuple[BodyStep, ...]:
+def _steps_from_dicts(steps: list[dict], where: str) -> tuple[BodyStep, ...]:
     """Parse a step list; an error names the step as ``<where> <index> (<kind>)``."""
     body = []
     for i, d in enumerate(steps):
         try:
             body.append(BodyStep.from_dict(d))
-        except (DistributionError, InvalidApplication) as exc:
+        except InvalidApplication as exc:
             raise InvalidApplication(f"{where} {i} ({d.get('kind')}): {exc}") from None
     return tuple(body)
 
@@ -107,28 +91,28 @@ def compute(duration: Duration) -> BodyStep:
     return BodyStep("compute", compute_time=duration)
 
 
-def call(target: str, payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> BodyStep:
-    return BodyStep("call", target=target, payload_bytes=payload_bytes)
+def call(target: str) -> BodyStep:
+    return BodyStep("call", target=target)
 
 
-def publish(target: str, payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> BodyStep:
-    return BodyStep("publish", target=target, payload_bytes=payload_bytes)
+def publish(target: str) -> BodyStep:
+    return BodyStep("publish", target=target)
 
 
 def db_get(key: str) -> BodyStep:
     return BodyStep("dbGet", key=key)
 
 
-def db_set(key: str, value_size: int) -> BodyStep:
-    return BodyStep("dbSet", key=key, value_size=value_size)
+def db_set(key: str) -> BodyStep:
+    return BodyStep("dbSet", key=key)
 
 
 def parallel(*branches: tuple[BodyStep, ...]) -> BodyStep:
     return BodyStep("parallelBlock", branches=tuple(tuple(b) for b in branches))
 
 
-def returns(size_bytes: int = DEFAULT_RESPONSE_BYTES) -> BodyStep:
-    return BodyStep("return", size_bytes=size_bytes)
+def returns() -> BodyStep:
+    return BodyStep("return")
 
 
 @dataclass(frozen=True)
@@ -148,11 +132,13 @@ class FunctionSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FunctionSpec":
+        name = read(d, "name", str, InvalidApplication)
+        where = f"function {name}: "
         return cls(
-            name=d["name"],
-            trigger_kind=d.get("trigger", HTTP_SYNC),
-            body=_steps_from_dicts(d.get("body", []), f"function {d['name']}: body step"),
-            entry_point=bool(d.get("entryPoint", False)),
+            name=name,
+            trigger_kind=read(d, "trigger", str, InvalidApplication, HTTP_SYNC, where),
+            body=_steps_from_dicts(read(d, "body", [dict], InvalidApplication, [], where), f"{where}body step"),
+            entry_point=read(d, "entryPoint", bool, InvalidApplication, False, where),
         )
 
 
@@ -181,10 +167,10 @@ class ApplicationSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ApplicationSpec":
         return cls(
-            name=d["name"],
-            functions=tuple(FunctionSpec.from_dict(f) for f in d.get("functions", [])),
-            external_services=tuple(d.get("externalServices", [])),
-            metadata=d.get("metadata", ""),
+            name=read(d, "name", str, InvalidApplication),
+            functions=tuple(FunctionSpec.from_dict(f) for f in read(d, "functions", [dict], InvalidApplication, [])),
+            external_services=tuple(read(d, "externalServices", [str], InvalidApplication, [])),
+            metadata=read(d, "metadata", str, InvalidApplication, ""),
         )
 
     def to_json(self, indent: int = 2) -> str:
@@ -192,10 +178,7 @@ class ApplicationSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ApplicationSpec":
-        try:
-            return cls.from_dict(json.loads(text))
-        except KeyError as exc:
-            raise InvalidApplication(f"missing required field {exc}") from None
+        return cls.from_dict(json.loads(text))
 
     @classmethod
     def load(cls, path: str | Path) -> "ApplicationSpec":

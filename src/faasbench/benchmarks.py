@@ -71,7 +71,7 @@ def _webshop() -> ApplicationSpec:
         compute(MS1),
         call("checkout"),
         call("emptyCart"),
-        returns(2048),
+        returns(),
         entry=True,
     )
     functions = (
@@ -83,17 +83,17 @@ def _webshop() -> ApplicationSpec:
         _sync("supportedCurrencies", compute(MS1)),
         _sync("convert", compute(MS1)),
         _sync("getCart", compute(MS1), db_get("cart")),
-        _sync("addCartItem", compute(MS1), db_get("cart"), db_set("cart", 512)),
-        _sync("emptyCart", compute(MS1), db_set("cart", 16)),
+        _sync("addCartItem", compute(MS1), db_get("cart"), db_set("cart")),
+        _sync("emptyCart", compute(MS1), db_set("cart")),
         _sync("getAds", compute(MS1)),
         # reads the precomputed catalog directly: keeps every webshop function
         # invoked at most once per context, so same-named invocations of one
         # chain never overlap and call trees reconstruct unambiguously
         _sync("listRecommendations", compute(MS1), db_get("catalog")),
         _sync("checkout", compute(MS1), call("shipmentQuote"), call("payment"), call("shipOrder"), call("email")),
-        _sync("payment", compute(MS1), db_set("transaction", 256)),
+        _sync("payment", compute(MS1), db_set("transaction")),
         _sync("shipmentQuote", compute(MS1)),
-        _sync("shipOrder", compute(MS1), db_set("shipment", 256)),
+        _sync("shipOrder", compute(MS1), db_set("shipment")),
         _sync("email", compute(MS1)),
     )
     return ApplicationSpec(
@@ -107,14 +107,14 @@ def _webshop() -> ApplicationSpec:
 def _smartcity() -> ApplicationSpec:
     functions = (
         _sync("trafficSensorFilter", compute(MS1), call("movementPlan"), call("trafficStatistics"), entry=True),
-        _sync("objectRecognition", compute(constant(50)), db_set("detections", 128), call("movementPlan"), entry=True),
+        _sync("objectRecognition", compute(constant(50)), db_set("detections"), call("movementPlan"), entry=True),
         _sync("weatherSensorFilter", compute(MS1), call("roadCondition"), entry=True),
         _sync("emergencyDetection", compute(MS1), publish("setLightPhase"), entry=True),
-        _sync("movementPlan", compute(MS1), db_get("plan"), db_set("plan", 256), call("calculateLightPhase")),
-        _sync("trafficStatistics", compute(MS1), db_get("stats"), db_set("stats", 128)),
-        _sync("roadCondition", compute(MS1), db_get("road"), db_set("road", 64), call("calculateLightPhase")),
+        _sync("movementPlan", compute(MS1), db_get("plan"), db_set("plan"), call("calculateLightPhase")),
+        _sync("trafficStatistics", compute(MS1), db_get("stats"), db_set("stats")),
+        _sync("roadCondition", compute(MS1), db_get("road"), db_set("road"), call("calculateLightPhase")),
         _sync("calculateLightPhase", compute(MS1), db_get("road"), db_get("plan"), publish("setLightPhase")),
-        _async("setLightPhase", compute(MS1), db_set("phase", 16)),
+        _async("setLightPhase", compute(MS1), db_set("phase")),
     )
     return ApplicationSpec(
         name="smartcity",
@@ -133,15 +133,15 @@ def _smartfactory() -> ApplicationSpec:
             publish("orderPanel"),
             publish("orderCushion"),
             publish("orderCushion"),
-            returns(256),
+            returns(),
             entry=True,
         ),
         _async("orderPanel", compute(MS1), publish("producePanel")),
         _async("orderCushion", compute(MS1), publish("produceCushion")),
         _async("producePanel", compute(constant(5)), publish("billing")),
         _async("produceCushion", compute(constant(5)), publish("billing")),
-        _async("billing", compute(MS1), db_set("invoice", 128), publish("payment")),
-        _async("payment", compute(MS1), db_set("payment", 128)),
+        _async("billing", compute(MS1), db_set("invoice"), publish("payment")),
+        _async("payment", compute(MS1), db_set("payment")),
     )
     return ApplicationSpec(
         name="smartfactory",
@@ -156,12 +156,12 @@ def _streaming() -> ApplicationSpec:
     # cold/warm execution-duration gap equals the configured cold-start delay
     # regardless of which functions a burst bucket happens to hit.
     functions = (
-        _sync("registerUser", compute(constant(6)), db_set("user", 256), entry=True),
-        _sync("registerDevice", compute(constant(6)), db_set("device", 256), entry=True),
+        _sync("registerUser", compute(constant(6)), db_set("user"), entry=True),
+        _sync("registerDevice", compute(constant(6)), db_set("device"), entry=True),
         _sync("authenticate", compute(constant(6)), db_get("token"), entry=True),
-        _sync("addVideo", compute(constant(6)), db_set("video", 1024), entry=True),
+        _sync("addVideo", compute(constant(6)), db_set("video"), entry=True),
         _sync("requestVideo", compute(constant(6)), db_get("video"), entry=True),
-        _sync("updateMetadata", compute(constant(6)), db_set("meta", 128), entry=True),
+        _sync("updateMetadata", compute(constant(6)), db_set("meta"), entry=True),
         _sync("getMetadata", compute(constant(6)), db_get("meta"), entry=True),
     )
     return ApplicationSpec(
@@ -190,10 +190,10 @@ def load_builtin(name: str) -> ApplicationSpec:
 
 def _webshop_profile() -> LoadProfile:
     workflows = (
-        Workflow("browse", (WorkflowStep("frontend", payload_bytes=768),)),
-        Workflow("browseAndCart", (WorkflowStep("frontend", payload_bytes=1024),)),
-        Workflow("cartAndCheckout", (WorkflowStep("frontend", payload_bytes=1536),)),
-        Workflow("currencyAndBrowse", (WorkflowStep("frontend", payload_bytes=896),)),
+        Workflow("browse", (WorkflowStep("frontend"),)),
+        Workflow("browseAndCart", (WorkflowStep("frontend"),)),
+        Workflow("cartAndCheckout", (WorkflowStep("frontend"),)),
+        Workflow("currencyAndBrowse", (WorkflowStep("frontend"),)),
     )
     mix = tuple((wf.name, 0.25) for wf in workflows)
     return LoadProfile(
@@ -238,13 +238,13 @@ def _smartfactory_profile() -> LoadProfile:
 
 def _streaming_profile() -> LoadProfile:
     workflows = (
-        Workflow("registerUser", (WorkflowStep("registerUser", payload_bytes=512),)),
-        Workflow("registerDevice", (WorkflowStep("registerDevice", payload_bytes=512),)),
-        Workflow("authenticate", (WorkflowStep("authenticate", payload_bytes=128),)),
-        Workflow("addVideo", (WorkflowStep("addVideo", payload_bytes=2048),)),
-        Workflow("requestVideo", (WorkflowStep("requestVideo", payload_bytes=1024),)),
-        Workflow("updateMetadata", (WorkflowStep("updateMetadata", payload_bytes=256),)),
-        Workflow("getMetadata", (WorkflowStep("getMetadata", payload_bytes=128),)),
+        Workflow("registerUser", (WorkflowStep("registerUser"),)),
+        Workflow("registerDevice", (WorkflowStep("registerDevice"),)),
+        Workflow("authenticate", (WorkflowStep("authenticate"),)),
+        Workflow("addVideo", (WorkflowStep("addVideo"),)),
+        Workflow("requestVideo", (WorkflowStep("requestVideo"),)),
+        Workflow("updateMetadata", (WorkflowStep("updateMetadata"),)),
+        Workflow("getMetadata", (WorkflowStep("getMetadata"),)),
     )
     registration_mix = (("registerDevice", 0.5), ("registerUser", 0.5))
     device_mix = (

@@ -1,7 +1,7 @@
 """Benchmark manager CLI: run, analyze, recipes, validate.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 deployment
-failure, 4 run failure, 5 analysis failure.
+Exit codes: 0 success, 2 configuration/validation error (a bad --out too), 3
+deployment failure, 4 run failure, 5 analysis failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .analysis import AnalysisError
 from .applications import InvalidApplication, UnknownBenchmark, validate
 from .benchmarks import BENCHMARK_NAMES, builtin_profile
 from .deployment import AdapterFailure, DeploymentConfig, DeploymentError
-from .distributions import DistributionError
 from .recipes import RECIPE_NAMES, UnknownRecipe, recipe
 from .runner import analyze_file, default_config, load_app, run_benchmark
 from .simulator import SimulationError
@@ -41,7 +40,7 @@ def _positive_scale(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
+def _non_negative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -59,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("benchmark", help=f"built-in name {BENCHMARK_NAMES} or application JSON path")
     run.add_argument("--config", help="deployment config JSON (default: single-platform config)")
     run.add_argument("--profile", help="load profile JSON (default: the benchmark's built-in profile)")
-    run.add_argument("--seed", type=_seed, default=1)
+    run.add_argument("--seed", type=_non_negative_int, default=1)
     run.add_argument("--scale", type=_positive_scale, default=1.0, help="scale flow counts and phase durations")
     run.add_argument("--out", default=None, help=f"output directory (or ${OUT_ENV_VAR}; default ./out)")
     charts_help = "also write one box chart per metric, charts/<metric>.png, from the summary.csv statistics"
@@ -68,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="re-run the analyzer offline on an existing raw log")
     analyze.add_argument("log", help="path to a raw.log file")
     analyze.add_argument("--out", default=None, help="report output directory (default: alongside the log)")
-    analyze.add_argument("--max-parse-errors", type=int, default=0,
+    analyze.add_argument("--max-parse-errors", type=_non_negative_int, default=0,
                          help="exit nonzero when parse errors exceed this count")
     analyze.add_argument("--charts", action="store_true", help=charts_help)
 
@@ -112,8 +111,7 @@ def cmd_run(args) -> int:
             if profile is None:
                 print("a custom application needs --profile", file=sys.stderr)
                 return EXIT_CONFIG
-    except (InvalidApplication, UnknownBenchmark, DeploymentError, ProfileError, DistributionError,
-            FileNotFoundError, ValueError) as exc:
+    except (InvalidApplication, UnknownBenchmark, DeploymentError, ProfileError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -195,7 +193,7 @@ def cmd_recipes(args) -> int:
 def cmd_validate(args) -> int:
     try:
         app = load_app(args.app)
-    except (InvalidApplication, UnknownBenchmark, ValueError) as exc:
+    except (InvalidApplication, UnknownBenchmark, OSError, ValueError) as exc:
         print(f"cannot load application: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     report = validate(app)
@@ -209,15 +207,12 @@ def cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "analyze":
-        return cmd_analyze(args)
-    if args.command == "recipes":
-        return cmd_recipes(args)
-    if args.command == "validate":
-        return cmd_validate(args)
-    return EXIT_CONFIG
+    command = {"run": cmd_run, "analyze": cmd_analyze, "recipes": cmd_recipes, "validate": cmd_validate}[args.command]
+    try:
+        return command(args)
+    except OSError as exc:  # most often an --out that names a file, or a directory under one
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

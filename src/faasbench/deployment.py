@@ -14,17 +14,15 @@ side (both legs of a load-generator request use the entry point's platform's
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
 from .applications import EVENT_ASYNC, ApplicationSpec, FunctionSpec, InvalidApplication, validate
-from .distributions import DistributionError, Duration, constant, parse_duration
+from .distributions import MAX_SAMPLE_US, Duration, constant, read
 from .records import LOADGEN, is_log_name
 
 PUBLISHER_PREFIX = "__publisher_"
-DEFAULT_TRACING_OVERHEAD_BYTES = 64
 # a platform's logged clock may be off by at most one day either way; real skew
 # between providers is milliseconds, so a larger offset is a config mistake
 MAX_CLOCK_OFFSET_MS = 86_400_000
@@ -88,11 +86,6 @@ class PlatformSpec:
         rate = self.log_lines_per_second
         if rate is not None and (isinstance(rate, bool) or not isinstance(rate, int) or rate < 1):
             raise DeploymentError(f"platform {self.id}: logLinesPerSecond must be an integer >= 1 or null, got {rate}")
-        if abs(self.clock_offset_us) > MAX_CLOCK_OFFSET_MS * 1000:
-            raise DeploymentError(
-                f"platform {self.id}: clockOffsetMs must be within +-{MAX_CLOCK_OFFSET_MS} ms, "
-                f"got {self.clock_offset_us / 1000:g}"
-            )
 
     def leg(self, peer: str) -> Duration:
         try:
@@ -113,30 +106,28 @@ class PlatformSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PlatformSpec":
-        _check_platform_id(d["id"])  # before the errors that name the platform by its id
-
-        def finite(key: str, default: float) -> float:
-            value = float(d.get(key, default))
-            if not math.isfinite(value):
-                raise DeploymentError(f"platform {d['id']}: {key} must be finite, got {value}")
-            return value
-
-        def duration(key: str, text: str) -> Duration:
-            try:
-                return parse_duration(text)
-            except DistributionError as exc:
-                raise DeploymentError(f"platform {d['id']}: {key}: {exc}") from None
-
+        platform_id = read(d, "id", str, DeploymentError)
+        _check_platform_id(platform_id)  # before the errors that name the platform by its id
+        where = f"platform {platform_id}: "
+        legs = read(d, "networkLatency", dict, DeploymentError, {}, where)
+        # both bounds are checked before the conversion to us, which past them need not be finite
+        keep_alive_s = read(d, "keepAliveSeconds", float, DeploymentError, 300, where)
+        if keep_alive_s * 1_000_000 >= MAX_SAMPLE_US:
+            raise DeploymentError(f"{where}keepAliveSeconds must be below 2**53 us, got {keep_alive_s:g}")
+        offset_ms = read(d, "clockOffsetMs", float, DeploymentError, 0, where)
+        if abs(offset_ms) > MAX_CLOCK_OFFSET_MS:
+            raise DeploymentError(f"{where}clockOffsetMs must be within +-{MAX_CLOCK_OFFSET_MS} ms, got {offset_ms:g}")
         return cls(
-            id=d["id"],
-            cold_start_delay=duration("coldStartDelay", d.get("coldStartDelay", "constant(400)")),
-            keep_alive_us=int(round(finite("keepAliveSeconds", 300) * 1_000_000)),
+            id=platform_id,
+            cold_start_delay=read(d, "coldStartDelay", Duration, DeploymentError, constant(400), where),
+            keep_alive_us=int(round(keep_alive_s * 1_000_000)),
             network_latency={
-                peer: duration(f"networkLatency.{peer}", s) for peer, s in d.get("networkLatency", {}).items()
+                peer: read(legs, peer, Duration, DeploymentError, where=f"{where}networkLatency.") for peer in legs
             },
-            trigger_delay=duration("triggerDelay", d.get("triggerDelay", "constant(100)")),
+            trigger_delay=read(d, "triggerDelay", Duration, DeploymentError, constant(100), where),
+            # null or an integer; __post_init__ checks it with its own message
             log_lines_per_second=d.get("logLinesPerSecond"),
-            clock_offset_us=int(round(finite("clockOffsetMs", 0) * 1000)),
+            clock_offset_us=int(round(offset_ms * 1000)),
         )
 
 
@@ -150,11 +141,6 @@ class DeploymentConfig:
     platforms: tuple[PlatformSpec, ...]
     assignment: dict[str, str]
     service_bindings: dict[str, ServiceBinding] = field(default_factory=dict)
-    tracing_overhead_bytes: int = DEFAULT_TRACING_OVERHEAD_BYTES
-
-    def __post_init__(self) -> None:
-        if self.tracing_overhead_bytes < 0:
-            raise DeploymentError(f"tracingOverheadBytes must be >= 0, got {self.tracing_overhead_bytes}")
 
     @property
     def platform_ids(self) -> tuple[str, ...]:
@@ -165,18 +151,22 @@ class DeploymentConfig:
             "platforms": [p.to_dict() for p in self.platforms],
             "assignment": dict(self.assignment),
             "serviceBindings": {svc: {"platform": b.platform_id} for svc, b in self.service_bindings.items()},
-            "tracingOverheadBytes": self.tracing_overhead_bytes,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "DeploymentConfig":
+        assignment = read(d, "assignment", dict, DeploymentError, {})
+        bindings = read(d, "serviceBindings", dict, DeploymentError, {})
         return cls(
-            platforms=tuple(PlatformSpec.from_dict(p) for p in d.get("platforms", [])),
-            assignment=dict(d.get("assignment", {})),
+            platforms=tuple(PlatformSpec.from_dict(p) for p in read(d, "platforms", [dict], DeploymentError, [])),
+            assignment={fn: read(assignment, fn, str, DeploymentError, where="assignment.") for fn in assignment},
             # a binding's "latencyClass" is accepted and ignored: store latency
             # comes from the calling platform's networkLatency entry
-            service_bindings={svc: ServiceBinding(b["platform"]) for svc, b in d.get("serviceBindings", {}).items()},
-            tracing_overhead_bytes=int(d.get("tracingOverheadBytes", DEFAULT_TRACING_OVERHEAD_BYTES)),
+            service_bindings={
+                svc: ServiceBinding(read(read(bindings, svc, dict, DeploymentError, where="serviceBindings."),
+                                         "platform", str, DeploymentError))
+                for svc in bindings
+            },
         )
 
     def to_json(self, indent: int = 2) -> str:
@@ -184,10 +174,7 @@ class DeploymentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "DeploymentConfig":
-        try:
-            return cls.from_dict(json.loads(text))
-        except KeyError as exc:
-            raise DeploymentError(f"missing required field {exc}") from None
+        return cls.from_dict(json.loads(text))
 
     @classmethod
     def load(cls, path: str | Path) -> "DeploymentConfig":

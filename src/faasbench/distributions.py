@@ -4,12 +4,17 @@ All distributions are expressed in milliseconds in config files and sampled
 to integer microseconds. Supported forms: ``constant(x)``, ``uniform(a,b)``,
 ``lognormal(median,sigma)``, ``exponential(mean)``. Parameters must be finite,
 and no sample the generator can draw may reach ``MAX_SAMPLE_US``.
+
+``read`` reads one field of a JSON input document (application, deployment
+config, load profile) as exactly one JSON type, durations included.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,3 +140,45 @@ def parse_duration(text: str) -> Duration:
     except ValueError as exc:
         raise DistributionError(f"bad distribution arguments in {text!r}") from exc
     return Duration(kind, args)
+
+
+# read's default for a field the document must have
+REQUIRED = object()
+_JSON_TYPES = {str: "a string", int: "an integer", float: "a number", bool: "true or false", dict: "an object",
+               list: "an array"}
+
+
+def read(d: dict, key: str, kind, error: type[Exception], default=REQUIRED, where: str = ""):
+    """Field ``key`` of the JSON object ``d`` as exactly one JSON type, or
+    ``default`` when the field is absent.
+
+    ``kind`` is ``str``, ``int`` (not ``true``, not ``5.0``), ``float`` (any
+    finite number, returned as a float), ``bool``, ``dict``, ``list``,
+    ``[k]`` (an array whose items are each read as ``k``) or ``Duration``
+    (parsed from its string). Any other value raises ``error`` with a message
+    that starts with ``where`` and names the field.
+    """
+    if type(d) is not dict:  # only a document's top level is not checked by its parent's read
+        raise error(f"{where}expected an object, got {json.dumps(d)}")
+    if key not in d:
+        if default is REQUIRED:
+            raise error(f"{where}missing required field {key!r}")
+        return default
+    value, name = d[key], f"{where}{key}"
+    if kind is Duration:
+        try:
+            return parse_duration(value)
+        except DistributionError as exc:
+            raise error(f"{name}: {exc}") from None
+    if type(kind) is list:
+        items = read(d, key, list, error, where=where)
+        # each item is read as the one field of an object keyed by its path, so a message names it as a[0]
+        return [read({f"{name}[{i}]": item}, f"{name}[{i}]", kind[0], error) for i, item in enumerate(items)]
+    if kind is float and type(value) in (int, float):
+        # written so that a nan fails too, and an integer too large for a float
+        if not abs(value) <= sys.float_info.max:
+            raise error(f"{name} must be finite, got {value}")
+        return float(value)
+    if type(value) is not kind:
+        raise error(f"{name} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+    return value

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .distributions import MAX_SAMPLE_US, REQUIRED, read
 from .records import LOADGEN
 from .simulator import SimEnvironment, UnknownEndpoint
 
@@ -34,7 +35,6 @@ class ProfileError(ValueError):
 @dataclass(frozen=True)
 class WorkflowStep:
     entry: str
-    payload_bytes: int = 512
     think_time_us: int = 0
 
 
@@ -84,8 +84,8 @@ class LoadProfile:
             raise ProfileError("total duration must be > 0")
         for wf in self.workflows:
             for step in wf.steps:
-                if step.think_time_us < 0 or step.payload_bytes < 0:
-                    raise ProfileError(f"workflow {wf.name!r}: negative think time or payload")
+                if step.think_time_us < 0:
+                    raise ProfileError(f"workflow {wf.name!r}: negative think time")
         for phase in self.phases:
             if phase.kind not in ("constantRate", "periodic", "pause", "burst"):
                 raise ProfileError(f"unknown phase kind {phase.kind!r}")
@@ -144,7 +144,6 @@ class LoadProfile:
                     "steps": [
                         {
                             "entry": s.entry,
-                            "payloadBytes": s.payload_bytes,
                             "thinkSeconds": s.think_time_us / US,
                         }
                         for s in wf.steps
@@ -159,20 +158,16 @@ class LoadProfile:
     def from_dict(cls, d: dict) -> "LoadProfile":
         workflows = tuple(
             Workflow(
-                name=w["name"],
+                name=read(w, "name", str, ProfileError),
                 steps=tuple(
-                    WorkflowStep(
-                        entry=s["entry"],
-                        payload_bytes=int(s.get("payloadBytes", 512)),
-                        think_time_us=_us(s.get("thinkSeconds", 0), "thinkSeconds"),
-                    )
-                    for s in w["steps"]
+                    WorkflowStep(entry=read(s, "entry", str, ProfileError), think_time_us=_us(s, "thinkSeconds", 0))
+                    for s in read(w, "steps", [dict], ProfileError)
                 ),
             )
-            for w in d.get("workflows", [])
+            for w in read(d, "workflows", [dict], ProfileError, [])
         )
-        phases = tuple(_phase_from_dict(p) for p in d.get("phases", []))
-        profile = cls(name=d.get("name", "profile"), workflows=workflows, phases=phases)
+        phases = tuple(_phase_from_dict(p) for p in read(d, "phases", [dict], ProfileError, []))
+        profile = cls(name=read(d, "name", str, ProfileError, "profile"), workflows=workflows, phases=phases)
         profile.check()
         return profile
 
@@ -181,10 +176,7 @@ class LoadProfile:
 
     @classmethod
     def from_json(cls, text: str) -> "LoadProfile":
-        try:
-            return cls.from_dict(json.loads(text))
-        except KeyError as exc:
-            raise ProfileError(f"missing required field {exc}") from None
+        return cls.from_dict(json.loads(text))
 
     @classmethod
     def load(cls, path: str | Path) -> "LoadProfile":
@@ -212,43 +204,36 @@ def _phase_to_dict(p: Phase) -> dict:
     return d
 
 
-def _us(seconds, field: str) -> int:
-    """``seconds`` in whole microseconds; ProfileError names a non-finite one."""
-    value = float(seconds)
-    if not math.isfinite(value):
-        raise ProfileError(f"{field} must be finite, got {value}")
-    return int(round(value * US))
+def _us(d: dict, key: str, default=REQUIRED) -> int:
+    """Field ``key`` of ``d``, in seconds, as whole microseconds."""
+    seconds = read(d, key, float, ProfileError, default)
+    if not abs(seconds) * US < MAX_SAMPLE_US:  # past it, the product need not even be finite
+        raise ProfileError(f"{key} must be within +-2**53 us (about 285 years), got {seconds:g}")
+    return int(round(seconds * US))
 
 
 def _phase_from_dict(d: dict) -> Phase:
-    kind = d["kind"]
-    duration = _us(d["durationSeconds"], "durationSeconds")
-    if kind == "constantRate":
-        return Phase(
-            kind=kind,
-            duration_us=duration,
-            rate_per_s=float(d["ratePerSecond"]),
-            mix=tuple(sorted(d["mix"].items())),
-        )
-    if kind == "burst":
-        return Phase(
-            kind=kind,
-            duration_us=duration,
-            total_flows=int(d["totalFlows"]),
-            mix=tuple(sorted(d["mix"].items())),
-        )
+    kind = read(d, "kind", str, ProfileError)
+    duration = _us(d, "durationSeconds")
+    if kind in ("constantRate", "burst"):
+        weights = read(d, "mix", dict, ProfileError)
+        mix = tuple(sorted((name, read(weights, name, float, ProfileError, where="mix weights: ")) for name in weights))
+        if kind == "constantRate":
+            rate = read(d, "ratePerSecond", float, ProfileError)
+            return Phase(kind=kind, duration_us=duration, rate_per_s=rate, mix=mix)
+        return Phase(kind=kind, duration_us=duration, total_flows=read(d, "totalFlows", int, ProfileError), mix=mix)
     if kind == "periodic":
         return Phase(
             kind=kind,
             duration_us=duration,
             series=tuple(
                 PeriodicSeries(
-                    entry=s["entry"],
-                    interval_us=_us(s["intervalSeconds"], "intervalSeconds"),
-                    train_count=int(s.get("trainCount", 1)),
-                    train_spacing_us=_us(s.get("trainSpacingSeconds", 1), "trainSpacingSeconds"),
+                    entry=read(s, "entry", str, ProfileError),
+                    interval_us=_us(s, "intervalSeconds"),
+                    train_count=read(s, "trainCount", int, ProfileError, 1),
+                    train_spacing_us=_us(s, "trainSpacingSeconds", 1),
                 )
-                for s in d["series"]
+                for s in read(d, "series", [dict], ProfileError)
             ),
         )
     if kind == "pause":

@@ -110,10 +110,10 @@ def test_parallel_block_needs_two_branches():
 
 
 def test_return_must_be_last():
-    fn = FunctionSpec("a", HTTP_SYNC, (returns(1), compute(MS1)), entry_point=True)
+    fn = FunctionSpec("a", HTTP_SYNC, (returns(), compute(MS1)), entry_point=True)
     assert "ReturnNotLast" in validate(ApplicationSpec("bad", (fn,))).codes()
     # within a parallel branch too: the simulator runs every step of a branch
-    branchy = parallel((returns(1), compute(MS1)), (compute(MS1), returns(1)))
+    branchy = parallel((returns(), compute(MS1)), (compute(MS1), returns()))
     fn = FunctionSpec("a", HTTP_SYNC, (branchy,), entry_point=True)
     assert [v.detail for v in validate(ApplicationSpec("bad", (fn,))).violations] == [
         "return must be the final step of its branch"]

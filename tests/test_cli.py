@@ -4,10 +4,14 @@ from pathlib import Path
 import pytest
 
 from faasbench import cli
+from faasbench.applications import ApplicationSpec
 from faasbench.benchmarks import builtin_profile, load_builtin
 from faasbench.cli import EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, main
+from faasbench.deployment import DeploymentConfig
 from faasbench.records import HEADER_LINE
 from faasbench.recipes import recipe
+from faasbench.simulator import SimEnvironment
+from faasbench.workload import LoadProfile
 
 
 def run_cli(*argv) -> int:
@@ -100,7 +104,7 @@ def test_validate_and_run_name_the_body_step_of_a_bad_distribution(tmp_path, cap
         "workflows": [{"name": "hit", "steps": [{"entry": "a"}]}],
         "phases": [{"kind": "burst", "durationSeconds": 1, "totalFlows": 1, "mix": {"hit": 1.0}}],
     }))
-    reason = f"{where}constant(inf): parameters must be finite"
+    reason = f"{where}duration: constant(inf): parameters must be finite"
     assert run_cli("validate", str(app)) == EXIT_CONFIG
     assert capsys.readouterr().err == f"cannot load application: {reason}\n"
     out = tmp_path / "out"
@@ -233,10 +237,11 @@ def test_run_invalid_deployment_config(tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--scale=nan", "--scale=inf", "--scale=-inf", "--scale=0", "--scale=-1",
-                                  "--seed=-3"])
+                                  "--seed=-3", "--max-parse-errors=-1"])
 def test_run_rejects_a_bad_scale_or_seed_at_the_boundary(tmp_path, capsys, flag):
+    command = ("analyze", str(tmp_path / "raw.log")) if flag.startswith("--max-parse-errors") else ("run", "streaming")
     with pytest.raises(SystemExit) as exc:
-        run_cli("run", "streaming", flag, "--out", str(tmp_path / "out"))
+        run_cli(*command, flag, "--out", str(tmp_path / "out"))
     assert exc.value.code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"argument {flag.split('=')[0]}:" in err and "Traceback" not in err
@@ -244,11 +249,12 @@ def test_run_rejects_a_bad_scale_or_seed_at_the_boundary(tmp_path, capsys, flag)
 
 
 @pytest.mark.parametrize("field, value, reason", [
-    ("tracingOverheadBytes", -64, "tracingOverheadBytes must be >= 0, got -64"),
     ("keepAliveSeconds", float("nan"), "platform cloud-a: keepAliveSeconds must be finite, got nan"),
+    ("keepAliveSeconds", 1e305, "platform cloud-a: keepAliveSeconds must be below 2**53 us, got 1e+305"),
     ("clockOffsetMs", float("nan"), "platform cloud-a: clockOffsetMs must be finite, got nan"),
     ("clockOffsetMs", float("-inf"), "platform cloud-a: clockOffsetMs must be finite, got -inf"),
     ("clockOffsetMs", 1e30, "platform cloud-a: clockOffsetMs must be within +-86400000 ms, got 1e+30"),
+    ("clockOffsetMs", -1e307, "platform cloud-a: clockOffsetMs must be within +-86400000 ms, got -1e+307"),
     ("logLinesPerSecond", -5, "platform cloud-a: logLinesPerSecond must be an integer >= 1 or null, got -5"),
     ("logLinesPerSecond", float("nan"), "platform cloud-a: logLinesPerSecond must be an integer >= 1 or null, got nan"),
     ("logLinesPerSecond", 2.5, "platform cloud-a: logLinesPerSecond must be an integer >= 1 or null, got 2.5"),
@@ -257,15 +263,12 @@ def test_run_rejects_a_bad_scale_or_seed_at_the_boundary(tmp_path, capsys, flag)
     ("coldStartDelay", "lognormal(1e300,5)", "platform cloud-a: coldStartDelay: lognormal(1e+300,5): "
                                              "samples can reach 2**53 us (about 285 years), past microsecond precision"),
     ("coldStartDelay", 400, "platform cloud-a: coldStartDelay: cannot parse distribution: 400"),
-], ids=["negative-overhead", "nan-keep-alive", "nan-clock-offset", "infinite-clock-offset", "huge-clock-offset",
-        "negative-log-rate", "nan-log-rate", "fractional-log-rate", "infinite-cold-start", "nan-cold-start",
-        "overflowing-cold-start", "numeric-cold-start"])
+], ids=["nan-keep-alive", "huge-keep-alive", "nan-clock-offset", "infinite-clock-offset", "huge-clock-offset",
+        "overflowing-clock-offset", "negative-log-rate", "nan-log-rate", "fractional-log-rate", "infinite-cold-start",
+        "nan-cold-start", "overflowing-cold-start", "numeric-cold-start"])
 def test_run_names_the_out_of_range_config_field(tmp_path, capsys, field, value, reason):
     config = recipe("exp1-single-cloud").config.to_dict()
-    if field == "tracingOverheadBytes":
-        config[field] = value
-    else:
-        config["platforms"][0][field] = value
+    config["platforms"][0][field] = value
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))  # NaN and -Infinity as Python's json writes and reads them
     assert run_cli("run", "webshop", "--config", str(cfg), "--scale", "0.002",
@@ -288,14 +291,14 @@ def _first_call_step(app: dict) -> tuple:
                 for s, step in enumerate(fn["body"]) if step["kind"] == "call")
 
 
-@pytest.mark.parametrize("command, field", [
-    ("config", "id"),
-    ("config", "platform"),
-    ("profile", "kind"),
-    ("validate", "name"),
-    ("validate", "target"),
+@pytest.mark.parametrize("command, field, where", [
+    ("config", "id", ""),
+    ("config", "platform", ""),
+    ("profile", "kind", ""),
+    ("validate", "name", ""),
+    ("validate", "target", "function frontend: body step 1 (call): "),
 ], ids=["platform-id", "binding-platform", "phase-kind", "function-name", "call-target"])
-def test_a_missing_required_field_is_named_in_one_line(tmp_path, capsys, command, field):
+def test_a_missing_required_field_is_named_in_one_line(tmp_path, capsys, command, field, where):
     doc_path = tmp_path / "doc.json"
     out = tmp_path / "out"
     if command == "validate":
@@ -313,8 +316,137 @@ def test_a_missing_required_field_is_named_in_one_line(tmp_path, capsys, command
         doc_path.write_text(json.dumps(_without(doc, path)))
         argv, prefix = ("run", "webshop", f"--{command}", str(doc_path), "--out", str(out)), "configuration error"
     assert run_cli(*argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"{prefix}: missing required field {field!r}\n"
+    assert capsys.readouterr().err == f"{prefix}: {where}missing required field {field!r}\n"
     assert not out.exists()
+
+
+def _changed(doc, path: tuple, value):
+    """``doc`` with the value at ``path`` (keys and list indexes) replaced;
+    the empty path replaces the whole document."""
+    if not path:
+        return value
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+def _shipped(command: str, bench: str):
+    if command == "validate":
+        return load_builtin(bench).to_dict()
+    if command == "config":
+        return recipe("exp1-single-cloud").config.to_dict()
+    return builtin_profile(bench).to_dict()
+
+
+@pytest.mark.parametrize("command, bench, path, value, reason", [
+    ("validate", "webshop", (), {"name": "x", "functions": ["f"]}, 'functions[0] must be an object, got "f"'),
+    ("validate", "webshop", (), [1], "expected an object, got [1]"),
+    ("validate", "webshop", ("functions",), {"a": 1}, 'functions must be an array, got {"a": 1}'),
+    ("validate", "webshop", ("functions", 0, "body"), "compute",
+     'function frontend: body must be an array, got "compute"'),
+    ("validate", "webshop", ("functions", 0, "body", 1, "target"), ["b"],
+     'function frontend: body step 1 (call): target must be a string, got ["b"]'),
+    ("validate", "webshop", ("functions", 0, "entryPoint"), "no",
+     'function frontend: entryPoint must be true or false, got "no"'),
+    ("validate", "webshop", ("externalServices",), "kv", 'externalServices must be an array, got "kv"'),
+    ("config", "webshop", ("platforms", 0, "networkLatency"), "constant(1)",
+     'platform cloud-a: networkLatency must be an object, got "constant(1)"'),
+    ("config", "webshop", ("platforms",), "x", 'platforms must be an array, got "x"'),
+    ("config", "webshop", ("assignment",), [1], "assignment must be an object, got [1]"),
+    ("config", "webshop", ("platforms", 0, "keepAliveSeconds"), "300",
+     'platform cloud-a: keepAliveSeconds must be a number, got "300"'),
+    ("config", "webshop", ("platforms", 0, "keepAliveSeconds"), True,
+     "platform cloud-a: keepAliveSeconds must be a number, got true"),
+    ("config", "webshop", (), [1], "expected an object, got [1]"),
+    ("profile", "webshop", ("phases",), "x", 'phases must be an array, got "x"'),
+    ("profile", "webshop", ("phases", 0, "mix"), [1], "mix must be an object, got [1]"),
+    ("profile", "webshop", ("phases", 0, "mix", "browse"), "1", 'mix weights: browse must be a number, got "1"'),
+    ("profile", "streaming", ("phases", 0, "totalFlows"), float("inf"), "totalFlows must be an integer, got Infinity"),
+    ("profile", "streaming", ("phases", 0, "totalFlows"), "5", 'totalFlows must be an integer, got "5"'),
+    ("profile", "webshop", (), [1], "expected an object, got [1]"),
+    ("profile", "webshop", ("phases", 0, "durationSeconds"), 1e305,
+     "durationSeconds must be within +-2**53 us (about 285 years), got 1e+305"),
+], ids=["function-not-an-object", "app-not-an-object", "functions-not-an-array", "body-not-an-array",
+        "target-not-a-string", "entry-point-not-a-boolean", "services-not-an-array", "latency-not-an-object",
+        "platforms-not-an-array", "assignment-not-an-object", "keep-alive-a-string", "keep-alive-a-boolean",
+        "config-not-an-object", "phases-not-an-array", "mix-not-an-object", "mix-weight-a-string",
+        "infinite-total-flows", "total-flows-a-string", "profile-not-an-object", "huge-phase-duration"])
+def test_a_field_of_the_wrong_type_is_named_in_one_line(tmp_path, capsys, command, bench, path, value, reason):
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(_changed(_shipped(command, bench), path, value)))
+    out = tmp_path / "out"
+    if command == "validate":
+        argv, prefix = ("validate", str(doc_path)), "cannot load application"
+    else:
+        argv, prefix = ("run", bench, f"--{command}", str(doc_path), "--out", str(out)), "configuration error"
+    assert run_cli(*argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"{prefix}: {reason}\n"
+    assert not out.exists()
+
+
+def _with_sizes(steps: list) -> None:
+    for step in steps:
+        step.update(payloadBytes=256, valueSize=64, sizeBytes=128)
+        for branch in step.get("branches", []):
+            _with_sizes(branch)
+
+
+@pytest.mark.parametrize("name", ["exp1-single-cloud", "exp3-three-way-factory", "exp4-coldstart"])
+def test_the_unread_size_fields_load_and_are_not_written_back(name):
+    # payloadBytes, valueSize, sizeBytes and tracingOverheadBytes changed
+    # nothing in a run; files that carry them still load
+    r = recipe(name)
+    app, config, profile = load_builtin(r.benchmark).to_dict(), r.config.to_dict(), r.profile.to_dict()
+    sized_app, sized_config, sized_profile = json.loads(json.dumps([app, config, profile]))
+    for fn in sized_app["functions"]:
+        _with_sizes(fn["body"])
+    sized_config["tracingOverheadBytes"] = 64
+    for wf in sized_profile["workflows"]:
+        for step in wf["steps"]:
+            step["payloadBytes"] = 512
+    for cls, plain, sized in [(ApplicationSpec, app, sized_app), (DeploymentConfig, config, sized_config),
+                              (LoadProfile, profile, sized_profile)]:
+        spec = cls.from_json(json.dumps(sized))
+        assert spec == cls.from_json(json.dumps(plain))
+        assert spec.to_dict() == plain
+
+
+@pytest.mark.parametrize("flag", ["app", "--config", "--profile"])
+def test_an_input_path_that_is_a_directory_exits_in_one_line(tmp_path, capsys, flag):
+    argv = ("validate", str(tmp_path)) if flag == "app" else ("run", "webshop", flag, str(tmp_path))
+    assert run_cli(*argv, *(("--out", str(tmp_path / "out")) if flag != "app" else ())) == EXIT_CONFIG
+    prefix = "cannot load application" if flag == "app" else "configuration error"
+    assert capsys.readouterr().err == f"{prefix}: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "run-env", "recipes", "analyze"])
+def test_an_out_that_names_a_file_exits_in_one_line(tmp_path, capsys, monkeypatch, command):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out_flag = ("--out", str(taken))
+    if command == "run-env":
+        monkeypatch.setenv("FAASBENCH_OUT", str(taken))
+        command, out_flag = "run", ()
+
+    def no_simulation(self):
+        raise AssertionError("the run simulated before it found --out unusable")
+
+    monkeypatch.setattr(SimEnvironment, "run_until_idle", no_simulation)
+    if command == "run":
+        argv = ("run", "webshop", "--scale", "0.002", *out_flag)
+    elif command == "recipes":
+        argv = ("recipes", "exp1-single-cloud", *out_flag)
+    else:
+        log = tmp_path / "raw.log"
+        log.write_text(HEADER_LINE + "\n")
+        argv = ("analyze", str(log), *out_flag)
+    assert run_cli(*argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and err.count("\n") == 1 and str(taken) in err
+    assert taken.read_text() == "keep\n"
 
 
 @pytest.mark.parametrize("name, platform, entry", [

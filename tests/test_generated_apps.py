@@ -36,7 +36,7 @@ LEGS = ("constant(0)", "constant(5)", "lognormal(5,0.3)", "uniform(1,4)")
 FILLER = st.one_of(
     st.sampled_from(COMPUTE).map(lambda spec: compute(parse_duration(spec))),
     st.just(db_get("k")),
-    st.just(db_set("k", 64)),
+    st.just(db_set("k")),
 )
 
 

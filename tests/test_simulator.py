@@ -167,7 +167,7 @@ def test_trigger_delay_sampling_median():
 
 def test_db_ops_latency_and_store_semantics():
     fn = FunctionSpec(
-        "fn", HTTP_SYNC, (db_get("missing"), db_set("k", 512), db_get("k")), entry_point=True
+        "fn", HTTP_SYNC, (db_get("missing"), db_set("k"), db_get("k")), entry_point=True
     )
     app = ApplicationSpec("dbapp", (fn,), external_services=("keystore",))
     platform = make_platform(cold_start_delay=constant(0), peers={"keystore": 3})

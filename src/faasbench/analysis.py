@@ -57,7 +57,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .collector import collector_paused
@@ -144,10 +144,6 @@ class TreeEdge:
     record: TraceRecord  # OUTGOING_CALL
     child: "TreeNode | None" = None
 
-    @property
-    def mode(self) -> str:
-        return self.record.mode or MODE_SYNC
-
 
 @dataclass
 class TreeNode:
@@ -168,12 +164,12 @@ class TreeNode:
 
 @dataclass
 class CallTree:
+    """A root call (None in a context that has none) and the invocations linked below it;
+    ``orphans`` (invocations whose inbound call is missing, and their subtrees) ride on a context's first tree."""
     context_id: str
     root: TraceRecord | None  # loadgen OUTGOING_CALL
     root_node: TreeNode | None
     complete: bool
-    unmatched_pairs: int = 0
-    synthetic: bool = False
     orphans: tuple[TreeNode, ...] = ()
 
     def nodes(self):
@@ -181,9 +177,6 @@ class CallTree:
             yield from self.root_node.walk()
         for orphan in self.orphans:
             yield from orphan.walk()
-
-    def node_count(self) -> int:
-        return sum(1 for _ in self.nodes())
 
     def edge_set(self) -> set[tuple[str, str | None, str, str]]:
         """(context, parent pair, pair, kind) tuples, comparable with the
@@ -194,24 +187,27 @@ class CallTree:
         kind_by_mode = {MODE_SYNC: "sync", MODE_ASYNC: "async", MODE_TRIGGER: "trigger"}
         for node in self.nodes():
             for edge in node.calls:
-                out.add((self.context_id, node.record.pair_id, edge.record.pair_id, kind_by_mode[edge.mode]))
+                out.add((self.context_id, node.record.pair_id, edge.record.pair_id, kind_by_mode[edge.record.mode]))
             for db in node.db_calls:
                 out.add((self.context_id, node.record.pair_id, db.pair_id, "db"))
         return out
 
 
 def build_trees(records: list[TraceRecord]) -> list[CallTree]:
-    """One tree per load-generator root call.
+    """One tree per load-generator root call; a context with none yields one
+    rootless tree, so every context of the log has a tree.
 
-    Orphan invocations (their inbound call record was dropped) attach to the
-    context's first tree as loose fragments, or to a synthetic root when the
-    context has no load-generator record at all. Any detectable loss in a
-    context (unmatched pairs, orphans, unattachable caller-side records, an
-    invocation pair id logged twice) marks every tree of that context
-    incomplete: a dropped outgoing record would otherwise leave a tree that
-    looks closed while silently missing a subtree, corrupting its
-    decomposition. Of an invocation pair id logged twice, the first line in
-    log order is the tree's node, as in ``unique_invocations``."""
+    Each context gets one verdict before its trees are built. It is lossy on
+    an unmatched pair (a call or root whose invocation is missing or already
+    linked), an orphan invocation, a caller-side record with no owner, or a
+    pair id logged twice by records of one kind (INVOCATION, OUTGOING_CALL or
+    DB_CALL). Every tree of a lossy context is incomplete: a lost or replayed
+    line would otherwise leave a tree that looks closed while it misses a
+    subtree or counts rows twice. A tree with a root node in a clean context
+    is complete. Of a replayed invocation the first line in log order is the
+    node, as in ``unique_invocations``. A lost DB_CALL is the one loss the
+    schema cannot show: no pair of it reappears, so its tree stays complete
+    and its store time is booked as compute."""
     # per context: invocations, load-generator roots, function calls, db calls
     by_ctx: dict[str, tuple[list, list, list, list]] = {}
     for r in records:
@@ -235,7 +231,6 @@ def build_trees(records: list[TraceRecord]) -> list[CallTree]:
         for r in invocations:
             if r.pair_id not in nodes:  # a replayed invocation keeps its first line
                 nodes[r.pair_id] = TreeNode(r)
-        duplicated = len(nodes) != len(invocations)
         by_owner: dict[tuple[str, str], list[TreeNode]] = {}
         for node in nodes.values():
             by_owner.setdefault((node.record.platform_id, node.record.function), []).append(node)
@@ -245,13 +240,12 @@ def build_trees(records: list[TraceRecord]) -> list[CallTree]:
         # the callee of each async call, by its pair id: the inbound pair of
         # the publisher invocation the call started
         published = {r.pair_id: r.callee for r in fn_calls if r.mode == MODE_ASYNC}
-        dangling = 0
+        dangling = False
         for rec in fn_calls + dbs:
             owner = _find_owner(by_owner, rec, published)
             if owner is None:
-                dangling += 1
-                continue
-            if rec.kind == DB_CALL:
+                dangling = True
+            elif rec.kind == DB_CALL:
                 owner.db_calls.append(rec)
             else:
                 owner.calls.append(TreeEdge(rec))
@@ -260,27 +254,19 @@ def build_trees(records: list[TraceRecord]) -> list[CallTree]:
             node.db_calls.sort(key=lambda r: (r.start_us, r.pair_id))
 
         consumed: set[str] = set()
-        ctx_trees: list[CallTree] = []
+        unmatched = False
+        linked: list[tuple[TraceRecord, TreeNode | None]] = []  # (root, its node)
         for root in roots:
-            unmatched = 0
             root_node = nodes.get(root.pair_id)
-            if root_node is None:
-                unmatched += 1
+            if root_node is None or root.pair_id in consumed:
+                unmatched = True
+                root_node = None
             else:
                 consumed.add(root.pair_id)
-                unmatched += _link(root_node, nodes, consumed)
-            ctx_trees.append(
-                CallTree(
-                    context_id=ctx,
-                    root=root,
-                    root_node=root_node,
-                    complete=root_node is not None and unmatched == 0,
-                    unmatched_pairs=unmatched,
-                )
-            )
+                unmatched |= _link(root_node, nodes, consumed)
+            linked.append((root, root_node))
 
-        orphan_roots: list[TreeNode] = []
-        orphan_unmatched = 0
+        orphans: list[TreeNode] = []
         for pair in sorted(
             (p for p in nodes if p not in consumed),
             key=lambda p: (nodes[p].record.start_us, p),
@@ -288,29 +274,16 @@ def build_trees(records: list[TraceRecord]) -> list[CallTree]:
             if pair in consumed:
                 continue
             consumed.add(pair)
-            orphan_unmatched += _link(nodes[pair], nodes, consumed)
-            orphan_roots.append(nodes[pair])
+            unmatched |= _link(nodes[pair], nodes, consumed)
+            orphans.append(nodes[pair])
 
-        if orphan_roots and ctx_trees:
-            first = ctx_trees[0]
-            ctx_trees[0] = replace(first, orphans=tuple(orphan_roots),
-                                   unmatched_pairs=first.unmatched_pairs + orphan_unmatched)
-        elif orphan_roots:
-            ctx_trees.append(
-                CallTree(
-                    context_id=ctx,
-                    root=None,
-                    root_node=None,
-                    complete=False,
-                    unmatched_pairs=orphan_unmatched + dangling,
-                    synthetic=True,
-                    orphans=tuple(orphan_roots),
-                )
-            )
-
-        if orphan_roots or dangling or duplicated:
-            ctx_trees = [replace(t, complete=False) for t in ctx_trees]
-        trees.extend(ctx_trees)
+        # the context's one verdict; a call or root logged twice is unmatched (its invocation
+        # is linked by then), and most contexts have too few store records to need their set
+        clean = not (unmatched or orphans or dangling or len(nodes) != len(invocations)
+                     or (len(dbs) > 1 and len({r.pair_id for r in dbs}) != len(dbs)))
+        for i, (root, root_node) in enumerate(linked or [(None, None)]):
+            trees.append(CallTree(context_id=ctx, root=root, root_node=root_node,
+                                  complete=clean and root_node is not None, orphans=tuple(orphans) if i == 0 else ()))
     return trees
 
 
@@ -338,16 +311,17 @@ def _find_owner(by_owner: dict, rec: TraceRecord, published: dict[str, str]) -> 
     return best
 
 
-def _link(node: TreeNode, nodes: dict[str, TreeNode], consumed: set[str]) -> int:
-    """Attach children depth-first in call order; returns unmatched pairs."""
-    unmatched = 0
+def _link(node: TreeNode, nodes: dict[str, TreeNode], consumed: set[str]) -> bool:
+    """Attach children depth-first in call order; True when a call's
+    invocation is missing or already linked."""
+    unmatched = False
     stack = [iter(node.calls)]
     while stack:
         # resume the deepest node's calls; descend at its next linked child
         for edge in stack[-1]:
             child = nodes.get(edge.record.pair_id)
             if child is None or edge.record.pair_id in consumed:
-                unmatched += 1
+                unmatched = True
                 continue
             consumed.add(edge.record.pair_id)
             edge.child = child
@@ -385,17 +359,16 @@ METRIC_NAMES = ("root_round_trip", "exec_duration", "compute", "network", "netwo
 
 
 def decompose(tree: CallTree, metrics: dict[str, dict[str, list]]) -> LatencyBreakdown:
-    """Split one complete tree into compute/network/db components: append
-    each tree-level metric row to its group in ``metrics`` (the run's
-    ``RunAnalysis.metrics``, keyed by ``METRIC_NAMES``) and return the
-    tree's conserved totals."""
-    if not tree.complete or tree.root is None or tree.root_node is None:
+    """Split a complete tree (a root node in a context ``build_trees`` found
+    clean) into compute/network/db: append each tree-level metric row to its
+    group in ``metrics`` (``RunAnalysis.metrics``, keyed by ``METRIC_NAMES``)
+    and return the tree's conserved totals; any other tree raises IncompleteTree."""
+    if not tree.complete:
         raise IncompleteTree(f"context {tree.context_id} is incomplete")
     root = tree.root
     root_node = tree.root_node
-    entry = root.callee or root_node.record.function
-    metrics["root_round_trip"].setdefault(entry, []).append(root.duration_us)
-    bd = LatencyBreakdown(context_id=tree.context_id, entry_function=entry, root_round_trip_us=root.duration_us,
+    metrics["root_round_trip"].setdefault(root.callee, []).append(root.duration_us)
+    bd = LatencyBreakdown(context_id=tree.context_id, entry_function=root.callee, root_round_trip_us=root.duration_us,
                           total_compute_us=0, total_network_us=root.duration_us - root_node.record.duration_us,
                           total_db_us=0)
     # each node's step yields its children in visiting order; running the
@@ -418,7 +391,7 @@ def _decompose_node(node: TreeNode, conserved: bool, bd: LatencyBreakdown, metri
     async_edges = []
     items: list[tuple[int, int, str, object]] = []
     for e in node.calls:
-        mode = e.mode
+        mode = e.record.mode
         if mode == MODE_SYNC:
             items.append((e.record.start_us, e.record.end_us, "edge", e))
         elif mode == MODE_ASYNC:
@@ -445,7 +418,7 @@ def _decompose_node(node: TreeNode, conserved: bool, bd: LatencyBreakdown, metri
         for start, end, kind, item in cluster:
             if kind == "db":
                 db_rec: TraceRecord = item
-                metrics["db"].setdefault(f"{rec.platform_id}/{db_rec.callee or '?'}", []).append(db_rec.duration_us)
+                metrics["db"].setdefault(f"{rec.platform_id}/{db_rec.callee}", []).append(db_rec.duration_us)
                 if not in_block:
                     seq_db_us += db_rec.duration_us
             else:
@@ -473,7 +446,7 @@ def _decompose_node(node: TreeNode, conserved: bool, bd: LatencyBreakdown, metri
         pub_rec = pub.record
         group = f"{e.record.platform_id}->{pub_rec.platform_id}"
         metrics["publish_latency"].setdefault(group, []).append(e.record.duration_us - pub_rec.duration_us)
-        triggered = [t.child for t in pub.calls if t.mode == MODE_TRIGGER]
+        triggered = [t.child for t in pub.calls if t.record.mode == MODE_TRIGGER]
         if triggered:
             metrics["trigger_delay"].setdefault(group, []).extend(
                 t.record.start_us - pub_rec.start_us for t in triggered)
@@ -652,7 +625,6 @@ class RunAnalysis:
     coldstart: ColdstartReport
     cold_flag_mismatches: int
     metrics: dict[str, dict[str, list]]
-    phases: list[PhaseWindow] | None = None
 
     @property
     def complete_trees(self) -> int:
@@ -685,7 +657,6 @@ def analyze_records(records: list[TraceRecord], parse_report: ParseReport,
         coldstart=coldstart_report(invocations, phases),
         cold_flag_mismatches=coldstart_crosscheck(invocations),
         metrics=metrics,
-        phases=phases,
     )
 
 

@@ -155,6 +155,7 @@ def cmd_analyze(args) -> int:
         print(f"no such log file: {log_path}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(args.out) if args.out else log_path.parent / "reports"
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails here, before the log is read
     try:
         analysis = analyze_file(log_path, out_dir, charts=args.charts)
     except AnalysisError as exc:

@@ -103,6 +103,8 @@ class LoadProfile:
                 raise ProfileError(f"constantRate needs a finite ratePerSecond > 0 (got {phase.rate_per_s})")
             if phase.kind == "burst" and phase.total_flows < 1:
                 raise ProfileError("burst needs totalFlows >= 1")
+            if phase.kind == "burst" and not phase.total_flows < MAX_SAMPLE_US:
+                raise ProfileError("totalFlows must be below 2**53")
             for series in phase.series:
                 if series.interval_us <= 0:
                     raise ProfileError("periodic interval must be > 0")
@@ -120,8 +122,9 @@ class LoadProfile:
             phases.append(
                 replace(
                     p,
-                    duration_us=int(round(p.duration_us * factor)),
-                    total_flows=max(1, int(round(p.total_flows * factor))) if p.kind == "burst" else p.total_flows,
+                    duration_us=_scaled(p.duration_us, factor, "durationSeconds", "2**53 us (about 285 years)"),
+                    total_flows=max(1, _scaled(p.total_flows, factor, "totalFlows", "2**53"))
+                    if p.kind == "burst" else p.total_flows,
                 )
             )
         return replace(self, phases=tuple(phases))
@@ -181,6 +184,18 @@ class LoadProfile:
     @classmethod
     def load(cls, path: str | Path) -> "LoadProfile":
         return cls.from_json(Path(path).read_text())
+
+
+def _scaled(value: int, factor: float, key: str, limit: str) -> int:
+    """``value * factor`` rounded; ProfileError naming ``key`` when the value or
+    the product reaches 2**53, past which an int has no float (a float may be
+    infinite) and no run could reach so many flows or microseconds."""
+    if not value < MAX_SAMPLE_US:
+        raise ProfileError(f"{key} must be below {limit}")
+    product = value * factor
+    if not product < MAX_SAMPLE_US:
+        raise ProfileError(f"{key} scaled by {factor:g} reaches {limit}")
+    return int(round(product))
 
 
 def _phase_to_dict(p: Phase) -> dict:
@@ -279,7 +294,7 @@ def schedule(profile: LoadProfile, rng: np.random.Generator) -> list[Arrival]:
                 arrivals.append(Arrival(phase_start + int(round(i * gap)), _pick(profile, phase.mix, rng)))
         elif phase.kind == "periodic":
             for series in phase.series:
-                wf = _entry_workflow(profile, series.entry)
+                wf = Workflow(name=series.entry, steps=(WorkflowStep(entry=series.entry),))
                 tick = phase_start + series.interval_us
                 while tick <= phase_end:
                     for j in range(series.train_count):
@@ -300,13 +315,6 @@ def _pick(profile: LoadProfile, mix, rng: np.random.Generator) -> Workflow:
         if r < acc:
             return profile.workflow(name)
     return profile.workflow(mix[-1][0])
-
-
-def _entry_workflow(profile: LoadProfile, entry: str) -> Workflow:
-    for wf in profile.workflows:
-        if wf.name == entry and len(wf.steps) == 1:
-            return wf
-    return Workflow(name=entry, steps=(WorkflowStep(entry=entry),))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import csv
 import gc
+import json
 import struct
 import zlib
 
@@ -236,7 +237,7 @@ def test_tree_depth_one():
     assert len(trees) == 1
     tree = trees[0]
     assert tree.complete and tree.root_node.record.function == "a"
-    assert tree.node_count() == 1
+    assert sum(1 for _ in tree.nodes()) == 1
 
 
 def test_tree_chain_structure():
@@ -271,7 +272,7 @@ def test_dropped_invocation_marks_tree_incomplete():
     records = [r for r in chain_records() if not (r.kind == INVOCATION and r.function == "b")]
     trees = build_trees(records)
     assert len(trees) == 1
-    assert not trees[0].complete and trees[0].unmatched_pairs == 1
+    assert not trees[0].complete
     metrics = {name: {} for name in METRIC_NAMES}
     with pytest.raises(IncompleteTree):
         decompose(trees[0], metrics)
@@ -283,7 +284,7 @@ def test_orphans_grouped_under_synthetic_root():
     # drop the outgoing a->b record too: b becomes an orphan below orphan a
     records = [r for r in records if r.kind != OUTGOING_CALL]
     trees = build_trees(records)
-    synthetic = [t for t in trees if t.synthetic]
+    synthetic = [t for t in trees if t.root is None]
     assert len(synthetic) == 1
     assert not synthetic[0].complete
     assert {n.record.function for n in synthetic[0].nodes()} == {"a", "b"}
@@ -293,7 +294,7 @@ def test_tree_partition_counts():
     records = chain_records()
     trees = build_trees(records)
     n_inv = sum(1 for r in records if r.kind == INVOCATION)
-    assert sum(t.node_count() for t in trees) == n_inv
+    assert sum(1 for t in trees for _ in t.nodes()) == n_inv
 
 
 def test_dropped_outgoing_record_poisons_the_whole_context():
@@ -308,7 +309,7 @@ def test_dropped_outgoing_record_poisons_the_whole_context():
     assert tree.root is not None
     assert {n.record.function for n in tree.nodes()} == {"a", "b"}
     n_inv = sum(1 for r in records if r.kind == INVOCATION)
-    assert sum(t.node_count() for t in trees) == n_inv
+    assert sum(1 for t in trees for _ in t.nodes()) == n_inv
     with pytest.raises(IncompleteTree):
         decomposed(tree)
 
@@ -328,6 +329,64 @@ def test_duplicated_invocation_pair_id_marks_only_its_context_incomplete():
     after = build_trees(records + [replayed])
     assert {t.context_id for t in after if not t.complete} == {replayed.context_id}
     assert len(after) == len(before)
+
+
+def test_a_replayed_root_line_leaves_its_context_without_a_complete_tree():
+    # the second root line finds its invocation linked: an unmatched pair,
+    # not a second complete tree over the same invocation
+    r = recipe("exp4-coldstart")
+    env, plan, handle = deployed_env(load_builtin(r.benchmark), r.config, seed=7)
+    execute(schedule(r.profile.scaled(0.01), env.loadgen_rng), plan, env)
+    env.run_until_idle()
+    records, report = parse_logs(env.collect_log(handle.run_id))
+    clean = analyze_records(records, report)
+    assert clean.incomplete_trees == 0 and clean.complete_trees > 1
+    root = next(r for r in records if r.platform_id == LOADGEN)
+    replayed = analyze_records(records + [root], report)
+    assert [t.complete for t in replayed.trees if t.context_id == root.context_id] == [False, False]
+    assert replayed.complete_trees == clean.complete_trees - 1
+    for metric, groups in replayed.metrics.items():
+        for group, rows in groups.items():
+            assert len(rows) <= len(clean.metrics[metric][group]), (metric, group)
+
+
+def test_a_replayed_db_call_line_marks_its_context_and_adds_no_db_row():
+    records = chain_records()
+    db = next(r for r in records if r.kind == DB_CALL)
+    analysis = analyze_records(records + [db], ParseReport(records=6))
+    (tree,) = analysis.trees
+    assert not tree.complete
+    assert analysis.metrics["db"] == {} and analysis.breakdowns == []
+
+
+def two_root_records():
+    """One context of two load-generator calls: loadgen -> a, then loadgen -> a -> b."""
+    return [
+        root_rec(_id(10), 0, 20 * MS),
+        rec(INVOCATION, "a", _id(10), 5 * MS, 15 * MS),
+        root_rec(_id(20), 30 * MS, 80 * MS),
+        rec(INVOCATION, "a", _id(20), 35 * MS, 75 * MS),
+        rec(OUTGOING_CALL, "a", _id(21), 40 * MS, 60 * MS, callee="b", mode=MODE_SYNC),
+        rec(INVOCATION, "b", _id(21), 45 * MS, 55 * MS),
+    ]
+
+
+def test_a_lost_leaf_marks_both_trees_of_a_two_root_context():
+    assert [t.complete for t in build_trees(two_root_records())] == [True, True]
+    trees = build_trees(two_root_records()[:-1])
+    assert [t.root.pair_id for t in trees] == [_id(10), _id(20)]
+    assert [t.complete for t in trees] == [False, False]
+
+
+def test_a_context_of_one_db_call_yields_one_rootless_tree(tmp_path):
+    lone = rec(DB_CALL, "a", _id(30), 0, MS, ctx=_id(2), callee="keystore", db_op="get")
+    records = chain_records() + [lone]
+    analysis = analyze_records(records, ParseReport(records=len(records)))
+    (tree,) = [t for t in analysis.trees if t.context_id == _id(2)]
+    assert tree.root is None and tree.root_node is None and tree.orphans == () and not tree.complete
+    write_reports(analysis, tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["trees"] == {"total": 2, "complete": 1, "incomplete": 1}
 
 
 def test_a_repeated_invocation_pair_counts_its_first_line():
@@ -811,7 +870,7 @@ def test_causality_along_sync_edges():
     for tree in analysis.trees:
         for node in tree.nodes():
             for edge in node.calls:
-                if edge.mode != MODE_SYNC or edge.child is None:
+                if edge.record.mode != MODE_SYNC or edge.child is None:
                     continue
                 callee = edge.child.record
                 assert edge.record.start_us <= callee.start_us
@@ -863,7 +922,7 @@ def walked_groups(trees):
     def visit(node):
         nonlocal blocks
         rec = node.record
-        sync = [e for e in node.calls if e.mode == MODE_SYNC]
+        sync = [e for e in node.calls if e.record.mode == MODE_SYNC]
         calls = sorted([(e.record.start_us, e.record.end_us, e) for e in sync]
                        + [(d.start_us, d.end_us, d) for d in node.db_calls], key=lambda c: c[:2])
         spans = [(start, end) for start, end, _ in calls]
@@ -880,12 +939,12 @@ def walked_groups(trees):
         blocks += busy < sum(end - start for start, end in spans)
         add("compute", rec.function, rec.duration_us - busy)
         for e in node.calls:
-            if e.mode != MODE_ASYNC:
+            if e.record.mode != MODE_ASYNC:
                 continue
             pub = e.child.record
             group = f"{e.record.platform_id}->{pub.platform_id}"
             add("publish_latency", group, e.record.duration_us - pub.duration_us)
-            triggered = [t.child for t in e.child.calls if t.mode == MODE_TRIGGER]
+            triggered = [t.child for t in e.child.calls if t.record.mode == MODE_TRIGGER]
             for t in triggered:
                 add("trigger_delay", group, t.record.start_us - pub.start_us)
             for t in triggered:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from faasbench import cli
+from faasbench import analysis, cli
 from faasbench.applications import ApplicationSpec
 from faasbench.benchmarks import builtin_profile, load_builtin
 from faasbench.cli import EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, main
@@ -387,6 +387,23 @@ def test_a_field_of_the_wrong_type_is_named_in_one_line(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scale, flows, reason", [
+    ("1e308", None, "durationSeconds scaled by 1e+308 reaches 2**53 us (about 285 years)"),
+    ("1e20", None, "durationSeconds scaled by 1e+20 reaches 2**53 us (about 285 years)"),
+    ("0.002", 10**400, "totalFlows must be below 2**53"),
+], ids=["overflowing-scale", "endless-scale", "huge-total-flows"])
+def test_a_profile_past_2_53_is_named_in_one_line(tmp_path, capsys, scale, flows, reason):
+    doc = builtin_profile("streaming").to_dict()
+    if flows is not None:
+        doc["phases"][0]["totalFlows"] = flows
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli("run", "streaming", "--profile", str(profile), "--scale", scale, "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {reason}\n"
+    assert not out.exists()
+
+
 def _with_sizes(steps: list) -> None:
     for step in steps:
         step.update(payloadBytes=256, valueSize=64, sizeBytes=128)
@@ -434,6 +451,9 @@ def test_an_out_that_names_a_file_exits_in_one_line(tmp_path, capsys, monkeypatc
     def no_simulation(self):
         raise AssertionError("the run simulated before it found --out unusable")
 
+    def no_parse(*args):
+        raise AssertionError("the log was parsed before --out was found unusable")
+
     monkeypatch.setattr(SimEnvironment, "run_until_idle", no_simulation)
     if command == "run":
         argv = ("run", "webshop", "--scale", "0.002", *out_flag)
@@ -443,6 +463,7 @@ def test_an_out_that_names_a_file_exits_in_one_line(tmp_path, capsys, monkeypatc
         log = tmp_path / "raw.log"
         log.write_text(HEADER_LINE + "\n")
         argv = ("analyze", str(log), *out_flag)
+        monkeypatch.setattr(analysis, "parse_logs", no_parse)
     assert run_cli(*argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("file error: ") and err.count("\n") == 1 and str(taken) in err
@@ -631,7 +652,7 @@ def test_deep_sync_chain_runs_to_completion(tmp_path, monkeypatch):
 
     (result,) = results
     (tree,) = result.analysis.trees
-    assert tree.complete and tree.node_count() == depth
+    assert tree.complete and sum(1 for _ in tree.nodes()) == depth
     (bd,) = result.analysis.breakdowns
     metrics = result.analysis.metrics
     assert bd.conservation_residual_us == 0

@@ -90,8 +90,9 @@ def test_periodic_exact_arrivals():
     arrivals = schedule(profile, rng())
     assert len(arrivals) == 30
     assert [a.at_us for a in arrivals] == [2 * US * k for k in range(1, 31)]
-    # a single-step workflow named like the entry is reused, not rebuilt
-    assert all(a.workflow is wf for a in arrivals)
+    # each arrival is one call to the series' entry, built once per series
+    assert all(a.workflow.steps == (WorkflowStep("fn"),) for a in arrivals)
+    assert len({id(a.workflow) for a in arrivals}) == 1
 
 
 def test_periodic_trains():
@@ -312,6 +313,24 @@ def test_profile_must_target_entry_points():
     with pytest.raises(ProfileError):
         validate_profile_against_app(bad, app)
     validate_profile_against_app(builtin_profile("webshop"), app)  # fine
+
+
+def test_a_periodic_series_calls_its_own_entry():
+    # a workflow named like the series' entry but stepping elsewhere must not
+    # redirect the series: every root call of the run goes to "a"
+    a = FunctionSpec("a", HTTP_SYNC, (compute(constant(1)),), entry_point=True)
+    b = FunctionSpec("b", HTTP_SYNC, (compute(constant(2)),), entry_point=True)
+    app = ApplicationSpec("two", (a, b))
+    profile = LoadProfile(
+        "p", (Workflow("a", (WorkflowStep("b"),)),),
+        (Phase(kind="periodic", duration_us=10 * US, series=(PeriodicSeries("a", interval_us=US),)),),
+    )
+    env, plan, handle = deployed_env(app, single_platform_config(app, make_platform()))
+    execute(schedule(profile, rng()), plan, env)
+    env.run_until_idle()
+    records, _ = parse_logs(env.collect_log(handle.run_id))
+    assert [r.callee for r in records if r.platform_id == LOADGEN] == ["a"] * 10
+    assert {r.function for r in records if r.kind == INVOCATION} == {"a"}
 
 
 def test_arrivals_do_not_depend_on_response_times():

@@ -59,6 +59,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .collector import collector_paused
 from .records import (
@@ -288,27 +289,23 @@ def build_trees(records: list[TraceRecord]) -> list[CallTree]:
 
 
 def _find_owner(by_owner: dict, rec: TraceRecord, published: dict[str, str]) -> TreeNode | None:
-    candidates = by_owner.get((rec.platform_id, rec.function))
-    if not candidates:
-        return None
-    if rec.mode == MODE_TRIGGER:
-        # publishers of one context may start in the same microsecond; a
-        # trigger record belongs to the one whose inbound async call names
-        # the same callee
-        candidates = [n for n in candidates if published.get(n.record.pair_id) == rec.callee]
+    """The innermost invocation of ``rec``'s function that contains it. Each
+    owner list is sorted by (start, pair id), so the first containing
+    candidate from the end is the latest-starting one, and of equal starts
+    the one with the larger pair id."""
     # sync/db records complete within their invocation; an async record closes
     # when the publisher finishes, which may be after the caller's own end, so
     # only its send instant must fall inside the owner
-    full_containment = rec.mode != MODE_ASYNC
-    best = None
-    for node in candidates:
-        if full_containment:
-            contained = node.record.start_us <= rec.start_us and rec.end_us <= node.record.end_us
-        else:
-            contained = node.record.start_us <= rec.start_us <= node.record.end_us
-        if contained and (best is None or node.record.start_us >= best.record.start_us):
-            best = node  # innermost (latest-starting) candidate
-    return best
+    start = rec.start_us
+    end = start if rec.mode == MODE_ASYNC else rec.end_us
+    # publishers of one context may start in the same microsecond; a trigger
+    # record belongs to the one whose inbound async call names the same callee
+    trigger = rec.mode == MODE_TRIGGER
+    for node in reversed(by_owner.get((rec.platform_id, rec.function), ())):
+        r = node.record
+        if r.start_us <= start and end <= r.end_us and (not trigger or published.get(r.pair_id) == rec.callee):
+            return node
+    return None
 
 
 def _link(node: TreeNode, nodes: dict[str, TreeNode], consumed: set[str]) -> bool:
@@ -475,8 +472,7 @@ def estimate_skew_corrected_network(metrics: dict[str, dict[str, list]]) -> dict
 # cold starts
 
 
-@dataclass
-class PhaseWindow:
+class PhaseWindow(NamedTuple):
     name: str
     kind: str
     start_us: int

@@ -93,8 +93,7 @@ def cmd_run(args) -> int:
         app = load_app(args.benchmark)
         report = validate(app)
         if not report.ok:
-            for v in report.violations:
-                print(f"invalid application: {v}", file=sys.stderr)
+            print(f"invalid application: {'; '.join(str(v) for v in report.violations)}", file=sys.stderr)
             return EXIT_CONFIG
         if args.config:
             config = DeploymentConfig.load(args.config)

@@ -1,13 +1,19 @@
 """End-to-end run orchestration: compile, deploy, load, collect, analyze,
 teardown. One run per call; teardown always executes once deployment
-succeeded, whatever happens afterwards."""
+succeeded, whatever happens afterwards.
+
+A run writes its ``manifest.json`` as plain JSON before any platform action.
+``analyze_file`` reads it back through the typed field reader
+(``distributions.read``), every field as the one JSON type that
+``MANIFEST_FIELDS`` and ``PHASE_FIELDS`` give it, so a malformed manifest
+raises AnalysisError in one line that names the file and the field."""
 
 from __future__ import annotations
 
 import datetime as _dt
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -23,7 +29,7 @@ from .deployment import (
     deploy_all,
     teardown,
 )
-from .distributions import constant
+from .distributions import REQUIRED, constant, read
 from .simulator import GroundTruth, SimEnvironment
 from .workload import ExecutionStats, LoadProfile, execute, schedule, validate_profile_against_app
 
@@ -31,55 +37,13 @@ RAW_LOG_NAME = "raw.log"
 MANIFEST_NAME = "manifest.json"
 REPORTS_DIR = "reports"
 WRITE_CHUNK_LINES = 4096  # log lines joined per write of raw.log
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run bit-exactly."""
-
-    run_id: str
-    benchmark: str
-    seed: int
-    scale: float
-    config_path: str
-    profile_path: str
-    out_dir: str
-    created_at: str
-    version: str
-    phases: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "runId": self.run_id,
-            "benchmark": self.benchmark,
-            "seed": self.seed,
-            "scale": self.scale,
-            "configPath": self.config_path,
-            "profilePath": self.profile_path,
-            "outDir": self.out_dir,
-            "createdAt": self.created_at,
-            "version": self.version,
-            "phases": self.phases,
-        }
-
-    def write(self, path: Path) -> None:
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: Path) -> "RunManifest":
-        d = json.loads(path.read_text())
-        return cls(
-            run_id=d["runId"],
-            benchmark=d["benchmark"],
-            seed=d["seed"],
-            scale=d["scale"],
-            config_path=d["configPath"],
-            profile_path=d["profilePath"],
-            out_dir=d["outDir"],
-            created_at=d["createdAt"],
-            version=d.get("version", "?"),
-            phases=d.get("phases", []),
-        )
+# the JSON type of each manifest.json field; analyze reads only the phases, and
+# version and phases may be absent
+MANIFEST_FIELDS = {"runId": str, "benchmark": str, "seed": int, "scale": float, "configPath": str,
+                   "profilePath": str, "outDir": str, "createdAt": str, "version": str, "phases": [dict]}
+OPTIONAL_MANIFEST_FIELDS = ("version", "phases")
+# a manifest phase's keys and JSON types, in PhaseWindow's field order
+PHASE_FIELDS = {"name": str, "kind": str, "startUs": int, "endUs": int}
 
 
 @dataclass
@@ -87,7 +51,6 @@ class RunResult:
     run_id: str
     run_dir: Path
     log_path: Path
-    manifest: RunManifest
     analysis: RunAnalysis
     truth: GroundTruth
     stats: ExecutionStats
@@ -131,17 +94,8 @@ def load_app(name_or_path: str) -> ApplicationSpec:
 
 
 def phase_windows_of(profile: LoadProfile) -> list[PhaseWindow]:
-    return [
-        PhaseWindow(name=f"{i}:{kind}", kind=kind, start_us=start, end_us=end)
-        for i, (kind, start, end) in enumerate(profile.phase_windows())
-    ]
-
-
-def phases_from_manifest(manifest: RunManifest) -> list[PhaseWindow]:
-    return [
-        PhaseWindow(name=p["name"], kind=p["kind"], start_us=p["startUs"], end_us=p["endUs"])
-        for p in manifest.phases
-    ]
+    return [PhaseWindow(f"{i}:{kind}", kind, start, end)
+            for i, (kind, start, end) in enumerate(profile.phase_windows())]
 
 
 def run_benchmark(
@@ -170,21 +124,19 @@ def run_benchmark(
 
     run_dir = _fresh_run_dir(Path(out_dir), run_id)
     phases = phase_windows_of(profile)
-    manifest = RunManifest(
-        run_id=run_id,
-        benchmark=benchmark_name or app.name,
-        seed=seed,
-        scale=scale,
-        config_path=str(config_path),
-        profile_path=str(profile_path),
-        out_dir=str(run_dir),
-        created_at=_dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
-        version=__version__,
-        phases=[
-            {"name": p.name, "kind": p.kind, "startUs": p.start_us, "endUs": p.end_us} for p in phases
-        ],
-    )
-    manifest.write(run_dir / MANIFEST_NAME)  # before any platform action
+    manifest = {
+        "runId": run_id,
+        "benchmark": benchmark_name or app.name,
+        "seed": seed,
+        "scale": scale,
+        "configPath": str(config_path),
+        "profilePath": str(profile_path),
+        "outDir": str(run_dir),
+        "createdAt": _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
+        "version": __version__,
+        "phases": [dict(zip(PHASE_FIELDS, p)) for p in phases],
+    }
+    (run_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")  # before any platform action
 
     adapters = env.adapters()
     handle = deploy_all(plan, adapters, run_id=run_id)
@@ -209,7 +161,6 @@ def run_benchmark(
         run_id=run_id,
         run_dir=run_dir,
         log_path=log_path,
-        manifest=manifest,
         analysis=analysis,
         truth=env.truth,
         stats=stats,
@@ -251,13 +202,8 @@ def analyze_file(log_path: str | Path, out_dir: str | Path | None = None, charts
     the log is not a run manifest or the log is not UTF-8 text.
     """
     log_path = Path(log_path)
-    phases = None
     manifest_path = log_path.parent / MANIFEST_NAME
-    if manifest_path.is_file():
-        try:
-            phases = phases_from_manifest(RunManifest.load(manifest_path))
-        except (KeyError, TypeError, ValueError) as exc:  # a missing field, not JSON or not UTF-8
-            raise AnalysisError(f"{manifest_path}: not a run manifest: {exc!r}") from None
+    phases = _read_phases(manifest_path) if manifest_path.is_file() else None
     try:
         with log_path.open() as fh:
             analysis = analyze_log_text(itertools.chain.from_iterable(map(str.splitlines, fh)), phases)
@@ -266,3 +212,18 @@ def analyze_file(log_path: str | Path, out_dir: str | Path | None = None, charts
     if out_dir is not None:
         write_reports(analysis, out_dir, charts=charts)
     return analysis
+
+
+def _read_phases(manifest_path: Path) -> list[PhaseWindow]:
+    """The phase windows of a run manifest, each field read as its one JSON
+    type (``MANIFEST_FIELDS``, ``PHASE_FIELDS``); raises AnalysisError naming
+    the file and the first bad field."""
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        fields = {key: read(manifest, key, kind, AnalysisError, None if key in OPTIONAL_MANIFEST_FIELDS else REQUIRED)
+                  for key, kind in MANIFEST_FIELDS.items()}
+        return [PhaseWindow(*(read(p, key, kind, AnalysisError, where=f"phases[{i}].")
+                              for key, kind in PHASE_FIELDS.items()))
+                for i, p in enumerate(fields["phases"] or ())]
+    except (AnalysisError, ValueError, RecursionError) as exc:  # a bad field; not JSON, not UTF-8 or nested too deep
+        raise AnalysisError(f"{manifest_path}: not a run manifest: {exc}") from None

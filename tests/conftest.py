@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import gc
+from pathlib import Path
 
 import pytest
 
+from faasbench import runner
 from faasbench.applications import EVENT_ASYNC, ApplicationSpec, FunctionSpec, HTTP_SYNC, compute, parallel, publish
+from faasbench.benchmarks import builtin_profile, load_builtin
 from faasbench.deployment import DeploymentConfig, PlatformSpec, ServiceBinding, compile as compile_deployment, deploy_all
 from faasbench.distributions import constant, parse_duration
 from faasbench.simulator import SimEnvironment
@@ -86,3 +89,13 @@ def collector_restored():
         gc.enable()
     else:
         gc.disable()
+
+
+@pytest.fixture(scope="module")
+def streaming_run(tmp_path_factory) -> Path:
+    """The run directory of a small streaming run (seed 7, x0.002): four
+    phases in its manifest, the last a burst."""
+    app = load_builtin("streaming")
+    result = runner.run_benchmark(app, runner.default_config(app), builtin_profile("streaming"), seed=7,
+                                  out_dir=tmp_path_factory.mktemp("streaming"), scale=0.002)
+    return result.run_dir

@@ -268,6 +268,28 @@ def test_walk_and_decompose_keep_depth_first_call_order():
     assert list(metrics["compute"]) == ["d", "b", "c", "a"]  # a node after its subtree
 
 
+def test_a_record_goes_to_the_innermost_invocation_that_contains_it():
+    # four overlapping invocations of b in one context: two nested, two that
+    # start in the same microsecond
+    calls = [(11, 10, 90, 20, 80), (12, 25, 65, 30, 60), (13, 95, 160, 100, 150), (14, 95, 150, 100, 140)]
+    records = [root_rec(_id(10), 0, 200 * MS), rec(INVOCATION, "a", _id(10), 5 * MS, 195 * MS)]
+    for pair, call_start, call_end, start, end in calls:
+        records.append(rec(OUTGOING_CALL, "a", _id(pair), call_start * MS, call_end * MS, callee="b", mode=MODE_SYNC))
+        records.append(rec(INVOCATION, "b", _id(pair), start * MS, end * MS))
+    stores = {20: (40, 45), 21: (65, 70), 22: (110, 120), 23: (141, 145)}
+    records += [rec(DB_CALL, "b", _id(pair), start * MS, end * MS, callee="keystore", db_op="get")
+                for pair, (start, end) in stores.items()]
+    (tree,) = build_trees(records)
+    assert tree.complete
+    owners = {d.pair_id: n.record.pair_id for n in tree.nodes() for d in n.db_calls}
+    assert owners == {
+        _id(20): _id(12),  # inside both nested ones: the later start wins
+        _id(21): _id(11),  # past the inner one's end
+        _id(22): _id(14),  # inside both equal starts: the larger pair id wins
+        _id(23): _id(13),  # past the end of 14
+    }
+
+
 def test_dropped_invocation_marks_tree_incomplete():
     records = [r for r in chain_records() if not (r.kind == INVOCATION and r.function == "b")]
     trees = build_trees(records)

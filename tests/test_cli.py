@@ -59,17 +59,19 @@ def test_validate_broken_app(tmp_path, capsys):
     assert "UnknownTarget" in capsys.readouterr().out
 
 
-def test_cyclic_app_rejected_by_validate_and_run(tmp_path, capsys):
+@pytest.mark.parametrize("functions, violations", [
     # bodies are unconditional: without the check, run would never go idle
-    app = tmp_path / "cyc.json"
-    app.write_text(json.dumps({
-        "name": "cyc",
-        "functions": [
-            {"name": "a", "trigger": "http-sync", "entryPoint": True,
-             "body": [{"kind": "call", "target": "b"}]},
-            {"name": "b", "trigger": "http-sync", "body": [{"kind": "call", "target": "a"}]},
-        ],
-    }))
+    ([{"name": "a", "trigger": "http-sync", "entryPoint": True, "body": [{"kind": "call", "target": "b"}]},
+      {"name": "b", "trigger": "http-sync", "body": [{"kind": "call", "target": "a"}]}],
+     ["Cycle [a]: unbounded cycle a -> b -> a"]),
+    ([{"name": "a", "trigger": "http-sync", "entryPoint": True},
+      {"name": "b", "trigger": "http-sync"},
+      {"name": "c", "trigger": "http-sync"}],
+     ["Unreachable [b]: not reachable from any entry point", "Unreachable [c]: not reachable from any entry point"]),
+], ids=["cycle", "two-unreachable"])
+def test_an_invalid_app_is_rejected_by_validate_and_run(tmp_path, capsys, functions, violations):
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({"name": "bad", "functions": functions}))
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps({
         "name": "one",
@@ -77,10 +79,11 @@ def test_cyclic_app_rejected_by_validate_and_run(tmp_path, capsys):
         "phases": [{"kind": "burst", "durationSeconds": 1, "totalFlows": 1, "mix": {"hit": 1.0}}],
     }))
     assert run_cli("validate", str(app)) == EXIT_CONFIG
-    assert capsys.readouterr().out.splitlines() == ["Cycle [a]: unbounded cycle a -> b -> a"]
+    assert capsys.readouterr().out.splitlines() == violations
     out = tmp_path / "out"
     assert run_cli("run", str(app), "--profile", str(profile), "--out", str(out)) == EXIT_CONFIG
-    assert capsys.readouterr().err.splitlines() == ["invalid application: Cycle [a]: unbounded cycle a -> b -> a"]
+    # run names every violation in one line, as run_benchmark's InvalidApplication does
+    assert capsys.readouterr().err.splitlines() == [f"invalid application: {'; '.join(violations)}"]
     assert not out.exists()
 
 
@@ -504,28 +507,54 @@ def test_analyze_missing_file(tmp_path):
     assert run_cli("analyze", str(tmp_path / "nope.log")) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("case, code, named", [
-    ("directory", EXIT_CONFIG, ""),
-    ("manifest-without-run-id", EXIT_ANALYSIS, "manifest.json"),
-    ("manifest-not-json", EXIT_ANALYSIS, "manifest.json"),
-    ("log-not-utf8", EXIT_ANALYSIS, "raw.log"),
-], ids=["directory", "manifest-without-run-id", "manifest-not-json", "log-not-utf8"])
-def test_analyze_ends_in_one_line_on_bad_input(tmp_path, capsys, case, code, named):
+# case -> (path, value) of one change to the streaming run's manifest
+MANIFEST_CHANGES = {
+    "phase-start-a-string": (("phases", 3, "startUs"), "0"),
+    "phase-start-a-fraction": (("phases", 3, "startUs"), 0.5),
+    "phase-start-null": (("phases", 3, "startUs"), None),
+    "seed-a-string": (("seed",), "seven"),
+    "manifest-an-array": ((), [1]),
+}
+
+
+BAD_ANALYZE_INPUTS = [
+    ("directory", EXIT_CONFIG, "", ""),
+    ("manifest-without-run-id", EXIT_ANALYSIS, "manifest.json", "missing required field 'runId'"),
+    ("manifest-not-json", EXIT_ANALYSIS, "manifest.json", ""),
+    ("manifest-nested-too-deep", EXIT_ANALYSIS, "manifest.json", "recursion"),
+    ("log-not-utf8", EXIT_ANALYSIS, "raw.log", "not UTF-8"),
+    ("phase-start-a-string", EXIT_ANALYSIS, "manifest.json", 'phases[3].startUs must be an integer, got "0"'),
+    ("phase-start-a-fraction", EXIT_ANALYSIS, "manifest.json", "phases[3].startUs must be an integer, got 0.5"),
+    ("phase-start-null", EXIT_ANALYSIS, "manifest.json", "phases[3].startUs must be an integer, got null"),
+    ("seed-a-string", EXIT_ANALYSIS, "manifest.json", 'seed must be an integer, got "seven"'),
+    ("manifest-an-array", EXIT_ANALYSIS, "manifest.json", "expected an object, got [1]"),
+]
+
+
+@pytest.mark.parametrize("case, code, named, words", BAD_ANALYZE_INPUTS, ids=[c[0] for c in BAD_ANALYZE_INPUTS])
+def test_analyze_ends_in_one_line_on_bad_input(tmp_path, capsys, streaming_run, case, code, named, words):
     # ``named`` is the file the line must name, relative to the run directory
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     log = run_dir / "raw.log"
     log.write_text(HEADER_LINE + "\n")
-    if case == "manifest-without-run-id":
+    if case in MANIFEST_CHANGES:
+        # the streaming run's last phase is a burst, so analyze reads every field of phases[3]
+        log.write_bytes((streaming_run / "raw.log").read_bytes())
+        manifest = json.loads((streaming_run / "manifest.json").read_text())
+        (run_dir / "manifest.json").write_text(json.dumps(_changed(manifest, *MANIFEST_CHANGES[case])))
+    elif case == "manifest-without-run-id":
         (run_dir / "manifest.json").write_text(json.dumps({"benchmark": "webshop", "phases": []}))
     elif case == "manifest-not-json":
         (run_dir / "manifest.json").write_text("{not json")
+    elif case == "manifest-nested-too-deep":
+        (run_dir / "manifest.json").write_text("[" * 100_000 + "]" * 100_000)
     elif case == "log-not-utf8":
         log.write_bytes(HEADER_LINE.encode() + b"\n\xff\xfe\n")
     target = run_dir if case == "directory" else log
     assert run_cli("analyze", str(target), "--out", str(tmp_path / "r")) == code
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and str(run_dir / named) in err
+    assert err.count("\n") == 1 and str(run_dir / named) in err and words in err, err
 
 
 def test_analyze_empty_file_with_header(tmp_path, capsys):

@@ -1,10 +1,11 @@
-"""Every malformed application, config or profile document ends in a
+"""Every malformed application, config, profile or run manifest ends in a
 documented exit code, never in a traceback.
 
-Each example takes a shipped document, changes it at one drawn place and
-drives ``cli.main`` in-process: ``validate`` for the application, ``run`` for
-the config and the profile. Property-based testing after Hypothesis (MacIver
-et al., JOSS 2019).
+Each example takes a shipped document (or a real run's ``manifest.json``),
+changes it at one drawn place and drives ``cli.main`` in-process: ``validate``
+for the application, ``run`` for the config and the profile, ``analyze`` for
+the manifest. Property-based testing after Hypothesis (MacIver et al., JOSS
+2019).
 """
 
 import contextlib
@@ -49,22 +50,23 @@ def _paths(node, path=()):
 
 @st.composite
 def mutated(draw, doc):
-    """``doc`` with one drawn change: a value set, a key or item deleted, or
-    the whole document wrapped in a list."""
+    """``doc`` with one drawn change: a value set (often to another JSON
+    type), a key or item deleted, or a value, the whole document included,
+    wrapped in a list."""
     doc = copy.deepcopy(doc)
     action = draw(st.sampled_from(["set", "delete", "wrap"]))
-    if action == "wrap":
-        return [doc]
     paths = list(_paths(doc))
-    path = draw(st.sampled_from(paths if action == "set" else paths[1:]))
-    if action == "set" and not path:
-        return draw(VALUES)
+    path = draw(st.sampled_from(paths[1:] if action == "delete" else paths))
+    if not path:
+        return draw(VALUES) if action == "set" else [doc]
     *parents, last = path
     node = doc
     for key in parents:
         node = node[key]
     if action == "set":
         node[last] = draw(VALUES)
+    elif action == "wrap":
+        node[last] = [node[last]]
     else:
         del node[last]
     return doc
@@ -112,3 +114,16 @@ def test_a_mutated_config_runs_or_exits_in_one_line(doc):
 @given(doc=mutated(builtin_profile("streaming").to_dict()))
 def test_a_mutated_profile_runs_or_exits_in_one_line(doc):
     _check("profile", doc, "streaming")
+
+
+@FUZZ
+@given(data=st.data())
+def test_a_mutated_manifest_analyzes_or_exits_in_one_line(streaming_run, data):
+    doc = data.draw(mutated(json.loads((streaming_run / "manifest.json").read_text())))
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "raw.log"
+        log.write_bytes((streaming_run / "raw.log").read_bytes())
+        (Path(tmp) / "manifest.json").write_text(json.dumps(doc))
+        code, out, err = _main("analyze", str(log), "--out", str(Path(tmp) / "reports"))
+    assert code in (0, 5)
+    assert err.count("\n") == (1 if code else 0), (code, out, err)

@@ -40,13 +40,20 @@ object that survives, to free nothing.
 The analyzer takes the log as text or as its lines (the run hands over the
 sinks' line list, ``analyze_file`` the file's lines as it reads them), so it
 never needs a joined copy of the log. Each parsed record shares one string
-per value of the columns that take a handful of values in a run: run id,
-platform, kind, function, callee, mode and db op (``records.parse_record``).
-A run's hundreds of thousands of records name a few dozen functions, and a
-copy of these strings per record made up about 40% of the parsed records'
-memory (factory-events: 66,600 records, 48.1 MB copied, 28.0 MB shared).
-The dicts keyed on these columns also compare shared strings by identity
-before their characters.
+per value of the columns whose values repeat across a run's lines: run id,
+platform, kind, function, callee, mode, db op, context id and executor key
+(``records.parse_record``). A run's hundreds of thousands of records name a
+few dozen functions, a few dozen records share each context and a few
+hundred invocations each executor, so a copy of these strings per record
+made up most of the parsed records' memory (factory-events: 66,600 records,
+48.1 MB with every string copied, 28.0 MB with the names shared, 20.3 MB
+with the ids shared too, by ``tracemalloc``). Only the pair ids stay the
+line's own strings. The dicts keyed on these columns also compare shared
+strings by identity before their characters.
+
+``build_trees`` sorts each context's nodes once and its call and store
+records once, each by (start, pair id); the owner lists, the orphans and
+every node's calls and db calls take their order from those sorts.
 
 All quantiles are nearest-rank; whiskers extend to the most extreme values
 within 1.5 interquartile ranges of the quartiles.
@@ -58,6 +65,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -140,13 +148,15 @@ def parse_logs(text_or_lines) -> tuple[list[TraceRecord], ParseReport]:
 # call trees
 
 
-@dataclass
+# slotted: a run builds a node per invocation and an edge per call, and a slot
+# instance carries no per-instance __dict__
+@dataclass(slots=True)
 class TreeEdge:
     record: TraceRecord  # OUTGOING_CALL
     child: "TreeNode | None" = None
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     record: TraceRecord  # INVOCATION
     calls: list[TreeEdge] = field(default_factory=list)
@@ -194,6 +204,11 @@ class CallTree:
         return out
 
 
+# the (start, pair id) sort key of a record and of a node
+_start_pair = attrgetter("start_us", "pair_id")
+_node_start_pair = attrgetter("record.start_us", "record.pair_id")
+
+
 def build_trees(records: list[TraceRecord]) -> list[CallTree]:
     """One tree per load-generator root call; a context with none yields one
     rootless tree, so every context of the log has a tree.
@@ -226,21 +241,29 @@ def build_trees(records: list[TraceRecord]) -> list[CallTree]:
     trees: list[CallTree] = []
     for ctx in sorted(by_ctx):
         invocations, roots, fn_calls, dbs = by_ctx[ctx]
-        roots.sort(key=lambda r: (r.start_us, r.pair_id))
+        if len(roots) > 1:
+            roots.sort(key=_start_pair)
 
         nodes: dict[str, TreeNode] = {}
         for r in invocations:
             if r.pair_id not in nodes:  # a replayed invocation keeps its first line
                 nodes[r.pair_id] = TreeNode(r)
+        # the context's one sort of its nodes: it orders each owner list and the orphans
+        ordered = list(nodes.values())
+        if len(ordered) > 1:
+            ordered.sort(key=_node_start_pair)
         by_owner: dict[tuple[str, str], list[TreeNode]] = {}
-        for node in nodes.values():
+        for node in ordered:
             by_owner.setdefault((node.record.platform_id, node.record.function), []).append(node)
-        for owner_nodes in by_owner.values():
-            owner_nodes.sort(key=lambda n: (n.record.start_us, n.record.pair_id))
 
         # the callee of each async call, by its pair id: the inbound pair of
         # the publisher invocation the call started
         published = {r.pair_id: r.callee for r in fn_calls if r.mode == MODE_ASYNC}
+        # placed in (start, pair id) order, so each node's calls and db calls come out sorted
+        if len(fn_calls) > 1:
+            fn_calls.sort(key=_start_pair)
+        if len(dbs) > 1:
+            dbs.sort(key=_start_pair)
         dangling = False
         for rec in fn_calls + dbs:
             owner = _find_owner(by_owner, rec, published)
@@ -250,9 +273,6 @@ def build_trees(records: list[TraceRecord]) -> list[CallTree]:
                 owner.db_calls.append(rec)
             else:
                 owner.calls.append(TreeEdge(rec))
-        for node in nodes.values():
-            node.calls.sort(key=lambda e: (e.record.start_us, e.record.pair_id))
-            node.db_calls.sort(key=lambda r: (r.start_us, r.pair_id))
 
         consumed: set[str] = set()
         unmatched = False
@@ -268,15 +288,13 @@ def build_trees(records: list[TraceRecord]) -> list[CallTree]:
             linked.append((root, root_node))
 
         orphans: list[TreeNode] = []
-        for pair in sorted(
-            (p for p in nodes if p not in consumed),
-            key=lambda p: (nodes[p].record.start_us, p),
-        ):
+        for node in ordered:
+            pair = node.record.pair_id
             if pair in consumed:
                 continue
             consumed.add(pair)
-            unmatched |= _link(nodes[pair], nodes, consumed)
-            orphans.append(nodes[pair])
+            unmatched |= _link(node, nodes, consumed)
+            orphans.append(node)
 
         # the context's one verdict; a call or root logged twice is unmatched (its invocation
         # is linked by then), and most contexts have too few store records to need their set
@@ -628,7 +646,7 @@ class RunAnalysis:
 
     @property
     def incomplete_trees(self) -> int:
-        return sum(1 for t in self.trees if not t.complete)
+        return len(self.trees) - self.complete_trees
 
     def summaries(self) -> dict[str, dict[str, SummaryStats]]:
         return {metric: summarize(groups) for metric, groups in self.metrics.items()}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .distributions import Duration, read
+from .distributions import Duration, read, read_document
 from .records import is_log_name
 
 HTTP_SYNC = "http-sync"
@@ -178,7 +178,7 @@ class ApplicationSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ApplicationSpec":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(read_document(text, InvalidApplication))
 
     @classmethod
     def load(cls, path: str | Path) -> "ApplicationSpec":

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .applications import EVENT_ASYNC, ApplicationSpec, FunctionSpec, InvalidApplication, validate
-from .distributions import MAX_SAMPLE_US, Duration, constant, read
+from .distributions import MAX_SAMPLE_US, Duration, constant, read, read_document
 from .records import LOADGEN, is_log_name
 
 PUBLISHER_PREFIX = "__publisher_"
@@ -174,7 +174,7 @@ class DeploymentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "DeploymentConfig":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(read_document(text, DeploymentError))
 
     @classmethod
     def load(cls, path: str | Path) -> "DeploymentConfig":

@@ -6,7 +6,8 @@ to integer microseconds. Supported forms: ``constant(x)``, ``uniform(a,b)``,
 and no sample the generator can draw may reach ``MAX_SAMPLE_US``.
 
 ``read`` reads one field of a JSON input document (application, deployment
-config, load profile) as exactly one JSON type, durations included.
+config, load profile) as exactly one JSON type, durations included;
+``read_document`` parses the document itself.
 """
 
 from __future__ import annotations
@@ -146,6 +147,16 @@ def parse_duration(text: str) -> Duration:
 REQUIRED = object()
 _JSON_TYPES = {str: "a string", int: "an integer", float: "a number", bool: "true or false", dict: "an object",
                list: "an array"}
+
+
+def read_document(text: str, error: type[Exception]):
+    """The JSON value of ``text``. A document nested too deeply for Python's
+    JSON reader raises ``error``, not RecursionError; text that is not JSON
+    raises ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise error(f"JSON nested too deeply: {exc}") from None
 
 
 def read(d: dict, key: str, kind, error: type[Exception], default=REQUIRED, where: str = ""):

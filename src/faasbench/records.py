@@ -107,10 +107,13 @@ _DB_OP_OF = {_NONE: None, "get": "get", "set": "set"}
 def parse_record(line: str) -> TraceRecord:
     """Parse one data line; raises ValueError/MalformedRecord on bad input.
 
-    The columns that take a handful of distinct values in a run (run id,
-    platform, kind, function, callee, mode and db op) come out as one shared
-    string per value: the kind, mode and db op from fixed tables, the names
-    through ``sys.intern``.
+    The columns whose values repeat across the lines of a run (run id,
+    platform, kind, function, callee, mode, db op, context id and executor
+    key) come out as one shared string per value: the kind, mode and db op
+    from fixed tables, the names and ids through ``sys.intern``. A context id
+    is shared by every record of its workflow, an executor key by every
+    invocation it served. The pair ids stay the line's own strings: a pair id
+    names at most a call and its invocation, so sharing it saves little.
     """
     fields = line.split("\t")
     if len(fields) != _FIELD_COUNT:
@@ -122,12 +125,12 @@ def parse_record(line: str) -> TraceRecord:
     kind = _KIND_OF.get(kind, kind)
     callee = None if callee == _NONE else _intern(callee)
     mode = _MODE_OF.get(mode, mode)
-    executor_key = None if executor_key == _NONE else executor_key
+    executor_key = None if executor_key == _NONE else _intern(executor_key)
     cold = None if cold == _NONE else cold == "1"
     db_op = _DB_OP_OF.get(db_op, db_op)
     _check_fields(kind, start, end, callee, mode, executor_key, cold, db_op)
-    return _new_record(TraceRecord, (_intern(run_id), _intern(platform_id), kind, _intern(function), context_id,
-                                     pair_id, start, end, callee, mode, executor_key, cold, db_op))
+    return _new_record(TraceRecord, (_intern(run_id), _intern(platform_id), kind, _intern(function),
+                                     _intern(context_id), pair_id, start, end, callee, mode, executor_key, cold, db_op))
 
 
 def is_log_name(name: object) -> bool:

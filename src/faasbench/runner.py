@@ -29,7 +29,7 @@ from .deployment import (
     deploy_all,
     teardown,
 )
-from .distributions import REQUIRED, constant, read
+from .distributions import REQUIRED, constant, read, read_document
 from .simulator import GroundTruth, SimEnvironment
 from .workload import ExecutionStats, LoadProfile, execute, schedule, validate_profile_against_app
 
@@ -219,11 +219,11 @@ def _read_phases(manifest_path: Path) -> list[PhaseWindow]:
     type (``MANIFEST_FIELDS``, ``PHASE_FIELDS``); raises AnalysisError naming
     the file and the first bad field."""
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = read_document(manifest_path.read_text(), AnalysisError)
         fields = {key: read(manifest, key, kind, AnalysisError, None if key in OPTIONAL_MANIFEST_FIELDS else REQUIRED)
                   for key, kind in MANIFEST_FIELDS.items()}
         return [PhaseWindow(*(read(p, key, kind, AnalysisError, where=f"phases[{i}].")
                               for key, kind in PHASE_FIELDS.items()))
                 for i, p in enumerate(fields["phases"] or ())]
-    except (AnalysisError, ValueError, RecursionError) as exc:  # a bad field; not JSON, not UTF-8 or nested too deep
+    except (AnalysisError, ValueError) as exc:  # a bad field, nested too deep; not JSON or not UTF-8
         raise AnalysisError(f"{manifest_path}: not a run manifest: {exc}") from None

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import MAX_SAMPLE_US, REQUIRED, read
+from .distributions import MAX_SAMPLE_US, REQUIRED, read, read_document
 from .records import LOADGEN
 from .simulator import SimEnvironment, UnknownEndpoint
 
@@ -179,7 +179,7 @@ class LoadProfile:
 
     @classmethod
     def from_json(cls, text: str) -> "LoadProfile":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(read_document(text, ProfileError))
 
     @classmethod
     def load(cls, path: str | Path) -> "LoadProfile":

@@ -185,13 +185,14 @@ def test_parsed_records_share_one_string_per_column_value(tmp_path):
     from_lines, _ = parse_logs(result.env.collect_log(result.run_id))
     from_text, _ = parse_logs(result.log_text)
     records = from_lines + from_text
-    for column in ("run_id", "platform_id", "kind", "function", "callee", "mode", "db_op"):
+    for column in ("run_id", "platform_id", "kind", "function", "callee", "mode", "db_op", "context_id",
+                   "executor_key"):
         values, objects = _column_values(records, column)
         assert len(objects) == len(values), column
     # the kinds and modes are the module's own constants
     assert _column_values(records, "kind")[1] == {id(INVOCATION), id(OUTGOING_CALL), id(DB_CALL)}
     assert _column_values(records, "mode")[1] == {id(MODE_SYNC), id(MODE_ASYNC), id(MODE_TRIGGER)}
-    # the per-record ids stay the line's own strings
+    # pair ids stay the line's own strings
     values, objects = _column_values(records, "pair_id")
     assert len(objects) == len(records) and len(values) < len(records)
 

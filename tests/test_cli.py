@@ -442,6 +442,20 @@ def test_an_input_path_that_is_a_directory_exits_in_one_line(tmp_path, capsys, f
     assert capsys.readouterr().err == f"{prefix}: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
+@pytest.mark.parametrize("flag", ["app", "run-app", "--config", "--profile"])
+def test_an_input_nested_too_deeply_exits_in_one_line(tmp_path, capsys, flag):
+    # past Python's recursion limit, so json.loads raises RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {"app": ("validate", str(deep)), "run-app": ("run", str(deep)),
+            "--config": ("run", "webshop", "--config", str(deep)),
+            "--profile": ("run", "webshop", "--profile", str(deep))}[flag]
+    assert run_cli(*argv, *(("--out", str(tmp_path / "out")) if flag != "app" else ())) == EXIT_CONFIG
+    prefix = "cannot load application" if flag == "app" else "configuration error"
+    err = capsys.readouterr().err
+    assert err.startswith(f"{prefix}: JSON nested too deeply: maximum recursion depth") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("command", ["run", "run-env", "recipes", "analyze"])
 def test_an_out_that_names_a_file_exits_in_one_line(tmp_path, capsys, monkeypatch, command):
     taken = tmp_path / "taken"

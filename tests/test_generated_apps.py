@@ -1,5 +1,5 @@
 """The analyzer's guarantees on generated applications, checked against the
-simulator's ground truth.
+simulator's ground truth, and its indifference to the order of a log's lines.
 
 Each application stays inside the domain where parent attribution is exact:
 every function is the target of at most one step, and entry points of none,
@@ -12,6 +12,7 @@ import tempfile
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from faasbench.analysis import METRIC_NAMES, build_trees, decompose, parse_logs
 from faasbench.applications import (
     EVENT_ASYNC,
     HTTP_SYNC,
@@ -26,9 +27,11 @@ from faasbench.applications import (
 )
 from faasbench.deployment import DeploymentConfig, PlatformSpec, ServiceBinding
 from faasbench.distributions import parse_duration
+from faasbench.records import DB_CALL
 from faasbench.runner import default_config, run_benchmark
+from faasbench.workload import execute, schedule
 
-from conftest import burst_profile, parallel_publish_app, truth_edges_by_context
+from conftest import burst_profile, deployed_env, parallel_publish_app, truth_edges_by_context
 
 SERVICE = "kv"
 COMPUTE = ("constant(0)", "constant(2)", "lognormal(3,0.5)", "uniform(1,4)")
@@ -117,3 +120,36 @@ def test_generated_app_trees_match_ground_truth(case, flows, seed):
     assert len(analysis.breakdowns) == len(analysis.trees)
     assert {bd.conservation_residual_us for bd in analysis.breakdowns} == {0}
     assert analysis.cold_flag_mismatches == 0
+
+
+def _trees_as_read(records):
+    """Everything ``build_trees`` and ``decompose`` read from a log: per tree
+    its context, verdict, edges and every node's calls and db calls as pair
+    ids; the breakdowns; and the metric rows in their append order."""
+    trees = build_trees(records)
+    metrics = {name: {} for name in METRIC_NAMES}
+    breakdowns = [decompose(tree, metrics) for tree in trees if tree.complete]
+    shapes = [(tree.context_id, tree.complete, tree.edge_set(),
+               [(node.record.pair_id, [e.record.pair_id for e in node.calls], [d.pair_id for d in node.db_calls])
+                for node in tree.nodes()])
+              for tree in trees]
+    return shapes, breakdowns, metrics
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(generated_apps(), st.just((_TIE_APP, default_config(_TIE_APP)))), flows=st.integers(1, 4),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_trees_do_not_depend_on_the_order_of_the_lines(case, flows, seed, data):
+    # a log with no repeated line, in log order and permuted; a lost line (never a
+    # store call, whose loss the log cannot show) leaves orphans and incomplete trees
+    app, config = case
+    env, plan, handle = deployed_env(app, config, seed=seed)
+    execute(schedule(burst_profile([fn.name for fn in app.entry_points()], flows), env.loadgen_rng), plan, env)
+    env.run_until_idle()
+    records, _ = parse_logs(env.collect_log(handle.run_id))
+    lost = data.draw(st.sampled_from([None] + [i for i, r in enumerate(records) if r.kind != DB_CALL]))
+    if lost is not None:
+        records = records[:lost] + records[lost + 1:]
+    expected = _trees_as_read(records)
+    for _ in range(2):
+        assert _trees_as_read(data.draw(st.permutations(records))) == expected

@@ -27,10 +27,17 @@ analysis, when the run writes ``raw.log``. ``analyze_other`` is the analysis
 outside parse, trees, decompose and the record metrics. ``other`` is the rest
 of the run: validation, compile, deploy and the manifest.
 
+After each run, a second fresh process analyzes the run's ``raw.log`` with
+``runner.analyze_file``, the offline ``faasbench analyze``; its
+``analyze_file`` row holds the call's wall time, the process's ``ru_maxrss``
+when it returned, and the sha256 of the ``summary.json`` it wrote, which
+must equal the run's.
+
 The file also records the git revision of the measured ``src`` (and whether
 its tracked files differ from it), the Python and numpy versions, and the
-sha256 of each run's ``raw.log`` and ``summary.json``. Two files are
-comparable only when those digests are equal.
+sha256 of each run's ``raw.log`` and ``summary.json``, read in 1 MB chunks so
+the digest adds no copy of the log to the peak. Two files are comparable
+only when those digests are equal.
 """
 
 from __future__ import annotations
@@ -81,7 +88,11 @@ def maxrss_mb() -> float:
 
 
 def sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 class StageTimer:
@@ -125,16 +136,24 @@ def source_revision(package_dir: Path) -> dict:
             "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no", "--", "."))}
 
 
-def measure(name: str) -> dict:
-    """One run of ``RUNS[name]`` in this process, with its stages timed."""
+def timed_owners() -> dict:
+    """The module or class each ``TIMED`` row names, by its name there."""
+    from faasbench import analysis, runner
+    from faasbench.analysis import RunAnalysis
+    from faasbench.simulator import SimEnvironment
+
+    return {"runner": runner, "analysis": analysis, "SimEnvironment": SimEnvironment, "RunAnalysis": RunAnalysis}
+
+
+def measure(name: str, out_dir: str) -> dict:
+    """One run of ``RUNS[name]`` into ``out_dir``, in this process, with its
+    stages timed."""
     import numpy
 
     import faasbench
-    from faasbench import analysis, runner
-    from faasbench.analysis import RunAnalysis
+    from faasbench import runner
     from faasbench.benchmarks import builtin_profile, load_builtin
     from faasbench.recipes import recipe
-    from faasbench.simulator import SimEnvironment
 
     bench, recipe_name, scale = RUNS[name]
     app = load_builtin(bench)
@@ -145,19 +164,18 @@ def measure(name: str) -> dict:
         config, profile = r.config, r.profile
 
     timer = StageTimer()
-    owners = {"runner": runner, "analysis": analysis, "SimEnvironment": SimEnvironment, "RunAnalysis": RunAnalysis}
+    owners = timed_owners()
     for owner, attr, stage in TIMED:
         setattr(owners[owner], attr, timer.wrap(getattr(owners[owner], attr), stage))
 
-    with tempfile.TemporaryDirectory() as tmp:
-        start = time.perf_counter()
-        result = runner.run_benchmark(app, config, profile, seed=SEED, out_dir=tmp, scale=scale,
-                                      benchmark_name=bench)
-        total_s = time.perf_counter() - start
-        records = result.analysis.parse.records
-        digests = {"raw_log_sha256": sha256(result.log_path),
-                   "summary_sha256": sha256(result.run_dir / "reports" / "summary.json")}
-        log_bytes = result.log_path.stat().st_size
+    start = time.perf_counter()
+    result = runner.run_benchmark(app, config, profile, seed=SEED, out_dir=out_dir, scale=scale,
+                                  benchmark_name=bench)
+    total_s = time.perf_counter() - start
+    records = result.analysis.parse.records
+    digests = {"raw_log_sha256": sha256(result.log_path),
+               "summary_sha256": sha256(result.run_dir / "reports" / "summary.json")}
+    log_bytes = result.log_path.stat().st_size
 
     stages = timer.stages
     analysis_start, analysis_start_rss = timer.first_start["analyze_other"]
@@ -172,6 +190,7 @@ def measure(name: str) -> dict:
         "scale": scale,
         "seed": SEED,
         "records": records,
+        "log": str(result.log_path),
         "log_bytes": log_bytes,
         "total_s": round(total_s, 4),
         "maxrss_mb": round(maxrss_mb(), 1),
@@ -188,21 +207,50 @@ def measure(name: str) -> dict:
     }
 
 
+def analyze_offline(log: str, out_dir: str) -> dict:
+    """``runner.analyze_file`` on a run's raw.log, in this process."""
+    from faasbench import runner
+
+    start = time.perf_counter()
+    runner.analyze_file(log, out_dir)
+    wall_s = time.perf_counter() - start
+    return {"wall_s": round(wall_s, 4), "maxrss_mb": round(maxrss_mb(), 1),
+            "summary_sha256": sha256(Path(out_dir) / "summary.json")}
+
+
+def child(*args: str) -> dict:
+    """The JSON result of this script run in a fresh process with ``args``."""
+    proc = subprocess.run([sys.executable, __file__, *args], capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) == 2 and argv[0] == "--one":
-        print(json.dumps(measure(argv[1])))
+    if len(argv) == 3 and argv[0] == "--one":
+        print(json.dumps(measure(argv[1], argv[2])))
+        return 0
+    if len(argv) == 3 and argv[0] == "--analyze":
+        print(json.dumps(analyze_offline(argv[1], argv[2])))
         return 0
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
     runs = []
     for name in RUNS:
-        proc = subprocess.run([sys.executable, __file__, "--one", name], capture_output=True, text=True)
-        if proc.returncode != 0:
-            print(f"{name}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}", file=sys.stderr)
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                run = child("--one", name, tmp)
+                run["analyze_file"] = child("--analyze", run.pop("log"), str(Path(tmp) / "offline"))
+            except RuntimeError as exc:
+                print(f"{name}: {exc}", file=sys.stderr)
+                return 1
+        if run["analyze_file"]["summary_sha256"] != run["summary_sha256"]:
+            print(f"{name}: offline analyze_file wrote another summary.json than the run", file=sys.stderr)
             return 1
-        run = json.loads(proc.stdout.strip().splitlines()[-1])
-        print(f"{name}: {run['records']} records, {run['total_s']:.2f} s, {run['maxrss_mb']:.0f} MB", file=sys.stderr)
+        print(f"{name}: {run['records']} records, {run['total_s']:.2f} s, {run['maxrss_mb']:.0f} MB; "
+              f"analyze_file {run['analyze_file']['wall_s']:.2f} s, {run['analyze_file']['maxrss_mb']:.0f} MB",
+              file=sys.stderr)
         runs.append(run)
     meta = {key: runs[0][key] for key in ("git_rev", "git_dirty", "python", "numpy")}
     for run in runs:

@@ -51,9 +51,15 @@ with the ids shared too, by ``tracemalloc``). Only the pair ids stay the
 line's own strings. The dicts keyed on these columns also compare shared
 strings by identity before their characters.
 
-``build_trees`` sorts each context's nodes once and its call and store
-records once, each by (start, pair id); the owner lists, the orphans and
-every node's calls and db calls take their order from those sorts.
+``build_trees`` makes one pass per context over the context's records, held
+in one list: it classifies them, sorts the nodes once and the call and store
+records once, each by (start, pair id), and takes the owner lists, the
+orphans and every node's calls and db calls in order from those sorts. A
+record's owner is found by bisect over its function's owner list. A context
+pays only for what it has: the async-call table is built only when it has an
+async call, a root node without calls is not linked, and the orphan scan
+runs only when a node is left unlinked. ``decompose`` walks a tree in one
+loop over one explicit stack, with no generator per node.
 
 All quantiles are nearest-rank; whiskers extend to the most extreme values
 within 1.5 interquartile ranges of the quartiles.
@@ -64,8 +70,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -173,7 +181,7 @@ class TreeNode:
                     stack.append(edge.child)
 
 
-@dataclass
+@dataclass(slots=True)
 class CallTree:
     """A root call (None in a context that has none) and the invocations linked below it;
     ``orphans`` (invocations whose inbound call is missing, and their subtrees) ride on a context's first tree."""
@@ -204,16 +212,18 @@ class CallTree:
         return out
 
 
-# the (start, pair id) sort key of a record and of a node
+# the (start, pair id) sort key of a record and of a node, and the start of a node
 _start_pair = attrgetter("start_us", "pair_id")
 _node_start_pair = attrgetter("record.start_us", "record.pair_id")
+_node_start = attrgetter("record.start_us")
 
 
 def build_trees(records: list[TraceRecord]) -> list[CallTree]:
     """One tree per load-generator root call; a context with none yields one
     rootless tree, so every context of the log has a tree.
 
-    Each context gets one verdict before its trees are built. It is lossy on
+    Each context gets one verdict, which sets ``complete`` on all of its
+    trees. It is lossy on
     an unmatched pair (a call or root whose invocation is missing or already
     linked), an orphan invocation, a caller-side record with no owner, or a
     pair id logged twice by records of one kind (INVOCATION, OUTGOING_CALL or
@@ -224,93 +234,114 @@ def build_trees(records: list[TraceRecord]) -> list[CallTree]:
     node, as in ``unique_invocations``. A lost DB_CALL is the one loss the
     schema cannot show: no pair of it reappears, so its tree stays complete
     and its store time is booked as compute."""
-    # per context: invocations, load-generator roots, function calls, db calls
-    by_ctx: dict[str, tuple[list, list, list, list]] = {}
+    by_ctx: defaultdict[str, list[TraceRecord]] = defaultdict(list)
     for r in records:
-        buckets = by_ctx.get(r.context_id)
-        if buckets is None:
-            buckets = by_ctx[r.context_id] = ([], [], [], [])
-        kind = r.kind
-        if kind == INVOCATION:
-            buckets[0].append(r)
-        elif kind == OUTGOING_CALL:
-            buckets[1 if r.platform_id == LOADGEN else 2].append(r)
-        elif kind == DB_CALL:
-            buckets[3].append(r)
+        by_ctx[r.context_id].append(r)
 
     trees: list[CallTree] = []
     for ctx in sorted(by_ctx):
-        invocations, roots, fn_calls, dbs = by_ctx[ctx]
-        if len(roots) > 1:
-            roots.sort(key=_start_pair)
-
+        # the context's records by kind, in log order
         nodes: dict[str, TreeNode] = {}
-        for r in invocations:
-            if r.pair_id not in nodes:  # a replayed invocation keeps its first line
-                nodes[r.pair_id] = TreeNode(r)
+        replayed = False  # an invocation pair id logged twice
+        roots: list[TraceRecord] = []
+        placed: list[TraceRecord] = []  # function and db calls, each placed under its owner
+        db_count = 0
+        # the callee of each async call by its pair id (the inbound pair of the
+        # publisher invocation the call started), when the context has one
+        published: dict[str, str] | None = None
+        for r in by_ctx[ctx]:
+            kind = r.kind
+            if kind == INVOCATION:
+                if r.pair_id in nodes:
+                    replayed = True  # a replayed invocation keeps its first line
+                else:
+                    nodes[r.pair_id] = TreeNode(r, [], [])
+            elif kind == OUTGOING_CALL:
+                if r.platform_id == LOADGEN:
+                    roots.append(r)
+                else:
+                    placed.append(r)
+                    if r.mode == MODE_ASYNC:
+                        if published is None:
+                            published = {}
+                        published[r.pair_id] = r.callee
+            elif kind == DB_CALL:
+                placed.append(r)
+                db_count += 1
+
         # the context's one sort of its nodes: it orders each owner list and the orphans
         ordered = list(nodes.values())
         if len(ordered) > 1:
             ordered.sort(key=_node_start_pair)
-        by_owner: dict[tuple[str, str], list[TreeNode]] = {}
-        for node in ordered:
-            by_owner.setdefault((node.record.platform_id, node.record.function), []).append(node)
+        lossy = replayed
+        if placed:
+            by_owner: dict[str, list[TreeNode]] = {}  # a function's invocations
+            for node in ordered:
+                by_owner.setdefault(node.record.function, []).append(node)
+            # placed in (start, pair id) order, so each node's calls and db calls come out sorted
+            if len(placed) > 1:
+                placed.sort(key=_start_pair)
+            for rec in placed:
+                owner = _find_owner(by_owner, rec, published)
+                if owner is None:
+                    lossy = True  # a caller-side record with no owner
+                elif rec.kind == DB_CALL:
+                    owner.db_calls.append(rec)
+                else:
+                    owner.calls.append(TreeEdge(rec))
+            # a call logged twice is unmatched below (its invocation is linked by then), a db call
+            # by its pair set, which most contexts have too few store records to need
+            if db_count > 1 and len({r.pair_id for r in placed if r.kind == DB_CALL}) != db_count:
+                lossy = True
 
-        # the callee of each async call, by its pair id: the inbound pair of
-        # the publisher invocation the call started
-        published = {r.pair_id: r.callee for r in fn_calls if r.mode == MODE_ASYNC}
-        # placed in (start, pair id) order, so each node's calls and db calls come out sorted
-        if len(fn_calls) > 1:
-            fn_calls.sort(key=_start_pair)
-        if len(dbs) > 1:
-            dbs.sort(key=_start_pair)
-        dangling = False
-        for rec in fn_calls + dbs:
-            owner = _find_owner(by_owner, rec, published)
-            if owner is None:
-                dangling = True
-            elif rec.kind == DB_CALL:
-                owner.db_calls.append(rec)
-            else:
-                owner.calls.append(TreeEdge(rec))
-
+        # the context's trees, judged complete once its verdict is in
+        context_trees: list[CallTree] = []
         consumed: set[str] = set()
-        unmatched = False
-        linked: list[tuple[TraceRecord, TreeNode | None]] = []  # (root, its node)
+        if len(roots) > 1:
+            roots.sort(key=_start_pair)
         for root in roots:
             root_node = nodes.get(root.pair_id)
             if root_node is None or root.pair_id in consumed:
-                unmatched = True
+                lossy = True  # an unmatched root, a root logged twice included
                 root_node = None
             else:
                 consumed.add(root.pair_id)
-                unmatched |= _link(root_node, nodes, consumed)
-            linked.append((root, root_node))
+                if root_node.calls and _link(root_node, nodes, consumed):
+                    lossy = True
+            context_trees.append(CallTree(ctx, root, root_node, False))
+        if not context_trees:
+            context_trees.append(CallTree(ctx, None, None, False))
 
-        orphans: list[TreeNode] = []
-        for node in ordered:
-            pair = node.record.pair_id
-            if pair in consumed:
-                continue
-            consumed.add(pair)
-            unmatched |= _link(node, nodes, consumed)
-            orphans.append(node)
+        if len(consumed) < len(nodes):  # consumed holds pair ids of nodes only
+            lossy = True  # an orphan invocation
+            orphans: list[TreeNode] = []
+            for node in ordered:
+                pair = node.record.pair_id
+                if pair not in consumed:
+                    consumed.add(pair)
+                    _link(node, nodes, consumed)
+                    orphans.append(node)
+            context_trees[0].orphans = tuple(orphans)
 
-        # the context's one verdict; a call or root logged twice is unmatched (its invocation
-        # is linked by then), and most contexts have too few store records to need their set
-        clean = not (unmatched or orphans or dangling or len(nodes) != len(invocations)
-                     or (len(dbs) > 1 and len({r.pair_id for r in dbs}) != len(dbs)))
-        for i, (root, root_node) in enumerate(linked or [(None, None)]):
-            trees.append(CallTree(context_id=ctx, root=root, root_node=root_node,
-                                  complete=clean and root_node is not None, orphans=tuple(orphans) if i == 0 else ()))
+        if not lossy:  # the context's one verdict
+            for tree in context_trees:
+                tree.complete = tree.root_node is not None
+        trees += context_trees
     return trees
 
 
-def _find_owner(by_owner: dict, rec: TraceRecord, published: dict[str, str]) -> TreeNode | None:
-    """The innermost invocation of ``rec``'s function that contains it. Each
-    owner list is sorted by (start, pair id), so the first containing
-    candidate from the end is the latest-starting one, and of equal starts
-    the one with the larger pair id."""
+def _find_owner(by_owner: dict[str, list[TreeNode]], rec: TraceRecord,
+                published: dict[str, str] | None) -> TreeNode | None:
+    """The innermost invocation of ``rec``'s function on ``rec``'s platform
+    that contains it. Each owner list holds one function's invocations, sorted
+    by (start, pair id): the candidates that start by ``rec``'s start are the
+    prefix a bisect finds, and the first of them from its end that runs on
+    ``rec``'s platform and contains ``rec`` is the latest-starting one, and of
+    equal starts the one with the larger pair id."""
+    candidates = by_owner.get(rec.function)
+    if candidates is None:
+        return None
+    platform = rec.platform_id
     # sync/db records complete within their invocation; an async record closes
     # when the publisher finishes, which may be after the caller's own end, so
     # only its send instant must fall inside the owner
@@ -319,10 +350,13 @@ def _find_owner(by_owner: dict, rec: TraceRecord, published: dict[str, str]) -> 
     # publishers of one context may start in the same microsecond; a trigger
     # record belongs to the one whose inbound async call names the same callee
     trigger = rec.mode == MODE_TRIGGER
-    for node in reversed(by_owner.get((rec.platform_id, rec.function), ())):
-        r = node.record
-        if r.start_us <= start and end <= r.end_us and (not trigger or published.get(r.pair_id) == rec.callee):
-            return node
+    i = bisect_right(candidates, start, key=_node_start)
+    while i:
+        i -= 1
+        r = candidates[i].record
+        if (end <= r.end_us and r.platform_id == platform
+                and (not trigger or (published.get(r.pair_id) if published else None) == rec.callee)):
+            return candidates[i]
     return None
 
 
@@ -352,7 +386,7 @@ def _link(node: TreeNode, nodes: dict[str, TreeNode], consumed: set[str]) -> boo
 # latency decomposition
 
 
-@dataclass
+@dataclass(slots=True)
 class LatencyBreakdown:
     """One complete tree's conserved totals; its metric rows live in the
     run's metric groups."""
@@ -372,103 +406,108 @@ class LatencyBreakdown:
 METRIC_NAMES = ("root_round_trip", "exec_duration", "compute", "network", "network_oneway", "db",
                 "publish_latency", "trigger_delay")
 
+_start_end = itemgetter(0, 1)  # the sort key of a node's (start, end, call) items
+
 
 def decompose(tree: CallTree, metrics: dict[str, dict[str, list]]) -> LatencyBreakdown:
     """Split a complete tree (a root node in a context ``build_trees`` found
     clean) into compute/network/db: append each tree-level metric row to its
     group in ``metrics`` (``RunAnalysis.metrics``, keyed by ``METRIC_NAMES``)
-    and return the tree's conserved totals; any other tree raises IncompleteTree."""
+    and return the tree's conserved totals; any other tree raises IncompleteTree.
+
+    The rows of a node, in order: per sync or db call by (start, end), the
+    call's rows, each sync call followed by the callee's subtree; the node's
+    compute; then per async call its publish and trigger rows, the triggered
+    subtrees and the publisher's compute. A node puts its rows and children,
+    in that order, on the walk's one explicit stack, so any depth works."""
     if not tree.complete:
         raise IncompleteTree(f"context {tree.context_id} is incomplete")
     root = tree.root
-    root_node = tree.root_node
-    metrics["root_round_trip"].setdefault(root.callee, []).append(root.duration_us)
-    bd = LatencyBreakdown(context_id=tree.context_id, entry_function=root.callee, root_round_trip_us=root.duration_us,
-                          total_compute_us=0, total_network_us=root.duration_us - root_node.record.duration_us,
-                          total_db_us=0)
-    # each node's step yields its children in visiting order; running the
-    # steps from an explicit stack keeps that order at any tree depth
-    stack = [_decompose_node(root_node, True, bd, metrics)]
+    root_rec = tree.root_node.record
+    round_trip = root.end_us - root.start_us
+    metrics["root_round_trip"].setdefault(root.callee, []).append(round_trip)
+    compute_rows = metrics["compute"]
+    db_rows = metrics["db"]
+    total_compute = total_db = 0
+    total_network = round_trip - (root_rec.end_us - root_rec.start_us)
+
+    # what is left to do, popped last first: (node, conserved) enters a node,
+    # (metric groups, group, value) appends a row
+    stack: list[tuple] = [(tree.root_node, True)]
     while stack:
-        for child, conserved in stack[-1]:
-            stack.append(_decompose_node(child, conserved, bd, metrics))
-            break
-        else:
-            stack.pop()
-    return bd
+        step = stack.pop()
+        if len(step) == 3:
+            groups, group, value = step
+            groups.setdefault(group, []).append(value)
+            continue
+        node, conserved = step
+        rec = node.record
+        calls = node.calls
+        items = [(e.record.start_us, e.record.end_us, e) for e in calls if e.record.mode == MODE_SYNC]
+        items += [(db.start_us, db.end_us, db) for db in node.db_calls]
+        if len(items) > 1:
+            items.sort(key=_start_end)
+        todo: list[tuple] = []  # the node's rows and children, in order
+        seq_sync_us = 0
+        seq_db_us = 0
+        block_wait_us = 0
+        i = 0
+        n = len(items)
+        while i < n:
+            cluster_start, cluster_end, _ = items[i]
+            j = i + 1
+            while j < n and items[j][0] < cluster_end:
+                if items[j][1] > cluster_end:
+                    cluster_end = items[j][1]
+                j += 1
+            in_block = j - i > 1
+            if in_block:
+                block_wait_us += cluster_end - cluster_start
+            for start, end, item in items[i:j]:
+                if type(item) is TreeEdge:
+                    child = item.child
+                    child_rec = child.record
+                    network = end - start - (child_rec.end_us - child_rec.start_us)
+                    todo.append((metrics["network"], f"{rec.function}->{child_rec.function}", network))
+                    todo.append((metrics["network_oneway"], f"{rec.platform_id}->{child_rec.platform_id}",
+                                 network / 2))
+                    todo.append((child, conserved and not in_block))
+                    if not in_block:
+                        seq_sync_us += end - start
+                        if conserved:
+                            total_network += network
+                else:
+                    todo.append((db_rows, f"{rec.platform_id}/{item.callee}", end - start))
+                    if not in_block:
+                        seq_db_us += end - start
+            i = j
 
+        compute = rec.end_us - rec.start_us - seq_sync_us - seq_db_us - block_wait_us
+        todo.append((compute_rows, rec.function, compute))
+        if conserved:
+            total_compute += compute
+            total_db += seq_db_us
+            total_network += block_wait_us
 
-def _decompose_node(node: TreeNode, conserved: bool, bd: LatencyBreakdown, metrics: dict[str, dict[str, list]]):
-    """Append one node's metric rows to ``metrics`` and, when the node is
-    conserved, its components to ``bd``'s totals; yields each (child,
-    conserved) where the child's own rows belong in the append order."""
-    rec = node.record
-    async_edges = []
-    items: list[tuple[int, int, str, object]] = []
-    for e in node.calls:
-        mode = e.record.mode
-        if mode == MODE_SYNC:
-            items.append((e.record.start_us, e.record.end_us, "edge", e))
-        elif mode == MODE_ASYNC:
-            async_edges.append(e)
-    for db in node.db_calls:
-        items.append((db.start_us, db.end_us, "db", db))
-    items.sort(key=lambda it: (it[0], it[1]))
+        for e in calls:
+            if e.record.mode != MODE_ASYNC:
+                continue
+            pub = e.child
+            pub_rec = pub.record
+            group = f"{e.record.platform_id}->{pub_rec.platform_id}"
+            todo.append((metrics["publish_latency"], group,
+                         e.record.end_us - e.record.start_us - (pub_rec.end_us - pub_rec.start_us)))
+            triggered = [t.child for t in pub.calls if t.record.mode == MODE_TRIGGER]
+            for t in triggered:
+                todo.append((metrics["trigger_delay"], group, t.record.start_us - pub_rec.start_us))
+            for t in triggered:
+                todo.append((t, False))
+            # a publisher only forwards: all of its execution is compute, outside the root round trip
+            todo.append((compute_rows, pub_rec.function, pub_rec.end_us - pub_rec.start_us))
+        todo.reverse()
+        stack += todo
 
-    seq_sync_us = 0
-    seq_db_us = 0
-    block_wait_us = 0
-    i = 0
-    while i < len(items):
-        cluster = [items[i]]
-        cluster_end = items[i][1]
-        j = i + 1
-        while j < len(items) and items[j][0] < cluster_end:
-            cluster.append(items[j])
-            cluster_end = max(cluster_end, items[j][1])
-            j += 1
-        in_block = len(cluster) > 1
-        if in_block:
-            block_wait_us += cluster_end - cluster[0][0]
-        for start, end, kind, item in cluster:
-            if kind == "db":
-                db_rec: TraceRecord = item
-                metrics["db"].setdefault(f"{rec.platform_id}/{db_rec.callee}", []).append(db_rec.duration_us)
-                if not in_block:
-                    seq_db_us += db_rec.duration_us
-            else:
-                edge: TreeEdge = item
-                child = edge.child.record
-                network = edge.record.duration_us - child.duration_us
-                metrics["network"].setdefault(f"{rec.function}->{child.function}", []).append(network)
-                metrics["network_oneway"].setdefault(f"{rec.platform_id}->{child.platform_id}", []).append(network / 2)
-                if not in_block:
-                    seq_sync_us += edge.record.duration_us
-                    if conserved:
-                        bd.total_network_us += network
-                yield edge.child, conserved and not in_block
-        i = j
-
-    compute = rec.duration_us - seq_sync_us - seq_db_us - block_wait_us
-    metrics["compute"].setdefault(rec.function, []).append(compute)
-    if conserved:
-        bd.total_compute_us += compute
-        bd.total_db_us += seq_db_us
-        bd.total_network_us += block_wait_us
-
-    for e in async_edges:
-        pub = e.child
-        pub_rec = pub.record
-        group = f"{e.record.platform_id}->{pub_rec.platform_id}"
-        metrics["publish_latency"].setdefault(group, []).append(e.record.duration_us - pub_rec.duration_us)
-        triggered = [t.child for t in pub.calls if t.record.mode == MODE_TRIGGER]
-        if triggered:
-            metrics["trigger_delay"].setdefault(group, []).extend(
-                t.record.start_us - pub_rec.start_us for t in triggered)
-        for t in triggered:
-            yield t, False
-        # a publisher only forwards: all of its execution is compute, outside the root round trip
-        metrics["compute"].setdefault(pub_rec.function, []).append(pub_rec.duration_us)
+    return LatencyBreakdown(tree.context_id, root.callee, round_trip, total_compute, total_network, total_db)
 
 
 def trigger_metrics(metrics: dict[str, dict[str, list]]) -> tuple[dict[str, list], dict[str, list]]:
@@ -555,14 +594,14 @@ def coldstart_report(invocations: list[TraceRecord], phases: list[PhaseWindow] |
     return ColdstartReport(len(invocations), total_cold, per_phase, timeline)
 
 
+_start_end_pair = attrgetter("start_us", "end_us", "pair_id")
+
+
 def coldstart_crosscheck(records: list[TraceRecord]) -> int:
     """Recompute cold flags from first appearance of each executor key;
     returns the number of invocations whose logged flag disagrees. Pass
     ``unique_invocations`` to count a replayed line once."""
-    invs = sorted(
-        (r for r in records if r.kind == INVOCATION and r.executor_key),
-        key=lambda r: (r.start_us, r.end_us, r.pair_id),
-    )
+    invs = sorted((r for r in records if r.kind == INVOCATION and r.executor_key), key=_start_end_pair)
     first: dict[str, str] = {}
     for r in invs:
         first.setdefault(r.executor_key, r.pair_id)
@@ -601,9 +640,10 @@ def summary_stats(values) -> SummaryStats:
     p25 = nearest_rank(vals, 0.25)
     p75 = nearest_rank(vals, 0.75)
     iqr = p75 - p25
-    lo_limit = p25 - 1.5 * iqr
-    hi_limit = p75 + 1.5 * iqr
-    inside = [v for v in vals if lo_limit <= v <= hi_limit]
+    # the values inside the whisker limits are one run of the sorted values,
+    # and it holds the quartiles
+    low = bisect_left(vals, p25 - 1.5 * iqr)
+    high = bisect_right(vals, p75 + 1.5 * iqr)
     return SummaryStats(
         count=len(vals),
         min=vals[0],
@@ -611,8 +651,8 @@ def summary_stats(values) -> SummaryStats:
         p50=nearest_rank(vals, 0.5),
         p75=p75,
         max=vals[-1],
-        whisker_low=min(inside) if inside else None,
-        whisker_high=max(inside) if inside else None,
+        whisker_low=vals[low],
+        whisker_high=vals[high - 1],
     )
 
 
@@ -642,7 +682,7 @@ class RunAnalysis:
 
     @property
     def complete_trees(self) -> int:
-        return sum(1 for t in self.trees if t.complete)
+        return len(self.breakdowns)  # one breakdown per complete tree
 
     @property
     def incomplete_trees(self) -> int:
@@ -695,7 +735,7 @@ def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = Fal
 
     summaries = analysis.summaries()
 
-    def emit_csv(name: str, header: list[str], rows: list[list]) -> None:
+    def emit_csv(name: str, header: list[str], rows) -> None:
         path = out / name
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
@@ -714,11 +754,9 @@ def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = Fal
     emit_csv(
         "trees.csv",
         ["context", "entry", "root_round_trip_us", "compute_us", "network_us", "db_us", "residual_us"],
-        [
-            [bd.context_id, bd.entry_function, bd.root_round_trip_us, bd.total_compute_us,
-             bd.total_network_us, bd.total_db_us, bd.conservation_residual_us]
-            for bd in analysis.breakdowns
-        ],
+        ((bd.context_id, bd.entry_function, bd.root_round_trip_us, bd.total_compute_us,
+          bd.total_network_us, bd.total_db_us, bd.conservation_residual_us)
+         for bd in analysis.breakdowns),
     )
 
     emit_csv(

@@ -142,6 +142,14 @@ class DeploymentConfig:
     assignment: dict[str, str]
     service_bindings: dict[str, ServiceBinding] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # every later lookup is by id, so a second entry would silently replace the first
+        seen: set[str] = set()
+        for p in self.platforms:
+            if p.id in seen:
+                raise DeploymentError(f"platform id {p.id!r} is listed twice")
+            seen.add(p.id)
+
     @property
     def platform_ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.platforms)

@@ -279,6 +279,17 @@ def test_run_names_the_out_of_range_config_field(tmp_path, capsys, field, value,
     assert capsys.readouterr().err == f"configuration error: {reason}\n"
 
 
+def test_run_rejects_a_platform_listed_twice(tmp_path, capsys):
+    config = recipe("exp4-coldstart").config.to_dict()
+    config["platforms"].append(dict(config["platforms"][0], keepAliveSeconds=1))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli("run", "streaming", "--config", str(cfg), "--scale", "0.01",
+                   "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: platform id 'cloud-a' is listed twice\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _without(doc: dict, path: tuple) -> dict:
     """``doc`` with the field at ``path`` (keys and list indexes) deleted."""
     *parents, last = path

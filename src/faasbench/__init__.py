@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .applications import ApplicationSpec, InvalidApplication, UnknownBenchmark, call_graph, validate
+from .applications import ApplicationSpec, InvalidApplication, UnknownBenchmark, validate
 from .benchmarks import BENCHMARK_NAMES, builtin_profile, load_builtin
 from .deployment import DeploymentConfig, DeploymentPlan, PlatformSpec, compile, deploy_all, teardown
 from .simulator import SimEnvironment
@@ -19,7 +19,6 @@ __all__ = [
     "SimEnvironment",
     "UnknownBenchmark",
     "builtin_profile",
-    "call_graph",
     "compile",
     "deploy_all",
     "execute",

@@ -598,14 +598,17 @@ _start_end_pair = attrgetter("start_us", "end_us", "pair_id")
 
 
 def coldstart_crosscheck(records: list[TraceRecord]) -> int:
-    """Recompute cold flags from first appearance of each executor key;
-    returns the number of invocations whose logged flag disagrees. Pass
+    """Recompute cold flags from the first invocation of each executor key,
+    its least (start, end, pair id), kept as a running minimum; returns the
+    number of invocations whose logged flag disagrees. Pass
     ``unique_invocations`` to count a replayed line once."""
-    invs = sorted((r for r in records if r.kind == INVOCATION and r.executor_key), key=_start_end_pair)
-    first: dict[str, str] = {}
+    invs = [r for r in records if r.kind == INVOCATION and r.executor_key]
+    first: dict[str, tuple[int, int, str]] = {}
     for r in invs:
-        first.setdefault(r.executor_key, r.pair_id)
-    return sum(1 for r in invs if bool(r.cold_start) != (first[r.executor_key] == r.pair_id))
+        key = _start_end_pair(r)
+        if key < first.setdefault(r.executor_key, key):
+            first[r.executor_key] = key
+    return sum(1 for r in invs if bool(r.cold_start) != (first[r.executor_key][2] == r.pair_id))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ EVENT_ASYNC = "event-async"
 
 STEP_KINDS = ("compute", "call", "publish", "dbGet", "dbSet", "parallelBlock", "return")
 NAME_RULE = "must be a non-empty string other than '-', with no tab or line break"
+# deployment names the publisher it adds to a platform with this prefix
+PUBLISHER_PREFIX = "__publisher_"
 
 
 class UnknownBenchmark(KeyError):
@@ -149,10 +151,6 @@ class ApplicationSpec:
     external_services: tuple[str, ...] = ()
     metadata: str = ""
 
-    @property
-    def function_names(self) -> tuple[str, ...]:
-        return tuple(fn.name for fn in self.functions)
-
     def entry_points(self) -> tuple[FunctionSpec, ...]:
         return tuple(fn for fn in self.functions if fn.entry_point)
 
@@ -208,14 +206,13 @@ class ValidationReport:
         return {v.code for v in self.violations}
 
 
-def _walk_steps(body: tuple[BodyStep, ...]) -> Iterator[tuple[BodyStep, bool]]:
-    """Yield (step, inside_branch) over a body, depth first."""
+def walk_steps(body: tuple[BodyStep, ...]) -> Iterator[BodyStep]:
+    """Yield every step of a body, depth first: a parallel block, then the
+    steps of each of its branches."""
     for step in body:
-        yield step, False
-        if step.kind == "parallelBlock":
-            for branch in step.branches:
-                for inner, _ in _walk_steps(branch):
-                    yield inner, True
+        yield step
+        for branch in step.branches:
+            yield from walk_steps(branch)
 
 
 def validate(app: ApplicationSpec) -> ValidationReport:
@@ -230,6 +227,9 @@ def validate(app: ApplicationSpec) -> ValidationReport:
     for fn in app.functions:
         if not is_log_name(fn.name):
             violations.append(Violation("BadName", None, f"function name {fn.name!r} {NAME_RULE}"))
+        elif fn.name.startswith(PUBLISHER_PREFIX):
+            violations.append(Violation("BadName", None, f"function name {fn.name!r} starts with the reserved "
+                                                         f"publisher prefix {PUBLISHER_PREFIX!r}"))
         if fn.name in seen:
             violations.append(Violation("DuplicateName", fn.name, "function name is not unique"))
         seen.add(fn.name)
@@ -241,7 +241,7 @@ def validate(app: ApplicationSpec) -> ValidationReport:
     by_name = {fn.name: fn for fn in app.functions}
 
     for fn in app.functions:
-        for step, _ in _walk_steps(fn.body):
+        for step in walk_steps(fn.body):
             if step.kind not in STEP_KINDS:
                 violations.append(Violation("UnknownStepKind", fn.name, f"step kind {step.kind!r}"))
                 continue
@@ -263,18 +263,17 @@ def validate(app: ApplicationSpec) -> ValidationReport:
                 violations.append(Violation("BadParallelBlock", fn.name, "parallelBlock needs >= 2 branches"))
             if step.kind == "parallelBlock" and any(s.kind == "return" for b in step.branches for s in b[:-1]):
                 violations.append(Violation("ReturnNotLast", fn.name, "return must be the final step of its branch"))
-        for i, step in enumerate(fn.body):
-            if step.kind == "return" and i != len(fn.body) - 1:
-                violations.append(Violation("ReturnNotLast", fn.name, "return must be the final step"))
+        violations.extend(Violation("ReturnNotLast", fn.name, "return must be the final step")
+                          for step in fn.body[:-1] if step.kind == "return")
 
-    entries = [fn for fn in app.functions if fn.entry_point]
+    entries = app.entry_points()
     if not entries:
         violations.append(Violation("NoEntryPoint", None, "application has no entry point"))
 
     # Reachability and cycles over call/publish edges.
     if not any(v.code in ("DuplicateName", "UnknownTarget") for v in violations):
         succ = {
-            fn.name: [step.target for step, _ in _walk_steps(fn.body) if step.kind in ("call", "publish")]
+            fn.name: [step.target for step in walk_steps(fn.body) if step.kind in ("call", "publish")]
             for fn in app.functions
         }
         reachable = {fn.name for fn in entries}
@@ -317,40 +316,3 @@ def _find_cycle(succ: dict[str, list[str]]) -> list[str] | None:
                 path.append(target)
                 pending.append(iter(succ[target]))
     return None
-
-
-@dataclass(frozen=True)
-class CallGraph:
-    """Directed multigraph of application call edges, in deterministic order."""
-
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str, str], ...]  # (caller, callee, mode) with mode sync|async
-
-    def successors(self, name: str) -> tuple[str, ...]:
-        return tuple(callee for caller, callee, _ in self.edges if caller == name)
-
-    def reachable_from(self, name: str) -> set[str]:
-        seen = {name}
-        frontier = [name]
-        while frontier:
-            n = frontier.pop()
-            for succ in self.successors(n):
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
-        return seen
-
-
-def call_graph(app: ApplicationSpec) -> CallGraph:
-    """One edge per call/publish step occurrence, body order preserved."""
-    report = validate(app)
-    if not report.ok:
-        raise InvalidApplication("; ".join(str(v) for v in report.violations))
-    edges: list[tuple[str, str, str]] = []
-    for fn in app.functions:
-        for step, _ in _walk_steps(fn.body):
-            if step.kind == "call":
-                edges.append((fn.name, step.target, "sync"))
-            elif step.kind == "publish":
-                edges.append((fn.name, step.target, "async"))
-    return CallGraph(nodes=app.function_names, edges=tuple(edges))

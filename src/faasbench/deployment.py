@@ -3,12 +3,15 @@
 Compilation turns a declarative application plus a deployment configuration
 into one self-contained artifact per platform: every call and publish target
 is resolved to the id of the platform that hosts it, and a publisher function
-is synthesized for each platform hosting at least one event-async function
-(events are delivered to that publisher, which forwards them into the
-platform's trigger pipeline). Every network leg the application can take is
-bound too, as the sending side's ``networkLatency`` entry for the receiving
-side (both legs of a load-generator request use the entry point's platform's
-``loadgen`` entry), so a config that lacks one fails before any run starts.
+named ``__publisher_<platform id>`` is synthesized for each platform hosting
+at least one event-async function (events are delivered to that publisher,
+which forwards them into the platform's trigger pipeline; ``validate`` keeps
+the prefix out of application function names). Every network leg the
+application can take is bound too, as the sending side's ``networkLatency``
+entry for the receiving side (both legs of a load-generator request use the
+entry point's platform's ``loadgen`` entry), so a config that lacks one fails
+before any run starts. The plan holds the artifacts and the load generator's
+route to each entry point, all that a run reads.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
-from .applications import EVENT_ASYNC, ApplicationSpec, FunctionSpec, InvalidApplication, validate
+from .applications import (EVENT_ASYNC, PUBLISHER_PREFIX, ApplicationSpec, FunctionSpec, InvalidApplication,
+                           validate, walk_steps)
 from .distributions import MAX_SAMPLE_US, Duration, constant, read, read_document
 from .records import LOADGEN, is_log_name
 
-PUBLISHER_PREFIX = "__publisher_"
 # a platform's logged clock may be off by at most one day either way; real skew
 # between providers is milliseconds, so a larger offset is a config mistake
 MAX_CLOCK_OFFSET_MS = 86_400_000
@@ -215,15 +218,10 @@ class DeploymentArtifact:
     platform_id: str
     functions: tuple[ResolvedFunction, ...]
 
-    def function_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.functions)
-
 
 @dataclass(frozen=True)
 class DeploymentPlan:
     artifacts: tuple[DeploymentArtifact, ...]
-    placement: dict[str, str]  # function -> platform id
-    publisher_platforms: tuple[str, ...]  # sorted ids of the platforms that host a publisher
     entry_routes: dict[str, CallRoute]  # entry point -> the load generator's route to it
 
     def artifact(self, platform_id: str) -> DeploymentArtifact:
@@ -265,8 +263,6 @@ def compile(app: ApplicationSpec, cfg: DeploymentConfig) -> DeploymentPlan:  # n
             raise UnassignedFunction(fn.name)
         if pid not in specs:
             raise UnknownPlatform(pid)
-        if fn.name.startswith(PUBLISHER_PREFIX):
-            raise InvalidApplication(f"function name {fn.name!r} collides with reserved publisher prefix")
     for svc in app.external_services:
         binding = cfg.service_bindings.get(svc)
         if binding is None:
@@ -274,49 +270,40 @@ def compile(app: ApplicationSpec, cfg: DeploymentConfig) -> DeploymentPlan:  # n
         if binding.platform_id not in specs:
             raise UnknownPlatform(binding.platform_id)
 
-    placement = {fn.name: cfg.assignment[fn.name] for fn in app.functions}
-    publisher_platforms = tuple(sorted({placement[fn.name] for fn in app.functions if fn.trigger_kind == EVENT_ASYNC}))
-
     def resolve(fn: FunctionSpec) -> ResolvedFunction:
-        here = specs[placement[fn.name]]
+        here = specs[cfg.assignment[fn.name]]
         calls: dict[str, CallRoute] = {}
         publishes: dict[str, tuple[str, Duration]] = {}
         store = None
-        stack = list(fn.body)
-        while stack:
-            step = stack.pop()
+        for step in walk_steps(fn.body):
             if step.kind == "call":
-                there = specs[placement[step.target]]
+                there = specs[cfg.assignment[step.target]]
                 calls[step.target] = (there.id, here.leg(there.id), there.leg(here.id))
             elif step.kind == "publish":
-                pid = placement[step.target]
+                pid = cfg.assignment[step.target]
                 publishes[step.target] = (pid, here.leg(pid))
             elif step.kind in ("dbGet", "dbSet"):
                 # validate() guarantees a declared service; the first one serves
                 service = app.external_services[0]
                 store = (service, here.leg(service))
-            elif step.kind == "parallelBlock":
-                for branch in step.branches:
-                    stack.extend(branch)
         return ResolvedFunction(fn, calls, publishes, store)
 
     entry_routes: dict[str, CallRoute] = {}
     for fn in app.entry_points():
-        there = specs[placement[fn.name]]
+        there = specs[cfg.assignment[fn.name]]
         leg = there.leg(LOADGEN)
         entry_routes[fn.name] = (there.id, leg, leg)
 
     artifacts = []
     for pid in cfg.platform_ids:
-        fns = [resolve(fn) for fn in app.functions if placement[fn.name] == pid]
-        if pid in publisher_platforms:
+        fns = [resolve(fn) for fn in app.functions if cfg.assignment[fn.name] == pid]
+        if any(rfn.spec.trigger_kind == EVENT_ASYNC for rfn in fns):
             pub_spec = FunctionSpec(name=publisher_name(pid), trigger_kind=EVENT_ASYNC, body=())
             fns.append(ResolvedFunction(pub_spec, {}, {}, None))
         if fns:
             artifacts.append(DeploymentArtifact(platform_id=pid, functions=tuple(fns)))
 
-    return DeploymentPlan(artifacts=tuple(artifacts), placement=placement, publisher_platforms=publisher_platforms,
-                          entry_routes=entry_routes)
+    return DeploymentPlan(artifacts=tuple(artifacts), entry_routes=entry_routes)
 
 
 @dataclass

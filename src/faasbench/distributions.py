@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,11 +151,19 @@ _JSON_TYPES = {str: "a string", int: "an integer", float: "a number", bool: "tru
 
 
 def read_document(text: str, error: type[Exception]):
-    """The JSON value of ``text``. A document nested too deeply for Python's
-    JSON reader raises ``error``, not RecursionError; text that is not JSON
-    raises ValueError."""
+    """The JSON value of ``text``. An object that holds a key twice (plain
+    ``json.loads`` keeps the last) and a document nested too deeply for
+    Python's JSON reader raise ``error``; text that is not JSON raises
+    ValueError."""
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        d = dict(pairs)
+        if len(d) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            raise error(f"key {key!r} appears twice in one object")
+        return d
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except RecursionError as exc:
         raise error(f"JSON nested too deeply: {exc}") from None
 

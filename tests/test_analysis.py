@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import random
 import struct
 import zlib
 
@@ -619,6 +620,22 @@ def test_coldstart_crosscheck_detects_bad_flags():
         rec(INVOCATION, "fn", _id(2), 10, 15, executor_key=_id(7), cold_start=True),
     ]
     assert coldstart_crosscheck(bad) == 2
+    # the first invocation is the least (start, end, pair id), whatever the input order
+    five = [rec(INVOCATION, "fn", _id(i), 10 * i, 10 * i + 5, executor_key=_id(7), cold_start=i in (3, 6))
+            for i in (4, 3, 6, 5, 7)]
+    assert coldstart_crosscheck(five) == 1
+    for seed in range(5):
+        random.Random(seed).shuffle(five)
+        assert coldstart_crosscheck(five) == 1
+    # equal starts are ordered by end, then by pair id
+    by_end = [rec(INVOCATION, "fn", _id(1), 0, 9, executor_key=_id(7), cold_start=False),
+              rec(INVOCATION, "fn", _id(2), 0, 5, executor_key=_id(7), cold_start=True)]
+    assert coldstart_crosscheck(by_end) == 0
+    assert coldstart_crosscheck(by_end[::-1]) == 0
+    by_pair = [rec(INVOCATION, "fn", _id(2), 0, 5, executor_key=_id(7), cold_start=False),
+               rec(INVOCATION, "fn", _id(1), 0, 5, executor_key=_id(7), cold_start=True)]
+    assert coldstart_crosscheck(by_pair) == 0
+    assert coldstart_crosscheck(by_pair[::-1]) == 0
 
 
 # -- summaries ---------------------------------------------------------------

@@ -1,21 +1,22 @@
 import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from faasbench.applications import (
     ApplicationSpec,
     EVENT_ASYNC,
     FunctionSpec,
     HTTP_SYNC,
-    InvalidApplication,
     UnknownBenchmark,
     call,
-    call_graph,
     compute,
     db_get,
     parallel,
     publish,
     returns,
     validate,
+    walk_steps,
 )
 from faasbench.benchmarks import BENCHMARK_NAMES, load_builtin
 from faasbench.distributions import constant
@@ -46,37 +47,53 @@ def test_webshop_has_single_frontend_entry_and_a_store():
 
 def test_smartfactory_edges_are_all_async():
     app = load_builtin("smartfactory")
-    graph = call_graph(app)
-    assert graph.edges, "factory must have inter-function edges"
-    assert all(mode == "async" for _, _, mode in graph.edges)
-    assert ("orderSupplies", "orderPanel", "async") in graph.edges
-    assert ("orderSupplies", "orderCushion", "async") in graph.edges
+    edges = [(fn.name, step.kind, step.target) for fn in app.functions for step in walk_steps(fn.body)
+             if step.kind in ("call", "publish")]
+    assert edges, "factory must have inter-function edges"
+    assert all(kind == "publish" for _, kind, _ in edges)
+    assert ("orderSupplies", "publish", "orderPanel") in edges
+    assert ("orderSupplies", "publish", "orderCushion") in edges
 
 
-def test_webshop_reachability_from_frontend():
-    # independent oracle: networkx reachability over the same edge list
-    app = load_builtin("webshop")
-    graph = call_graph(app)
-    g = nx.MultiDiGraph()
-    g.add_nodes_from(graph.nodes)
-    g.add_edges_from((a, b) for a, b, _ in graph.edges)
-    reachable = nx.descendants(g, "frontend") | {"frontend"}
-    assert reachable == set(app.function_names)
-    assert graph.reachable_from("frontend") == reachable
+def test_walk_steps_descends_into_every_branch():
+    inner = parallel((call("c"),), (publish("d"),))
+    body = (compute(MS1), parallel((call("a"), inner), (publish("b"),)), returns())
+    assert [(s.kind, s.target) for s in walk_steps(body)] == [
+        ("compute", None), ("parallelBlock", None), ("call", "a"), ("parallelBlock", None), ("call", "c"),
+        ("publish", "d"), ("publish", "b"), ("return", None)]
 
 
-def test_call_graph_stable():
-    app = load_builtin("smartcity")
-    assert call_graph(app) == call_graph(app)
+@st.composite
+def random_graphs(draw):
+    """(application, networkx graph of its call and publish edges, entry
+    names): 1-6 functions of either trigger kind, any edges, self-edges
+    included, each placed at the top of a body or in a parallel branch, and
+    any set of http-sync entry points, the empty one included."""
+    n = draw(st.integers(1, 6))
+    names = [f"f{i}" for i in range(n)]
+    kinds = [draw(st.sampled_from((HTTP_SYNC, EVENT_ASYNC))) for _ in names]
+    entries = {name for name, kind in zip(names, kinds) if kind == HTTP_SYNC and draw(st.booleans())}
+    graph = nx.DiGraph()
+    graph.add_nodes_from(names)
+    functions = []
+    for name, kind in zip(names, kinds):
+        targets = draw(st.lists(st.integers(0, n - 1), max_size=4))
+        steps = [call(names[t]) if kinds[t] == HTTP_SYNC else publish(names[t]) for t in targets]
+        graph.add_edges_from((name, names[t]) for t in targets)
+        if len(steps) >= 2 and draw(st.booleans()):
+            steps = [steps[0], parallel(tuple(steps[1:]), (compute(MS1),))]
+        functions.append(FunctionSpec(name, kind, tuple(steps), entry_point=name in entries))
+    return ApplicationSpec("random", tuple(functions)), graph, entries
 
 
-def test_call_graph_single_function():
-    app = ApplicationSpec(
-        "tiny", (FunctionSpec("only", HTTP_SYNC, (compute(MS1),), entry_point=True),)
-    )
-    g = call_graph(app)
-    assert g.nodes == ("only",)
-    assert g.edges == ()
+@given(random_graphs())
+def test_validate_reachability_and_cycles_match_networkx(case):
+    # independent oracle: networkx over the same call and publish edges
+    app, graph, entries = case
+    violations = validate(app).violations
+    reachable = set(entries).union(*(nx.descendants(graph, e) for e in entries))
+    assert {v.function for v in violations if v.code == "Unreachable"} == set(graph) - reachable
+    assert any(v.code == "Cycle" for v in violations) == (not nx.is_directed_acyclic_graph(graph))
 
 
 def test_duplicate_name_violation():
@@ -167,12 +184,6 @@ def test_diamond_is_not_a_cycle():
     c = FunctionSpec("c", HTTP_SYNC, (call("d"),))
     d = FunctionSpec("d", HTTP_SYNC, (compute(MS1),))
     assert validate(ApplicationSpec("diamond", (a, b, c, d))).ok
-
-
-def test_call_graph_requires_valid_app():
-    fn = FunctionSpec("a", HTTP_SYNC, (call("missing"),), entry_point=True)
-    with pytest.raises(InvalidApplication):
-        call_graph(ApplicationSpec("bad", (fn,)))
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)

@@ -157,6 +157,18 @@ def test_validate_and_run_reject_a_name_that_breaks_the_log(tmp_path, capsys, fi
     assert not out.exists()
 
 
+def test_validate_and_run_reject_the_publisher_prefix(tmp_path, capsys):
+    # deployment names the publisher it adds to a platform "__publisher_<id>"
+    app, profile = _write_app_and_profile(tmp_path, fn="__publisher_x")
+    reason = "BadName: function name '__publisher_x' starts with the reserved publisher prefix '__publisher_'"
+    assert run_cli("validate", str(app)) == EXIT_CONFIG
+    assert capsys.readouterr().out == reason + "\n"
+    out = tmp_path / "out"
+    assert run_cli("run", str(app), "--profile", str(profile), "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"invalid application: {reason}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("pid, reason", [
     ("loadgen", "platform id 'loadgen' is reserved for the load generator"),
     *((name, f"platform id {name!r} must be a non-empty string other than '-', with no whitespace")
@@ -288,6 +300,35 @@ def test_run_rejects_a_platform_listed_twice(tmp_path, capsys):
                    "--out", str(tmp_path / "out")) == EXIT_CONFIG
     assert capsys.readouterr().err == "configuration error: platform id 'cloud-a' is listed twice\n"
     assert not (tmp_path / "out").exists()
+
+
+# document -> (text the first occurrence of which gains a repeat, the repeated key)
+KEYS_GIVEN_TWICE = {
+    "app": ('"entryPoint": true', '"entryPoint": false, "entryPoint": true', "entryPoint"),
+    "config": ('"assignment": {', '"assignment": {"registerUser": "nowhere", ', "registerUser"),
+    "profile": ('"thinkSeconds": 0.0', '"thinkSeconds": 0.0, "thinkSeconds": 5.0', "thinkSeconds"),
+}
+
+
+@pytest.mark.parametrize("document", KEYS_GIVEN_TWICE)
+def test_a_key_given_twice_in_one_object_exits_in_one_line(tmp_path, capsys, document):
+    # json.loads alone would keep the last value and run with it
+    r = recipe("exp4-coldstart")
+    doc = {"app": load_builtin(r.benchmark), "config": r.config, "profile": r.profile}[document].to_dict()
+    old, new, key = KEYS_GIVEN_TWICE[document]
+    text = json.dumps(doc)
+    assert old in text
+    path = tmp_path / "doc.json"
+    path.write_text(text.replace(old, new, 1))
+    out = tmp_path / "out"
+    if document == "app":
+        argv, prefix = ("validate", str(path)), "cannot load application"
+    else:
+        argv = ("run", r.benchmark, f"--{document}", str(path), "--scale", "0.01", "--out", str(out))
+        prefix = "configuration error"
+    assert run_cli(*argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"{prefix}: key {key!r} appears twice in one object\n"
+    assert not out.exists()
 
 
 def _without(doc: dict, path: tuple) -> dict:
@@ -553,6 +594,7 @@ BAD_ANALYZE_INPUTS = [
     ("phase-start-null", EXIT_ANALYSIS, "manifest.json", "phases[3].startUs must be an integer, got null"),
     ("seed-a-string", EXIT_ANALYSIS, "manifest.json", 'seed must be an integer, got "seven"'),
     ("manifest-an-array", EXIT_ANALYSIS, "manifest.json", "expected an object, got [1]"),
+    ("manifest-with-a-key-twice", EXIT_ANALYSIS, "manifest.json", "key 'runId' appears twice in one object"),
 ]
 
 
@@ -570,6 +612,8 @@ def test_analyze_ends_in_one_line_on_bad_input(tmp_path, capsys, streaming_run, 
         (run_dir / "manifest.json").write_text(json.dumps(_changed(manifest, *MANIFEST_CHANGES[case])))
     elif case == "manifest-without-run-id":
         (run_dir / "manifest.json").write_text(json.dumps({"benchmark": "webshop", "phases": []}))
+    elif case == "manifest-with-a-key-twice":
+        (run_dir / "manifest.json").write_text('{"runId": "a", "runId": "b", "benchmark": "webshop", "phases": []}')
     elif case == "manifest-not-json":
         (run_dir / "manifest.json").write_text("{not json")
     elif case == "manifest-nested-too-deep":

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from faasbench.applications import InvalidApplication
+from faasbench.applications import PUBLISHER_PREFIX, InvalidApplication, walk_steps
 from faasbench.benchmarks import load_builtin
 from faasbench.deployment import (
     AdapterFailure,
@@ -52,14 +52,18 @@ def three_platform_factory_config() -> DeploymentConfig:
     return exp3_three_way_factory().config
 
 
+def publisher_platforms(plan) -> list[str]:
+    """Ids of the platforms whose artifact carries a synthesized publisher."""
+    return [a.platform_id for a in plan.artifacts
+            if publisher_name(a.platform_id) in (rfn.name for rfn in a.functions)]
+
+
 def test_factory_three_way_split_artifacts_and_publishers():
     app = load_builtin("smartfactory")
     plan = compile_deployment(app, three_platform_factory_config())
     assert len(plan.artifacts) == 3
-    assert plan.publisher_platforms == ("couch", "cushion", "panel")
     # every artifact carries its synthesized publisher
-    for artifact in plan.artifacts:
-        assert publisher_name(artifact.platform_id) in artifact.function_names()
+    assert sorted(publisher_platforms(plan)) == ["couch", "cushion", "panel"]
 
 
 def test_webshop_single_platform_no_publishers():
@@ -67,7 +71,7 @@ def test_webshop_single_platform_no_publishers():
     cfg = single_platform_config(app, make_platform("cloud-a", peers={"keystore": 3}))
     plan = compile_deployment(app, cfg)
     assert len(plan.artifacts) == 1
-    assert plan.publisher_platforms == ()
+    assert publisher_platforms(plan) == []
 
 
 def test_endpoint_resolution_is_total():
@@ -77,28 +81,24 @@ def test_endpoint_resolution_is_total():
         r = recipe(name)
         app = load_builtin(r.benchmark)
         specs = {p.id: p for p in r.config.platforms}
+        placement = r.config.assignment
         plan = compile_deployment(app, r.config)
         for artifact in plan.artifacts:
             src = specs[artifact.platform_id]
             for rfn in artifact.functions:
-                stack = list(rfn.spec.body)
-                while stack:
-                    step = stack.pop()
+                assert rfn.name.startswith(PUBLISHER_PREFIX) or placement[rfn.name] == src.id
+                for step in walk_steps(rfn.spec.body):
                     if step.kind == "call":
-                        dst = specs[plan.placement[step.target]]
+                        dst = specs[placement[step.target]]
                         assert rfn.call_routes[step.target] == (dst.id, src.leg(dst.id), dst.leg(src.id))
                     elif step.kind == "publish":
-                        dst = specs[plan.placement[step.target]]
+                        dst = specs[placement[step.target]]
                         assert rfn.publish_routes[step.target] == (dst.id, src.leg(dst.id))
                     elif step.kind in ("dbGet", "dbSet"):
                         assert rfn.store == ("keystore", src.leg("keystore"))
-                    elif step.kind == "parallelBlock":
-                        for branch in step.branches:
-                            stack.extend(branch)
-        assert set(plan.placement) == set(app.function_names)
         assert set(plan.entry_routes) == {fn.name for fn in app.entry_points()}
         for entry, route in plan.entry_routes.items():
-            dst = specs[plan.placement[entry]]
+            dst = specs[placement[entry]]
             assert route == (dst.id, dst.leg(LOADGEN), dst.leg(LOADGEN))
 
 
@@ -126,7 +126,7 @@ def test_publisher_injection_is_minimal():
         service_bindings={"keystore": ServiceBinding("cloud-a")},
     )
     plan = compile_deployment(app, cfg)
-    assert plan.publisher_platforms == ("edge-1",)
+    assert publisher_platforms(plan) == ["edge-1"]
 
 
 def test_compile_is_pure():
@@ -241,5 +241,5 @@ def test_reserved_publisher_prefix_rejected():
     fn = FunctionSpec("__publisher_p1", HTTP_SYNC, (compute(constant(1)),), entry_point=True)
     app = ApplicationSpec("clash", (fn,))
     cfg = DeploymentConfig(platforms=(make_platform(),), assignment={"__publisher_p1": "p1"})
-    with pytest.raises(InvalidApplication):
+    with pytest.raises(InvalidApplication, match="^BadName: function name '__publisher_p1' starts with the reserved"):
         compile_deployment(app, cfg)

@@ -42,13 +42,10 @@ sinks' line list, ``analyze_file`` the file's lines as it reads them), so it
 never needs a joined copy of the log. Each parsed record shares one string
 per value of the columns whose values repeat across a run's lines: run id,
 platform, kind, function, callee, mode, db op, context id and executor key
-(``records.parse_record``). A run's hundreds of thousands of records name a
+(``records.parse_record``): a run's hundreds of thousands of records name a
 few dozen functions, a few dozen records share each context and a few
-hundred invocations each executor, so a copy of these strings per record
-made up most of the parsed records' memory (factory-events: 66,600 records,
-48.1 MB with every string copied, 28.0 MB with the names shared, 20.3 MB
-with the ids shared too, by ``tracemalloc``). Only the pair ids stay the
-line's own strings. The dicts keyed on these columns also compare shared
+hundred invocations each executor. Only the pair ids stay the line's own
+strings. The dicts keyed on these columns also compare shared
 strings by identity before their characters.
 
 ``build_trees`` makes one pass per context over the context's records, held
@@ -98,14 +95,6 @@ class AnalysisError(Exception):
     pass
 
 
-class UnsupportedSchemaVersion(AnalysisError):
-    pass
-
-
-class IncompleteTree(AnalysisError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -130,7 +119,7 @@ def parse_logs(text_or_lines) -> tuple[list[TraceRecord], ParseReport]:
     for line in lines:  # the first line that is not blank is the header
         if line.strip():
             if line.strip() != HEADER_LINE:
-                raise UnsupportedSchemaVersion(f"missing or unsupported log header: {line[:60]!r}")
+                raise AnalysisError(f"missing or unsupported log header: {line[:60]!r}")
             break
     append = records.append
     for line in lines:
@@ -413,7 +402,7 @@ def decompose(tree: CallTree, metrics: dict[str, dict[str, list]]) -> LatencyBre
     """Split a complete tree (a root node in a context ``build_trees`` found
     clean) into compute/network/db: append each tree-level metric row to its
     group in ``metrics`` (``RunAnalysis.metrics``, keyed by ``METRIC_NAMES``)
-    and return the tree's conserved totals; any other tree raises IncompleteTree.
+    and return the tree's conserved totals; any other tree raises AnalysisError.
 
     The rows of a node, in order: per sync or db call by (start, end), the
     call's rows, each sync call followed by the callee's subtree; the node's
@@ -421,7 +410,7 @@ def decompose(tree: CallTree, metrics: dict[str, dict[str, list]]) -> LatencyBre
     subtrees and the publisher's compute. A node puts its rows and children,
     in that order, on the walk's one explicit stack, so any depth works."""
     if not tree.complete:
-        raise IncompleteTree(f"context {tree.context_id} is incomplete")
+        raise AnalysisError(f"context {tree.context_id} is incomplete")
     root = tree.root
     root_rec = tree.root_node.record
     round_trip = root.end_us - root.start_us

@@ -91,10 +91,6 @@ def _out_dir(arg: str | None) -> Path:
 def cmd_run(args) -> int:
     try:
         app = load_app(args.benchmark)
-        report = validate(app)
-        if not report.ok:
-            print(f"invalid application: {'; '.join(str(v) for v in report.violations)}", file=sys.stderr)
-            return EXIT_CONFIG
         if args.config:
             config = DeploymentConfig.load(args.config)
             config_path = args.config
@@ -127,10 +123,13 @@ def cmd_run(args) -> int:
             profile_path=profile_path,
             charts=args.charts,
         )
+    except InvalidApplication as exc:  # raised before the run directory is made
+        print(f"invalid application: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except AdapterFailure as exc:
         print(f"deployment failure: {exc}", file=sys.stderr)
         return EXIT_DEPLOY
-    except (DeploymentError, InvalidApplication, ProfileError) as exc:
+    except (DeploymentError, ProfileError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SimulationError as exc:

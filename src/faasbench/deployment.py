@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
-from .applications import (EVENT_ASYNC, PUBLISHER_PREFIX, ApplicationSpec, FunctionSpec, InvalidApplication,
-                           validate, walk_steps)
+from .applications import EVENT_ASYNC, PUBLISHER_PREFIX, ApplicationSpec, FunctionSpec, walk_steps
 from .distributions import MAX_SAMPLE_US, Duration, constant, read, read_document
 from .records import LOADGEN, is_log_name
 
@@ -33,24 +32,6 @@ MAX_CLOCK_OFFSET_MS = 86_400_000
 
 class DeploymentError(Exception):
     pass
-
-
-class UnassignedFunction(DeploymentError):
-    def __init__(self, name: str):
-        super().__init__(f"function {name!r} has no platform assignment")
-        self.function = name
-
-
-class UnknownPlatform(DeploymentError):
-    def __init__(self, platform_id: str):
-        super().__init__(f"platform {platform_id!r} is not defined")
-        self.platform_id = platform_id
-
-
-class MissingServiceBinding(DeploymentError):
-    def __init__(self, service: str):
-        super().__init__(f"external service {service!r} has no binding")
-        self.service = service
 
 
 class AdapterFailure(DeploymentError):
@@ -228,7 +209,7 @@ class DeploymentPlan:
         for a in self.artifacts:
             if a.platform_id == platform_id:
                 return a
-        raise UnknownPlatform(platform_id)
+        raise DeploymentError(f"platform {platform_id!r} is not defined")
 
 
 class PlatformAdapter(Protocol):
@@ -249,26 +230,23 @@ def compile(app: ApplicationSpec, cfg: DeploymentConfig) -> DeploymentPlan:  # n
     """Resolve every function to a platform and bake the routes, with their
     network legs, into artifacts.
 
-    Pure: identical inputs produce structurally identical plans. A leg with
-    no ``networkLatency`` entry raises DeploymentError naming both ends.
+    Expects an application that has passed ``validate``. Pure: identical
+    inputs produce structurally identical plans. A leg with no
+    ``networkLatency`` entry raises DeploymentError naming both ends.
     """
-    report = validate(app)
-    if not report.ok:
-        raise InvalidApplication("; ".join(str(v) for v in report.violations))
-
     specs = {p.id: p for p in cfg.platforms}
     for fn in app.functions:
         pid = cfg.assignment.get(fn.name)
         if pid is None:
-            raise UnassignedFunction(fn.name)
+            raise DeploymentError(f"function {fn.name!r} has no platform assignment")
         if pid not in specs:
-            raise UnknownPlatform(pid)
+            raise DeploymentError(f"platform {pid!r} is not defined")
     for svc in app.external_services:
         binding = cfg.service_bindings.get(svc)
         if binding is None:
-            raise MissingServiceBinding(svc)
+            raise DeploymentError(f"external service {svc!r} has no binding")
         if binding.platform_id not in specs:
-            raise UnknownPlatform(binding.platform_id)
+            raise DeploymentError(f"platform {binding.platform_id!r} is not defined")
 
     def resolve(fn: FunctionSpec) -> ResolvedFunction:
         here = specs[cfg.assignment[fn.name]]

@@ -110,12 +110,14 @@ def run_benchmark(
     profile_path: str = "<inline>",
     charts: bool = False,
 ) -> RunResult:
-    """Run the full pipeline against the simulated platforms."""
+    """Run the full pipeline against the simulated platforms.
+
+    Validates ``app`` first: an invalid one raises InvalidApplication, naming
+    every violation, before any run directory exists."""
     report = validate(app)
     if not report.ok:
         raise InvalidApplication("; ".join(str(v) for v in report.violations))
     profile = profile.scaled(scale)
-    profile.check()
     validate_profile_against_app(profile, app)
 
     env = SimEnvironment(config, seed)

@@ -63,18 +63,6 @@ class SimulationError(Exception):
     pass
 
 
-class NotDeployed(SimulationError):
-    def __init__(self, name: str):
-        super().__init__(f"function {name!r} is not deployed on this platform")
-        self.function = name
-
-
-class UnknownEndpoint(SimulationError):
-    def __init__(self, endpoint_id: str):
-        super().__init__(f"endpoint {endpoint_id!r} cannot be resolved")
-        self.endpoint_id = endpoint_id
-
-
 class Task:
     """A resumable generator process managed by the kernel."""
 
@@ -229,7 +217,7 @@ class SimPlatform:
         point tests drive the simulator through; the task result is the
         invocation's end time."""
         if fn_name not in self._functions:
-            raise NotDeployed(fn_name)
+            raise SimulationError(f"function {fn_name!r} is not deployed on this platform")
         ctx = context_id if context_id is not None else self.env.ids.new_context()
         pair = pair_id if pair_id is not None else self.env.ids.new_pair()
 
@@ -245,7 +233,7 @@ class SimPlatform:
         """Begin serving an arrival at the current virtual time."""
         rfn = self._functions.get(fn_name)
         if rfn is None:
-            raise NotDeployed(fn_name)
+            raise SimulationError(f"function {fn_name!r} is not deployed on this platform")
         arrival = self.env.kernel.now
         executor, cold = self._acquire(fn_name, arrival)
         gen = self._invocation_gen(rfn, context_id, inbound_pair, arrival, executor, cold)
@@ -332,8 +320,6 @@ class SimPlatform:
         env = self.env
         accept = env.kernel.now
         pub = publisher_name(self.id)
-        if pub not in self._functions:
-            raise NotDeployed(pub)
         pair2 = env.ids.new_pair()
         trig = env.sample_us(self.spec.trigger_delay)
         self.sink.emit(accept, OUTGOING_CALL, pub, context_id, pair2, accept, accept,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import MAX_SAMPLE_US, REQUIRED, read, read_document
 from .records import LOADGEN
-from .simulator import SimEnvironment, UnknownEndpoint
+from .simulator import SimEnvironment
 
 US = 1_000_000  # microseconds per second
 
@@ -67,6 +67,9 @@ class Phase:
 
 @dataclass(frozen=True)
 class LoadProfile:
+    """A checked profile: construction (``from_dict``, ``scaled`` and
+    ``replace`` too) raises ProfileError on the first rule a field breaks."""
+
     name: str
     workflows: tuple[Workflow, ...]
     phases: tuple[Phase, ...]
@@ -77,12 +80,14 @@ class LoadProfile:
                 return wf
         raise ProfileError(f"workflow {name!r} is not defined")
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
         if not self.phases:
             raise ProfileError("profile has no phases")
         if sum(p.duration_us for p in self.phases) <= 0:
             raise ProfileError("total duration must be > 0")
         for wf in self.workflows:
+            if not wf.steps:
+                raise ProfileError(f"workflow {wf.name!r} has no steps")
             for step in wf.steps:
                 if step.think_time_us < 0:
                     raise ProfileError(f"workflow {wf.name!r}: negative think time")
@@ -170,9 +175,7 @@ class LoadProfile:
             for w in read(d, "workflows", [dict], ProfileError, [])
         )
         phases = tuple(_phase_from_dict(p) for p in read(d, "phases", [dict], ProfileError, []))
-        profile = cls(name=read(d, "name", str, ProfileError, "profile"), workflows=workflows, phases=phases)
-        profile.check()
-        return profile
+        return cls(name=read(d, "name", str, ProfileError, "profile"), workflows=workflows, phases=phases)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -277,7 +280,6 @@ def validate_profile_against_app(profile: LoadProfile, app) -> None:
 
 def schedule(profile: LoadProfile, rng: np.random.Generator) -> list[Arrival]:
     """Synthesize the arrival list for one run; deterministic under the rng."""
-    profile.check()
     arrivals: list[Arrival] = []
     phase_start = 0
     for phase in profile.phases:
@@ -325,11 +327,8 @@ class ExecutionStats:
 def execute(arrivals: list[Arrival], plan, env: SimEnvironment) -> ExecutionStats:
     """Stamp a fresh context per workflow instance and call the entry
     functions where the plan placed them; the load generator records one
-    OUTGOING_CALL per root request (client-side round trip)."""
-    for arrival in arrivals:
-        for step in arrival.workflow.steps:
-            if step.entry not in plan.entry_routes:
-                raise UnknownEndpoint(step.entry)
+    OUTGOING_CALL per root request (client-side round trip). Every entry
+    must be one that ``validate_profile_against_app`` accepted."""
     for arrival in arrivals:
         env.kernel.spawn(_root_flow(env, plan, arrival.workflow), at_us=arrival.at_us)
     return ExecutionStats(instances=len(arrivals))

@@ -10,12 +10,11 @@ import pytest
 
 from faasbench import analysis as analysis_module, runner
 from faasbench.analysis import (
+    AnalysisError,
     ColdstartReport,
-    IncompleteTree,
     METRIC_NAMES,
     ParseReport,
     RunAnalysis,
-    UnsupportedSchemaVersion,
     analyze_log_text,
     analyze_records,
     build_trees,
@@ -98,9 +97,9 @@ def test_parse_skips_malformed_lines():
 
 def test_parse_requires_header():
     r = rec(INVOCATION, "fn", _id(2), 10, 20)
-    with pytest.raises(UnsupportedSchemaVersion):
+    with pytest.raises(AnalysisError, match="^missing or unsupported log header: "):
         parse_logs(serialize_record(r))
-    with pytest.raises(UnsupportedSchemaVersion):
+    with pytest.raises(AnalysisError, match="^missing or unsupported log header: '#faastrace v999'$"):
         parse_logs("#faastrace v999\n")
 
 
@@ -298,7 +297,7 @@ def test_dropped_invocation_marks_tree_incomplete():
     assert len(trees) == 1
     assert not trees[0].complete
     metrics = {name: {} for name in METRIC_NAMES}
-    with pytest.raises(IncompleteTree):
+    with pytest.raises(AnalysisError, match=f"^context {trees[0].context_id} is incomplete$"):
         decompose(trees[0], metrics)
     assert metrics == {name: {} for name in METRIC_NAMES}  # no row of an incomplete tree
 
@@ -334,7 +333,7 @@ def test_dropped_outgoing_record_poisons_the_whole_context():
     assert {n.record.function for n in tree.nodes()} == {"a", "b"}
     n_inv = sum(1 for r in records if r.kind == INVOCATION)
     assert sum(1 for t in trees for _ in t.nodes()) == n_inv
-    with pytest.raises(IncompleteTree):
+    with pytest.raises(AnalysisError, match=f"^context {tree.context_id} is incomplete$"):
         decomposed(tree)
 
 
@@ -1046,7 +1045,7 @@ def test_analyze_log_text_restores_the_collector(enabled, collector_restored):
     analysis = analyze_log_text("\n".join([HEADER_LINE, GOOD_INV, GOOD_CALL, GOOD_DB]))
     assert analysis.parse.records == 3
     assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
-    with pytest.raises(UnsupportedSchemaVersion):
+    with pytest.raises(AnalysisError, match="^missing or unsupported log header: "):
         analyze_log_text("#faastrace v999\n" + GOOD_INV)
     assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
 

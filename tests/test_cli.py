@@ -1,10 +1,11 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from faasbench import analysis, cli
-from faasbench.applications import ApplicationSpec
+from faasbench.applications import ApplicationSpec, validate
 from faasbench.benchmarks import builtin_profile, load_builtin
 from faasbench.cli import EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, main
 from faasbench.deployment import DeploymentConfig
@@ -457,6 +458,45 @@ def test_a_profile_past_2_53_is_named_in_one_line(tmp_path, capsys, scale, flows
     assert run_cli("run", "streaming", "--profile", str(profile), "--scale", scale, "--out", str(out)) == EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {reason}\n"
     assert not out.exists()
+
+
+def test_a_scale_that_rounds_every_duration_to_zero_exits_in_one_line(tmp_path, capsys):
+    # the scaled profile is checked as it is built, before any run directory
+    out = tmp_path / "out"
+    assert run_cli("run", "webshop", "--scale", "1e-10", "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: total duration must be > 0\n"
+    assert not out.exists()
+
+
+def test_a_workflow_with_no_steps_exits_in_one_line(tmp_path, capsys):
+    # a burst of it would count instances that emit nothing
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({
+        "name": "empty",
+        "workflows": [{"name": "idle", "steps": []}],
+        "phases": [{"kind": "burst", "durationSeconds": 1, "totalFlows": 3, "mix": {"idle": 1.0}}],
+    }))
+    out = tmp_path / "out"
+    assert run_cli("run", "webshop", "--profile", str(profile), "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: workflow 'idle' has no steps\n"
+    assert not out.exists()
+
+
+def test_run_validates_the_application_once(tmp_path, monkeypatch):
+    # wrap validate wherever a module of the package imported it
+    calls = []
+
+    def counted(app):
+        calls.append(app.name)
+        return validate(app)
+
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("faasbench.") and getattr(m, "validate", None) is validate]
+    assert {m.__name__ for m in modules} >= {"faasbench.cli", "faasbench.runner"}
+    for module in modules:
+        monkeypatch.setattr(module, "validate", counted)
+    assert run_cli("run", "webshop", "--scale", "0.002", "--out", str(tmp_path / "out")) == EXIT_OK
+    assert calls == ["webshop"]
 
 
 def _with_sizes(steps: list) -> None:

@@ -7,20 +7,16 @@ from faasbench.deployment import (
     AdapterFailure,
     DeploymentConfig,
     DeploymentError,
-    MissingServiceBinding,
     PlatformSpec,
     ServiceBinding,
-    UnassignedFunction,
-    UnknownPlatform,
     compile as compile_deployment,
     deploy_all,
     publisher_name,
     teardown,
 )
-from faasbench.distributions import constant
 from faasbench.records import LOADGEN, IdSource
 from faasbench.recipes import RECIPE_NAMES, exp3_three_way_factory, recipe
-from faasbench.runner import default_config
+from faasbench.runner import default_config, run_benchmark
 
 from conftest import make_platform, single_platform_config
 
@@ -143,9 +139,8 @@ def test_missing_assignment():
         assignment={k: v for k, v in cfg.assignment.items() if k != "billing"},
         service_bindings=cfg.service_bindings,
     )
-    with pytest.raises(UnassignedFunction) as err:
+    with pytest.raises(DeploymentError, match="^function 'billing' has no platform assignment$"):
         compile_deployment(app, broken)
-    assert err.value.function == "billing"
 
 
 def test_unknown_platform_and_missing_binding():
@@ -156,24 +151,29 @@ def test_unknown_platform_and_missing_binding():
         assignment={fn.name: "cloud-x" for fn in app.functions},
         service_bindings={"keystore": ServiceBinding("cloud-a")},
     )
-    with pytest.raises(UnknownPlatform):
+    with pytest.raises(DeploymentError, match="^platform 'cloud-x' is not defined$"):
         compile_deployment(app, cfg)
     cfg2 = DeploymentConfig(
         platforms=(platform,),
         assignment={fn.name: "cloud-a" for fn in app.functions},
     )
-    with pytest.raises(MissingServiceBinding):
+    with pytest.raises(DeploymentError, match="^external service 'keystore' has no binding$"):
         compile_deployment(app, cfg2)
 
 
-def test_compile_rejects_invalid_app():
+def test_run_benchmark_rejects_invalid_app(tmp_path):
     from faasbench.applications import ApplicationSpec, FunctionSpec, HTTP_SYNC, call
+    from faasbench.workload import LoadProfile, Phase, Workflow, WorkflowStep
 
     fn = FunctionSpec("a", HTTP_SYNC, (call("nope"),), entry_point=True)
     app = ApplicationSpec("bad", (fn,))
     cfg = DeploymentConfig(platforms=(make_platform(),), assignment={"a": "p1"})
-    with pytest.raises(InvalidApplication):
-        compile_deployment(app, cfg)
+    profile = LoadProfile("one", (Workflow("hit", (WorkflowStep("a"),)),),
+                          (Phase("burst", 1_000_000, total_flows=1, mix=(("hit", 1.0),)),))
+    out = tmp_path / "out"
+    with pytest.raises(InvalidApplication, match=r"^UnknownTarget \[a\]: target 'nope' is not defined$"):
+        run_benchmark(app, cfg, profile, seed=1, out_dir=out)
+    assert not out.exists()
 
 
 def test_deploy_all_and_fresh_run_ids():
@@ -233,13 +233,3 @@ def test_default_config_refuses_the_load_generators_platform_id():
 def test_config_json_round_trip():
     cfg = three_platform_factory_config()
     assert DeploymentConfig.from_json(cfg.to_json()) == cfg
-
-
-def test_reserved_publisher_prefix_rejected():
-    from faasbench.applications import ApplicationSpec, FunctionSpec, HTTP_SYNC, compute
-
-    fn = FunctionSpec("__publisher_p1", HTTP_SYNC, (compute(constant(1)),), entry_point=True)
-    app = ApplicationSpec("clash", (fn,))
-    cfg = DeploymentConfig(platforms=(make_platform(),), assignment={"__publisher_p1": "p1"})
-    with pytest.raises(InvalidApplication, match="^BadName: function name '__publisher_p1' starts with the reserved"):
-        compile_deployment(app, cfg)

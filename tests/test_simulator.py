@@ -21,7 +21,7 @@ from faasbench.records import HEADER_LINE, INVOCATION, MODE_TRIGGER, OUTGOING_CA
 from faasbench.analysis import parse_logs
 from faasbench.benchmarks import load_builtin
 from faasbench.recipes import RECIPE_NAMES, recipe
-from faasbench.simulator import Kernel, NotDeployed, SimEnvironment, SimulationError
+from faasbench.simulator import Kernel, SimEnvironment, SimulationError
 from faasbench.workload import execute, schedule
 
 from conftest import deployed_env, make_platform, single_platform_config
@@ -134,14 +134,14 @@ def test_publish_trigger_timing_degenerate():
 def test_invoke_not_deployed():
     app = simple_app()
     env, plan, handle = deployed_env(app, single_platform_config(app, make_platform()))
-    with pytest.raises(NotDeployed):
+    with pytest.raises(SimulationError, match="^function 'ghost' is not deployed on this platform$"):
         env.platforms["p1"].invoke("ghost", arrival_us=0)
 
 
 def test_start_invocation_not_deployed():
     app = simple_app()
     env, plan, handle = deployed_env(app, single_platform_config(app, make_platform()))
-    with pytest.raises(NotDeployed):
+    with pytest.raises(SimulationError, match="^function 'ghost' is not deployed on this platform$"):
         env.platforms["p1"].start_invocation("ghost", "c" * 32, "d" * 32)
 
 
@@ -244,7 +244,7 @@ def test_adapter_remove_clears_platform_state():
     assert p.deployed_functions == ("fn",)
     p.remove(plan.artifact("p1"))
     assert p.deployed_functions == ()
-    with pytest.raises(NotDeployed):
+    with pytest.raises(SimulationError, match="^function 'fn' is not deployed on this platform$"):
         p.invoke("fn", arrival_us=0)
     p.deploy(plan.artifact("p1"))  # redeploy works cleanly
     assert p.deployed_functions == ("fn",)

@@ -188,15 +188,15 @@ def test_profile_validation_errors():
     wf = Workflow("w", (WorkflowStep("fn"),))
     with pytest.raises(ProfileError):
         LoadProfile("p", (wf,), (Phase(kind="burst", duration_us=US, total_flows=1,
-                                       mix=(("w", 0.5),)),)).check()  # weights != 1
+                                       mix=(("w", 0.5),)),))  # weights != 1
     with pytest.raises(ProfileError):
         LoadProfile("p", (), (Phase(kind="constantRate", duration_us=US, rate_per_s=0,
-                                    mix=()),)).check()
+                                    mix=()),))
     with pytest.raises(ProfileError):
-        LoadProfile("p", (), ()).check()
+        LoadProfile("p", (), ())
     with pytest.raises(ProfileError):
         LoadProfile("p", (), (Phase(kind="periodic", duration_us=US,
-                                    series=(PeriodicSeries("e", interval_us=0),)),)).check()
+                                    series=(PeriodicSeries("e", interval_us=0),)),))
     with pytest.raises(ProfileError):
         builtin_profile("webshop").scaled(0)
 
@@ -236,9 +236,9 @@ def test_a_non_finite_profile_number_is_named(path, value, field):
 
 
 @pytest.mark.parametrize("rate", [float("inf"), float("nan")])
-def test_check_rejects_a_non_finite_rate(rate):
+def test_construction_rejects_a_non_finite_rate(rate):
     with pytest.raises(ProfileError, match="ratePerSecond"):
-        flat_profile(kind="constantRate", duration_us=US, rate_per_s=rate).check()
+        flat_profile(kind="constantRate", duration_us=US, rate_per_s=rate)
 
 
 def test_profile_json_round_trip():
@@ -291,14 +291,6 @@ def test_execute_multi_step_workflow_honors_think_time():
     assert len({r.context_id for r in roots}) == 1  # the instance shares one context
     first_rt = roots[0].duration_us
     assert roots[1].start_us == roots[0].start_us + first_rt + 5 * US
-
-
-def test_execute_unknown_entry_rejected():
-    from faasbench.simulator import UnknownEndpoint
-
-    env, plan, handle = one_fn_env()
-    with pytest.raises(UnknownEndpoint):
-        execute([Arrival(0, Workflow("w", (WorkflowStep("ghost"),)))], plan, env)
 
 
 def test_profile_must_target_entry_points():

@@ -1,7 +1,7 @@
 """Benchmark manager CLI: run, analyze, recipes, validate.
 
 Exit codes: 0 success, 2 configuration/validation error (a bad --out too), 3
-deployment failure, 4 run failure, 5 analysis failure.
+reserved (no run can fail to deploy), 4 run failure, 5 analysis failure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 from .analysis import AnalysisError
 from .applications import InvalidApplication, UnknownBenchmark, validate
 from .benchmarks import BENCHMARK_NAMES, builtin_profile
-from .deployment import AdapterFailure, DeploymentConfig, DeploymentError
+from .deployment import DeploymentConfig, DeploymentError
 from .recipes import RECIPE_NAMES, UnknownRecipe, recipe
 from .runner import analyze_file, default_config, load_app, run_benchmark
 from .simulator import SimulationError
@@ -23,7 +23,6 @@ from .workload import LoadProfile, ProfileError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_DEPLOY = 3
 EXIT_RUN = 4
 EXIT_ANALYSIS = 5
 
@@ -126,9 +125,6 @@ def cmd_run(args) -> int:
     except InvalidApplication as exc:  # raised before the run directory is made
         print(f"invalid application: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except AdapterFailure as exc:
-        print(f"deployment failure: {exc}", file=sys.stderr)
-        return EXIT_DEPLOY
     except (DeploymentError, ProfileError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

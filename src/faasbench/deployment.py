@@ -1,7 +1,7 @@
-"""Deployment compilation: resolve functions to platforms and emit artifacts.
+"""Deployment compilation: resolve functions to platforms, and install them.
 
 Compilation turns a declarative application plus a deployment configuration
-into one self-contained artifact per platform: every call and publish target
+into the resolved functions of each platform: every call and publish target
 is resolved to the id of the platform that hosts it, and a publisher function
 named ``__publisher_<platform id>`` is synthesized for each platform hosting
 at least one event-async function (events are delivered to that publisher,
@@ -10,8 +10,10 @@ the prefix out of application function names). Every network leg the
 application can take is bound too, as the sending side's ``networkLatency``
 entry for the receiving side (both legs of a load-generator request use the
 entry point's platform's ``loadgen`` entry), so a config that lacks one fails
-before any run starts. The plan holds the artifacts and the load generator's
-route to each entry point, all that a run reads.
+before any run starts. The plan holds each platform's functions and the load
+generator's route to each entry point, all that a run reads. ``deploy_all``
+installs the functions on the simulated platforms and ``teardown`` removes
+them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
 
 from .applications import EVENT_ASYNC, PUBLISHER_PREFIX, ApplicationSpec, FunctionSpec, walk_steps
 from .distributions import MAX_SAMPLE_US, Duration, constant, read, read_document
@@ -32,13 +33,6 @@ MAX_CLOCK_OFFSET_MS = 86_400_000
 
 class DeploymentError(Exception):
     pass
-
-
-class AdapterFailure(DeploymentError):
-    def __init__(self, platform_id: str, cause: str):
-        super().__init__(f"adapter for {platform_id!r} failed: {cause}")
-        self.platform_id = platform_id
-        self.cause = cause
 
 
 def _check_platform_id(platform_id) -> None:
@@ -66,7 +60,7 @@ class PlatformSpec:
     def __post_init__(self) -> None:
         _check_platform_id(self.id)
         if self.keep_alive_us <= 0:
-            raise DeploymentError(f"platform {self.id}: keepAlive must be > 0")
+            raise DeploymentError(f"platform {self.id}: keepAliveSeconds must round to at least 1 us")
         rate = self.log_lines_per_second
         if rate is not None and (isinstance(rate, bool) or not isinstance(rate, int) or rate < 1):
             raise DeploymentError(f"platform {self.id}: logLinesPerSecond must be an integer >= 1 or null, got {rate}")
@@ -195,31 +189,11 @@ class ResolvedFunction:
 
 
 @dataclass(frozen=True)
-class DeploymentArtifact:
-    platform_id: str
-    functions: tuple[ResolvedFunction, ...]
-
-
-@dataclass(frozen=True)
 class DeploymentPlan:
-    artifacts: tuple[DeploymentArtifact, ...]
+    # platform id -> its functions, publisher included, in the config's
+    # platform order; a platform that hosts nothing is left out
+    functions: dict[str, tuple[ResolvedFunction, ...]]
     entry_routes: dict[str, CallRoute]  # entry point -> the load generator's route to it
-
-    def artifact(self, platform_id: str) -> DeploymentArtifact:
-        for a in self.artifacts:
-            if a.platform_id == platform_id:
-                return a
-        raise DeploymentError(f"platform {platform_id!r} is not defined")
-
-
-class PlatformAdapter(Protocol):
-    """Minimal platform interface: deploy, fetch standard logs, remove."""
-
-    def deploy(self, artifact: DeploymentArtifact) -> None: ...
-
-    def collect_logs(self, run_id: str) -> list[str]: ...
-
-    def remove(self, artifact: DeploymentArtifact) -> None: ...
 
 
 def publisher_name(platform_id: str) -> str:
@@ -228,13 +202,21 @@ def publisher_name(platform_id: str) -> str:
 
 def compile(app: ApplicationSpec, cfg: DeploymentConfig) -> DeploymentPlan:  # noqa: A001 - domain term
     """Resolve every function to a platform and bake the routes, with their
-    network legs, into artifacts.
+    network legs, into each platform's functions.
 
     Expects an application that has passed ``validate``. Pure: identical
     inputs produce structurally identical plans. A leg with no
-    ``networkLatency`` entry raises DeploymentError naming both ends.
+    ``networkLatency`` entry raises DeploymentError naming both ends, and so
+    does an assignment or binding key that names nothing in the application.
     """
     specs = {p.id: p for p in cfg.platforms}
+    names = {fn.name for fn in app.functions}
+    for name in cfg.assignment:
+        if name not in names:
+            raise DeploymentError(f"assignment key {name!r} is not a function of the application")
+    for svc in cfg.service_bindings:
+        if svc not in app.external_services:
+            raise DeploymentError(f"serviceBindings key {svc!r} is not an external service of the application")
     for fn in app.functions:
         pid = cfg.assignment.get(fn.name)
         if pid is None:
@@ -272,72 +254,26 @@ def compile(app: ApplicationSpec, cfg: DeploymentConfig) -> DeploymentPlan:  # n
         leg = there.leg(LOADGEN)
         entry_routes[fn.name] = (there.id, leg, leg)
 
-    artifacts = []
+    functions = {}
     for pid in cfg.platform_ids:
         fns = [resolve(fn) for fn in app.functions if cfg.assignment[fn.name] == pid]
         if any(rfn.spec.trigger_kind == EVENT_ASYNC for rfn in fns):
             pub_spec = FunctionSpec(name=publisher_name(pid), trigger_kind=EVENT_ASYNC, body=())
             fns.append(ResolvedFunction(pub_spec, {}, {}, None))
         if fns:
-            artifacts.append(DeploymentArtifact(platform_id=pid, functions=tuple(fns)))
+            functions[pid] = tuple(fns)
 
-    return DeploymentPlan(artifacts=tuple(artifacts), entry_routes=entry_routes)
-
-
-@dataclass
-class RunHandle:
-    run_id: str
-    plan: DeploymentPlan
-    deployed: tuple[str, ...]
-    closed: bool = False
+    return DeploymentPlan(functions=functions, entry_routes=entry_routes)
 
 
-@dataclass(frozen=True)
-class TeardownReport:
-    outcomes: dict[str, str]  # platform id -> removed | failed: <cause> | skipped
-
-    @property
-    def ok(self) -> bool:
-        return all(v in ("removed", "skipped") for v in self.outcomes.values())
+def deploy_all(plan: DeploymentPlan, platforms: dict) -> None:
+    """Install each platform's functions on ``platforms[id]``, a simulated
+    platform; deploying draws no randomness."""
+    for pid, fns in plan.functions.items():
+        platforms[pid].deploy(fns)
 
 
-def deploy_all(plan: DeploymentPlan, adapters: dict[str, PlatformAdapter], run_id: str) -> RunHandle:
-    """Deploy every artifact for run ``run_id``; partial failures are rolled
-    back via remove()."""
-    deployed: list[DeploymentArtifact] = []
-    for artifact in plan.artifacts:
-        adapter = adapters.get(artifact.platform_id)
-        if adapter is None:
-            _rollback(deployed, adapters)
-            raise AdapterFailure(artifact.platform_id, "no adapter registered")
-        try:
-            adapter.deploy(artifact)
-        except Exception as exc:
-            _rollback(deployed, adapters)
-            raise AdapterFailure(artifact.platform_id, str(exc)) from exc
-        deployed.append(artifact)
-    return RunHandle(run_id=run_id, plan=plan, deployed=tuple(a.platform_id for a in deployed))
-
-
-def _rollback(deployed: list[DeploymentArtifact], adapters: dict[str, PlatformAdapter]) -> None:
-    for artifact in reversed(deployed):
-        try:
-            adapters[artifact.platform_id].remove(artifact)
-        except Exception:
-            pass  # rollback is best effort
-
-
-def teardown(handle: RunHandle, adapters: dict[str, PlatformAdapter]) -> TeardownReport:
-    """Remove all deployed artifacts; calling twice is a no-op report."""
-    outcomes: dict[str, str] = {}
-    for pid in handle.deployed:
-        if handle.closed:
-            outcomes[pid] = "skipped"
-            continue
-        try:
-            adapters[pid].remove(handle.plan.artifact(pid))
-            outcomes[pid] = "removed"
-        except Exception as exc:
-            outcomes[pid] = f"failed: {exc}"
-    handle.closed = True
-    return TeardownReport(outcomes)
+def teardown(platforms: dict) -> None:
+    """Remove every function and idle executor from each platform."""
+    for platform in platforms.values():
+        platform.remove()

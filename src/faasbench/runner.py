@@ -1,6 +1,6 @@
-"""End-to-end run orchestration: compile, deploy, load, collect, analyze,
-teardown. One run per call; teardown always executes once deployment
-succeeded, whatever happens afterwards.
+"""End-to-end run orchestration: compile, deploy, load, simulate, collect,
+teardown, write ``raw.log``, analyze. One run per call, on the simulated
+platforms, which hold nothing to release when a step raises.
 
 A run writes its ``manifest.json`` as plain JSON before any platform action.
 ``analyze_file`` reads it back through the typed field reader
@@ -140,18 +140,15 @@ def run_benchmark(
     }
     (run_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")  # before any platform action
 
-    adapters = env.adapters()
-    handle = deploy_all(plan, adapters, run_id=run_id)
-    try:
-        # set-up spawns a task and a generator per arrival and, like the
-        # simulation, builds no reference cycles (collector.py)
-        with collector_paused():
-            arrivals = schedule(profile, env.loadgen_rng)
-            stats = execute(arrivals, plan, env)
-            env.run_until_idle()
-        log_lines = env.collect_log(run_id)
-    finally:
-        teardown(handle, adapters)
+    deploy_all(plan, env.platforms)
+    # set-up spawns a task and a generator per arrival and, like the
+    # simulation, builds no reference cycles (collector.py)
+    with collector_paused():
+        arrivals = schedule(profile, env.loadgen_rng)
+        stats = execute(arrivals, plan, env)
+        env.run_until_idle()
+    log_lines = env.collect_log(run_id)
+    teardown(env.platforms)
 
     log_path = run_dir / RAW_LOG_NAME
     _write_lines(log_path, log_lines)

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .collector import collector_paused
-from .deployment import AdapterFailure, CallRoute, DeploymentConfig, ResolvedFunction, publisher_name
+from .deployment import CallRoute, DeploymentConfig, ResolvedFunction, publisher_name
 from .distributions import Duration
 from .records import (
     DB_CALL,
@@ -175,7 +175,8 @@ class GroundTruth:
 
 
 class SimPlatform:
-    """A simulated platform; implements the adapter interface for itself."""
+    """A simulated platform: the functions deployed on it, its idle executors
+    and its log sink."""
 
     def __init__(self, env: "SimEnvironment", spec):
         self.env = env
@@ -185,22 +186,13 @@ class SimPlatform:
         self._functions: dict[str, ResolvedFunction] = {}
         self._idle: dict[str, list[Executor]] = {}
 
-    # -- PlatformAdapter surface -------------------------------------------
-
-    def deploy(self, artifact) -> None:
-        if artifact.platform_id != self.id:
-            raise AdapterFailure(self.id, f"artifact targets {artifact.platform_id!r}")
-        for rfn in artifact.functions:
+    def deploy(self, functions: tuple[ResolvedFunction, ...]) -> None:
+        for rfn in functions:
             self._functions[rfn.name] = rfn
 
-    def collect_logs(self, run_id: str) -> list[str]:
-        return self.sink.collect(run_id)
-
-    def remove(self, artifact) -> None:
+    def remove(self) -> None:
         self._functions.clear()
         self._idle.clear()
-
-    # -- public simulation operations --------------------------------------
 
     @property
     def deployed_functions(self) -> tuple[str, ...]:
@@ -359,9 +351,6 @@ class SimEnvironment:
         self.platforms = {p.id: SimPlatform(self, p) for p in config.platforms}
         self.loadgen_sink = RecordSink(self.run_id, LOADGEN)
 
-    def adapters(self) -> dict[str, SimPlatform]:
-        return dict(self.platforms)
-
     def sample_us(self, dist: Duration) -> int:
         return dist.sample(self.sample_rng)
 
@@ -394,5 +383,5 @@ class SimEnvironment:
         out = [HEADER_LINE]
         out.extend(self.loadgen_sink.collect(run_id))
         for pid in sorted(self.platforms):
-            out.extend(self.platforms[pid].collect_logs(run_id))
+            out.extend(self.platforms[pid].sink.collect(run_id))
         return out

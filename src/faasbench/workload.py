@@ -83,19 +83,17 @@ class LoadProfile:
     def __post_init__(self) -> None:
         if not self.phases:
             raise ProfileError("profile has no phases")
-        if sum(p.duration_us for p in self.phases) <= 0:
-            raise ProfileError("total duration must be > 0")
         for wf in self.workflows:
             if not wf.steps:
                 raise ProfileError(f"workflow {wf.name!r} has no steps")
             for step in wf.steps:
                 if step.think_time_us < 0:
                     raise ProfileError(f"workflow {wf.name!r}: negative think time")
-        for phase in self.phases:
+        for i, phase in enumerate(self.phases):
             if phase.kind not in ("constantRate", "periodic", "pause", "burst"):
                 raise ProfileError(f"unknown phase kind {phase.kind!r}")
             if phase.duration_us < 0:
-                raise ProfileError("phase duration must be >= 0")
+                raise ProfileError(f"phases[{i}].durationSeconds must be >= 0")
             if phase.kind in ("constantRate", "burst"):
                 if not phase.mix:
                     raise ProfileError(f"{phase.kind} phase needs a workflow mix")
@@ -110,11 +108,17 @@ class LoadProfile:
                 raise ProfileError("burst needs totalFlows >= 1")
             if phase.kind == "burst" and not phase.total_flows < MAX_SAMPLE_US:
                 raise ProfileError("totalFlows must be below 2**53")
-            for series in phase.series:
+            for j, series in enumerate(phase.series):
+                where = f"phases[{i}].series[{j}]."
                 if series.interval_us <= 0:
-                    raise ProfileError("periodic interval must be > 0")
-                if series.train_count < 1 or (series.train_count > 1 and series.train_spacing_us <= 0):
-                    raise ProfileError("bad periodic train")
+                    raise ProfileError(f"{where}intervalSeconds must round to at least 1 us")
+                if series.train_count < 1:
+                    raise ProfileError(f"{where}trainCount must be >= 1")
+                if series.train_count > 1 and series.train_spacing_us <= 0:
+                    raise ProfileError(f"{where}trainSpacingSeconds must round to at least 1 us when trainCount > 1")
+        # after the phases, so that a negative duration is named by its phase
+        if sum(p.duration_us for p in self.phases) <= 0:
+            raise ProfileError("total duration must be > 0")
 
     def scaled(self, factor: float) -> "LoadProfile":
         """Scale flow counts and durations by ``factor`` (rates unchanged)."""

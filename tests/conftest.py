@@ -41,11 +41,11 @@ def single_platform_config(app: ApplicationSpec, platform: PlatformSpec) -> Depl
 
 
 def deployed_env(app: ApplicationSpec, cfg: DeploymentConfig, seed: int = 1):
-    """Compile, deploy, and return (env, plan, handle) ready to stimulate."""
+    """Compile, deploy, and return (env, plan) ready to stimulate."""
     env = SimEnvironment(cfg, seed)
     plan = compile_deployment(app, cfg)
-    handle = deploy_all(plan, env.adapters(), env.run_id)
-    return env, plan, handle
+    deploy_all(plan, env.platforms)
+    return env, plan
 
 
 def parallel_publish_app() -> ApplicationSpec:

@@ -341,10 +341,10 @@ def test_duplicated_invocation_pair_id_marks_only_its_context_incomplete():
     # a replayed INVOCATION line would silently replace the original node
     r = exp3_three_way_factory()
     app, cfg, profile = load_builtin(r.benchmark), r.config, r.profile.scaled(0.05)
-    env, plan, handle = deployed_env(app, cfg, seed=4)
+    env, plan = deployed_env(app, cfg, seed=4)
     execute(schedule(profile, env.loadgen_rng), plan, env)
     env.run_until_idle()
-    records, _ = parse_logs(env.collect_log(handle.run_id))
+    records, _ = parse_logs(env.collect_log(env.run_id))
     before = {t.context_id: t.complete for t in build_trees(records)}
     assert len(before) > 1 and all(before.values())
 
@@ -358,10 +358,10 @@ def test_a_replayed_root_line_leaves_its_context_without_a_complete_tree():
     # the second root line finds its invocation linked: an unmatched pair,
     # not a second complete tree over the same invocation
     r = recipe("exp4-coldstart")
-    env, plan, handle = deployed_env(load_builtin(r.benchmark), r.config, seed=7)
+    env, plan = deployed_env(load_builtin(r.benchmark), r.config, seed=7)
     execute(schedule(r.profile.scaled(0.01), env.loadgen_rng), plan, env)
     env.run_until_idle()
-    records, report = parse_logs(env.collect_log(handle.run_id))
+    records, report = parse_logs(env.collect_log(env.run_id))
     clean = analyze_records(records, report)
     assert clean.incomplete_trees == 0 and clean.complete_trees > 1
     root = next(r for r in records if r.platform_id == LOADGEN)
@@ -787,16 +787,16 @@ def test_charts_draw_the_summary_csv_statistics(tmp_path):
 
 def webshop_run(seed=15, scale=0.005):
     app = load_builtin("webshop")
-    env, plan, handle = deployed_env(app, default_config(app), seed=seed)
+    env, plan = deployed_env(app, default_config(app), seed=seed)
     profile = builtin_profile("webshop").scaled(scale)
     execute(schedule(profile, env.loadgen_rng), plan, env)
     env.run_until_idle()
-    return env, handle
+    return env
 
 
 def test_analyze_simulated_run_end_to_end(tmp_path):
-    env, handle = webshop_run()
-    records, report = parse_logs(env.collect_log(handle.run_id))
+    env = webshop_run()
+    records, report = parse_logs(env.collect_log(env.run_id))
     analysis = analyze_records(records, report)
     assert analysis.incomplete_trees == 0
     assert analysis.cold_flag_mismatches == 0
@@ -813,8 +813,8 @@ def test_analyze_simulated_run_end_to_end(tmp_path):
 
 
 def test_analysis_matches_simulator_ground_truth():
-    env, handle = webshop_run()
-    records, report = parse_logs(env.collect_log(handle.run_id))
+    env = webshop_run()
+    records, report = parse_logs(env.collect_log(env.run_id))
     trees = build_trees(records)
     edges = set()
     for t in trees:
@@ -824,11 +824,11 @@ def test_analysis_matches_simulator_ground_truth():
 
 def smartcity_run(seed=3, scale=0.02):
     app = load_builtin("smartcity")
-    env, plan, handle = deployed_env(app, default_config(app), seed=seed)
+    env, plan = deployed_env(app, default_config(app), seed=seed)
     profile = builtin_profile("smartcity").scaled(scale)
     execute(schedule(profile, env.loadgen_rng), plan, env)
     env.run_until_idle()
-    records, report = parse_logs(env.collect_log(handle.run_id))
+    records, report = parse_logs(env.collect_log(env.run_id))
     return env, records, report
 
 
@@ -847,11 +847,11 @@ def test_async_records_attach_despite_cold_publishers():
     # stay exact (parent attribution among same-named overlapping invocations
     # is best effort: the schema carries no executor id on outgoing records)
     app = load_builtin("smartfactory")
-    env, plan, handle = deployed_env(app, default_config(app), seed=2)
+    env, plan = deployed_env(app, default_config(app), seed=2)
     profile = builtin_profile("smartfactory").scaled(0.02)
     execute(schedule(profile, env.loadgen_rng), plan, env)
     env.run_until_idle()
-    records, report = parse_logs(env.collect_log(handle.run_id))
+    records, report = parse_logs(env.collect_log(env.run_id))
     analysis = analyze_records(records, report)
     assert analysis.incomplete_trees == 0
     # default config: one platform, 15ms legs, trigger 100ms constants
@@ -891,8 +891,8 @@ def test_conservation_holds_per_tree_with_sampled_distributions(tmp_path):
 def test_webshop_trees_exact_under_cold_overlap():
     # webshop invokes every function at most once per context, so trees match
     # ground truth exactly even while cold chains from adjacent contexts overlap
-    env, handle = webshop_run(seed=2, scale=0.01)
-    records, report = parse_logs(env.collect_log(handle.run_id))
+    env = webshop_run(seed=2, scale=0.01)
+    records, report = parse_logs(env.collect_log(env.run_id))
     analysis = analyze_records(records, report)
     assert analysis.incomplete_trees == 0
     edges = set()
@@ -1005,10 +1005,10 @@ def test_oneway_publish_and_trigger_read_from_the_decomposition(name):
     else:
         r = recipe(name)
         app, cfg, profile = load_builtin(r.benchmark), r.config, r.profile.scaled(0.05)
-    env, plan, handle = deployed_env(app, cfg, seed=4)
+    env, plan = deployed_env(app, cfg, seed=4)
     execute(schedule(profile, env.loadgen_rng), plan, env)
     env.run_until_idle()
-    analysis = analyze_records(*parse_logs(env.collect_log(handle.run_id)))
+    analysis = analyze_records(*parse_logs(env.collect_log(env.run_id)))
     complete = [t for t in analysis.trees if t.complete]
     assert complete and len(complete) == len(analysis.breakdowns)
 

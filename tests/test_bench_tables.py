@@ -8,6 +8,8 @@ and ``scripts/bench.py`` each (owner, attribute) of its ``TIMED`` table, with
 fail only when those scripts run. The tables are read from the scripts
 themselves: ``child.py`` as source, since it imports its sibling
 ``workloads`` module, and ``bench.py`` as a module, whose import runs nothing.
+Both scripts also read the order of those calls in a run, which the last test
+pins.
 """
 
 import ast
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from faasbench import analysis, runner
+from faasbench.benchmarks import builtin_profile, load_builtin
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,3 +59,28 @@ def test_every_stage_bench_times_resolves():
     assert [(owner, attr) for owner, attr, _ in bench.TIMED
             if not callable(getattr(owners[owner], attr, None))] == []
     assert {stage for _, _, stage in bench.TIMED} <= set(bench.STAGES)
+
+
+def test_run_benchmark_makes_the_wrapped_calls_once_in_order(tmp_path, monkeypatch):
+    # child.py times the write of raw.log as the gap from the end of teardown to
+    # the start of analyze_log_text, so the run must deploy, simulate, collect,
+    # tear down and analyze in this order, and write raw.log after teardown
+    calls = []
+
+    def record(owner, attr):
+        fn = getattr(owner, attr)
+
+        def recorded(*args, **kwargs):
+            calls.append((attr, any(tmp_path.rglob(runner.RAW_LOG_NAME))))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, recorded)
+
+    for owner, attr in ((runner, "deploy_all"), (runner.SimEnvironment, "run_until_idle"),
+                        (runner.SimEnvironment, "collect_log"), (runner, "teardown"), (runner, "analyze_log_text")):
+        record(owner, attr)
+    app = load_builtin("streaming")
+    runner.run_benchmark(app, runner.default_config(app), builtin_profile("streaming"), seed=7, out_dir=tmp_path,
+                         scale=0.002)
+    assert calls == [("deploy_all", False), ("run_until_idle", False), ("collect_log", False), ("teardown", False),
+                     ("analyze_log_text", True)]

@@ -279,9 +279,12 @@ def test_run_rejects_a_bad_scale_or_seed_at_the_boundary(tmp_path, capsys, flag)
     ("coldStartDelay", "lognormal(1e300,5)", "platform cloud-a: coldStartDelay: lognormal(1e+300,5): "
                                              "samples can reach 2**53 us (about 285 years), past microsecond precision"),
     ("coldStartDelay", 400, "platform cloud-a: coldStartDelay: cannot parse distribution: 400"),
+    ("keepAliveSeconds", 0, "platform cloud-a: keepAliveSeconds must round to at least 1 us"),
+    ("keepAliveSeconds", 1e-7, "platform cloud-a: keepAliveSeconds must round to at least 1 us"),
 ], ids=["nan-keep-alive", "huge-keep-alive", "nan-clock-offset", "infinite-clock-offset", "huge-clock-offset",
         "overflowing-clock-offset", "negative-log-rate", "nan-log-rate", "fractional-log-rate", "infinite-cold-start",
-        "nan-cold-start", "overflowing-cold-start", "numeric-cold-start"])
+        "nan-cold-start", "overflowing-cold-start", "numeric-cold-start", "zero-keep-alive",
+        "sub-microsecond-keep-alive"])
 def test_run_names_the_out_of_range_config_field(tmp_path, capsys, field, value, reason):
     config = recipe("exp1-single-cloud").config.to_dict()
     config["platforms"][0][field] = value
@@ -425,11 +428,18 @@ def _shipped(command: str, bench: str):
     ("profile", "webshop", (), [1], "expected an object, got [1]"),
     ("profile", "webshop", ("phases", 0, "durationSeconds"), 1e305,
      "durationSeconds must be within +-2**53 us (about 285 years), got 1e+305"),
+    ("profile", "webshop", ("phases", 0, "durationSeconds"), -5, "phases[0].durationSeconds must be >= 0"),
+    ("profile", "smartcity", ("phases", 0, "series", 1, "intervalSeconds"), 1e-7,
+     "phases[0].series[1].intervalSeconds must round to at least 1 us"),
+    ("profile", "smartcity", ("phases", 0, "series", 0, "trainCount"), 0, "phases[0].series[0].trainCount must be >= 1"),
+    ("profile", "smartcity", ("phases", 0, "series", 3, "trainSpacingSeconds"), 0,
+     "phases[0].series[3].trainSpacingSeconds must round to at least 1 us when trainCount > 1"),
 ], ids=["function-not-an-object", "app-not-an-object", "functions-not-an-array", "body-not-an-array",
         "target-not-a-string", "entry-point-not-a-boolean", "services-not-an-array", "latency-not-an-object",
         "platforms-not-an-array", "assignment-not-an-object", "keep-alive-a-string", "keep-alive-a-boolean",
         "config-not-an-object", "phases-not-an-array", "mix-not-an-object", "mix-weight-a-string",
-        "infinite-total-flows", "total-flows-a-string", "profile-not-an-object", "huge-phase-duration"])
+        "infinite-total-flows", "total-flows-a-string", "profile-not-an-object", "huge-phase-duration",
+        "negative-phase-duration", "sub-microsecond-interval", "empty-train", "zero-train-spacing"])
 def test_a_field_of_the_wrong_type_is_named_in_one_line(tmp_path, capsys, command, bench, path, value, reason):
     doc_path = tmp_path / "doc.json"
     doc_path.write_text(json.dumps(_changed(_shipped(command, bench), path, value)))

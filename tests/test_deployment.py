@@ -1,47 +1,23 @@
-import numpy as np
+import json
+
 import pytest
 
 from faasbench.applications import PUBLISHER_PREFIX, InvalidApplication, walk_steps
 from faasbench.benchmarks import load_builtin
+from faasbench.cli import EXIT_CONFIG, main
 from faasbench.deployment import (
-    AdapterFailure,
     DeploymentConfig,
     DeploymentError,
     PlatformSpec,
     ServiceBinding,
     compile as compile_deployment,
-    deploy_all,
     publisher_name,
-    teardown,
 )
-from faasbench.records import LOADGEN, IdSource
+from faasbench.records import LOADGEN
 from faasbench.recipes import RECIPE_NAMES, exp3_three_way_factory, recipe
 from faasbench.runner import default_config, run_benchmark
 
 from conftest import make_platform, single_platform_config
-
-
-class RecordingAdapter:
-    """Mock adapter that logs calls and can fail on demand."""
-
-    def __init__(self, fail_deploy: bool = False, fail_remove: bool = False):
-        self.fail_deploy = fail_deploy
-        self.fail_remove = fail_remove
-        self.deployed = []
-        self.removed = []
-
-    def deploy(self, artifact):
-        if self.fail_deploy:
-            raise RuntimeError("boom")
-        self.deployed.append(artifact.platform_id)
-
-    def collect_logs(self, run_id):
-        return []
-
-    def remove(self, artifact):
-        if self.fail_remove:
-            raise RuntimeError("remove failed")
-        self.removed.append(artifact.platform_id)
 
 
 def three_platform_factory_config() -> DeploymentConfig:
@@ -49,16 +25,15 @@ def three_platform_factory_config() -> DeploymentConfig:
 
 
 def publisher_platforms(plan) -> list[str]:
-    """Ids of the platforms whose artifact carries a synthesized publisher."""
-    return [a.platform_id for a in plan.artifacts
-            if publisher_name(a.platform_id) in (rfn.name for rfn in a.functions)]
+    """Ids of the platforms whose functions include a synthesized publisher."""
+    return [pid for pid, fns in plan.functions.items() if publisher_name(pid) in (rfn.name for rfn in fns)]
 
 
 def test_factory_three_way_split_artifacts_and_publishers():
     app = load_builtin("smartfactory")
     plan = compile_deployment(app, three_platform_factory_config())
-    assert len(plan.artifacts) == 3
-    # every artifact carries its synthesized publisher
+    assert list(plan.functions) == ["couch", "panel", "cushion"]  # the config's platform order
+    # every platform carries its synthesized publisher
     assert sorted(publisher_platforms(plan)) == ["couch", "cushion", "panel"]
 
 
@@ -66,7 +41,7 @@ def test_webshop_single_platform_no_publishers():
     app = load_builtin("webshop")
     cfg = single_platform_config(app, make_platform("cloud-a", peers={"keystore": 3}))
     plan = compile_deployment(app, cfg)
-    assert len(plan.artifacts) == 1
+    assert list(plan.functions) == ["cloud-a"]
     assert publisher_platforms(plan) == []
 
 
@@ -79,9 +54,9 @@ def test_endpoint_resolution_is_total():
         specs = {p.id: p for p in r.config.platforms}
         placement = r.config.assignment
         plan = compile_deployment(app, r.config)
-        for artifact in plan.artifacts:
-            src = specs[artifact.platform_id]
-            for rfn in artifact.functions:
+        for pid, fns in plan.functions.items():
+            src = specs[pid]
+            for rfn in fns:
                 assert rfn.name.startswith(PUBLISHER_PREFIX) or placement[rfn.name] == src.id
                 for step in walk_steps(rfn.spec.body):
                     if step.kind == "call":
@@ -161,6 +136,24 @@ def test_unknown_platform_and_missing_binding():
         compile_deployment(app, cfg2)
 
 
+@pytest.mark.parametrize("section, key, entry, reason", [
+    ("assignment", "registerUsr", "nowhere", "assignment key 'registerUsr' is not a function of the application"),
+    ("serviceBindings", "kvstore", {"platform": "nowhere"},
+     "serviceBindings key 'kvstore' is not an external service of the application"),
+], ids=["assignment", "binding"])
+def test_run_rejects_a_config_key_that_names_nothing_in_the_application(tmp_path, capsys, section, key, entry,
+                                                                        reason):
+    # a stray key would otherwise be ignored, and a typo in one pass unnoticed
+    config = recipe("exp4-coldstart").config.to_dict()
+    config[section][key] = entry
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "streaming", "--config", str(cfg), "--scale", "0.01", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {reason}\n"
+    assert not out.exists()
+
+
 def test_run_benchmark_rejects_invalid_app(tmp_path):
     from faasbench.applications import ApplicationSpec, FunctionSpec, HTTP_SYNC, call
     from faasbench.workload import LoadProfile, Phase, Workflow, WorkflowStep
@@ -174,46 +167,6 @@ def test_run_benchmark_rejects_invalid_app(tmp_path):
     with pytest.raises(InvalidApplication, match=r"^UnknownTarget \[a\]: target 'nope' is not defined$"):
         run_benchmark(app, cfg, profile, seed=1, out_dir=out)
     assert not out.exists()
-
-
-def test_deploy_all_and_fresh_run_ids():
-    app = load_builtin("smartfactory")
-    plan = compile_deployment(app, three_platform_factory_config())
-    adapters = {pid: RecordingAdapter() for pid in ("couch", "panel", "cushion")}
-    ids = IdSource(np.random.default_rng(0))
-    h1 = deploy_all(plan, adapters, ids.new_run_id())
-    h2 = deploy_all(plan, adapters, ids.new_run_id())
-    assert h1.run_id != h2.run_id
-    assert set(h1.deployed) == {"couch", "panel", "cushion"}
-
-
-def test_deploy_failure_rolls_back():
-    app = load_builtin("smartfactory")
-    plan = compile_deployment(app, three_platform_factory_config())
-    adapters = {
-        "couch": RecordingAdapter(),
-        "panel": RecordingAdapter(fail_deploy=True),
-        "cushion": RecordingAdapter(),
-    }
-    with pytest.raises(AdapterFailure) as err:
-        deploy_all(plan, adapters, "r-test")
-    assert err.value.platform_id == "panel"
-    assert adapters["couch"].removed == ["couch"]  # rolled back
-    assert adapters["cushion"].deployed == []
-
-
-def test_teardown_reports_and_is_idempotent():
-    app = load_builtin("smartfactory")
-    plan = compile_deployment(app, three_platform_factory_config())
-    adapters = {pid: RecordingAdapter() for pid in ("couch", "panel", "cushion")}
-    adapters["panel"].fail_remove = True
-    handle = deploy_all(plan, adapters, "r-test")
-    report = teardown(handle, adapters)
-    assert report.outcomes["couch"] == "removed"
-    assert report.outcomes["panel"].startswith("failed")
-    assert not report.ok
-    again = teardown(handle, adapters)
-    assert set(again.outcomes.values()) == {"skipped"}
 
 
 def test_platform_spec_invariants():

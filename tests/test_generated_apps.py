@@ -143,10 +143,10 @@ def test_trees_do_not_depend_on_the_order_of_the_lines(case, flows, seed, data):
     # a log with no repeated line, in log order and permuted; a lost line (never a
     # store call, whose loss the log cannot show) leaves orphans and incomplete trees
     app, config = case
-    env, plan, handle = deployed_env(app, config, seed=seed)
+    env, plan = deployed_env(app, config, seed=seed)
     execute(schedule(burst_profile([fn.name for fn in app.entry_points()], flows), env.loadgen_rng), plan, env)
     env.run_until_idle()
-    records, _ = parse_logs(env.collect_log(handle.run_id))
+    records, _ = parse_logs(env.collect_log(env.run_id))
     lost = data.draw(st.sampled_from([None] + [i for i, r in enumerate(records) if r.kind != DB_CALL]))
     if lost is not None:
         records = records[:lost] + records[lost + 1:]

@@ -61,10 +61,10 @@ def base_log(name: str):
     """(records, indexes of the lines that may be deleted, breakdowns by
     context) of one clean run at seed 7."""
     app, cfg, profile = BASES[name]()
-    env, plan, handle = deployed_env(app, cfg, seed=7)
+    env, plan = deployed_env(app, cfg, seed=7)
     execute(schedule(profile, env.loadgen_rng), plan, env)
     env.run_until_idle()
-    records, _ = parse_logs(env.collect_log(handle.run_id))
+    records, _ = parse_logs(env.collect_log(env.run_id))
     clean = analyze_records(records, ParseReport())
     assert clean.trees and clean.incomplete_trees == 0
     deletable = tuple(i for i, r in enumerate(records) if r.kind != DB_CALL)

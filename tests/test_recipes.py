@@ -20,7 +20,7 @@ def test_every_recipe_compiles(name):
     r = recipe(name)
     app = load_builtin(r.benchmark)
     plan = compile_deployment(app, r.config)
-    deployed = [rfn.name for artifact in plan.artifacts for rfn in artifact.functions]
+    deployed = [rfn.name for fns in plan.functions.values() for rfn in fns]
     assert sorted(n for n in deployed if not n.startswith(PUBLISHER_PREFIX)) == sorted(fn.name for fn in app.functions)
 
 

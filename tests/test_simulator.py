@@ -15,7 +15,7 @@ from faasbench.applications import (
     db_set,
     publish,
 )
-from faasbench.deployment import DeploymentConfig, ServiceBinding
+from faasbench.deployment import DeploymentConfig, ServiceBinding, deploy_all, teardown
 from faasbench.distributions import constant, lognormal
 from faasbench.records import HEADER_LINE, INVOCATION, MODE_TRIGGER, OUTGOING_CALL
 from faasbench.analysis import parse_logs
@@ -29,8 +29,8 @@ from conftest import deployed_env, make_platform, single_platform_config
 MS = 1000  # microseconds
 
 
-def records_of(env, handle):
-    recs, _ = parse_logs(env.collect_log(handle.run_id))
+def records_of(env):
+    recs, _ = parse_logs(env.collect_log(env.run_id))
     return recs
 
 
@@ -42,7 +42,7 @@ def simple_app(cold_ms=400, body_ms=2):
 def test_cold_start_then_warm_then_expiry():
     app = simple_app()
     platform = make_platform(cold_start_delay=constant(400), keep_alive_us=10_000_000)
-    env, plan, handle = deployed_env(app, single_platform_config(app, platform))
+    env, plan = deployed_env(app, single_platform_config(app, platform))
     p = env.platforms["p1"]
 
     t1 = p.invoke("fn", arrival_us=1_000_000)
@@ -74,10 +74,10 @@ def test_cold_start_then_warm_then_expiry():
 def test_invocation_record_spans_accept_to_completion():
     app = simple_app()
     platform = make_platform(cold_start_delay=constant(400))
-    env, plan, handle = deployed_env(app, single_platform_config(app, platform))
+    env, plan = deployed_env(app, single_platform_config(app, platform))
     env.platforms["p1"].invoke("fn", arrival_us=0)
     env.run_until_idle()
-    recs = [r for r in records_of(env, handle) if r.kind == INVOCATION]
+    recs = [r for r in records_of(env) if r.kind == INVOCATION]
     assert recs[0].start_us == 0 and recs[0].end_us == 402 * MS
     assert recs[0].cold_start is True
 
@@ -87,10 +87,10 @@ def test_same_platform_round_trip_zero_legs():
     b = FunctionSpec("b", HTTP_SYNC, (compute(constant(2)),))
     app = ApplicationSpec("pair", (a, b))
     platform = make_platform(cold_start_delay=constant(0))
-    env, plan, handle = deployed_env(app, single_platform_config(app, platform))
+    env, plan = deployed_env(app, single_platform_config(app, platform))
     env.platforms["p1"].invoke("a", arrival_us=0)
     env.run_until_idle()
-    out = [r for r in records_of(env, handle) if r.kind == OUTGOING_CALL and r.function == "a"]
+    out = [r for r in records_of(env) if r.kind == OUTGOING_CALL and r.function == "a"]
     assert out[0].duration_us == 2 * MS  # zero-latency legs, callee compute only
 
 
@@ -101,10 +101,10 @@ def test_cross_platform_round_trip_arithmetic():
     p1 = make_platform("p1", peers={"p2": 15}, cold_start_delay=constant(0))
     p2 = make_platform("p2", peers={"p1": 15}, cold_start_delay=constant(0))
     cfg = DeploymentConfig(platforms=(p1, p2), assignment={"a": "p1", "b": "p2"})
-    env, plan, handle = deployed_env(app, cfg)
+    env, plan = deployed_env(app, cfg)
     env.platforms["p1"].invoke("a", arrival_us=0)
     env.run_until_idle()
-    out = [r for r in records_of(env, handle) if r.kind == OUTGOING_CALL and r.function == "a"]
+    out = [r for r in records_of(env) if r.kind == OUTGOING_CALL and r.function == "a"]
     assert out[0].duration_us == (15 + 2 + 15) * MS
 
 
@@ -114,10 +114,10 @@ def test_publish_trigger_timing_degenerate():
     app = ApplicationSpec("events", (entry, sink))
     # self latency of 25 ms models the publish delivery leg
     platform = make_platform(cold_start_delay=constant(0), trigger_delay=constant(100), peers={"p1": 25})
-    env, plan, handle = deployed_env(app, single_platform_config(app, platform))
+    env, plan = deployed_env(app, single_platform_config(app, platform))
     env.platforms["p1"].invoke("entry", arrival_us=0)
     env.run_until_idle()
-    recs = records_of(env, handle)
+    recs = records_of(env)
     pub_inv = next(r for r in recs if r.kind == INVOCATION and r.function.startswith("__publisher_"))
     sink_inv = next(r for r in recs if r.kind == INVOCATION and r.function == "sink")
     assert sink_inv.start_us - pub_inv.start_us == 100 * MS
@@ -133,14 +133,14 @@ def test_publish_trigger_timing_degenerate():
 
 def test_invoke_not_deployed():
     app = simple_app()
-    env, plan, handle = deployed_env(app, single_platform_config(app, make_platform()))
+    env, plan = deployed_env(app, single_platform_config(app, make_platform()))
     with pytest.raises(SimulationError, match="^function 'ghost' is not deployed on this platform$"):
         env.platforms["p1"].invoke("ghost", arrival_us=0)
 
 
 def test_start_invocation_not_deployed():
     app = simple_app()
-    env, plan, handle = deployed_env(app, single_platform_config(app, make_platform()))
+    env, plan = deployed_env(app, single_platform_config(app, make_platform()))
     with pytest.raises(SimulationError, match="^function 'ghost' is not deployed on this platform$"):
         env.platforms["p1"].start_invocation("ghost", "c" * 32, "d" * 32)
 
@@ -150,11 +150,11 @@ def test_trigger_delay_sampling_median():
     sink = FunctionSpec("sink", EVENT_ASYNC, (compute(constant(1)),))
     app = ApplicationSpec("events", (entry, sink))
     platform = make_platform(cold_start_delay=constant(0), trigger_delay=lognormal(100, 0.3))
-    env, plan, handle = deployed_env(app, single_platform_config(app, platform), seed=3)
+    env, plan = deployed_env(app, single_platform_config(app, platform), seed=3)
     for i in range(1000):
         env.platforms["p1"].invoke("entry", arrival_us=i * 500_000)
     env.run_until_idle()
-    recs = records_of(env, handle)
+    recs = records_of(env)
     pubs = {r.context_id: r for r in recs if r.kind == INVOCATION and r.function.startswith("__publisher_")}
     delays = sorted(
         r.start_us - pubs[r.context_id].start_us
@@ -171,10 +171,10 @@ def test_db_ops_latency_and_store_semantics():
     )
     app = ApplicationSpec("dbapp", (fn,), external_services=("keystore",))
     platform = make_platform(cold_start_delay=constant(0), peers={"keystore": 3})
-    env, plan, handle = deployed_env(app, single_platform_config(app, platform))
+    env, plan = deployed_env(app, single_platform_config(app, platform))
     env.platforms["p1"].invoke("fn", arrival_us=0)
     env.run_until_idle()
-    db_records = [r for r in records_of(env, handle) if r.kind == "DB_CALL"]
+    db_records = [r for r in records_of(env) if r.kind == "DB_CALL"]
     assert [r.duration_us for r in db_records] == [3 * MS, 3 * MS, 3 * MS]
     assert [r.db_op for r in db_records] == ["get", "set", "get"]
 
@@ -183,11 +183,11 @@ def test_db_sampling_median_recovery():
     fn = FunctionSpec("fn", HTTP_SYNC, (db_get("k"),), entry_point=True)
     app = ApplicationSpec("dbapp", (fn,), external_services=("keystore",))
     platform = make_platform(cold_start_delay=constant(0), peers={"keystore": "lognormal(3,0.3)"})
-    env, plan, handle = deployed_env(app, single_platform_config(app, platform), seed=8)
+    env, plan = deployed_env(app, single_platform_config(app, platform), seed=8)
     for i in range(1000):
         env.platforms["p1"].invoke("fn", arrival_us=i * 100_000)
     env.run_until_idle()
-    durations = sorted(r.duration_us for r in records_of(env, handle) if r.kind == "DB_CALL")
+    durations = sorted(r.duration_us for r in records_of(env) if r.kind == "DB_CALL")
     median = durations[len(durations) // 2]
     assert abs(median - 3 * MS) / (3 * MS) < 0.10
 
@@ -196,7 +196,7 @@ def test_executor_intervals_never_overlap():
     # concurrent arrivals on one function scale out to fresh executors
     app = simple_app()
     platform = make_platform(cold_start_delay=constant(50), keep_alive_us=1_000_000)
-    env, plan, handle = deployed_env(app, single_platform_config(app, platform), seed=5)
+    env, plan = deployed_env(app, single_platform_config(app, platform), seed=5)
     for i in range(200):
         env.platforms["p1"].invoke("fn", arrival_us=(i * 17) * MS // 10)  # 1.7ms spacing
     env.run_until_idle()
@@ -213,14 +213,14 @@ def test_executor_intervals_never_overlap():
 def test_cold_flag_equals_first_appearance():
     app = simple_app()
     platform = make_platform(cold_start_delay=constant(50), keep_alive_us=500_000)
-    env, plan, handle = deployed_env(app, single_platform_config(app, platform), seed=6)
+    env, plan = deployed_env(app, single_platform_config(app, platform), seed=6)
     for i in range(100):
         env.platforms["p1"].invoke("fn", arrival_us=i * 300_000)
     env.run_until_idle()
     from faasbench.analysis import coldstart_crosscheck
 
-    assert coldstart_crosscheck(records_of(env, handle)) == 0
-    cold_records = sum(1 for r in records_of(env, handle) if r.kind == INVOCATION and r.cold_start)
+    assert coldstart_crosscheck(records_of(env)) == 0
+    cold_records = sum(1 for r in records_of(env) if r.kind == INVOCATION and r.cold_start)
     assert cold_records == len(env.truth.executors)
 
 
@@ -228,36 +228,42 @@ def test_run_determinism_bytes():
     def one_run():
         app = simple_app()
         platform = make_platform(cold_start_delay=constant(10), trigger_delay=lognormal(100, 0.5))
-        env, plan, handle = deployed_env(app, single_platform_config(app, platform), seed=9)
+        env, plan = deployed_env(app, single_platform_config(app, platform), seed=9)
         for i in range(50):
             env.platforms["p1"].invoke("fn", arrival_us=i * 1234)
         env.run_until_idle()
-        return env.collect_log(handle.run_id)
+        return env.collect_log(env.run_id)
 
     assert one_run() == one_run()
 
 
 def test_adapter_remove_clears_platform_state():
     app = simple_app()
-    env, plan, handle = deployed_env(app, single_platform_config(app, make_platform()))
+    env, plan = deployed_env(app, single_platform_config(app, make_platform()))
     p = env.platforms["p1"]
     assert p.deployed_functions == ("fn",)
-    p.remove(plan.artifact("p1"))
+    p.invoke("fn", arrival_us=0)
+    env.run_until_idle()
+    teardown(env.platforms)
     assert p.deployed_functions == ()
     with pytest.raises(SimulationError, match="^function 'fn' is not deployed on this platform$"):
         p.invoke("fn", arrival_us=0)
-    p.deploy(plan.artifact("p1"))  # redeploy works cleanly
+    deploy_all(plan, env.platforms)  # redeploy works cleanly
     assert p.deployed_functions == ("fn",)
+    # the idle executor went with the teardown, so an arrival within keep-alive starts cold
+    p.invoke("fn", arrival_us=env.kernel.now + 1)
+    env.run_until_idle()
+    assert [inv.cold for inv in env.truth.invocations] == [True, True]
 
 
 def test_collect_logs_filters_by_run():
     app = simple_app()
-    env, plan, handle = deployed_env(app, single_platform_config(app, make_platform()))
+    env, plan = deployed_env(app, single_platform_config(app, make_platform()))
     env.platforms["p1"].invoke("fn", arrival_us=0)
     env.run_until_idle()
-    first = env.platforms["p1"].collect_logs(handle.run_id)
-    assert len(first) == 2 and first[0].startswith(f"{handle.run_id}\tp1\t") and first[1] == "#dropped p1 0"
-    assert env.platforms["p1"].collect_logs("r-other") == ["#dropped p1 0"]
+    first = env.collect_log(env.run_id)
+    assert first[:2] == [HEADER_LINE, "#dropped loadgen 0"] and first[-1] == "#dropped p1 0"
+    assert len(first) == 4 and first[2].startswith(f"{env.run_id}\tp1\t")
     assert env.collect_log("r-other") == [HEADER_LINE, "#dropped loadgen 0", "#dropped p1 0"]
 
 
@@ -289,7 +295,7 @@ def test_parallel_block_joins_at_max_branch():
     fast = FunctionSpec("fast", HTTP_SYNC, (compute(constant(5)),))
     app = ApplicationSpec("par", (a, slow, fast))
     platform = make_platform(cold_start_delay=constant(0))
-    env, plan, handle = deployed_env(app, single_platform_config(app, platform))
+    env, plan = deployed_env(app, single_platform_config(app, platform))
     t = env.platforms["p1"].invoke("a", arrival_us=0)
     env.run_until_idle()
     assert t.result == 30 * MS  # join waits for the slower branch
@@ -303,7 +309,7 @@ def test_executor_reuse_matches_most_recently_idle_scan():
     app = simple_app(body_ms=2)
     keep_alive = 10 * MS
     platform = make_platform(keep_alive_us=keep_alive)
-    env, plan, handle = deployed_env(app, single_platform_config(app, platform))
+    env, plan = deployed_env(app, single_platform_config(app, platform))
     p = env.platforms["p1"]
     shadow: list = []
     chosen: list[tuple[str, bool]] = []
@@ -358,7 +364,7 @@ def test_run_until_idle_restores_the_collector(enabled, collector_restored):
     else:
         gc.disable()
     app = simple_app()
-    env, plan, handle = deployed_env(app, single_platform_config(app, make_platform()))
+    env, plan = deployed_env(app, single_platform_config(app, make_platform()))
     env.platforms["p1"].invoke("fn", arrival_us=0)
     seen = []
 
@@ -382,7 +388,7 @@ def test_run_until_idle_restores_the_collector(enabled, collector_restored):
 
 def test_run_until_idle_keeps_a_callers_frozen_objects(collector_restored):
     app = simple_app()
-    env, plan, handle = deployed_env(app, single_platform_config(app, make_platform()))
+    env, plan = deployed_env(app, single_platform_config(app, make_platform()))
     p = env.platforms["p1"]
     p.invoke("fn", arrival_us=0)
     env.run_until_idle()
@@ -443,10 +449,10 @@ def test_simulation_creates_no_reference_cycles(name, collector_restored):
     app = load_builtin(r.benchmark)
     gc.collect()  # an earlier test's environment is a cycle with its platforms
     gc.disable()
-    env, plan, handle = deployed_env(app, r.config, seed=7)
+    env, plan = deployed_env(app, r.config, seed=7)
     execute(schedule(r.profile.scaled(0.2), env.loadgen_rng), plan, env)
     env.run_until_idle()
     assert env.truth.invocations
     assert gc.collect() == 0
-    env.collect_log(handle.run_id)
+    env.collect_log(env.run_id)
     assert gc.collect() == 0

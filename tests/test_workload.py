@@ -258,11 +258,11 @@ def one_fn_env(seed=1):
 
 
 def test_execute_single_workflow_single_step():
-    env, plan, handle = one_fn_env()
+    env, plan = one_fn_env()
     arrivals = [Arrival(0, Workflow("w", (WorkflowStep("fn"),)))]
     stats = execute(arrivals, plan, env)
     env.run_until_idle()
-    records, _ = parse_logs(env.collect_log(handle.run_id))
+    records, _ = parse_logs(env.collect_log(env.run_id))
     roots = [r for r in records if r.platform_id == LOADGEN]
     invs = [r for r in records if r.kind == INVOCATION]
     assert stats.instances == 1 and len(roots) == 1
@@ -271,21 +271,21 @@ def test_execute_single_workflow_single_step():
 
 
 def test_execute_contexts_are_fresh_per_instance():
-    env, plan, handle = one_fn_env()
+    env, plan = one_fn_env()
     wf = Workflow("w", (WorkflowStep("fn"),))
     execute([Arrival(0, wf), Arrival(1000, wf), Arrival(2000, wf)], plan, env)
     env.run_until_idle()
-    records, _ = parse_logs(env.collect_log(handle.run_id))
+    records, _ = parse_logs(env.collect_log(env.run_id))
     roots = [r for r in records if r.platform_id == LOADGEN]
     assert len({r.context_id for r in roots}) == 3  # one context per workflow instance
 
 
 def test_execute_multi_step_workflow_honors_think_time():
-    env, plan, handle = one_fn_env()
+    env, plan = one_fn_env()
     wf = Workflow("w", (WorkflowStep("fn", think_time_us=5 * US), WorkflowStep("fn")))
     execute([Arrival(0, wf)], plan, env)
     env.run_until_idle()
-    records, _ = parse_logs(env.collect_log(handle.run_id))
+    records, _ = parse_logs(env.collect_log(env.run_id))
     roots = sorted((r for r in records if r.platform_id == LOADGEN), key=lambda r: r.start_us)
     assert len(roots) == 2
     assert len({r.context_id for r in roots}) == 1  # the instance shares one context
@@ -317,10 +317,10 @@ def test_a_periodic_series_calls_its_own_entry():
         "p", (Workflow("a", (WorkflowStep("b"),)),),
         (Phase(kind="periodic", duration_us=10 * US, series=(PeriodicSeries("a", interval_us=US),)),),
     )
-    env, plan, handle = deployed_env(app, single_platform_config(app, make_platform()))
+    env, plan = deployed_env(app, single_platform_config(app, make_platform()))
     execute(schedule(profile, rng()), plan, env)
     env.run_until_idle()
-    records, _ = parse_logs(env.collect_log(handle.run_id))
+    records, _ = parse_logs(env.collect_log(env.run_id))
     assert [r.callee for r in records if r.platform_id == LOADGEN] == ["a"] * 10
     assert {r.function for r in records if r.kind == INVOCATION} == {"a"}
 
@@ -336,12 +336,12 @@ def test_arrivals_do_not_depend_on_response_times():
 def test_webshop_run_has_one_root_per_context():
     app = load_builtin("webshop")
     cfg = default_config(app)
-    env, plan, handle = deployed_env(app, cfg, seed=15)
+    env, plan = deployed_env(app, cfg, seed=15)
     profile = builtin_profile("webshop").scaled(0.005)
     arrivals = schedule(profile, env.loadgen_rng)
     stats = execute(arrivals, plan, env)
     env.run_until_idle()
-    records, _ = parse_logs(env.collect_log(handle.run_id))
+    records, _ = parse_logs(env.collect_log(env.run_id))
     roots = [r for r in records if r.platform_id == LOADGEN and r.kind == OUTGOING_CALL]
     contexts = {r.context_id for r in records}
     assert len(roots) == stats.instances

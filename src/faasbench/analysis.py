@@ -31,12 +31,6 @@ Record-level metrics (execution durations, cold-start counts and the
 cold-flag cross-check) count each (context, pair id) invocation once, from
 its first line in log order.
 
-``analyze_log_text`` pauses Python's cyclic garbage collector while it parses
-and analyzes (``collector.collector_paused``). The analyzer builds no
-reference cycles, yet the records, tree nodes and metric rows it allocates by
-the hundred thousand keep triggering collections, and each one scans every
-object that survives, to free nothing.
-
 The analyzer takes the log as text or as its lines (the run hands over the
 sinks' line list, ``analyze_file`` the file's lines as it reads them), so it
 never needs a joined copy of the log. Each parsed record shares one string
@@ -74,7 +68,6 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .collector import collector_paused
 from .records import (
     DB_CALL,
     DROP_PREFIX,
@@ -604,8 +597,9 @@ def coldstart_crosscheck(records: list[TraceRecord]) -> int:
 # summaries
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(NamedTuple):
+    """A group's nearest-rank statistics, in summary.csv's column order."""
+
     count: int
     min: float | None = None
     p25: float | None = None
@@ -707,16 +701,9 @@ def analyze_records(records: list[TraceRecord], parse_report: ParseReport,
 
 
 def analyze_log_text(text_or_lines, phases: list[PhaseWindow] | None = None) -> RunAnalysis:
-    """Parse and analyze a collected log, given as text or as its lines, with
-    the cyclic collector paused (module docstring); the caller's collector
-    state is restored."""
-    with collector_paused():
-        records, report = parse_logs(text_or_lines)
-        return analyze_records(records, report, phases)
-
-
-def _stats_row(metric: str, group: str, s: SummaryStats) -> list:
-    return [metric, group, s.count, s.min, s.p25, s.p50, s.p75, s.max, s.whisker_low, s.whisker_high]
+    """Parse and analyze a collected log, given as text or as its lines."""
+    records, report = parse_logs(text_or_lines)
+    return analyze_records(records, report, phases)
 
 
 def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = False) -> dict[str, str]:
@@ -737,11 +724,9 @@ def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = Fal
 
     stat_header = ["metric", "group", "count", "min_us", "p25_us", "p50_us", "p75_us", "max_us",
                    "whisker_low_us", "whisker_high_us"]
-    rows = []
-    for metric, groups in summaries.items():
-        for group, s in groups.items():
-            rows.append(_stats_row(metric, group, s))
-    emit_csv("summary.csv", stat_header, rows)
+    stat_keys = ("count", "min", "p25", "p50", "p75", "max", "whiskerLow", "whiskerHigh")  # in summary.json
+    emit_csv("summary.csv", stat_header,
+             [[metric, group, *s] for metric, groups in summaries.items() for group, s in groups.items()])
 
     emit_csv(
         "trees.csv",
@@ -754,12 +739,12 @@ def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = Fal
     emit_csv(
         "trigger_delays.csv",
         stat_header[1:],
-        [_stats_row("trigger_delay", g, s)[1:] for g, s in summaries.get("trigger_delay", {}).items()],
+        [[g, *s] for g, s in summaries.get("trigger_delay", {}).items()],
     )
     emit_csv(
         "publish_latency.csv",
         stat_header[1:],
-        [_stats_row("publish_latency", g, s)[1:] for g, s in summaries.get("publish_latency", {}).items()],
+        [[g, *s] for g, s in summaries.get("publish_latency", {}).items()],
     )
     emit_csv(
         "cold_starts.csv",
@@ -792,7 +777,7 @@ def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = Fal
             ],
         },
         "metrics": {
-            metric: {group: _stats_dict(s) for group, s in groups.items()}
+            metric: {group: dict(zip(stat_keys, s)) for group, s in groups.items()}
             for metric, groups in summaries.items()
         },
     }
@@ -803,19 +788,6 @@ def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = Fal
     if charts:
         _write_charts(summaries, out / "charts", written)
     return written
-
-
-def _stats_dict(s: SummaryStats) -> dict:
-    return {
-        "count": s.count,
-        "min": s.min,
-        "p25": s.p25,
-        "p50": s.p50,
-        "p75": s.p75,
-        "max": s.max,
-        "whiskerLow": s.whisker_low,
-        "whiskerHigh": s.whisker_high,
-    }
 
 
 def _write_charts(summaries: dict[str, dict[str, SummaryStats]], chart_dir: Path,

@@ -3,8 +3,10 @@
 Latency constants are illustrative defaults chosen inside realistic ranges
 (cross-provider publish legs a few tens of ms, trigger pipelines 100-400 ms,
 glue-code compute ~1 ms); they parameterize the simulator, they are not
-measured truth. Every recipe builder accepts distribution overrides so the
-same topology can run with constant or sampled latencies.
+measured truth. ``exp1_single_cloud`` accepts distribution overrides and
+``exp3_three_way_factory`` a trigger-delay override, so the same topology can
+run with constant or sampled latencies; ``exp2_edge_cloud`` accepts a clock
+offset for the cloud platform.
 """
 
 from __future__ import annotations
@@ -73,22 +75,16 @@ def exp1_single_cloud(
     return Recipe("exp1-single-cloud", "webshop", cfg, builtin_profile("webshop"))
 
 
-def _exp2_platforms(
-    edge_cloud: str,
-    intra_edge: str,
-    intra_cloud: str,
-    cloud_db: str,
-    cloud_clock_offset_ms: float,
-) -> tuple[PlatformSpec, PlatformSpec]:
+def _exp2_platforms(cloud_clock_offset_ms: float) -> tuple[PlatformSpec, PlatformSpec]:
     edge = PlatformSpec(
         id="edge-1",
         cold_start_delay=parse_duration("constant(0)"),
         keep_alive_us=300_000_000,
         network_latency={
-            "edge-1": parse_duration(intra_edge),
-            "cloud-a": parse_duration(edge_cloud),
-            "loadgen": parse_duration(intra_edge),  # sensors sit at the edge site
-            KEYSTORE: parse_duration(edge_cloud),  # store is cloud-hosted
+            "edge-1": parse_duration("constant(1)"),
+            "cloud-a": parse_duration("constant(40)"),
+            "loadgen": parse_duration("constant(1)"),  # sensors sit at the edge site
+            KEYSTORE: parse_duration("constant(40)"),  # store is cloud-hosted
         },
         trigger_delay=parse_duration("constant(10)"),
     )
@@ -97,10 +93,10 @@ def _exp2_platforms(
         cold_start_delay=parse_duration("constant(0)"),
         keep_alive_us=300_000_000,
         network_latency={
-            "cloud-a": parse_duration(intra_cloud),
-            "edge-1": parse_duration(edge_cloud),
-            "loadgen": parse_duration(edge_cloud),
-            KEYSTORE: parse_duration(cloud_db),
+            "cloud-a": parse_duration("constant(3)"),
+            "edge-1": parse_duration("constant(40)"),
+            "loadgen": parse_duration("constant(40)"),
+            KEYSTORE: parse_duration("constant(3)"),
         },
         trigger_delay=parse_duration("constant(100)"),
         clock_offset_us=int(round(cloud_clock_offset_ms * 1000)),
@@ -108,15 +104,9 @@ def _exp2_platforms(
     return edge, cloud
 
 
-def exp2_edge_cloud(
-    edge_cloud: str = "constant(40)",
-    intra_edge: str = "constant(1)",
-    intra_cloud: str = "constant(3)",
-    cloud_db: str = "constant(3)",
-    cloud_clock_offset_ms: float = 0.0,
-) -> Recipe:
+def exp2_edge_cloud(cloud_clock_offset_ms: float = 0.0) -> Recipe:
     """Smart city split: traffic-light functions at the edge, rest in cloud."""
-    edge, cloud = _exp2_platforms(edge_cloud, intra_edge, intra_cloud, cloud_db, cloud_clock_offset_ms)
+    edge, cloud = _exp2_platforms(cloud_clock_offset_ms)
     app = load_builtin("smartcity")
     assignment = {
         fn.name: ("edge-1" if fn.name in EDGE_FUNCTIONS else "cloud-a") for fn in app.functions
@@ -129,15 +119,9 @@ def exp2_edge_cloud(
     return Recipe("exp2-edge-cloud", "smartcity", cfg, builtin_profile("smartcity"))
 
 
-def exp2_edge_only(
-    edge_cloud: str = "constant(40)",
-    intra_edge: str = "constant(1)",
-    intra_cloud: str = "constant(3)",
-    cloud_db: str = "constant(3)",
-    cloud_clock_offset_ms: float = 0.0,
-) -> Recipe:
+def exp2_edge_only() -> Recipe:
     """Smart city entirely at the edge; only the store stays in the cloud."""
-    edge, cloud = _exp2_platforms(edge_cloud, intra_edge, intra_cloud, cloud_db, cloud_clock_offset_ms)
+    edge, cloud = _exp2_platforms(0.0)
     cfg = DeploymentConfig(
         platforms=(edge, cloud),
         assignment=_assign_all("smartcity", "edge-1"),
@@ -164,26 +148,20 @@ _EXP3_CROSS = {
 _EXP3_TRIGGER = {"couch": 100, "panel": 250, "cushion": 400}
 
 
-def exp3_three_way_factory(
-    cross: str | None = None,
-    trigger: str | None = None,
-    db: str = "constant(3)",
-) -> Recipe:
+def exp3_three_way_factory(trigger: str | None = None) -> Recipe:
     """Smart factory split over three providers (couch / panel / cushion).
 
-    Defaults give every platform pair a distinct constant publish leg and
-    every destination a distinct trigger delay; pass ``cross``/``trigger``
-    to replace all of them with one expression (e.g. a lognormal).
+    Every platform pair gets a distinct constant publish leg and, by default,
+    every destination a distinct trigger delay; pass ``trigger`` to replace
+    all the trigger delays with one expression (e.g. a lognormal).
     """
     platforms = []
     for pid in _EXP3_PARTS:
         net = {pid: parse_duration("constant(2)"), "loadgen": parse_duration("constant(30)"),
-               KEYSTORE: parse_duration(db)}
+               KEYSTORE: parse_duration("constant(3)")}
         for other in _EXP3_PARTS:
             if other != pid:
-                net[other] = parse_duration(cross) if cross else parse_duration(
-                    f"constant({_EXP3_CROSS[(pid, other)]})"
-                )
+                net[other] = parse_duration(f"constant({_EXP3_CROSS[(pid, other)]})")
         platforms.append(
             PlatformSpec(
                 id=pid,
@@ -204,21 +182,17 @@ def exp3_three_way_factory(
     return Recipe("exp3-three-way-factory", "smartfactory", cfg, builtin_profile("smartfactory"))
 
 
-def exp4_coldstart(
-    cold_start: str = "constant(400)",
-    keep_alive_s: float = 60.0,
-    db: str = "constant(3)",
-) -> Recipe:
+def exp4_coldstart() -> Recipe:
     """Streaming service on one platform; the profile's pause outlives the
     keep-alive window so the final burst lands on an empty executor pool."""
     platform = PlatformSpec(
         id="cloud-a",
-        cold_start_delay=parse_duration(cold_start),
-        keep_alive_us=int(round(keep_alive_s * 1_000_000)),
+        cold_start_delay=parse_duration("constant(400)"),
+        keep_alive_us=60_000_000,
         network_latency={
             "cloud-a": parse_duration("constant(0)"),
             "loadgen": parse_duration("constant(5)"),
-            KEYSTORE: parse_duration(db),
+            KEYSTORE: parse_duration("constant(3)"),
         },
         trigger_delay=parse_duration("constant(100)"),
     )

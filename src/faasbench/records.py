@@ -146,8 +146,10 @@ def format_drop_line(platform_id: str, count: int) -> str:
 
 
 def parse_drop_line(line: str) -> tuple[str, int]:
+    """The platform id and count of a ``#dropped`` line; the count must be
+    ASCII digits only, as ``format_drop_line`` writes it."""
     parts = line.split()
-    if len(parts) != 3 or parts[0] != DROP_PREFIX:
+    if len(parts) != 3 or parts[0] != DROP_PREFIX or not (parts[2].isascii() and parts[2].isdigit()):
         raise ValueError(f"not a drop line: {line!r}")
     return parts[1], int(parts[2])
 

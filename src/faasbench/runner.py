@@ -6,13 +6,20 @@ A run writes its ``manifest.json`` as plain JSON before any platform action.
 ``analyze_file`` reads it back through the typed field reader
 (``distributions.read``), every field as the one JSON type that
 ``MANIFEST_FIELDS`` and ``PHASE_FIELDS`` give it, so a malformed manifest
-raises AnalysisError in one line that names the file and the field."""
+raises AnalysisError in one line that names the file and the field.
+
+``run_benchmark`` and ``analyze_file`` each pause Python's cyclic garbage
+collector once, over their whole pipeline, which allocates by the hundred
+thousand and builds no reference cycles (``_collector_paused``). The
+lower-level calls they make leave the collector alone, so no pause nests."""
 
 from __future__ import annotations
 
 import datetime as _dt
+import gc
 import itertools
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +27,6 @@ from . import __version__
 from .analysis import AnalysisError, PhaseWindow, RunAnalysis, analyze_log_text, write_reports
 from .applications import ApplicationSpec, InvalidApplication, validate
 from .benchmarks import BENCHMARK_NAMES, load_builtin
-from .collector import collector_paused
 from .deployment import (
     DeploymentConfig,
     PlatformSpec,
@@ -60,6 +66,33 @@ class RunResult:
     def log_text(self) -> str:
         """The run's raw log, read back from ``log_path``."""
         return self.log_path.read_text()
+
+
+@contextmanager
+def _collector_paused():
+    """Run the block with the cyclic collector disabled, then restore the
+    caller's collector state.
+
+    A run allocates tasks, generator frames, log lines, records and tree nodes
+    by the hundred thousand and builds no reference cycles among them, yet
+    every allocation threshold they pass sets off a collection that scans all
+    surviving objects, the growing log included, to free nothing.
+
+    On the way out, ``gc.freeze(); gc.unfreeze()`` moves what survived into
+    the oldest generation without scanning it, so the paused allocations do
+    not set off a full collection right after. A caller's frozen objects are
+    left frozen: then the move is skipped.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
+        if enabled:
+            gc.enable()
 
 
 def default_config(app: ApplicationSpec, platform_id: str = "cloud-a") -> DeploymentConfig:
@@ -140,21 +173,17 @@ def run_benchmark(
     }
     (run_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")  # before any platform action
 
-    deploy_all(plan, env.platforms)
-    # set-up spawns a task and a generator per arrival and, like the
-    # simulation, builds no reference cycles (collector.py)
-    with collector_paused():
+    log_path = run_dir / RAW_LOG_NAME
+    with _collector_paused():
+        deploy_all(plan, env.platforms)
         arrivals = schedule(profile, env.loadgen_rng)
         stats = execute(arrivals, plan, env)
         env.run_until_idle()
-    log_lines = env.collect_log(run_id)
-    teardown(env.platforms)
-
-    log_path = run_dir / RAW_LOG_NAME
-    _write_lines(log_path, log_lines)
-
-    analysis = analyze_log_text(log_lines, phases)
-    write_reports(analysis, run_dir / REPORTS_DIR, charts=charts)
+        log_lines = env.collect_log(run_id)
+        teardown(env.platforms)
+        _write_lines(log_path, log_lines)
+        analysis = analyze_log_text(log_lines, phases)
+        write_reports(analysis, run_dir / REPORTS_DIR, charts=charts)
 
     return RunResult(
         run_id=run_id,
@@ -203,13 +232,14 @@ def analyze_file(log_path: str | Path, out_dir: str | Path | None = None, charts
     log_path = Path(log_path)
     manifest_path = log_path.parent / MANIFEST_NAME
     phases = _read_phases(manifest_path) if manifest_path.is_file() else None
-    try:
-        with log_path.open() as fh:
-            analysis = analyze_log_text(itertools.chain.from_iterable(map(str.splitlines, fh)), phases)
-    except UnicodeDecodeError as exc:
-        raise AnalysisError(f"{log_path}: not UTF-8 text: {exc}") from None
-    if out_dir is not None:
-        write_reports(analysis, out_dir, charts=charts)
+    with _collector_paused():
+        try:
+            with log_path.open() as fh:
+                analysis = analyze_log_text(itertools.chain.from_iterable(map(str.splitlines, fh)), phases)
+        except UnicodeDecodeError as exc:
+            raise AnalysisError(f"{log_path}: not UTF-8 text: {exc}") from None
+        if out_dir is not None:
+            write_reports(analysis, out_dir, charts=charts)
     return analysis
 
 

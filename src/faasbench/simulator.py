@@ -25,12 +25,7 @@ Platform semantics:
   the store keeps no contents and is never a bottleneck.
 
 Each emitter hands its record's fields to ``RecordSink.emit``, which checks
-them and writes the log line in one step. ``SimEnvironment.run_until_idle``
-pauses Python's cyclic garbage collector (``collector.collector_paused``):
-the simulation builds no reference cycles, yet the tasks, generator frames,
-log lines and truth rows it allocates keep setting off collections that scan
-every surviving object, the growing log and executor pools included, to free
-nothing.
+them and writes the log line in one step.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .collector import collector_paused
 from .deployment import CallRoute, DeploymentConfig, ResolvedFunction, publisher_name
 from .distributions import Duration
 from .records import (
@@ -370,8 +364,7 @@ class SimEnvironment:
         self.truth.edges.append(TruthEdge(context_id, parent_pair, pair, kind))
 
     def run_until_idle(self) -> None:
-        with collector_paused():
-            self.kernel.run_until_idle()
+        self.kernel.run_until_idle()
 
     def collect_log(self, run_id: str) -> list[str]:
         """The log lines of run ``run_id``: header, loadgen section, platforms

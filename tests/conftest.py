@@ -80,15 +80,19 @@ def one_fn_app() -> ApplicationSpec:
     return ApplicationSpec(name="solo-app", functions=(fn,))
 
 
+def set_collector(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
 @pytest.fixture
 def collector_restored():
     """Restore the cyclic collector's on/off state after the test."""
     enabled = gc.isenabled()
     yield
-    if enabled:
-        gc.enable()
-    else:
-        gc.disable()
+    set_collector(enabled)
 
 
 @pytest.fixture(scope="module")

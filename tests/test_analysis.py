@@ -48,7 +48,7 @@ from faasbench.recipes import exp3_three_way_factory, recipe
 from faasbench.runner import analyze_file, default_config, run_benchmark
 from faasbench.workload import execute, schedule
 
-from conftest import burst_profile, deployed_env, parallel_publish_app, truth_edges_by_context
+from conftest import burst_profile, deployed_env, parallel_publish_app, set_collector, truth_edges_by_context
 
 MS = 1000
 
@@ -150,6 +150,14 @@ def test_parse_collects_drop_counters():
     _, report = parse_logs(text)
     assert report.drops == {"p1": 42, "loadgen": 0}
     assert report.total_drops == 42
+
+
+@pytest.mark.parametrize("count", ["-5", "+7", "1_000", "\u0664"])
+def test_parse_counts_a_drop_count_other_than_ascii_digits_as_an_error(count):
+    # the sinks write the count as ASCII digits; int() would also take a sign,
+    # underscores or another script's digits
+    _, report = parse_logs(f"{HEADER_LINE}\n#dropped p1 {count}\n#dropped loadgen 3\n")
+    assert report.parse_errors == 1 and report.drops == {"loadgen": 3}
 
 
 def test_analyze_file_splits_lines_like_splitlines(tmp_path, monkeypatch):
@@ -1032,30 +1040,34 @@ def test_oneway_publish_and_trigger_read_from_the_decomposition(name):
 # -- the paused collector ----------------------------------------------------
 
 
-def _set_collector(enabled: bool) -> None:
-    if enabled:
-        gc.enable()
-    else:
-        gc.disable()
-
-
 @pytest.mark.parametrize("enabled", [True, False])
-def test_analyze_log_text_restores_the_collector(enabled, collector_restored):
-    _set_collector(enabled)
-    analysis = analyze_log_text("\n".join([HEADER_LINE, GOOD_INV, GOOD_CALL, GOOD_DB]))
-    assert analysis.parse.records == 3
+def test_analyze_file_restores_the_collector(enabled, collector_restored, monkeypatch, streaming_run, tmp_path):
+    set_collector(enabled)
+    analysis = analyze_file(streaming_run / "raw.log", tmp_path / "reports")
+    assert analysis.complete_trees > 0
     assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
-    with pytest.raises(AnalysisError, match="^missing or unsupported log header: "):
-        analyze_log_text("#faastrace v999\n" + GOOD_INV)
+    not_utf8 = tmp_path / "raw.log"
+    not_utf8.write_bytes(HEADER_LINE.encode() + b"\n\xff\xfe\n")
+    with pytest.raises(AnalysisError, match="not UTF-8"):
+        analyze_file(not_utf8)
+    assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
+
+    def failing_write_reports(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(runner, "write_reports", failing_write_reports)
+    with pytest.raises(OSError, match="no space left"):
+        analyze_file(streaming_run / "raw.log", tmp_path / "failed")
     assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
 
 
-def test_analyze_log_text_keeps_a_callers_frozen_objects(collector_restored):
+def test_analyze_file_keeps_a_callers_frozen_objects(collector_restored, streaming_run, tmp_path):
     gc.freeze()
     try:
         frozen = gc.get_freeze_count()
-        analyze_log_text("\n".join([HEADER_LINE, GOOD_INV]))
-        assert gc.get_freeze_count() == frozen
+        analyze_file(streaming_run / "raw.log", tmp_path)
+        # still frozen, bar what the run freed; none newly frozen
+        assert 0 < gc.get_freeze_count() <= frozen
     finally:
         gc.unfreeze()
 

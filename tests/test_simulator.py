@@ -24,7 +24,7 @@ from faasbench.recipes import RECIPE_NAMES, recipe
 from faasbench.simulator import Kernel, SimEnvironment, SimulationError
 from faasbench.workload import execute, schedule
 
-from conftest import deployed_env, make_platform, single_platform_config
+from conftest import deployed_env, make_platform, set_collector, single_platform_config
 
 MS = 1000  # microseconds
 
@@ -357,25 +357,9 @@ def test_executor_reuse_matches_most_recently_idle_scan():
 # -- the paused collector ----------------------------------------------------
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_run_until_idle_restores_the_collector(enabled, collector_restored):
-    if enabled:
-        gc.enable()
-    else:
-        gc.disable()
+def test_run_until_idle_rejects_a_negative_delay():
     app = simple_app()
     env, plan = deployed_env(app, single_platform_config(app, make_platform()))
-    env.platforms["p1"].invoke("fn", arrival_us=0)
-    seen = []
-
-    def probe():
-        seen.append(gc.isenabled())
-        yield 0
-
-    env.kernel.spawn(probe())
-    env.run_until_idle()
-    assert len(env.truth.invocations) == 1 and seen == [False]
-    assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
 
     def backwards():
         yield -1
@@ -383,63 +367,77 @@ def test_run_until_idle_restores_the_collector(enabled, collector_restored):
     env.kernel.spawn(backwards())
     with pytest.raises(SimulationError, match="negative delay -1"):
         env.run_until_idle()
+
+
+def _run_coldstart(out_dir):
+    r = recipe("exp4-coldstart")
+    return runner.run_benchmark(load_builtin(r.benchmark), r.config, r.profile, 7, out_dir, scale=0.1)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_benchmark_restores_the_collector(enabled, collector_restored, monkeypatch, tmp_path):
+    set_collector(enabled)
+    _run_coldstart(tmp_path / "ok")
+    assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
+
+    def failing_write_reports(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(runner, "write_reports", failing_write_reports)
+    with pytest.raises(OSError, match="no space left"):
+        _run_coldstart(tmp_path / "failed")
     assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
 
 
-def test_run_until_idle_keeps_a_callers_frozen_objects(collector_restored):
-    app = simple_app()
-    env, plan = deployed_env(app, single_platform_config(app, make_platform()))
-    p = env.platforms["p1"]
-    p.invoke("fn", arrival_us=0)
-    env.run_until_idle()
+def test_run_benchmark_keeps_a_callers_frozen_objects(collector_restored, tmp_path):
     gc.freeze()
     try:
         frozen = gc.get_freeze_count()
-        p.invoke("fn", arrival_us=1_000_000)
-        env.run_until_idle()
-        assert len(env.truth.invocations) == 2
-        assert gc.get_freeze_count() == frozen
+        _run_coldstart(tmp_path)
+        # still frozen, bar what the run freed; none newly frozen
+        assert 0 < gc.get_freeze_count() <= frozen
     finally:
         gc.unfreeze()
 
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_run_benchmark_pauses_the_collector_over_set_up(enabled, collector_restored, monkeypatch, tmp_path):
-    # schedule and execute spawn a task and a generator per arrival; at a
-    # threshold of 50 they would set off collections all the way
+    # set-up spawns a task and a generator per arrival, the simulation a line
+    # per record and the analysis a node per invocation; at a threshold of 50
+    # they would set off collections all the way, from deploy to the reports
     starts = []
-    marks = {}
+    marks = []  # (call, collections started so far, collector on) as each wrapped call starts and ends
 
     def on_gc(phase, info):
         if phase == "start":
             starts.append(info["generation"])
 
-    def traced_schedule(*args, **kwargs):
-        marks["schedule"] = (len(starts), gc.isenabled())
-        return schedule(*args, **kwargs)
+    def marked(fn):
+        def call(*args, **kwargs):
+            marks.append((fn.__name__, len(starts), gc.isenabled()))
+            result = fn(*args, **kwargs)
+            marks.append((fn.__name__, len(starts), gc.isenabled()))
+            return result
 
-    class ProbeEnvironment(SimEnvironment):
-        def run_until_idle(self) -> None:
-            marks["run_until_idle"] = (len(starts), gc.isenabled())
-            super().run_until_idle()
+        return call
 
-    monkeypatch.setattr(runner, "schedule", traced_schedule)
-    monkeypatch.setattr(runner, "SimEnvironment", ProbeEnvironment)
-    r = recipe("exp4-coldstart")
+    for name in ("deploy_all", "schedule", "teardown", "analyze_log_text", "write_reports"):
+        monkeypatch.setattr(runner, name, marked(getattr(runner, name)))
+    for name in ("run_until_idle", "collect_log"):
+        monkeypatch.setattr(SimEnvironment, name, marked(getattr(SimEnvironment, name)))
     threshold = gc.get_threshold()
     gc.set_threshold(50)
     gc.callbacks.append(on_gc)
     try:
-        if enabled:
-            gc.enable()
-        else:
-            gc.disable()
-        result = runner.run_benchmark(load_builtin(r.benchmark), r.config, r.profile, 7, tmp_path, scale=0.1)
+        set_collector(enabled)
+        result = _run_coldstart(tmp_path)
     finally:
         gc.callbacks.remove(on_gc)
         gc.set_threshold(*threshold)
     assert result.stats.instances == 205
-    assert marks["schedule"][1] is False and marks["run_until_idle"] == marks["schedule"]
+    assert [name for name, *_ in marks[::2]] == ["deploy_all", "schedule", "run_until_idle", "collect_log",
+                                                 "teardown", "analyze_log_text", "write_reports"]
+    assert {(n, on) for _, n, on in marks} == {(marks[0][1], False)}
     assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
 
 

@@ -627,9 +627,11 @@ def summary_stats(values) -> SummaryStats:
     p75 = nearest_rank(vals, 0.75)
     iqr = p75 - p25
     # the values inside the whisker limits are one run of the sorted values,
-    # and it holds the quartiles
-    low = bisect_left(vals, p25 - 1.5 * iqr)
-    high = bisect_right(vals, p75 + 1.5 * iqr)
+    # and it holds the quartiles. Integer limits, rounded inward, bound the
+    # same integers exactly; a float limit past 2**53 could round past a quartile
+    reach = 3 * iqr // 2 if type(iqr) is int else 1.5 * iqr
+    low = bisect_left(vals, p25 - reach)
+    high = bisect_right(vals, p75 + reach)
     return SummaryStats(
         count=len(vals),
         min=vals[0],

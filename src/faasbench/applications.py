@@ -202,9 +202,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def codes(self) -> set[str]:
-        return {v.code for v in self.violations}
-
 
 def walk_steps(body: tuple[BodyStep, ...]) -> Iterator[BodyStep]:
     """Yield every step of a body, depth first: a parallel block, then the

@@ -110,15 +110,10 @@ class PlatformSpec:
 
 
 @dataclass(frozen=True)
-class ServiceBinding:
-    platform_id: str
-
-
-@dataclass(frozen=True)
 class DeploymentConfig:
     platforms: tuple[PlatformSpec, ...]
     assignment: dict[str, str]
-    service_bindings: dict[str, ServiceBinding] = field(default_factory=dict)
+    service_bindings: dict[str, str] = field(default_factory=dict)  # external service -> platform id
 
     def __post_init__(self) -> None:
         # every later lookup is by id, so a second entry would silently replace the first
@@ -136,7 +131,7 @@ class DeploymentConfig:
         return {
             "platforms": [p.to_dict() for p in self.platforms],
             "assignment": dict(self.assignment),
-            "serviceBindings": {svc: {"platform": b.platform_id} for svc, b in self.service_bindings.items()},
+            "serviceBindings": {svc: {"platform": pid} for svc, pid in self.service_bindings.items()},
         }
 
     @classmethod
@@ -149,8 +144,8 @@ class DeploymentConfig:
             # a binding's "latencyClass" is accepted and ignored: store latency
             # comes from the calling platform's networkLatency entry
             service_bindings={
-                svc: ServiceBinding(read(read(bindings, svc, dict, DeploymentError, where="serviceBindings."),
-                                         "platform", str, DeploymentError))
+                svc: read(read(bindings, svc, dict, DeploymentError, where="serviceBindings."), "platform", str,
+                          DeploymentError)
                 for svc in bindings
             },
         )
@@ -224,11 +219,11 @@ def compile(app: ApplicationSpec, cfg: DeploymentConfig) -> DeploymentPlan:  # n
         if pid not in specs:
             raise DeploymentError(f"platform {pid!r} is not defined")
     for svc in app.external_services:
-        binding = cfg.service_bindings.get(svc)
-        if binding is None:
+        pid = cfg.service_bindings.get(svc)
+        if pid is None:
             raise DeploymentError(f"external service {svc!r} has no binding")
-        if binding.platform_id not in specs:
-            raise DeploymentError(f"platform {binding.platform_id!r} is not defined")
+        if pid not in specs:
+            raise DeploymentError(f"platform {pid!r} is not defined")
 
     def resolve(fn: FunctionSpec) -> ResolvedFunction:
         here = specs[cfg.assignment[fn.name]]

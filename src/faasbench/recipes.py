@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .benchmarks import builtin_profile, load_builtin
-from .deployment import DeploymentConfig, PlatformSpec, ServiceBinding
+from .deployment import DeploymentConfig, PlatformSpec
 from .distributions import parse_duration
 from .workload import LoadProfile
 
@@ -70,7 +70,7 @@ def exp1_single_cloud(
     cfg = DeploymentConfig(
         platforms=(platform,),
         assignment=_assign_all("webshop", "cloud-a"),
-        service_bindings={KEYSTORE: ServiceBinding("cloud-a")},
+        service_bindings={KEYSTORE: "cloud-a"},
     )
     return Recipe("exp1-single-cloud", "webshop", cfg, builtin_profile("webshop"))
 
@@ -114,7 +114,7 @@ def exp2_edge_cloud(cloud_clock_offset_ms: float = 0.0) -> Recipe:
     cfg = DeploymentConfig(
         platforms=(edge, cloud),
         assignment=assignment,
-        service_bindings={KEYSTORE: ServiceBinding("cloud-a")},
+        service_bindings={KEYSTORE: "cloud-a"},
     )
     return Recipe("exp2-edge-cloud", "smartcity", cfg, builtin_profile("smartcity"))
 
@@ -125,7 +125,7 @@ def exp2_edge_only() -> Recipe:
     cfg = DeploymentConfig(
         platforms=(edge, cloud),
         assignment=_assign_all("smartcity", "edge-1"),
-        service_bindings={KEYSTORE: ServiceBinding("cloud-a")},
+        service_bindings={KEYSTORE: "cloud-a"},
     )
     return Recipe("exp2-edge-only", "smartcity", cfg, builtin_profile("smartcity"))
 
@@ -177,7 +177,7 @@ def exp3_three_way_factory(trigger: str | None = None) -> Recipe:
     cfg = DeploymentConfig(
         platforms=tuple(platforms),
         assignment=assignment,
-        service_bindings={KEYSTORE: ServiceBinding("couch")},
+        service_bindings={KEYSTORE: "couch"},
     )
     return Recipe("exp3-three-way-factory", "smartfactory", cfg, builtin_profile("smartfactory"))
 
@@ -199,7 +199,7 @@ def exp4_coldstart() -> Recipe:
     cfg = DeploymentConfig(
         platforms=(platform,),
         assignment=_assign_all("streaming", "cloud-a"),
-        service_bindings={KEYSTORE: ServiceBinding("cloud-a")},
+        service_bindings={KEYSTORE: "cloud-a"},
     )
     return Recipe("exp4-coldstart", "streaming", cfg, builtin_profile("streaming"))
 

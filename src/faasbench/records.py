@@ -91,10 +91,6 @@ def _format_line(run_id, platform_id, kind, function, context_id, pair_id, start
             f"{mode or _NONE}\t{start_us}\t{end_us}\t{executor_key or _NONE}\t{cold}\t{db_op or _NONE}")
 
 
-def serialize_record(r: TraceRecord) -> str:
-    return _format_line(*r)
-
-
 _new_record = tuple.__new__  # builds a TraceRecord from its 13 values, as NamedTuple._make does
 _intern = sys.intern
 # the parsed value of each known kind, mode and db op column, one shared string
@@ -102,6 +98,9 @@ _intern = sys.intern
 _KIND_OF = {kind: kind for kind in RECORD_KINDS}
 _MODE_OF = {_NONE: None, **{mode: mode for mode in MODES}}
 _DB_OP_OF = {_NONE: None, "get": "get", "set": "set"}
+# a timestamp must lie strictly between these, so the analyzer's float
+# arithmetic on durations and quartiles cannot overflow
+_TS_LOW, _TS_HIGH = -2 ** 63, 2 ** 63
 
 
 def parse_record(line: str) -> TraceRecord:
@@ -129,6 +128,8 @@ def parse_record(line: str) -> TraceRecord:
     cold = None if cold == _NONE else cold == "1"
     db_op = _DB_OP_OF.get(db_op, db_op)
     _check_fields(kind, start, end, callee, mode, executor_key, cold, db_op)
+    if start <= _TS_LOW or end >= _TS_HIGH:  # start <= end is checked above
+        raise MalformedRecord("timestamp outside the signed 64-bit range")
     return _new_record(TraceRecord, (_intern(run_id), _intern(platform_id), kind, _intern(function),
                                      _intern(context_id), pair_id, start, end, callee, mode, executor_key, cold, db_op))
 
@@ -177,7 +178,7 @@ class IdSource:
         self._block = ""
         self._pos = 0
 
-    def _next(self) -> str:
+    def new_id(self) -> str:
         if self._pos == len(self._block):
             self._block = self._rng.bytes(16 * ID_BLOCK).hex()
             self._pos = 0
@@ -185,17 +186,8 @@ class IdSource:
         self._pos = start + 32
         return self._block[start:self._pos]
 
-    def new_context(self) -> str:
-        return self._next()
-
-    def new_pair(self) -> str:
-        return self._next()
-
-    def new_executor_key(self) -> str:
-        return self._next()
-
     def new_run_id(self) -> str:
-        return "r" + self._next()[:12]
+        return "r" + self.new_id()[:12]
 
 
 class RecordSink:

@@ -30,7 +30,6 @@ from .benchmarks import BENCHMARK_NAMES, load_builtin
 from .deployment import (
     DeploymentConfig,
     PlatformSpec,
-    ServiceBinding,
     compile as compile_deployment,
     deploy_all,
     teardown,
@@ -60,12 +59,6 @@ class RunResult:
     analysis: RunAnalysis
     truth: GroundTruth
     stats: ExecutionStats
-    env: SimEnvironment
-
-    @property
-    def log_text(self) -> str:
-        """The run's raw log, read back from ``log_path``."""
-        return self.log_path.read_text()
 
 
 @contextmanager
@@ -95,9 +88,9 @@ def _collector_paused():
             gc.enable()
 
 
-def default_config(app: ApplicationSpec, platform_id: str = "cloud-a") -> DeploymentConfig:
-    """Single-platform deployment covering the whole application."""
-    services = {svc: ServiceBinding(platform_id) for svc in app.external_services}
+def default_config(app: ApplicationSpec) -> DeploymentConfig:
+    """Single-platform deployment covering the whole application, on ``cloud-a``."""
+    platform_id = "cloud-a"
     network = {platform_id: constant(15), "loadgen": constant(15)}
     for svc in app.external_services:
         network[svc] = constant(3)
@@ -111,7 +104,7 @@ def default_config(app: ApplicationSpec, platform_id: str = "cloud-a") -> Deploy
     return DeploymentConfig(
         platforms=(platform,),
         assignment={fn.name: platform_id for fn in app.functions},
-        service_bindings=services,
+        service_bindings=dict.fromkeys(app.external_services, platform_id),
     )
 
 
@@ -192,7 +185,6 @@ def run_benchmark(
         analysis=analysis,
         truth=env.truth,
         stats=stats,
-        env=env,
     )
 
 

@@ -188,31 +188,6 @@ class SimPlatform:
         self._functions.clear()
         self._idle.clear()
 
-    @property
-    def deployed_functions(self) -> tuple[str, ...]:
-        return tuple(self._functions)
-
-    def invoke(
-        self,
-        fn_name: str,
-        arrival_us: int,
-        context_id: str | None = None,
-        pair_id: str | None = None,
-    ) -> Task:
-        """Schedule an arrival of ``fn_name`` outside any workflow, the entry
-        point tests drive the simulator through; the task result is the
-        invocation's end time."""
-        if fn_name not in self._functions:
-            raise SimulationError(f"function {fn_name!r} is not deployed on this platform")
-        ctx = context_id if context_id is not None else self.env.ids.new_context()
-        pair = pair_id if pair_id is not None else self.env.ids.new_pair()
-
-        def gen():
-            result = yield self.start_invocation(fn_name, ctx, pair)
-            return result
-
-        return self.env.kernel.spawn(gen(), at_us=arrival_us)
-
     # -- invocation machinery ----------------------------------------------
 
     def start_invocation(self, fn_name: str, context_id: str, inbound_pair: str) -> Task:
@@ -234,7 +209,7 @@ class SimPlatform:
             if pool[-1].last_idle_at + self.spec.keep_alive_us >= arrival:
                 return pool.pop(), False
             pool.clear()
-        key = self.env.ids.new_executor_key()
+        key = self.env.ids.new_id()
         executor = Executor(key, fn_name, arrival)
         self.env.truth.executors.append(ExecutorBirth(self.id, fn_name, key, arrival))
         return executor, True
@@ -285,7 +260,7 @@ class SimPlatform:
         """Send one event toward its publisher; returns the delivery leg."""
         env = self.env
         t0 = env.kernel.now
-        pair1 = env.ids.new_pair()
+        pair1 = env.ids.new_id()
         dst, leg = rfn.publish_routes[step.target]
         out = env.sample_us(leg)
         delivery = self._async_delivery(rfn.name, context_id, inbound_pair, t0, pair1, step.target, env.platforms[dst])
@@ -306,7 +281,7 @@ class SimPlatform:
         env = self.env
         accept = env.kernel.now
         pub = publisher_name(self.id)
-        pair2 = env.ids.new_pair()
+        pair2 = env.ids.new_id()
         trig = env.sample_us(self.spec.trigger_delay)
         self.sink.emit(accept, OUTGOING_CALL, pub, context_id, pair2, accept, accept,
                        callee=target, mode=MODE_TRIGGER)
@@ -321,7 +296,7 @@ class SimPlatform:
         env = self.env
         service, leg = rfn.store
         t0 = env.kernel.now
-        pair = env.ids.new_pair()
+        pair = env.ids.new_id()
         yield env.sample_us(leg)
         end = env.kernel.now
         op = "set" if step.kind == "dbSet" else "get"
@@ -355,7 +330,7 @@ class SimEnvironment:
         OUTGOING_CALL in the caller's ``sink`` and a truth edge of ``kind``."""
         dst, out, back = route
         t0 = self.kernel.now
-        pair = self.ids.new_pair()
+        pair = self.ids.new_id()
         yield self.sample_us(out)
         yield self.platforms[dst].start_invocation(target, context_id, pair)
         yield self.sample_us(back)

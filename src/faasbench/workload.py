@@ -339,7 +339,7 @@ def execute(arrivals: list[Arrival], plan, env: SimEnvironment) -> ExecutionStat
 
 
 def _root_flow(env: SimEnvironment, plan, workflow: Workflow):
-    context_id = env.ids.new_context()
+    context_id = env.ids.new_id()
     for step in workflow.steps:
         yield from env.sync_call(env.loadgen_sink, LOADGEN, context_id, None,
                                  step.entry, plan.entry_routes[step.entry], "root")

@@ -10,8 +10,9 @@ import pytest
 from faasbench import runner
 from faasbench.applications import EVENT_ASYNC, ApplicationSpec, FunctionSpec, HTTP_SYNC, compute, parallel, publish
 from faasbench.benchmarks import builtin_profile, load_builtin
-from faasbench.deployment import DeploymentConfig, PlatformSpec, ServiceBinding, compile as compile_deployment, deploy_all
+from faasbench.deployment import DeploymentConfig, PlatformSpec, compile as compile_deployment, deploy_all
 from faasbench.distributions import constant, parse_duration
+from faasbench.records import TraceRecord, _format_line
 from faasbench.simulator import SimEnvironment
 from faasbench.workload import LoadProfile, Phase, Workflow, WorkflowStep
 
@@ -32,11 +33,10 @@ def make_platform(pid: str = "p1", peers: dict | None = None, **kwargs) -> Platf
 
 
 def single_platform_config(app: ApplicationSpec, platform: PlatformSpec) -> DeploymentConfig:
-    bindings = {svc: ServiceBinding(platform.id) for svc in app.external_services}
     return DeploymentConfig(
         platforms=(platform,),
         assignment={fn.name: platform.id for fn in app.functions},
-        service_bindings=bindings,
+        service_bindings=dict.fromkeys(app.external_services, platform.id),
     )
 
 
@@ -46,6 +46,24 @@ def deployed_env(app: ApplicationSpec, cfg: DeploymentConfig, seed: int = 1):
     plan = compile_deployment(app, cfg)
     deploy_all(plan, env.platforms)
     return env, plan
+
+
+def invoke(platform, fn: str, arrival_us: int):
+    """Schedule an arrival of ``fn`` on ``platform`` at ``arrival_us``,
+    outside any workflow, with a fresh context and pair id; the task's result
+    is the invocation's end time."""
+    ids = platform.env.ids
+    context_id, pair_id = ids.new_id(), ids.new_id()
+
+    def arrival():
+        return (yield platform.start_invocation(fn, context_id, pair_id))
+
+    return platform.env.kernel.spawn(arrival(), at_us=arrival_us)
+
+
+def serialize_record(r: TraceRecord) -> str:
+    """The log line of ``r``, built by the sinks' own formatter."""
+    return _format_line(*r)
 
 
 def parallel_publish_app() -> ApplicationSpec:

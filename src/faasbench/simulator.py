@@ -2,7 +2,12 @@
 
 One :class:`SimEnvironment` hosts every simulated platform of a run behind a
 single event kernel (virtual time is integer microseconds from the run
-epoch). Invocations run as generator tasks that yield either a delay or
+epoch) and runs every invocation. A :class:`SimPlatform` is only a
+platform's state and holds no reference back to the environment, so a run
+builds no reference cycle: reference counting frees the environment, its
+sinks and their lines once the last reference to it goes.
+
+Invocations run as generator tasks that yield either a delay or
 another task to wait on; the kernel's heap is a stable priority queue, so a
 fixed seed fully determines the emitted log byte stream.
 
@@ -38,7 +43,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .deployment import CallRoute, DeploymentConfig, ResolvedFunction, publisher_name
-from .distributions import Duration
 from .records import (
     DB_CALL,
     INVOCATION,
@@ -169,139 +173,17 @@ class GroundTruth:
 
 
 class SimPlatform:
-    """A simulated platform: the functions deployed on it, its idle executors
-    and its log sink."""
+    """A simulated platform's state: its spec, the functions deployed on it,
+    its idle executors per function and its log sink."""
 
-    def __init__(self, env: "SimEnvironment", spec):
-        self.env = env
+    __slots__ = ("spec", "id", "sink", "functions", "idle")
+
+    def __init__(self, run_id: str, spec):
         self.spec = spec
         self.id = spec.id
-        self.sink = RecordSink(env.run_id, spec.id, spec.log_lines_per_second, spec.clock_offset_us)
-        self._functions: dict[str, ResolvedFunction] = {}
-        self._idle: dict[str, list[Executor]] = {}
-
-    def deploy(self, functions: tuple[ResolvedFunction, ...]) -> None:
-        for rfn in functions:
-            self._functions[rfn.name] = rfn
-
-    def remove(self) -> None:
-        self._functions.clear()
-        self._idle.clear()
-
-    # -- invocation machinery ----------------------------------------------
-
-    def start_invocation(self, fn_name: str, context_id: str, inbound_pair: str) -> Task:
-        """Begin serving an arrival at the current virtual time."""
-        rfn = self._functions.get(fn_name)
-        if rfn is None:
-            raise SimulationError(f"function {fn_name!r} is not deployed on this platform")
-        arrival = self.env.kernel.now
-        executor, cold = self._acquire(fn_name, arrival)
-        gen = self._invocation_gen(rfn, context_id, inbound_pair, arrival, executor, cold)
-        return self.env.kernel.spawn(gen)
-
-    def _acquire(self, fn_name: str, arrival: int) -> tuple[Executor, bool]:
-        # _release appends at kernel.now, which never decreases, so each pool
-        # is sorted by last_idle_at: the top is the most recently idle
-        # executor, and if it has expired so has every executor below it
-        pool = self._idle.get(fn_name)
-        if pool:
-            if pool[-1].last_idle_at + self.spec.keep_alive_us >= arrival:
-                return pool.pop(), False
-            pool.clear()
-        key = self.env.ids.new_id()
-        executor = Executor(key, fn_name, arrival)
-        self.env.truth.executors.append(ExecutorBirth(self.id, fn_name, key, arrival))
-        return executor, True
-
-    def _release(self, executor: Executor, at_us: int) -> None:
-        executor.last_idle_at = at_us
-        self._idle.setdefault(executor.function, []).append(executor)
-
-    def _invocation_gen(self, rfn, context_id, inbound_pair, arrival, executor, cold):
-        env = self.env
-        if cold:
-            delay = env.sample_us(self.spec.cold_start_delay)
-            if delay:
-                yield delay
-        body_start = env.kernel.now
-        yield from self._run_body(rfn, context_id, inbound_pair, rfn.spec.body)
-        end = env.kernel.now
-        self._release(executor, end)
-        self.sink.emit(end, INVOCATION, rfn.name, context_id, inbound_pair, arrival, end,
-                       executor_key=executor.key, cold_start=cold)
-        env.truth.invocations.append(
-            TruthInvocation(context_id, inbound_pair, rfn.name, self.id, arrival, body_start, end, cold, executor.key)
-        )
-        return end
-
-    def _run_body(self, rfn, context_id, inbound_pair, steps):
-        env = self.env
-        for step in steps:
-            if step.kind == "compute":
-                d = env.sample_us(step.compute_time)
-                if d:
-                    yield d
-            elif step.kind == "call":
-                yield from env.sync_call(self.sink, rfn.name, context_id, inbound_pair,
-                                         step.target, rfn.call_routes[step.target], "sync")
-            elif step.kind == "publish":
-                # caller idles until the event is accepted downstream
-                yield self._publish(rfn, context_id, inbound_pair, step)
-            elif step.kind in ("dbGet", "dbSet"):
-                yield from self._db_op(rfn, context_id, inbound_pair, step)
-            elif step.kind == "parallelBlock":
-                branches = [env.kernel.spawn(self._run_body(rfn, context_id, inbound_pair, branch))
-                            for branch in step.branches]
-                for branch in branches:
-                    yield branch
-
-    def _publish(self, rfn, context_id, inbound_pair, step) -> int:
-        """Send one event toward its publisher; returns the delivery leg."""
-        env = self.env
-        t0 = env.kernel.now
-        pair1 = env.ids.new_id()
-        dst, leg = rfn.publish_routes[step.target]
-        out = env.sample_us(leg)
-        delivery = self._async_delivery(rfn.name, context_id, inbound_pair, t0, pair1, step.target, env.platforms[dst])
-        env.kernel.spawn(delivery, delay_us=out)
-        return out
-
-    def _async_delivery(self, function, context_id, inbound_pair, t0, pair1, target, dest: "SimPlatform"):
-        env = self.env
-        yield dest._start_publisher(context_id, pair1, target)
-        end = env.kernel.now
-        self.sink.emit(end, OUTGOING_CALL, function, context_id, pair1, t0, end,
-                       callee=target, mode=MODE_ASYNC)
-        env.truth.edges.append(TruthEdge(context_id, inbound_pair, pair1, "async"))
-
-    def _start_publisher(self, context_id: str, pair1: str, target: str) -> Task:
-        """Accept an event for ``target``, which runs on this platform too:
-        schedule the trigger and run the publisher."""
-        env = self.env
-        accept = env.kernel.now
-        pub = publisher_name(self.id)
-        pair2 = env.ids.new_id()
-        trig = env.sample_us(self.spec.trigger_delay)
-        self.sink.emit(accept, OUTGOING_CALL, pub, context_id, pair2, accept, accept,
-                       callee=target, mode=MODE_TRIGGER)
-        env.truth.edges.append(TruthEdge(context_id, pair1, pair2, "trigger"))
-        env.kernel.spawn(self._trigger_fire(target, context_id, pair2), delay_us=trig)
-        return self.start_invocation(pub, context_id, pair1)
-
-    def _trigger_fire(self, target: str, context_id: str, pair2: str):
-        yield self.start_invocation(target, context_id, pair2)
-
-    def _db_op(self, rfn, context_id, inbound_pair, step):
-        env = self.env
-        service, leg = rfn.store
-        t0 = env.kernel.now
-        pair = env.ids.new_id()
-        yield env.sample_us(leg)
-        end = env.kernel.now
-        op = "set" if step.kind == "dbSet" else "get"
-        self.sink.emit(end, DB_CALL, rfn.name, context_id, pair, t0, end, callee=service, db_op=op)
-        env.truth.edges.append(TruthEdge(context_id, inbound_pair, pair, "db"))
+        self.sink = RecordSink(run_id, spec.id, spec.log_lines_per_second, spec.clock_offset_us)
+        self.functions: dict[str, ResolvedFunction] = {}
+        self.idle: dict[str, list[Executor]] = {}
 
 
 class SimEnvironment:
@@ -317,11 +199,8 @@ class SimEnvironment:
         self.loadgen_rng = np.random.default_rng(loadgen_ss)
         self.kernel = Kernel()
         self.truth = GroundTruth()
-        self.platforms = {p.id: SimPlatform(self, p) for p in config.platforms}
+        self.platforms = {p.id: SimPlatform(self.run_id, p) for p in config.platforms}
         self.loadgen_sink = RecordSink(self.run_id, LOADGEN)
-
-    def sample_us(self, dist: Duration) -> int:
-        return dist.sample(self.sample_rng)
 
     def sync_call(self, sink, function, context_id, parent_pair, target, route: CallRoute, kind):
         """One synchronous request from ``function`` (on a platform or the
@@ -331,12 +210,120 @@ class SimEnvironment:
         dst, out, back = route
         t0 = self.kernel.now
         pair = self.ids.new_id()
-        yield self.sample_us(out)
-        yield self.platforms[dst].start_invocation(target, context_id, pair)
-        yield self.sample_us(back)
+        yield out.sample(self.sample_rng)
+        yield self.start_invocation(self.platforms[dst], target, context_id, pair)
+        yield back.sample(self.sample_rng)
         end = self.kernel.now
         sink.emit(end, OUTGOING_CALL, function, context_id, pair, t0, end, callee=target, mode=MODE_SYNC)
         self.truth.edges.append(TruthEdge(context_id, parent_pair, pair, kind))
+
+    # -- invocation machinery ----------------------------------------------
+
+    def start_invocation(self, platform: SimPlatform, fn_name: str, context_id: str, inbound_pair: str) -> Task:
+        """Begin serving an arrival on ``platform`` at the current virtual time."""
+        rfn = platform.functions.get(fn_name)
+        if rfn is None:
+            raise SimulationError(f"function {fn_name!r} is not deployed on this platform")
+        arrival = self.kernel.now
+        executor, cold = self._acquire(platform, fn_name, arrival)
+        return self.kernel.spawn(self._invocation_gen(platform, rfn, context_id, inbound_pair, arrival, executor, cold))
+
+    def _acquire(self, platform: SimPlatform, fn_name: str, arrival: int) -> tuple[Executor, bool]:
+        # _release appends at kernel.now, which never decreases, so each pool
+        # is sorted by last_idle_at: the top is the most recently idle
+        # executor, and if it has expired so has every executor below it
+        pool = platform.idle.get(fn_name)
+        if pool:
+            if pool[-1].last_idle_at + platform.spec.keep_alive_us >= arrival:
+                return pool.pop(), False
+            pool.clear()
+        key = self.ids.new_id()
+        executor = Executor(key, fn_name, arrival)
+        self.truth.executors.append(ExecutorBirth(platform.id, fn_name, key, arrival))
+        return executor, True
+
+    def _release(self, platform: SimPlatform, executor: Executor, at_us: int) -> None:
+        executor.last_idle_at = at_us
+        platform.idle.setdefault(executor.function, []).append(executor)
+
+    def _invocation_gen(self, platform, rfn, context_id, inbound_pair, arrival, executor, cold):
+        if cold:
+            delay = platform.spec.cold_start_delay.sample(self.sample_rng)
+            if delay:
+                yield delay
+        body_start = self.kernel.now
+        yield from self._run_body(platform, rfn, context_id, inbound_pair, rfn.spec.body)
+        end = self.kernel.now
+        self._release(platform, executor, end)
+        platform.sink.emit(end, INVOCATION, rfn.name, context_id, inbound_pair, arrival, end,
+                           executor_key=executor.key, cold_start=cold)
+        self.truth.invocations.append(
+            TruthInvocation(context_id, inbound_pair, rfn.name, platform.id, arrival, body_start, end, cold, executor.key)
+        )
+        return end
+
+    def _run_body(self, platform, rfn, context_id, inbound_pair, steps):
+        for step in steps:
+            if step.kind == "compute":
+                d = step.compute_time.sample(self.sample_rng)
+                if d:
+                    yield d
+            elif step.kind == "call":
+                yield from self.sync_call(platform.sink, rfn.name, context_id, inbound_pair,
+                                          step.target, rfn.call_routes[step.target], "sync")
+            elif step.kind == "publish":
+                # caller idles until the event is accepted downstream
+                yield self._publish(platform, rfn, context_id, inbound_pair, step)
+            elif step.kind in ("dbGet", "dbSet"):
+                yield from self._db_op(platform, rfn, context_id, inbound_pair, step)
+            elif step.kind == "parallelBlock":
+                branches = [self.kernel.spawn(self._run_body(platform, rfn, context_id, inbound_pair, branch))
+                            for branch in step.branches]
+                for branch in branches:
+                    yield branch
+
+    def _publish(self, platform, rfn, context_id, inbound_pair, step) -> int:
+        """Send one event toward its publisher; returns the delivery leg."""
+        t0 = self.kernel.now
+        pair1 = self.ids.new_id()
+        dst, leg = rfn.publish_routes[step.target]
+        out = leg.sample(self.sample_rng)
+        delivery = self._async_delivery(platform, rfn.name, context_id, inbound_pair, t0, pair1, step.target, dst)
+        self.kernel.spawn(delivery, delay_us=out)
+        return out
+
+    def _async_delivery(self, platform, function, context_id, inbound_pair, t0, pair1, target, dst: str):
+        yield self._start_publisher(self.platforms[dst], context_id, pair1, target)
+        end = self.kernel.now
+        platform.sink.emit(end, OUTGOING_CALL, function, context_id, pair1, t0, end,
+                           callee=target, mode=MODE_ASYNC)
+        self.truth.edges.append(TruthEdge(context_id, inbound_pair, pair1, "async"))
+
+    def _start_publisher(self, platform: SimPlatform, context_id: str, pair1: str, target: str) -> Task:
+        """Accept an event for ``target``, which runs on ``platform`` too:
+        schedule the trigger and run the publisher."""
+        accept = self.kernel.now
+        pub = publisher_name(platform.id)
+        pair2 = self.ids.new_id()
+        trig = platform.spec.trigger_delay.sample(self.sample_rng)
+        platform.sink.emit(accept, OUTGOING_CALL, pub, context_id, pair2, accept, accept,
+                           callee=target, mode=MODE_TRIGGER)
+        self.truth.edges.append(TruthEdge(context_id, pair1, pair2, "trigger"))
+        self.kernel.spawn(self._trigger_fire(platform, target, context_id, pair2), delay_us=trig)
+        return self.start_invocation(platform, pub, context_id, pair1)
+
+    def _trigger_fire(self, platform: SimPlatform, target: str, context_id: str, pair2: str):
+        yield self.start_invocation(platform, target, context_id, pair2)
+
+    def _db_op(self, platform, rfn, context_id, inbound_pair, step):
+        service, leg = rfn.store
+        t0 = self.kernel.now
+        pair = self.ids.new_id()
+        yield leg.sample(self.sample_rng)
+        end = self.kernel.now
+        op = "set" if step.kind == "dbSet" else "get"
+        platform.sink.emit(end, DB_CALL, rfn.name, context_id, pair, t0, end, callee=service, db_op=op)
+        self.truth.edges.append(TruthEdge(context_id, inbound_pair, pair, "db"))
 
     def run_until_idle(self) -> None:
         self.kernel.run_until_idle()

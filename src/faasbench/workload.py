@@ -305,8 +305,9 @@ def schedule(profile: LoadProfile, rng: np.random.Generator) -> list[Arrival]:
                 while tick <= phase_end:
                     for j in range(series.train_count):
                         at = tick + j * series.train_spacing_us
-                        if at <= phase_end:
-                            arrivals.append(Arrival(at, wf))
+                        if at > phase_end:
+                            break
+                        arrivals.append(Arrival(at, wf))
                     tick += series.interval_us
         phase_start = phase_end
     arrivals.sort(key=lambda a: a.at_us)

@@ -48,17 +48,16 @@ def deployed_env(app: ApplicationSpec, cfg: DeploymentConfig, seed: int = 1):
     return env, plan
 
 
-def invoke(platform, fn: str, arrival_us: int):
-    """Schedule an arrival of ``fn`` on ``platform`` at ``arrival_us``,
-    outside any workflow, with a fresh context and pair id; the task's result
-    is the invocation's end time."""
-    ids = platform.env.ids
-    context_id, pair_id = ids.new_id(), ids.new_id()
+def invoke(env: SimEnvironment, platform_id: str, fn: str, arrival_us: int):
+    """Schedule an arrival of ``fn`` on platform ``platform_id`` of ``env`` at
+    ``arrival_us``, outside any workflow, with a fresh context and pair id;
+    the task's result is the invocation's end time."""
+    context_id, pair_id = env.ids.new_id(), env.ids.new_id()
 
     def arrival():
-        return (yield platform.start_invocation(fn, context_id, pair_id))
+        return (yield env.start_invocation(env.platforms[platform_id], fn, context_id, pair_id))
 
-    return platform.env.kernel.spawn(arrival(), at_us=arrival_us)
+    return env.kernel.spawn(arrival(), at_us=arrival_us)
 
 
 def serialize_record(r: TraceRecord) -> str:

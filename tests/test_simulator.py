@@ -1,4 +1,5 @@
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -43,9 +44,8 @@ def test_cold_start_then_warm_then_expiry():
     app = simple_app()
     platform = make_platform(cold_start_delay=constant(400), keep_alive_us=10_000_000)
     env, plan = deployed_env(app, single_platform_config(app, platform))
-    p = env.platforms["p1"]
 
-    t1 = invoke(p, "fn", arrival_us=1_000_000)
+    t1 = invoke(env, "p1", "fn", arrival_us=1_000_000)
     env.run_until_idle()
     end1 = t1.result
     assert end1 == 1_000_000 + 400 * MS + 2 * MS  # cold delay inside the invocation
@@ -54,7 +54,7 @@ def test_cold_start_then_warm_then_expiry():
     assert inv1.cold and inv1.arrival_us == 1_000_000 and inv1.body_start_us == 1_000_000 + 400 * MS
 
     # immediate second invocation reuses the warm executor
-    t2 = invoke(p, "fn", arrival_us=end1 + 1)
+    t2 = invoke(env, "p1", "fn", arrival_us=end1 + 1)
     env.run_until_idle()
     inv2 = env.truth.invocations[1]
     assert not inv2.cold and inv2.body_start_us == inv2.arrival_us
@@ -62,11 +62,11 @@ def test_cold_start_then_warm_then_expiry():
 
     # gap of exactly keepAlive still hits warm; one microsecond more is cold
     end2 = t2.result
-    invoke(p, "fn", arrival_us=end2 + 10_000_000)
+    invoke(env, "p1", "fn", arrival_us=end2 + 10_000_000)
     env.run_until_idle()
     assert not env.truth.invocations[2].cold
     end3 = env.truth.invocations[2].end_us
-    invoke(p, "fn", arrival_us=end3 + 10_000_000 + 1)
+    invoke(env, "p1", "fn", arrival_us=end3 + 10_000_000 + 1)
     env.run_until_idle()
     assert env.truth.invocations[3].cold
 
@@ -75,7 +75,7 @@ def test_invocation_record_spans_accept_to_completion():
     app = simple_app()
     platform = make_platform(cold_start_delay=constant(400))
     env, plan = deployed_env(app, single_platform_config(app, platform))
-    invoke(env.platforms["p1"], "fn", arrival_us=0)
+    invoke(env, "p1", "fn", arrival_us=0)
     env.run_until_idle()
     recs = [r for r in records_of(env) if r.kind == INVOCATION]
     assert recs[0].start_us == 0 and recs[0].end_us == 402 * MS
@@ -88,7 +88,7 @@ def test_same_platform_round_trip_zero_legs():
     app = ApplicationSpec("pair", (a, b))
     platform = make_platform(cold_start_delay=constant(0))
     env, plan = deployed_env(app, single_platform_config(app, platform))
-    invoke(env.platforms["p1"], "a", arrival_us=0)
+    invoke(env, "p1", "a", arrival_us=0)
     env.run_until_idle()
     out = [r for r in records_of(env) if r.kind == OUTGOING_CALL and r.function == "a"]
     assert out[0].duration_us == 2 * MS  # zero-latency legs, callee compute only
@@ -102,7 +102,7 @@ def test_cross_platform_round_trip_arithmetic():
     p2 = make_platform("p2", peers={"p1": 15}, cold_start_delay=constant(0))
     cfg = DeploymentConfig(platforms=(p1, p2), assignment={"a": "p1", "b": "p2"})
     env, plan = deployed_env(app, cfg)
-    invoke(env.platforms["p1"], "a", arrival_us=0)
+    invoke(env, "p1", "a", arrival_us=0)
     env.run_until_idle()
     out = [r for r in records_of(env) if r.kind == OUTGOING_CALL and r.function == "a"]
     assert out[0].duration_us == (15 + 2 + 15) * MS
@@ -115,7 +115,7 @@ def test_publish_trigger_timing_degenerate():
     # self latency of 25 ms models the publish delivery leg
     platform = make_platform(cold_start_delay=constant(0), trigger_delay=constant(100), peers={"p1": 25})
     env, plan = deployed_env(app, single_platform_config(app, platform))
-    invoke(env.platforms["p1"], "entry", arrival_us=0)
+    invoke(env, "p1", "entry", arrival_us=0)
     env.run_until_idle()
     recs = records_of(env)
     pub_inv = next(r for r in recs if r.kind == INVOCATION and r.function.startswith("__publisher_"))
@@ -134,7 +134,7 @@ def test_publish_trigger_timing_degenerate():
 def test_invoke_not_deployed():
     app = simple_app()
     env, plan = deployed_env(app, single_platform_config(app, make_platform()))
-    invoke(env.platforms["p1"], "ghost", arrival_us=0)
+    invoke(env, "p1", "ghost", arrival_us=0)
     with pytest.raises(SimulationError, match="^function 'ghost' is not deployed on this platform$"):
         env.run_until_idle()
 
@@ -143,7 +143,7 @@ def test_start_invocation_not_deployed():
     app = simple_app()
     env, plan = deployed_env(app, single_platform_config(app, make_platform()))
     with pytest.raises(SimulationError, match="^function 'ghost' is not deployed on this platform$"):
-        env.platforms["p1"].start_invocation("ghost", "c" * 32, "d" * 32)
+        env.start_invocation(env.platforms["p1"], "ghost", "c" * 32, "d" * 32)
 
 
 def test_trigger_delay_sampling_median():
@@ -153,7 +153,7 @@ def test_trigger_delay_sampling_median():
     platform = make_platform(cold_start_delay=constant(0), trigger_delay=lognormal(100, 0.3))
     env, plan = deployed_env(app, single_platform_config(app, platform), seed=3)
     for i in range(1000):
-        invoke(env.platforms["p1"], "entry", arrival_us=i * 500_000)
+        invoke(env, "p1", "entry", arrival_us=i * 500_000)
     env.run_until_idle()
     recs = records_of(env)
     pubs = {r.context_id: r for r in recs if r.kind == INVOCATION and r.function.startswith("__publisher_")}
@@ -173,7 +173,7 @@ def test_db_ops_latency_and_store_semantics():
     app = ApplicationSpec("dbapp", (fn,), external_services=("keystore",))
     platform = make_platform(cold_start_delay=constant(0), peers={"keystore": 3})
     env, plan = deployed_env(app, single_platform_config(app, platform))
-    invoke(env.platforms["p1"], "fn", arrival_us=0)
+    invoke(env, "p1", "fn", arrival_us=0)
     env.run_until_idle()
     db_records = [r for r in records_of(env) if r.kind == "DB_CALL"]
     assert [r.duration_us for r in db_records] == [3 * MS, 3 * MS, 3 * MS]
@@ -186,7 +186,7 @@ def test_db_sampling_median_recovery():
     platform = make_platform(cold_start_delay=constant(0), peers={"keystore": "lognormal(3,0.3)"})
     env, plan = deployed_env(app, single_platform_config(app, platform), seed=8)
     for i in range(1000):
-        invoke(env.platforms["p1"], "fn", arrival_us=i * 100_000)
+        invoke(env, "p1", "fn", arrival_us=i * 100_000)
     env.run_until_idle()
     durations = sorted(r.duration_us for r in records_of(env) if r.kind == "DB_CALL")
     median = durations[len(durations) // 2]
@@ -199,7 +199,7 @@ def test_executor_intervals_never_overlap():
     platform = make_platform(cold_start_delay=constant(50), keep_alive_us=1_000_000)
     env, plan = deployed_env(app, single_platform_config(app, platform), seed=5)
     for i in range(200):
-        invoke(env.platforms["p1"], "fn", arrival_us=(i * 17) * MS // 10)  # 1.7ms spacing
+        invoke(env, "p1", "fn", arrival_us=(i * 17) * MS // 10)  # 1.7ms spacing
     env.run_until_idle()
     by_key: dict[str, list] = {}
     for inv in env.truth.invocations:
@@ -216,7 +216,7 @@ def test_cold_flag_equals_first_appearance():
     platform = make_platform(cold_start_delay=constant(50), keep_alive_us=500_000)
     env, plan = deployed_env(app, single_platform_config(app, platform), seed=6)
     for i in range(100):
-        invoke(env.platforms["p1"], "fn", arrival_us=i * 300_000)
+        invoke(env, "p1", "fn", arrival_us=i * 300_000)
     env.run_until_idle()
     from faasbench.analysis import coldstart_crosscheck
 
@@ -231,7 +231,7 @@ def test_run_determinism_bytes():
         platform = make_platform(cold_start_delay=constant(10), trigger_delay=lognormal(100, 0.5))
         env, plan = deployed_env(app, single_platform_config(app, platform), seed=9)
         for i in range(50):
-            invoke(env.platforms["p1"], "fn", arrival_us=i * 1234)
+            invoke(env, "p1", "fn", arrival_us=i * 1234)
         env.run_until_idle()
         return env.collect_log(env.run_id)
 
@@ -241,16 +241,15 @@ def test_run_determinism_bytes():
 def test_adapter_remove_clears_platform_state():
     app = simple_app()
     env, plan = deployed_env(app, single_platform_config(app, make_platform()))
-    p = env.platforms["p1"]
-    invoke(p, "fn", arrival_us=0)
+    invoke(env, "p1", "fn", arrival_us=0)
     env.run_until_idle()
     teardown(env.platforms)
-    invoke(p, "fn", arrival_us=env.kernel.now)
+    invoke(env, "p1", "fn", arrival_us=env.kernel.now)
     with pytest.raises(SimulationError, match="^function 'fn' is not deployed on this platform$"):
         env.run_until_idle()
     deploy_all(plan, env.platforms)  # redeploy works cleanly
     # the idle executor went with the teardown, so an arrival within keep-alive starts cold
-    invoke(p, "fn", arrival_us=env.kernel.now + 1)
+    invoke(env, "p1", "fn", arrival_us=env.kernel.now + 1)
     env.run_until_idle()
     assert [inv.cold for inv in env.truth.invocations] == [True, True]
 
@@ -258,7 +257,7 @@ def test_adapter_remove_clears_platform_state():
 def test_collect_logs_filters_by_run():
     app = simple_app()
     env, plan = deployed_env(app, single_platform_config(app, make_platform()))
-    invoke(env.platforms["p1"], "fn", arrival_us=0)
+    invoke(env, "p1", "fn", arrival_us=0)
     env.run_until_idle()
     first = env.collect_log(env.run_id)
     assert first[:2] == [HEADER_LINE, "#dropped loadgen 0"] and first[-1] == "#dropped p1 0"
@@ -295,7 +294,7 @@ def test_parallel_block_joins_at_max_branch():
     app = ApplicationSpec("par", (a, slow, fast))
     platform = make_platform(cold_start_delay=constant(0))
     env, plan = deployed_env(app, single_platform_config(app, platform))
-    t = invoke(env.platforms["p1"], "a", arrival_us=0)
+    t = invoke(env, "p1", "a", arrival_us=0)
     env.run_until_idle()
     assert t.result == 30 * MS  # join waits for the slower branch
 
@@ -309,13 +308,12 @@ def test_executor_reuse_matches_most_recently_idle_scan():
     keep_alive = 10 * MS
     platform = make_platform(keep_alive_us=keep_alive)
     env, plan = deployed_env(app, single_platform_config(app, platform))
-    p = env.platforms["p1"]
     shadow: list = []
     chosen: list[tuple[str, bool]] = []
     expected: list[tuple[str | None, bool]] = []
-    real_acquire, real_release = p._acquire, p._release
+    real_acquire, real_release = env._acquire, env._release
 
-    def acquire(fn_name, arrival):
+    def acquire(platform, fn_name, arrival):
         alive = [e for e in shadow if e.last_idle_at + keep_alive >= arrival]
         if alive:
             best = alive.pop(max(range(len(alive)), key=lambda i: (alive[i].last_idle_at, i)))
@@ -323,15 +321,15 @@ def test_executor_reuse_matches_most_recently_idle_scan():
         else:
             expected.append((None, True))
         shadow[:] = alive
-        executor, cold = real_acquire(fn_name, arrival)
+        executor, cold = real_acquire(platform, fn_name, arrival)
         chosen.append((executor.key, cold))
         return executor, cold
 
-    def release(executor, at_us):
-        real_release(executor, at_us)
+    def release(platform, executor, at_us):
+        real_release(platform, executor, at_us)
         shadow.append(executor)
 
-    p._acquire, p._release = acquire, release
+    env._acquire, env._release = acquire, release
 
     arrivals = [0, 0, 0, 500, 500]  # overlapping: five cold executors, idle at 2.0 ms (x3) and 2.5 ms (x2)
     arrivals += [3000, 3100, 3200]  # staggered: the two 2.5 ms ones top first, then a tie among the 2.0 ms ones
@@ -339,7 +337,7 @@ def test_executor_reuse_matches_most_recently_idle_scan():
     arrivals += [14_600 + keep_alive]  # exactly keep-alive after the last release: still warm
     arrivals += [100 * MS, 100 * MS + 100]  # whole pool expired: cold, then a second cold overlap
     for t in arrivals:
-        invoke(p, "fn", arrival_us=t)
+        invoke(env, "p1", "fn", arrival_us=t)
     env.run_until_idle()
 
     assert len(chosen) == len(arrivals)
@@ -444,7 +442,7 @@ def test_run_benchmark_pauses_the_collector_over_set_up(enabled, collector_resto
 def test_simulation_creates_no_reference_cycles(name, collector_restored):
     r = recipe(name)
     app = load_builtin(r.benchmark)
-    gc.collect()  # an earlier test's environment is a cycle with its platforms
+    gc.collect()  # an earlier test may have left cyclic garbage behind
     gc.disable()
     env, plan = deployed_env(app, r.config, seed=7)
     execute(schedule(r.profile.scaled(0.2), env.loadgen_rng), plan, env)
@@ -453,3 +451,24 @@ def test_simulation_creates_no_reference_cycles(name, collector_restored):
     assert gc.collect() == 0
     env.collect_log(env.run_id)
     assert gc.collect() == 0
+    freed = weakref.ref(env)
+    del env
+    assert freed() is None  # reference counting alone frees it, with the collector still off
+
+
+def test_run_benchmark_frees_its_environment_on_return(collector_restored, monkeypatch, tmp_path):
+    # the stdlib JSON encoder of the manifest and reports leaves cycles of its
+    # own, so the check is the environment's weakref, not gc.collect() == 0
+    envs = []
+
+    class WatchedEnvironment(SimEnvironment):
+        def __init__(self, config, seed):
+            super().__init__(config, seed)
+            envs.append(weakref.ref(self))
+
+    monkeypatch.setattr(runner, "SimEnvironment", WatchedEnvironment)
+    gc.collect()
+    gc.disable()
+    result = _run_coldstart(tmp_path)
+    assert len(envs) == 1 and result.truth.invocations
+    assert envs[0]() is None

@@ -1,4 +1,5 @@
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -104,6 +105,28 @@ def test_periodic_trains():
     arrivals = schedule(profile, rng())
     at = [a.at_us for a in arrivals]
     assert at == [120 * US + k * US for k in range(5)] + [240 * US + k * US for k in range(5)]
+
+
+def test_a_train_longer_than_its_phase_stops_at_the_phase_end():
+    def periodic(train_count):
+        series = PeriodicSeries("e", interval_us=10 * US, train_count=train_count, train_spacing_us=US)
+        return LoadProfile("p", (), (Phase(kind="periodic", duration_us=60 * US, series=(series,)),))
+
+    def hang(signum, frame):
+        raise TimeoutError
+
+    fits = schedule(periodic(51), rng())  # the first tick's train ends exactly at the phase end
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        long_train = schedule(periodic(10**18), rng())
+    except TimeoutError:
+        long_train = None  # still walking the train members past the phase end
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(fits) == 51 + 41 + 31 + 21 + 11 + 1
+    assert long_train == fits
 
 
 def test_pause_phase_emits_nothing():

@@ -23,9 +23,11 @@ stage the file holds:
   call returned.
 
 ``write_log`` is the time from the end of teardown to the start of the
-analysis, when the run writes ``raw.log``. ``analyze_other`` is the analysis
-outside parse, trees, decompose and the record metrics. ``other`` is the rest
-of the run: validation, compile, deploy and the manifest.
+analysis, when the run writes ``raw.log``. ``record_metrics`` is
+``coldstart_report`` plus ``coldstart_crosscheck``. ``analyze_other`` is the
+analysis outside parse, trees, decompose and the record metrics; gathering the
+invocations from the trees' nodes counts there. ``other`` is the rest of the
+run: validation, compile, deploy and the manifest.
 
 After each run, a second fresh process analyzes the run's ``raw.log`` with
 ``runner.analyze_file``, the offline ``faasbench analyze``; its
@@ -72,7 +74,6 @@ TIMED = [
     ("analysis", "parse_logs", "parse"),
     ("analysis", "build_trees", "trees"),
     ("analysis", "decompose", "decompose"),
-    ("analysis", "unique_invocations", "record_metrics"),
     ("analysis", "coldstart_report", "record_metrics"),
     ("analysis", "coldstart_crosscheck", "record_metrics"),
     ("RunAnalysis", "summaries", "summaries"),

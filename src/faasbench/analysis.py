@@ -28,8 +28,9 @@ blocking span as network-wait (branch internals are drill-down detail, not
 part of the sum) and async subtrees fall outside the root round trip.
 
 Record-level metrics (execution durations, cold-start counts and the
-cold-flag cross-check) count each (context, pair id) invocation once, from
-its first line in log order.
+cold-flag cross-check) read the invocations of the call trees. ``build_trees``
+is the one place that picks them: each (context, pair id) invocation once,
+from its first line in log order.
 
 The analyzer takes the log as text or as its lines (the run hands over the
 sinks' line list, ``analyze_file`` the file's lines as it reads them), so it
@@ -213,9 +214,10 @@ def build_trees(records: list[TraceRecord]) -> list[CallTree]:
     line would otherwise leave a tree that looks closed while it misses a
     subtree or counts rows twice. A tree with a root node in a clean context
     is complete. Of a replayed invocation the first line in log order is the
-    node, as in ``unique_invocations``. A lost DB_CALL is the one loss the
-    schema cannot show: no pair of it reappears, so its tree stays complete
-    and its store time is booked as compute."""
+    node, and only here: every node lands in one tree, under a root or among
+    the orphans, so the trees' nodes are the run's invocations. A lost DB_CALL
+    is the one loss the schema cannot show: no pair of it reappears, so its
+    tree stays complete and its store time is booked as compute."""
     by_ctx: defaultdict[str, list[TraceRecord]] = defaultdict(list)
     for r in records:
         by_ctx[r.context_id].append(r)
@@ -534,22 +536,14 @@ class ColdstartReport:
     timeline: list[BucketStat]  # last burst phase, per second, first TIMELINE_SECONDS
 
 
-def unique_invocations(records: list[TraceRecord]) -> list[TraceRecord]:
-    """The INVOCATION records, one per (context, pair id): the first line in
-    log order, so a replayed or concatenated line is not counted twice."""
-    first: dict[tuple[str, str], TraceRecord] = {}
-    for r in records:
-        if r.kind == INVOCATION:
-            first.setdefault((r.context_id, r.pair_id), r)
-    return list(first.values())
-
-
 TIMELINE_SECONDS = 30  # seconds of the cold-start timeline, from the start of the last burst
 
 
 def coldstart_report(invocations: list[TraceRecord], phases: list[PhaseWindow] | None = None) -> ColdstartReport:
-    """Cold-start counts of the run's invocations, one record per (context,
-    pair id) as ``unique_invocations`` gives them."""
+    """Cold-start counts of the run's invocations, the nodes of the call trees.
+    A phase or timeline bucket holds an invocation by its logged start, so a
+    platform's clock offset moves it (the totals excepted), and one that
+    starts after the last phase ends is in no phase."""
     total_cold = sum(1 for r in invocations if r.cold_start)
     per_phase: list[tuple[str, int, int]] = []
     timeline: list[BucketStat] = []
@@ -582,8 +576,8 @@ _start_end_pair = attrgetter("start_us", "end_us", "pair_id")
 def coldstart_crosscheck(records: list[TraceRecord]) -> int:
     """Recompute cold flags from the first invocation of each executor key,
     its least (start, end, pair id), kept as a running minimum; returns the
-    number of invocations whose logged flag disagrees. Pass
-    ``unique_invocations`` to count a replayed line once."""
+    number of invocations whose logged flag disagrees. Pass the call trees'
+    invocations to count a replayed line once."""
     invs = [r for r in records if r.kind == INVOCATION and r.executor_key]
     first: dict[str, tuple[int, int, str]] = {}
     for r in invs:
@@ -687,7 +681,7 @@ def analyze_records(records: list[TraceRecord], parse_report: ParseReport,
     breakdowns = [decompose(tree, metrics) for tree in trees if tree.complete]
 
     # record-level metric: execution durations (usable under log loss)
-    invocations = unique_invocations(records)
+    invocations = [node.record for tree in trees for node in tree.nodes()]
     exec_duration = metrics["exec_duration"]
     for r in invocations:
         exec_duration.setdefault(r.function, []).append(r.duration_us)

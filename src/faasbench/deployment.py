@@ -89,20 +89,20 @@ class PlatformSpec:
         where = f"platform {platform_id}: "
         legs = read(d, "networkLatency", dict, DeploymentError, {}, where)
         # both bounds are checked before the conversion to us, which past them need not be finite
-        keep_alive_s = read(d, "keepAliveSeconds", float, DeploymentError, 300, where)
+        keep_alive_s = read(d, "keepAliveSeconds", float, DeploymentError, cls.keep_alive_us / 1_000_000, where)
         if keep_alive_s * 1_000_000 >= MAX_SAMPLE_US:
             raise DeploymentError(f"{where}keepAliveSeconds must be below 2**53 us, got {keep_alive_s:g}")
-        offset_ms = read(d, "clockOffsetMs", float, DeploymentError, 0, where)
+        offset_ms = read(d, "clockOffsetMs", float, DeploymentError, cls.clock_offset_us / 1000, where)
         if abs(offset_ms) > MAX_CLOCK_OFFSET_MS:
             raise DeploymentError(f"{where}clockOffsetMs must be within +-{MAX_CLOCK_OFFSET_MS} ms, got {offset_ms:g}")
         return cls(
             id=platform_id,
-            cold_start_delay=read(d, "coldStartDelay", Duration, DeploymentError, constant(400), where),
+            cold_start_delay=read(d, "coldStartDelay", Duration, DeploymentError, cls.cold_start_delay, where),
             keep_alive_us=int(round(keep_alive_s * 1_000_000)),
             network_latency={
                 peer: read(legs, peer, Duration, DeploymentError, where=f"{where}networkLatency.") for peer in legs
             },
-            trigger_delay=read(d, "triggerDelay", Duration, DeploymentError, constant(100), where),
+            trigger_delay=read(d, "triggerDelay", Duration, DeploymentError, cls.trigger_delay, where),
             # null or an integer; __post_init__ checks it with its own message
             log_lines_per_second=d.get("logLinesPerSecond"),
             clock_offset_us=int(round(offset_ms * 1000)),

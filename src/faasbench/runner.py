@@ -94,15 +94,8 @@ def default_config(app: ApplicationSpec) -> DeploymentConfig:
     network = {platform_id: constant(15), "loadgen": constant(15)}
     for svc in app.external_services:
         network[svc] = constant(3)
-    platform = PlatformSpec(
-        id=platform_id,
-        cold_start_delay=constant(400),
-        keep_alive_us=300_000_000,
-        network_latency=network,
-        trigger_delay=constant(100),
-    )
     return DeploymentConfig(
-        platforms=(platform,),
+        platforms=(PlatformSpec(platform_id, network_latency=network),),
         assignment={fn.name: platform_id for fn in app.functions},
         service_bindings=dict.fromkeys(app.external_services, platform_id),
     )

@@ -168,9 +168,6 @@ class GroundTruth:
     edges: list[TruthEdge] = field(default_factory=list)
     invocations: list[TruthInvocation] = field(default_factory=list)
 
-    def edge_set(self) -> set[tuple[str, str | None, str, str]]:
-        return set(self.edges)
-
 
 class SimPlatform:
     """A simulated platform's state: its spec, the functions deployed on it,

@@ -163,7 +163,7 @@ def test_criterion_6_call_tree_fidelity(exp1_run):
     analyzer_edges = set()
     for tree in analysis.trees:
         analyzer_edges |= tree.edge_set()
-    assert analyzer_edges == exp1_run.truth.edge_set()
+    assert analyzer_edges == set(exp1_run.truth.edges)
     n_inv = sum(1 for r in parse_logs(exp1_run.log_path.read_text())[0] if r.kind == INVOCATION)
     assert sum(1 for t in analysis.trees for _ in t.nodes()) == n_inv
     passline(6, f"{len(analysis.trees)} contexts reconstruct complete trees isomorphic to ground truth")

@@ -850,7 +850,7 @@ def test_analysis_matches_simulator_ground_truth():
     edges = set()
     for t in trees:
         edges |= t.edge_set()
-    assert edges == env.truth.edge_set()
+    assert edges == set(env.truth.edges)
 
 
 def smartcity_run(seed=3, scale=0.02):
@@ -929,7 +929,7 @@ def test_webshop_trees_exact_under_cold_overlap():
     edges = set()
     for t in analysis.trees:
         edges |= t.edge_set()
-    assert edges == env.truth.edge_set()
+    assert edges == set(env.truth.edges)
 
 
 def test_causality_along_sync_edges():

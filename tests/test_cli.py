@@ -806,6 +806,6 @@ def test_deep_sync_chain_runs_to_completion(tmp_path, monkeypatch):
     assert bd.conservation_residual_us == 0
     assert sum(map(len, metrics["network"].values())) == depth - 1
     assert sum(map(len, metrics["compute"].values())) == depth
-    assert tree.edge_set() == result.truth.edge_set()
+    assert tree.edge_set() == set(result.truth.edges)
     summary = json.loads((find_run_dir(out) / "reports" / "summary.json").read_text())
     assert summary["trees"] == {"total": 1, "complete": 1, "incomplete": 0}

@@ -3,8 +3,10 @@ that lost or replayed a line.
 
 Each example deletes a few data lines from a clean log and replays a few of
 the others, then checks that every tree of a touched context is incomplete,
-every other tree is complete with the clean run's breakdown, and every
-context of the log still has a tree.
+every other tree is complete with the clean run's breakdown, every
+context of the log still has a tree, and the trees' nodes are the log's
+invocations, the first line of each (context, pair id), which the cold-start
+report counts.
 
 A DB_CALL line is never deleted. A lost store record leaves no pair that
 reappears elsewhere: every invocation and call around it stays linked, so
@@ -12,6 +14,7 @@ its tree stays complete and its store time is booked as compute. It is the one l
 platform's ``#dropped`` count is its only sign.
 """
 
+from collections import Counter
 from functools import lru_cache
 
 from hypothesis import HealthCheck, given, settings
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 from faasbench.analysis import ParseReport, analyze_records, parse_logs
 from faasbench.benchmarks import load_builtin
 from faasbench.recipes import exp2_edge_cloud, recipe
-from faasbench.records import DB_CALL
+from faasbench.records import DB_CALL, INVOCATION, TraceRecord
 from faasbench.runner import default_config
 from faasbench.workload import US, LoadProfile, Phase, Workflow, WorkflowStep, execute, schedule
 
@@ -95,3 +98,10 @@ def test_incomplete_trees_are_exactly_the_touched_contexts(case):
         assert tree.complete == (tree.context_id not in touched), tree.context_id
     assert {t.context_id for t in analysis.trees} == {r.context_id for r in log}
     assert _by_context(analysis.breakdowns) == {ctx: bds for ctx, bds in clean.items() if ctx not in touched}
+    # the trees' nodes are the log's invocations, the first line of each (context, pair id)
+    first: dict[tuple[str, str], TraceRecord] = {}
+    for r in log:
+        if r.kind == INVOCATION:
+            first.setdefault((r.context_id, r.pair_id), r)
+    assert Counter(node.record for t in analysis.trees for node in t.nodes()) == Counter(first.values())
+    assert analysis.coldstart.total_invocations == len(first)

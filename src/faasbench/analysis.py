@@ -19,8 +19,9 @@ Metric definitions:
 ``decompose`` walks each complete tree once and appends every tree-level
 metric row (root round trip, compute, network, one-way estimate as network / 2
 per sync edge, db, and publish latency and trigger delays per async edge)
-straight into the run's metric groups; it keeps per tree only the conserved
-totals. No later pass reads the rows back.
+straight into the run's metric groups, a node's rows where the walk meets the
+node; it keeps per tree only the conserved totals. No later pass reads the
+rows back. Row order inside a group is the walk's, and no report depends on it.
 
 Conservation: for a complete tree, root round trip equals total compute +
 total network + total db exactly, where parallel blocks contribute their
@@ -50,8 +51,9 @@ orphans and every node's calls and db calls in order from those sorts. A
 record's owner is found by bisect over its function's owner list. A context
 pays only for what it has: the async-call table is built only when it has an
 async call, a root node without calls is not linked, and the orphan scan
-runs only when a node is left unlinked. ``decompose`` walks a tree in one
-loop over one explicit stack, with no generator per node.
+runs only when a node is left unlinked. ``decompose`` and ``CallTree.nodes``
+each walk a tree in one loop over one explicit stack of nodes, so a publisher
+is a node like any other and any depth works.
 
 All quantiles are nearest-rank; whiskers extend to the most extreme values
 within 1.5 interquartile ranges of the quartiles.
@@ -153,16 +155,6 @@ class TreeNode:
     calls: list[TreeEdge] = field(default_factory=list)
     db_calls: list[TraceRecord] = field(default_factory=list)
 
-    def walk(self):
-        """Pre-order, children in call order; an explicit stack, so any depth."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            for edge in reversed(node.calls):
-                if edge.child is not None:
-                    stack.append(edge.child)
-
 
 @dataclass(slots=True)
 class CallTree:
@@ -175,21 +167,27 @@ class CallTree:
     orphans: tuple[TreeNode, ...] = ()
 
     def nodes(self):
+        """The root node's subtree, then each orphan's, in pre-order with
+        children in call order; one explicit stack, so any depth."""
+        stack = list(reversed(self.orphans))
         if self.root_node is not None:
-            yield from self.root_node.walk()
-        for orphan in self.orphans:
-            yield from orphan.walk()
+            stack.append(self.root_node)
+        while stack:
+            node = stack.pop()
+            yield node
+            for edge in reversed(node.calls):
+                if edge.child is not None:
+                    stack.append(edge.child)
 
     def edge_set(self) -> set[tuple[str, str | None, str, str]]:
         """(context, parent pair, pair, kind) tuples, comparable with the
-        simulator's exported ground truth."""
+        simulator's exported ground truth; a call edge's kind is its mode."""
         out: set[tuple[str, str | None, str, str]] = set()
         if self.root is not None:
             out.add((self.context_id, None, self.root.pair_id, "root"))
-        kind_by_mode = {MODE_SYNC: "sync", MODE_ASYNC: "async", MODE_TRIGGER: "trigger"}
         for node in self.nodes():
             for edge in node.calls:
-                out.add((self.context_id, node.record.pair_id, edge.record.pair_id, kind_by_mode[edge.record.mode]))
+                out.add((self.context_id, node.record.pair_id, edge.record.pair_id, edge.record.mode))
             for db in node.db_calls:
                 out.add((self.context_id, node.record.pair_id, db.pair_id, "db"))
         return out
@@ -399,11 +397,13 @@ def decompose(tree: CallTree, metrics: dict[str, dict[str, list]]) -> LatencyBre
     group in ``metrics`` (``RunAnalysis.metrics``, keyed by ``METRIC_NAMES``)
     and return the tree's conserved totals; any other tree raises AnalysisError.
 
-    The rows of a node, in order: per sync or db call by (start, end), the
-    call's rows, each sync call followed by the callee's subtree; the node's
-    compute; then per async call its publish and trigger rows, the triggered
-    subtrees and the publisher's compute. A node puts its rows and children,
-    in that order, on the walk's one explicit stack, so any depth works."""
+    The walk appends a node's rows where it meets the node: per sync or db
+    call by (start, end) the call's rows, then the node's compute, then per
+    async call its publish row and a trigger-delay row per trigger call of
+    the publisher. Then it visits the node's sync callees by (start, end) and
+    its other callees (a publisher, a triggered invocation) in call order; a
+    sync callee outside a parallel block counts in the conserved totals when
+    its caller does, any other callee never."""
     if not tree.complete:
         raise AnalysisError(f"context {tree.context_id} is incomplete")
     root = tree.root
@@ -411,27 +411,22 @@ def decompose(tree: CallTree, metrics: dict[str, dict[str, list]]) -> LatencyBre
     round_trip = root.end_us - root.start_us
     metrics["root_round_trip"].setdefault(root.callee, []).append(round_trip)
     compute_rows = metrics["compute"]
+    network_rows = metrics["network"]
+    oneway_rows = metrics["network_oneway"]
     db_rows = metrics["db"]
     total_compute = total_db = 0
     total_network = round_trip - (root_rec.end_us - root_rec.start_us)
 
-    # what is left to do, popped last first: (node, conserved) enters a node,
-    # (metric groups, group, value) appends a row
-    stack: list[tuple] = [(tree.root_node, True)]
+    stack = [(tree.root_node, True)]  # (node, whether it counts in the conserved totals)
     while stack:
-        step = stack.pop()
-        if len(step) == 3:
-            groups, group, value = step
-            groups.setdefault(group, []).append(value)
-            continue
-        node, conserved = step
+        node, conserved = stack.pop()
         rec = node.record
         calls = node.calls
         items = [(e.record.start_us, e.record.end_us, e) for e in calls if e.record.mode == MODE_SYNC]
         items += [(db.start_us, db.end_us, db) for db in node.db_calls]
         if len(items) > 1:
             items.sort(key=_start_end)
-        todo: list[tuple] = []  # the node's rows and children, in order
+        base = len(stack)  # the node's children go above it, and are reversed to pop in visit order
         seq_sync_us = 0
         seq_db_us = 0
         block_wait_us = 0
@@ -452,44 +447,43 @@ def decompose(tree: CallTree, metrics: dict[str, dict[str, list]]) -> LatencyBre
                     child = item.child
                     child_rec = child.record
                     network = end - start - (child_rec.end_us - child_rec.start_us)
-                    todo.append((metrics["network"], f"{rec.function}->{child_rec.function}", network))
-                    todo.append((metrics["network_oneway"], f"{rec.platform_id}->{child_rec.platform_id}",
-                                 network / 2))
-                    todo.append((child, conserved and not in_block))
+                    network_rows.setdefault(f"{rec.function}->{child_rec.function}", []).append(network)
+                    oneway_rows.setdefault(f"{rec.platform_id}->{child_rec.platform_id}", []).append(network / 2)
+                    stack.append((child, conserved and not in_block))
                     if not in_block:
                         seq_sync_us += end - start
                         if conserved:
                             total_network += network
                 else:
-                    todo.append((db_rows, f"{rec.platform_id}/{item.callee}", end - start))
+                    db_rows.setdefault(f"{rec.platform_id}/{item.callee}", []).append(end - start)
                     if not in_block:
                         seq_db_us += end - start
             i = j
 
         compute = rec.end_us - rec.start_us - seq_sync_us - seq_db_us - block_wait_us
-        todo.append((compute_rows, rec.function, compute))
+        compute_rows.setdefault(rec.function, []).append(compute)
         if conserved:
             total_compute += compute
             total_db += seq_db_us
             total_network += block_wait_us
 
         for e in calls:
-            if e.record.mode != MODE_ASYNC:
+            mode = e.record.mode
+            if mode == MODE_SYNC:
                 continue
-            pub = e.child
-            pub_rec = pub.record
-            group = f"{e.record.platform_id}->{pub_rec.platform_id}"
-            todo.append((metrics["publish_latency"], group,
-                         e.record.end_us - e.record.start_us - (pub_rec.end_us - pub_rec.start_us)))
-            triggered = [t.child for t in pub.calls if t.record.mode == MODE_TRIGGER]
-            for t in triggered:
-                todo.append((metrics["trigger_delay"], group, t.record.start_us - pub_rec.start_us))
-            for t in triggered:
-                todo.append((t, False))
-            # a publisher only forwards: all of its execution is compute, outside the root round trip
-            todo.append((compute_rows, pub_rec.function, pub_rec.end_us - pub_rec.start_us))
-        todo.reverse()
-        stack += todo
+            child = e.child
+            stack.append((child, False))  # an async subtree falls outside the root round trip
+            if mode == MODE_ASYNC:
+                pub_rec = child.record
+                group = f"{e.record.platform_id}->{pub_rec.platform_id}"
+                metrics["publish_latency"].setdefault(group, []).append(
+                    e.record.end_us - e.record.start_us - (pub_rec.end_us - pub_rec.start_us))
+                for t in child.calls:
+                    if t.record.mode == MODE_TRIGGER:
+                        metrics["trigger_delay"].setdefault(group, []).append(
+                            t.child.record.start_us - pub_rec.start_us)
+        if len(stack) - base > 1:
+            stack[base:] = reversed(stack[base:])
 
     return LatencyBreakdown(tree.context_id, root.callee, round_trip, total_compute, total_network, total_db)
 

@@ -152,7 +152,7 @@ def box_chart_png(title: str, groups: dict[str, SummaryStats]) -> bytes:
         half = abs(lo) / 10 or 1
         lo, hi = lo - half, hi + half
     ticks = _ticks(lo, hi)
-    tick_half_w = max(_text_width(label) for _, label in ticks) // 2
+    tick_half_w = max((_text_width(label) for _, label in ticks), default=0) // 2
 
     x0 = _PAD + max(max(_text_width(g) for g in groups) + _PAD, tick_half_w)
     y0 = _PAD + _GLYPH_H * _TITLE_SCALE + _PAD
@@ -162,7 +162,8 @@ def box_chart_png(title: str, groups: dict[str, SummaryStats]) -> bytes:
     img = np.full((height, width, 3), BACKGROUND, np.uint8)
 
     def px(value: float) -> int:
-        return x0 + round((value - lo) / (hi - lo) * (_PLOT_W - 1))
+        # float arithmetic near 2**53 and beyond can land a column past either end
+        return x0 + min(max(round((value - lo) / (hi - lo) * (_PLOT_W - 1)), 0), _PLOT_W - 1)
 
     _draw_text(img, _PAD, _PAD, title, _TITLE_SCALE)
     for i, (group, s) in enumerate(groups.items()):
@@ -187,14 +188,15 @@ def box_chart_png(title: str, groups: dict[str, SummaryStats]) -> bytes:
 
 
 def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:
-    """Round-numbered ticks (steps of 1, 2 or 5 times a power of ten) in [lo, hi]."""
+    """Round-numbered ticks (steps of 1, 2 or 5 times a power of ten) in [lo, hi]; near 2**53
+    and beyond, a tick that ``k * step`` rounds out of the range is left out, so there may be none."""
     rough = (hi - lo) / 5
     power = math.floor(math.log10(rough))
     step = next(m * 10.0 ** power for m in (1, 2, 5, 10) if m * 10.0 ** power >= rough)
     decimals = max(0, -math.floor(math.log10(step)))
     first = math.ceil(lo / step)
     last = math.floor(hi / step)
-    return [(k * step, f"{k * step:.{decimals}f}") for k in range(first, last + 1)]
+    return [(v, f"{v:.{decimals}f}") for v in (k * step for k in range(first, last + 1)) if lo <= v <= hi]
 
 
 def _text_width(text: str, scale: int = 1) -> int:

@@ -31,7 +31,7 @@ from faasbench.analysis import (
     write_reports,
 )
 from faasbench.benchmarks import builtin_profile, load_builtin
-from faasbench.charts import BOX_EDGE, INK, MEDIAN
+from faasbench.charts import BOX_EDGE, INK, MEDIAN, box_chart_png
 from faasbench.records import (
     DB_CALL,
     HEADER_LINE,
@@ -287,8 +287,8 @@ def test_walk_and_decompose_keep_depth_first_call_order():
     assert tree.complete
     assert [n.record.function for n in tree.nodes()] == ["a", "b", "d", "c"]  # pre-order
     _, metrics = decomposed(tree)
-    assert list(metrics["network"]) == ["a->b", "b->d", "a->c"]
-    assert list(metrics["compute"]) == ["d", "b", "c", "a"]  # a node after its subtree
+    assert list(metrics["network"]) == ["a->b", "a->c", "b->d"]
+    assert list(metrics["compute"]) == ["a", "b", "d", "c"]  # a node's rows, then its subtree's
 
 
 def test_a_record_goes_to_the_innermost_invocation_that_contains_it():
@@ -536,6 +536,40 @@ def test_decompose_async_edges_do_not_reduce_compute():
     assert metrics["network"] == {}
     assert (bd.total_compute_us, bd.total_network_us, bd.total_db_us) == (20 * MS, 10 * MS, 0)
     assert bd.conservation_residual_us == 0
+
+
+def test_a_publisher_is_decomposed_like_any_node():
+    # a publisher that makes a store call: its db row is kept and its compute
+    # excludes the call; neither touches the conserved totals
+    pub_name = "__publisher_p1"
+    records = [
+        root_rec(_id(10), 0, 30 * MS),
+        rec(INVOCATION, "A", _id(10), 5 * MS, 25 * MS),
+        rec(OUTGOING_CALL, "A", _id(11), 10 * MS, 14 * MS, callee="evt", mode=MODE_ASYNC),
+        rec(INVOCATION, pub_name, _id(11), 10 * MS, 14 * MS),
+        rec(DB_CALL, pub_name, _id(13), 11 * MS, 12 * MS, callee="keystore", db_op="get"),
+        rec(OUTGOING_CALL, pub_name, _id(12), 13 * MS, 13 * MS, callee="evt", mode=MODE_TRIGGER),
+        rec(INVOCATION, "evt", _id(12), 110 * MS, 111 * MS),
+    ]
+    bd, metrics = decomposed(build_trees(records)[0])
+    assert metrics["db"] == {"p1/keystore": [1 * MS]}
+    assert metrics["compute"] == {"A": [20 * MS], pub_name: [3 * MS], "evt": [1 * MS]}
+    assert metrics["publish_latency"] == {"p1->p1": [0]}
+    assert metrics["trigger_delay"] == {"p1->p1": [100 * MS]}
+    assert (bd.total_compute_us, bd.total_network_us, bd.total_db_us) == (20 * MS, 10 * MS, 0)
+    assert bd.conservation_residual_us == 0
+
+
+def test_an_async_call_without_a_trigger_adds_no_trigger_group():
+    records = [
+        root_rec(_id(10), 0, 30 * MS),
+        rec(INVOCATION, "A", _id(10), 5 * MS, 25 * MS),
+        rec(OUTGOING_CALL, "A", _id(11), 10 * MS, 12 * MS, callee="evt", mode=MODE_ASYNC),
+        rec(INVOCATION, "__publisher_p1", _id(11), 10 * MS, 12 * MS),
+    ]
+    _, metrics = decomposed(build_trees(records)[0])
+    assert metrics["publish_latency"] == {"p1->p1": [0]}
+    assert metrics["trigger_delay"] == {}
 
 
 def test_trigger_metrics_empty_for_sync_only():
@@ -813,6 +847,16 @@ def test_charts_draw_the_summary_csv_statistics(tmp_path):
     assert summaries["trigger_delay"]["p1->p2"].whisker_low > summaries["trigger_delay"]["p1->p2"].min
 
 
+@pytest.mark.parametrize("lo, spread", [(2 ** 53, 3), (2 ** 53 + 1, 1), (2 ** 62 + 2536, 28), (-2 ** 63 + 4804, 19)],
+                         ids=["2**53", "2**53+1", "2**62", "-2**63"])
+def test_charts_of_a_range_below_float_precision(lo, spread):
+    # a few microseconds apart, where float ticks round past the range, or a
+    # tick inside it still maps past the plot's end
+    groups = {"a": summary_stats([lo, lo + spread]), "b": summary_stats([lo + 1, lo + spread // 2, lo + spread])}
+    boxes = measured_boxes(decode_png(box_chart_png("near the float limit (us)", groups)))
+    assert len(boxes) == len(groups)
+
+
 # -- whole-run analysis ------------------------------------------------------
 
 
@@ -977,12 +1021,13 @@ def _busy_us(intervals):
 
 def walked_groups(trees):
     """The tree-level metric groups rebuilt by a direct walk over the
-    complete trees, in decompose's row order: per node its sync and db calls
-    by (start, end), each sync edge's rows followed by the callee's subtree,
-    then the node's compute, then per async edge its publish and trigger
-    rows, the triggered subtrees and the publisher's compute. Compute is the
-    execution minus the union of the node's sync and db call intervals.
-    Returns (groups, number of nodes whose sync or db calls overlap)."""
+    complete trees, in decompose's row order: per node the rows of its sync
+    and db calls by (start, end), its compute, and per async edge its publish
+    and trigger rows; then the subtrees of its sync callees by (start, end)
+    and of its other callees in call order. A publisher is a node like any
+    other. Compute is the execution minus the union of the node's sync and db
+    call intervals. Returns (groups, number of nodes whose sync or db calls
+    overlap)."""
     groups = {name: {} for name in TREE_METRICS}
     blocks = 0
 
@@ -1004,7 +1049,6 @@ def walked_groups(trees):
             network = call.record.duration_us - callee.duration_us
             add("network", f"{rec.function}->{callee.function}", network)
             add("network_oneway", f"{call.record.platform_id}->{callee.platform_id}", network / 2)
-            visit(call.child)
         busy = _busy_us(spans)
         blocks += busy < sum(end - start for start, end in spans)
         add("compute", rec.function, rec.duration_us - busy)
@@ -1014,12 +1058,15 @@ def walked_groups(trees):
             pub = e.child.record
             group = f"{e.record.platform_id}->{pub.platform_id}"
             add("publish_latency", group, e.record.duration_us - pub.duration_us)
-            triggered = [t.child for t in e.child.calls if t.record.mode == MODE_TRIGGER]
-            for t in triggered:
-                add("trigger_delay", group, t.record.start_us - pub.start_us)
-            for t in triggered:
-                visit(t)
-            add("compute", pub.function, pub.duration_us)
+            for t in e.child.calls:
+                if t.record.mode == MODE_TRIGGER:
+                    add("trigger_delay", group, t.child.record.start_us - pub.start_us)
+        for _, _, call in calls:
+            if not isinstance(call, TraceRecord):
+                visit(call.child)
+        for e in node.calls:
+            if e.record.mode != MODE_SYNC:
+                visit(e.child)
 
     for tree in trees:
         if tree.complete:

@@ -9,10 +9,12 @@ from faasbench.applications import ApplicationSpec, validate
 from faasbench.benchmarks import builtin_profile, load_builtin
 from faasbench.cli import EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, main
 from faasbench.deployment import DeploymentConfig
-from faasbench.records import HEADER_LINE
+from faasbench.records import HEADER_LINE, INVOCATION, TraceRecord
 from faasbench.recipes import recipe
 from faasbench.simulator import SimEnvironment
 from faasbench.workload import LoadProfile
+
+from conftest import serialize_record
 
 
 def run_cli(*argv) -> int:
@@ -617,6 +619,17 @@ def test_analyze_matches_pipeline_reports(tmp_path):
     assert offline == original
     with_data = {m for m, groups in offline["metrics"].items() if any(g["count"] for g in groups.values())}
     assert with_data and {p.stem for p in (redo / "charts").glob("*.png")} == with_data
+
+
+def test_analyze_charts_a_range_below_float_precision(tmp_path):
+    # two executions of 2**53 and 2**53 + 3 us: float ticks round past the range
+    lines = [serialize_record(TraceRecord("r1", "p1", INVOCATION, "f", "c1", f"p{i}", 0, end, executor_key="e1",
+                                          cold_start=i == 0))
+             for i, end in enumerate((2 ** 53, 2 ** 53 + 3))]
+    log = tmp_path / "raw.log"
+    log.write_text("\n".join([HEADER_LINE, *lines]) + "\n")
+    assert run_cli("analyze", str(log), "--out", str(tmp_path / "r"), "--charts") == EXIT_OK
+    assert (tmp_path / "r" / "charts" / "exec_duration.png").exists()
 
 
 def test_analyze_missing_file(tmp_path):

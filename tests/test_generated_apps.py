@@ -118,6 +118,9 @@ def test_generated_app_trees_match_ground_truth(case, flows, seed):
         assert tree.complete
         assert tree.edge_set() == truth[tree.context_id]
     assert len(analysis.breakdowns) == len(analysis.trees)
+    # one compute row per node of every complete tree, a publisher's included
+    assert (sum(len(v) for v in analysis.metrics["compute"].values())
+            == sum(1 for t in analysis.trees if t.complete for _ in t.nodes()))
     assert {bd.conservation_residual_us for bd in analysis.breakdowns} == {0}
     assert analysis.cold_flag_mismatches == 0
 

@@ -23,7 +23,8 @@ stage the file holds:
   call returned.
 
 ``write_log`` is the time from the end of teardown to the start of the
-analysis, when the run writes ``raw.log``. ``record_metrics`` is
+analysis, when the run writes ``raw.log``, frees the simulator and its lines
+and reads its ``manifest.json`` back. ``record_metrics`` is
 ``coldstart_report`` plus ``coldstart_crosscheck``. ``analyze_other`` is the
 analysis outside parse, trees, decompose and the record metrics; gathering the
 invocations from the trees' nodes counts there. ``other`` is the rest of the

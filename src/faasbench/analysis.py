@@ -33,9 +33,9 @@ cold-flag cross-check) read the invocations of the call trees. ``build_trees``
 is the one place that picks them: each (context, pair id) invocation once,
 from its first line in log order.
 
-The analyzer takes the log as text or as its lines (the run hands over the
-sinks' line list, ``analyze_file`` the file's lines as it reads them), so it
-never needs a joined copy of the log. Each parsed record shares one string
+The analyzer takes the log as text or as its lines (``analyze_file``, which
+a run calls on its own ``raw.log``, hands over the file's lines as it reads
+them), so it never needs a joined copy of the log. Each parsed record shares one string
 per value of the columns whose values repeat across a run's lines: run id,
 platform, kind, function, callee, mode, db op, context id and executor key
 (``records.parse_record``): a run's hundreds of thousands of records name a
@@ -706,7 +706,7 @@ def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = Fal
 
     def emit_csv(name: str, header: list[str], rows) -> None:
         path = out / name
-        with path.open("w", newline="") as fh:
+        with path.open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
@@ -772,7 +772,7 @@ def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = Fal
         },
     }
     summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     written["summary.json"] = str(summary_path)
 
     if charts:

@@ -21,7 +21,7 @@ HTTP_SYNC = "http-sync"
 EVENT_ASYNC = "event-async"
 
 STEP_KINDS = ("compute", "call", "publish", "dbGet", "dbSet", "parallelBlock", "return")
-NAME_RULE = "must be a non-empty string other than '-', with no tab or line break"
+NAME_RULE = "must be a non-empty UTF-8 encodable string other than '-', with no tab or line break"
 # deployment names the publisher it adds to a platform with this prefix
 PUBLISHER_PREFIX = "__publisher_"
 
@@ -180,7 +180,7 @@ class ApplicationSpec:
 
     @classmethod
     def load(cls, path: str | Path) -> "ApplicationSpec":
-        return cls.from_json(Path(path).read_text())
+        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 @dataclass(frozen=True)

@@ -177,8 +177,8 @@ def cmd_recipes(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     config_path = out / f"{r.name}.config.json"
     profile_path = out / f"{r.name}.profile.json"
-    config_path.write_text(r.config.to_json() + "\n")
-    profile_path.write_text(r.profile.to_json() + "\n")
+    config_path.write_text(r.config.to_json() + "\n", encoding="utf-8")
+    profile_path.write_text(r.profile.to_json() + "\n", encoding="utf-8")
     print(f"benchmark: {r.benchmark}")
     print(f"wrote {config_path}")
     print(f"wrote {profile_path}")

@@ -39,8 +39,8 @@ def _check_platform_id(platform_id) -> None:
     """Raise DeploymentError unless the id can fill the platform column of a
     log line and the whitespace-separated ``#dropped <id> <count>`` line."""
     if not (is_log_name(platform_id) and platform_id.split() == [platform_id]):
-        raise DeploymentError(f"platform id {platform_id!r} must be a non-empty string other than '-', "
-                              "with no whitespace")
+        raise DeploymentError(f"platform id {platform_id!r} must be a non-empty UTF-8 encodable string "
+                              "other than '-', with no whitespace")
     if platform_id == LOADGEN:
         raise DeploymentError(f"platform id {LOADGEN!r} is reserved for the load generator")
 
@@ -159,7 +159,7 @@ class DeploymentConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "DeploymentConfig":
-        return cls.from_json(Path(path).read_text())
+        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 # (callee's platform id, outbound leg, return leg)

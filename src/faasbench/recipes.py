@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .benchmarks import builtin_profile, load_builtin
 from .deployment import DeploymentConfig, PlatformSpec
-from .distributions import parse_duration
+from .distributions import constant, parse_duration
 from .workload import LoadProfile
 
 RECIPE_NAMES = (
@@ -58,14 +58,11 @@ def exp1_single_cloud(
     platform = PlatformSpec(
         id="cloud-a",
         cold_start_delay=parse_duration(cold_start),
-        keep_alive_us=300_000_000,
         network_latency={
             "cloud-a": parse_duration(network),
             "loadgen": parse_duration(network),
             KEYSTORE: parse_duration(db),
         },
-        trigger_delay=parse_duration("constant(100)"),
-        log_lines_per_second=None,
     )
     cfg = DeploymentConfig(
         platforms=(platform,),
@@ -78,27 +75,24 @@ def exp1_single_cloud(
 def _exp2_platforms(cloud_clock_offset_ms: float) -> tuple[PlatformSpec, PlatformSpec]:
     edge = PlatformSpec(
         id="edge-1",
-        cold_start_delay=parse_duration("constant(0)"),
-        keep_alive_us=300_000_000,
+        cold_start_delay=constant(0),
         network_latency={
-            "edge-1": parse_duration("constant(1)"),
-            "cloud-a": parse_duration("constant(40)"),
-            "loadgen": parse_duration("constant(1)"),  # sensors sit at the edge site
-            KEYSTORE: parse_duration("constant(40)"),  # store is cloud-hosted
+            "edge-1": constant(1),
+            "cloud-a": constant(40),
+            "loadgen": constant(1),  # sensors sit at the edge site
+            KEYSTORE: constant(40),  # store is cloud-hosted
         },
-        trigger_delay=parse_duration("constant(10)"),
+        trigger_delay=constant(10),
     )
     cloud = PlatformSpec(
         id="cloud-a",
-        cold_start_delay=parse_duration("constant(0)"),
-        keep_alive_us=300_000_000,
+        cold_start_delay=constant(0),
         network_latency={
-            "cloud-a": parse_duration("constant(3)"),
-            "edge-1": parse_duration("constant(40)"),
-            "loadgen": parse_duration("constant(40)"),
-            KEYSTORE: parse_duration("constant(3)"),
+            "cloud-a": constant(3),
+            "edge-1": constant(40),
+            "loadgen": constant(40),
+            KEYSTORE: constant(3),
         },
-        trigger_delay=parse_duration("constant(100)"),
         clock_offset_us=int(round(cloud_clock_offset_ms * 1000)),
     )
     return edge, cloud
@@ -157,20 +151,16 @@ def exp3_three_way_factory(trigger: str | None = None) -> Recipe:
     """
     platforms = []
     for pid in _EXP3_PARTS:
-        net = {pid: parse_duration("constant(2)"), "loadgen": parse_duration("constant(30)"),
-               KEYSTORE: parse_duration("constant(3)")}
+        net = {pid: constant(2), "loadgen": constant(30), KEYSTORE: constant(3)}
         for other in _EXP3_PARTS:
             if other != pid:
-                net[other] = parse_duration(f"constant({_EXP3_CROSS[(pid, other)]})")
+                net[other] = constant(_EXP3_CROSS[(pid, other)])
         platforms.append(
             PlatformSpec(
                 id=pid,
-                cold_start_delay=parse_duration("constant(0)"),
-                keep_alive_us=300_000_000,
+                cold_start_delay=constant(0),
                 network_latency=net,
-                trigger_delay=parse_duration(trigger) if trigger else parse_duration(
-                    f"constant({_EXP3_TRIGGER[pid]})"
-                ),
+                trigger_delay=parse_duration(trigger) if trigger else constant(_EXP3_TRIGGER[pid]),
             )
         )
     assignment = {fn: pid for pid, fns in _EXP3_PARTS.items() for fn in fns}
@@ -187,14 +177,12 @@ def exp4_coldstart() -> Recipe:
     keep-alive window so the final burst lands on an empty executor pool."""
     platform = PlatformSpec(
         id="cloud-a",
-        cold_start_delay=parse_duration("constant(400)"),
         keep_alive_us=60_000_000,
         network_latency={
-            "cloud-a": parse_duration("constant(0)"),
-            "loadgen": parse_duration("constant(5)"),
-            KEYSTORE: parse_duration("constant(3)"),
+            "cloud-a": constant(0),
+            "loadgen": constant(5),
+            KEYSTORE: constant(3),
         },
-        trigger_delay=parse_duration("constant(100)"),
     )
     cfg = DeploymentConfig(
         platforms=(platform,),

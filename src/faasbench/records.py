@@ -138,8 +138,10 @@ def is_log_name(name: object) -> bool:
     """True when ``name`` can fill a name column of a log line (function,
     callee or platform): a non-empty string other than ``-``, which reads as
     an empty column, with no tab and nothing ``str.splitlines`` ends a line
-    at. Any other name would split or shift the columns of its lines."""
-    return isinstance(name, str) and name != _NONE and "\t" not in name and name.splitlines() == [name]
+    at. Any other name would split or shift the columns of its lines. A
+    surrogate code point is refused too: UTF-8 cannot encode it."""
+    return (isinstance(name, str) and name != _NONE and "\t" not in name and name.splitlines() == [name]
+            and not any("\ud800" <= c <= "\udfff" for c in name))
 
 
 def format_drop_line(platform_id: str, count: int) -> str:

@@ -8,10 +8,16 @@ A run writes its ``manifest.json`` as plain JSON before any platform action.
 ``MANIFEST_FIELDS`` and ``PHASE_FIELDS`` give it, so a malformed manifest
 raises AnalysisError in one line that names the file and the field.
 
-``run_benchmark`` and ``analyze_file`` each pause Python's cyclic garbage
-collector once, over their whole pipeline, which allocates by the hundred
-thousand and builds no reference cycles (``_collector_paused``). The
-lower-level calls they make leave the collector alone, so no pause nests."""
+A run analyzes its own ``raw.log`` through ``analyze_file``, as ``faasbench
+analyze`` does, with the phases read back from its ``manifest.json``. Before
+that, it lets go of the simulator and its log lines, so reference counting
+frees them before the analysis starts.
+
+``run_benchmark`` pauses Python's cyclic garbage collector once, from deploy
+to the write of ``raw.log``, and ``analyze_file`` once, over the analysis:
+both allocate by the hundred thousand and build no reference cycles
+(``_collector_paused``). The lower-level calls they make leave the collector
+alone, so no pause nests."""
 
 from __future__ import annotations
 
@@ -66,10 +72,11 @@ def _collector_paused():
     """Run the block with the cyclic collector disabled, then restore the
     caller's collector state.
 
-    A run allocates tasks, generator frames, log lines, records and tree nodes
-    by the hundred thousand and builds no reference cycles among them, yet
-    every allocation threshold they pass sets off a collection that scans all
-    surviving objects, the growing log included, to free nothing.
+    The simulation allocates tasks, generator frames and log lines, and the
+    analysis records and tree nodes, by the hundred thousand, and neither
+    builds reference cycles among them, yet every allocation threshold they
+    pass sets off a collection that scans all surviving objects, the growing
+    log or records included, to free nothing.
 
     On the way out, ``gc.freeze(); gc.unfreeze()`` moves what survived into
     the oldest generation without scanning it, so the paused allocations do
@@ -144,7 +151,6 @@ def run_benchmark(
     run_id = env.run_id
 
     run_dir = _fresh_run_dir(Path(out_dir), run_id)
-    phases = phase_windows_of(profile)
     manifest = {
         "runId": run_id,
         "benchmark": benchmark_name or app.name,
@@ -155,9 +161,9 @@ def run_benchmark(
         "outDir": str(run_dir),
         "createdAt": _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
         "version": __version__,
-        "phases": [dict(zip(PHASE_FIELDS, p)) for p in phases],
+        "phases": [dict(zip(PHASE_FIELDS, p)) for p in phase_windows_of(profile)],
     }
-    (run_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")  # before any platform action
+    (run_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")  # before deploy_all
 
     log_path = run_dir / RAW_LOG_NAME
     with _collector_paused():
@@ -168,23 +174,16 @@ def run_benchmark(
         log_lines = env.collect_log(run_id)
         teardown(env.platforms)
         _write_lines(log_path, log_lines)
-        analysis = analyze_log_text(log_lines, phases)
-        write_reports(analysis, run_dir / REPORTS_DIR, charts=charts)
-
-    return RunResult(
-        run_id=run_id,
-        run_dir=run_dir,
-        log_path=log_path,
-        analysis=analysis,
-        truth=env.truth,
-        stats=stats,
-    )
+    truth = env.truth
+    del env, log_lines, arrivals  # the simulator and its lines are freed before the analysis reads raw.log
+    analysis = analyze_file(log_path, run_dir / REPORTS_DIR, charts=charts)
+    return RunResult(run_id=run_id, run_dir=run_dir, log_path=log_path, analysis=analysis, truth=truth, stats=stats)
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
     """Write each line followed by a newline, a bounded slice at a time, so no
     string of the whole log is ever built."""
-    with path.open("w") as fh:
+    with path.open("w", encoding="utf-8") as fh:
         for i in range(0, len(lines), WRITE_CHUNK_LINES):
             fh.write("\n".join(lines[i:i + WRITE_CHUNK_LINES]))
             fh.write("\n")
@@ -219,7 +218,7 @@ def analyze_file(log_path: str | Path, out_dir: str | Path | None = None, charts
     phases = _read_phases(manifest_path) if manifest_path.is_file() else None
     with _collector_paused():
         try:
-            with log_path.open() as fh:
+            with log_path.open(encoding="utf-8") as fh:
                 analysis = analyze_log_text(itertools.chain.from_iterable(map(str.splitlines, fh)), phases)
         except UnicodeDecodeError as exc:
             raise AnalysisError(f"{log_path}: not UTF-8 text: {exc}") from None
@@ -233,7 +232,7 @@ def _read_phases(manifest_path: Path) -> list[PhaseWindow]:
     type (``MANIFEST_FIELDS``, ``PHASE_FIELDS``); raises AnalysisError naming
     the file and the first bad field."""
     try:
-        manifest = read_document(manifest_path.read_text(), AnalysisError)
+        manifest = read_document(manifest_path.read_text(encoding="utf-8"), AnalysisError)
         fields = {key: read(manifest, key, kind, AnalysisError, None if key in OPTIONAL_MANIFEST_FIELDS else REQUIRED)
                   for key, kind in MANIFEST_FIELDS.items()}
         return [PhaseWindow(*(read(p, key, kind, AnalysisError, where=f"phases[{i}].")

@@ -327,9 +327,7 @@ class SimEnvironment:
 
     def collect_log(self, run_id: str) -> list[str]:
         """The log lines of run ``run_id``: header, loadgen section, platforms
-        sorted; another run id gets only the ``#dropped`` lines.
-
-        The list holds the sinks' own line strings, not copies; the log file
+        sorted; another run id gets only the ``#dropped`` lines. The log file
         is these lines, each ended by a newline.
         """
         out = [HEADER_LINE]

@@ -190,7 +190,7 @@ class LoadProfile:
 
     @classmethod
     def load(cls, path: str | Path) -> "LoadProfile":
-        return cls.from_json(Path(path).read_text())
+        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def _scaled(value: int, factor: float, key: str, limit: str) -> int:

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -119,9 +121,10 @@ def test_validate_and_run_name_the_body_step_of_a_bad_distribution(tmp_path, cap
     assert not out.exists()
 
 
-_BAD_NAMES = ["a\tb", "-", "", "a\nb", "a\r\nb", "a\rb", "a\x0bb", "a\x1cb", "a\x85b", "a\u2028b"]
+# the last name holds a lone surrogate, which UTF-8 cannot encode
+_BAD_NAMES = ["a\tb", "-", "", "a\nb", "a\r\nb", "a\rb", "a\x0bb", "a\x1cb", "a\x85b", "a\u2028b", "a\ud800b"]
 _BAD_NAME_IDS = ["tab", "dash", "empty", "newline", "crlf", "cr", "vertical-tab", "file-separator", "next-line",
-                 "line-separator"]
+                 "line-separator", "surrogate"]
 
 
 def _write_app_and_profile(tmp_path, fn: str = "a", service: str | None = None) -> tuple[Path, Path]:
@@ -151,7 +154,8 @@ def test_validate_and_run_reject_a_name_that_breaks_the_log(tmp_path, capsys, fi
         app, profile = _write_app_and_profile(tmp_path, fn=name)
     else:
         app, profile = _write_app_and_profile(tmp_path, service=name)
-    reason = f"BadName: {field} name {name!r} must be a non-empty string other than '-', with no tab or line break"
+    reason = (f"BadName: {field} name {name!r} must be a non-empty UTF-8 encodable string other than '-', "
+              "with no tab or line break")
     assert run_cli("validate", str(app)) == EXIT_CONFIG
     assert capsys.readouterr().out == reason + "\n"
     out = tmp_path / "out"
@@ -174,7 +178,7 @@ def test_validate_and_run_reject_the_publisher_prefix(tmp_path, capsys):
 
 @pytest.mark.parametrize("pid, reason", [
     ("loadgen", "platform id 'loadgen' is reserved for the load generator"),
-    *((name, f"platform id {name!r} must be a non-empty string other than '-', with no whitespace")
+    *((name, f"platform id {name!r} must be a non-empty UTF-8 encodable string other than '-', with no whitespace")
       for name in [*_BAD_NAMES, "a b", "a\u3000b"]),
 ], ids=["loadgen", *_BAD_NAME_IDS, "space", "ideographic-space"])
 def test_run_rejects_a_platform_id_that_breaks_the_log(tmp_path, capsys, pid, reason):
@@ -187,8 +191,8 @@ def test_run_rejects_a_platform_id_that_breaks_the_log(tmp_path, capsys, pid, re
 
 def test_a_bad_platform_id_is_named_before_the_errors_that_print_it(tmp_path, capsys):
     assert _run_with_platform_id(tmp_path, "a\nb", keepAliveSeconds=float("nan")) == EXIT_CONFIG
-    assert capsys.readouterr().err == ("configuration error: platform id 'a\\nb' must be a non-empty string "
-                                       "other than '-', with no whitespace\n")
+    assert capsys.readouterr().err == ("configuration error: platform id 'a\\nb' must be a non-empty UTF-8 "
+                                       "encodable string other than '-', with no whitespace\n")
 
 
 def _run_with_platform_id(tmp_path, pid: str, **platform_fields) -> int:
@@ -198,6 +202,31 @@ def _run_with_platform_id(tmp_path, pid: str, **platform_fields) -> int:
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     return run_cli("run", "webshop", "--config", str(cfg), "--scale", "0.002", "--out", str(tmp_path / "out"))
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # in an ASCII locale with UTF-8 mode off, open() defaults to ASCII; the
+    # application, its log and its reports must still be read and written as UTF-8
+    app, profile = _write_app_and_profile(tmp_path, fn="registerCafé")
+    for path in (app, profile):
+        path.write_text(json.dumps(json.loads(path.read_text()), ensure_ascii=False), encoding="utf-8")
+    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+
+    def faasbench(*argv) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "faasbench.cli", *argv], env=env, capture_output=True,
+                              encoding="utf-8", timeout=120)
+
+    assert faasbench("validate", str(app)).returncode == EXIT_OK
+    run = faasbench("run", str(app), "--profile", str(profile), "--seed", "7", "--out", str(tmp_path / "out"))
+    assert run.returncode == EXIT_OK, run.stderr
+    run_dir = find_run_dir(tmp_path / "out")
+    assert "\tregisterCafé\t" in (run_dir / "raw.log").read_text(encoding="utf-8")
+    analyze = faasbench("analyze", str(run_dir / "raw.log"), "--out", str(tmp_path / "again"))
+    assert analyze.returncode == EXIT_OK, analyze.stderr
+    reports = sorted((run_dir / "reports").iterdir())
+    assert [p.name for p in reports] == sorted(p.name for p in (tmp_path / "again").iterdir())
+    assert all(p.read_bytes() == (tmp_path / "again" / p.name).read_bytes() for p in reports)
 
 
 def test_run_produces_artifacts_and_reports(tmp_path, capsys):

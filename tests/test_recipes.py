@@ -13,6 +13,7 @@ from faasbench.recipes import (
     exp4_coldstart,
     recipe,
 )
+from faasbench.runner import default_config
 
 
 @pytest.mark.parametrize("name", RECIPE_NAMES)
@@ -27,6 +28,10 @@ def test_every_recipe_compiles(name):
 def test_unknown_recipe():
     with pytest.raises(UnknownRecipe):
         recipe("exp9-nothing")
+
+
+def test_exp1_is_the_default_config_of_webshop():
+    assert recipe("exp1-single-cloud").config == default_config(load_builtin("webshop"))
 
 
 def test_exp1_places_everything_on_one_platform():

@@ -458,17 +458,26 @@ def test_simulation_creates_no_reference_cycles(name, collector_restored):
 
 def test_run_benchmark_frees_its_environment_on_return(collector_restored, monkeypatch, tmp_path):
     # the stdlib JSON encoder of the manifest and reports leaves cycles of its
-    # own, so the check is the environment's weakref, not gc.collect() == 0
+    # own, so the check is the environment's weakref, not gc.collect() == 0;
+    # the run lets go of it, and of its lines, before the analysis starts
     envs = []
+    freed_when_analyzed = []
+    analyze_log_text = runner.analyze_log_text
 
     class WatchedEnvironment(SimEnvironment):
         def __init__(self, config, seed):
             super().__init__(config, seed)
             envs.append(weakref.ref(self))
 
+    def watched_analyze_log_text(*args, **kwargs):
+        freed_when_analyzed.append(envs[0]() is None)
+        return analyze_log_text(*args, **kwargs)
+
     monkeypatch.setattr(runner, "SimEnvironment", WatchedEnvironment)
+    monkeypatch.setattr(runner, "analyze_log_text", watched_analyze_log_text)
     gc.collect()
     gc.disable()
     result = _run_coldstart(tmp_path)
     assert len(envs) == 1 and result.truth.invocations
+    assert freed_when_analyzed == [True]
     assert envs[0]() is None

@@ -34,7 +34,11 @@ After each run, a second fresh process analyzes the run's ``raw.log`` with
 ``runner.analyze_file``, the offline ``faasbench analyze``; its
 ``analyze_file`` row holds the call's wall time, the process's ``ru_maxrss``
 when it returned, and the sha256 of the ``summary.json`` it wrote, which
-must equal the run's.
+must equal the run's. It also holds ``import_maxrss_mb``, the ``ru_maxrss``
+after ``from faasbench import runner`` and before the call: the interpreter,
+the standard library, numpy and faasbench (~35 MB on x86_64 Linux with
+numpy 2.4.6), so ``maxrss_mb - import_maxrss_mb`` is the analysis' own
+memory.
 
 The file also records the git revision of the measured ``src`` (and whether
 its tracked files differ from it), the Python and numpy versions, and the
@@ -213,10 +217,11 @@ def analyze_offline(log: str, out_dir: str) -> dict:
     """``runner.analyze_file`` on a run's raw.log, in this process."""
     from faasbench import runner
 
+    import_maxrss = maxrss_mb()
     start = time.perf_counter()
     runner.analyze_file(log, out_dir)
     wall_s = time.perf_counter() - start
-    return {"wall_s": round(wall_s, 4), "maxrss_mb": round(maxrss_mb(), 1),
+    return {"wall_s": round(wall_s, 4), "maxrss_mb": round(maxrss_mb(), 1), "import_maxrss_mb": round(import_maxrss, 1),
             "summary_sha256": sha256(Path(out_dir) / "summary.json")}
 
 

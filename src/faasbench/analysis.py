@@ -16,12 +16,17 @@ Metric definitions:
 * one-way network estimate (per sync edge) — (caller round trip minus
   callee execution) / 2, assuming both directions take comparably long.
 
-``decompose`` walks each complete tree once and appends every tree-level
-metric row (root round trip, compute, network, one-way estimate as network / 2
-per sync edge, db, and publish latency and trigger delays per async edge)
-straight into the run's metric groups, a node's rows where the walk meets the
-node; it keeps per tree only the conserved totals. No later pass reads the
-rows back. Row order inside a group is the walk's, and no report depends on it.
+Each metric group is a multiset: a plain dict from value to how often it
+occurs, so the metric state grows with the distinct values, not with the
+run. Integer microseconds repeat heavily: a webshop run at scale 1.0 counts
+1.39M rows into 120 distinct values. Every report reads a group only through
+``summary_stats``, whose nearest-rank figures are exact on a multiset, so no
+row list is ever needed. ``decompose`` walks each complete tree once and
+counts every tree-level metric row (root round trip, compute, network,
+one-way estimate as network / 2 per sync edge, db, and publish latency and
+trigger delays per async edge) straight into the run's metric groups; it
+keeps per tree only the conserved totals. A group is created by its first
+row, so the groups of a metric keep the order the walk first meets them.
 
 Conservation: for a complete tree, root round trip equals total compute +
 total network + total db exactly, where parallel blocks contribute their
@@ -56,7 +61,9 @@ each walk a tree in one loop over one explicit stack of nodes, so a publisher
 is a node like any other and any depth works.
 
 All quantiles are nearest-rank; whiskers extend to the most extreme values
-within 1.5 interquartile ranges of the quartiles.
+within 1.5 interquartile ranges of the quartiles. ``summary_stats`` finds
+them from the sorted distinct values and their cumulative counts, which give
+the same figures as the sorted list of every row.
 """
 
 from __future__ import annotations
@@ -67,6 +74,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -384,20 +392,21 @@ class LatencyBreakdown:
         return self.root_round_trip_us - (self.total_compute_us + self.total_network_us + self.total_db_us)
 
 
-# the run's metric groups, in summary.json order
+# the run's metric groups, in summary.json order; each metric maps a group to its multiset
 METRIC_NAMES = ("root_round_trip", "exec_duration", "compute", "network", "network_oneway", "db",
                 "publish_latency", "trigger_delay")
 
 _start_end = itemgetter(0, 1)  # the sort key of a node's (start, end, call) items
 
 
-def decompose(tree: CallTree, metrics: dict[str, dict[str, list]]) -> LatencyBreakdown:
+def decompose(tree: CallTree, metrics: dict[str, dict[str, dict]]) -> LatencyBreakdown:
     """Split a complete tree (a root node in a context ``build_trees`` found
-    clean) into compute/network/db: append each tree-level metric row to its
-    group in ``metrics`` (``RunAnalysis.metrics``, keyed by ``METRIC_NAMES``)
-    and return the tree's conserved totals; any other tree raises AnalysisError.
+    clean) into compute/network/db: count each tree-level metric row into its
+    group's value -> count dict in ``metrics`` (``RunAnalysis.metrics``, keyed
+    by ``METRIC_NAMES``; a missing group is created) and return the tree's
+    conserved totals; any other tree raises AnalysisError.
 
-    The walk appends a node's rows where it meets the node: per sync or db
+    The walk counts a node's rows where it meets the node: per sync or db
     call by (start, end) the call's rows, then the node's compute, then per
     async call its publish row and a trigger-delay row per trigger call of
     the publisher. Then it visits the node's sync callees by (start, end) and
@@ -409,11 +418,16 @@ def decompose(tree: CallTree, metrics: dict[str, dict[str, list]]) -> LatencyBre
     root = tree.root
     root_rec = tree.root_node.record
     round_trip = root.end_us - root.start_us
-    metrics["root_round_trip"].setdefault(root.callee, []).append(round_trip)
+    # a group is made only when ``get`` misses it: ``setdefault(key, {})`` would build a dict per row
+    groups = metrics["root_round_trip"]
+    g = groups.get(root.callee) or groups.setdefault(root.callee, {})
+    g[round_trip] = g.get(round_trip, 0) + 1
     compute_rows = metrics["compute"]
     network_rows = metrics["network"]
     oneway_rows = metrics["network_oneway"]
     db_rows = metrics["db"]
+    publish_rows = metrics["publish_latency"]
+    trigger_rows = metrics["trigger_delay"]
     total_compute = total_db = 0
     total_network = round_trip - (root_rec.end_us - root_rec.start_us)
 
@@ -447,21 +461,30 @@ def decompose(tree: CallTree, metrics: dict[str, dict[str, list]]) -> LatencyBre
                     child = item.child
                     child_rec = child.record
                     network = end - start - (child_rec.end_us - child_rec.start_us)
-                    network_rows.setdefault(f"{rec.function}->{child_rec.function}", []).append(network)
-                    oneway_rows.setdefault(f"{rec.platform_id}->{child_rec.platform_id}", []).append(network / 2)
+                    key = f"{rec.function}->{child_rec.function}"
+                    g = network_rows.get(key) or network_rows.setdefault(key, {})
+                    g[network] = g.get(network, 0) + 1
+                    key = f"{rec.platform_id}->{child_rec.platform_id}"
+                    g = oneway_rows.get(key) or oneway_rows.setdefault(key, {})
+                    oneway = network / 2
+                    g[oneway] = g.get(oneway, 0) + 1
                     stack.append((child, conserved and not in_block))
                     if not in_block:
                         seq_sync_us += end - start
                         if conserved:
                             total_network += network
                 else:
-                    db_rows.setdefault(f"{rec.platform_id}/{item.callee}", []).append(end - start)
+                    key = f"{rec.platform_id}/{item.callee}"
+                    g = db_rows.get(key) or db_rows.setdefault(key, {})
+                    db = end - start
+                    g[db] = g.get(db, 0) + 1
                     if not in_block:
-                        seq_db_us += end - start
+                        seq_db_us += db
             i = j
 
         compute = rec.end_us - rec.start_us - seq_sync_us - seq_db_us - block_wait_us
-        compute_rows.setdefault(rec.function, []).append(compute)
+        g = compute_rows.get(rec.function) or compute_rows.setdefault(rec.function, {})
+        g[compute] = g.get(compute, 0) + 1
         if conserved:
             total_compute += compute
             total_db += seq_db_us
@@ -475,31 +498,34 @@ def decompose(tree: CallTree, metrics: dict[str, dict[str, list]]) -> LatencyBre
             stack.append((child, False))  # an async subtree falls outside the root round trip
             if mode == MODE_ASYNC:
                 pub_rec = child.record
-                group = f"{e.record.platform_id}->{pub_rec.platform_id}"
-                metrics["publish_latency"].setdefault(group, []).append(
-                    e.record.end_us - e.record.start_us - (pub_rec.end_us - pub_rec.start_us))
+                key = f"{e.record.platform_id}->{pub_rec.platform_id}"
+                g = publish_rows.get(key) or publish_rows.setdefault(key, {})
+                publish = e.record.end_us - e.record.start_us - (pub_rec.end_us - pub_rec.start_us)
+                g[publish] = g.get(publish, 0) + 1
                 for t in child.calls:
                     if t.record.mode == MODE_TRIGGER:
-                        metrics["trigger_delay"].setdefault(group, []).append(
-                            t.child.record.start_us - pub_rec.start_us)
+                        g = trigger_rows.get(key) or trigger_rows.setdefault(key, {})
+                        delay = t.child.record.start_us - pub_rec.start_us
+                        g[delay] = g.get(delay, 0) + 1
         if len(stack) - base > 1:
             stack[base:] = reversed(stack[base:])
 
     return LatencyBreakdown(tree.context_id, root.callee, round_trip, total_compute, total_network, total_db)
 
 
-def trigger_metrics(metrics: dict[str, dict[str, list]]) -> tuple[dict[str, list], dict[str, list]]:
-    """({"origin->dest": publish latencies}, {"origin->dest": trigger delays}),
-    the groups ``decompose`` filled in the run's metrics, one publish row per
-    async edge; sync-only trees contribute nothing."""
+def trigger_metrics(metrics: dict[str, dict[str, dict]]) -> tuple[dict[str, dict], dict[str, dict]]:
+    """({"origin->dest": publish latency -> count}, {"origin->dest": trigger
+    delay -> count}), the multisets ``decompose`` filled in the run's metrics,
+    one publish row per async edge; sync-only trees contribute nothing."""
     return metrics["publish_latency"], metrics["trigger_delay"]
 
 
-def estimate_skew_corrected_network(metrics: dict[str, dict[str, list]]) -> dict[str, list]:
-    """{"from->to": one-way estimates}, the group ``decompose`` filled in the
-    run's metrics: per sync edge (caller round trip − callee execution) / 2.
-    Duration based, so constant per-platform clock offsets cancel; under
-    asymmetric legs the estimate is the two-leg mean (documented bias)."""
+def estimate_skew_corrected_network(metrics: dict[str, dict[str, dict]]) -> dict[str, dict]:
+    """{"from->to": one-way estimate -> count}, the multisets ``decompose``
+    filled in the run's metrics: per sync edge (caller round trip − callee
+    execution) / 2. Duration based, so constant per-platform clock offsets
+    cancel; under asymmetric legs the estimate is the two-leg mean
+    (documented bias)."""
     return metrics["network_oneway"]
 
 
@@ -607,12 +633,22 @@ def nearest_rank(sorted_values, p: float):
     return sorted_values[idx - 1]
 
 
-def summary_stats(values) -> SummaryStats:
-    vals = sorted(values)
+def summary_stats(counts) -> SummaryStats:
+    """The nearest-rank statistics of a multiset, a mapping of each value to
+    how often it occurs (a metric group, or ``Counter(values)``); they equal
+    those of the sorted list of every occurrence."""
+    vals = sorted(counts)
     if not vals:
         return SummaryStats(count=0)
-    p25 = nearest_rank(vals, 0.25)
-    p75 = nearest_rank(vals, 0.75)
+    cumulative = list(accumulate([counts[v] for v in vals]))
+    n = cumulative[-1]
+
+    def rank(p: float):
+        # the value at 1-based rank ceil(p*n): the first whose cumulative count reaches it
+        return vals[bisect_left(cumulative, max(1, math.ceil(p * n)))]
+
+    p25 = rank(0.25)
+    p75 = rank(0.75)
     iqr = p75 - p25
     # the values inside the whisker limits are one run of the sorted values,
     # and it holds the quartiles. Integer limits, rounded inward, bound the
@@ -621,10 +657,10 @@ def summary_stats(values) -> SummaryStats:
     low = bisect_left(vals, p25 - reach)
     high = bisect_right(vals, p75 + reach)
     return SummaryStats(
-        count=len(vals),
+        count=n,
         min=vals[0],
         p25=p25,
-        p50=nearest_rank(vals, 0.5),
+        p50=rank(0.5),
         p75=p75,
         max=vals[-1],
         whisker_low=vals[low],
@@ -632,13 +668,15 @@ def summary_stats(values) -> SummaryStats:
     )
 
 
-def summarize(groups: dict[str, list]) -> dict[str, SummaryStats]:
-    """Per-group nearest-rank summaries; adds an ``_all`` pooled group."""
-    out = {key: summary_stats(vals) for key, vals in sorted(groups.items())}
+def summarize(groups: dict[str, dict]) -> dict[str, SummaryStats]:
+    """Per-group nearest-rank summaries of value -> count multisets; adds an
+    ``_all`` group that pools them by adding counts."""
+    out = {key: summary_stats(counts) for key, counts in sorted(groups.items())}
     if groups:
-        pooled: list = []
-        for vals in groups.values():
-            pooled.extend(vals)
+        pooled: dict = {}
+        for counts in groups.values():
+            for v, c in counts.items():
+                pooled[v] = pooled.get(v, 0) + c
         out["_all"] = summary_stats(pooled)
     return out
 
@@ -649,12 +687,14 @@ def summarize(groups: dict[str, list]) -> dict[str, SummaryStats]:
 
 @dataclass
 class RunAnalysis:
+    """A run's analysis. ``metrics`` maps each of ``METRIC_NAMES`` to its
+    groups, and each group is an exact multiset: a dict of value -> count."""
     parse: ParseReport
     trees: list[CallTree]
     breakdowns: list[LatencyBreakdown]
     coldstart: ColdstartReport
     cold_flag_mismatches: int
-    metrics: dict[str, dict[str, list]]
+    metrics: dict[str, dict[str, dict]]
 
     @property
     def complete_trees(self) -> int:
@@ -671,14 +711,16 @@ class RunAnalysis:
 def analyze_records(records: list[TraceRecord], parse_report: ParseReport,
                     phases: list[PhaseWindow] | None = None) -> RunAnalysis:
     trees = build_trees(records)
-    metrics: dict[str, dict[str, list]] = {name: {} for name in METRIC_NAMES}
+    metrics: dict[str, dict[str, dict]] = {name: {} for name in METRIC_NAMES}
     breakdowns = [decompose(tree, metrics) for tree in trees if tree.complete]
 
     # record-level metric: execution durations (usable under log loss)
     invocations = [node.record for tree in trees for node in tree.nodes()]
     exec_duration = metrics["exec_duration"]
     for r in invocations:
-        exec_duration.setdefault(r.function, []).append(r.duration_us)
+        g = exec_duration.get(r.function) or exec_duration.setdefault(r.function, {})
+        d = r.duration_us
+        g[d] = g.get(d, 0) + 1
 
     return RunAnalysis(
         parse=parse_report,

@@ -5,7 +5,10 @@ left: the box spans ``p25``..``p75``, a vertical line marks ``p50``, and the
 whiskers run out to ``whisker_low`` and ``whisker_high``.  These are the
 nearest-rank figures of the ``SummaryStats`` that ``summary.csv`` and
 ``summary.json`` publish, so the picture and the tables cannot disagree.
-The x axis spans the lowest to the highest whisker end of the chart.
+The x axis spans the lowest to the highest whisker end of the chart. When
+both ends are whole numbers it is an integer axis: its ticks are exact ints,
+a whole number apart, at any magnitude (float steps past 2**53 round
+together or out of the range).
 
 The image is drawn into a numpy RGB array with a built-in 5x7 bitmap font
 (printable ASCII; any other character is drawn as ``?``) and encoded as an
@@ -151,6 +154,8 @@ def box_chart_png(title: str, groups: dict[str, SummaryStats]) -> bytes:
     if hi == lo:
         half = abs(lo) / 10 or 1
         lo, hi = lo - half, hi + half
+    if all(isinstance(v, int) or v.is_integer() for v in (lo, hi)):
+        lo, hi = int(lo), int(hi)  # an integer axis, whose differences stay exact
     ticks = _ticks(lo, hi)
     tick_half_w = max((_text_width(label) for _, label in ticks), default=0) // 2
 
@@ -188,10 +193,14 @@ def box_chart_png(title: str, groups: dict[str, SummaryStats]) -> bytes:
 
 
 def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:
-    """Round-numbered ticks (steps of 1, 2 or 5 times a power of ten) in [lo, hi]; near 2**53
+    """Round-numbered ticks (steps of 1, 2 or 5 times a power of ten) in [lo, hi]. Between int
+    limits the step is at least 1 and the ticks are exact ints; between float limits near 2**53
     and beyond, a tick that ``k * step`` rounds out of the range is left out, so there may be none."""
     rough = (hi - lo) / 5
     power = math.floor(math.log10(rough))
+    if type(lo) is int and type(hi) is int:
+        step = next(m * 10 ** max(power, 0) for m in (1, 2, 5, 10) if m * 10 ** max(power, 0) >= rough)
+        return [(v, str(v)) for v in range(-(-lo // step) * step, hi // step * step + 1, step)]
     step = next(m * 10.0 ** power for m in (1, 2, 5, 10) if m * 10.0 ** power >= rough)
     decimals = max(0, -math.floor(math.log10(step)))
     first = math.ceil(lo / step)

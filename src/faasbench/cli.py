@@ -7,6 +7,7 @@ reserved (no run can fail to deploy), 4 run failure, 5 analysis failure.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -201,6 +202,10 @@ def cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
+    # a name the locale cannot encode (an ASCII locale with UTF-8 mode off) is
+    # printed escaped, not raised; a caller's StringIO in place of stdout encodes anything
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     command = {"run": cmd_run, "analyze": cmd_analyze, "recipes": cmd_recipes, "validate": cmd_validate}[args.command]
     try:

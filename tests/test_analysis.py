@@ -4,6 +4,7 @@ import json
 import random
 import struct
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from faasbench.analysis import (
     write_reports,
 )
 from faasbench.benchmarks import builtin_profile, load_builtin
-from faasbench.charts import BOX_EDGE, INK, MEDIAN, box_chart_png
+from faasbench.charts import BOX_EDGE, INK, MEDIAN, _ticks, box_chart_png
 from faasbench.records import (
     DB_CALL,
     HEADER_LINE,
@@ -391,8 +392,8 @@ def test_a_replayed_root_line_leaves_its_context_without_a_complete_tree():
     assert [t.complete for t in replayed.trees if t.context_id == root.context_id] == [False, False]
     assert replayed.complete_trees == clean.complete_trees - 1
     for metric, groups in replayed.metrics.items():
-        for group, rows in groups.items():
-            assert len(rows) <= len(clean.metrics[metric][group]), (metric, group)
+        for group, counts in groups.items():
+            assert Counter(counts) <= Counter(clean.metrics[metric][group]), (metric, group)
 
 
 def test_a_replayed_db_call_line_marks_its_context_and_adds_no_db_row():
@@ -439,7 +440,7 @@ def test_a_repeated_invocation_pair_counts_its_first_line():
     first_b = records[3]
     later_b = first_b._replace(end_us=first_b.end_us + 5 * MS, cold_start=True)
     analysis = analyze_records(records + [later_b], ParseReport(records=6))
-    assert analysis.metrics["exec_duration"]["b"] == [first_b.duration_us]
+    assert analysis.metrics["exec_duration"]["b"] == {first_b.duration_us: 1}
     assert analysis.coldstart.total_invocations == 2 and analysis.coldstart.total_cold == 0
     (tree,) = analysis.trees
     assert not tree.complete
@@ -455,7 +456,7 @@ def test_replayed_invocation_line_is_counted_once(tmp_path):
     result.log_path.write_text(text + replayed + "\n")
 
     analysis = analyze_file(result.log_path)
-    assert len(analysis.metrics["exec_duration"]["orderSupplies"]) == 900
+    assert sum(analysis.metrics["exec_duration"]["orderSupplies"].values()) == 900
     assert analysis.coldstart.total_invocations == 29700
     assert analysis.metrics["exec_duration"] == result.analysis.metrics["exec_duration"]
     assert analysis.coldstart == result.analysis.coldstart
@@ -477,9 +478,9 @@ def test_decompose_forced_arithmetic():
         rec(INVOCATION, "B", _id(11), 8 * MS, 10 * MS),
     ]
     bd, metrics = decomposed(build_trees(records)[0])
-    assert metrics["compute"] == {"B": [2 * MS], "A": [4 * MS]}
-    assert metrics["network"] == {"A->B": [4 * MS]}
-    assert metrics["root_round_trip"] == {"a": [20 * MS]}  # keyed by the root call's callee
+    assert metrics["compute"] == {"B": {2 * MS: 1}, "A": {4 * MS: 1}}
+    assert metrics["network"] == {"A->B": {4 * MS: 1}}
+    assert metrics["root_round_trip"] == {"a": {20 * MS: 1}}  # keyed by the root call's callee
     # root leg 20 - 10 plus the A->B leg 4
     assert (bd.total_compute_us, bd.total_network_us, bd.total_db_us) == (6 * MS, 14 * MS, 0)
     assert bd.conservation_residual_us == 0
@@ -488,7 +489,7 @@ def test_decompose_forced_arithmetic():
 def test_decompose_leaf_only():
     records = [root_rec(_id(10), 0, 9 * MS), rec(INVOCATION, "A", _id(10), 2 * MS, 7 * MS)]
     bd, metrics = decomposed(build_trees(records)[0])
-    assert metrics["compute"] == {"A": [5 * MS]}
+    assert metrics["compute"] == {"A": {5 * MS: 1}}
     assert metrics["network"] == {} and metrics["db"] == {}
     # the only network is the root's: load-generator round trip minus A's execution
     assert (bd.total_compute_us, bd.total_network_us, bd.total_db_us) == (5 * MS, 4 * MS, 0)
@@ -506,9 +507,9 @@ def test_decompose_parallel_block_span():
         rec(INVOCATION, "C", _id(12), 9 * MS, 11 * MS),
     ]
     bd, metrics = decomposed(build_trees(records)[0])
-    assert metrics["compute"] == {"B": [2 * MS], "C": [2 * MS], "A": [20 * MS - 8 * MS]}
+    assert metrics["compute"] == {"B": {2 * MS: 1}, "C": {2 * MS: 1}, "A": {20 * MS - 8 * MS: 1}}
     # in-block edges keep their drill-down rows
-    assert metrics["network"] == {"A->B": [4 * MS], "A->C": [6 * MS]}
+    assert metrics["network"] == {"A->B": {4 * MS: 1}, "A->C": {6 * MS: 1}}
     # branch internals are drill-down only: conservation uses the span, so the
     # totals hold A's compute, the root leg 10 and the 8ms block wait, and
     # neither B and C's compute nor the in-block network legs
@@ -530,9 +531,9 @@ def test_decompose_async_edges_do_not_reduce_compute():
     bd, metrics = decomposed(build_trees(records)[0])
     # async edge not subtracted; the publisher and the triggered function are
     # outside the root round trip
-    assert metrics["compute"] == {"A": [20 * MS], "evt": [1 * MS], pub_name: [2 * MS]}
-    assert metrics["publish_latency"] == {"p1->p1": [0]}
-    assert metrics["trigger_delay"] == {"p1->p1": [100 * MS]}
+    assert metrics["compute"] == {"A": {20 * MS: 1}, "evt": {1 * MS: 1}, pub_name: {2 * MS: 1}}
+    assert metrics["publish_latency"] == {"p1->p1": {0: 1}}
+    assert metrics["trigger_delay"] == {"p1->p1": {100 * MS: 1}}
     assert metrics["network"] == {}
     assert (bd.total_compute_us, bd.total_network_us, bd.total_db_us) == (20 * MS, 10 * MS, 0)
     assert bd.conservation_residual_us == 0
@@ -552,10 +553,10 @@ def test_a_publisher_is_decomposed_like_any_node():
         rec(INVOCATION, "evt", _id(12), 110 * MS, 111 * MS),
     ]
     bd, metrics = decomposed(build_trees(records)[0])
-    assert metrics["db"] == {"p1/keystore": [1 * MS]}
-    assert metrics["compute"] == {"A": [20 * MS], pub_name: [3 * MS], "evt": [1 * MS]}
-    assert metrics["publish_latency"] == {"p1->p1": [0]}
-    assert metrics["trigger_delay"] == {"p1->p1": [100 * MS]}
+    assert metrics["db"] == {"p1/keystore": {1 * MS: 1}}
+    assert metrics["compute"] == {"A": {20 * MS: 1}, pub_name: {3 * MS: 1}, "evt": {1 * MS: 1}}
+    assert metrics["publish_latency"] == {"p1->p1": {0: 1}}
+    assert metrics["trigger_delay"] == {"p1->p1": {100 * MS: 1}}
     assert (bd.total_compute_us, bd.total_network_us, bd.total_db_us) == (20 * MS, 10 * MS, 0)
     assert bd.conservation_residual_us == 0
 
@@ -568,7 +569,7 @@ def test_an_async_call_without_a_trigger_adds_no_trigger_group():
         rec(INVOCATION, "__publisher_p1", _id(11), 10 * MS, 12 * MS),
     ]
     _, metrics = decomposed(build_trees(records)[0])
-    assert metrics["publish_latency"] == {"p1->p1": [0]}
+    assert metrics["publish_latency"] == {"p1->p1": {0: 1}}
     assert metrics["trigger_delay"] == {}
 
 
@@ -595,13 +596,13 @@ def one_way_estimates(records):
 
 
 def test_one_way_estimate_symmetric_exact():
-    assert one_way_estimates(symmetric_edge_records()) == {"p1->p2": [15 * MS]}
+    assert one_way_estimates(symmetric_edge_records()) == {"p1->p2": {15 * MS: 1}}
 
 
 def test_one_way_estimate_ignores_clock_offset():
     base = one_way_estimates(symmetric_edge_records())
     skewed = one_way_estimates(symmetric_edge_records(offset_us=50 * MS))
-    assert base == skewed == {"p1->p2": [15 * MS]}
+    assert base == skewed == {"p1->p2": {15 * MS: 1}}
 
 
 def test_one_way_estimate_asymmetric_mean():
@@ -612,7 +613,7 @@ def test_one_way_estimate_asymmetric_mean():
         rec(OUTGOING_CALL, "A", _id(11), 1 * MS, 33 * MS, callee="B", mode=MODE_SYNC),
         rec(INVOCATION, "B", _id(11), 11 * MS, 13 * MS, platform="p2"),
     ]
-    assert one_way_estimates(records) == {"p1->p2": [15 * MS]}
+    assert one_way_estimates(records) == {"p1->p2": {15 * MS: 1}}
 
 
 # -- cold starts -------------------------------------------------------------
@@ -698,18 +699,18 @@ def test_coldstart_crosscheck_detects_bad_flags():
 
 def test_nearest_rank_quantiles():
     vals = [1, 2, 3, 4, 5]
-    s = summary_stats(vals)
+    s = summary_stats(Counter(vals))
     assert s.p50 == 3 and s.p25 == 2 and s.p75 == 4
     assert s.min == 1 and s.max == 5
 
 
 def test_summary_empty():
-    s = summary_stats([])
+    s = summary_stats(Counter())
     assert s.count == 0 and s.p50 is None and s.min is None
 
 
 def test_whiskers_exclude_far_outliers():
-    s = summary_stats([1, 2, 3, 4, 100])
+    s = summary_stats(Counter([1, 2, 3, 4, 100]))
     assert s.whisker_high == 4 and s.max == 100
     assert s.whisker_low == 1
 
@@ -719,12 +720,12 @@ def test_whiskers_of_integers_past_2_53_are_exact(offsets, whiskers):
     # as floats, 2**54 + 3 reads as 2**54 + 4, and 2**54 - 20 as inside the
     # lower limit 2**54 - 3 - 1.5 * 11
     base = 2 ** 54
-    s = summary_stats([base + o for o in offsets])
+    s = summary_stats(Counter(base + o for o in offsets))
     assert (s.whisker_low - base, s.whisker_high - base) == whiskers
 
 
 def test_summarize_groups_and_pool():
-    out = summarize({"a": [1, 2, 3], "b": [10]})
+    out = summarize({"a": Counter([1, 2, 3]), "b": Counter([10])})
     assert out["a"].p50 == 2 and out["b"].count == 1
     assert out["_all"].count == 4
 
@@ -732,7 +733,7 @@ def test_summarize_groups_and_pool():
 def test_summarize_median_recovery_lognormal():
     rng = np.random.default_rng(0)
     samples = list(np.exp(rng.normal(np.log(15_000), 0.3, size=1500)))
-    s = summary_stats(samples)
+    s = summary_stats(Counter(samples))
     assert abs(s.p50 - 15_000) / 15_000 < 0.10
 
 
@@ -803,10 +804,10 @@ def known_analysis() -> RunAnalysis:
         cold_flag_mismatches=0,
         metrics={
             "exec_duration": {
-                "f": list(range(100, 1100, 100)),
-                "g": [400, 600, 700, 900, 1000, 1100, 1300, 9000],
+                "f": Counter(range(100, 1100, 100)),
+                "g": Counter([400, 600, 700, 900, 1000, 1100, 1300, 9000]),
             },
-            "trigger_delay": {"p1->p2": [100, 4900, 5000, 5200, 5300, 5400, 5500, 5600, 5700]},
+            "trigger_delay": {"p1->p2": Counter([100, 4900, 5000, 5200, 5300, 5400, 5500, 5600, 5700])},
             "db": {},
         },
     )
@@ -847,14 +848,22 @@ def test_charts_draw_the_summary_csv_statistics(tmp_path):
     assert summaries["trigger_delay"]["p1->p2"].whisker_low > summaries["trigger_delay"]["p1->p2"].min
 
 
-@pytest.mark.parametrize("lo, spread", [(2 ** 53, 3), (2 ** 53 + 1, 1), (2 ** 62 + 2536, 28), (-2 ** 63 + 4804, 19)],
-                         ids=["2**53", "2**53+1", "2**62", "-2**63"])
-def test_charts_of_a_range_below_float_precision(lo, spread):
-    # a few microseconds apart, where float ticks round past the range, or a
-    # tick inside it still maps past the plot's end
-    groups = {"a": summary_stats([lo, lo + spread]), "b": summary_stats([lo + 1, lo + spread // 2, lo + spread])}
+@pytest.mark.parametrize("lo, spread, a_as_float",
+                         [(2 ** 53, 3, False), (2 ** 53 + 1, 1, False), (2 ** 62 + 2536, 28, False),
+                          (-2 ** 63 + 4804, 19, False), (2 ** 62, 1, True)],
+                         ids=["2**53", "2**53+1", "2**62", "-2**63", "2**62-float-and-int"])
+def test_charts_of_a_range_below_float_precision(lo, spread, a_as_float):
+    # a few microseconds apart, where float ticks round together or past the
+    # range, or a tick inside it still maps past the plot's end; a float low
+    # end and an int high end that are equal as floats span no float range
+    a = [float(lo)] if a_as_float else [lo, lo + spread]
+    groups = {"a": summary_stats(Counter(a)), "b": summary_stats(Counter([lo + 1, lo + spread // 2, lo + spread]))}
     boxes = measured_boxes(decode_png(box_chart_png("near the float limit (us)", groups)))
     assert len(boxes) == len(groups)
+    # the ticks of an integer axis are distinct ints inside it, labelled exactly
+    ticks = _ticks(lo, lo + spread)
+    assert len(ticks) >= 2 and ticks == [(v, str(v)) for v in sorted({v for v, _ in ticks})]
+    assert lo <= ticks[0][0] and ticks[-1][0] <= lo + spread and all(type(v) is int for v, _ in ticks)
 
 
 # -- whole-run analysis ------------------------------------------------------
@@ -1020,8 +1029,9 @@ def _busy_us(intervals):
 
 
 def walked_groups(trees):
-    """The tree-level metric groups rebuilt by a direct walk over the
-    complete trees, in decompose's row order: per node the rows of its sync
+    """The tree-level metric groups, as value -> count multisets, rebuilt by
+    a direct walk over the complete trees, each group made at its first row
+    in decompose's row order: per node the rows of its sync
     and db calls by (start, end), its compute, and per async edge its publish
     and trigger rows; then the subtrees of its sync callees by (start, end)
     and of its other callees in call order. A publisher is a node like any
@@ -1032,7 +1042,7 @@ def walked_groups(trees):
     blocks = 0
 
     def add(metric, group, value):
-        groups[metric].setdefault(group, []).append(value)
+        groups[metric].setdefault(group, Counter())[value] += 1
 
     def visit(node):
         nonlocal blocks
@@ -1093,7 +1103,7 @@ def test_oneway_publish_and_trigger_read_from_the_decomposition(name):
     walked, blocks = walked_groups(analysis.trees)
     assert list(analysis.metrics) == list(METRIC_NAMES)
     for metric in TREE_METRICS:
-        # same groups in the same order, each list in the same order
+        # same groups in the same order, each with the same counts
         assert list(analysis.metrics[metric].items()) == list(walked[metric].items()), metric
     assert estimate_skew_corrected_network(analysis.metrics) is analysis.metrics["network_oneway"]
     assert trigger_metrics(analysis.metrics) == (analysis.metrics["publish_latency"],

@@ -229,6 +229,25 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
     assert all(p.read_bytes() == (tmp_path / "again" / p.name).read_bytes() for p in reports)
 
 
+def test_a_violation_naming_what_the_locale_cannot_encode_is_reported(tmp_path):
+    # in an ASCII locale with UTF-8 mode off, a violation that quotes a
+    # non-ASCII name is printed escaped, and validate exits 2 with no traceback
+    app = tmp_path / "app.json"
+    app.write_text(json.dumps({
+        "name": "names",
+        "externalServices": [],
+        "functions": [{"name": "registerCafé", "trigger": "http-sync", "entryPoint": True,
+                       "body": [{"kind": "call", "target": "nöpe"}]}],
+    }, ensure_ascii=False), encoding="utf-8")
+    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "faasbench.cli", "validate", str(app)], env=env,
+                          capture_output=True, encoding="utf-8", timeout=120)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "registerCaf\\xe9" in proc.stdout and "n\\xf6pe" in proc.stdout
+
+
 def test_run_produces_artifacts_and_reports(tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli("run", "webshop", "--seed", "7", "--scale", "0.002", "--out", str(out))
@@ -846,8 +865,8 @@ def test_deep_sync_chain_runs_to_completion(tmp_path, monkeypatch):
     (bd,) = result.analysis.breakdowns
     metrics = result.analysis.metrics
     assert bd.conservation_residual_us == 0
-    assert sum(map(len, metrics["network"].values())) == depth - 1
-    assert sum(map(len, metrics["compute"].values())) == depth
+    assert sum(sum(g.values()) for g in metrics["network"].values()) == depth - 1
+    assert sum(sum(g.values()) for g in metrics["compute"].values()) == depth
     assert tree.edge_set() == set(result.truth.edges)
     summary = json.loads((find_run_dir(out) / "reports" / "summary.json").read_text())
     assert summary["trees"] == {"total": 1, "complete": 1, "incomplete": 0}

@@ -1,5 +1,7 @@
 """The analyzer's guarantees on generated applications, checked against the
-simulator's ground truth, and its indifference to the order of a log's lines.
+simulator's ground truth, and its indifference to the order of a log's lines;
+and its summaries of generated value multisets, checked against the sorted
+list of every value.
 
 Each application stays inside the domain where parent attribution is exact:
 every function is the target of at most one step, and entry points of none,
@@ -7,12 +9,15 @@ so no function but a publisher runs twice in a context. Every workflow is a
 single call to one entry point.
 """
 
+import math
 import tempfile
+from collections import Counter
+from fractions import Fraction
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from faasbench.analysis import METRIC_NAMES, build_trees, decompose, parse_logs
+from faasbench.analysis import METRIC_NAMES, SummaryStats, build_trees, decompose, parse_logs, summary_stats
 from faasbench.applications import (
     EVENT_ASYNC,
     HTTP_SYNC,
@@ -119,7 +124,7 @@ def test_generated_app_trees_match_ground_truth(case, flows, seed):
         assert tree.edge_set() == truth[tree.context_id]
     assert len(analysis.breakdowns) == len(analysis.trees)
     # one compute row per node of every complete tree, a publisher's included
-    assert (sum(len(v) for v in analysis.metrics["compute"].values())
+    assert (sum(sum(v.values()) for v in analysis.metrics["compute"].values())
             == sum(1 for t in analysis.trees if t.complete for _ in t.nodes()))
     assert {bd.conservation_residual_us for bd in analysis.breakdowns} == {0}
     assert analysis.cold_flag_mismatches == 0
@@ -128,7 +133,7 @@ def test_generated_app_trees_match_ground_truth(case, flows, seed):
 def _trees_as_read(records):
     """Everything ``build_trees`` and ``decompose`` read from a log: per tree
     its context, verdict, edges and every node's calls and db calls as pair
-    ids; the breakdowns; and the metric rows in their append order."""
+    ids; the breakdowns; and the metric multisets."""
     trees = build_trees(records)
     metrics = {name: {} for name in METRIC_NAMES}
     breakdowns = [decompose(tree, metrics) for tree in trees if tree.complete]
@@ -156,3 +161,38 @@ def test_trees_do_not_depend_on_the_order_of_the_lines(case, flows, seed, data):
     expected = _trees_as_read(records)
     for _ in range(2):
         assert _trees_as_read(data.draw(st.permutations(records))) == expected
+
+
+def _summary_of_the_sorted_list(values) -> SummaryStats:
+    """The nearest-rank statistics read off the sorted list of every value:
+    the value at 1-based rank ceil(p * n), and as whiskers the most extreme
+    values within 1.5 interquartile ranges of the quartiles, the limits taken
+    exactly."""
+    vals = sorted(values)
+    n = len(vals)
+    if not n:
+        return SummaryStats(count=0)
+
+    def rank(p):
+        return vals[max(1, math.ceil(p * n)) - 1]
+
+    p25, p75 = rank(0.25), rank(0.75)
+    reach = Fraction(3, 2) * (Fraction(p75) - Fraction(p25))
+    inside = [v for v in vals if Fraction(p25) - reach <= v <= Fraction(p75) + reach]
+    return SummaryStats(n, vals[0], p25, rank(0.5), p75, vals[-1], inside[0], inside[-1])
+
+
+# small ranges repeat values; integers past 2**53 have no exact float
+INTS = st.integers(-30, 30) | st.integers(2**53 - 30, 2**53 + 30) | st.integers(-2**64, 2**64)
+# halves of integers small enough that every quartile and whisker limit is an exact float
+HALVES = (st.integers(-30, 30) | st.integers(-2**40, 2**40)).map(lambda k: k / 2)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(values=st.lists(INTS, max_size=60) | st.lists(HALVES, max_size=60))
+def test_summary_of_a_multiset_equals_that_of_its_sorted_list(values):
+    stats = summary_stats(Counter(values))
+    expected = _summary_of_the_sorted_list(values)
+    assert stats == expected
+    assert [type(v) for v in stats] == [type(v) for v in expected]
+    assert repr(stats) == repr(expected)

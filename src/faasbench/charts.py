@@ -194,13 +194,15 @@ def box_chart_png(title: str, groups: dict[str, SummaryStats]) -> bytes:
 
 def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:
     """Round-numbered ticks (steps of 1, 2 or 5 times a power of ten) in [lo, hi]. Between int
-    limits the step is at least 1 and the ticks are exact ints; between float limits near 2**53
-    and beyond, a tick that ``k * step`` rounds out of the range is left out, so there may be none."""
+    limits the step is at least 1 and the ticks are exact ints; between float limits it is at least
+    the float spacing, and a tick that ``k * step`` rounds out of the range is left out (maybe all)."""
     rough = (hi - lo) / 5
-    power = math.floor(math.log10(rough))
     if type(lo) is int and type(hi) is int:
+        power = math.floor(math.log10(rough))
         step = next(m * 10 ** max(power, 0) for m in (1, 2, 5, 10) if m * 10 ** max(power, 0) >= rough)
         return [(v, str(v)) for v in range(-(-lo // step) * step, hi // step * step + 1, step)]
+    rough = max(rough, math.ulp(max(abs(lo), abs(hi))))
+    power = math.floor(math.log10(rough))
     step = next(m * 10.0 ** power for m in (1, 2, 5, 10) if m * 10.0 ** power >= rough)
     decimals = max(0, -math.floor(math.log10(step)))
     first = math.ceil(lo / step)

@@ -91,21 +91,14 @@ def _out_dir(arg: str | None) -> Path:
 def cmd_run(args) -> int:
     try:
         app = load_app(args.benchmark)
-        if args.config:
-            config = DeploymentConfig.load(args.config)
-            config_path = args.config
-        else:
-            config = default_config(app)
-            config_path = "<default-single-platform>"
+        config = DeploymentConfig.load(args.config) if args.config else default_config(app)
         if args.profile:
             profile = LoadProfile.load(args.profile)
-            profile_path = args.profile
+        elif args.benchmark in BENCHMARK_NAMES:
+            profile = builtin_profile(args.benchmark)
         else:
-            profile = builtin_profile(args.benchmark) if args.benchmark in BENCHMARK_NAMES else None
-            profile_path = "<builtin-default>"
-            if profile is None:
-                print("a custom application needs --profile", file=sys.stderr)
-                return EXIT_CONFIG
+            print("a custom application needs --profile", file=sys.stderr)
+            return EXIT_CONFIG
     except (InvalidApplication, UnknownBenchmark, DeploymentError, ProfileError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -119,8 +112,6 @@ def cmd_run(args) -> int:
             scale=args.scale,
             out_dir=_out_dir(args.out),
             benchmark_name=args.benchmark,
-            config_path=config_path,
-            profile_path=profile_path,
             charts=args.charts,
         )
     except InvalidApplication as exc:  # raised before the run directory is made
@@ -158,6 +149,8 @@ def cmd_analyze(args) -> int:
         return EXIT_ANALYSIS
     print(f"{analysis.parse.records} records, {analysis.parse.parse_errors} parse errors, "
           f"{analysis.complete_trees}/{len(analysis.trees)} complete trees; reports in {out_dir}")
+    if not analysis.coldstart.per_phase:  # every profile has a phase
+        print("no phases: no manifest.json with a profile beside the log; cold_starts.csv and timeline.csv list none")
     if analysis.parse.parse_errors > args.max_parse_errors:
         print(f"parse errors exceed threshold ({args.max_parse_errors})", file=sys.stderr)
         return EXIT_ANALYSIS

@@ -112,7 +112,7 @@ def _to_micros(millis: float) -> int:
 
 
 def _fmt(x: float) -> str:
-    return f"{x:g}"
+    return f"{x:g}" if float(f"{x:g}") == x else repr(x)  # the short form only where it reads back as x
 
 
 def constant(ms: float) -> Duration:

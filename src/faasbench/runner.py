@@ -2,22 +2,23 @@
 teardown, write ``raw.log``, analyze. One run per call, on the simulated
 platforms, which hold nothing to release when a step raises.
 
-A run writes its ``manifest.json`` as plain JSON before any platform action.
-``analyze_file`` reads it back through the typed field reader
-(``distributions.read``), every field as the one JSON type that
-``MANIFEST_FIELDS`` and ``PHASE_FIELDS`` give it, so a malformed manifest
-raises AnalysisError in one line that names the file and the field.
+A run writes its ``manifest.json`` before any platform action. It embeds the
+run's inputs, not their paths: the ``application``, ``config`` and unscaled
+``profile`` as their ``to_dict()`` documents, beside ``seed`` and ``scale``.
+``analyze_file`` reads it back with ``distributions.read``, every field as the
+one JSON type ``MANIFEST_FIELDS`` gives it, and derives the phase windows from
+the profile at that scale; a malformed manifest raises AnalysisError in one
+line that names the file and the field.
 
 A run analyzes its own ``raw.log`` through ``analyze_file``, as ``faasbench
-analyze`` does, with the phases read back from its ``manifest.json``. Before
-that, it lets go of the simulator and its log lines, so reference counting
-frees them before the analysis starts.
+analyze`` does. Before that, it lets go of the simulator and its log lines, so
+reference counting frees them before the analysis starts.
 
 ``run_benchmark`` pauses Python's cyclic garbage collector once, from deploy
-to the write of ``raw.log``, and ``analyze_file`` once, over the analysis:
-both allocate by the hundred thousand and build no reference cycles
-(``_collector_paused``). The lower-level calls they make leave the collector
-alone, so no pause nests."""
+to the write of ``raw.log``, and ``analyze_file`` once, over the manifest read
+and the analysis: both allocate by the hundred thousand and build no reference
+cycles (``_collector_paused``). The lower-level calls they make leave the
+collector alone, so no pause nests."""
 
 from __future__ import annotations
 
@@ -42,19 +43,17 @@ from .deployment import (
 )
 from .distributions import REQUIRED, constant, read, read_document
 from .simulator import GroundTruth, SimEnvironment
-from .workload import ExecutionStats, LoadProfile, execute, schedule, validate_profile_against_app
+from .workload import ExecutionStats, LoadProfile, ProfileError, execute, schedule, validate_profile_against_app
 
 RAW_LOG_NAME = "raw.log"
 MANIFEST_NAME = "manifest.json"
 REPORTS_DIR = "reports"
 WRITE_CHUNK_LINES = 4096  # log lines joined per write of raw.log
-# the JSON type of each manifest.json field; analyze reads only the phases, and
-# version and phases may be absent
-MANIFEST_FIELDS = {"runId": str, "benchmark": str, "seed": int, "scale": float, "configPath": str,
-                   "profilePath": str, "outDir": str, "createdAt": str, "version": str, "phases": [dict]}
-OPTIONAL_MANIFEST_FIELDS = ("version", "phases")
-# a manifest phase's keys and JSON types, in PhaseWindow's field order
-PHASE_FIELDS = {"name": str, "kind": str, "startUs": int, "endUs": int}
+# the JSON type of each manifest.json field; a manifest written before the
+# documents were embedded has none of them
+MANIFEST_FIELDS = {"runId": str, "benchmark": str, "seed": int, "scale": float, "outDir": str, "createdAt": str,
+                   "version": str, "application": dict, "config": dict, "profile": dict}
+OPTIONAL_MANIFEST_FIELDS = ("version", "application", "config", "profile")
 
 
 @dataclass
@@ -132,8 +131,6 @@ def run_benchmark(
     out_dir: str | Path,
     scale: float = 1.0,
     benchmark_name: str | None = None,
-    config_path: str = "<inline>",
-    profile_path: str = "<inline>",
     charts: bool = False,
 ) -> RunResult:
     """Run the full pipeline against the simulated platforms.
@@ -143,8 +140,8 @@ def run_benchmark(
     report = validate(app)
     if not report.ok:
         raise InvalidApplication("; ".join(str(v) for v in report.violations))
-    profile = profile.scaled(scale)
-    validate_profile_against_app(profile, app)
+    scaled = profile.scaled(scale)
+    validate_profile_against_app(scaled, app)
 
     env = SimEnvironment(config, seed)
     plan = compile_deployment(app, config)
@@ -156,19 +153,19 @@ def run_benchmark(
         "benchmark": benchmark_name or app.name,
         "seed": seed,
         "scale": scale,
-        "configPath": str(config_path),
-        "profilePath": str(profile_path),
         "outDir": str(run_dir),
         "createdAt": _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
         "version": __version__,
-        "phases": [dict(zip(PHASE_FIELDS, p)) for p in phase_windows_of(profile)],
+        "application": app.to_dict(),
+        "config": config.to_dict(),
+        "profile": profile.to_dict(),
     }
     (run_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")  # before deploy_all
 
     log_path = run_dir / RAW_LOG_NAME
     with _collector_paused():
         deploy_all(plan, env.platforms)
-        arrivals = schedule(profile, env.loadgen_rng)
+        arrivals = schedule(scaled, env.loadgen_rng)
         stats = execute(arrivals, plan, env)
         env.run_until_idle()
         log_lines = env.collect_log(run_id)
@@ -215,8 +212,8 @@ def analyze_file(log_path: str | Path, out_dir: str | Path | None = None, charts
     """
     log_path = Path(log_path)
     manifest_path = log_path.parent / MANIFEST_NAME
-    phases = _read_phases(manifest_path) if manifest_path.is_file() else None
     with _collector_paused():
+        phases = _read_phases(manifest_path) if manifest_path.is_file() else None
         try:
             with log_path.open(encoding="utf-8") as fh:
                 analysis = analyze_log_text(itertools.chain.from_iterable(map(str.splitlines, fh)), phases)
@@ -227,16 +224,18 @@ def analyze_file(log_path: str | Path, out_dir: str | Path | None = None, charts
     return analysis
 
 
-def _read_phases(manifest_path: Path) -> list[PhaseWindow]:
-    """The phase windows of a run manifest, each field read as its one JSON
-    type (``MANIFEST_FIELDS``, ``PHASE_FIELDS``); raises AnalysisError naming
-    the file and the first bad field."""
+def _read_phases(manifest_path: Path) -> list[PhaseWindow] | None:
+    """The phase windows of a run manifest's profile at its scale, or None
+    without a profile, each field read as its one JSON type; raises
+    AnalysisError naming the file and the first bad field."""
     try:
         manifest = read_document(manifest_path.read_text(encoding="utf-8"), AnalysisError)
         fields = {key: read(manifest, key, kind, AnalysisError, None if key in OPTIONAL_MANIFEST_FIELDS else REQUIRED)
                   for key, kind in MANIFEST_FIELDS.items()}
-        return [PhaseWindow(*(read(p, key, kind, AnalysisError, where=f"phases[{i}].")
-                              for key, kind in PHASE_FIELDS.items()))
-                for i, p in enumerate(fields["phases"] or ())]
+        if fields["profile"] is None:
+            return None
+        return phase_windows_of(LoadProfile.from_dict(fields["profile"]).scaled(fields["scale"]))
+    except ProfileError as exc:
+        raise AnalysisError(f"{manifest_path}: not a run manifest: profile: {exc}") from None
     except (AnalysisError, ValueError) as exc:  # a bad field, nested too deep; not JSON or not UTF-8
         raise AnalysisError(f"{manifest_path}: not a run manifest: {exc}") from None

@@ -26,6 +26,8 @@ from .records import LOADGEN
 from .simulator import SimEnvironment
 
 US = 1_000_000  # microseconds per second
+MAX_PROFILE_US = 2**51  # every profile time stays below it, where the seconds to_dict writes read back exactly
+PROFILE_LIMIT = "2**51 us (about 71 years)"
 
 
 class ProfileError(ValueError):
@@ -102,6 +104,8 @@ class LoadProfile:
                     raise ProfileError(f"mix weights must be finite and sum to 1 (got {weight})")
                 for name, _ in phase.mix:
                     self.workflow(name)
+                if len(dict(phase.mix)) < len(phase.mix):  # its JSON object could name each only once
+                    raise ProfileError(f"phases[{i}].mix names a workflow twice")
             if phase.kind == "constantRate" and not (math.isfinite(phase.rate_per_s) and phase.rate_per_s > 0):
                 raise ProfileError(f"constantRate needs a finite ratePerSecond > 0 (got {phase.rate_per_s})")
             if phase.kind == "burst" and phase.total_flows < 1:
@@ -119,6 +123,10 @@ class LoadProfile:
         # after the phases, so that a negative duration is named by its phase
         if sum(p.duration_us for p in self.phases) <= 0:
             raise ProfileError("total duration must be > 0")
+        times = [p.duration_us for p in self.phases] + [s.think_time_us for wf in self.workflows for s in wf.steps]
+        times += [t for p in self.phases for s in p.series for t in (s.interval_us, s.train_spacing_us)]
+        if max(times) >= MAX_PROFILE_US:  # built in code: from_dict and scaled name the field first
+            raise ProfileError(f"a time of the profile reaches {PROFILE_LIMIT}")
 
     def scaled(self, factor: float) -> "LoadProfile":
         """Scale flow counts and durations by ``factor`` (rates unchanged)."""
@@ -131,8 +139,8 @@ class LoadProfile:
             phases.append(
                 replace(
                     p,
-                    duration_us=_scaled(p.duration_us, factor, "durationSeconds", "2**53 us (about 285 years)"),
-                    total_flows=max(1, _scaled(p.total_flows, factor, "totalFlows", "2**53"))
+                    duration_us=_scaled(p.duration_us, factor, "durationSeconds", MAX_PROFILE_US, PROFILE_LIMIT),
+                    total_flows=max(1, _scaled(p.total_flows, factor, "totalFlows", MAX_SAMPLE_US, "2**53"))
                     if p.kind == "burst" else p.total_flows,
                 )
             )
@@ -193,14 +201,11 @@ class LoadProfile:
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
-def _scaled(value: int, factor: float, key: str, limit: str) -> int:
-    """``value * factor`` rounded; ProfileError naming ``key`` when the value or
-    the product reaches 2**53, past which an int has no float (a float may be
-    infinite) and no run could reach so many flows or microseconds."""
-    if not value < MAX_SAMPLE_US:
-        raise ProfileError(f"{key} must be below {limit}")
+def _scaled(value: int, factor: float, key: str, bound: int, limit: str) -> int:
+    """``value * factor`` rounded; ProfileError naming ``key`` when the product
+    reaches ``bound``, which ``value`` is below (a float product may be infinite)."""
     product = value * factor
-    if not product < MAX_SAMPLE_US:
+    if not product < bound:
         raise ProfileError(f"{key} scaled by {factor:g} reaches {limit}")
     return int(round(product))
 
@@ -229,8 +234,8 @@ def _phase_to_dict(p: Phase) -> dict:
 def _us(d: dict, key: str, default=REQUIRED) -> int:
     """Field ``key`` of ``d``, in seconds, as whole microseconds."""
     seconds = read(d, key, float, ProfileError, default)
-    if not abs(seconds) * US < MAX_SAMPLE_US:  # past it, the product need not even be finite
-        raise ProfileError(f"{key} must be within +-2**53 us (about 285 years), got {seconds:g}")
+    if not abs(seconds) * US < MAX_PROFILE_US:  # past it, the product need not even be finite
+        raise ProfileError(f"{key} must be within +-{PROFILE_LIMIT}, got {seconds:g}")
     return int(round(seconds * US))
 
 

@@ -114,8 +114,9 @@ def collector_restored():
 
 @pytest.fixture(scope="module")
 def streaming_run(tmp_path_factory) -> Path:
-    """The run directory of a small streaming run (seed 7, x0.002): four
-    phases in its manifest, the last a burst."""
+    """The run directory of a small streaming run (seed 7, x0.002). Its
+    manifest embeds the application, the default config and the unscaled
+    streaming profile: four phases, the last a burst."""
     app = load_builtin("streaming")
     result = runner.run_benchmark(app, runner.default_config(app), builtin_profile("streaming"), seed=7,
                                   out_dir=tmp_path_factory.mktemp("streaming"), scale=0.002)

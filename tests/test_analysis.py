@@ -850,20 +850,26 @@ def test_charts_draw_the_summary_csv_statistics(tmp_path):
 
 @pytest.mark.parametrize("lo, spread, a_as_float",
                          [(2 ** 53, 3, False), (2 ** 53 + 1, 1, False), (2 ** 62 + 2536, 28, False),
-                          (-2 ** 63 + 4804, 19, False), (2 ** 62, 1, True)],
-                         ids=["2**53", "2**53+1", "2**62", "-2**63", "2**62-float-and-int"])
+                          (-2 ** 63 + 4804, 19, False), (2 ** 62, 1, True), (2 ** 50 + 0.5, 0.25, False)],
+                         ids=["2**53", "2**53+1", "2**62", "-2**63", "2**62-float-and-int", "2**50-halves"])
 def test_charts_of_a_range_below_float_precision(lo, spread, a_as_float):
     # a few microseconds apart, where float ticks round together or past the
     # range, or a tick inside it still maps past the plot's end; a float low
-    # end and an int high end that are equal as floats span no float range
+    # end and an int high end that are equal as floats span no float range;
+    # halves near 2**50 are 2 float spacings apart
     a = [float(lo)] if a_as_float else [lo, lo + spread]
     groups = {"a": summary_stats(Counter(a)), "b": summary_stats(Counter([lo + 1, lo + spread // 2, lo + spread]))}
     boxes = measured_boxes(decode_png(box_chart_png("near the float limit (us)", groups)))
     assert len(boxes) == len(groups)
-    # the ticks of an integer axis are distinct ints inside it, labelled exactly
+    # the ticks are distinct values inside the range with distinct labels
     ticks = _ticks(lo, lo + spread)
-    assert len(ticks) >= 2 and ticks == [(v, str(v)) for v in sorted({v for v, _ in ticks})]
-    assert lo <= ticks[0][0] and ticks[-1][0] <= lo + spread and all(type(v) is int for v, _ in ticks)
+    values = [v for v, _ in ticks]
+    assert ticks and values == sorted(set(values)) and len({label for _, label in ticks}) == len(ticks)
+    assert lo <= values[0] and values[-1] <= lo + spread
+    if type(lo) is int:  # an integer axis: at least two exact int ticks
+        assert len(ticks) >= 2 and ticks == [(v, str(v)) for v in values]
+    else:  # a float axis no finer than the float spacing: each label is its tick's exact value
+        assert all(float(label) == v for v, label in ticks)
 
 
 # -- whole-run analysis ------------------------------------------------------

@@ -13,6 +13,7 @@ from faasbench.cli import EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, main
 from faasbench.deployment import DeploymentConfig
 from faasbench.records import HEADER_LINE, INVOCATION, TraceRecord
 from faasbench.recipes import recipe
+from faasbench.runner import default_config
 from faasbench.simulator import SimEnvironment
 from faasbench.workload import LoadProfile
 
@@ -257,8 +258,29 @@ def test_run_produces_artifacts_and_reports(tmp_path, capsys):
     assert (run_dir / "raw.log").exists()
     assert (run_dir / "reports" / "summary.json").exists()
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert manifest["seed"] == 7 and manifest["benchmark"] == "webshop"
+    assert manifest["seed"] == 7 and manifest["benchmark"] == "webshop" and manifest["scale"] == 0.002
+    # the run's inputs themselves, the profile unscaled, and no paths
+    app = load_builtin("webshop")
+    assert manifest["application"] == json.loads(app.to_json())
+    assert manifest["config"] == json.loads(default_config(app).to_json())
+    assert manifest["profile"] == json.loads(builtin_profile("webshop").to_json())
+    assert not {"configPath", "profilePath", "phases"} & manifest.keys()
     assert (run_dir / "raw.log").read_text().startswith(HEADER_LINE)
+
+
+def test_the_inputs_a_manifest_embeds_rerun_the_same_log(tmp_path, streaming_run):
+    # the application, config and profile written back to files, at the manifest's seed and scale
+    manifest = json.loads((streaming_run / "manifest.json").read_text())
+    for key in ("application", "config", "profile"):
+        (tmp_path / f"{key}.json").write_text(json.dumps(manifest[key]))
+    out = tmp_path / "out"
+    assert run_cli("run", str(tmp_path / "application.json"), "--config", str(tmp_path / "config.json"),
+                   "--profile", str(tmp_path / "profile.json"), "--seed", str(manifest["seed"]),
+                   "--scale", repr(manifest["scale"]), "--out", str(out)) == EXIT_OK
+    rerun = find_run_dir(out)
+    assert (rerun / "raw.log").read_bytes() == (streaming_run / "raw.log").read_bytes()
+    for report in (streaming_run / "reports").iterdir():
+        assert (rerun / "reports" / report.name).read_bytes() == report.read_bytes()
 
 
 def test_run_determinism_across_invocations(tmp_path):
@@ -477,7 +499,7 @@ def _shipped(command: str, bench: str):
     ("profile", "streaming", ("phases", 0, "totalFlows"), "5", 'totalFlows must be an integer, got "5"'),
     ("profile", "webshop", (), [1], "expected an object, got [1]"),
     ("profile", "webshop", ("phases", 0, "durationSeconds"), 1e305,
-     "durationSeconds must be within +-2**53 us (about 285 years), got 1e+305"),
+     "durationSeconds must be within +-2**51 us (about 71 years), got 1e+305"),
     ("profile", "webshop", ("phases", 0, "durationSeconds"), -5, "phases[0].durationSeconds must be >= 0"),
     ("profile", "smartcity", ("phases", 0, "series", 1, "intervalSeconds"), 1e-7,
      "phases[0].series[1].intervalSeconds must round to at least 1 us"),
@@ -504,8 +526,8 @@ def test_a_field_of_the_wrong_type_is_named_in_one_line(tmp_path, capsys, comman
 
 
 @pytest.mark.parametrize("scale, flows, reason", [
-    ("1e308", None, "durationSeconds scaled by 1e+308 reaches 2**53 us (about 285 years)"),
-    ("1e20", None, "durationSeconds scaled by 1e+20 reaches 2**53 us (about 285 years)"),
+    ("1e308", None, "durationSeconds scaled by 1e+308 reaches 2**51 us (about 71 years)"),
+    ("1e20", None, "durationSeconds scaled by 1e+20 reaches 2**51 us (about 71 years)"),
     ("0.002", 10**400, "totalFlows must be below 2**53"),
 ], ids=["overflowing-scale", "endless-scale", "huge-total-flows"])
 def test_a_profile_past_2_53_is_named_in_one_line(tmp_path, capsys, scale, flows, reason):
@@ -686,9 +708,10 @@ def test_analyze_missing_file(tmp_path):
 
 # case -> (path, value) of one change to the streaming run's manifest
 MANIFEST_CHANGES = {
-    "phase-start-a-string": (("phases", 3, "startUs"), "0"),
-    "phase-start-a-fraction": (("phases", 3, "startUs"), 0.5),
-    "phase-start-null": (("phases", 3, "startUs"), None),
+    "profile-duration-a-string": (("profile", "phases", 3, "durationSeconds"), "0"),
+    "profile-flows-a-fraction": (("profile", "phases", 3, "totalFlows"), 0.5),
+    "profile-null": (("profile",), None),
+    "profile-empty": (("profile",), {}),
     "seed-a-string": (("seed",), "seven"),
     "manifest-an-array": ((), [1]),
 }
@@ -700,9 +723,11 @@ BAD_ANALYZE_INPUTS = [
     ("manifest-not-json", EXIT_ANALYSIS, "manifest.json", ""),
     ("manifest-nested-too-deep", EXIT_ANALYSIS, "manifest.json", "recursion"),
     ("log-not-utf8", EXIT_ANALYSIS, "raw.log", "not UTF-8"),
-    ("phase-start-a-string", EXIT_ANALYSIS, "manifest.json", 'phases[3].startUs must be an integer, got "0"'),
-    ("phase-start-a-fraction", EXIT_ANALYSIS, "manifest.json", "phases[3].startUs must be an integer, got 0.5"),
-    ("phase-start-null", EXIT_ANALYSIS, "manifest.json", "phases[3].startUs must be an integer, got null"),
+    ("profile-duration-a-string", EXIT_ANALYSIS, "manifest.json",
+     'profile: durationSeconds must be a number, got "0"'),
+    ("profile-flows-a-fraction", EXIT_ANALYSIS, "manifest.json", "profile: totalFlows must be an integer, got 0.5"),
+    ("profile-null", EXIT_ANALYSIS, "manifest.json", "profile must be an object, got null"),
+    ("profile-empty", EXIT_ANALYSIS, "manifest.json", "profile: profile has no phases"),
     ("seed-a-string", EXIT_ANALYSIS, "manifest.json", 'seed must be an integer, got "seven"'),
     ("manifest-an-array", EXIT_ANALYSIS, "manifest.json", "expected an object, got [1]"),
     ("manifest-with-a-key-twice", EXIT_ANALYSIS, "manifest.json", "key 'runId' appears twice in one object"),
@@ -717,14 +742,14 @@ def test_analyze_ends_in_one_line_on_bad_input(tmp_path, capsys, streaming_run, 
     log = run_dir / "raw.log"
     log.write_text(HEADER_LINE + "\n")
     if case in MANIFEST_CHANGES:
-        # the streaming run's last phase is a burst, so analyze reads every field of phases[3]
+        # the streaming run's profile ends in a burst, so analyze reads every field of its phases[3]
         log.write_bytes((streaming_run / "raw.log").read_bytes())
         manifest = json.loads((streaming_run / "manifest.json").read_text())
         (run_dir / "manifest.json").write_text(json.dumps(_changed(manifest, *MANIFEST_CHANGES[case])))
     elif case == "manifest-without-run-id":
-        (run_dir / "manifest.json").write_text(json.dumps({"benchmark": "webshop", "phases": []}))
+        (run_dir / "manifest.json").write_text(json.dumps({"benchmark": "webshop", "profile": {}}))
     elif case == "manifest-with-a-key-twice":
-        (run_dir / "manifest.json").write_text('{"runId": "a", "runId": "b", "benchmark": "webshop", "phases": []}')
+        (run_dir / "manifest.json").write_text('{"runId": "a", "runId": "b", "benchmark": "webshop", "profile": {}}')
     elif case == "manifest-not-json":
         (run_dir / "manifest.json").write_text("{not json")
     elif case == "manifest-nested-too-deep":
@@ -735,6 +760,31 @@ def test_analyze_ends_in_one_line_on_bad_input(tmp_path, capsys, streaming_run, 
     assert run_cli("analyze", str(target), "--out", str(tmp_path / "r")) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(run_dir / named) in err and words in err, err
+
+
+NO_PHASES = "no phases: no manifest.json with a profile beside the log; cold_starts.csv and timeline.csv list none\n"
+
+
+@pytest.mark.parametrize("layout", ["old", "new", "none"])
+def test_analyze_says_when_it_has_no_phases(tmp_path, capsys, streaming_run, layout):
+    # a manifest written before the inputs were embedded holds the files'
+    # paths and the phase windows, and no profile: it analyzes without phases
+    (tmp_path / "raw.log").write_bytes((streaming_run / "raw.log").read_bytes())
+    manifest = json.loads((streaming_run / "manifest.json").read_text())
+    if layout == "old":
+        for key in ("application", "config", "profile"):
+            del manifest[key]
+        manifest.update(configPath="<default-single-platform>", profilePath="<builtin-default>",
+                        phases=[{"name": "0:burst", "kind": "burst", "startUs": 0, "endUs": 1}])
+    if layout != "none":
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("analyze", str(tmp_path / "raw.log"), "--out", str(tmp_path / "r")) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.endswith(NO_PHASES) is (layout != "new")
+    phases = (tmp_path / "r" / "cold_starts.csv").read_text().splitlines()[1:]
+    assert phases == ([] if layout != "new" else
+                      (streaming_run / "reports" / "cold_starts.csv").read_text().splitlines()[1:])
+    assert len(phases) == (4 if layout == "new" else 0)
 
 
 def test_analyze_empty_file_with_header(tmp_path, capsys):

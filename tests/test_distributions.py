@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from faasbench.distributions import (
     DistributionError,
@@ -31,6 +33,37 @@ def test_parse_round_trip():
     for text in ("constant(15)", "uniform(1,2)", "lognormal(3,0.25)", "lognormal(15,2)", "exponential(7)"):
         d = parse_duration(text)
         assert parse_duration(d.spec()) == d
+
+
+# parameters in ms, up to past the 2**53 us reach limit
+MS = st.floats(0, 1e13)
+
+
+@st.composite
+def durations(draw):
+    kind = draw(st.sampled_from(["constant", "uniform", "lognormal", "exponential"]))
+    if kind == "uniform":
+        args = tuple(sorted((draw(MS), draw(MS))))
+    elif kind == "lognormal":
+        args = (draw(st.floats(1e-300, 1e13)), draw(st.floats(0, 50)))
+    else:
+        args = (draw(MS),)
+    try:
+        return Duration(kind, args)
+    except DistributionError:
+        assume(False)
+
+
+@example(d=parse_duration("constant(1234.567)"))
+@example(d=parse_duration("lognormal(15.000004,0.25)"))
+@example(d=parse_duration("uniform(1e-7,0.1)"))
+@given(d=durations())
+def test_a_spec_reads_back_as_its_duration(d):
+    # a config or application written by to_dict holds the durations that ran
+    assert parse_duration(d.spec()) == d
+    short = [f"{a:g}" for a in d.args]
+    if all(float(text) == a for text, a in zip(short, d.args)):  # the short form is kept where it is exact
+        assert d.spec() == f"{d.kind}({','.join(short)})"
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,23 @@
 import json
 import signal
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from faasbench.applications import ApplicationSpec, FunctionSpec, HTTP_SYNC, compute
 from faasbench.benchmarks import builtin_profile, load_builtin
 from faasbench.distributions import constant
 from faasbench.records import INVOCATION, LOADGEN, OUTGOING_CALL
 from faasbench.analysis import parse_logs
-from faasbench.runner import default_config
+from faasbench.runner import _read_phases, default_config, phase_windows_of
 from faasbench.workload import (
     Arrival,
     LoadProfile,
+    MAX_PROFILE_US,
     PeriodicSeries,
     Phase,
     ProfileError,
@@ -268,6 +273,85 @@ def test_profile_json_round_trip():
     for name in ("webshop", "smartcity", "smartfactory", "streaming"):
         p = builtin_profile(name)
         assert LoadProfile.from_json(p.to_json()) == p
+
+
+TIMES = st.integers(0, MAX_PROFILE_US - 1)  # every time of a profile, in us
+
+
+@st.composite
+def profiles(draw):
+    """A valid profile: every phase kind, any time below the bound, and each
+    mix in name order, as ``from_dict`` reads it back."""
+    names = draw(st.lists(st.text("wxyz", min_size=1, max_size=2), min_size=1, max_size=3, unique=True))
+    workflows = tuple(Workflow(n, tuple(WorkflowStep(draw(st.text(max_size=3)), draw(TIMES))
+                                        for _ in range(draw(st.integers(1, 2))))) for n in names)
+    phases = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["constantRate", "burst", "periodic", "pause"]))
+        duration = draw(TIMES)
+        if kind == "periodic":
+            series = tuple(PeriodicSeries(draw(st.text(max_size=3)), draw(st.integers(1, MAX_PROFILE_US - 1)),
+                                          draw(st.integers(1, 5)), draw(st.integers(1, MAX_PROFILE_US - 1)))
+                           for _ in range(draw(st.integers(0, 2))))
+            phases.append(Phase(kind, duration, series=series))
+        elif kind == "pause":
+            phases.append(Phase(kind, duration))
+        else:
+            mixed = sorted(draw(st.lists(st.sampled_from(names), min_size=1, unique=True)))
+            counts = [draw(st.integers(1, 1000)) for _ in mixed]
+            mix = tuple((n, c / sum(counts)) for n, c in zip(mixed, counts))
+            if kind == "burst":
+                phases.append(Phase(kind, duration, mix=mix, total_flows=draw(st.integers(1, 2**53 - 1))))
+            else:
+                phases.append(Phase(kind, duration, rate_per_s=draw(st.floats(1e-9, 1e9)), mix=mix))
+    assume(sum(p.duration_us for p in phases) > 0)
+    try:
+        return LoadProfile(draw(st.text(max_size=3)), workflows, tuple(phases))
+    except ProfileError:  # mix weights that do not sum to 1 within 1e-9
+        assume(False)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@example(p=flat_profile(kind="burst", duration_us=MAX_PROFILE_US - 1, total_flows=2**53 - 1))
+@given(p=profiles())
+def test_a_profile_reads_back_from_its_json(p):
+    # every time below 2**51 us comes back as the same microsecond
+    assert LoadProfile.from_dict(json.loads(json.dumps(p.to_dict()))) == p
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(p=profiles(), scale=st.floats(1e-6, 1e6))
+def test_the_phases_of_a_written_manifest_are_those_that_ran(streaming_run, p, scale):
+    try:
+        ran = phase_windows_of(p.scaled(scale))
+    except ProfileError:
+        assume(False)
+    manifest = json.loads((streaming_run / "manifest.json").read_text())
+    manifest.update(profile=p.to_dict(), scale=scale)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert _read_phases(path) == ran
+
+
+@pytest.mark.parametrize("phase, think_us", [
+    (Phase("pause", MAX_PROFILE_US), 0),
+    (Phase("pause", 2**53 - 1), 0),
+    (Phase("periodic", US, series=(PeriodicSeries("fn", MAX_PROFILE_US),)), 0),
+    (Phase("periodic", US, series=(PeriodicSeries("fn", US, 2, MAX_PROFILE_US),)), 0),
+    (Phase("pause", US), MAX_PROFILE_US),
+], ids=["duration", "duration-2**53-1", "interval", "train-spacing", "think-time"])
+def test_a_profile_built_in_code_keeps_its_times_below_2_51(phase, think_us):
+    # to_dict could not write such a time exactly, so a run could not read its own manifest back
+    with pytest.raises(ProfileError, match=r"reaches 2\*\*51 us"):
+        LoadProfile("p", (Workflow("w", (WorkflowStep("fn", think_us),)),), (phase,))
+
+
+def test_a_mix_that_names_a_workflow_twice_is_refused():
+    # its JSON object would keep one weight, and the profile would not read back
+    with pytest.raises(ProfileError, match=r"phases\[0\].mix names a workflow twice"):
+        LoadProfile("p", (Workflow("w", (WorkflowStep("fn"),)),),
+                    (Phase("burst", US, mix=(("w", 0.5), ("w", 0.5)), total_flows=1),))
 
 
 # -- execution ---------------------------------------------------------------

@@ -60,10 +60,12 @@ runs only when a node is left unlinked. ``decompose`` and ``CallTree.nodes``
 each walk a tree in one loop over one explicit stack of nodes, so a publisher
 is a node like any other and any depth works.
 
-All quantiles are nearest-rank; whiskers extend to the most extreme values
-within 1.5 interquartile ranges of the quartiles. ``summary_stats`` finds
-them from the sorted distinct values and their cumulative counts, which give
-the same figures as the sorted list of every row.
+All quantiles are nearest-rank, and ``summary_stats`` is the one code that
+takes them: the metric groups' figures and each cold-start timeline second's
+p50 execution duration. Whiskers extend to the most extreme values within 1.5
+interquartile ranges of the quartiles. ``summary_stats`` finds them from the
+sorted distinct values and their cumulative counts, which give the same
+figures as the sorted list of every row.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ import csv
 import json
 import math
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import attrgetter, itemgetter
@@ -576,17 +578,15 @@ def coldstart_report(invocations: list[TraceRecord], phases: list[PhaseWindow] |
             # the cold-start profile lives in the load-peak phase: the last
             # burst (the one after any pause)
             burst = bursts[-1]
-            buckets: list[list[TraceRecord]] = [[] for _ in range(TIMELINE_SECONDS)]
+            # per second, the execution durations as value -> count and the cold count
+            durations: list[Counter[int]] = [Counter() for _ in range(TIMELINE_SECONDS)]
+            cold = [0] * TIMELINE_SECONDS
             for r in invocations:
                 i = (r.start_us - burst.start_us) // 1_000_000
                 if 0 <= i < TIMELINE_SECONDS:
-                    buckets[i].append(r)
-            for i, bucket in enumerate(buckets):
-                execs = sorted(r.duration_us for r in bucket)
-                timeline.append(
-                    BucketStat(i, len(bucket), sum(1 for r in bucket if r.cold_start),
-                               nearest_rank(execs, 0.5) if execs else None)
-                )
+                    durations[i][r.duration_us] += 1
+                    cold[i] += bool(r.cold_start)
+            timeline = [BucketStat(i, s.count, cold[i], s.p50) for i, s in enumerate(map(summary_stats, durations))]
     return ColdstartReport(len(invocations), total_cold, per_phase, timeline)
 
 
@@ -622,15 +622,6 @@ class SummaryStats(NamedTuple):
     max: float | None = None
     whisker_low: float | None = None
     whisker_high: float | None = None
-
-
-def nearest_rank(sorted_values, p: float):
-    """Nearest-rank quantile on an ascending list (1-based ceil(p*n))."""
-    n = len(sorted_values)
-    if n == 0:
-        raise ValueError("empty")
-    idx = max(1, math.ceil(p * n))
-    return sorted_values[idx - 1]
 
 
 def summary_stats(counts) -> SummaryStats:

@@ -39,8 +39,6 @@ from .applications import (
 from .distributions import constant
 from .workload import LoadProfile, PeriodicSeries, Phase, US, Workflow, WorkflowStep
 
-BENCHMARK_NAMES = ("webshop", "smartcity", "smartfactory", "streaming")
-
 MS1 = constant(1)
 
 
@@ -172,22 +170,6 @@ def _streaming() -> ApplicationSpec:
     )
 
 
-_BUILDERS = {
-    "webshop": _webshop,
-    "smartcity": _smartcity,
-    "smartfactory": _smartfactory,
-    "streaming": _streaming,
-}
-
-
-def load_builtin(name: str) -> ApplicationSpec:
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise UnknownBenchmark(name) from None
-    return builder()
-
-
 def _webshop_profile() -> LoadProfile:
     workflows = (
         Workflow("browse", (WorkflowStep("frontend"),)),
@@ -266,17 +248,26 @@ def _streaming_profile() -> LoadProfile:
     )
 
 
-_PROFILE_BUILDERS = {
-    "webshop": _webshop_profile,
-    "smartcity": _smartcity_profile,
-    "smartfactory": _smartfactory_profile,
-    "streaming": _streaming_profile,
+# name -> (application builder, default profile builder)
+_BUILTINS = {
+    "webshop": (_webshop, _webshop_profile),
+    "smartcity": (_smartcity, _smartcity_profile),
+    "smartfactory": (_smartfactory, _smartfactory_profile),
+    "streaming": (_streaming, _streaming_profile),
 }
+BENCHMARK_NAMES = tuple(_BUILTINS)
+
+
+def _builders(name: str):
+    try:
+        return _BUILTINS[name]
+    except KeyError:
+        raise UnknownBenchmark(name) from None
+
+
+def load_builtin(name: str) -> ApplicationSpec:
+    return _builders(name)[0]()
 
 
 def builtin_profile(name: str) -> LoadProfile:
-    try:
-        builder = _PROFILE_BUILDERS[name]
-    except KeyError:
-        raise UnknownBenchmark(name) from None
-    return builder()
+    return _builders(name)[1]()

@@ -18,7 +18,7 @@ from .applications import InvalidApplication, UnknownBenchmark, validate
 from .benchmarks import BENCHMARK_NAMES, builtin_profile
 from .deployment import DeploymentConfig, DeploymentError
 from .recipes import RECIPE_NAMES, UnknownRecipe, recipe
-from .runner import analyze_file, default_config, load_app, run_benchmark
+from .runner import REPORTS_DIR, analyze_file, default_config, load_app, run_benchmark
 from .simulator import SimulationError
 from .workload import LoadProfile, ProfileError
 
@@ -140,7 +140,7 @@ def cmd_analyze(args) -> int:
     if not log_path.is_file():
         print(f"no such log file: {log_path}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = Path(args.out) if args.out else log_path.parent / "reports"
+    out_dir = Path(args.out) if args.out else log_path.parent / REPORTS_DIR
     out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails here, before the log is read
     try:
         analysis = analyze_file(log_path, out_dir, charts=args.charts)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .applications import EVENT_ASYNC, PUBLISHER_PREFIX, ApplicationSpec, FunctionSpec, walk_steps
-from .distributions import MAX_SAMPLE_US, Duration, constant, read, read_document
+from .distributions import MAX_PROFILE_US, PROFILE_LIMIT, Duration, constant, read, read_document
 from .records import LOADGEN, is_log_name
 
 # a platform's logged clock may be off by at most one day either way; real skew
@@ -45,6 +45,14 @@ def _check_platform_id(platform_id) -> None:
         raise DeploymentError(f"platform id {LOADGEN!r} is reserved for the load generator")
 
 
+def _keep_alive_error(where: str, seconds: float) -> str:
+    return f"{where}keepAliveSeconds must be below {PROFILE_LIMIT}, got {seconds:g}"
+
+
+def _clock_offset_error(where: str, ms: float) -> str:
+    return f"{where}clockOffsetMs must be within +-{MAX_CLOCK_OFFSET_MS} ms, got {ms:g}"
+
+
 @dataclass(frozen=True)
 class PlatformSpec:
     """Parameters of one simulated FaaS platform."""
@@ -61,6 +69,11 @@ class PlatformSpec:
         _check_platform_id(self.id)
         if self.keep_alive_us <= 0:
             raise DeploymentError(f"platform {self.id}: keepAliveSeconds must round to at least 1 us")
+        # past these bounds, the value to_dict writes would not read back as the same microsecond
+        if self.keep_alive_us >= MAX_PROFILE_US:
+            raise DeploymentError(_keep_alive_error(f"platform {self.id}: ", self.keep_alive_us / 1_000_000))
+        if abs(self.clock_offset_us) > MAX_CLOCK_OFFSET_MS * 1000:
+            raise DeploymentError(_clock_offset_error(f"platform {self.id}: ", self.clock_offset_us / 1000))
         rate = self.log_lines_per_second
         if rate is not None and (isinstance(rate, bool) or not isinstance(rate, int) or rate < 1):
             raise DeploymentError(f"platform {self.id}: logLinesPerSecond must be an integer >= 1 or null, got {rate}")
@@ -90,11 +103,11 @@ class PlatformSpec:
         legs = read(d, "networkLatency", dict, DeploymentError, {}, where)
         # both bounds are checked before the conversion to us, which past them need not be finite
         keep_alive_s = read(d, "keepAliveSeconds", float, DeploymentError, cls.keep_alive_us / 1_000_000, where)
-        if keep_alive_s * 1_000_000 >= MAX_SAMPLE_US:
-            raise DeploymentError(f"{where}keepAliveSeconds must be below 2**53 us, got {keep_alive_s:g}")
+        if keep_alive_s * 1_000_000 >= MAX_PROFILE_US:
+            raise DeploymentError(_keep_alive_error(where, keep_alive_s))
         offset_ms = read(d, "clockOffsetMs", float, DeploymentError, cls.clock_offset_us / 1000, where)
         if abs(offset_ms) > MAX_CLOCK_OFFSET_MS:
-            raise DeploymentError(f"{where}clockOffsetMs must be within +-{MAX_CLOCK_OFFSET_MS} ms, got {offset_ms:g}")
+            raise DeploymentError(_clock_offset_error(where, offset_ms))
         return cls(
             id=platform_id,
             cold_start_delay=read(d, "coldStartDelay", Duration, DeploymentError, cls.cold_start_delay, where),

@@ -27,6 +27,10 @@ MICROS_PER_MS = 1000
 # 2**53 us (about 285 years): below it a float sample still rounds to the exact
 # microsecond
 MAX_SAMPLE_US = 2**53
+# every profile time and keep-alive stays below it, where the seconds to_dict
+# writes read back as the same microsecond
+MAX_PROFILE_US = 2**51
+PROFILE_LIMIT = "2**51 us (about 71 years)"
 # numpy's ziggurat tails take the log of a 53-bit uniform, so a standard normal
 # draw stays below 12.3 and a standard exponential one below 44.5; the reach
 # check rounds both up

@@ -18,14 +18,6 @@ from .deployment import DeploymentConfig, PlatformSpec
 from .distributions import constant, parse_duration
 from .workload import LoadProfile
 
-RECIPE_NAMES = (
-    "exp1-single-cloud",
-    "exp2-edge-cloud",
-    "exp2-edge-only",
-    "exp3-three-way-factory",
-    "exp4-coldstart",
-)
-
 KEYSTORE = "keystore"
 
 # smart-city functions that actuate the traffic light live at the edge
@@ -199,6 +191,7 @@ _BUILDERS = {
     "exp3-three-way-factory": exp3_three_way_factory,
     "exp4-coldstart": exp4_coldstart,
 }
+RECIPE_NAMES = tuple(_BUILDERS)
 
 
 def recipe(name: str) -> Recipe:

@@ -118,11 +118,6 @@ def load_app(name_or_path: str) -> ApplicationSpec:
     )
 
 
-def phase_windows_of(profile: LoadProfile) -> list[PhaseWindow]:
-    return [PhaseWindow(f"{i}:{kind}", kind, start, end)
-            for i, (kind, start, end) in enumerate(profile.phase_windows())]
-
-
 def run_benchmark(
     app: ApplicationSpec,
     config: DeploymentConfig,
@@ -234,7 +229,7 @@ def _read_phases(manifest_path: Path) -> list[PhaseWindow] | None:
                   for key, kind in MANIFEST_FIELDS.items()}
         if fields["profile"] is None:
             return None
-        return phase_windows_of(LoadProfile.from_dict(fields["profile"]).scaled(fields["scale"]))
+        return LoadProfile.from_dict(fields["profile"]).scaled(fields["scale"]).phase_windows()
     except ProfileError as exc:
         raise AnalysisError(f"{manifest_path}: not a run manifest: profile: {exc}") from None
     except (AnalysisError, ValueError) as exc:  # a bad field, nested too deep; not JSON or not UTF-8

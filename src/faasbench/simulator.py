@@ -31,6 +31,11 @@ Platform semantics:
 
 Each emitter hands its record's fields to ``RecordSink.emit``, which checks
 them and writes the log line in one step.
+
+The ground truth keeps each fact once. An executor is the cold invocation it
+was created for: ``_acquire`` reports ``cold`` exactly when it creates one, the
+same flag goes to the log line and to the truth, and ``GroundTruth.executors``
+lists the cold invocations, each one's ``arrival_us`` the executor's birth.
 """
 
 from __future__ import annotations
@@ -134,13 +139,6 @@ class Executor:
         self.last_idle_at = created_at
 
 
-class ExecutorBirth(NamedTuple):
-    platform_id: str
-    function: str
-    key: str
-    at_us: int
-
-
 class TruthEdge(NamedTuple):
     context_id: str
     parent_pair: str | None
@@ -164,9 +162,13 @@ class TruthInvocation(NamedTuple):
 class GroundTruth:
     """Simulator-exported truth used by analyzer fidelity checks."""
 
-    executors: list[ExecutorBirth] = field(default_factory=list)
     edges: list[TruthEdge] = field(default_factory=list)
     invocations: list[TruthInvocation] = field(default_factory=list)
+
+    @property
+    def executors(self) -> list[TruthInvocation]:
+        """The cold invocations: one per executor, born at its ``arrival_us``."""
+        return [inv for inv in self.invocations if inv.cold]
 
 
 class SimPlatform:
@@ -226,6 +228,7 @@ class SimEnvironment:
         return self.kernel.spawn(self._invocation_gen(platform, rfn, context_id, inbound_pair, arrival, executor, cold))
 
     def _acquire(self, platform: SimPlatform, fn_name: str, arrival: int) -> tuple[Executor, bool]:
+        """An executor for the arrival, and True when it is created for it: a cold start."""
         # _release appends at kernel.now, which never decreases, so each pool
         # is sorted by last_idle_at: the top is the most recently idle
         # executor, and if it has expired so has every executor below it
@@ -234,10 +237,7 @@ class SimEnvironment:
             if pool[-1].last_idle_at + platform.spec.keep_alive_us >= arrival:
                 return pool.pop(), False
             pool.clear()
-        key = self.ids.new_id()
-        executor = Executor(key, fn_name, arrival)
-        self.truth.executors.append(ExecutorBirth(platform.id, fn_name, key, arrival))
-        return executor, True
+        return Executor(self.ids.new_id(), fn_name, arrival), True
 
     def _release(self, platform: SimPlatform, executor: Executor, at_us: int) -> None:
         executor.last_idle_at = at_us

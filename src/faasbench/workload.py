@@ -10,6 +10,10 @@ never depend on response times.
 Scaling multiplies burst flow counts and every phase duration by the factor
 while leaving rates and periodic intervals untouched, so arrival density and
 executor churn are preserved at desk scale.
+
+``LoadProfile.phase_windows`` gives the phase windows in their one form, the
+named ``analysis.PhaseWindow``; the analyzer's cold-start report reads them
+and takes its quantiles, like every report, from ``analysis.summary_stats``.
 """
 
 from __future__ import annotations
@@ -21,13 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import MAX_SAMPLE_US, REQUIRED, read, read_document
+from .analysis import PhaseWindow
+from .distributions import MAX_PROFILE_US, MAX_SAMPLE_US, PROFILE_LIMIT, REQUIRED, read, read_document
 from .records import LOADGEN
 from .simulator import SimEnvironment
 
 US = 1_000_000  # microseconds per second
-MAX_PROFILE_US = 2**51  # every profile time stays below it, where the seconds to_dict writes read back exactly
-PROFILE_LIMIT = "2**51 us (about 71 years)"
 
 
 class ProfileError(ValueError):
@@ -59,12 +62,18 @@ class PeriodicSeries:
 
 @dataclass(frozen=True)
 class Phase:
+    """One phase of a profile. Its mix is kept sorted by workflow name, in
+    whatever order it is given, so a phase and its JSON form pick alike."""
+
     kind: str  # constantRate | periodic | pause | burst
     duration_us: int
     rate_per_s: float = 0.0
     mix: tuple[tuple[str, float], ...] = ()
     series: tuple[PeriodicSeries, ...] = ()
     total_flows: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mix", tuple(sorted(self.mix, key=lambda item: item[0])))
 
 
 @dataclass(frozen=True)
@@ -146,14 +155,14 @@ class LoadProfile:
             )
         return replace(self, phases=tuple(phases))
 
-    def phase_windows(self) -> tuple[tuple[str, int, int], ...]:
-        """Absolute (kind, start_us, end_us) windows, phase order preserved."""
+    def phase_windows(self) -> list[PhaseWindow]:
+        """The phases' absolute windows in phase order, the i-th named ``"i:kind"``."""
         out = []
         t = 0
-        for p in self.phases:
-            out.append((p.kind, t, t + p.duration_us))
+        for i, p in enumerate(self.phases):
+            out.append(PhaseWindow(f"{i}:{p.kind}", p.kind, t, t + p.duration_us))
             t += p.duration_us
-        return tuple(out)
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -244,7 +253,7 @@ def _phase_from_dict(d: dict) -> Phase:
     duration = _us(d, "durationSeconds")
     if kind in ("constantRate", "burst"):
         weights = read(d, "mix", dict, ProfileError)
-        mix = tuple(sorted((name, read(weights, name, float, ProfileError, where="mix weights: ")) for name in weights))
+        mix = tuple((name, read(weights, name, float, ProfileError, where="mix weights: ")) for name in weights)
         if kind == "constantRate":
             rate = read(d, "ratePerSecond", float, ProfileError)
             return Phase(kind=kind, duration_us=duration, rate_per_s=rate, mix=mix)

@@ -5,12 +5,13 @@ checks compare analyzer output against simulator-exported truth; stochastic
 counts use pinned seeds (the whole pipeline is deterministic per seed).
 """
 
+import math
 import time
 from collections import Counter
 
 import pytest
 
-from faasbench.analysis import nearest_rank, parse_logs, summary_stats
+from faasbench.analysis import parse_logs, summary_stats
 from faasbench.applications import ApplicationSpec, FunctionSpec, HTTP_SYNC, compute
 from faasbench.benchmarks import builtin_profile, load_builtin
 from faasbench.cli import EXIT_OK, main as cli_main
@@ -129,17 +130,17 @@ def test_criterion_5_cold_start_behavior(outroot):
     analysis = res.analysis
     profile = builtin_profile("streaming").scaled(0.1)
     windows = profile.phase_windows()
-    assert [k for k, _, _ in windows] == ["burst", "burst", "pause", "burst"]
+    assert [w.kind for w in windows] == ["burst", "burst", "pause", "burst"]
     normal = windows[1]
     pause = windows[2]
     burst = windows[3]
-    assert (pause[2] - pause[1]) == 120 * US  # 2-minute pause > 60s keep-alive
+    assert (pause.end_us - pause.start_us) == 120 * US  # 2-minute pause > 60s keep-alive
     assert analysis.coldstart.per_phase[1][1] == 50  # 50 normal-phase flows
     assert analysis.coldstart.per_phase[3][1] == 150  # 150 burst flows
 
     # (a) analyzer cold counts equal simulator ground truth exactly
     assert analysis.coldstart.total_cold == len(res.truth.executors)
-    burst_truth = sum(1 for e in res.truth.executors if burst[1] <= e.at_us < burst[2])
+    burst_truth = sum(1 for e in res.truth.executors if burst.start_us <= e.arrival_us < burst.end_us)
     burst_analyzer = analysis.coldstart.per_phase[3][2]
     assert burst_analyzer == burst_truth
     assert analysis.cold_flag_mismatches == 0
@@ -148,12 +149,12 @@ def test_criterion_5_cold_start_behavior(outroot):
     records, _ = parse_logs(res.log_path.read_text())
     steady = sorted(
         r.duration_us for r in records
-        if r.kind == INVOCATION and normal[1] <= r.start_us < normal[2]
+        if r.kind == INVOCATION and normal.start_us <= r.start_us < normal.end_us
     )
     bucket0 = analysis.coldstart.timeline[0]
     # the pause emptied the pool: cold starts dominate the first burst second
     assert bucket0.count > 0 and bucket0.cold * 2 > bucket0.count
-    delta = bucket0.p50_exec_us - nearest_rank(steady, 0.5)
+    delta = bucket0.p50_exec_us - steady[max(1, math.ceil(0.5 * len(steady))) - 1]  # the sorted list's nearest rank
     assert abs(delta - 400_000) <= 1, f"delta {delta}us"
     passline(5, f"cold count == {len(res.truth.executors)} executors; burst p50 delta "
                 f"= {delta/1000:.3f}ms == coldStartDelay +-1us")
@@ -253,9 +254,9 @@ def test_criterion_10_load_profile_counts():
     # streaming pause phase contains zero arrivals
     streaming = builtin_profile("streaming").scaled(0.1)
     windows = streaming.phase_windows()
-    pause = next(w for w in windows if w[0] == "pause")
+    pause = next(w for w in windows if w.kind == "pause")
     arrivals = schedule(streaming, np.random.default_rng(1))
-    in_pause = [a for a in arrivals if pause[1] < a.at_us < pause[2]]
+    in_pause = [a for a in arrivals if pause.start_us < a.at_us < pause.end_us]
     assert in_pause == []
     assert len(arrivals) == 5 + 50 + 150
     passline(10, f"webshop {len(web)}/180 arrivals (+-3%); smartcity exact; pause empty")

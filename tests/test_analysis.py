@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import math
 import random
 import struct
 import zlib
@@ -23,7 +24,6 @@ from faasbench.analysis import (
     coldstart_report,
     decompose,
     estimate_skew_corrected_network,
-    nearest_rank,
     parse_logs,
     PhaseWindow,
     summarize,
@@ -662,7 +662,8 @@ def test_coldstart_timeline_equals_a_scan_per_second():
         bucket = [r for r in records if lo + i * 1_000_000 <= r.start_us < lo + (i + 1) * 1_000_000]
         execs = sorted(r.duration_us for r in bucket)
         assert (b.index, b.count, b.cold) == (i, len(bucket), sum(1 for r in bucket if r.cold_start))
-        assert b.p50_exec_us == (nearest_rank(execs, 0.5) if execs else None)
+        # the nearest rank, 1-based ceil(n / 2), of the sorted list
+        assert b.p50_exec_us == (execs[max(1, math.ceil(0.5 * len(execs))) - 1] if execs else None)
 
 
 def test_coldstart_crosscheck_detects_bad_flags():
@@ -735,11 +736,6 @@ def test_summarize_median_recovery_lognormal():
     samples = list(np.exp(rng.normal(np.log(15_000), 0.3, size=1500)))
     s = summary_stats(Counter(samples))
     assert abs(s.p50 - 15_000) / 15_000 < 0.10
-
-
-def test_nearest_rank_rejects_empty():
-    with pytest.raises(ValueError):
-        nearest_rank([], 0.5)
 
 
 # -- charts ------------------------------------------------------------------

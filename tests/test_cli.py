@@ -338,7 +338,10 @@ def test_run_rejects_a_bad_scale_or_seed_at_the_boundary(tmp_path, capsys, flag)
 
 @pytest.mark.parametrize("field, value, reason", [
     ("keepAliveSeconds", float("nan"), "platform cloud-a: keepAliveSeconds must be finite, got nan"),
-    ("keepAliveSeconds", 1e305, "platform cloud-a: keepAliveSeconds must be below 2**53 us, got 1e+305"),
+    ("keepAliveSeconds", 1e305,
+     "platform cloud-a: keepAliveSeconds must be below 2**51 us (about 71 years), got 1e+305"),
+    ("keepAliveSeconds", 2**51 / 1e6,
+     "platform cloud-a: keepAliveSeconds must be below 2**51 us (about 71 years), got 2.2518e+09"),
     ("clockOffsetMs", float("nan"), "platform cloud-a: clockOffsetMs must be finite, got nan"),
     ("clockOffsetMs", float("-inf"), "platform cloud-a: clockOffsetMs must be finite, got -inf"),
     ("clockOffsetMs", 1e30, "platform cloud-a: clockOffsetMs must be within +-86400000 ms, got 1e+30"),
@@ -353,7 +356,7 @@ def test_run_rejects_a_bad_scale_or_seed_at_the_boundary(tmp_path, capsys, flag)
     ("coldStartDelay", 400, "platform cloud-a: coldStartDelay: cannot parse distribution: 400"),
     ("keepAliveSeconds", 0, "platform cloud-a: keepAliveSeconds must round to at least 1 us"),
     ("keepAliveSeconds", 1e-7, "platform cloud-a: keepAliveSeconds must round to at least 1 us"),
-], ids=["nan-keep-alive", "huge-keep-alive", "nan-clock-offset", "infinite-clock-offset", "huge-clock-offset",
+], ids=["nan-keep-alive", "huge-keep-alive", "keep-alive-2**51", "nan-clock-offset", "infinite-clock-offset", "huge-clock-offset",
         "overflowing-clock-offset", "negative-log-rate", "nan-log-rate", "fractional-log-rate", "infinite-cold-start",
         "nan-cold-start", "overflowing-cold-start", "numeric-cold-start", "zero-keep-alive",
         "sub-microsecond-keep-alive"])

@@ -1,17 +1,21 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from faasbench.applications import PUBLISHER_PREFIX, InvalidApplication, walk_steps
 from faasbench.benchmarks import load_builtin
 from faasbench.cli import EXIT_CONFIG, main
 from faasbench.deployment import (
+    MAX_CLOCK_OFFSET_MS,
     DeploymentConfig,
     DeploymentError,
     PlatformSpec,
     compile as compile_deployment,
     publisher_name,
 )
+from faasbench.distributions import MAX_PROFILE_US, DistributionError, Duration
 from faasbench.records import LOADGEN
 from faasbench.recipes import RECIPE_NAMES, exp3_three_way_factory, recipe
 from faasbench.runner import run_benchmark
@@ -179,3 +183,66 @@ def test_platform_spec_invariants():
 def test_config_json_round_trip():
     cfg = three_platform_factory_config()
     assert DeploymentConfig.from_json(cfg.to_json()) == cfg
+
+
+MAX_CLOCK_OFFSET_US = MAX_CLOCK_OFFSET_MS * 1000
+
+
+@pytest.mark.parametrize("kwargs, reason", [
+    (dict(keep_alive_us=MAX_PROFILE_US), "keepAliveSeconds must be below 2**51 us (about 71 years), got 2.2518e+09"),
+    (dict(keep_alive_us=2**53 - 1), "keepAliveSeconds must be below 2**51 us (about 71 years), got 9.0072e+09"),
+    (dict(clock_offset_us=-MAX_CLOCK_OFFSET_US - 1),
+     "clockOffsetMs must be within +-86400000 ms, got -8.64e+07"),
+], ids=["keep-alive-2**51", "keep-alive-2**53-1", "clock-offset"])
+def test_a_platform_built_in_code_keeps_what_from_dict_reads(kwargs, reason):
+    # to_dict could not write such a value so that from_dict reads it back
+    with pytest.raises(DeploymentError) as exc:
+        make_platform(**kwargs)
+    assert str(exc.value) == f"platform p1: {reason}"
+
+
+# (kind, args) of a Duration; some can reach 2**53 us, which Duration refuses
+DURATIONS = st.one_of(
+    st.tuples(st.just("constant"), st.tuples(st.floats(0, 1e13))),
+    st.tuples(st.just("uniform"), st.tuples(st.floats(0, 1e6), st.floats(0, 1e6)).map(sorted).map(tuple)),
+    st.tuples(st.just("lognormal"), st.tuples(st.floats(1e-300, 1e6), st.floats(0, 5))),
+    st.tuples(st.just("exponential"), st.tuples(st.floats(0, 1e12))),
+)
+
+
+@st.composite
+def configs(draw):
+    """A config drawn from every distribution kind and from keep-alives and
+    clock offsets past their bounds too, or None when a constructor refuses it."""
+    pids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True))
+    names = st.text(max_size=4)
+    try:
+        platforms = tuple(
+            PlatformSpec(
+                id=pid,
+                cold_start_delay=Duration(*draw(DURATIONS)),
+                keep_alive_us=draw(st.integers(1, MAX_PROFILE_US - 1) | st.integers(1, 2**53 - 1)),
+                network_latency={draw(names): Duration(*draw(DURATIONS)) for _ in range(draw(st.integers(0, 3)))},
+                trigger_delay=Duration(*draw(DURATIONS)),
+                log_lines_per_second=draw(st.none() | st.integers(1, 2**64)),
+                clock_offset_us=draw(st.integers(-MAX_CLOCK_OFFSET_US, MAX_CLOCK_OFFSET_US)
+                                     | st.integers(-2**53 + 1, 2**53 - 1)),
+            )
+            for pid in pids
+        )
+    except (DeploymentError, DistributionError):
+        return None
+    return DeploymentConfig(
+        platforms=platforms,
+        assignment=draw(st.dictionaries(names, st.sampled_from(pids), max_size=4)),
+        service_bindings=draw(st.dictionaries(names, st.sampled_from(pids), max_size=2)),
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@example(c=DeploymentConfig((make_platform(keep_alive_us=MAX_PROFILE_US - 1,
+                                           clock_offset_us=-MAX_CLOCK_OFFSET_US),), {"fn": "p1"}))
+@given(c=configs())
+def test_a_config_the_constructors_accept_reads_back_from_its_json(c):
+    if c is not None:
+        assert DeploymentConfig.from_dict(json.loads(json.dumps(c.to_dict()))) == c

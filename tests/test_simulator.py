@@ -225,6 +225,25 @@ def test_cold_flag_equals_first_appearance():
     assert cold_records == len(env.truth.executors)
 
 
+def test_each_executor_is_born_once_at_its_first_arrival():
+    # bursts 2 s apart, each of 5 concurrent arrivals and 5 more that reuse
+    # their executors: every burst outlives the 0.5 s keep-alive, so each one
+    # scales out again after expiry
+    app = simple_app()
+    platform = make_platform(cold_start_delay=constant(50), keep_alive_us=500_000)
+    env, plan = deployed_env(app, single_platform_config(app, platform), seed=8)
+    for i in range(100):
+        invoke(env, "p1", "fn", arrival_us=(i // 10) * 2_000_000 + (i % 10 // 5) * 100 * MS + i % 5 * MS)
+    env.run_until_idle()
+    invocations = env.truth.invocations
+    births = [(e.executor_key, e.arrival_us) for e in env.truth.executors]
+    first: dict[str, int] = {}
+    for inv in invocations:
+        first[inv.executor_key] = min(inv.arrival_us, first.get(inv.executor_key, inv.arrival_us))
+    assert sorted(births) == sorted(first.items())
+    assert len({key for key, _ in births}) == len(births) == 50
+
+
 def test_run_determinism_bytes():
     def one_run():
         app = simple_app()

@@ -13,7 +13,7 @@ from faasbench.benchmarks import builtin_profile, load_builtin
 from faasbench.distributions import constant
 from faasbench.records import INVOCATION, LOADGEN, OUTGOING_CALL
 from faasbench.analysis import parse_logs
-from faasbench.runner import _read_phases, default_config, phase_windows_of
+from faasbench.runner import _read_phases, default_config
 from faasbench.workload import (
     Arrival,
     LoadProfile,
@@ -281,7 +281,7 @@ TIMES = st.integers(0, MAX_PROFILE_US - 1)  # every time of a profile, in us
 @st.composite
 def profiles(draw):
     """A valid profile: every phase kind, any time below the bound, and each
-    mix in name order, as ``from_dict`` reads it back."""
+    mix in any order."""
     names = draw(st.lists(st.text("wxyz", min_size=1, max_size=2), min_size=1, max_size=3, unique=True))
     workflows = tuple(Workflow(n, tuple(WorkflowStep(draw(st.text(max_size=3)), draw(TIMES))
                                         for _ in range(draw(st.integers(1, 2))))) for n in names)
@@ -297,7 +297,7 @@ def profiles(draw):
         elif kind == "pause":
             phases.append(Phase(kind, duration))
         else:
-            mixed = sorted(draw(st.lists(st.sampled_from(names), min_size=1, unique=True)))
+            mixed = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
             counts = [draw(st.integers(1, 1000)) for _ in mixed]
             mix = tuple((n, c / sum(counts)) for n, c in zip(mixed, counts))
             if kind == "burst":
@@ -319,11 +319,22 @@ def test_a_profile_reads_back_from_its_json(p):
     assert LoadProfile.from_dict(json.loads(json.dumps(p.to_dict()))) == p
 
 
+def test_a_mix_out_of_name_order_schedules_as_its_json_form():
+    workflows = (Workflow("a", (WorkflowStep("fn"),)), Workflow("b", (WorkflowStep("fn"),)))
+    p = LoadProfile("p", workflows, (Phase("burst", US, mix=(("b", 0.3), ("a", 0.7)), total_flows=1000),))
+    assert p.phases[0].mix == (("a", 0.7), ("b", 0.3))
+    read_back = LoadProfile.from_dict(json.loads(json.dumps(p.to_dict())))
+    assert read_back == p
+    picks = [(a.at_us, a.workflow.name) for a in schedule(p, rng(7))]
+    assert picks == [(a.at_us, a.workflow.name) for a in schedule(read_back, rng(7))]
+    assert {name for _, name in picks} == {"a", "b"}
+
+
 @settings(max_examples=100, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(p=profiles(), scale=st.floats(1e-6, 1e6))
 def test_the_phases_of_a_written_manifest_are_those_that_ran(streaming_run, p, scale):
     try:
-        ran = phase_windows_of(p.scaled(scale))
+        ran = p.scaled(scale).phase_windows()
     except ProfileError:
         assume(False)
     manifest = json.loads((streaming_run / "manifest.json").read_text())

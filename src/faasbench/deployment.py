@@ -10,10 +10,11 @@ the prefix out of application function names). Every network leg the
 application can take is bound too, as the sending side's ``networkLatency``
 entry for the receiving side (both legs of a load-generator request use the
 entry point's platform's ``loadgen`` entry), so a config that lacks one fails
-before any run starts. The plan holds each platform's functions and the load
-generator's route to each entry point, all that a run reads. ``deploy_all``
-installs the functions on the simulated platforms and ``teardown`` removes
-them.
+before any run starts. A store step's leg is the calling platform's entry for
+the service: those entries are all a config says of where the store is. The
+plan holds each platform's functions and the load generator's route to each
+entry point, all that a run reads. ``deploy_all`` installs the functions on
+the simulated platforms and ``teardown`` removes them.
 """
 
 from __future__ import annotations
@@ -67,6 +68,14 @@ class PlatformSpec:
 
     def __post_init__(self) -> None:
         _check_platform_id(self.id)
+        # what from_dict reads back: whole microseconds, and string peers
+        for name in ("keep_alive_us", "clock_offset_us"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise DeploymentError(f"platform {self.id}: {name} must be an int, got {value!r}")
+        for peer in self.network_latency:
+            if type(peer) is not str:
+                raise DeploymentError(f"platform {self.id}: networkLatency key {peer!r} must be a string")
         if self.keep_alive_us <= 0:
             raise DeploymentError(f"platform {self.id}: keepAliveSeconds must round to at least 1 us")
         # past these bounds, the value to_dict writes would not read back as the same microsecond
@@ -126,7 +135,6 @@ class PlatformSpec:
 class DeploymentConfig:
     platforms: tuple[PlatformSpec, ...]
     assignment: dict[str, str]
-    service_bindings: dict[str, str] = field(default_factory=dict)  # external service -> platform id
 
     def __post_init__(self) -> None:
         # every later lookup is by id, so a second entry would silently replace the first
@@ -135,6 +143,12 @@ class DeploymentConfig:
             if p.id in seen:
                 raise DeploymentError(f"platform id {p.id!r} is listed twice")
             seen.add(p.id)
+        # what from_dict reads: string keys, each mapped to a listed platform's id
+        for name, pid in self.assignment.items():
+            if type(name) is not str:
+                raise DeploymentError(f"assignment key {name!r} must be a string")
+            if type(pid) is not str or pid not in seen:
+                raise DeploymentError(f"platform {pid!r} is not defined")
 
     @property
     def platform_ids(self) -> tuple[str, ...]:
@@ -144,23 +158,14 @@ class DeploymentConfig:
         return {
             "platforms": [p.to_dict() for p in self.platforms],
             "assignment": dict(self.assignment),
-            "serviceBindings": {svc: {"platform": pid} for svc, pid in self.service_bindings.items()},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "DeploymentConfig":
         assignment = read(d, "assignment", dict, DeploymentError, {})
-        bindings = read(d, "serviceBindings", dict, DeploymentError, {})
         return cls(
             platforms=tuple(PlatformSpec.from_dict(p) for p in read(d, "platforms", [dict], DeploymentError, [])),
             assignment={fn: read(assignment, fn, str, DeploymentError, where="assignment.") for fn in assignment},
-            # a binding's "latencyClass" is accepted and ignored: store latency
-            # comes from the calling platform's networkLatency entry
-            service_bindings={
-                svc: read(read(bindings, svc, dict, DeploymentError, where="serviceBindings."), "platform", str,
-                          DeploymentError)
-                for svc in bindings
-            },
         )
 
     def to_json(self, indent: int = 2) -> str:
@@ -214,29 +219,18 @@ def compile(app: ApplicationSpec, cfg: DeploymentConfig) -> DeploymentPlan:  # n
 
     Expects an application that has passed ``validate``. Pure: identical
     inputs produce structurally identical plans. A leg with no
-    ``networkLatency`` entry raises DeploymentError naming both ends, and so
-    does an assignment or binding key that names nothing in the application.
+    ``networkLatency`` entry raises DeploymentError naming both ends, a store
+    step's leg included (its calling platform's entry for the service), and
+    so does an assignment key that names no function of the application.
     """
     specs = {p.id: p for p in cfg.platforms}
     names = {fn.name for fn in app.functions}
     for name in cfg.assignment:
         if name not in names:
             raise DeploymentError(f"assignment key {name!r} is not a function of the application")
-    for svc in cfg.service_bindings:
-        if svc not in app.external_services:
-            raise DeploymentError(f"serviceBindings key {svc!r} is not an external service of the application")
     for fn in app.functions:
-        pid = cfg.assignment.get(fn.name)
-        if pid is None:
+        if fn.name not in cfg.assignment:
             raise DeploymentError(f"function {fn.name!r} has no platform assignment")
-        if pid not in specs:
-            raise DeploymentError(f"platform {pid!r} is not defined")
-    for svc in app.external_services:
-        pid = cfg.service_bindings.get(svc)
-        if pid is None:
-            raise DeploymentError(f"external service {svc!r} has no binding")
-        if pid not in specs:
-            raise DeploymentError(f"platform {pid!r} is not defined")
 
     def resolve(fn: FunctionSpec) -> ResolvedFunction:
         here = specs[cfg.assignment[fn.name]]

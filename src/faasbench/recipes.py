@@ -56,11 +56,7 @@ def exp1_single_cloud(
             KEYSTORE: parse_duration(db),
         },
     )
-    cfg = DeploymentConfig(
-        platforms=(platform,),
-        assignment=_assign_all("webshop", "cloud-a"),
-        service_bindings={KEYSTORE: "cloud-a"},
-    )
+    cfg = DeploymentConfig(platforms=(platform,), assignment=_assign_all("webshop", "cloud-a"))
     return Recipe("exp1-single-cloud", "webshop", cfg, builtin_profile("webshop"))
 
 
@@ -97,22 +93,14 @@ def exp2_edge_cloud(cloud_clock_offset_ms: float = 0.0) -> Recipe:
     assignment = {
         fn.name: ("edge-1" if fn.name in EDGE_FUNCTIONS else "cloud-a") for fn in app.functions
     }
-    cfg = DeploymentConfig(
-        platforms=(edge, cloud),
-        assignment=assignment,
-        service_bindings={KEYSTORE: "cloud-a"},
-    )
+    cfg = DeploymentConfig(platforms=(edge, cloud), assignment=assignment)
     return Recipe("exp2-edge-cloud", "smartcity", cfg, builtin_profile("smartcity"))
 
 
 def exp2_edge_only() -> Recipe:
     """Smart city entirely at the edge; only the store stays in the cloud."""
     edge, cloud = _exp2_platforms(0.0)
-    cfg = DeploymentConfig(
-        platforms=(edge, cloud),
-        assignment=_assign_all("smartcity", "edge-1"),
-        service_bindings={KEYSTORE: "cloud-a"},
-    )
+    cfg = DeploymentConfig(platforms=(edge, cloud), assignment=_assign_all("smartcity", "edge-1"))
     return Recipe("exp2-edge-only", "smartcity", cfg, builtin_profile("smartcity"))
 
 
@@ -156,11 +144,7 @@ def exp3_three_way_factory(trigger: str | None = None) -> Recipe:
             )
         )
     assignment = {fn: pid for pid, fns in _EXP3_PARTS.items() for fn in fns}
-    cfg = DeploymentConfig(
-        platforms=tuple(platforms),
-        assignment=assignment,
-        service_bindings={KEYSTORE: "couch"},
-    )
+    cfg = DeploymentConfig(platforms=tuple(platforms), assignment=assignment)
     return Recipe("exp3-three-way-factory", "smartfactory", cfg, builtin_profile("smartfactory"))
 
 
@@ -176,11 +160,7 @@ def exp4_coldstart() -> Recipe:
             KEYSTORE: constant(3),
         },
     )
-    cfg = DeploymentConfig(
-        platforms=(platform,),
-        assignment=_assign_all("streaming", "cloud-a"),
-        service_bindings={KEYSTORE: "cloud-a"},
-    )
+    cfg = DeploymentConfig(platforms=(platform,), assignment=_assign_all("streaming", "cloud-a"))
     return Recipe("exp4-coldstart", "streaming", cfg, builtin_profile("streaming"))
 
 

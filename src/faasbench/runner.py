@@ -103,7 +103,6 @@ def default_config(app: ApplicationSpec) -> DeploymentConfig:
     return DeploymentConfig(
         platforms=(PlatformSpec(platform_id, network_latency=network),),
         assignment={fn.name: platform_id for fn in app.functions},
-        service_bindings=dict.fromkeys(app.external_services, platform_id),
     )
 
 
@@ -227,6 +226,8 @@ def _read_phases(manifest_path: Path) -> list[PhaseWindow] | None:
         manifest = read_document(manifest_path.read_text(encoding="utf-8"), AnalysisError)
         fields = {key: read(manifest, key, kind, AnalysisError, None if key in OPTIONAL_MANIFEST_FIELDS else REQUIRED)
                   for key, kind in MANIFEST_FIELDS.items()}
+        if fields["scale"] <= 0:  # else LoadProfile.scaled refuses it, and the line would blame the profile
+            raise AnalysisError(f"scale must be > 0, got {fields['scale']:g}")
         if fields["profile"] is None:
             return None
         return LoadProfile.from_dict(fields["profile"]).scaled(fields["scale"]).phase_windows()

@@ -36,7 +36,6 @@ def single_platform_config(app: ApplicationSpec, platform: PlatformSpec) -> Depl
     return DeploymentConfig(
         platforms=(platform,),
         assignment={fn.name: platform.id for fn in app.functions},
-        service_bindings=dict.fromkeys(app.external_services, platform.id),
     )
 
 

@@ -427,11 +427,10 @@ def _first_call_step(app: dict) -> tuple:
 
 @pytest.mark.parametrize("command, field, where", [
     ("config", "id", ""),
-    ("config", "platform", ""),
     ("profile", "kind", ""),
     ("validate", "name", ""),
     ("validate", "target", "function frontend: body step 1 (call): "),
-], ids=["platform-id", "binding-platform", "phase-kind", "function-name", "call-target"])
+], ids=["platform-id", "phase-kind", "function-name", "call-target"])
 def test_a_missing_required_field_is_named_in_one_line(tmp_path, capsys, command, field, where):
     doc_path = tmp_path / "doc.json"
     out = tmp_path / "out"
@@ -443,7 +442,7 @@ def test_a_missing_required_field_is_named_in_one_line(tmp_path, capsys, command
     else:
         if command == "config":
             doc = recipe("exp1-single-cloud").config.to_dict()
-            path = ("platforms", 0, "id") if field == "id" else ("serviceBindings", "keystore", "platform")
+            path = ("platforms", 0, "id")
         else:
             doc = builtin_profile("webshop").to_dict()
             path = ("phases", 0, "kind")
@@ -716,6 +715,8 @@ MANIFEST_CHANGES = {
     "profile-null": (("profile",), None),
     "profile-empty": (("profile",), {}),
     "seed-a-string": (("seed",), "seven"),
+    "scale-zero": (("scale",), 0),
+    "scale-negative": (("scale",), -0.5),
     "manifest-an-array": ((), [1]),
 }
 
@@ -732,6 +733,8 @@ BAD_ANALYZE_INPUTS = [
     ("profile-null", EXIT_ANALYSIS, "manifest.json", "profile must be an object, got null"),
     ("profile-empty", EXIT_ANALYSIS, "manifest.json", "profile: profile has no phases"),
     ("seed-a-string", EXIT_ANALYSIS, "manifest.json", 'seed must be an integer, got "seven"'),
+    ("scale-zero", EXIT_ANALYSIS, "manifest.json", "not a run manifest: scale must be > 0, got 0\n"),
+    ("scale-negative", EXIT_ANALYSIS, "manifest.json", "not a run manifest: scale must be > 0, got -0.5\n"),
     ("manifest-an-array", EXIT_ANALYSIS, "manifest.json", "expected an object, got [1]"),
     ("manifest-with-a-key-twice", EXIT_ANALYSIS, "manifest.json", "key 'runId' appears twice in one object"),
 ]

@@ -5,8 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faasbench.applications import PUBLISHER_PREFIX, InvalidApplication, walk_steps
-from faasbench.benchmarks import load_builtin
-from faasbench.cli import EXIT_CONFIG, main
+from faasbench.benchmarks import BENCHMARK_NAMES, load_builtin
+from faasbench.cli import EXIT_CONFIG, EXIT_OK, main
 from faasbench.deployment import (
     MAX_CLOCK_OFFSET_MS,
     DeploymentConfig,
@@ -18,7 +18,7 @@ from faasbench.deployment import (
 from faasbench.distributions import MAX_PROFILE_US, DistributionError, Duration
 from faasbench.records import LOADGEN
 from faasbench.recipes import RECIPE_NAMES, exp3_three_way_factory, recipe
-from faasbench.runner import run_benchmark
+from faasbench.runner import default_config, run_benchmark
 
 from conftest import make_platform, single_platform_config
 
@@ -97,7 +97,6 @@ def test_publisher_injection_is_minimal():
     cfg = DeploymentConfig(
         platforms=(edge, cloud),
         assignment={fn.name: ("edge-1" if fn.name == "setLightPhase" else "cloud-a") for fn in app.functions},
-        service_bindings={"keystore": "cloud-a"},
     )
     plan = compile_deployment(app, cfg)
     assert publisher_platforms(plan) == ["edge-1"]
@@ -115,35 +114,55 @@ def test_missing_assignment():
     broken = DeploymentConfig(
         platforms=cfg.platforms,
         assignment={k: v for k, v in cfg.assignment.items() if k != "billing"},
-        service_bindings=cfg.service_bindings,
     )
     with pytest.raises(DeploymentError, match="^function 'billing' has no platform assignment$"):
         compile_deployment(app, broken)
 
 
 def test_unknown_platform_and_missing_binding():
+    # the constructor refuses the unknown platform; a store has no binding to
+    # miss, its place is each platform's networkLatency entry for it
     app = load_builtin("webshop")
     platform = make_platform("cloud-a", peers={"keystore": 3})
-    cfg = DeploymentConfig(
-        platforms=(platform,),
-        assignment={fn.name: "cloud-x" for fn in app.functions},
-        service_bindings={"keystore": "cloud-a"},
-    )
     with pytest.raises(DeploymentError, match="^platform 'cloud-x' is not defined$"):
-        compile_deployment(app, cfg)
-    cfg2 = DeploymentConfig(
-        platforms=(platform,),
-        assignment={fn.name: "cloud-a" for fn in app.functions},
-    )
-    with pytest.raises(DeploymentError, match="^external service 'keystore' has no binding$"):
-        compile_deployment(app, cfg2)
+        DeploymentConfig(platforms=(platform,), assignment={fn.name: "cloud-x" for fn in app.functions})
+
+
+# the configs whose JSON an older faasbench wrote with a serviceBindings entry
+OLD_CONFIGS = {**{f"default-{b}": default_config(load_builtin(b)) for b in BENCHMARK_NAMES},
+               **{name: recipe(name).config for name in RECIPE_NAMES}}
+
+
+@pytest.mark.parametrize("name", OLD_CONFIGS)
+def test_a_config_with_old_service_bindings_loads_as_the_same_config(name):
+    # such a binding moved no byte of any run; it is ignored like any unknown field
+    cfg = OLD_CONFIGS[name]
+    assert "serviceBindings" not in cfg.to_dict()
+    for pid in cfg.platform_ids:
+        for binding in ({"platform": pid}, {"platform": pid, "latencyClass": "same-region"}):
+            doc = {**cfg.to_dict(), "serviceBindings": {"keystore": binding}}
+            assert DeploymentConfig.from_json(json.dumps(doc)) == cfg
+
+
+def test_a_config_with_or_without_service_bindings_runs_the_same(tmp_path):
+    # an older faasbench refused the config without bindings: external service 'keystore' has no binding
+    r = recipe("exp4-coldstart")
+    binding = {"platform": "cloud-a", "latencyClass": "same-region"}
+    old = {**r.config.to_dict(), "serviceBindings": {"keystore": binding}}
+    logs = []
+    for i, doc in enumerate((r.config.to_dict(), old)):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / f"out{i}"
+        assert main(["run", r.benchmark, "--config", str(cfg), "--scale", "0.01", "--seed", "11",
+                     "--out", str(out)]) == EXIT_OK
+        logs.append(next(out.glob("*/raw.log")).read_bytes())
+    assert logs[0] == logs[1]
 
 
 @pytest.mark.parametrize("section, key, entry, reason", [
-    ("assignment", "registerUsr", "nowhere", "assignment key 'registerUsr' is not a function of the application"),
-    ("serviceBindings", "kvstore", {"platform": "nowhere"},
-     "serviceBindings key 'kvstore' is not an external service of the application"),
-], ids=["assignment", "binding"])
+    ("assignment", "registerUsr", "cloud-a", "assignment key 'registerUsr' is not a function of the application"),
+], ids=["assignment"])
 def test_run_rejects_a_config_key_that_names_nothing_in_the_application(tmp_path, capsys, section, key, entry,
                                                                         reason):
     # a stray key would otherwise be ignored, and a typo in one pass unnoticed
@@ -210,33 +229,46 @@ DURATIONS = st.one_of(
 )
 
 
+def rarely(odd, usual):
+    """``usual``, or one time in eight ``odd``."""
+    return st.integers(0, 7).flatmap(lambda i: odd if i == 7 else usual)
+
+
 @st.composite
 def configs(draw):
-    """A config drawn from every distribution kind and from keep-alives and
-    clock offsets past their bounds too, or None when a constructor refuses it."""
+    """A config drawn from every distribution kind, from keep-alives and clock
+    offsets past their bounds or not whole microseconds, and from keys and
+    platforms JSON cannot hold, or None when a constructor refuses it."""
     pids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True))
     names = st.text(max_size=4)
+    int_keys = st.integers(-2, 2)  # JSON would read an int key back as a string
+    peers = rarely(int_keys, names)
+    # in range, so that only its type keeps it out
+    not_micros = st.floats(-1e9, 1e9).filter(lambda x: not x.is_integer()) | st.booleans()
+    keep_alives = rarely(not_micros, st.integers(1, MAX_PROFILE_US - 1) | st.integers(1, 2**53 - 1))
+    offsets = rarely(not_micros, st.integers(-MAX_CLOCK_OFFSET_US, MAX_CLOCK_OFFSET_US)
+                     | st.integers(-2**53 + 1, 2**53 - 1))
     try:
         platforms = tuple(
             PlatformSpec(
                 id=pid,
                 cold_start_delay=Duration(*draw(DURATIONS)),
-                keep_alive_us=draw(st.integers(1, MAX_PROFILE_US - 1) | st.integers(1, 2**53 - 1)),
-                network_latency={draw(names): Duration(*draw(DURATIONS)) for _ in range(draw(st.integers(0, 3)))},
+                keep_alive_us=draw(keep_alives),
+                network_latency={draw(peers): Duration(*draw(DURATIONS)) for _ in range(draw(st.integers(0, 3)))},
                 trigger_delay=Duration(*draw(DURATIONS)),
                 log_lines_per_second=draw(st.none() | st.integers(1, 2**64)),
-                clock_offset_us=draw(st.integers(-MAX_CLOCK_OFFSET_US, MAX_CLOCK_OFFSET_US)
-                                     | st.integers(-2**53 + 1, 2**53 - 1)),
+                clock_offset_us=draw(offsets),
             )
             for pid in pids
         )
+        assignment = draw(st.dictionaries(names, st.sampled_from(pids), max_size=4))
+        # now and then one entry JSON cannot hold: an int key, or no listed platform's id
+        odd = (st.tuples(int_keys, st.sampled_from(pids))
+               | st.tuples(names, names | st.integers(0, 2) | st.lists(st.sampled_from(pids))))
+        assignment.update(draw(st.lists(odd, max_size=1)))
+        return DeploymentConfig(platforms=platforms, assignment=assignment)
     except (DeploymentError, DistributionError):
         return None
-    return DeploymentConfig(
-        platforms=platforms,
-        assignment=draw(st.dictionaries(names, st.sampled_from(pids), max_size=4)),
-        service_bindings=draw(st.dictionaries(names, st.sampled_from(pids), max_size=2)),
-    )
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -246,3 +278,20 @@ def configs(draw):
 def test_a_config_the_constructors_accept_reads_back_from_its_json(c):
     if c is not None:
         assert DeploymentConfig.from_dict(json.loads(json.dumps(c.to_dict()))) == c
+
+
+@pytest.mark.parametrize("build, reason", [
+    (lambda: DeploymentConfig((make_platform(),), {"fn": 5}), "platform 5 is not defined"),
+    (lambda: DeploymentConfig((make_platform(),), {"fn": ["p1"]}), "platform ['p1'] is not defined"),
+    (lambda: DeploymentConfig((make_platform(),), {7: "p1"}), "assignment key 7 must be a string"),
+    (lambda: make_platform(keep_alive_us=1.5), "platform p1: keep_alive_us must be an int, got 1.5"),
+    (lambda: make_platform(keep_alive_us=True), "platform p1: keep_alive_us must be an int, got True"),
+    (lambda: make_platform(clock_offset_us=2.0), "platform p1: clock_offset_us must be an int, got 2.0"),
+    (lambda: make_platform(peers={7: 1}), "platform p1: networkLatency key 7 must be a string"),
+], ids=["assignment-int", "assignment-list", "assignment-int-key", "keep-alive-float", "keep-alive-bool",
+        "clock-offset-float", "peer-int-key"])
+def test_a_config_its_json_cannot_hold_is_refused(build, reason):
+    # to_dict would write such a value so that from_dict refuses it or reads back another
+    with pytest.raises(DeploymentError) as exc:
+        build()
+    assert str(exc.value) == reason

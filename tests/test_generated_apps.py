@@ -100,7 +100,6 @@ def generated_apps(draw):
     config = DeploymentConfig(
         platforms=platforms,
         assignment={fn.name: draw(st.sampled_from(pids)) for fn in functions},
-        service_bindings={SERVICE: draw(st.sampled_from(pids))},
     )
     return app, config
 

@@ -3,6 +3,7 @@ import pytest
 from faasbench.applications import PUBLISHER_PREFIX
 from faasbench.benchmarks import load_builtin
 from faasbench.deployment import compile as compile_deployment
+from faasbench.distributions import constant
 from faasbench.recipes import (
     EDGE_FUNCTIONS,
     RECIPE_NAMES,
@@ -14,6 +15,14 @@ from faasbench.recipes import (
     recipe,
 )
 from faasbench.runner import default_config
+
+# the store is in the cloud: one leg away from cloud-a, across the WAN from the edge
+CLOUD_STORE = {"edge-1": constant(40), "cloud-a": constant(3)}
+
+
+def keystore_legs(r) -> dict:
+    """Each platform's leg to the store, which is all a config says of where it is."""
+    return {p.id: p.leg("keystore") for p in r.config.platforms}
 
 
 @pytest.mark.parametrize("name", RECIPE_NAMES)
@@ -37,7 +46,7 @@ def test_exp1_is_the_default_config_of_webshop():
 def test_exp1_places_everything_on_one_platform():
     r = recipe("exp1-single-cloud")
     assert set(r.config.assignment.values()) == {"cloud-a"}
-    assert r.config.service_bindings["keystore"] == "cloud-a"
+    assert keystore_legs(r) == {"cloud-a": constant(3)}
 
 
 def test_exp2_split_puts_light_functions_at_the_edge():
@@ -45,13 +54,13 @@ def test_exp2_split_puts_light_functions_at_the_edge():
     for fn, pid in r.config.assignment.items():
         expected = "edge-1" if fn in EDGE_FUNCTIONS else "cloud-a"
         assert pid == expected, fn
-    assert r.config.service_bindings["keystore"] == "cloud-a"
+    assert keystore_legs(r) == CLOUD_STORE
 
 
 def test_exp2_edge_only_keeps_cloud_database():
     r = exp2_edge_only()
     assert set(r.config.assignment.values()) == {"edge-1"}
-    assert r.config.service_bindings["keystore"] == "cloud-a"
+    assert keystore_legs(r) == CLOUD_STORE
 
 
 def test_exp3_parts_mapping():

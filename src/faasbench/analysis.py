@@ -729,21 +729,19 @@ def analyze_log_text(text_or_lines, phases: list[PhaseWindow] | None = None) -> 
     return analyze_records(records, report, phases)
 
 
-def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = False) -> dict[str, str]:
-    """Write summary.json plus the CSV tables; returns {name: path}."""
+def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = False) -> None:
+    """Write summary.json and the CSV tables into ``out_dir``, and with
+    ``charts`` one box chart per metric into its ``charts`` directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: dict[str, str] = {}
 
     summaries = analysis.summaries()
 
     def emit_csv(name: str, header: list[str], rows) -> None:
-        path = out / name
-        with path.open("w", encoding="utf-8", newline="") as fh:
+        with (out / name).open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
-        written[name] = str(path)
 
     stat_header = ["metric", "group", "count", "min_us", "p25_us", "p50_us", "p75_us", "max_us",
                    "whisker_low_us", "whisker_high_us"]
@@ -804,25 +802,13 @@ def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = Fal
             for metric, groups in summaries.items()
         },
     }
-    summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    written["summary.json"] = str(summary_path)
+    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
 
-    if charts:
-        _write_charts(summaries, out / "charts", written)
-    return written
+    if charts:  # one box chart per metric with data, from the statistics in summary.csv
+        from .charts import box_chart_png  # only runs that ask for charts pay for this import
 
-
-def _write_charts(summaries: dict[str, dict[str, SummaryStats]], chart_dir: Path,
-                  written: dict[str, str]) -> None:
-    """One box chart per metric with data, from the statistics in summary.csv."""
-    from .charts import box_chart_png  # only runs that ask for charts pay for this import
-
-    chart_dir.mkdir(parents=True, exist_ok=True)
-    for metric, groups in summaries.items():
-        boxes = {group: s for group, s in groups.items() if s.count}
-        if not boxes:
-            continue
-        path = chart_dir / f"{metric}.png"
-        path.write_bytes(box_chart_png(f"{metric} (us)", boxes))
-        written[f"charts/{metric}.png"] = str(path)
+        (out / "charts").mkdir(exist_ok=True)
+        for metric, groups in summaries.items():
+            boxes = {group: s for group, s in groups.items() if s.count}
+            if boxes:
+                (out / "charts" / f"{metric}.png").write_bytes(box_chart_png(f"{metric} (us)", boxes))

@@ -242,6 +242,9 @@ def validate(app: ApplicationSpec) -> ValidationReport:
             if step.kind not in STEP_KINDS:
                 violations.append(Violation("UnknownStepKind", fn.name, f"step kind {step.kind!r}"))
                 continue
+            if step.kind == "compute" and not isinstance(step.compute_time, Duration):
+                violations.append(Violation("BadDuration", fn.name,
+                                            f"compute duration must be a Duration, got {step.compute_time!r}"))
             if step.kind in ("call", "publish"):
                 target = by_name.get(step.target or "")
                 if target is None:

@@ -68,14 +68,20 @@ class PlatformSpec:
 
     def __post_init__(self) -> None:
         _check_platform_id(self.id)
-        # what from_dict reads back: whole microseconds, and string peers
+        # what from_dict reads back: whole microseconds, distributions, and string peers
         for name in ("keep_alive_us", "clock_offset_us"):
             value = getattr(self, name)
             if type(value) is not int:
                 raise DeploymentError(f"platform {self.id}: {name} must be an int, got {value!r}")
-        for peer in self.network_latency:
+        for name in ("cold_start_delay", "trigger_delay"):
+            value = getattr(self, name)
+            if not isinstance(value, Duration):
+                raise DeploymentError(f"platform {self.id}: {name} must be a Duration, got {value!r}")
+        for peer, leg in self.network_latency.items():
             if type(peer) is not str:
                 raise DeploymentError(f"platform {self.id}: networkLatency key {peer!r} must be a string")
+            if not isinstance(leg, Duration):
+                raise DeploymentError(f"platform {self.id}: networkLatency.{peer} must be a Duration, got {leg!r}")
         if self.keep_alive_us <= 0:
             raise DeploymentError(f"platform {self.id}: keepAliveSeconds must round to at least 1 us")
         # past these bounds, the value to_dict writes would not read back as the same microsecond

@@ -198,7 +198,8 @@ class RecordSink:
 
     Timestamps are written on the platform's logged clock (true virtual time
     plus the platform's clock offset); rate limiting and emission order use
-    true virtual time. ``lines`` holds the kept lines in emission order.
+    true virtual time. ``lines`` holds the kept lines in emission order and
+    ``drops`` counts the records the rate limit dropped.
     """
 
     def __init__(self, run_id: str, platform_id: str, lines_per_second: int | None = None,
@@ -214,10 +215,10 @@ class RecordSink:
 
     def emit(self, at_us: int, kind: str, function: str, context_id: str, pair_id: str, start_us: int,
              end_us: int, callee: str | None = None, mode: str | None = None, executor_key: str | None = None,
-             cold_start: bool | None = None, db_op: str | None = None) -> bool:
+             cold_start: bool | None = None, db_op: str | None = None) -> None:
         """Append one record of this platform at virtual time ``at_us``, given
-        by its fields; raises MalformedRecord where ``TraceRecord.check``
-        would, and returns False when the rate limiter drops it."""
+        by its fields, or count it in ``drops`` when the rate limiter drops
+        it; raises MalformedRecord where ``TraceRecord.check`` would."""
         _check_fields(kind, start_us, end_us, callee, mode, executor_key, cold_start, db_op)
         if self.lines_per_second is not None:
             window = at_us // 1_000_000
@@ -226,16 +227,9 @@ class RecordSink:
                 self._window_count = 0
             if self._window_count >= self.lines_per_second:
                 self.drops += 1
-                return False
+                return
             self._window_count += 1
         offset = self.clock_offset_us
         self.lines.append(_format_line(self.run_id, self.platform_id, kind, function, context_id, pair_id,
                                        start_us + offset, end_us + offset, callee, mode, executor_key, cold_start,
                                        db_op))
-        return True
-
-    def collect(self, run_id: str) -> list[str]:
-        """The lines of run ``run_id`` (none for another run) followed by
-        this sink's ``#dropped`` line."""
-        lines = self.lines if run_id == self.run_id else []
-        return lines + [format_drop_line(self.platform_id, self.drops)]

@@ -2,8 +2,9 @@
 teardown, write ``raw.log``, analyze. One run per call, on the simulated
 platforms, which hold nothing to release when a step raises.
 
-A run writes its ``manifest.json`` before any platform action. It embeds the
-run's inputs, not their paths: the ``application``, ``config`` and unscaled
+A run builds its manifest's documents before it makes the run directory, and
+writes ``manifest.json`` before any platform action. It embeds the run's
+inputs, not their paths: the ``application``, ``config`` and unscaled
 ``profile`` as their ``to_dict()`` documents, beside ``seed`` and ``scale``.
 ``analyze_file`` reads it back with ``distributions.read``, every field as the
 one JSON type ``MANIFEST_FIELDS`` gives it, and derives the phase windows from
@@ -140,6 +141,7 @@ def run_benchmark(
     env = SimEnvironment(config, seed)
     plan = compile_deployment(app, config)
     run_id = env.run_id
+    documents = {"application": app.to_dict(), "config": config.to_dict(), "profile": profile.to_dict()}
 
     run_dir = _fresh_run_dir(Path(out_dir), run_id)
     manifest = {
@@ -150,9 +152,7 @@ def run_benchmark(
         "outDir": str(run_dir),
         "createdAt": _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
         "version": __version__,
-        "application": app.to_dict(),
-        "config": config.to_dict(),
-        "profile": profile.to_dict(),
+        **documents,
     }
     (run_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")  # before deploy_all
 

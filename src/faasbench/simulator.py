@@ -7,9 +7,10 @@ platform's state and holds no reference back to the environment, so a run
 builds no reference cycle: reference counting frees the environment, its
 sinks and their lines once the last reference to it goes.
 
-Invocations run as generator tasks that yield either a delay or
-another task to wait on; the kernel's heap is a stable priority queue, so a
-fixed seed fully determines the emitted log byte stream.
+Invocations run as generator tasks that yield either a delay or another task
+to wait on, and are resumed with None; the kernel's heap is a stable priority
+queue of ``(fire_at, insertion order, task)``, so a fixed seed fully
+determines the emitted log byte stream.
 
 Platform semantics:
 
@@ -36,6 +37,8 @@ The ground truth keeps each fact once. An executor is the cold invocation it
 was created for: ``_acquire`` reports ``cold`` exactly when it creates one, the
 same flag goes to the log line and to the truth, and ``GroundTruth.executors``
 lists the cold invocations, each one's ``arrival_us`` the executor's birth.
+A truth invocation holds its context, pair, timings, cold flag and executor
+key; its function and platform are those of its log line.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .records import (
     HEADER_LINE,
     IdSource,
     RecordSink,
+    format_drop_line,
 )
 
 
@@ -69,12 +73,11 @@ class SimulationError(Exception):
 class Task:
     """A resumable generator process managed by the kernel."""
 
-    __slots__ = ("gen", "done", "result", "waiters")
+    __slots__ = ("gen", "done", "waiters")
 
     def __init__(self, gen):
         self.gen = gen
         self.done = False
-        self.result = None
         self.waiters: list[Task] = []
 
 
@@ -83,7 +86,7 @@ class Kernel:
 
     def __init__(self) -> None:
         self.now = 0
-        self._heap: list[tuple[int, int, Task, object]] = []
+        self._heap: list[tuple[int, int, Task]] = []
         self._seq = itertools.count()
 
     def spawn(self, gen, delay_us: int = 0, at_us: int | None = None) -> Task:
@@ -91,51 +94,49 @@ class Kernel:
         fire = self.now + delay_us if at_us is None else at_us
         if fire < self.now:
             raise SimulationError(f"cannot schedule in the past ({fire} < {self.now})")
-        heapq.heappush(self._heap, (fire, next(self._seq), task, None))
+        heapq.heappush(self._heap, (fire, next(self._seq), task))
         return task
 
     def run_until_idle(self) -> None:
         """Step tasks in (fire_at, insertion order) until none is scheduled.
 
         A task yields an int delay to resume after it, or a Task to resume
-        with its result once it has finished."""
+        once that task has finished; every resume sends None."""
         heap = self._heap
         seq = self._seq
         push = heapq.heappush
         pop = heapq.heappop
         while heap:
-            now, _, task, value = pop(heap)
+            now, _, task = pop(heap)
             self.now = now
             try:
-                cmd = task.gen.send(value)
-            except StopIteration as stop:
+                cmd = next(task.gen)
+            except StopIteration:
                 task.done = True
-                result = task.result = stop.value
                 for waiter in task.waiters:
-                    push(heap, (now, next(seq), waiter, result))
+                    push(heap, (now, next(seq), waiter))
                 task.waiters.clear()
                 continue
             if type(cmd) is not int:
                 if isinstance(cmd, Task):
                     if cmd.done:
-                        push(heap, (now, next(seq), task, cmd.result))
+                        push(heap, (now, next(seq), task))
                     else:
                         cmd.waiters.append(task)
                     continue
                 cmd = int(cmd)
             if cmd < 0:
                 raise SimulationError(f"negative delay {cmd}")
-            push(heap, (now + cmd, next(seq), task, None))
+            push(heap, (now + cmd, next(seq), task))
 
 
 class Executor:
     """One runtime instance; serves its function's invocations sequentially."""
 
-    __slots__ = ("key", "function", "last_idle_at")
+    __slots__ = ("key", "last_idle_at")
 
-    def __init__(self, key: str, function: str, created_at: int):
+    def __init__(self, key: str, created_at: int):
         self.key = key
-        self.function = function
         self.last_idle_at = created_at
 
 
@@ -149,8 +150,6 @@ class TruthEdge(NamedTuple):
 class TruthInvocation(NamedTuple):
     context_id: str
     pair: str
-    function: str
-    platform_id: str
     arrival_us: int
     body_start_us: int
     end_us: int
@@ -175,11 +174,10 @@ class SimPlatform:
     """A simulated platform's state: its spec, the functions deployed on it,
     its idle executors per function and its log sink."""
 
-    __slots__ = ("spec", "id", "sink", "functions", "idle")
+    __slots__ = ("spec", "sink", "functions", "idle")
 
     def __init__(self, run_id: str, spec):
         self.spec = spec
-        self.id = spec.id
         self.sink = RecordSink(run_id, spec.id, spec.log_lines_per_second, spec.clock_offset_us)
         self.functions: dict[str, ResolvedFunction] = {}
         self.idle: dict[str, list[Executor]] = {}
@@ -229,19 +227,16 @@ class SimEnvironment:
 
     def _acquire(self, platform: SimPlatform, fn_name: str, arrival: int) -> tuple[Executor, bool]:
         """An executor for the arrival, and True when it is created for it: a cold start."""
-        # _release appends at kernel.now, which never decreases, so each pool
-        # is sorted by last_idle_at: the top is the most recently idle
-        # executor, and if it has expired so has every executor below it
+        # _invocation_gen returns an executor to its pool at kernel.now, which
+        # never decreases, so each pool is sorted by last_idle_at: the top is
+        # the most recently idle executor, and if it has expired so has every
+        # executor below it
         pool = platform.idle.get(fn_name)
         if pool:
             if pool[-1].last_idle_at + platform.spec.keep_alive_us >= arrival:
                 return pool.pop(), False
             pool.clear()
-        return Executor(self.ids.new_id(), fn_name, arrival), True
-
-    def _release(self, platform: SimPlatform, executor: Executor, at_us: int) -> None:
-        executor.last_idle_at = at_us
-        platform.idle.setdefault(executor.function, []).append(executor)
+        return Executor(self.ids.new_id(), arrival), True
 
     def _invocation_gen(self, platform, rfn, context_id, inbound_pair, arrival, executor, cold):
         if cold:
@@ -251,13 +246,12 @@ class SimEnvironment:
         body_start = self.kernel.now
         yield from self._run_body(platform, rfn, context_id, inbound_pair, rfn.spec.body)
         end = self.kernel.now
-        self._release(platform, executor, end)
+        executor.last_idle_at = end
+        platform.idle.setdefault(rfn.name, []).append(executor)
         platform.sink.emit(end, INVOCATION, rfn.name, context_id, inbound_pair, arrival, end,
                            executor_key=executor.key, cold_start=cold)
-        self.truth.invocations.append(
-            TruthInvocation(context_id, inbound_pair, rfn.name, platform.id, arrival, body_start, end, cold, executor.key)
-        )
-        return end
+        self.truth.invocations.append(TruthInvocation(context_id, inbound_pair, arrival, body_start, end, cold,
+                                                      executor.key))
 
     def _run_body(self, platform, rfn, context_id, inbound_pair, steps):
         for step in steps:
@@ -300,7 +294,7 @@ class SimEnvironment:
         """Accept an event for ``target``, which runs on ``platform`` too:
         schedule the trigger and run the publisher."""
         accept = self.kernel.now
-        pub = publisher_name(platform.id)
+        pub = publisher_name(platform.spec.id)
         pair2 = self.ids.new_id()
         trig = platform.spec.trigger_delay.sample(self.sample_rng)
         platform.sink.emit(accept, OUTGOING_CALL, pub, context_id, pair2, accept, accept,
@@ -326,12 +320,13 @@ class SimEnvironment:
         self.kernel.run_until_idle()
 
     def collect_log(self, run_id: str) -> list[str]:
-        """The log lines of run ``run_id``: header, loadgen section, platforms
-        sorted; another run id gets only the ``#dropped`` lines. The log file
-        is these lines, each ended by a newline.
-        """
+        """The log lines of run ``run_id``: header, then per sink (loadgen, then
+        the platforms sorted) its lines and its ``#dropped`` line; another run id
+        gets only the ``#dropped`` lines. The log file is these lines, each ended
+        by a newline."""
         out = [HEADER_LINE]
-        out.extend(self.loadgen_sink.collect(run_id))
-        for pid in sorted(self.platforms):
-            out.extend(self.platforms[pid].sink.collect(run_id))
+        for sink in [self.loadgen_sink] + [self.platforms[pid].sink for pid in sorted(self.platforms)]:
+            if run_id == self.run_id:
+                out.extend(sink.lines)
+            out.append(format_drop_line(sink.platform_id, sink.drops))
         return out

@@ -37,6 +37,12 @@ class ProfileError(ValueError):
     pass
 
 
+def _check_int(name: str, value) -> None:
+    """What from_dict reads back: whole microseconds or a count, an int (not a bool)."""
+    if type(value) is not int:
+        raise ProfileError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WorkflowStep:
     entry: str
@@ -98,9 +104,12 @@ class LoadProfile:
             if not wf.steps:
                 raise ProfileError(f"workflow {wf.name!r} has no steps")
             for step in wf.steps:
+                _check_int(f"workflow {wf.name!r}: think_time_us", step.think_time_us)
                 if step.think_time_us < 0:
                     raise ProfileError(f"workflow {wf.name!r}: negative think time")
         for i, phase in enumerate(self.phases):
+            _check_int(f"phases[{i}].duration_us", phase.duration_us)
+            _check_int(f"phases[{i}].total_flows", phase.total_flows)
             if phase.kind not in ("constantRate", "periodic", "pause", "burst"):
                 raise ProfileError(f"unknown phase kind {phase.kind!r}")
             if phase.duration_us < 0:
@@ -111,8 +120,10 @@ class LoadProfile:
                 weight = sum(w for _, w in phase.mix)
                 if not abs(weight - 1.0) <= 1e-9:  # written so that a nan sum fails too
                     raise ProfileError(f"mix weights must be finite and sum to 1 (got {weight})")
-                for name, _ in phase.mix:
+                for name, w in phase.mix:
                     self.workflow(name)
+                    if w < 0:  # else the weights could sum to 1 with a workflow never picked
+                        raise ProfileError(f"phases[{i}].mix.{name} must be >= 0, got {w:g}")
                 if len(dict(phase.mix)) < len(phase.mix):  # its JSON object could name each only once
                     raise ProfileError(f"phases[{i}].mix names a workflow twice")
             if phase.kind == "constantRate" and not (math.isfinite(phase.rate_per_s) and phase.rate_per_s > 0):
@@ -123,6 +134,8 @@ class LoadProfile:
                 raise ProfileError("totalFlows must be below 2**53")
             for j, series in enumerate(phase.series):
                 where = f"phases[{i}].series[{j}]."
+                for name in ("interval_us", "train_count", "train_spacing_us"):
+                    _check_int(where + name, getattr(series, name))
                 if series.interval_us <= 0:
                     raise ProfileError(f"{where}intervalSeconds must round to at least 1 us")
                 if series.train_count < 1:

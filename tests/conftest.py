@@ -6,6 +6,7 @@ import gc
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from faasbench import runner
 from faasbench.applications import EVENT_ASYNC, ApplicationSpec, FunctionSpec, HTTP_SYNC, compute, parallel, publish
@@ -50,13 +51,18 @@ def deployed_env(app: ApplicationSpec, cfg: DeploymentConfig, seed: int = 1):
 def invoke(env: SimEnvironment, platform_id: str, fn: str, arrival_us: int):
     """Schedule an arrival of ``fn`` on platform ``platform_id`` of ``env`` at
     ``arrival_us``, outside any workflow, with a fresh context and pair id;
-    the task's result is the invocation's end time."""
+    the returned task is done once the invocation has ended."""
     context_id, pair_id = env.ids.new_id(), env.ids.new_id()
 
     def arrival():
-        return (yield env.start_invocation(env.platforms[platform_id], fn, context_id, pair_id))
+        yield env.start_invocation(env.platforms[platform_id], fn, context_id, pair_id)
 
     return env.kernel.spawn(arrival(), at_us=arrival_us)
+
+
+def rarely(odd, usual):
+    """``usual``, or one time in eight ``odd``."""
+    return st.integers(0, 7).flatmap(lambda i: odd if i == 7 else usual)
 
 
 def serialize_record(r: TraceRecord) -> str:

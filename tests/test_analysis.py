@@ -811,12 +811,11 @@ def known_analysis() -> RunAnalysis:
 
 def test_charts_draw_the_summary_csv_statistics(tmp_path):
     analysis = known_analysis()
-    files = write_reports(analysis, tmp_path / "a", charts=True)
+    write_reports(analysis, tmp_path / "a", charts=True)
     write_reports(analysis, tmp_path / "b", charts=True)
 
     charts = tmp_path / "a" / "charts"
     assert sorted(p.name for p in charts.iterdir()) == ["exec_duration.png", "trigger_delay.png"]
-    assert files["charts/exec_duration.png"] == str(charts / "exec_duration.png")
 
     with (tmp_path / "a" / "summary.csv").open() as fh:
         table = list(csv.DictReader(fh))
@@ -892,10 +891,10 @@ def test_analyze_simulated_run_end_to_end(tmp_path):
     inv_pairs = [r.pair_id for r in records if r.kind == INVOCATION]
     assert sorted(out_pairs) == sorted(inv_pairs)
 
-    files = write_reports(analysis, tmp_path)
-    assert (tmp_path / "summary.json").exists()
-    assert (tmp_path / "summary.csv").exists()
-    assert "trees.csv" in files
+    write_reports(analysis, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cold_starts.csv", "publish_latency.csv", "summary.csv", "summary.json", "timeline.csv", "trees.csv",
+        "trigger_delays.csv"]
 
 
 def test_analysis_matches_simulator_ground_truth():

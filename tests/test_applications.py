@@ -121,6 +121,16 @@ def test_trigger_kind_targeting_rules():
     assert "PublishToSync" in {v.code for v in report.violations}
 
 
+def test_a_compute_step_needs_a_duration():
+    # to_dict would raise on it, after run_benchmark had started the run
+    fn = FunctionSpec("a", HTTP_SYNC, (compute(5), parallel((compute(MS1),), (compute("constant(1)"),))),
+                      entry_point=True)
+    assert [str(v) for v in validate(ApplicationSpec("bad", (fn,))).violations] == [
+        "BadDuration [a]: compute duration must be a Duration, got 5",
+        "BadDuration [a]: compute duration must be a Duration, got 'constant(1)'",
+    ]
+
+
 def test_parallel_block_needs_two_branches():
     fn = FunctionSpec("a", HTTP_SYNC, (parallel((compute(MS1),)),), entry_point=True)
     assert "BadParallelBlock" in {v.code for v in validate(ApplicationSpec("bad", (fn,))).violations}

@@ -552,6 +552,19 @@ def test_a_scale_that_rounds_every_duration_to_zero_exits_in_one_line(tmp_path, 
     assert not out.exists()
 
 
+def test_a_negative_mix_weight_exits_in_one_line(tmp_path, capsys):
+    # the weights sum to 1, and a burst of them would pick hit every time
+    app, profile = _write_app_and_profile(tmp_path)
+    doc = json.loads(profile.read_text())
+    doc["workflows"].append({"name": "miss", "steps": [{"entry": "a"}]})
+    doc["phases"][0]["mix"] = {"hit": 2.0, "miss": -1.0}
+    profile.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run_cli("run", str(app), "--profile", str(profile), "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: phases[0].mix.miss must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_a_workflow_with_no_steps_exits_in_one_line(tmp_path, capsys):
     # a burst of it would count instances that emit nothing
     profile = tmp_path / "profile.json"

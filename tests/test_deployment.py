@@ -20,7 +20,7 @@ from faasbench.records import LOADGEN
 from faasbench.recipes import RECIPE_NAMES, exp3_three_way_factory, recipe
 from faasbench.runner import default_config, run_benchmark
 
-from conftest import make_platform, single_platform_config
+from conftest import make_platform, rarely, single_platform_config
 
 
 def three_platform_factory_config() -> DeploymentConfig:
@@ -176,18 +176,40 @@ def test_run_rejects_a_config_key_that_names_nothing_in_the_application(tmp_path
     assert not out.exists()
 
 
-def test_run_benchmark_rejects_invalid_app(tmp_path):
-    from faasbench.applications import ApplicationSpec, FunctionSpec, HTTP_SYNC, call
+def _one_function_run(body: tuple) -> tuple:
+    """The application, config and one-flow profile of an entry point ``a``
+    with ``body``."""
+    from faasbench.applications import ApplicationSpec, FunctionSpec, HTTP_SYNC
     from faasbench.workload import LoadProfile, Phase, Workflow, WorkflowStep
 
-    fn = FunctionSpec("a", HTTP_SYNC, (call("nope"),), entry_point=True)
-    app = ApplicationSpec("bad", (fn,))
+    app = ApplicationSpec("one", (FunctionSpec("a", HTTP_SYNC, body, entry_point=True),))
     cfg = DeploymentConfig(platforms=(make_platform(),), assignment={"a": "p1"})
     profile = LoadProfile("one", (Workflow("hit", (WorkflowStep("a"),)),),
                           (Phase("burst", 1_000_000, total_flows=1, mix=(("hit", 1.0),)),))
+    return app, cfg, profile
+
+
+def test_run_benchmark_rejects_invalid_app(tmp_path):
+    from faasbench.applications import call
+
     out = tmp_path / "out"
     with pytest.raises(InvalidApplication, match=r"^UnknownTarget \[a\]: target 'nope' is not defined$"):
-        run_benchmark(app, cfg, profile, seed=1, out_dir=out)
+        run_benchmark(*_one_function_run((call("nope"),)), seed=1, out_dir=out)
+    assert not out.exists()
+
+
+def test_run_benchmark_builds_the_manifest_documents_before_the_run_directory(tmp_path, monkeypatch):
+    from faasbench.applications import compute
+    from faasbench.distributions import constant
+    from faasbench.workload import LoadProfile
+
+    def unwritable(self):
+        raise ValueError("cannot write this profile")
+
+    monkeypatch.setattr(LoadProfile, "to_dict", unwritable)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="cannot write this profile"):
+        run_benchmark(*_one_function_run((compute(constant(1)),)), seed=1, out_dir=out)
     assert not out.exists()
 
 
@@ -229,16 +251,12 @@ DURATIONS = st.one_of(
 )
 
 
-def rarely(odd, usual):
-    """``usual``, or one time in eight ``odd``."""
-    return st.integers(0, 7).flatmap(lambda i: odd if i == 7 else usual)
-
-
 @st.composite
 def configs(draw):
     """A config drawn from every distribution kind, from keep-alives and clock
-    offsets past their bounds or not whole microseconds, and from keys and
-    platforms JSON cannot hold, or None when a constructor refuses it."""
+    offsets past their bounds or not whole microseconds, from delays and legs
+    that are not distributions, and from keys and platforms JSON cannot hold,
+    or None when a constructor refuses it."""
     pids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True))
     names = st.text(max_size=4)
     int_keys = st.integers(-2, 2)  # JSON would read an int key back as a string
@@ -248,14 +266,15 @@ def configs(draw):
     keep_alives = rarely(not_micros, st.integers(1, MAX_PROFILE_US - 1) | st.integers(1, 2**53 - 1))
     offsets = rarely(not_micros, st.integers(-MAX_CLOCK_OFFSET_US, MAX_CLOCK_OFFSET_US)
                      | st.integers(-2**53 + 1, 2**53 - 1))
+    durations = rarely(st.integers(0, 5) | st.just("constant(1)"), DURATIONS.map(lambda args: Duration(*args)))
     try:
         platforms = tuple(
             PlatformSpec(
                 id=pid,
-                cold_start_delay=Duration(*draw(DURATIONS)),
+                cold_start_delay=draw(durations),
                 keep_alive_us=draw(keep_alives),
-                network_latency={draw(peers): Duration(*draw(DURATIONS)) for _ in range(draw(st.integers(0, 3)))},
-                trigger_delay=Duration(*draw(DURATIONS)),
+                network_latency={draw(peers): draw(durations) for _ in range(draw(st.integers(0, 3)))},
+                trigger_delay=draw(durations),
                 log_lines_per_second=draw(st.none() | st.integers(1, 2**64)),
                 clock_offset_us=draw(offsets),
             )
@@ -288,8 +307,12 @@ def test_a_config_the_constructors_accept_reads_back_from_its_json(c):
     (lambda: make_platform(keep_alive_us=True), "platform p1: keep_alive_us must be an int, got True"),
     (lambda: make_platform(clock_offset_us=2.0), "platform p1: clock_offset_us must be an int, got 2.0"),
     (lambda: make_platform(peers={7: 1}), "platform p1: networkLatency key 7 must be a string"),
+    (lambda: make_platform(cold_start_delay=5), "platform p1: cold_start_delay must be a Duration, got 5"),
+    (lambda: make_platform(trigger_delay="constant(1)"),
+     "platform p1: trigger_delay must be a Duration, got 'constant(1)'"),
+    (lambda: make_platform(network_latency={"x": 5}), "platform p1: networkLatency.x must be a Duration, got 5"),
 ], ids=["assignment-int", "assignment-list", "assignment-int-key", "keep-alive-float", "keep-alive-bool",
-        "clock-offset-float", "peer-int-key"])
+        "clock-offset-float", "peer-int-key", "cold-start-an-int", "trigger-a-string", "leg-an-int"])
 def test_a_config_its_json_cannot_hold_is_refused(build, reason):
     # to_dict would write such a value so that from_dict refuses it or reads back another
     with pytest.raises(DeploymentError) as exc:

@@ -171,8 +171,10 @@ def test_sink_rate_limit_cap_arithmetic():
 def test_sink_window_is_tumbling():
     sink = RecordSink("r1", "p1", lines_per_second=2)
     times = [0, 100, 900, 1_000_000, 1_000_001, 1_999_999, 2_000_000]
-    accepted = [sink.emit(t, **invocation_fields(pair_id=f"{i:032x}")) for i, t in enumerate(times)]
-    assert accepted == [True, True, False, True, True, False, True]
+    for i, t in enumerate(times):
+        sink.emit(t, **invocation_fields(pair_id=f"{i:032x}"))
+    assert [parse_record(line).pair_id for line in sink.lines] == [f"{i:032x}" for i in (0, 1, 3, 4, 6)]
+    assert sink.drops == 2
 
 
 def test_unlimited_sink_never_drops():
@@ -222,8 +224,9 @@ def test_sink_applies_clock_offset_to_lines_only():
     # the rate limiter windows true time: a logged clock 999 990 us ahead
     # does not carry the second line into the next window
     sink = RecordSink("r1", "p1", lines_per_second=1, clock_offset_us=999_990)
-    assert sink.emit(0, **invocation_fields(start_us=0, end_us=0))
-    assert not sink.emit(20, **invocation_fields(start_us=20, end_us=20))
+    sink.emit(0, **invocation_fields(start_us=0, end_us=0))
+    sink.emit(20, **invocation_fields(start_us=20, end_us=20))
+    assert len(sink.lines) == 1 and sink.drops == 1
 
 
 def test_simulated_lines_with_a_clock_offset_parse_back(tmp_path):

@@ -45,23 +45,22 @@ def test_cold_start_then_warm_then_expiry():
     platform = make_platform(cold_start_delay=constant(400), keep_alive_us=10_000_000)
     env, plan = deployed_env(app, single_platform_config(app, platform))
 
-    t1 = invoke(env, "p1", "fn", arrival_us=1_000_000)
+    invoke(env, "p1", "fn", arrival_us=1_000_000)
     env.run_until_idle()
-    end1 = t1.result
-    assert end1 == 1_000_000 + 400 * MS + 2 * MS  # cold delay inside the invocation
-
     inv1 = env.truth.invocations[0]
+    end1 = inv1.end_us
+    assert end1 == 1_000_000 + 400 * MS + 2 * MS  # cold delay inside the invocation
     assert inv1.cold and inv1.arrival_us == 1_000_000 and inv1.body_start_us == 1_000_000 + 400 * MS
 
     # immediate second invocation reuses the warm executor
-    t2 = invoke(env, "p1", "fn", arrival_us=end1 + 1)
+    invoke(env, "p1", "fn", arrival_us=end1 + 1)
     env.run_until_idle()
     inv2 = env.truth.invocations[1]
     assert not inv2.cold and inv2.body_start_us == inv2.arrival_us
     assert inv2.executor_key == inv1.executor_key
 
     # gap of exactly keepAlive still hits warm; one microsecond more is cold
-    end2 = t2.result
+    end2 = inv2.end_us
     invoke(env, "p1", "fn", arrival_us=end2 + 10_000_000)
     env.run_until_idle()
     assert not env.truth.invocations[2].cold
@@ -315,28 +314,36 @@ def test_parallel_block_joins_at_max_branch():
     env, plan = deployed_env(app, single_platform_config(app, platform))
     t = invoke(env, "p1", "a", arrival_us=0)
     env.run_until_idle()
-    assert t.result == 30 * MS  # join waits for the slower branch
+    assert t.done
+    root = next(r for r in records_of(env) if r.kind == INVOCATION and r.function == "a")
+    assert (root.start_us, root.end_us) == (0, 30 * MS)  # join waits for the slower branch
 
 
 def test_executor_reuse_matches_most_recently_idle_scan():
     # reference: the full-scan policy written out; keep the executors idle
     # within keep-alive, take the max of (last_idle_at, pool index), drop the
-    # expired ones. It shadows the platform's pool through _release, so both
-    # see the same append order, and every _acquire is checked against it.
+    # expired ones. It shadows the platform's pool from the truth: an
+    # invocation's executor goes back to its pool in the step that appends
+    # the invocation to the truth, so the truth lists the releases in pool
+    # append order, each at its end_us. Every _acquire is checked against it.
     app = simple_app(body_ms=2)
     keep_alive = 10 * MS
     platform = make_platform(keep_alive_us=keep_alive)
     env, plan = deployed_env(app, single_platform_config(app, platform))
-    shadow: list = []
+    shadow: list[tuple[str, int]] = []  # (executor key, last idle at)
+    released = 0  # truth invocations already in the shadow
     chosen: list[tuple[str, bool]] = []
     expected: list[tuple[str | None, bool]] = []
-    real_acquire, real_release = env._acquire, env._release
+    real_acquire = env._acquire
 
     def acquire(platform, fn_name, arrival):
-        alive = [e for e in shadow if e.last_idle_at + keep_alive >= arrival]
+        nonlocal released
+        shadow.extend((inv.executor_key, inv.end_us) for inv in env.truth.invocations[released:])
+        released = len(env.truth.invocations)
+        alive = [e for e in shadow if e[1] + keep_alive >= arrival]
         if alive:
-            best = alive.pop(max(range(len(alive)), key=lambda i: (alive[i].last_idle_at, i)))
-            expected.append((best.key, False))
+            best = alive.pop(max(range(len(alive)), key=lambda i: (alive[i][1], i)))
+            expected.append((best[0], False))
         else:
             expected.append((None, True))
         shadow[:] = alive
@@ -344,11 +351,7 @@ def test_executor_reuse_matches_most_recently_idle_scan():
         chosen.append((executor.key, cold))
         return executor, cold
 
-    def release(platform, executor, at_us):
-        real_release(platform, executor, at_us)
-        shadow.append(executor)
-
-    env._acquire, env._release = acquire, release
+    env._acquire = acquire
 
     arrivals = [0, 0, 0, 500, 500]  # overlapping: five cold executors, idle at 2.0 ms (x3) and 2.5 ms (x2)
     arrivals += [3000, 3100, 3200]  # staggered: the two 2.5 ms ones top first, then a tie among the 2.0 ms ones

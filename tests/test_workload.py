@@ -28,7 +28,7 @@ from faasbench.workload import (
     schedule,
 )
 
-from conftest import deployed_env, make_platform, single_platform_config
+from conftest import deployed_env, make_platform, rarely, single_platform_config
 
 
 def rng(seed=0):
@@ -276,47 +276,88 @@ def test_profile_json_round_trip():
 
 
 TIMES = st.integers(0, MAX_PROFILE_US - 1)  # every time of a profile, in us
+# in range, so that only its type keeps it out
+NOT_INTS = st.floats(1, 1e9).filter(lambda x: not x.is_integer()) | st.booleans()
+ODD_FIELDS = ["think_time_us", "duration_us", "interval_us", "train_count", "train_spacing_us", "total_flows", "mix"]
 
 
 @st.composite
-def profiles(draw):
+def profiles(draw, odd=False):
     """A valid profile: every phase kind, any time below the bound, and each
-    mix in any order."""
+    mix in any order. With ``odd``, each field is odd one time in eight, in
+    all of its values (a time or count is then a float or a bool, and the
+    mix weights may be negative), and the profile is None when the
+    constructor refuses it."""
+    odd_fields = {f for f in ODD_FIELDS if odd and draw(rarely(st.just(True), st.just(False)))}
+
+    def pick(field, usual, odd_values=NOT_INTS):
+        return draw(odd_values if field in odd_fields else usual)
+
     names = draw(st.lists(st.text("wxyz", min_size=1, max_size=2), min_size=1, max_size=3, unique=True))
-    workflows = tuple(Workflow(n, tuple(WorkflowStep(draw(st.text(max_size=3)), draw(TIMES))
+    workflows = tuple(Workflow(n, tuple(WorkflowStep(draw(st.text(max_size=3)), pick("think_time_us", TIMES))
                                         for _ in range(draw(st.integers(1, 2))))) for n in names)
     phases = []
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["constantRate", "burst", "periodic", "pause"]))
-        duration = draw(TIMES)
+        duration = pick("duration_us", TIMES)
         if kind == "periodic":
-            series = tuple(PeriodicSeries(draw(st.text(max_size=3)), draw(st.integers(1, MAX_PROFILE_US - 1)),
-                                          draw(st.integers(1, 5)), draw(st.integers(1, MAX_PROFILE_US - 1)))
+            series = tuple(PeriodicSeries(draw(st.text(max_size=3)),
+                                          pick("interval_us", st.integers(1, MAX_PROFILE_US - 1)),
+                                          pick("train_count", st.integers(1, 5)),
+                                          pick("train_spacing_us", st.integers(1, MAX_PROFILE_US - 1)))
                            for _ in range(draw(st.integers(0, 2))))
             phases.append(Phase(kind, duration, series=series))
         elif kind == "pause":
             phases.append(Phase(kind, duration))
         else:
             mixed = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
-            counts = [draw(st.integers(1, 1000)) for _ in mixed]
+            counts = [pick("mix", st.integers(1, 1000), st.integers(-1000, 1000)) for _ in mixed]
+            assume(sum(counts))
             mix = tuple((n, c / sum(counts)) for n, c in zip(mixed, counts))
             if kind == "burst":
-                phases.append(Phase(kind, duration, mix=mix, total_flows=draw(st.integers(1, 2**53 - 1))))
+                flows = pick("total_flows", st.integers(1, 2**53 - 1))
+                phases.append(Phase(kind, duration, mix=mix, total_flows=flows))
             else:
                 phases.append(Phase(kind, duration, rate_per_s=draw(st.floats(1e-9, 1e9)), mix=mix))
     assume(sum(p.duration_us for p in phases) > 0)
     try:
         return LoadProfile(draw(st.text(max_size=3)), workflows, tuple(phases))
-    except ProfileError:  # mix weights that do not sum to 1 within 1e-9
-        assume(False)
+    except ProfileError:  # without odd values, only mix weights that do not sum to 1 within 1e-9
+        assume(odd)
+        return None
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @example(p=flat_profile(kind="burst", duration_us=MAX_PROFILE_US - 1, total_flows=2**53 - 1))
-@given(p=profiles())
+@given(p=profiles(odd=True))
 def test_a_profile_reads_back_from_its_json(p):
-    # every time below 2**51 us comes back as the same microsecond
-    assert LoadProfile.from_dict(json.loads(json.dumps(p.to_dict()))) == p
+    # the constructor refuses what to_dict cannot write as itself; every
+    # time below 2**51 us comes back as the same microsecond
+    if p is not None:
+        assert LoadProfile.from_dict(json.loads(json.dumps(p.to_dict()))) == p
+
+
+@pytest.mark.parametrize("build, reason", [
+    (lambda: flat_profile(kind="pause", duration_us=US + 0.5), "phases[0].duration_us must be an int, got 1000000.5"),
+    (lambda: LoadProfile("p", (Workflow("w", (WorkflowStep("fn", 0.5),)),), (Phase("pause", US),)),
+     "workflow 'w': think_time_us must be an int, got 0.5"),
+    (lambda: flat_profile(kind="periodic", duration_us=US, series=(PeriodicSeries("fn", US + 0.5),)),
+     "phases[0].series[0].interval_us must be an int, got 1000000.5"),
+    (lambda: flat_profile(kind="periodic", duration_us=US, series=(PeriodicSeries("fn", US, 2, True),)),
+     "phases[0].series[0].train_spacing_us must be an int, got True"),
+    (lambda: flat_profile(kind="periodic", duration_us=US, series=(PeriodicSeries("fn", US, 2.0),)),
+     "phases[0].series[0].train_count must be an int, got 2.0"),
+    (lambda: flat_profile(kind="burst", duration_us=US, total_flows=5.0),
+     "phases[0].total_flows must be an int, got 5.0"),
+    (lambda: flat_profile(kind="burst", duration_us=US, total_flows=True),
+     "phases[0].total_flows must be an int, got True"),
+], ids=["duration-float", "think-time-float", "interval-float", "train-spacing-bool", "train-count-float",
+        "total-flows-float", "total-flows-bool"])
+def test_a_profile_built_in_code_holds_only_int_times_and_counts(build, reason):
+    # to_dict would write a value that from_dict refuses or reads back as another
+    with pytest.raises(ProfileError) as exc:
+        build()
+    assert str(exc.value) == reason
 
 
 def test_a_mix_out_of_name_order_schedules_as_its_json_form():

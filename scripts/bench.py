@@ -1,4 +1,4 @@
-"""Stage timings of three full runs at the paper's scales, for the committed
+"""Stage timings of four full runs at the paper's scales, for the committed
 ``BENCH_*.json`` files.
 
     PYTHONPATH=src python3 scripts/bench.py BENCH_<name>.json
@@ -7,10 +7,19 @@ Runs, each at seed 7 and each in a fresh process that imports faasbench from
 ``PYTHONPATH`` (point it at another checkout's ``src`` to measure that
 checkout):
 
-* webshop x1.0 on the default single-platform config and its built-in
-  profile (the paper's default profile, about 800k records);
-* smartfactory x1.0 on the same;
-* the ``exp4-coldstart`` recipe (streaming) at x0.1.
+* ``webshop``: webshop x1.0 on the default single-platform config and its
+  built-in profile (the paper's default profile, about 800k records);
+* ``webshop-cli``: the same run as ``faasbench run webshop --seed 7`` makes
+  it, with ``keep_truth=False``: no ground truth and no call trees are kept,
+  and the run's analysis streams its ``raw.log``. This is the row whose
+  numbers match ``faasbench run``;
+* ``smartfactory``: smartfactory x1.0 on the default config and profile;
+* ``exp4-coldstart``: the ``exp4-coldstart`` recipe (streaming) at x0.1.
+
+The other three runs keep the truth and the trees, as ``run_benchmark`` does
+by default (and as the benchmark's run mode and every truth check need), and
+analyze their ``raw.log`` through ``analyze_log_text``, which holds every
+record and tree.
 
 A run is one ``runner.run_benchmark`` call. Its stages are timed by replacing
 the public names it calls, the way ``perfbench/child.py`` traces a run. Per
@@ -22,23 +31,27 @@ stage the file holds:
 * ``maxrss_mb``: the process's ``ru_maxrss`` high water when the stage's last
   call returned.
 
-``write_log`` is the time from the end of teardown to the start of the
-analysis, when the run writes ``raw.log``, frees the simulator and its lines
-and reads its ``manifest.json`` back. ``record_metrics`` is
-``coldstart_report`` plus ``coldstart_crosscheck``. ``analyze_other`` is the
-analysis outside parse, trees, decompose and the record metrics; gathering the
-invocations from the trees' nodes counts there. ``other`` is the rest of the
-run: validation, compile, deploy and the manifest.
+``write_log`` is the time from the end of teardown to the start of
+``analyze_file``, when the run writes ``raw.log`` and frees the simulator and
+its lines. ``trees`` is ``build_trees``, which hands each context to the
+per-context path: its trees, then its decomposition (``decompose``, a stage
+of its own) and the record-level metrics, which it folds into the run's
+state. ``count`` is a streamed analysis' pass 1, ``count_contexts``. A
+streamed analysis parses and builds each context's trees as it reads, so it
+has no ``parse`` or ``trees`` stage: they count under ``analyze_other``,
+which is the analysis outside the other stages, the manifest read included.
+``other`` is the rest of the run: validation, compile, deploy and the
+manifest.
 
 After each run, a second fresh process analyzes the run's ``raw.log`` with
-``runner.analyze_file``, the offline ``faasbench analyze``; its
-``analyze_file`` row holds the call's wall time, the process's ``ru_maxrss``
-when it returned, and the sha256 of the ``summary.json`` it wrote, which
-must equal the run's. It also holds ``import_maxrss_mb``, the ``ru_maxrss``
-after ``from faasbench import runner`` and before the call: the interpreter,
-the standard library, numpy and faasbench (~35 MB on x86_64 Linux with
-numpy 2.4.6), so ``maxrss_mb - import_maxrss_mb`` is the analysis' own
-memory.
+``runner.analyze_file``, the offline ``faasbench analyze``, which streams it;
+its ``analyze_file`` row holds the call's wall time, the process's
+``ru_maxrss`` when it returned, and the sha256 of the ``summary.json`` it
+wrote, which must equal the run's. It also holds ``import_maxrss_mb``, the
+``ru_maxrss`` after ``from faasbench import runner`` and before the call:
+the interpreter, the standard library, numpy and faasbench (~35 MB on x86_64
+Linux with numpy 2.4.6), so ``maxrss_mb - import_maxrss_mb`` is the
+analysis' own memory.
 
 The file also records the git revision of the measured ``src`` (and whether
 its tracked files differ from it), the Python and numpy versions, and the
@@ -62,11 +75,13 @@ import time
 from pathlib import Path
 
 SEED = 7
-# name -> (built-in application, recipe or None for the default config and the built-in profile, scale)
+# name -> (built-in application, recipe or None for the default config and the built-in profile, scale,
+# keep_truth)
 RUNS = {
-    "webshop": ("webshop", None, 1.0),
-    "smartfactory": ("smartfactory", None, 1.0),
-    "exp4-coldstart": ("streaming", "exp4-coldstart", 0.1),
+    "webshop": ("webshop", None, 1.0, True),
+    "webshop-cli": ("webshop", None, 1.0, False),
+    "smartfactory": ("smartfactory", None, 1.0, True),
+    "exp4-coldstart": ("streaming", "exp4-coldstart", 0.1, True),
 }
 # (module or class, attribute, stage), in the order a run reaches them
 TIMED = [
@@ -75,17 +90,17 @@ TIMED = [
     ("SimEnvironment", "run_until_idle", "simulate"),
     ("SimEnvironment", "collect_log", "collect"),
     ("runner", "teardown", "teardown"),
+    ("runner", "analyze_file", "analyze_other"),
     ("runner", "analyze_log_text", "analyze_other"),
+    ("runner", "count_contexts", "count"),
     ("analysis", "parse_logs", "parse"),
     ("analysis", "build_trees", "trees"),
     ("analysis", "decompose", "decompose"),
-    ("analysis", "coldstart_report", "record_metrics"),
-    ("analysis", "coldstart_crosscheck", "record_metrics"),
     ("RunAnalysis", "summaries", "summaries"),
     ("runner", "write_reports", "reports"),
 ]
-STAGES = ["schedule", "execute", "simulate", "collect", "teardown", "write_log", "parse", "trees", "decompose",
-          "record_metrics", "analyze_other", "summaries", "reports", "other"]
+STAGES = ["schedule", "execute", "simulate", "collect", "teardown", "write_log", "count", "parse", "trees",
+          "decompose", "analyze_other", "summaries", "reports", "other"]
 
 
 def maxrss_mb() -> float:
@@ -161,7 +176,7 @@ def measure(name: str, out_dir: str) -> dict:
     from faasbench.benchmarks import builtin_profile, load_builtin
     from faasbench.recipes import recipe
 
-    bench, recipe_name, scale = RUNS[name]
+    bench, recipe_name, scale, keep_truth = RUNS[name]
     app = load_builtin(bench)
     if recipe_name is None:
         config, profile = runner.default_config(app), builtin_profile(bench)
@@ -176,7 +191,7 @@ def measure(name: str, out_dir: str) -> dict:
 
     start = time.perf_counter()
     result = runner.run_benchmark(app, config, profile, seed=SEED, out_dir=out_dir, scale=scale,
-                                  benchmark_name=bench)
+                                  benchmark_name=bench, keep_truth=keep_truth)
     total_s = time.perf_counter() - start
     records = result.analysis.parse.records
     digests = {"raw_log_sha256": sha256(result.log_path),
@@ -194,6 +209,7 @@ def measure(name: str, out_dir: str) -> dict:
         "benchmark": bench,
         "recipe": recipe_name,
         "scale": scale,
+        "keep_truth": keep_truth,
         "seed": SEED,
         "records": records,
         "log": str(result.log_path),

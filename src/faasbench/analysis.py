@@ -33,14 +33,21 @@ total network + total db exactly, where parallel blocks contribute their
 blocking span as network-wait (branch internals are drill-down detail, not
 part of the sum) and async subtrees fall outside the root round trip.
 
-Record-level metrics (execution durations, cold-start counts and the
-cold-flag cross-check) read the invocations of the call trees. ``build_trees``
-is the one place that picks them: each (context, pair id) invocation once,
-from its first line in log order.
+A context's analysis reads only that context's records, and across contexts
+every report is a count, a multiset or a list sorted at the end. So, as
+Dapper (Sigelman et al., 2010) and Canopy (Kaldor et al., 2017) assemble each
+trace on its own, ``_context_trees`` is the one per-context path: it builds a
+context's trees, decomposes the complete ones and folds the context's
+invocations, the trees' nodes (of a replayed line, the first in log order),
+into ``_RunState``, which keeps no invocation list. Two readers call it:
+``analyze_records`` (through ``build_trees``) buckets a parsed log by context
+and keeps every record and tree; the streamed read of ``analyze_file`` counts
+each context's lines in pass 1 (``count_contexts``), then parses them in
+pass 2 (``analyze_stream``) and hands a context over once its count is
+reached, and at the end each context still open, such as one with a line
+that did not parse. It holds only the open contexts' records.
 
-The analyzer takes the log as text or as its lines (``analyze_file``, which
-a run calls on its own ``raw.log``, hands over the file's lines as it reads
-them), so it never needs a joined copy of the log. Each parsed record shares one string
+Neither needs a joined copy of the log. Each parsed record shares one string
 per value of the columns whose values repeat across a run's lines: run id,
 platform, kind, function, callee, mode, db op, context id and executor key
 (``records.parse_record``): a run's hundreds of thousands of records name a
@@ -49,8 +56,8 @@ hundred invocations each executor. Only the pair ids stay the line's own
 strings. The dicts keyed on these columns also compare shared
 strings by identity before their characters.
 
-``build_trees`` makes one pass per context over the context's records, held
-in one list: it classifies them, sorts the nodes once and the call and store
+``_context_trees`` makes one pass over the context's records, held in one
+list: it classifies them, sorts the nodes once and the call and store
 records once, each by (start, pair id), and takes the owner lists, the
 orphans and every node's calls and db calls in order from those sorts. A
 record's owner is found by bisect over its function's owner list. A context
@@ -76,10 +83,10 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .records import (
     DB_CALL,
@@ -116,18 +123,16 @@ class ParseReport:
         return sum(self.drops.values())
 
 
-def parse_logs(text_or_lines) -> tuple[list[TraceRecord], ParseReport]:
-    """Parse a collected log, given as text or as an iterable of its lines;
-    malformed lines are counted and skipped."""
+def _parsed(text_or_lines, report: ParseReport) -> Iterator[TraceRecord]:
+    """The records of a collected log, given as text or as an iterable of its
+    lines, in log order; malformed lines and ``#dropped`` counts go into
+    ``report``, and the records are left to the caller to count."""
     lines = iter(text_or_lines.splitlines() if isinstance(text_or_lines, str) else text_or_lines)
-    report = ParseReport()
-    records: list[TraceRecord] = []
     for line in lines:  # the first line that is not blank is the header
         if line.strip():
             if line.strip() != HEADER_LINE:
                 raise AnalysisError(f"missing or unsupported log header: {line[:60]!r}")
             break
-    append = records.append
     for line in lines:
         if not line.strip():
             continue
@@ -140,9 +145,18 @@ def parse_logs(text_or_lines) -> tuple[list[TraceRecord], ParseReport]:
                     report.parse_errors += 1
             continue
         try:
-            append(parse_record(line))
+            record = parse_record(line)
         except ValueError:
             report.parse_errors += 1
+        else:
+            yield record
+
+
+def parse_logs(text_or_lines) -> tuple[list[TraceRecord], ParseReport]:
+    """Parse a collected log, given as text or as an iterable of its lines;
+    malformed lines are counted and skipped."""
+    report = ParseReport()
+    records = list(_parsed(text_or_lines, report))
     report.records = len(records)
     return records, report
 
@@ -203,17 +217,31 @@ class CallTree:
         return out
 
 
-# the (start, pair id) sort key of a record and of a node, and the start of a node
+# the (start, pair id) sort key of a record and of a node, the start of a node, and its record
 _start_pair = attrgetter("start_us", "pair_id")
 _node_start_pair = attrgetter("record.start_us", "record.pair_id")
 _node_start = attrgetter("record.start_us")
+_record_of = attrgetter("record")
 
 
-def build_trees(records: list[TraceRecord]) -> list[CallTree]:
-    """One tree per load-generator root call; a context with none yields one
-    rootless tree, so every context of the log has a tree.
+def build_trees(records: list[TraceRecord], run: _RunState | None = None) -> list[CallTree]:
+    """One tree per load-generator root call, in context id order; a context
+    with none yields one rootless tree, so every context of the log has a
+    tree. Each context is folded into ``run`` if given."""
+    by_ctx: defaultdict[str, list[TraceRecord]] = defaultdict(list)
+    for r in records:
+        by_ctx[r.context_id].append(r)
+    trees: list[CallTree] = []
+    for ctx in sorted(by_ctx):
+        trees += _context_trees(by_ctx.pop(ctx), run)  # each context's list is freed once it is built
+    return trees
 
-    Each context gets one verdict, which sets ``complete`` on all of its
+
+def _context_trees(records: list[TraceRecord], run: _RunState | None) -> list[CallTree]:
+    """The call trees of one context, from its records in log order, in
+    (start, pair id) order of their roots, folded into ``run`` if given.
+
+    The context gets one verdict, which sets ``complete`` on all of its
     trees. It is lossy on
     an unmatched pair (a call or root whose invocation is missing or already
     linked), an orphan invocation, a caller-side record with no owner, or a
@@ -226,100 +254,96 @@ def build_trees(records: list[TraceRecord]) -> list[CallTree]:
     the orphans, so the trees' nodes are the run's invocations. A lost DB_CALL
     is the one loss the schema cannot show: no pair of it reappears, so its
     tree stays complete and its store time is booked as compute."""
-    by_ctx: defaultdict[str, list[TraceRecord]] = defaultdict(list)
+    ctx = records[0].context_id
+    # the context's records by kind, in log order
+    nodes: dict[str, TreeNode] = {}
+    replayed = False  # an invocation pair id logged twice
+    roots: list[TraceRecord] = []
+    placed: list[TraceRecord] = []  # function and db calls, each placed under its owner
+    db_count = 0
+    # the callee of each async call by its pair id (the inbound pair of the
+    # publisher invocation the call started), when the context has one
+    published: dict[str, str] | None = None
     for r in records:
-        by_ctx[r.context_id].append(r)
-
-    trees: list[CallTree] = []
-    for ctx in sorted(by_ctx):
-        # the context's records by kind, in log order
-        nodes: dict[str, TreeNode] = {}
-        replayed = False  # an invocation pair id logged twice
-        roots: list[TraceRecord] = []
-        placed: list[TraceRecord] = []  # function and db calls, each placed under its owner
-        db_count = 0
-        # the callee of each async call by its pair id (the inbound pair of the
-        # publisher invocation the call started), when the context has one
-        published: dict[str, str] | None = None
-        for r in by_ctx[ctx]:
-            kind = r.kind
-            if kind == INVOCATION:
-                if r.pair_id in nodes:
-                    replayed = True  # a replayed invocation keeps its first line
-                else:
-                    nodes[r.pair_id] = TreeNode(r, [], [])
-            elif kind == OUTGOING_CALL:
-                if r.platform_id == LOADGEN:
-                    roots.append(r)
-                else:
-                    placed.append(r)
-                    if r.mode == MODE_ASYNC:
-                        if published is None:
-                            published = {}
-                        published[r.pair_id] = r.callee
-            elif kind == DB_CALL:
-                placed.append(r)
-                db_count += 1
-
-        # the context's one sort of its nodes: it orders each owner list and the orphans
-        ordered = list(nodes.values())
-        if len(ordered) > 1:
-            ordered.sort(key=_node_start_pair)
-        lossy = replayed
-        if placed:
-            by_owner: dict[str, list[TreeNode]] = {}  # a function's invocations
-            for node in ordered:
-                by_owner.setdefault(node.record.function, []).append(node)
-            # placed in (start, pair id) order, so each node's calls and db calls come out sorted
-            if len(placed) > 1:
-                placed.sort(key=_start_pair)
-            for rec in placed:
-                owner = _find_owner(by_owner, rec, published)
-                if owner is None:
-                    lossy = True  # a caller-side record with no owner
-                elif rec.kind == DB_CALL:
-                    owner.db_calls.append(rec)
-                else:
-                    owner.calls.append(TreeEdge(rec))
-            # a call logged twice is unmatched below (its invocation is linked by then), a db call
-            # by its pair set, which most contexts have too few store records to need
-            if db_count > 1 and len({r.pair_id for r in placed if r.kind == DB_CALL}) != db_count:
-                lossy = True
-
-        # the context's trees, judged complete once its verdict is in
-        context_trees: list[CallTree] = []
-        consumed: set[str] = set()
-        if len(roots) > 1:
-            roots.sort(key=_start_pair)
-        for root in roots:
-            root_node = nodes.get(root.pair_id)
-            if root_node is None or root.pair_id in consumed:
-                lossy = True  # an unmatched root, a root logged twice included
-                root_node = None
+        kind = r.kind
+        if kind == INVOCATION:
+            if r.pair_id in nodes:
+                replayed = True  # a replayed invocation keeps its first line
             else:
-                consumed.add(root.pair_id)
-                if root_node.calls and _link(root_node, nodes, consumed):
-                    lossy = True
-            context_trees.append(CallTree(ctx, root, root_node, False))
-        if not context_trees:
-            context_trees.append(CallTree(ctx, None, None, False))
+                nodes[r.pair_id] = TreeNode(r, [], [])
+        elif kind == OUTGOING_CALL:
+            if r.platform_id == LOADGEN:
+                roots.append(r)
+            else:
+                placed.append(r)
+                if r.mode == MODE_ASYNC:
+                    if published is None:
+                        published = {}
+                    published[r.pair_id] = r.callee
+        elif kind == DB_CALL:
+            placed.append(r)
+            db_count += 1
 
-        if len(consumed) < len(nodes):  # consumed holds pair ids of nodes only
-            lossy = True  # an orphan invocation
-            orphans: list[TreeNode] = []
-            for node in ordered:
-                pair = node.record.pair_id
-                if pair not in consumed:
-                    consumed.add(pair)
-                    _link(node, nodes, consumed)
-                    orphans.append(node)
-            context_trees[0].orphans = tuple(orphans)
+    # the context's one sort of its nodes: it orders each owner list and the orphans
+    ordered = list(nodes.values())
+    if len(ordered) > 1:
+        ordered.sort(key=_node_start_pair)
+    lossy = replayed
+    if placed:
+        by_owner: dict[str, list[TreeNode]] = {}  # a function's invocations
+        for node in ordered:
+            by_owner.setdefault(node.record.function, []).append(node)
+        # placed in (start, pair id) order, so each node's calls and db calls come out sorted
+        if len(placed) > 1:
+            placed.sort(key=_start_pair)
+        for rec in placed:
+            owner = _find_owner(by_owner, rec, published)
+            if owner is None:
+                lossy = True  # a caller-side record with no owner
+            elif rec.kind == DB_CALL:
+                owner.db_calls.append(rec)
+            else:
+                owner.calls.append(TreeEdge(rec))
+        # a call logged twice is unmatched below (its invocation is linked by then), a db call
+        # by its pair set, which most contexts have too few store records to need
+        if db_count > 1 and len({r.pair_id for r in placed if r.kind == DB_CALL}) != db_count:
+            lossy = True
 
-        if not lossy:  # the context's one verdict
-            for tree in context_trees:
-                tree.complete = tree.root_node is not None
-        trees += context_trees
-    return trees
+    # the context's trees, judged complete once its verdict is in
+    context_trees: list[CallTree] = []
+    consumed: set[str] = set()
+    if len(roots) > 1:
+        roots.sort(key=_start_pair)
+    for root in roots:
+        root_node = nodes.get(root.pair_id)
+        if root_node is None or root.pair_id in consumed:
+            lossy = True  # an unmatched root, a root logged twice included
+            root_node = None
+        else:
+            consumed.add(root.pair_id)
+            if root_node.calls and _link(root_node, nodes, consumed):
+                lossy = True
+        context_trees.append(CallTree(ctx, root, root_node, False))
+    if not context_trees:
+        context_trees.append(CallTree(ctx, None, None, False))
+
+    if len(consumed) < len(nodes):  # consumed holds pair ids of nodes only
+        lossy = True  # an orphan invocation
+        orphans: list[TreeNode] = []
+        for node in ordered:
+            pair = node.record.pair_id
+            if pair not in consumed:
+                consumed.add(pair)
+                _link(node, nodes, consumed)
+                orphans.append(node)
+        context_trees[0].orphans = tuple(orphans)
+
+    if not lossy:  # the context's one verdict
+        for tree in context_trees:
+            tree.complete = tree.root_node is not None
+    if run is not None:
+        run.add(context_trees, map(_record_of, ordered))
+    return context_trees
 
 
 def _find_owner(by_owner: dict[str, list[TreeNode]], rec: TraceRecord,
@@ -561,50 +585,25 @@ class ColdstartReport:
 TIMELINE_SECONDS = 30  # seconds of the cold-start timeline, from the start of the last burst
 
 
-def coldstart_report(invocations: list[TraceRecord], phases: list[PhaseWindow] | None = None) -> ColdstartReport:
-    """Cold-start counts of the run's invocations, the nodes of the call trees.
-    A phase or timeline bucket holds an invocation by its logged start, so a
+def coldstart_report(invocations: Iterable[TraceRecord], phases: list[PhaseWindow] | None = None) -> ColdstartReport:
+    """Cold-start counts of the invocations, the nodes of the call trees. A
+    phase or timeline bucket holds an invocation by its logged start, so a
     platform's clock offset moves it (the totals excepted), and one that
-    starts after the last phase ends is in no phase."""
-    total_cold = sum(1 for r in invocations if r.cold_start)
-    per_phase: list[tuple[str, int, int]] = []
-    timeline: list[BucketStat] = []
-    if phases:
-        for ph in phases:
-            within = [r for r in invocations if ph.start_us <= r.start_us < ph.end_us]
-            per_phase.append((ph.name, len(within), sum(1 for r in within if r.cold_start)))
-        bursts = [ph for ph in phases if ph.kind == "burst"]
-        if bursts:
-            # the cold-start profile lives in the load-peak phase: the last
-            # burst (the one after any pause)
-            burst = bursts[-1]
-            # per second, the execution durations as value -> count and the cold count
-            durations: list[Counter[int]] = [Counter() for _ in range(TIMELINE_SECONDS)]
-            cold = [0] * TIMELINE_SECONDS
-            for r in invocations:
-                i = (r.start_us - burst.start_us) // 1_000_000
-                if 0 <= i < TIMELINE_SECONDS:
-                    durations[i][r.duration_us] += 1
-                    cold[i] += bool(r.cold_start)
-            timeline = [BucketStat(i, s.count, cold[i], s.p50) for i, s in enumerate(map(summary_stats, durations))]
-    return ColdstartReport(len(invocations), total_cold, per_phase, timeline)
+    starts after the last phase ends is in no phase. The phases are in time
+    order and do not overlap, as ``LoadProfile.phase_windows`` gives them."""
+    run = _RunState(phases)
+    run.add([], invocations)
+    return run.coldstart()
 
 
-_start_end_pair = attrgetter("start_us", "end_us", "pair_id")
-
-
-def coldstart_crosscheck(records: list[TraceRecord]) -> int:
+def coldstart_crosscheck(records: Iterable[TraceRecord]) -> int:
     """Recompute cold flags from the first invocation of each executor key,
-    its least (start, end, pair id), kept as a running minimum; returns the
-    number of invocations whose logged flag disagrees. Pass the call trees'
-    invocations to count a replayed line once."""
-    invs = [r for r in records if r.kind == INVOCATION and r.executor_key]
-    first: dict[str, tuple[int, int, str]] = {}
-    for r in invs:
-        key = _start_end_pair(r)
-        if key < first.setdefault(r.executor_key, key):
-            first[r.executor_key] = key
-    return sum(1 for r in invs if bool(r.cold_start) != (first[r.executor_key][2] == r.pair_id))
+    its least (start, end, pair id); returns the number of invocations whose
+    logged flag disagrees. Pass the call trees' invocations to count a
+    replayed line once."""
+    run = _RunState(None)
+    run.add([], (r for r in records if r.kind == INVOCATION and r.executor_key))
+    return run.cold_flag_mismatches()
 
 
 # ---------------------------------------------------------------------------
@@ -679,13 +678,16 @@ def summarize(groups: dict[str, dict]) -> dict[str, SummaryStats]:
 @dataclass
 class RunAnalysis:
     """A run's analysis. ``metrics`` maps each of ``METRIC_NAMES`` to its
-    groups, and each group is an exact multiset: a dict of value -> count."""
+    groups, and each group is an exact multiset: a dict of value -> count.
+    ``breakdowns`` are in context id order; ``trees``, in the same order, is
+    kept only by ``analyze_records`` and is None after a streamed analysis."""
     parse: ParseReport
-    trees: list[CallTree]
+    tree_count: int
     breakdowns: list[LatencyBreakdown]
     coldstart: ColdstartReport
     cold_flag_mismatches: int
     metrics: dict[str, dict[str, dict]]
+    trees: list[CallTree] | None = None
 
     @property
     def complete_trees(self) -> int:
@@ -693,40 +695,160 @@ class RunAnalysis:
 
     @property
     def incomplete_trees(self) -> int:
-        return len(self.trees) - self.complete_trees
+        return self.tree_count - self.complete_trees
 
     def summaries(self) -> dict[str, dict[str, SummaryStats]]:
         return {metric: summarize(groups) for metric, groups in self.metrics.items()}
 
 
+_context_of = attrgetter("context_id")
+
+
+class _RunState:
+    """What the analysis keeps across contexts: the tree count, the metric
+    multisets, the breakdowns, the cold-start counts per phase and per second
+    of the last burst, and per executor key its least (start, end, pair id)
+    with how many invocations tie on it, and how many of those are cold."""
+
+    def __init__(self, phases: list[PhaseWindow] | None):
+        self.tree_count = 0
+        self.metrics: dict[str, dict[str, dict]] = {name: {} for name in METRIC_NAMES}
+        self.breakdowns: list[LatencyBreakdown] = []
+        self.phases = phases or []
+        self.phase_starts = [ph.start_us for ph in self.phases]
+        self.phase_ends = [ph.end_us for ph in self.phases]
+        self.phase_invocations = [0] * len(self.phases)
+        self.phase_cold = [0] * len(self.phases)
+        bursts = [ph for ph in self.phases if ph.kind == "burst"]
+        # the cold-start profile lives in the load-peak phase: the last burst (the one after any pause)
+        self.burst_start = bursts[-1].start_us if bursts else None
+        self.timeline: list[dict[int, int]] = [{} for _ in range(TIMELINE_SECONDS)]
+        self.timeline_cold = [0] * TIMELINE_SECONDS
+        self.invocations = 0
+        self.cold = 0
+        self.first: dict[str, list] = {}  # executor key -> [(start, end, pair id), ties, cold ties]
+
+    def add(self, trees: list[CallTree], invocations: Iterable[TraceRecord]) -> None:
+        """Fold one context: its trees, each complete one decomposed, and its
+        invocations, the trees' nodes, into the execution durations and the
+        cold-start state."""
+        self.tree_count += len(trees)
+        for tree in trees:
+            if tree.complete:
+                self.breakdowns.append(decompose(tree, self.metrics))
+        exec_duration = self.metrics["exec_duration"]
+        starts = self.phase_starts
+        burst = self.burst_start
+        first = self.first
+        for r in invocations:
+            start = r.start_us
+            d = r.end_us - start
+            cold = r.cold_start
+            g = exec_duration.get(r.function) or exec_duration.setdefault(r.function, {})
+            g[d] = g.get(d, 0) + 1
+            self.invocations += 1
+            if cold:
+                self.cold += 1
+            if starts:
+                i = bisect_right(starts, start) - 1
+                if i >= 0 and start < self.phase_ends[i]:
+                    self.phase_invocations[i] += 1
+                    if cold:
+                        self.phase_cold[i] += 1
+                if burst is not None:
+                    i = (start - burst) // 1_000_000
+                    if 0 <= i < TIMELINE_SECONDS:
+                        g = self.timeline[i]
+                        g[d] = g.get(d, 0) + 1
+                        if cold:
+                            self.timeline_cold[i] += 1
+            key = (start, r.end_us, r.pair_id)
+            f = first.get(r.executor_key)
+            if f is None or key < f[0]:
+                first[r.executor_key] = [key, 1, 1 if cold else 0]
+            elif key == f[0]:  # the same first invocation in another context
+                f[1] += 1
+                if cold:
+                    f[2] += 1
+
+    def coldstart(self) -> ColdstartReport:
+        per_phase = [(ph.name, n, c) for ph, n, c in zip(self.phases, self.phase_invocations, self.phase_cold)]
+        timeline = ([BucketStat(i, s.count, self.timeline_cold[i], s.p50)
+                     for i, s in enumerate(map(summary_stats, self.timeline))]
+                    if self.burst_start is not None else [])
+        return ColdstartReport(self.invocations, self.cold, per_phase, timeline)
+
+    def cold_flag_mismatches(self) -> int:
+        # a cold invocation that is not first disagrees, and so does a first one that is not cold
+        return self.cold + sum(ties - 2 * cold_ties for _, ties, cold_ties in self.first.values())
+
+    def result(self, parse_report: ParseReport, trees: list[CallTree] | None = None) -> RunAnalysis:
+        self.breakdowns.sort(key=_context_of)  # stable: a context's trees keep their order
+        return RunAnalysis(parse_report, self.tree_count, self.breakdowns, self.coldstart(),
+                           self.cold_flag_mismatches(), self.metrics, trees)
+
+
 def analyze_records(records: list[TraceRecord], parse_report: ParseReport,
                     phases: list[PhaseWindow] | None = None) -> RunAnalysis:
-    trees = build_trees(records)
-    metrics: dict[str, dict[str, dict]] = {name: {} for name in METRIC_NAMES}
-    breakdowns = [decompose(tree, metrics) for tree in trees if tree.complete]
-
-    # record-level metric: execution durations (usable under log loss)
-    invocations = [node.record for tree in trees for node in tree.nodes()]
-    exec_duration = metrics["exec_duration"]
-    for r in invocations:
-        g = exec_duration.get(r.function) or exec_duration.setdefault(r.function, {})
-        d = r.duration_us
-        g[d] = g.get(d, 0) + 1
-
-    return RunAnalysis(
-        parse=parse_report,
-        trees=trees,
-        breakdowns=breakdowns,
-        coldstart=coldstart_report(invocations, phases),
-        cold_flag_mismatches=coldstart_crosscheck(invocations),
-        metrics=metrics,
-    )
+    """Analyze a run's parsed records, keeping its call trees."""
+    run = _RunState(phases)
+    trees = build_trees(records, run)
+    return run.result(parse_report, trees)
 
 
 def analyze_log_text(text_or_lines, phases: list[PhaseWindow] | None = None) -> RunAnalysis:
-    """Parse and analyze a collected log, given as text or as its lines."""
+    """Parse and analyze a collected log, given as text or as its lines,
+    keeping its records and call trees."""
     records, report = parse_logs(text_or_lines)
     return analyze_records(records, report, phases)
+
+
+# map(str.split, lines, _TAB, _FIVE) splits each line at its first five tabs, with no Python frame per line
+_TAB = repeat("\t")
+_FIVE = repeat(5)
+
+
+def count_contexts(line_batches: Iterable[list[str]]) -> Counter[str]:
+    """Pass 1 of the streamed analysis: the lines per context id, the fifth
+    column of every line with at least six, of a log's lines given as lists.
+    So every record's line is counted; a line that does not parse may be
+    too, which only keeps its context open to the end of pass 2."""
+    counts: Counter[str] = Counter()
+    for lines in line_batches:
+        counts.update([fields[4] for fields in map(str.split, lines, _TAB, _FIVE) if len(fields) == 6])
+    return counts
+
+
+def analyze_stream(lines: Iterable[str], counts: Counter[str], phases: list[PhaseWindow] | None = None) -> RunAnalysis:
+    """Pass 2 of the streamed analysis: parse the lines that ``count_contexts``
+    counted into ``counts`` (consumed here) and analyze each context once its
+    count is reached, and at the end each context still open. Keeps no tree;
+    otherwise the result equals ``analyze_records`` over the same lines."""
+    report = ParseReport()
+    run = _RunState(phases)
+    open_contexts: dict[str, tuple[list[TraceRecord], int]] = {}
+    get = open_contexts.get
+    for r in _parsed(lines, report):
+        ctx = r.context_id
+        held = get(ctx)
+        if held is None:  # the context's first record
+            need = counts.pop(ctx)
+            bucket = [r]
+            if need > 1:
+                open_contexts[ctx] = (bucket, need)
+                continue
+        else:
+            bucket, need = held
+            bucket.append(r)
+            if len(bucket) < need:
+                continue
+            del open_contexts[ctx]
+        report.records += len(bucket)
+        _context_trees(bucket, run)
+    for bucket, _ in open_contexts.values():  # a context with a line that did not parse
+        report.records += len(bucket)
+        _context_trees(bucket, run)
+    return run.result(report)
 
 
 def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = False) -> None:
@@ -785,7 +907,7 @@ def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = Fal
         "drops": analysis.parse.drops,
         "totalDrops": analysis.parse.total_drops,
         "trees": {
-            "total": len(analysis.trees),
+            "total": analysis.tree_count,
             "complete": analysis.complete_trees,
             "incomplete": analysis.incomplete_trees,
         },

@@ -113,6 +113,7 @@ def cmd_run(args) -> int:
             out_dir=_out_dir(args.out),
             benchmark_name=args.benchmark,
             charts=args.charts,
+            keep_truth=False,  # nothing here reads the truth or the trees
         )
     except InvalidApplication as exc:  # raised before the run directory is made
         print(f"invalid application: {exc}", file=sys.stderr)
@@ -129,7 +130,7 @@ def cmd_run(args) -> int:
 
     a = result.analysis
     print(f"run {result.run_id}: {a.parse.records} records, "
-          f"{a.complete_trees}/{len(a.trees)} complete trees, "
+          f"{a.complete_trees}/{a.tree_count} complete trees, "
           f"{a.coldstart.total_cold} cold starts, {a.parse.total_drops} dropped lines")
     print(f"outputs in {result.run_dir}")
     return EXIT_OK
@@ -148,7 +149,7 @@ def cmd_analyze(args) -> int:
         print(f"analysis failure: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
     print(f"{analysis.parse.records} records, {analysis.parse.parse_errors} parse errors, "
-          f"{analysis.complete_trees}/{len(analysis.trees)} complete trees; reports in {out_dir}")
+          f"{analysis.complete_trees}/{analysis.tree_count} complete trees; reports in {out_dir}")
     if not analysis.coldstart.per_phase:  # every profile has a phase
         print("no phases: no manifest.json with a profile beside the log; cold_starts.csv and timeline.csv list none")
     if analysis.parse.parse_errors > args.max_parse_errors:

@@ -13,7 +13,14 @@ line that names the file and the field.
 
 A run analyzes its own ``raw.log`` through ``analyze_file``, as ``faasbench
 analyze`` does. Before that, it lets go of the simulator and its log lines, so
-reference counting frees them before the analysis starts.
+reference counting frees them before the analysis starts. By default
+``analyze_file`` reads the log twice: pass 1 counts each trace context's
+lines, and pass 2 analyzes each context once its last line is read, so only
+the open contexts are held. With ``keep_trees``, which ``run_benchmark``
+passes when it keeps the ground truth (its default; ``faasbench run`` keeps
+neither), it reads the log once through ``analyze_log_text``, which keeps
+every record and call tree. Both go through the analyzer's one per-context
+path and write the same reports.
 
 ``run_benchmark`` pauses Python's cyclic garbage collector once, from deploy
 to the write of ``raw.log``, and ``analyze_file`` once, over the manifest read
@@ -30,9 +37,11 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
-from .analysis import AnalysisError, PhaseWindow, RunAnalysis, analyze_log_text, write_reports
+from .analysis import (AnalysisError, PhaseWindow, RunAnalysis, analyze_log_text, analyze_stream, count_contexts,
+                       write_reports)
 from .applications import ApplicationSpec, InvalidApplication, validate
 from .benchmarks import BENCHMARK_NAMES, load_builtin
 from .deployment import (
@@ -50,6 +59,7 @@ RAW_LOG_NAME = "raw.log"
 MANIFEST_NAME = "manifest.json"
 REPORTS_DIR = "reports"
 WRITE_CHUNK_LINES = 4096  # log lines joined per write of raw.log
+READ_CHUNK_CHARS = 1 << 16  # characters of raw.log split into lines at a time
 # the JSON type of each manifest.json field; a manifest written before the
 # documents were embedded has none of them
 MANIFEST_FIELDS = {"runId": str, "benchmark": str, "seed": int, "scale": float, "outDir": str, "createdAt": str,
@@ -63,7 +73,7 @@ class RunResult:
     run_dir: Path
     log_path: Path
     analysis: RunAnalysis
-    truth: GroundTruth
+    truth: GroundTruth | None  # None when the run was told not to keep it
     stats: ExecutionStats
 
 
@@ -127,18 +137,23 @@ def run_benchmark(
     scale: float = 1.0,
     benchmark_name: str | None = None,
     charts: bool = False,
+    keep_truth: bool = True,
 ) -> RunResult:
     """Run the full pipeline against the simulated platforms.
 
     Validates ``app`` first: an invalid one raises InvalidApplication, naming
-    every violation, before any run directory exists."""
+    every violation, before any run directory exists.
+
+    ``keep_truth`` keeps the simulator's ground truth and the call trees,
+    which a check against the truth reads; without it both are None, and the
+    run writes the same ``raw.log`` and reports from less memory."""
     report = validate(app)
     if not report.ok:
         raise InvalidApplication("; ".join(str(v) for v in report.violations))
     scaled = profile.scaled(scale)
     validate_profile_against_app(scaled, app)
 
-    env = SimEnvironment(config, seed)
+    env = SimEnvironment(config, seed, keep_truth=keep_truth)
     plan = compile_deployment(app, config)
     run_id = env.run_id
     documents = {"application": app.to_dict(), "config": config.to_dict(), "profile": profile.to_dict()}
@@ -167,7 +182,7 @@ def run_benchmark(
         _write_lines(log_path, log_lines)
     truth = env.truth
     del env, log_lines, arrivals  # the simulator and its lines are freed before the analysis reads raw.log
-    analysis = analyze_file(log_path, run_dir / REPORTS_DIR, charts=charts)
+    analysis = analyze_file(log_path, run_dir / REPORTS_DIR, charts=charts, keep_trees=keep_truth)
     return RunResult(run_id=run_id, run_dir=run_dir, log_path=log_path, analysis=analysis, truth=truth, stats=stats)
 
 
@@ -193,13 +208,18 @@ def _fresh_run_dir(out_dir: Path, run_id: str) -> Path:
     return candidate
 
 
-def analyze_file(log_path: str | Path, out_dir: str | Path | None = None, charts: bool = False) -> RunAnalysis:
+def analyze_file(log_path: str | Path, out_dir: str | Path | None = None, charts: bool = False,
+                 keep_trees: bool = False) -> RunAnalysis:
     """Re-run the analyzer offline on an existing raw log.
 
-    The file is parsed as it is read, a line at a time, and gives the lines
+    The file is parsed as it is read, a chunk at a time, and gives the lines
     of ``read_text().splitlines()``: the reader's universal newlines turn
-    ``\\r\\n`` and ``\\r`` into ``\\n`` and end each line there, and
-    ``splitlines`` splits it further at the other line boundaries it knows.
+    ``\\r\\n`` and ``\\r`` into ``\\n``, and ``splitlines`` ends a line there
+    and at the other line boundaries it knows.
+
+    By default it is read twice (``count_contexts``, then ``analyze_stream``)
+    and no tree is kept; with ``keep_trees`` it is read once through
+    ``analyze_log_text``, which keeps every tree. Both write the same reports.
 
     Raises AnalysisError naming the file when the ``manifest.json`` beside
     the log is not a run manifest or the log is not UTF-8 text.
@@ -209,13 +229,34 @@ def analyze_file(log_path: str | Path, out_dir: str | Path | None = None, charts
     with _collector_paused():
         phases = _read_phases(manifest_path) if manifest_path.is_file() else None
         try:
-            with log_path.open(encoding="utf-8") as fh:
-                analysis = analyze_log_text(itertools.chain.from_iterable(map(str.splitlines, fh)), phases)
+            if keep_trees:
+                with log_path.open(encoding="utf-8") as fh:
+                    analysis = analyze_log_text(itertools.chain.from_iterable(_line_batches(fh)), phases)
+            else:
+                with log_path.open(encoding="utf-8") as fh:
+                    counts = count_contexts(_line_batches(fh))
+                with log_path.open(encoding="utf-8") as fh:
+                    analysis = analyze_stream(itertools.chain.from_iterable(_line_batches(fh)), counts, phases)
         except UnicodeDecodeError as exc:
             raise AnalysisError(f"{log_path}: not UTF-8 text: {exc}") from None
         if out_dir is not None:
             write_reports(analysis, out_dir, charts=charts)
     return analysis
+
+
+def _line_batches(fh) -> Iterator[list[str]]:
+    """The lines of an open text file, those of ``read_text().splitlines()``,
+    as one list per ``READ_CHUNK_CHARS`` read. Universal newlines leave every
+    line end one character long, so a chunk ends either at a line end or in a
+    line that the next chunk goes on with."""
+    rest = ""
+    while chunk := fh.read(READ_CHUNK_CHARS):
+        text = rest + chunk
+        lines = text.splitlines()
+        rest = "" if text[-1].splitlines() == [""] else lines.pop()
+        yield lines
+    if rest:
+        yield [rest]
 
 
 def _read_phases(manifest_path: Path) -> list[PhaseWindow] | None:

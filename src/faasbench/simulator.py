@@ -183,11 +183,17 @@ class SimPlatform:
         self.idle: dict[str, list[Executor]] = {}
 
 
+def _ignore(fact) -> None:
+    """Record nothing: a run that keeps no ground truth."""
+
+
 class SimEnvironment:
     """All simulated platforms of one run behind a single event kernel. The
-    run id is the first id the environment draws, and every sink writes it."""
+    run id is the first id the environment draws, and every sink writes it.
+    Without ``keep_truth`` the environment keeps no ground truth: ``truth`` is
+    None, and the five places that record it call a no-op, bound here once."""
 
-    def __init__(self, config: DeploymentConfig, seed: int):
+    def __init__(self, config: DeploymentConfig, seed: int, keep_truth: bool = True):
         ss = np.random.SeedSequence(seed)
         ids_ss, sample_ss, loadgen_ss = ss.spawn(3)
         self.ids = IdSource(np.random.default_rng(ids_ss))
@@ -195,7 +201,9 @@ class SimEnvironment:
         self.sample_rng = np.random.default_rng(sample_ss)
         self.loadgen_rng = np.random.default_rng(loadgen_ss)
         self.kernel = Kernel()
-        self.truth = GroundTruth()
+        self.truth = GroundTruth() if keep_truth else None
+        self._truth_edge = self.truth.edges.append if keep_truth else _ignore
+        self._truth_invocation = self.truth.invocations.append if keep_truth else _ignore
         self.platforms = {p.id: SimPlatform(self.run_id, p) for p in config.platforms}
         self.loadgen_sink = RecordSink(self.run_id, LOADGEN)
 
@@ -212,7 +220,7 @@ class SimEnvironment:
         yield back.sample(self.sample_rng)
         end = self.kernel.now
         sink.emit(end, OUTGOING_CALL, function, context_id, pair, t0, end, callee=target, mode=MODE_SYNC)
-        self.truth.edges.append(TruthEdge(context_id, parent_pair, pair, kind))
+        self._truth_edge(TruthEdge(context_id, parent_pair, pair, kind))
 
     # -- invocation machinery ----------------------------------------------
 
@@ -250,8 +258,8 @@ class SimEnvironment:
         platform.idle.setdefault(rfn.name, []).append(executor)
         platform.sink.emit(end, INVOCATION, rfn.name, context_id, inbound_pair, arrival, end,
                            executor_key=executor.key, cold_start=cold)
-        self.truth.invocations.append(TruthInvocation(context_id, inbound_pair, arrival, body_start, end, cold,
-                                                      executor.key))
+        self._truth_invocation(TruthInvocation(context_id, inbound_pair, arrival, body_start, end, cold,
+                                               executor.key))
 
     def _run_body(self, platform, rfn, context_id, inbound_pair, steps):
         for step in steps:
@@ -288,7 +296,7 @@ class SimEnvironment:
         end = self.kernel.now
         platform.sink.emit(end, OUTGOING_CALL, function, context_id, pair1, t0, end,
                            callee=target, mode=MODE_ASYNC)
-        self.truth.edges.append(TruthEdge(context_id, inbound_pair, pair1, "async"))
+        self._truth_edge(TruthEdge(context_id, inbound_pair, pair1, "async"))
 
     def _start_publisher(self, platform: SimPlatform, context_id: str, pair1: str, target: str) -> Task:
         """Accept an event for ``target``, which runs on ``platform`` too:
@@ -299,7 +307,7 @@ class SimEnvironment:
         trig = platform.spec.trigger_delay.sample(self.sample_rng)
         platform.sink.emit(accept, OUTGOING_CALL, pub, context_id, pair2, accept, accept,
                            callee=target, mode=MODE_TRIGGER)
-        self.truth.edges.append(TruthEdge(context_id, pair1, pair2, "trigger"))
+        self._truth_edge(TruthEdge(context_id, pair1, pair2, "trigger"))
         self.kernel.spawn(self._trigger_fire(platform, target, context_id, pair2), delay_us=trig)
         return self.start_invocation(platform, pub, context_id, pair1)
 
@@ -314,7 +322,7 @@ class SimEnvironment:
         end = self.kernel.now
         op = "set" if step.kind == "dbSet" else "get"
         platform.sink.emit(end, DB_CALL, rfn.name, context_id, pair, t0, end, callee=service, db_op=op)
-        self.truth.edges.append(TruthEdge(context_id, inbound_pair, pair, "db"))
+        self._truth_edge(TruthEdge(context_id, inbound_pair, pair, "db"))
 
     def run_until_idle(self) -> None:
         self.kernel.run_until_idle()

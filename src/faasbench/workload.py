@@ -66,10 +66,16 @@ class PeriodicSeries:
     train_spacing_us: int = US
 
 
+# the fields each phase kind holds beside its duration, the ones to_dict writes
+PHASE_FIELDS = {"constantRate": ("rate_per_s", "mix"), "burst": ("mix", "total_flows"), "periodic": ("series",),
+                "pause": ()}
+
+
 @dataclass(frozen=True)
 class Phase:
     """One phase of a profile. Its mix is kept sorted by workflow name, in
-    whatever order it is given, so a phase and its JSON form pick alike."""
+    whatever order it is given, so a phase and its JSON form pick alike. A
+    kind holds only its ``PHASE_FIELDS``; the others keep their defaults."""
 
     kind: str  # constantRate | periodic | pause | burst
     duration_us: int
@@ -110,13 +116,21 @@ class LoadProfile:
         for i, phase in enumerate(self.phases):
             _check_int(f"phases[{i}].duration_us", phase.duration_us)
             _check_int(f"phases[{i}].total_flows", phase.total_flows)
-            if phase.kind not in ("constantRate", "periodic", "pause", "burst"):
+            if phase.kind not in PHASE_FIELDS:
                 raise ProfileError(f"unknown phase kind {phase.kind!r}")
+            for name in ("rate_per_s", "mix", "series", "total_flows"):  # to_dict writes only the kind's own
+                if getattr(phase, name) and name not in PHASE_FIELDS[phase.kind]:
+                    raise ProfileError(f"phases[{i}]: a {phase.kind} phase has no {name}")
+            if type(phase.rate_per_s) is bool:  # JSON would write it as true, which from_dict refuses
+                raise ProfileError(f"phases[{i}].rate_per_s must be a number, got {phase.rate_per_s!r}")
             if phase.duration_us < 0:
                 raise ProfileError(f"phases[{i}].durationSeconds must be >= 0")
             if phase.kind in ("constantRate", "burst"):
                 if not phase.mix:
                     raise ProfileError(f"{phase.kind} phase needs a workflow mix")
+                for name, w in phase.mix:
+                    if type(w) is bool:
+                        raise ProfileError(f"phases[{i}].mix.{name} must be a number, got {w!r}")
                 weight = sum(w for _, w in phase.mix)
                 if not abs(weight - 1.0) <= 1e-9:  # written so that a nan sum fails too
                     raise ProfileError(f"mix weights must be finite and sum to 1 (got {weight})")

@@ -21,6 +21,7 @@ from faasbench.analysis import (
     analyze_records,
     build_trees,
     coldstart_crosscheck,
+    count_contexts,
     coldstart_report,
     decompose,
     estimate_skew_corrected_network,
@@ -171,24 +172,39 @@ def test_parse_counts_a_drop_count_other_than_ascii_digits_as_an_error(count):
 
 
 def test_analyze_file_splits_lines_like_splitlines(tmp_path, monkeypatch):
-    # the file reader ends lines at \n, \r and \r\n, splitlines at all of these
+    # the file reader ends lines at \n, \r and \r\n, splitlines at all of these,
+    # and a line cut by the end of a chunk read goes on in the next
     lines = [HEADER_LINE, GOOD_INV, GOOD_CALL, GOOD_DB, "#dropped p1 3", _edit(GOOD_INV, f3="f\x85n"), GOOD_CALL,
              "", _edit(GOOD_DB, f3="f\u2028n"), GOOD_DB]
     separators = ["\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028", "\n", "\r\n", "\x0b"]
     text = "".join(line + sep for line, sep in zip(lines, separators + ["\r"]))
     path = tmp_path / "raw.log"
     path.write_text(text, newline="")  # keep every \r as written
-    parsed = []
+    records, report = parse_logs(path.read_text())
+    assert report == ParseReport(records=5, parse_errors=4, drops={"p1": 3})
+    parsed, counted = [], []
 
     def recording_parse_logs(text_or_lines):
         parsed.append(parse_logs(text_or_lines))
         return parsed[-1]
 
+    def recording_count_contexts(line_batches):
+        counted.append([line for batch in line_batches for line in batch])
+        return count_contexts([counted[-1]])
+
     monkeypatch.setattr(analysis_module, "parse_logs", recording_parse_logs)
-    analyze_file(path)
-    records, report = parse_logs(path.read_text())
-    assert parsed == [(records, report)]
-    assert report == ParseReport(records=5, parse_errors=4, drops={"p1": 3})
+    monkeypatch.setattr(runner, "count_contexts", recording_count_contexts)
+    for chunk in (1, 2, 3, 7, runner.READ_CHUNK_CHARS):
+        monkeypatch.setattr(runner, "READ_CHUNK_CHARS", chunk)
+        parsed.clear()
+        counted.clear()
+        kept = analyze_file(path, keep_trees=True)
+        assert parsed == [(records, report)], chunk
+        # the streamed read counts its contexts over the same lines, and parses them
+        streamed = analyze_file(path)
+        assert counted == [path.read_text().splitlines()], chunk
+        assert streamed.parse == report and streamed.tree_count == kept.tree_count == len(kept.trees)
+        assert streamed.coldstart == kept.coldstart and streamed.metrics == kept.metrics
 
 
 def _column_values(records, column):
@@ -456,13 +472,14 @@ def test_replayed_invocation_line_is_counted_once(tmp_path):
     result.log_path.write_text(text + replayed + "\n")
 
     analysis = analyze_file(result.log_path)
+    assert analysis.trees is None and analysis.incomplete_trees == 1
     assert sum(analysis.metrics["exec_duration"]["orderSupplies"].values()) == 900
     assert analysis.coldstart.total_invocations == 29700
     assert analysis.metrics["exec_duration"] == result.analysis.metrics["exec_duration"]
     assert analysis.coldstart == result.analysis.coldstart
     assert analysis.cold_flag_mismatches == 0
     ctx = replayed.split("\t")[4]
-    assert {t.context_id for t in analysis.trees if not t.complete} == {ctx}
+    assert {t.context_id for t in analyze_file(result.log_path, keep_trees=True).trees if not t.complete} == {ctx}
     assert analysis.parse.records == result.analysis.parse.records + 1
 
 
@@ -666,6 +683,22 @@ def test_coldstart_timeline_equals_a_scan_per_second():
         assert b.p50_exec_us == (execs[max(1, math.ceil(0.5 * len(execs))) - 1] if execs else None)
 
 
+def test_coldstart_phases_equal_a_scan_per_phase():
+    # windows as a profile gives them: in time order, touching, one of them empty
+    phases = [PhaseWindow("0:burst", "burst", 0, 3_000_000), PhaseWindow("1:pause", "pause", 3_000_000, 3_000_000),
+              PhaseWindow("2:constantRate", "constantRate", 3_000_000, 7_000_000),
+              PhaseWindow("3:burst", "burst", 7_000_000, 9_000_000)]
+    rng = np.random.default_rng(11)
+    starts = [0, 2_999_999, 3_000_000, 6_999_999, 7_000_000, 8_999_999, 9_000_000, *rng.integers(0, 9_000_000, 300)]
+    records = [rec(INVOCATION, "fn", _id(i), int(s), int(s) + 5, ctx=_id(10_000 + i), cold_start=i % 3 == 0)
+               for i, s in enumerate(starts)]
+    report = coldstart_report(records, phases)
+    assert report.per_phase == [
+        (ph.name, sum(1 for r in within), sum(1 for r in within if r.cold_start))
+        for ph in phases for within in [[r for r in records if ph.start_us <= r.start_us < ph.end_us]]]
+    assert report.per_phase[1][1] == 0 and sum(n for _, n, _ in report.per_phase) == len(records) - 1
+
+
 def test_coldstart_crosscheck_detects_bad_flags():
     ok = [
         rec(INVOCATION, "fn", _id(1), 0, 5, executor_key=_id(7), cold_start=True),
@@ -794,7 +827,7 @@ def measured_boxes(img: np.ndarray) -> list[tuple[int, int, int, int, int]]:
 def known_analysis() -> RunAnalysis:
     return RunAnalysis(
         parse=ParseReport(records=18),
-        trees=[],
+        tree_count=0,
         breakdowns=[],
         coldstart=ColdstartReport(total_invocations=0, total_cold=0, per_phase=[], timeline=[]),
         cold_flag_mismatches=0,

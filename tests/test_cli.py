@@ -706,6 +706,41 @@ def test_analyze_matches_pipeline_reports(tmp_path):
     assert with_data and {p.stem for p in (redo / "charts").glob("*.png")} == with_data
 
 
+REPORT_FILES = ("summary.json", "summary.csv", "trees.csv", "trigger_delays.csv", "publish_latency.csv",
+                "cold_starts.csv", "timeline.csv")
+
+
+@pytest.mark.parametrize("case", ["webshop", "exp3-three-way-factory"])
+def test_a_cli_run_keeps_no_truth_and_writes_what_a_run_that_keeps_it_writes(case, tmp_path, monkeypatch, capsys):
+    if case == "webshop":
+        bench, argv = case, []
+        app, config, profile = load_builtin(bench), default_config(load_builtin(bench)), builtin_profile(bench)
+    else:
+        r = recipe(case)
+        bench, app, config, profile = r.benchmark, load_builtin(r.benchmark), r.config, r.profile
+        (tmp_path / "config.json").write_text(json.dumps(config.to_dict()), encoding="utf-8")
+        (tmp_path / "profile.json").write_text(json.dumps(profile.to_dict()), encoding="utf-8")
+        argv = ["--config", str(tmp_path / "config.json"), "--profile", str(tmp_path / "profile.json")]
+    results = []
+
+    def recording_run_benchmark(*args, **kwargs):
+        results.append(cli_run_benchmark(*args, **kwargs))
+        return results[-1]
+
+    cli_run_benchmark = cli.run_benchmark
+    monkeypatch.setattr(cli, "run_benchmark", recording_run_benchmark)
+    assert run_cli("run", bench, *argv, "--seed", "7", "--scale", "0.01", "--out", str(tmp_path / "cli")) == EXIT_OK
+    (result,) = results
+    assert result.truth is None and result.analysis.trees is None
+    kept = cli_run_benchmark(app, config, profile, seed=7, scale=0.01, out_dir=tmp_path / "kept", benchmark_name=bench)
+    assert kept.truth.invocations and len(kept.analysis.trees) == result.analysis.tree_count > 0
+    assert result.log_path.read_bytes() == kept.log_path.read_bytes()
+    for name in REPORT_FILES:
+        assert (result.run_dir / "reports" / name).read_bytes() == (kept.run_dir / "reports" / name).read_bytes(), name
+    complete = result.analysis.complete_trees
+    assert f"{complete}/{result.analysis.tree_count} complete trees" in capsys.readouterr().out
+
+
 def test_analyze_charts_a_range_below_float_precision(tmp_path):
     # two executions of 2**53 and 2**53 + 3 us: float ticks round past the range
     lines = [serialize_record(TraceRecord("r1", "p1", INVOCATION, "f", "c1", f"p{i}", 0, end, executor_key="e1",
@@ -919,8 +954,10 @@ def test_deep_sync_chain_runs_to_completion(tmp_path, monkeypatch):
     profile_path.write_text(json.dumps(profile))
     results = []
 
-    def run_and_keep(*args, **kwargs):
-        results.append(cli_run_benchmark(*args, **kwargs))
+    def run_and_keep(*args, keep_truth, **kwargs):
+        # the CLI keeps no truth and no trees; this run keeps both, to check them
+        assert keep_truth is False
+        results.append(cli_run_benchmark(*args, keep_truth=True, **kwargs))
         return results[-1]
 
     cli_run_benchmark = cli.run_benchmark

@@ -487,8 +487,8 @@ def test_run_benchmark_frees_its_environment_on_return(collector_restored, monke
     analyze_log_text = runner.analyze_log_text
 
     class WatchedEnvironment(SimEnvironment):
-        def __init__(self, config, seed):
-            super().__init__(config, seed)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             envs.append(weakref.ref(self))
 
     def watched_analyze_log_text(*args, **kwargs):

@@ -18,6 +18,7 @@ from faasbench.workload import (
     Arrival,
     LoadProfile,
     MAX_PROFILE_US,
+    PHASE_FIELDS,
     PeriodicSeries,
     Phase,
     ProfileError,
@@ -36,9 +37,11 @@ def rng(seed=0):
 
 
 def flat_profile(**phase_kw) -> LoadProfile:
+    """One phase of ``phase_kw`` over one workflow ``w``, its whole mix when its kind holds one."""
     wf = Workflow("w", (WorkflowStep("fn"),))
-    phase = Phase(mix=(("w", 1.0),), **phase_kw)
-    return LoadProfile("p", (wf,), (phase,))
+    if "mix" in PHASE_FIELDS[phase_kw["kind"]]:
+        phase_kw.setdefault("mix", (("w", 1.0),))
+    return LoadProfile("p", (wf,), (Phase(**phase_kw),))
 
 
 # -- built-in profiles -------------------------------------------------------
@@ -278,16 +281,21 @@ def test_profile_json_round_trip():
 TIMES = st.integers(0, MAX_PROFILE_US - 1)  # every time of a profile, in us
 # in range, so that only its type keeps it out
 NOT_INTS = st.floats(1, 1e9).filter(lambda x: not x.is_integer()) | st.booleans()
-ODD_FIELDS = ["think_time_us", "duration_us", "interval_us", "train_count", "train_spacing_us", "total_flows", "mix"]
+ODD_FIELDS = ["think_time_us", "duration_us", "interval_us", "train_count", "train_spacing_us", "total_flows", "mix",
+              "rate_per_s", "foreign"]
+# a value of each phase field that to_dict writes only for the kinds that hold it
+FOREIGN = {"rate_per_s": st.floats(1e-9, 1e9) | st.just(True), "mix": st.just((("w", 1.0),)),
+           "series": st.just((PeriodicSeries("fn", US),)), "total_flows": st.integers(1, 100)}
 
 
 @st.composite
 def profiles(draw, odd=False):
     """A valid profile: every phase kind, any time below the bound, and each
     mix in any order. With ``odd``, each field is odd one time in eight, in
-    all of its values (a time or count is then a float or a bool, and the
-    mix weights may be negative), and the profile is None when the
-    constructor refuses it."""
+    all of its values (a time or count is then a float or a bool, a rate a
+    bool, the mix weights may be negative or one of them a bool, and a phase
+    may hold a field its kind never writes), and the profile is None when
+    the constructor refuses it."""
     odd_fields = {f for f in ODD_FIELDS if odd and draw(rarely(st.just(True), st.just(False)))}
 
     def pick(field, usual, odd_values=NOT_INTS):
@@ -300,25 +308,32 @@ def profiles(draw, odd=False):
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["constantRate", "burst", "periodic", "pause"]))
         duration = pick("duration_us", TIMES)
+        foreign = {}
+        if "foreign" in odd_fields:
+            name = draw(st.sampled_from([f for f in FOREIGN if f not in PHASE_FIELDS[kind]]))
+            foreign[name] = draw(FOREIGN[name])
         if kind == "periodic":
             series = tuple(PeriodicSeries(draw(st.text(max_size=3)),
                                           pick("interval_us", st.integers(1, MAX_PROFILE_US - 1)),
                                           pick("train_count", st.integers(1, 5)),
                                           pick("train_spacing_us", st.integers(1, MAX_PROFILE_US - 1)))
                            for _ in range(draw(st.integers(0, 2))))
-            phases.append(Phase(kind, duration, series=series))
+            phases.append(Phase(kind, duration, series=series, **foreign))
         elif kind == "pause":
-            phases.append(Phase(kind, duration))
+            phases.append(Phase(kind, duration, **foreign))
         else:
             mixed = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
             counts = [pick("mix", st.integers(1, 1000), st.integers(-1000, 1000)) for _ in mixed]
             assume(sum(counts))
             mix = tuple((n, c / sum(counts)) for n, c in zip(mixed, counts))
+            if "mix" in odd_fields and draw(st.booleans()):
+                mix = ((mixed[0], True),) + tuple((n, 0.0) for n in mixed[1:])  # weights that sum to 1, one a bool
             if kind == "burst":
                 flows = pick("total_flows", st.integers(1, 2**53 - 1))
-                phases.append(Phase(kind, duration, mix=mix, total_flows=flows))
+                phases.append(Phase(kind, duration, mix=mix, total_flows=flows, **foreign))
             else:
-                phases.append(Phase(kind, duration, rate_per_s=draw(st.floats(1e-9, 1e9)), mix=mix))
+                rate = pick("rate_per_s", st.floats(1e-9, 1e9), st.booleans())
+                phases.append(Phase(kind, duration, rate_per_s=rate, mix=mix, **foreign))
     assume(sum(p.duration_us for p in phases) > 0)
     try:
         return LoadProfile(draw(st.text(max_size=3)), workflows, tuple(phases))
@@ -357,6 +372,29 @@ def test_a_profile_built_in_code_holds_only_int_times_and_counts(build, reason):
     # to_dict would write a value that from_dict refuses or reads back as another
     with pytest.raises(ProfileError) as exc:
         build()
+    assert str(exc.value) == reason
+
+
+@pytest.mark.parametrize("phase, reason", [
+    (Phase("pause", US, total_flows=5), "phases[0]: a pause phase has no total_flows"),
+    (Phase("pause", US, mix=(("w", 1.0),)), "phases[0]: a pause phase has no mix"),
+    (Phase("pause", US, rate_per_s=2.0), "phases[0]: a pause phase has no rate_per_s"),
+    (Phase("burst", US, rate_per_s=2.0, mix=(("w", 1.0),), total_flows=5),
+     "phases[0]: a burst phase has no rate_per_s"),
+    (Phase("periodic", US, mix=(("w", 1.0),)), "phases[0]: a periodic phase has no mix"),
+    (Phase("constantRate", US, rate_per_s=2.0, mix=(("w", 1.0),), total_flows=5),
+     "phases[0]: a constantRate phase has no total_flows"),
+    (Phase("burst", US, series=(PeriodicSeries("fn", US),), mix=(("w", 1.0),), total_flows=5),
+     "phases[0]: a burst phase has no series"),
+    (Phase("constantRate", US, rate_per_s=True, mix=(("w", 1.0),)), "phases[0].rate_per_s must be a number, got True"),
+    (Phase("burst", US, mix=(("w", True),), total_flows=5), "phases[0].mix.w must be a number, got True"),
+], ids=["pause-flows", "pause-mix", "pause-rate", "burst-rate", "periodic-mix", "rate-flows", "burst-series",
+        "bool-rate", "bool-weight"])
+def test_a_phase_built_in_code_holds_only_what_its_json_holds(phase, reason):
+    # to_dict writes only the fields of the phase's kind, and JSON writes a bool
+    # as true, which from_dict refuses as a number
+    with pytest.raises(ProfileError) as exc:
+        LoadProfile("p", (Workflow("w", (WorkflowStep("fn"),)),), (phase,))
     assert str(exc.value) == reason
 
 

@@ -39,9 +39,10 @@ Dapper (Sigelman et al., 2010) and Canopy (Kaldor et al., 2017) assemble each
 trace on its own, ``_context_trees`` is the one per-context path: it builds a
 context's trees, decomposes the complete ones and folds the context's
 invocations, the trees' nodes (of a replayed line, the first in log order),
-into ``_RunState``, which keeps no invocation list. Two readers call it:
-``analyze_records`` (through ``build_trees``) buckets a parsed log by context
-and keeps every record and tree; the streamed read of ``analyze_file`` counts
+into the run's ``RunAnalysis`` itself, which keeps no invocation list. Two
+readers call it: ``analyze_records`` (through ``build_trees``) buckets a
+parsed log by context and keeps every record and tree; the streamed read of
+``analyze_file`` counts
 each context's lines in pass 1 (``count_contexts``), then parses them in
 pass 2 (``analyze_stream``) and hands a context over once its count is
 reached, and at the end each context still open, such as one with a line
@@ -224,7 +225,7 @@ _node_start = attrgetter("record.start_us")
 _record_of = attrgetter("record")
 
 
-def build_trees(records: list[TraceRecord], run: _RunState | None = None) -> list[CallTree]:
+def build_trees(records: list[TraceRecord], run: RunAnalysis | None = None) -> list[CallTree]:
     """One tree per load-generator root call, in context id order; a context
     with none yields one rootless tree, so every context of the log has a
     tree. Each context is folded into ``run`` if given."""
@@ -237,7 +238,7 @@ def build_trees(records: list[TraceRecord], run: _RunState | None = None) -> lis
     return trees
 
 
-def _context_trees(records: list[TraceRecord], run: _RunState | None) -> list[CallTree]:
+def _context_trees(records: list[TraceRecord], run: RunAnalysis | None) -> list[CallTree]:
     """The call trees of one context, from its records in log order, in
     (start, pair id) order of their roots, folded into ``run`` if given.
 
@@ -542,7 +543,9 @@ def decompose(tree: CallTree, metrics: dict[str, dict[str, dict]]) -> LatencyBre
 def trigger_metrics(metrics: dict[str, dict[str, dict]]) -> tuple[dict[str, dict], dict[str, dict]]:
     """({"origin->dest": publish latency -> count}, {"origin->dest": trigger
     delay -> count}), the multisets ``decompose`` filled in the run's metrics,
-    one publish row per async edge; sync-only trees contribute nothing."""
+    one publish row per async edge; sync-only trees contribute nothing.
+    A run calls none of this; it stays only for perfbench's ``ANALYSIS_CALLS``
+    table and the tests, until the benchmark stops wrapping it."""
     return metrics["publish_latency"], metrics["trigger_delay"]
 
 
@@ -551,7 +554,9 @@ def estimate_skew_corrected_network(metrics: dict[str, dict[str, dict]]) -> dict
     filled in the run's metrics: per sync edge (caller round trip − callee
     execution) / 2. Duration based, so constant per-platform clock offsets
     cancel; under asymmetric legs the estimate is the two-leg mean
-    (documented bias)."""
+    (documented bias). A run calls none of this; it stays only for
+    perfbench's ``ANALYSIS_CALLS`` table and the tests, until the benchmark
+    stops wrapping it."""
     return metrics["network_oneway"]
 
 
@@ -566,44 +571,40 @@ class PhaseWindow(NamedTuple):
     end_us: int
 
 
-@dataclass
-class BucketStat:
+class BucketStat(NamedTuple):  # one second of the cold-start timeline
     index: int
     count: int
     cold: int
     p50_exec_us: float | None
 
 
-@dataclass
-class ColdstartReport:
-    total_invocations: int
-    total_cold: int
-    per_phase: list[tuple[str, int, int]]  # (phase name, invocations, cold)
-    timeline: list[BucketStat]  # last burst phase, per second, first TIMELINE_SECONDS
-
-
 TIMELINE_SECONDS = 30  # seconds of the cold-start timeline, from the start of the last burst
 
 
-def coldstart_report(invocations: Iterable[TraceRecord], phases: list[PhaseWindow] | None = None) -> ColdstartReport:
-    """Cold-start counts of the invocations, the nodes of the call trees. A
-    phase or timeline bucket holds an invocation by its logged start, so a
-    platform's clock offset moves it (the totals excepted), and one that
-    starts after the last phase ends is in no phase. The phases are in time
-    order and do not overlap, as ``LoadProfile.phase_windows`` gives them."""
-    run = _RunState(phases)
+def coldstart_report(invocations: Iterable[TraceRecord], phases: list[PhaseWindow] | None = None) -> RunAnalysis:
+    """The analysis of the invocations alone, the nodes of the call trees,
+    for its cold-start counts. A phase or timeline bucket holds an invocation
+    by its logged start, so a platform's clock offset moves it (the totals
+    excepted), and one that starts after the last phase ends is in no phase.
+    The phases are in time order and do not overlap, as
+    ``LoadProfile.phase_windows`` gives them. A run calls none of this; it
+    stays only for perfbench's ``ANALYSIS_CALLS`` table and the tests, until
+    the benchmark stops wrapping it."""
+    run = RunAnalysis(phases)
     run.add([], invocations)
-    return run.coldstart()
+    return run
 
 
 def coldstart_crosscheck(records: Iterable[TraceRecord]) -> int:
     """Recompute cold flags from the first invocation of each executor key,
     its least (start, end, pair id); returns the number of invocations whose
     logged flag disagrees. Pass the call trees' invocations to count a
-    replayed line once."""
-    run = _RunState(None)
+    replayed line once. A run calls none of this; it stays only for
+    perfbench's ``ANALYSIS_CALLS`` table and the tests, until the benchmark
+    stops wrapping it."""
+    run = RunAnalysis()
     run.add([], (r for r in records if r.kind == INVOCATION and r.executor_key))
-    return run.cold_flag_mismatches()
+    return run.cold_flag_mismatches
 
 
 # ---------------------------------------------------------------------------
@@ -675,19 +676,37 @@ def summarize(groups: dict[str, dict]) -> dict[str, SummaryStats]:
 # whole-run analysis and report files
 
 
-@dataclass
 class RunAnalysis:
-    """A run's analysis. ``metrics`` maps each of ``METRIC_NAMES`` to its
-    groups, and each group is an exact multiset: a dict of value -> count.
-    ``breakdowns`` are in context id order; ``trees``, in the same order, is
-    kept only by ``analyze_records`` and is None after a streamed analysis."""
-    parse: ParseReport
-    tree_count: int
-    breakdowns: list[LatencyBreakdown]
-    coldstart: ColdstartReport
-    cold_flag_mismatches: int
-    metrics: dict[str, dict[str, dict]]
-    trees: list[CallTree] | None = None
+    """A run's analysis, folded one trace context at a time by ``add``.
+
+    ``parse`` counts the log's records, parse errors and drops, and
+    ``tree_count`` its trees. ``metrics`` maps each of ``METRIC_NAMES`` to
+    its groups, and each group is an exact multiset: a dict of value ->
+    count. ``breakdowns`` are in context id order; ``trees``, in the same
+    order, is kept only by ``analyze_records`` and is None after a streamed
+    analysis. ``total_invocations`` and ``total_cold`` count the invocations,
+    ``per_phase`` and ``timeline`` count them per phase and per second of the
+    last burst, and ``cold_flag_mismatches`` checks their cold flags."""
+
+    def __init__(self, phases: list[PhaseWindow] | None = None):
+        self.parse = ParseReport()
+        self.tree_count = 0
+        self.metrics: dict[str, dict[str, dict]] = {name: {} for name in METRIC_NAMES}
+        self.breakdowns: list[LatencyBreakdown] = []
+        self.trees: list[CallTree] | None = None
+        self.total_invocations = 0
+        self.total_cold = 0
+        self._phases = phases or []
+        self._phase_starts = [ph.start_us for ph in self._phases]
+        self._phase_ends = [ph.end_us for ph in self._phases]
+        self._phase_invocations = [0] * len(self._phases)
+        self._phase_cold = [0] * len(self._phases)
+        bursts = [ph for ph in self._phases if ph.kind == "burst"]
+        # the cold-start profile lives in the load-peak phase: the last burst (the one after any pause)
+        self._burst_start = bursts[-1].start_us if bursts else None
+        self._timeline_exec: list[dict[int, int]] = [{} for _ in range(TIMELINE_SECONDS)]
+        self._timeline_cold = [0] * TIMELINE_SECONDS
+        self._first: dict[str, list] = {}  # executor key -> [(start, end, pair id), ties, cold ties]
 
     @property
     def complete_trees(self) -> int:
@@ -697,71 +716,61 @@ class RunAnalysis:
     def incomplete_trees(self) -> int:
         return self.tree_count - self.complete_trees
 
+    @property
+    def per_phase(self) -> list[tuple[str, int, int]]:
+        """(phase name, invocations, cold) per phase, in profile order."""
+        return list(zip([ph.name for ph in self._phases], self._phase_invocations, self._phase_cold))
+
+    @property
+    def timeline(self) -> list[BucketStat]:
+        """The first ``TIMELINE_SECONDS`` seconds of the last burst; none without a burst."""
+        if self._burst_start is None:
+            return []
+        return [BucketStat(i, s.count, self._timeline_cold[i], s.p50)
+                for i, s in enumerate(map(summary_stats, self._timeline_exec))]
+
+    @property
+    def cold_flag_mismatches(self) -> int:
+        # a cold invocation that is not first disagrees, and so does a first one that is not cold
+        return self.total_cold + sum(ties - 2 * cold_ties for _, ties, cold_ties in self._first.values())
+
     def summaries(self) -> dict[str, dict[str, SummaryStats]]:
         return {metric: summarize(groups) for metric, groups in self.metrics.items()}
-
-
-_context_of = attrgetter("context_id")
-
-
-class _RunState:
-    """What the analysis keeps across contexts: the tree count, the metric
-    multisets, the breakdowns, the cold-start counts per phase and per second
-    of the last burst, and per executor key its least (start, end, pair id)
-    with how many invocations tie on it, and how many of those are cold."""
-
-    def __init__(self, phases: list[PhaseWindow] | None):
-        self.tree_count = 0
-        self.metrics: dict[str, dict[str, dict]] = {name: {} for name in METRIC_NAMES}
-        self.breakdowns: list[LatencyBreakdown] = []
-        self.phases = phases or []
-        self.phase_starts = [ph.start_us for ph in self.phases]
-        self.phase_ends = [ph.end_us for ph in self.phases]
-        self.phase_invocations = [0] * len(self.phases)
-        self.phase_cold = [0] * len(self.phases)
-        bursts = [ph for ph in self.phases if ph.kind == "burst"]
-        # the cold-start profile lives in the load-peak phase: the last burst (the one after any pause)
-        self.burst_start = bursts[-1].start_us if bursts else None
-        self.timeline: list[dict[int, int]] = [{} for _ in range(TIMELINE_SECONDS)]
-        self.timeline_cold = [0] * TIMELINE_SECONDS
-        self.invocations = 0
-        self.cold = 0
-        self.first: dict[str, list] = {}  # executor key -> [(start, end, pair id), ties, cold ties]
 
     def add(self, trees: list[CallTree], invocations: Iterable[TraceRecord]) -> None:
         """Fold one context: its trees, each complete one decomposed, and its
         invocations, the trees' nodes, into the execution durations and the
-        cold-start state."""
+        cold-start counts."""
         self.tree_count += len(trees)
         for tree in trees:
             if tree.complete:
                 self.breakdowns.append(decompose(tree, self.metrics))
         exec_duration = self.metrics["exec_duration"]
-        starts = self.phase_starts
-        burst = self.burst_start
-        first = self.first
+        starts = self._phase_starts
+        burst = self._burst_start
+        first = self._first
         for r in invocations:
             start = r.start_us
             d = r.end_us - start
             cold = r.cold_start
             g = exec_duration.get(r.function) or exec_duration.setdefault(r.function, {})
             g[d] = g.get(d, 0) + 1
-            self.invocations += 1
+            self.total_invocations += 1
             if cold:
-                self.cold += 1
+                self.total_cold += 1
             if starts:
                 i = bisect_right(starts, start) - 1
-                if i >= 0 and start < self.phase_ends[i]:
-                    self.phase_invocations[i] += 1
+                if i >= 0 and start < self._phase_ends[i]:
+                    self._phase_invocations[i] += 1
                     if cold:
-                        self.phase_cold[i] += 1
+                        self._phase_cold[i] += 1
                 if burst is not None:
                     i = (start - burst) // 1_000_000
                     if 0 <= i < TIMELINE_SECONDS:
-                        g = self.timeline[i]
+                        g = self._timeline_exec[i]
                         g[d] = g.get(d, 0) + 1
                         if cold:
-                            self.timeline_cold[i] += 1
+                            self._timeline_cold[i] += 1
             key = (start, r.end_us, r.pair_id)
             f = first.get(r.executor_key)
             if f is None or key < f[0]:
@@ -771,29 +780,15 @@ class _RunState:
                 if cold:
                     f[2] += 1
 
-    def coldstart(self) -> ColdstartReport:
-        per_phase = [(ph.name, n, c) for ph, n, c in zip(self.phases, self.phase_invocations, self.phase_cold)]
-        timeline = ([BucketStat(i, s.count, self.timeline_cold[i], s.p50)
-                     for i, s in enumerate(map(summary_stats, self.timeline))]
-                    if self.burst_start is not None else [])
-        return ColdstartReport(self.invocations, self.cold, per_phase, timeline)
-
-    def cold_flag_mismatches(self) -> int:
-        # a cold invocation that is not first disagrees, and so does a first one that is not cold
-        return self.cold + sum(ties - 2 * cold_ties for _, ties, cold_ties in self.first.values())
-
-    def result(self, parse_report: ParseReport, trees: list[CallTree] | None = None) -> RunAnalysis:
-        self.breakdowns.sort(key=_context_of)  # stable: a context's trees keep their order
-        return RunAnalysis(parse_report, self.tree_count, self.breakdowns, self.coldstart(),
-                           self.cold_flag_mismatches(), self.metrics, trees)
-
 
 def analyze_records(records: list[TraceRecord], parse_report: ParseReport,
                     phases: list[PhaseWindow] | None = None) -> RunAnalysis:
-    """Analyze a run's parsed records, keeping its call trees."""
-    run = _RunState(phases)
-    trees = build_trees(records, run)
-    return run.result(parse_report, trees)
+    """Analyze a run's parsed records, keeping its call trees; ``build_trees``
+    visits the contexts in id order, so the breakdowns come out in it."""
+    run = RunAnalysis(phases)
+    run.parse = parse_report
+    run.trees = build_trees(records, run)
+    return run
 
 
 def analyze_log_text(text_or_lines, phases: list[PhaseWindow] | None = None) -> RunAnalysis:
@@ -802,6 +797,8 @@ def analyze_log_text(text_or_lines, phases: list[PhaseWindow] | None = None) -> 
     records, report = parse_logs(text_or_lines)
     return analyze_records(records, report, phases)
 
+
+_context_of = attrgetter("context_id")  # the sort key of the streamed breakdowns
 
 # map(str.split, lines, _TAB, _FIVE) splits each line at its first five tabs, with no Python frame per line
 _TAB = repeat("\t")
@@ -824,8 +821,8 @@ def analyze_stream(lines: Iterable[str], counts: Counter[str], phases: list[Phas
     counted into ``counts`` (consumed here) and analyze each context once its
     count is reached, and at the end each context still open. Keeps no tree;
     otherwise the result equals ``analyze_records`` over the same lines."""
-    report = ParseReport()
-    run = _RunState(phases)
+    run = RunAnalysis(phases)
+    report = run.parse
     open_contexts: dict[str, tuple[list[TraceRecord], int]] = {}
     get = open_contexts.get
     for r in _parsed(lines, report):
@@ -848,7 +845,8 @@ def analyze_stream(lines: Iterable[str], counts: Counter[str], phases: list[Phas
     for bucket, _ in open_contexts.values():  # a context with a line that did not parse
         report.records += len(bucket)
         _context_trees(bucket, run)
-    return run.result(report)
+    run.breakdowns.sort(key=_context_of)  # stable: a context's trees keep their order
+    return run
 
 
 def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = False) -> None:
@@ -879,26 +877,10 @@ def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = Fal
          for bd in analysis.breakdowns),
     )
 
-    emit_csv(
-        "trigger_delays.csv",
-        stat_header[1:],
-        [[g, *s] for g, s in summaries.get("trigger_delay", {}).items()],
-    )
-    emit_csv(
-        "publish_latency.csv",
-        stat_header[1:],
-        [[g, *s] for g, s in summaries.get("publish_latency", {}).items()],
-    )
-    emit_csv(
-        "cold_starts.csv",
-        ["phase", "invocations", "cold"],
-        [[name, n, cold] for name, n, cold in analysis.coldstart.per_phase],
-    )
-    emit_csv(
-        "timeline.csv",
-        ["bucket_s", "count", "cold", "p50_exec_us"],
-        [[b.index, b.count, b.cold, b.p50_exec_us] for b in analysis.coldstart.timeline],
-    )
+    for name, metric in (("trigger_delays.csv", "trigger_delay"), ("publish_latency.csv", "publish_latency")):
+        emit_csv(name, stat_header[1:], [[g, *s] for g, s in summaries.get(metric, {}).items()])
+    emit_csv("cold_starts.csv", ["phase", "invocations", "cold"], analysis.per_phase)
+    emit_csv("timeline.csv", ["bucket_s", "count", "cold", "p50_exec_us"], analysis.timeline)
 
     summary = {
         "schemaVersion": 1,
@@ -912,11 +894,11 @@ def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = Fal
             "incomplete": analysis.incomplete_trees,
         },
         "coldStarts": {
-            "invocations": analysis.coldstart.total_invocations,
-            "cold": analysis.coldstart.total_cold,
+            "invocations": analysis.total_invocations,
+            "cold": analysis.total_cold,
             "flagMismatches": analysis.cold_flag_mismatches,
             "perPhase": [
-                {"phase": name, "invocations": n, "cold": c} for name, n, c in analysis.coldstart.per_phase
+                {"phase": name, "invocations": n, "cold": c} for name, n, c in analysis.per_phase
             ],
         },
         "metrics": {

@@ -194,15 +194,6 @@ class Violation:
         return f"{self.code}{where}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def walk_steps(body: tuple[BodyStep, ...]) -> Iterator[BodyStep]:
     """Yield every step of a body, depth first: a parallel block, then the
     steps of each of its branches."""
@@ -212,8 +203,9 @@ def walk_steps(body: tuple[BodyStep, ...]) -> Iterator[BodyStep]:
             yield from walk_steps(branch)
 
 
-def validate(app: ApplicationSpec) -> ValidationReport:
-    """Check all application invariants; violations are data, not errors."""
+def validate(app: ApplicationSpec) -> tuple[Violation, ...]:
+    """Check all application invariants; violations are data, not errors.
+    Returns every violation found, none when the application is valid."""
     violations: list[Violation] = []
     # names are written into every log line; the violation quotes a bad one
     # rather than printing it, so the report stays one line per violation
@@ -291,7 +283,7 @@ def validate(app: ApplicationSpec) -> ValidationReport:
             # bodies are unconditional, so every invocation on a cycle recurses forever
             violations.append(Violation("Cycle", cycle[0], "unbounded cycle " + " -> ".join(cycle)))
 
-    return ValidationReport(tuple(violations))
+    return tuple(violations)
 
 
 def _find_cycle(succ: dict[str, list[str]]) -> list[str] | None:

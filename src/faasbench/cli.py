@@ -131,7 +131,7 @@ def cmd_run(args) -> int:
     a = result.analysis
     print(f"run {result.run_id}: {a.parse.records} records, "
           f"{a.complete_trees}/{a.tree_count} complete trees, "
-          f"{a.coldstart.total_cold} cold starts, {a.parse.total_drops} dropped lines")
+          f"{a.total_cold} cold starts, {a.parse.total_drops} dropped lines")
     print(f"outputs in {result.run_dir}")
     return EXIT_OK
 
@@ -150,7 +150,7 @@ def cmd_analyze(args) -> int:
         return EXIT_ANALYSIS
     print(f"{analysis.parse.records} records, {analysis.parse.parse_errors} parse errors, "
           f"{analysis.complete_trees}/{analysis.tree_count} complete trees; reports in {out_dir}")
-    if not analysis.coldstart.per_phase:  # every profile has a phase
+    if not analysis.per_phase:  # every profile has a phase
         print("no phases: no manifest.json with a profile beside the log; cold_starts.csv and timeline.csv list none")
     if analysis.parse.parse_errors > args.max_parse_errors:
         print(f"parse errors exceed threshold ({args.max_parse_errors})", file=sys.stderr)
@@ -186,11 +186,11 @@ def cmd_validate(args) -> int:
     except (InvalidApplication, UnknownBenchmark, OSError, ValueError) as exc:
         print(f"cannot load application: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    report = validate(app)
-    if report.ok:
+    violations = validate(app)
+    if not violations:
         print(f"{app.name}: ok ({len(app.functions)} functions)")
         return EXIT_OK
-    for v in report.violations:
+    for v in violations:
         print(str(v))
     return EXIT_CONFIG
 

@@ -18,8 +18,10 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy only annotates: the generator is the caller's
+    import numpy as np
 
 _DIST_RE = re.compile(r"^\s*(constant|uniform|lognormal|exponential)\s*\(([^)]*)\)\s*$")
 

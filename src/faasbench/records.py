@@ -1,4 +1,4 @@
-"""Trace record schema, ID generation, and the rate-limited log sink.
+"""Trace record schema and the rate-limited log sink.
 
 The on-disk log format is newline-delimited UTF-8, one record per line with
 13 tab-separated fields in fixed order:
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import sys
 from typing import NamedTuple
-
-import numpy as np
 
 HEADER_LINE = "#faastrace v1"
 DROP_PREFIX = "#dropped"
@@ -155,41 +153,6 @@ def parse_drop_line(line: str) -> tuple[str, int]:
     if len(parts) != 3 or parts[0] != DROP_PREFIX or not (parts[2].isascii() and parts[2].isdigit()):
         raise ValueError(f"not a drop line: {line!r}")
     return parts[1], int(parts[2])
-
-
-ID_BLOCK = 1024  # ids drawn per call to the generator
-
-
-class IdSource:
-    """Seeded generator for 128-bit identifiers, rendered as 32 hex chars.
-
-    Ids are drawn ``ID_BLOCK`` at a time: one ``rng.bytes(16 * ID_BLOCK)``
-    call, kept as hex and handed out in 32-char slices. ``Generator.bytes``
-    fills whole 32-bit words from the bit generator's stream, and 16 bytes are
-    exactly four words, so a block is the concatenation of the ids that one
-    ``rng.bytes(16)`` call per id would give: the id sequence is unchanged,
-    at a fraction of the per-call overhead. Drawing ahead moves no other
-    stream, since the generator serves ids alone.
-
-    Confined to a single run's event loop; replaying the same seed replays
-    the same id sequence.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._block = ""
-        self._pos = 0
-
-    def new_id(self) -> str:
-        if self._pos == len(self._block):
-            self._block = self._rng.bytes(16 * ID_BLOCK).hex()
-            self._pos = 0
-        start = self._pos
-        self._pos = start + 32
-        return self._block[start:self._pos]
-
-    def new_run_id(self) -> str:
-        return "r" + self.new_id()[:12]
 
 
 class RecordSink:

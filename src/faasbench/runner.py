@@ -147,9 +147,9 @@ def run_benchmark(
     ``keep_truth`` keeps the simulator's ground truth and the call trees,
     which a check against the truth reads; without it both are None, and the
     run writes the same ``raw.log`` and reports from less memory."""
-    report = validate(app)
-    if not report.ok:
-        raise InvalidApplication("; ".join(str(v) for v in report.violations))
+    violations = validate(app)
+    if violations:
+        raise InvalidApplication("; ".join(str(v) for v in violations))
     scaled = profile.scaled(scale)
     validate_profile_against_app(scaled, app)
 

@@ -33,10 +33,12 @@ Platform semantics:
 Each emitter hands its record's fields to ``RecordSink.emit``, which checks
 them and writes the log line in one step.
 
-The ground truth keeps each fact once. An executor is the cold invocation it
-was created for: ``_acquire`` reports ``cold`` exactly when it creates one, the
-same flag goes to the log line and to the truth, and ``GroundTruth.executors``
-lists the cold invocations, each one's ``arrival_us`` the executor's birth.
+The ground truth keeps each fact once. An executor is only its key: an idle
+pool holds ``(idle since, executor key)`` pairs, and the truth the cold
+invocation it was created for. ``_acquire`` returns the key and ``cold``, True
+exactly when it creates one; the same flag goes to the log line and to the
+truth, and ``GroundTruth.executors`` lists the cold invocations, each one's
+``arrival_us`` the executor's birth.
 A truth invocation holds its context, pair, timings, cold flag and executor
 key; its function and platform are those of its log line.
 """
@@ -60,7 +62,6 @@ from .records import (
     MODE_TRIGGER,
     OUTGOING_CALL,
     HEADER_LINE,
-    IdSource,
     RecordSink,
     format_drop_line,
 )
@@ -130,14 +131,39 @@ class Kernel:
             push(heap, (now + cmd, next(seq), task))
 
 
-class Executor:
-    """One runtime instance; serves its function's invocations sequentially."""
+ID_BLOCK = 1024  # ids drawn per call to the generator
 
-    __slots__ = ("key", "last_idle_at")
 
-    def __init__(self, key: str, created_at: int):
-        self.key = key
-        self.last_idle_at = created_at
+class IdSource:
+    """Seeded generator for 128-bit identifiers, rendered as 32 hex chars.
+
+    Ids are drawn ``ID_BLOCK`` at a time: one ``rng.bytes(16 * ID_BLOCK)``
+    call, kept as hex and handed out in 32-char slices. ``Generator.bytes``
+    fills whole 32-bit words from the bit generator's stream, and 16 bytes are
+    exactly four words, so a block is the concatenation of the ids that one
+    ``rng.bytes(16)`` call per id would give: the id sequence is unchanged,
+    at a fraction of the per-call overhead. Drawing ahead moves no other
+    stream, since the generator serves ids alone.
+
+    Confined to a single run's event loop; replaying the same seed replays
+    the same id sequence.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._block = ""
+        self._pos = 0
+
+    def new_id(self) -> str:
+        if self._pos == len(self._block):
+            self._block = self._rng.bytes(16 * ID_BLOCK).hex()
+            self._pos = 0
+        start = self._pos
+        self._pos = start + 32
+        return self._block[start:self._pos]
+
+    def new_run_id(self) -> str:
+        return "r" + self.new_id()[:12]
 
 
 class TruthEdge(NamedTuple):
@@ -180,7 +206,7 @@ class SimPlatform:
         self.spec = spec
         self.sink = RecordSink(run_id, spec.id, spec.log_lines_per_second, spec.clock_offset_us)
         self.functions: dict[str, ResolvedFunction] = {}
-        self.idle: dict[str, list[Executor]] = {}
+        self.idle: dict[str, list[tuple[int, str]]] = {}  # function -> [(idle since, executor key)]
 
 
 def _ignore(fact) -> None:
@@ -230,23 +256,24 @@ class SimEnvironment:
         if rfn is None:
             raise SimulationError(f"function {fn_name!r} is not deployed on this platform")
         arrival = self.kernel.now
-        executor, cold = self._acquire(platform, fn_name, arrival)
-        return self.kernel.spawn(self._invocation_gen(platform, rfn, context_id, inbound_pair, arrival, executor, cold))
+        key, cold = self._acquire(platform, fn_name, arrival)
+        return self.kernel.spawn(self._invocation_gen(platform, rfn, context_id, inbound_pair, arrival, key, cold))
 
-    def _acquire(self, platform: SimPlatform, fn_name: str, arrival: int) -> tuple[Executor, bool]:
-        """An executor for the arrival, and True when it is created for it: a cold start."""
+    def _acquire(self, platform: SimPlatform, fn_name: str, arrival: int) -> tuple[str, bool]:
+        """The key of an executor for the arrival, and True when the executor
+        is created for it: a cold start."""
         # _invocation_gen returns an executor to its pool at kernel.now, which
-        # never decreases, so each pool is sorted by last_idle_at: the top is
-        # the most recently idle executor, and if it has expired so has every
+        # never decreases, so each pool is sorted by idle time: the top is the
+        # most recently idle executor, and if it has expired so has every
         # executor below it
         pool = platform.idle.get(fn_name)
         if pool:
-            if pool[-1].last_idle_at + platform.spec.keep_alive_us >= arrival:
-                return pool.pop(), False
+            if pool[-1][0] + platform.spec.keep_alive_us >= arrival:
+                return pool.pop()[1], False
             pool.clear()
-        return Executor(self.ids.new_id(), arrival), True
+        return self.ids.new_id(), True
 
-    def _invocation_gen(self, platform, rfn, context_id, inbound_pair, arrival, executor, cold):
+    def _invocation_gen(self, platform, rfn, context_id, inbound_pair, arrival, executor_key, cold):
         if cold:
             delay = platform.spec.cold_start_delay.sample(self.sample_rng)
             if delay:
@@ -254,12 +281,11 @@ class SimEnvironment:
         body_start = self.kernel.now
         yield from self._run_body(platform, rfn, context_id, inbound_pair, rfn.spec.body)
         end = self.kernel.now
-        executor.last_idle_at = end
-        platform.idle.setdefault(rfn.name, []).append(executor)
+        platform.idle.setdefault(rfn.name, []).append((end, executor_key))
         platform.sink.emit(end, INVOCATION, rfn.name, context_id, inbound_pair, arrival, end,
-                           executor_key=executor.key, cold_start=cold)
+                           executor_key=executor_key, cold_start=cold)
         self._truth_invocation(TruthInvocation(context_id, inbound_pair, arrival, body_start, end, cold,
-                                               executor.key))
+                                               executor_key))
 
     def _run_body(self, platform, rfn, context_id, inbound_pair, steps):
         for step in steps:

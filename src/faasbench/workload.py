@@ -22,13 +22,16 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .analysis import PhaseWindow
 from .distributions import MAX_PROFILE_US, MAX_SAMPLE_US, PROFILE_LIMIT, REQUIRED, read, read_document
 from .records import LOADGEN
-from .simulator import SimEnvironment
+
+if TYPE_CHECKING:  # annotations only
+    import numpy as np
+
+    from .simulator import SimEnvironment
 
 US = 1_000_000  # microseconds per second
 

@@ -135,13 +135,13 @@ def test_criterion_5_cold_start_behavior(outroot):
     pause = windows[2]
     burst = windows[3]
     assert (pause.end_us - pause.start_us) == 120 * US  # 2-minute pause > 60s keep-alive
-    assert analysis.coldstart.per_phase[1][1] == 50  # 50 normal-phase flows
-    assert analysis.coldstart.per_phase[3][1] == 150  # 150 burst flows
+    assert analysis.per_phase[1][1] == 50  # 50 normal-phase flows
+    assert analysis.per_phase[3][1] == 150  # 150 burst flows
 
     # (a) analyzer cold counts equal simulator ground truth exactly
-    assert analysis.coldstart.total_cold == len(res.truth.executors)
+    assert analysis.total_cold == len(res.truth.executors)
     burst_truth = sum(1 for e in res.truth.executors if burst.start_us <= e.arrival_us < burst.end_us)
-    burst_analyzer = analysis.coldstart.per_phase[3][2]
+    burst_analyzer = analysis.per_phase[3][2]
     assert burst_analyzer == burst_truth
     assert analysis.cold_flag_mismatches == 0
 
@@ -151,7 +151,7 @@ def test_criterion_5_cold_start_behavior(outroot):
         r.duration_us for r in records
         if r.kind == INVOCATION and normal.start_us <= r.start_us < normal.end_us
     )
-    bucket0 = analysis.coldstart.timeline[0]
+    bucket0 = analysis.timeline[0]
     # the pause emptied the pool: cold starts dominate the first burst second
     assert bucket0.count > 0 and bucket0.cold * 2 > bucket0.count
     delta = bucket0.p50_exec_us - steady[max(1, math.ceil(0.5 * len(steady))) - 1]  # the sorted list's nearest rank

@@ -13,7 +13,6 @@ import pytest
 from faasbench import analysis as analysis_module, runner
 from faasbench.analysis import (
     AnalysisError,
-    ColdstartReport,
     METRIC_NAMES,
     ParseReport,
     RunAnalysis,
@@ -74,6 +73,11 @@ def rec(kind, fn, pair, start, end, platform="p1", ctx=_id(1), **kw):
 def root_rec(pair, start, end, callee="a", ctx=_id(1)):
     return rec(OUTGOING_CALL, LOADGEN, pair, start, end, platform=LOADGEN, ctx=ctx,
                callee=callee, mode=MODE_SYNC)
+
+
+def coldstart_fields(analysis):
+    """An analysis' four cold-start results, comparable as one value."""
+    return analysis.total_invocations, analysis.total_cold, analysis.per_phase, analysis.timeline
 
 
 # -- parsing -----------------------------------------------------------------
@@ -204,7 +208,7 @@ def test_analyze_file_splits_lines_like_splitlines(tmp_path, monkeypatch):
         streamed = analyze_file(path)
         assert counted == [path.read_text().splitlines()], chunk
         assert streamed.parse == report and streamed.tree_count == kept.tree_count == len(kept.trees)
-        assert streamed.coldstart == kept.coldstart and streamed.metrics == kept.metrics
+        assert coldstart_fields(streamed) == coldstart_fields(kept) and streamed.metrics == kept.metrics
 
 
 def _column_values(records, column):
@@ -457,7 +461,7 @@ def test_a_repeated_invocation_pair_counts_its_first_line():
     later_b = first_b._replace(end_us=first_b.end_us + 5 * MS, cold_start=True)
     analysis = analyze_records(records + [later_b], ParseReport(records=6))
     assert analysis.metrics["exec_duration"]["b"] == {first_b.duration_us: 1}
-    assert analysis.coldstart.total_invocations == 2 and analysis.coldstart.total_cold == 0
+    assert analysis.total_invocations == 2 and analysis.total_cold == 0
     (tree,) = analysis.trees
     assert not tree.complete
     assert [n.record for n in tree.nodes()] == [records[1], first_b]
@@ -474,9 +478,9 @@ def test_replayed_invocation_line_is_counted_once(tmp_path):
     analysis = analyze_file(result.log_path)
     assert analysis.trees is None and analysis.incomplete_trees == 1
     assert sum(analysis.metrics["exec_duration"]["orderSupplies"].values()) == 900
-    assert analysis.coldstart.total_invocations == 29700
+    assert analysis.total_invocations == 29700
     assert analysis.metrics["exec_duration"] == result.analysis.metrics["exec_duration"]
-    assert analysis.coldstart == result.analysis.coldstart
+    assert coldstart_fields(analysis) == coldstart_fields(result.analysis)
     assert analysis.cold_flag_mismatches == 0
     ctx = replayed.split("\t")[4]
     assert {t.context_id for t in analyze_file(result.log_path, keep_trees=True).trees if not t.complete} == {ctx}
@@ -825,21 +829,17 @@ def measured_boxes(img: np.ndarray) -> list[tuple[int, int, int, int, int]]:
 
 
 def known_analysis() -> RunAnalysis:
-    return RunAnalysis(
-        parse=ParseReport(records=18),
-        tree_count=0,
-        breakdowns=[],
-        coldstart=ColdstartReport(total_invocations=0, total_cold=0, per_phase=[], timeline=[]),
-        cold_flag_mismatches=0,
-        metrics={
-            "exec_duration": {
-                "f": Counter(range(100, 1100, 100)),
-                "g": Counter([400, 600, 700, 900, 1000, 1100, 1300, 9000]),
-            },
-            "trigger_delay": {"p1->p2": Counter([100, 4900, 5000, 5200, 5300, 5400, 5500, 5600, 5700])},
-            "db": {},
+    analysis = RunAnalysis()
+    analysis.parse = ParseReport(records=18)
+    analysis.metrics = {
+        "exec_duration": {
+            "f": Counter(range(100, 1100, 100)),
+            "g": Counter([400, 600, 700, 900, 1000, 1100, 1300, 9000]),
         },
-    )
+        "trigger_delay": {"p1->p2": Counter([100, 4900, 5000, 5200, 5300, 5400, 5500, 5600, 5700])},
+        "db": {},
+    }
+    return analysis
 
 
 def test_charts_draw_the_summary_csv_statistics(tmp_path):

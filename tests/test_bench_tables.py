@@ -8,8 +8,10 @@ and ``scripts/bench.py`` each (owner, attribute) of its ``TIMED`` table, with
 fail only when those scripts run. The tables are read from the scripts
 themselves: ``child.py`` as source, since it imports its sibling
 ``workloads`` module, and ``bench.py`` as a module, whose import runs nothing.
-Both scripts also read the order of those calls in a run, which the last test
-pins.
+Both scripts also read the order of those calls in a run, which a test pins.
+The benchmark's own ground-truth check, ``child.check_run``, reads a run's
+result by attribute too, so the last test runs it on every workload at a
+twentieth of its scale.
 """
 
 import ast
@@ -84,3 +86,17 @@ def test_run_benchmark_makes_the_wrapped_calls_once_in_order(tmp_path, monkeypat
                          scale=0.002)
     assert calls == [("deploy_all", False), ("run_until_idle", False), ("collect_log", False), ("teardown", False),
                      ("analyze_log_text", True)]
+
+
+@pytest.mark.parametrize("workload", sorted(_literal(ROOT / "perfbench" / "workloads.py", "WORKLOADS")))
+def test_the_benchmark_truth_check_passes_on_each_workload(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+    from child import check_run
+
+    app, config, profile, scale = workloads.build(workload)
+    result = runner.run_benchmark(app, config, profile, workloads.PINNED_SEED, tmp_path, scale=scale / 20,
+                                  benchmark_name=workload)
+    out = check_run(result)
+    assert (out["failed"], out["problems"]) == (0, [])
+    assert out["attempted"] == result.stats.instances > 0

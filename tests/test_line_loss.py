@@ -113,7 +113,7 @@ def test_incomplete_trees_are_exactly_the_touched_contexts(case):
         if r.kind == INVOCATION:
             first.setdefault((r.context_id, r.pair_id), r)
     assert Counter(node.record for t in analysis.trees for node in t.nodes()) == Counter(first.values())
-    assert analysis.coldstart.total_invocations == len(first)
+    assert analysis.total_invocations == len(first)
 
 
 # -- the streamed analysis ----------------------------------------------------
@@ -232,7 +232,7 @@ def test_a_first_invocation_tied_across_two_contexts_counts_as_first_in_each():
     analysis = assert_streamed_as_kept(lines + [_with_context(cold, other)], phases)
     # the copy is cold and first in its context too, so no flag disagrees
     assert analysis.cold_flag_mismatches == 0
-    assert analysis.coldstart.total_cold == analyze_records(*parse_logs(lines), phases).coldstart.total_cold + 1
+    assert analysis.total_cold == analyze_records(*parse_logs(lines), phases).total_cold + 1
 
 
 def test_a_context_whose_every_line_is_malformed_has_no_tree():

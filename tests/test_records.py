@@ -1,3 +1,7 @@
+import importlib.util
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +13,9 @@ from faasbench.records import (
     DB_CALL,
     DROP_PREFIX,
     HEADER_LINE,
-    ID_BLOCK,
     INVOCATION,
     LOADGEN,
     OUTGOING_CALL,
-    IdSource,
     MalformedRecord,
     RecordSink,
     TraceRecord,
@@ -21,6 +23,7 @@ from faasbench.records import (
     parse_drop_line,
     parse_record,
 )
+from faasbench.simulator import ID_BLOCK, IdSource
 
 from conftest import serialize_record
 
@@ -279,3 +282,24 @@ def test_drop_line_round_trip():
     assert parse_drop_line(line) == ("p1", 42)
     with pytest.raises(ValueError):
         parse_drop_line("#dropped p1")
+
+
+# a fresh interpreter loads one module file on its own, with no package
+# around it, and reports whether numpy came with it
+_LOAD_ALONE = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location(sys.argv[1], sys.argv[2])
+module = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = module  # before exec_module, as an import does: dataclasses look the module up
+spec.loader.exec_module(module)
+print(sorted(name for name in ("numpy", "faasbench") if name in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("name", ["records", "distributions"])
+def test_the_module_loads_on_its_own_without_numpy(name):
+    # the offline analyzer's leaf modules use numpy at most in annotations
+    path = importlib.util.find_spec(f"faasbench.{name}").origin
+    out = subprocess.run([sys.executable, "-c", _LOAD_ALONE, name, path], capture_output=True, encoding="utf-8",
+                         check=True)
+    assert out.stdout == "[]\n"

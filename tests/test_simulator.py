@@ -321,7 +321,7 @@ def test_parallel_block_joins_at_max_branch():
 
 def test_executor_reuse_matches_most_recently_idle_scan():
     # reference: the full-scan policy written out; keep the executors idle
-    # within keep-alive, take the max of (last_idle_at, pool index), drop the
+    # within keep-alive, take the max of (idle since, pool index), drop the
     # expired ones. It shadows the platform's pool from the truth: an
     # invocation's executor goes back to its pool in the step that appends
     # the invocation to the truth, so the truth lists the releases in pool
@@ -347,9 +347,9 @@ def test_executor_reuse_matches_most_recently_idle_scan():
         else:
             expected.append((None, True))
         shadow[:] = alive
-        executor, cold = real_acquire(platform, fn_name, arrival)
-        chosen.append((executor.key, cold))
-        return executor, cold
+        key, cold = real_acquire(platform, fn_name, arrival)
+        chosen.append((key, cold))
+        return key, cold
 
     env._acquire = acquire
 

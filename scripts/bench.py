@@ -49,9 +49,10 @@ its ``analyze_file`` row holds the call's wall time, the process's
 ``ru_maxrss`` when it returned, and the sha256 of the ``summary.json`` it
 wrote, which must equal the run's. It also holds ``import_maxrss_mb``, the
 ``ru_maxrss`` after ``from faasbench import runner`` and before the call:
-the interpreter, the standard library, numpy and faasbench (~35 MB on x86_64
-Linux with numpy 2.4.6), so ``maxrss_mb - import_maxrss_mb`` is the
-analysis' own memory.
+the interpreter, the standard library and faasbench (~22 MB on x86_64 Linux
+with Python 3.11.7), so ``maxrss_mb - import_maxrss_mb`` is the analysis' own
+memory; and ``numpy_loaded``, whether numpy was imported once the call
+returned, which an offline analysis never needs.
 
 The file also records the git revision of the measured ``src`` (and whether
 its tracked files differ from it), the Python and numpy versions, and the
@@ -238,7 +239,7 @@ def analyze_offline(log: str, out_dir: str) -> dict:
     runner.analyze_file(log, out_dir)
     wall_s = time.perf_counter() - start
     return {"wall_s": round(wall_s, 4), "maxrss_mb": round(maxrss_mb(), 1), "import_maxrss_mb": round(import_maxrss, 1),
-            "summary_sha256": sha256(Path(out_dir) / "summary.json")}
+            "numpy_loaded": "numpy" in sys.modules, "summary_sha256": sha256(Path(out_dir) / "summary.json")}
 
 
 def child(*args: str) -> dict:

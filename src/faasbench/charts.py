@@ -10,10 +10,12 @@ both ends are whole numbers it is an integer axis: its ticks are exact ints,
 a whole number apart, at any magnitude (float steps past 2**53 round
 together or out of the range).
 
-The image is drawn into a numpy RGB array with a built-in 5x7 bitmap font
-(printable ASCII; any other character is drawn as ``?``) and encoded as an
-8-bit RGB PNG with ``zlib`` at a fixed level and no timestamp chunk, so the
-bytes depend on the statistics alone.
+The image is drawn into one ``bytearray`` of RGB bytes per row, with a
+built-in 5x7 bitmap font (printable ASCII; any other character is drawn as
+``?``), and encoded as an 8-bit RGB PNG with ``zlib`` at a fixed level and no
+timestamp chunk, so the bytes depend on the statistics alone. It needs only
+the standard library, so an offline ``faasbench analyze --charts`` loads no
+numpy.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import math
 import struct
 import zlib
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 if TYPE_CHECKING:
     from .analysis import SummaryStats
@@ -164,7 +164,7 @@ def box_chart_png(title: str, groups: dict[str, SummaryStats]) -> bytes:
     axis_y = y0 + len(groups) * _ROW_H
     width = max(x0 + _PLOT_W + tick_half_w + _PAD, 2 * _PAD + _text_width(title, _TITLE_SCALE))
     height = axis_y + _TICK_H + 2 + _GLYPH_H + _PAD
-    img = np.full((height, width, 3), BACKGROUND, np.uint8)
+    img = [bytearray(BACKGROUND) * width for _ in range(height)]
 
     def px(value: float) -> int:
         # float arithmetic near 2**53 and beyond can land a column past either end
@@ -177,17 +177,18 @@ def box_chart_png(title: str, groups: dict[str, SummaryStats]) -> bytes:
         mid = top + _BOX_H // 2
         _draw_text(img, x0 - _PAD - _text_width(group), mid - _GLYPH_H // 2, group)
         x_lo, x25, x50, x75, x_hi = (px(v) for v in (s.whisker_low, s.p25, s.p50, s.p75, s.whisker_high))
-        img[mid, x_lo:x_hi + 1] = INK
+        _fill(img, x_lo, x_hi + 1, mid, mid + 1, INK)
         cap_top = mid - _CAP_H // 2
-        img[cap_top:cap_top + _CAP_H + 1, [x_lo, x_hi]] = INK
-        img[top:bottom, x25:x75 + 1] = BOX_EDGE
-        img[top + 1:bottom - 1, x25 + 1:x75] = BOX_FILL
-        img[top:bottom, x50] = MEDIAN
+        for x in (x_lo, x_hi):
+            _fill(img, x, x + 1, cap_top, cap_top + _CAP_H + 1, INK)
+        _fill(img, x25, x75 + 1, top, bottom, BOX_EDGE)
+        _fill(img, x25 + 1, x75, top + 1, bottom - 1, BOX_FILL)
+        _fill(img, x50, x50 + 1, top, bottom, MEDIAN)
 
-    img[axis_y, x0:x0 + _PLOT_W] = INK
+    _fill(img, x0, x0 + _PLOT_W, axis_y, axis_y + 1, INK)
     for value, label in ticks:
         x = px(value)
-        img[axis_y:axis_y + _TICK_H, x] = INK
+        _fill(img, x, x + 1, axis_y, axis_y + _TICK_H, INK)
         _draw_text(img, x - _text_width(label) // 2, axis_y + _TICK_H + 2, label)
     return _encode_png(img)
 
@@ -214,19 +215,26 @@ def _text_width(text: str, scale: int = 1) -> int:
     return max(0, len(text) * _ADVANCE - 1) * scale
 
 
-def _draw_text(img: np.ndarray, x: int, y: int, text: str, scale: int = 1) -> None:
+def _fill(img: list[bytearray], x_start: int, x_end: int, y_start: int, y_end: int, color: tuple) -> None:
+    """Paint columns ``x_start..x_end - 1`` of rows ``y_start..y_end - 1``; an empty range paints nothing."""
+    if x_end > x_start:
+        span = bytes(color) * (x_end - x_start)
+        for row in img[y_start:y_end]:
+            row[3 * x_start:3 * x_end] = span
+
+
+def _draw_text(img: list[bytearray], x: int, y: int, text: str, scale: int = 1) -> None:
     for i, ch in enumerate(text):
-        rows = _FONT.get(ch, _FONT["?"]).split()
-        mask = np.array([[c == "#" for c in row] for row in rows]).repeat(scale, 0).repeat(scale, 1)
         gx = x + i * _ADVANCE * scale
-        img[y:y + mask.shape[0], gx:gx + mask.shape[1]][mask] = INK
+        for r, row in enumerate(_FONT.get(ch, _FONT["?"]).split()):
+            for c, cell in enumerate(row):
+                if cell == "#":
+                    _fill(img, gx + c * scale, gx + (c + 1) * scale, y + r * scale, y + (r + 1) * scale, INK)
 
 
-def _encode_png(img: np.ndarray) -> bytes:
-    """An 8-bit RGB PNG of a ``(height, width, 3)`` uint8 array, filter type 0 on every row."""
-    height, width, _ = img.shape
-    raw = np.zeros((height, 1 + 3 * width), np.uint8)
-    raw[:, 1:] = img.reshape(height, -1)
+def _encode_png(img: list[bytearray]) -> bytes:
+    """An 8-bit RGB PNG of rows of RGB bytes, filter type 0 on every row."""
+    height, width = len(img), len(img[0]) // 3
 
     def chunk(kind: bytes, data: bytes) -> bytes:
         return struct.pack(">I", len(data)) + kind + data + struct.pack(">I", zlib.crc32(kind + data))
@@ -234,6 +242,6 @@ def _encode_png(img: np.ndarray) -> bytes:
     return (
         b"\x89PNG\r\n\x1a\n"
         + chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0))
-        + chunk(b"IDAT", zlib.compress(raw.tobytes(), 9))
+        + chunk(b"IDAT", zlib.compress(b"".join(b"\0" + row for row in img), 9))
         + chunk(b"IEND", b"")
     )

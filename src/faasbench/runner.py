@@ -26,7 +26,17 @@ path and write the same reports.
 to the write of ``raw.log``, and ``analyze_file`` once, over the manifest read
 and the analysis: both allocate by the hundred thousand and build no reference
 cycles (``_collector_paused``). The lower-level calls they make leave the
-collector alone, so no pause nests."""
+collector alone, so no pause nests.
+
+Only the simulator needs numpy, and ``analyze_file`` parses nothing with it.
+So this module reaches ``simulator`` through a module ``__getattr__`` (PEP
+562): the first read of ``runner.SimEnvironment`` or ``runner.GroundTruth``
+imports it, and an offline analysis never loads numpy (~11 MB of resident
+memory). ``run_benchmark`` reads ``SimEnvironment`` as an attribute of this
+module, not as a global name, which would never reach ``__getattr__``. So a
+caller that reads ``runner.SimEnvironment`` before it times a run pays the
+import outside its timer, and a subclass it assigns back to
+``runner.SimEnvironment`` is the one the run builds."""
 
 from __future__ import annotations
 
@@ -34,10 +44,11 @@ import datetime as _dt
 import gc
 import itertools
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from . import __version__
 from .analysis import (AnalysisError, PhaseWindow, RunAnalysis, analyze_log_text, analyze_stream, count_contexts,
@@ -52,8 +63,10 @@ from .deployment import (
     teardown,
 )
 from .distributions import REQUIRED, constant, read, read_document
-from .simulator import GroundTruth, SimEnvironment
 from .workload import ExecutionStats, LoadProfile, ProfileError, execute, schedule, validate_profile_against_app
+
+if TYPE_CHECKING:
+    from .simulator import GroundTruth
 
 RAW_LOG_NAME = "raw.log"
 MANIFEST_NAME = "manifest.json"
@@ -65,6 +78,15 @@ READ_CHUNK_CHARS = 1 << 16  # characters of raw.log split into lines at a time
 MANIFEST_FIELDS = {"runId": str, "benchmark": str, "seed": int, "scale": float, "outDir": str, "createdAt": str,
                    "version": str, "application": dict, "config": dict, "profile": dict}
 OPTIONAL_MANIFEST_FIELDS = ("version", "application", "config", "profile")
+
+
+def __getattr__(name: str):
+    if name not in ("SimEnvironment", "GroundTruth"):  # the names imported from simulator on first access
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import simulator
+
+    value = globals()[name] = getattr(simulator, name)  # later reads find it without this call
+    return value
 
 
 @dataclass
@@ -153,7 +175,7 @@ def run_benchmark(
     scaled = profile.scaled(scale)
     validate_profile_against_app(scaled, app)
 
-    env = SimEnvironment(config, seed, keep_truth=keep_truth)
+    env = sys.modules[__name__].SimEnvironment(config, seed, keep_truth=keep_truth)  # the module's, maybe replaced
     plan = compile_deployment(app, config)
     run_id = env.run_id
     documents = {"application": app.to_dict(), "config": config.to_dict(), "profile": profile.to_dict()}

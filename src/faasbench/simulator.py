@@ -63,12 +63,9 @@ from .records import (
     OUTGOING_CALL,
     HEADER_LINE,
     RecordSink,
+    SimulationError,
     format_drop_line,
 )
-
-
-class SimulationError(Exception):
-    pass
 
 
 class Task:

@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import json
 import math
 import random
@@ -898,6 +899,29 @@ def test_charts_of_a_range_below_float_precision(lo, spread, a_as_float):
         assert len(ticks) >= 2 and ticks == [(v, str(v)) for v in values]
     else:  # a float axis no finer than the float spacing: each label is its tick's exact value
         assert all(float(label) == v for v, label in ticks)
+
+
+_EXEC = [100, 200, 300, 400, 500, 600, 700, 800, 900, 1000]
+_EXEC_G = [400, 600, 700, 900, 1000, 1100, 1300, 9000]
+
+
+@pytest.mark.parametrize("title, groups, sha256", [
+    ("exec_duration (us)", {"f": _EXEC, "g": _EXEC_G, "_all": _EXEC + _EXEC_G},
+     "fad4b4becd0c6693442cfab0808b27042847719e9991a204ff87101741862b75"),
+    ("network_oneway (us) é", {"p1->p2": [0.5, 1.25, 2.0, 3.75, 4.5], "p2->p1": [-1.5, 0.25, 0.75]},
+     "c42124168910e2da4adfb14d552f3107a11d4425d247f400a17feb97d32d6fb5"),
+    ("near the float limit (us)", {"a": [2 ** 62 + 2536, 2 ** 62 + 2564],
+                                   "b": [2 ** 62 + 2537, 2 ** 62 + 2550, 2 ** 62 + 2564]},
+     "d872c6b86e68825f7139e48be49b742f28f7719bb64dc3a6f2451f2ef9b6d05f"),
+    ("halves", {"a": [2 ** 50 + 0.5, 2 ** 50 + 0.75], "b": [2 ** 50 + 0.625]},
+     "32cfffee241860cb12233647ed343083eeaf6dc9e0f7d937f210c55a70cc9c32"),
+    ("one value", {"only": [7, 7, 7]}, "27fe69ed6c9c028be286ef4e33b6d3c3131fdbe8fe6c987621fc164d2ab058a8"),
+], ids=["int-axis", "float-axis-and-a-non-ascii-title", "2**62-int-axis", "2**50-halves", "one-value"])
+def test_chart_bytes_are_pinned(title, groups, sha256):
+    # the sha256 of each PNG as first drawn: a change of the drawing or of
+    # the encoding must keep every byte
+    png = box_chart_png(title, {group: summary_stats(Counter(values)) for group, values in groups.items()})
+    assert hashlib.sha256(png).hexdigest() == sha256
 
 
 # -- whole-run analysis ------------------------------------------------------

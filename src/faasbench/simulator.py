@@ -8,9 +8,10 @@ builds no reference cycle: reference counting frees the environment, its
 sinks and their lines once the last reference to it goes.
 
 Invocations run as generator tasks that yield either a delay or another task
-to wait on, and are resumed with None; the kernel's heap is a stable priority
-queue of ``(fire_at, insertion order, task)``, so a fixed seed fully
-determines the emitted log byte stream.
+to wait on, and are resumed with None. The kernel steps them in ``(fire_at,
+insertion order)`` from three queues (a ready FIFO, an arrival calendar and
+a heap; see :class:`Kernel`), so a fixed seed fully determines the emitted
+log byte stream.
 
 Platform semantics:
 
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -80,19 +82,40 @@ class Task:
 
 
 class Kernel:
-    """Stable-priority event loop over (fire_at, insertion order)."""
+    """Stable-priority event loop over (fire_at, insertion order), in three
+    queues: ``_ready``, a FIFO of the tasks scheduled at ``now`` for ``now``
+    (a zero delay, a finished task's waiters, a wait on a done task, a spawn
+    at ``now``); ``_calendar``, a sorted deque of ``(fire_at, seq, task)``
+    that takes each spawn no earlier than its last entry, such as the
+    arrivals ``workload.execute`` spawns in time order; and ``_heap`` for
+    every other future resume.
+
+    The next task is the least head of the calendar and the heap while it is
+    due at ``now``, then the ready FIFO, then the least head again. That is
+    one heap's order by one invariant: a task is made ready only for ``now``
+    at ``now``, and ``now`` never decreases, so every calendar or heap entry
+    due at ``now`` was pushed before every ready task.
+    """
 
     def __init__(self) -> None:
         self.now = 0
+        self._ready: deque[Task] = deque()
+        self._calendar: deque[tuple[int, int, Task]] = deque()
         self._heap: list[tuple[int, int, Task]] = []
         self._seq = itertools.count()
 
     def spawn(self, gen, delay_us: int = 0, at_us: int | None = None) -> Task:
         task = Task(gen)
-        fire = self.now + delay_us if at_us is None else at_us
-        if fire < self.now:
-            raise SimulationError(f"cannot schedule in the past ({fire} < {self.now})")
-        heapq.heappush(self._heap, (fire, next(self._seq), task))
+        now = self.now
+        fire = now + delay_us if at_us is None else at_us
+        if fire == now:
+            self._ready.append(task)
+        elif fire < now:
+            raise SimulationError(f"cannot schedule in the past ({fire} < {now})")
+        elif not self._calendar or self._calendar[-1][0] <= fire:
+            self._calendar.append((fire, next(self._seq), task))
+        else:
+            heapq.heappush(self._heap, (fire, next(self._seq), task))
         return task
 
     def run_until_idle(self) -> None:
@@ -100,32 +123,45 @@ class Kernel:
 
         A task yields an int delay to resume after it, or a Task to resume
         once that task has finished; every resume sends None."""
-        heap = self._heap
+        ready, calendar, heap = self._ready, self._calendar, self._heap
         seq = self._seq
         push = heapq.heappush
         pop = heapq.heappop
-        while heap:
-            now, _, task = pop(heap)
-            self.now = now
+        next_ready = ready.popleft
+        next_arrival = calendar.popleft
+        now = self.now
+        while True:
+            if ready and not (heap and heap[0][0] == now) and not (calendar and calendar[0][0] == now):
+                task = next_ready()
+            elif calendar and (not heap or calendar[0] < heap[0]):
+                now, _, task = next_arrival()
+                self.now = now
+            elif heap:
+                now, _, task = pop(heap)
+                self.now = now
+            else:
+                return
             try:
                 cmd = next(task.gen)
             except StopIteration:
                 task.done = True
-                for waiter in task.waiters:
-                    push(heap, (now, next(seq), waiter))
+                ready.extend(task.waiters)
                 task.waiters.clear()
                 continue
             if type(cmd) is not int:
                 if isinstance(cmd, Task):
                     if cmd.done:
-                        push(heap, (now, next(seq), task))
+                        ready.append(task)
                     else:
                         cmd.waiters.append(task)
                     continue
                 cmd = int(cmd)
-            if cmd < 0:
+            if cmd > 0:
+                push(heap, (now + cmd, next(seq), task))
+            elif cmd == 0:
+                ready.append(task)
+            else:
                 raise SimulationError(f"negative delay {cmd}")
-            push(heap, (now + cmd, next(seq), task))
 
 
 ID_BLOCK = 1024  # ids drawn per call to the generator

@@ -1,8 +1,12 @@
 import gc
+import heapq
+import itertools
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faasbench import runner
 from faasbench.applications import (
@@ -22,7 +26,7 @@ from faasbench.records import HEADER_LINE, INVOCATION, MODE_TRIGGER, OUTGOING_CA
 from faasbench.analysis import parse_logs
 from faasbench.benchmarks import load_builtin
 from faasbench.recipes import RECIPE_NAMES, recipe
-from faasbench.simulator import Kernel, SimEnvironment, SimulationError
+from faasbench.simulator import Kernel, SimEnvironment, SimulationError, Task
 from faasbench.workload import execute, schedule
 
 from conftest import deployed_env, invoke, make_platform, set_collector, single_platform_config
@@ -296,6 +300,182 @@ def test_kernel_tie_break_is_stable_insertion_order():
         kernel.spawn(job(tag), at_us=100)
     kernel.run_until_idle()
     assert order == ["a", "b", "c"]
+
+
+def test_kernel_orders_one_microsecond_across_its_queues():
+    # at t=10: two arrivals in the calendar (seq 0 and 2), a resume that t=5
+    # pushed onto the heap (seq 3), then the zero-delay resumes made at t=10
+    # in the order they were made, and last the waiter of a task that
+    # finished at t=10
+    kernel = Kernel()
+    order = []
+
+    def step(tag):
+        order.append((tag, kernel.now))
+
+    def arrival():
+        step("a")
+        yield 0
+        step("a+0")
+        yield 0
+        step("a+0+0")
+
+    def late_arrival():
+        step("c")
+        yield from ()
+
+    def early():
+        step("b")
+        yield 5
+        step("b+5")
+        yield 0
+        step("b+5+0")
+
+    def waiter():
+        step("d")
+        yield b
+        step("d after b")
+
+    kernel.spawn(arrival(), at_us=10)
+    b = kernel.spawn(early(), at_us=5)
+    kernel.spawn(late_arrival(), at_us=10)
+    kernel.spawn(waiter(), at_us=1)
+    assert len(kernel._calendar) == 2 and len(kernel._heap) == 2
+    kernel.run_until_idle()
+    assert order == [("d", 1), ("b", 5), ("a", 10), ("c", 10), ("b+5", 10), ("a+0", 10), ("b+5+0", 10),
+                     ("a+0+0", 10), ("d after b", 10)]
+
+
+def test_kernel_steps_in_insertion_order_after_a_run_raised():
+    # y raises while x's zero-delay resume waits in the ready FIFO; the next
+    # run steps z, spawned at t=3 before it, then x, then w, spawned at t=3
+    # between the runs
+    kernel = Kernel()
+    order = []
+
+    def x():
+        order.append("x")
+        yield 0
+        order.append("x+0")
+
+    def y():
+        order.append("y")
+        raise SimulationError("y fails")
+        yield  # pragma: no cover - makes this a generator
+
+    def tagged(tag):
+        order.append(tag)
+        yield 1
+        order.append(tag + "+1")
+
+    for gen in (x(), y(), tagged("z")):
+        kernel.spawn(gen, at_us=3)
+    with pytest.raises(SimulationError, match="y fails"):
+        kernel.run_until_idle()
+    assert order == ["x", "y"] and kernel.now == 3
+    kernel.spawn(tagged("w"), at_us=kernel.now)
+    kernel.run_until_idle()
+    assert order == ["x", "y", "z", "x+0", "w", "z+1", "w+1"] and kernel.now == 4
+
+
+class SingleHeapKernel:
+    """The kernel before its three queues, verbatim: one heap of
+    ``(fire_at, insertion order, task)``. Its order is the reference."""
+
+    def __init__(self) -> None:
+        self.now = 0
+        self._heap: list[tuple[int, int, Task]] = []
+        self._seq = itertools.count()
+
+    def spawn(self, gen, delay_us: int = 0, at_us: int | None = None) -> Task:
+        task = Task(gen)
+        fire = self.now + delay_us if at_us is None else at_us
+        if fire < self.now:
+            raise SimulationError(f"cannot schedule in the past ({fire} < {self.now})")
+        heapq.heappush(self._heap, (fire, next(self._seq), task))
+        return task
+
+    def run_until_idle(self) -> None:
+        """Step tasks in (fire_at, insertion order) until none is scheduled.
+
+        A task yields an int delay to resume after it, or a Task to resume
+        once that task has finished; every resume sends None."""
+        heap = self._heap
+        seq = self._seq
+        push = heapq.heappush
+        pop = heapq.heappop
+        while heap:
+            now, _, task = pop(heap)
+            self.now = now
+            try:
+                cmd = next(task.gen)
+            except StopIteration:
+                task.done = True
+                for waiter in task.waiters:
+                    push(heap, (now, next(seq), waiter))
+                task.waiters.clear()
+                continue
+            if type(cmd) is not int:
+                if isinstance(cmd, Task):
+                    if cmd.done:
+                        push(heap, (now, next(seq), task))
+                    else:
+                        cmd.waiters.append(task)
+                    continue
+                cmd = int(cmd)
+            if cmd < 0:
+                raise SimulationError(f"negative delay {cmd}")
+            push(heap, (now + cmd, next(seq), task))
+
+
+# one task's script: yield a delay (0 and -1 included), wait on the task
+# spawned n-th (pending or done, itself included), spawn a task running
+# script n with delay_us or at_us = now + d, or raise
+SPAWN = st.tuples(st.integers(0, 7), st.sampled_from(["delay_us", "at_us"]), st.integers(0, 3))
+OP = st.one_of(st.tuples(st.just("delay"), st.integers(0, 3)), st.just(("delay", -1)),
+               st.tuples(st.just("wait"), st.integers(0, 40)), st.tuples(st.just("spawn"), SPAWN),
+               st.just(("raise",)))
+# spawns before a run: at_us = now + d with d in and out of time order (0
+# and -1, a spawn in the past, included) or delay_us = d
+RUN_SPAWN = st.tuples(st.integers(0, 7), st.sampled_from(["delay_us", "at_us"]), st.integers(-1, 6))
+
+
+def replay(kernel, scripts, runs):
+    """Spawn and run ``scripts`` on ``kernel``: the (task, now) of every step,
+    and each SimulationError with the now it was raised at."""
+    trace, tasks = [], []
+
+    def start(script, how, d):
+        if len(tasks) < 60:
+            gen = task(len(tasks), scripts[script % len(scripts)])
+            tasks.append(kernel.spawn(gen, **{how: d if how == "delay_us" else kernel.now + d}))
+
+    def task(tag, script):
+        trace.append((tag, kernel.now))
+        for op in script:
+            if op[0] == "spawn":
+                start(*op[1])
+            elif op[0] == "raise":
+                raise SimulationError(f"task {tag} fails")
+            else:
+                yield op[1] if op[0] == "delay" else tasks[op[1] % len(tasks)]
+                trace.append((tag, kernel.now))
+
+    for spawns in runs + [[], []]:  # two more runs finish what a raise left
+        try:
+            for spawn in spawns:
+                start(*spawn)
+            kernel.run_until_idle()
+        except SimulationError as exc:
+            trace.append((str(exc), kernel.now))
+    return trace
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(scripts=st.lists(st.lists(OP, max_size=6), min_size=1, max_size=8),
+       runs=st.lists(st.lists(RUN_SPAWN, max_size=8), min_size=1, max_size=3))
+def test_kernel_steps_in_single_heap_order(scripts, runs):
+    assert replay(Kernel(), scripts, runs) == replay(SingleHeapKernel(), scripts, runs)
 
 
 def test_parallel_block_joins_at_max_branch():

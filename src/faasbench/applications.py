@@ -9,7 +9,6 @@ fan-out blocks, return). Nothing is modeled by size.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -170,9 +169,6 @@ class ApplicationSpec:
             external_services=tuple(read(d, "externalServices", [str], InvalidApplication, [])),
             metadata=read(d, "metadata", str, InvalidApplication, ""),
         )
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
     def from_json(cls, text: str) -> "ApplicationSpec":

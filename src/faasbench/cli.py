@@ -159,7 +159,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_recipes(args) -> int:
-    if not args.name:
+    if args.name is None:
         for name in RECIPE_NAMES:
             print(name)
         return EXIT_OK

@@ -126,7 +126,8 @@ class PlatformSpec:
         return cls(
             id=platform_id,
             cold_start_delay=read(d, "coldStartDelay", Duration, DeploymentError, cls.cold_start_delay, where),
-            keep_alive_us=int(round(keep_alive_s * 1_000_000)),
+            # a negative keep-alive reads as 0, which __post_init__ refuses, so no negative value can overflow
+            keep_alive_us=int(round(max(keep_alive_s, 0.0) * 1_000_000)),
             network_latency={
                 peer: read(legs, peer, Duration, DeploymentError, where=f"{where}networkLatency.") for peer in legs
             },
@@ -156,10 +157,6 @@ class DeploymentConfig:
             if type(pid) is not str or pid not in seen:
                 raise DeploymentError(f"platform {pid!r} is not defined")
 
-    @property
-    def platform_ids(self) -> tuple[str, ...]:
-        return tuple(p.id for p in self.platforms)
-
     def to_dict(self) -> dict:
         return {
             "platforms": [p.to_dict() for p in self.platforms],
@@ -174,8 +171,8 @@ class DeploymentConfig:
             assignment={fn: read(assignment, fn, str, DeploymentError, where="assignment.") for fn in assignment},
         )
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "DeploymentConfig":
@@ -263,7 +260,7 @@ def compile(app: ApplicationSpec, cfg: DeploymentConfig) -> DeploymentPlan:  # n
         entry_routes[fn.name] = (there.id, leg, leg)
 
     functions = {}
-    for pid in cfg.platform_ids:
+    for pid in specs:
         fns = [resolve(fn) for fn in app.functions if cfg.assignment[fn.name] == pid]
         if any(rfn.spec.trigger_kind == EVENT_ASYNC for rfn in fns):
             pub_spec = FunctionSpec(name=publisher_name(pid), trigger_kind=EVENT_ASYNC, body=())

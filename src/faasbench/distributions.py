@@ -109,9 +109,6 @@ class Duration:
         rendered = ",".join(_fmt(a) for a in self.args)
         return f"{self.kind}({rendered})"
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.spec()
-
 
 def _to_micros(millis: float) -> int:
     return max(0, int(round(millis * MICROS_PER_MS)))
@@ -123,18 +120,6 @@ def _fmt(x: float) -> str:
 
 def constant(ms: float) -> Duration:
     return Duration("constant", (float(ms),))
-
-
-def uniform(a_ms: float, b_ms: float) -> Duration:
-    return Duration("uniform", (float(a_ms), float(b_ms)))
-
-
-def lognormal(median_ms: float, sigma: float) -> Duration:
-    return Duration("lognormal", (float(median_ms), float(sigma)))
-
-
-def exponential(mean_ms: float) -> Duration:
-    return Duration("exponential", (float(mean_ms),))
 
 
 def parse_duration(text: str) -> Duration:

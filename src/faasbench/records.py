@@ -63,14 +63,6 @@ class TraceRecord(NamedTuple):
     cold_start: bool | None = None
     db_op: str | None = None
 
-    @property
-    def duration_us(self) -> int:
-        return self.end_us - self.start_us
-
-    def check(self) -> None:
-        _check_fields(self.kind, self.start_us, self.end_us, self.callee, self.mode, self.executor_key,
-                      self.cold_start, self.db_op)
-
 
 def _check_fields(kind, start_us, end_us, callee, mode, executor_key, cold_start, db_op) -> None:
     """Raise MalformedRecord unless the fields form a valid record."""

@@ -30,13 +30,13 @@ collector alone, so no pause nests.
 
 Only the simulator needs numpy, and ``analyze_file`` parses nothing with it.
 So this module reaches ``simulator`` through a module ``__getattr__`` (PEP
-562): the first read of ``runner.SimEnvironment`` or ``runner.GroundTruth``
-imports it, and an offline analysis never loads numpy (~11 MB of resident
-memory). ``run_benchmark`` reads ``SimEnvironment`` as an attribute of this
-module, not as a global name, which would never reach ``__getattr__``. So a
-caller that reads ``runner.SimEnvironment`` before it times a run pays the
-import outside its timer, and a subclass it assigns back to
-``runner.SimEnvironment`` is the one the run builds."""
+562): the first read of ``runner.SimEnvironment`` imports it, and an offline
+analysis never loads numpy (~11 MB of resident memory). ``run_benchmark``
+reads ``SimEnvironment`` as an attribute of this module, not as a global
+name, which would never reach ``__getattr__``. So a caller that reads
+``runner.SimEnvironment`` before it times a run pays the import outside its
+timer, and a subclass it assigns back to ``runner.SimEnvironment`` is the one
+the run builds."""
 
 from __future__ import annotations
 
@@ -81,7 +81,7 @@ OPTIONAL_MANIFEST_FIELDS = ("version", "application", "config", "profile")
 
 
 def __getattr__(name: str):
-    if name not in ("SimEnvironment", "GroundTruth"):  # the names imported from simulator on first access
+    if name != "SimEnvironment":  # the one name imported from simulator on first access
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import simulator
 
@@ -252,13 +252,10 @@ def analyze_file(log_path: str | Path, out_dir: str | Path | None = None, charts
         phases = _read_phases(manifest_path) if manifest_path.is_file() else None
         try:
             if keep_trees:
-                with log_path.open(encoding="utf-8") as fh:
-                    analysis = analyze_log_text(itertools.chain.from_iterable(_line_batches(fh)), phases)
+                analysis = analyze_log_text(_lines(log_path), phases)
             else:
-                with log_path.open(encoding="utf-8") as fh:
-                    counts = count_contexts(_line_batches(fh))
-                with log_path.open(encoding="utf-8") as fh:
-                    analysis = analyze_stream(itertools.chain.from_iterable(_line_batches(fh)), counts, phases)
+                counts = count_contexts(_line_batches(log_path))
+                analysis = analyze_stream(_lines(log_path), counts, phases)
         except UnicodeDecodeError as exc:
             raise AnalysisError(f"{log_path}: not UTF-8 text: {exc}") from None
         if out_dir is not None:
@@ -266,19 +263,25 @@ def analyze_file(log_path: str | Path, out_dir: str | Path | None = None, charts
     return analysis
 
 
-def _line_batches(fh) -> Iterator[list[str]]:
-    """The lines of an open text file, those of ``read_text().splitlines()``,
-    as one list per ``READ_CHUNK_CHARS`` read. Universal newlines leave every
-    line end one character long, so a chunk ends either at a line end or in a
-    line that the next chunk goes on with."""
+def _line_batches(path: Path) -> Iterator[list[str]]:
+    """The lines of the UTF-8 text file at ``path``, those of
+    ``read_text().splitlines()``, as one list per ``READ_CHUNK_CHARS`` read.
+    Universal newlines leave every line end one character long, so a chunk
+    ends either at a line end or in a line that the next chunk goes on with."""
     rest = ""
-    while chunk := fh.read(READ_CHUNK_CHARS):
-        text = rest + chunk
-        lines = text.splitlines()
-        rest = "" if text[-1].splitlines() == [""] else lines.pop()
-        yield lines
+    with path.open(encoding="utf-8") as fh:
+        while chunk := fh.read(READ_CHUNK_CHARS):
+            text = rest + chunk
+            lines = text.splitlines()
+            rest = "" if text[-1].splitlines() == [""] else lines.pop()
+            yield lines
     if rest:
         yield [rest]
+
+
+def _lines(path: Path) -> Iterator[str]:
+    """The lines of ``_line_batches(path)`` one at a time."""
+    return itertools.chain.from_iterable(_line_batches(path))
 
 
 def _read_phases(manifest_path: Path) -> list[PhaseWindow] | None:

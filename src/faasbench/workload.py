@@ -228,8 +228,8 @@ class LoadProfile:
         phases = tuple(_phase_from_dict(p) for p in read(d, "phases", [dict], ProfileError, []))
         return cls(name=read(d, "name", str, ProfileError, "profile"), workflows=workflows, phases=phases)
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "LoadProfile":

@@ -148,7 +148,7 @@ def test_criterion_5_cold_start_behavior(outroot):
     # (b) first burst bucket p50 exceeds steady-state p50 by the cold-start delay
     records, _ = parse_logs(res.log_path.read_text())
     steady = sorted(
-        r.duration_us for r in records
+        r.end_us - r.start_us for r in records
         if r.kind == INVOCATION and normal.start_us <= r.start_us < normal.end_us
     )
     bucket0 = analysis.timeline[0]

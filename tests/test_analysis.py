@@ -461,7 +461,7 @@ def test_a_repeated_invocation_pair_counts_its_first_line():
     first_b = records[3]
     later_b = first_b._replace(end_us=first_b.end_us + 5 * MS, cold_start=True)
     analysis = analyze_records(records + [later_b], ParseReport(records=6))
-    assert analysis.metrics["exec_duration"]["b"] == {first_b.duration_us: 1}
+    assert analysis.metrics["exec_duration"]["b"] == {first_b.end_us - first_b.start_us: 1}
     assert analysis.total_invocations == 2 and analysis.total_cold == 0
     (tree,) = analysis.trees
     assert not tree.complete
@@ -682,7 +682,7 @@ def test_coldstart_timeline_equals_a_scan_per_second():
     report = coldstart_report(records, [PhaseWindow("0:burst", "burst", lo, lo + 40_000_000)])
     for i, b in enumerate(report.timeline):
         bucket = [r for r in records if lo + i * 1_000_000 <= r.start_us < lo + (i + 1) * 1_000_000]
-        execs = sorted(r.duration_us for r in bucket)
+        execs = sorted(r.end_us - r.start_us for r in bucket)
         assert (b.index, b.count, b.cold) == (i, len(bucket), sum(1 for r in bucket if r.cold_start))
         # the nearest rank, 1-based ceil(n / 2), of the sorted list
         assert b.p50_exec_us == (execs[max(1, math.ceil(0.5 * len(execs))) - 1] if execs else None)
@@ -1086,6 +1086,10 @@ def _busy_us(intervals):
     return busy
 
 
+def _duration_us(record):
+    return record.end_us - record.start_us
+
+
 def walked_groups(trees):
     """The tree-level metric groups, as value -> count multisets, rebuilt by
     a direct walk over the complete trees, each group made at its first row
@@ -1111,21 +1115,21 @@ def walked_groups(trees):
         spans = [(start, end) for start, end, _ in calls]
         for start, end, call in calls:
             if isinstance(call, TraceRecord):
-                add("db", f"{rec.platform_id}/{call.callee}", call.duration_us)
+                add("db", f"{rec.platform_id}/{call.callee}", _duration_us(call))
                 continue
             callee = call.child.record
-            network = call.record.duration_us - callee.duration_us
+            network = _duration_us(call.record) - _duration_us(callee)
             add("network", f"{rec.function}->{callee.function}", network)
             add("network_oneway", f"{call.record.platform_id}->{callee.platform_id}", network / 2)
         busy = _busy_us(spans)
         blocks += busy < sum(end - start for start, end in spans)
-        add("compute", rec.function, rec.duration_us - busy)
+        add("compute", rec.function, _duration_us(rec) - busy)
         for e in node.calls:
             if e.record.mode != MODE_ASYNC:
                 continue
             pub = e.child.record
             group = f"{e.record.platform_id}->{pub.platform_id}"
-            add("publish_latency", group, e.record.duration_us - pub.duration_us)
+            add("publish_latency", group, _duration_us(e.record) - _duration_us(pub))
             for t in e.child.calls:
                 if t.record.mode == MODE_TRIGGER:
                     add("trigger_delay", group, t.child.record.start_us - pub.start_us)
@@ -1138,7 +1142,7 @@ def walked_groups(trees):
 
     for tree in trees:
         if tree.complete:
-            add("root_round_trip", tree.root.callee, tree.root.duration_us)
+            add("root_round_trip", tree.root.callee, _duration_us(tree.root))
             visit(tree.root_node)
     return groups, blocks
 

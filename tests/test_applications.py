@@ -1,3 +1,5 @@
+import json
+
 import networkx as nx
 import pytest
 from hypothesis import given
@@ -199,7 +201,7 @@ def test_diamond_is_not_a_cycle():
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
 def test_serialization_round_trip(name):
     app = load_builtin(name)
-    assert ApplicationSpec.from_json(app.to_json()) == app
+    assert ApplicationSpec.from_json(json.dumps(app.to_dict(), indent=2)) == app
 
 
 def test_violations_are_data_not_errors():

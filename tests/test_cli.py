@@ -43,8 +43,14 @@ def test_recipes_list_and_emit(tmp_path, capsys):
     assert {p["id"] for p in parsed["platforms"]} == {"couch", "panel", "cushion"}
 
 
-def test_recipes_unknown(tmp_path):
+def test_recipes_unknown(tmp_path, capsys):
     assert run_cli("recipes", "exp9-nope", "--out", str(tmp_path)) == EXIT_CONFIG
+    capsys.readouterr()
+    # so is an empty name: only an omitted one lists the recipes
+    assert run_cli("recipes", "", "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("unknown recipe ''; known: exp1-single-cloud") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_builtin_ok(capsys):
@@ -261,7 +267,7 @@ def test_run_produces_artifacts_and_reports(tmp_path, capsys):
     assert manifest["seed"] == 7 and manifest["benchmark"] == "webshop" and manifest["scale"] == 0.002
     # the run's inputs themselves, the profile unscaled, and no paths
     app = load_builtin("webshop")
-    assert manifest["application"] == json.loads(app.to_json())
+    assert manifest["application"] == json.loads(json.dumps(app.to_dict()))
     assert manifest["config"] == json.loads(default_config(app).to_json())
     assert manifest["profile"] == json.loads(builtin_profile("webshop").to_json())
     assert not {"configPath", "profilePath", "phases"} & manifest.keys()
@@ -356,10 +362,11 @@ def test_run_rejects_a_bad_scale_or_seed_at_the_boundary(tmp_path, capsys, flag)
     ("coldStartDelay", 400, "platform cloud-a: coldStartDelay: cannot parse distribution: 400"),
     ("keepAliveSeconds", 0, "platform cloud-a: keepAliveSeconds must round to at least 1 us"),
     ("keepAliveSeconds", 1e-7, "platform cloud-a: keepAliveSeconds must round to at least 1 us"),
+    ("keepAliveSeconds", -1e305, "platform cloud-a: keepAliveSeconds must round to at least 1 us"),
 ], ids=["nan-keep-alive", "huge-keep-alive", "keep-alive-2**51", "nan-clock-offset", "infinite-clock-offset", "huge-clock-offset",
         "overflowing-clock-offset", "negative-log-rate", "nan-log-rate", "fractional-log-rate", "infinite-cold-start",
         "nan-cold-start", "overflowing-cold-start", "numeric-cold-start", "zero-keep-alive",
-        "sub-microsecond-keep-alive"])
+        "sub-microsecond-keep-alive", "overflowing-negative-keep-alive"])
 def test_run_names_the_out_of_range_config_field(tmp_path, capsys, field, value, reason):
     config = recipe("exp1-single-cloud").config.to_dict()
     config["platforms"][0][field] = value

@@ -138,7 +138,7 @@ def test_a_config_with_old_service_bindings_loads_as_the_same_config(name):
     # such a binding moved no byte of any run; it is ignored like any unknown field
     cfg = OLD_CONFIGS[name]
     assert "serviceBindings" not in cfg.to_dict()
-    for pid in cfg.platform_ids:
+    for pid in (p.id for p in cfg.platforms):
         for binding in ({"platform": pid}, {"platform": pid, "latencyClass": "same-region"}):
             doc = {**cfg.to_dict(), "serviceBindings": {"keystore": binding}}
             assert DeploymentConfig.from_json(json.dumps(doc)) == cfg

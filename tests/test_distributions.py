@@ -5,15 +5,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from faasbench.distributions import (
-    DistributionError,
-    Duration,
-    constant,
-    exponential,
-    lognormal,
-    parse_duration,
-    uniform,
-)
+from faasbench.distributions import DistributionError, Duration, constant, parse_duration
 
 
 def test_constant_is_exact_microseconds():
@@ -78,7 +70,7 @@ def test_parse_rejects_bad_expressions(bad):
 
 
 def test_uniform_stays_in_bounds():
-    d = uniform(5, 9)
+    d = parse_duration("uniform(5,9)")
     rng = np.random.default_rng(1)
     samples = [d.sample(rng) for _ in range(500)]
     assert all(5_000 <= s <= 9_000 for s in samples)
@@ -87,7 +79,7 @@ def test_uniform_stays_in_bounds():
 
 def test_lognormal_sample_median_matches_parameter():
     # the median of exp(N(ln m, sigma)) is m; check the empirical median
-    d = lognormal(15, 0.25)
+    d = parse_duration("lognormal(15,0.25)")
     rng = np.random.default_rng(2)
     samples = sorted(d.sample(rng) for _ in range(2000))
     median = samples[len(samples) // 2]
@@ -95,14 +87,14 @@ def test_lognormal_sample_median_matches_parameter():
 
 
 def test_exponential_sample_mean_matches_parameter():
-    d = exponential(3)
+    d = parse_duration("exponential(3)")
     rng = np.random.default_rng(3)
     samples = [d.sample(rng) for _ in range(5000)]
     assert math.isclose(float(np.mean(samples)), 3_000, rel_tol=0.10)
 
 
 def test_sampling_is_deterministic_under_seed():
-    d = lognormal(10, 0.5)
+    d = parse_duration("lognormal(10,0.5)")
     a = [d.sample(np.random.default_rng(9)) for _ in range(5)]
     b = [d.sample(np.random.default_rng(9)) for _ in range(5)]
     # same generator state must be drawn from in the same order
@@ -113,7 +105,7 @@ def test_sampling_is_deterministic_under_seed():
 
 def test_samples_are_nonnegative_ints():
     rng = np.random.default_rng(4)
-    for d in (uniform(0, 1), lognormal(0.001, 2), exponential(0.5)):
+    for d in map(parse_duration, ("uniform(0,1)", "lognormal(0.001,2)", "exponential(0.5)")):
         for _ in range(200):
             s = d.sample(rng)
             assert isinstance(s, int) and s >= 0

@@ -62,7 +62,7 @@ def test_run_benchmark_builds_the_environment_class_assigned_to_runner(tmp_path,
 def test_the_lazy_names_are_the_simulators():
     assert faasbench.SimEnvironment is simulator.SimEnvironment
     assert "SimEnvironment" in faasbench.__all__
-    assert runner.GroundTruth is simulator.GroundTruth
+    assert runner.SimEnvironment is simulator.SimEnvironment
     assert simulator.SimulationError is records.SimulationError is cli.SimulationError
     with pytest.raises(AttributeError, match="has no attribute 'Kernel'"):
         runner.Kernel

@@ -112,8 +112,15 @@ def test_a_mutated_application_validates_or_exits_in_one_line(doc):
     _check("validate", doc)
 
 
+FACTORY_CONFIG = recipe("exp3-three-way-factory").config.to_dict()
+# a keep-alive this far below 0 once overflowed to -inf on its way to microseconds
+LOWEST_KEEP_ALIVE = copy.deepcopy(FACTORY_CONFIG)
+LOWEST_KEEP_ALIVE["platforms"][0]["keepAliveSeconds"] = -1.7976931348623157e+308
+
+
 @FUZZ
-@given(doc=mutated(recipe("exp3-three-way-factory").config.to_dict()))
+@example(doc=LOWEST_KEEP_ALIVE)
+@given(doc=mutated(FACTORY_CONFIG))
 def test_a_mutated_config_runs_or_exits_in_one_line(doc):
     _check("config", doc, "smartfactory")
 

@@ -21,7 +21,7 @@ from faasbench.applications import (
     publish,
 )
 from faasbench.deployment import DeploymentConfig, deploy_all, teardown
-from faasbench.distributions import constant, lognormal
+from faasbench.distributions import constant, parse_duration
 from faasbench.records import HEADER_LINE, INVOCATION, MODE_TRIGGER, OUTGOING_CALL
 from faasbench.analysis import parse_logs
 from faasbench.benchmarks import load_builtin
@@ -94,7 +94,7 @@ def test_same_platform_round_trip_zero_legs():
     invoke(env, "p1", "a", arrival_us=0)
     env.run_until_idle()
     out = [r for r in records_of(env) if r.kind == OUTGOING_CALL and r.function == "a"]
-    assert out[0].duration_us == 2 * MS  # zero-latency legs, callee compute only
+    assert out[0].end_us - out[0].start_us == 2 * MS  # zero-latency legs, callee compute only
 
 
 def test_cross_platform_round_trip_arithmetic():
@@ -108,7 +108,7 @@ def test_cross_platform_round_trip_arithmetic():
     invoke(env, "p1", "a", arrival_us=0)
     env.run_until_idle()
     out = [r for r in records_of(env) if r.kind == OUTGOING_CALL and r.function == "a"]
-    assert out[0].duration_us == (15 + 2 + 15) * MS
+    assert out[0].end_us - out[0].start_us == (15 + 2 + 15) * MS
 
 
 def test_publish_trigger_timing_degenerate():
@@ -153,7 +153,7 @@ def test_trigger_delay_sampling_median():
     entry = FunctionSpec("entry", HTTP_SYNC, (publish("sink"),), entry_point=True)
     sink = FunctionSpec("sink", EVENT_ASYNC, (compute(constant(1)),))
     app = ApplicationSpec("events", (entry, sink))
-    platform = make_platform(cold_start_delay=constant(0), trigger_delay=lognormal(100, 0.3))
+    platform = make_platform(cold_start_delay=constant(0), trigger_delay=parse_duration("lognormal(100,0.3)"))
     env, plan = deployed_env(app, single_platform_config(app, platform), seed=3)
     for i in range(1000):
         invoke(env, "p1", "entry", arrival_us=i * 500_000)
@@ -179,7 +179,7 @@ def test_db_ops_latency_and_store_semantics():
     invoke(env, "p1", "fn", arrival_us=0)
     env.run_until_idle()
     db_records = [r for r in records_of(env) if r.kind == "DB_CALL"]
-    assert [r.duration_us for r in db_records] == [3 * MS, 3 * MS, 3 * MS]
+    assert [r.end_us - r.start_us for r in db_records] == [3 * MS, 3 * MS, 3 * MS]
     assert [r.db_op for r in db_records] == ["get", "set", "get"]
 
 
@@ -191,7 +191,7 @@ def test_db_sampling_median_recovery():
     for i in range(1000):
         invoke(env, "p1", "fn", arrival_us=i * 100_000)
     env.run_until_idle()
-    durations = sorted(r.duration_us for r in records_of(env) if r.kind == "DB_CALL")
+    durations = sorted(r.end_us - r.start_us for r in records_of(env) if r.kind == "DB_CALL")
     median = durations[len(durations) // 2]
     assert abs(median - 3 * MS) / (3 * MS) < 0.10
 
@@ -250,7 +250,7 @@ def test_each_executor_is_born_once_at_its_first_arrival():
 def test_run_determinism_bytes():
     def one_run():
         app = simple_app()
-        platform = make_platform(cold_start_delay=constant(10), trigger_delay=lognormal(100, 0.5))
+        platform = make_platform(cold_start_delay=constant(10), trigger_delay=parse_duration("lognormal(100,0.5)"))
         env, plan = deployed_env(app, single_platform_config(app, platform), seed=9)
         for i in range(50):
             invoke(env, "p1", "fn", arrival_us=i * 1234)

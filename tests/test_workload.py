@@ -486,7 +486,7 @@ def test_execute_multi_step_workflow_honors_think_time():
     roots = sorted((r for r in records if r.platform_id == LOADGEN), key=lambda r: r.start_us)
     assert len(roots) == 2
     assert len({r.context_id for r in roots}) == 1  # the instance shares one context
-    first_rt = roots[0].duration_us
+    first_rt = roots[0].end_us - roots[0].start_us
     assert roots[1].start_us == roots[0].start_us + first_rt + 5 * US
 
 

@@ -150,12 +150,17 @@ class StageTimer:
 
 
 def source_revision(package_dir: Path) -> dict:
+    """The git revision of ``package_dir`` and whether its tracked files
+    differ from it; both None outside a git checkout (an unpacked archive)."""
     def git(*args: str) -> str:
         return subprocess.run(["git", "-C", str(package_dir), *args], capture_output=True, text=True,
                               check=True).stdout.strip()
 
-    return {"git_rev": git("rev-parse", "HEAD"),
-            "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no", "--", "."))}
+    try:
+        return {"git_rev": git("rev-parse", "HEAD"),
+                "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no", "--", "."))}
+    except (OSError, subprocess.CalledProcessError):
+        return {"git_rev": None, "git_dirty": None}
 
 
 def timed_owners() -> dict:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .distributions import Duration, read, read_document
-from .records import is_log_name
+from .records import LOADGEN, is_log_name
 
 HTTP_SYNC = "http-sync"
 EVENT_ASYNC = "event-async"
@@ -208,6 +208,9 @@ def validate(app: ApplicationSpec) -> tuple[Violation, ...]:
     for svc in app.external_services:
         if not is_log_name(svc):
             violations.append(Violation("BadName", None, f"external service name {svc!r} {NAME_RULE}"))
+        elif svc == LOADGEN:  # a platform's networkLatency entry for it is the load generator's leg
+            violations.append(Violation("BadName", None, f"external service name {svc!r} is reserved for the "
+                                                         "load generator"))
     seen: set[str] = set()
     for fn in app.functions:
         if not is_log_name(fn.name):

@@ -16,10 +16,10 @@ from pathlib import Path
 from .analysis import AnalysisError
 from .applications import InvalidApplication, UnknownBenchmark, validate
 from .benchmarks import BENCHMARK_NAMES, builtin_profile
-from .deployment import DeploymentConfig, DeploymentError
+from .deployment import DeploymentConfig, DeploymentError, default_config
 from .recipes import RECIPE_NAMES, UnknownRecipe, recipe
 from .records import SimulationError
-from .runner import REPORTS_DIR, analyze_file, default_config, load_app, run_benchmark
+from .runner import REPORTS_DIR, analyze_file, load_app, run_benchmark
 from .workload import LoadProfile, ProfileError
 
 EXIT_OK = 0

@@ -183,6 +183,18 @@ class DeploymentConfig:
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
+def default_config(app: ApplicationSpec) -> DeploymentConfig:
+    """Single-platform deployment covering the whole application, on ``cloud-a``."""
+    platform_id = "cloud-a"
+    network = {platform_id: constant(15), LOADGEN: constant(15)}
+    for svc in app.external_services:
+        network[svc] = constant(3)
+    return DeploymentConfig(
+        platforms=(PlatformSpec(platform_id, network_latency=network),),
+        assignment={fn.name: platform_id for fn in app.functions},
+    )
+
+
 # (callee's platform id, outbound leg, return leg)
 CallRoute = tuple[str, Duration, Duration]
 
@@ -224,9 +236,15 @@ def compile(app: ApplicationSpec, cfg: DeploymentConfig) -> DeploymentPlan:  # n
     inputs produce structurally identical plans. A leg with no
     ``networkLatency`` entry raises DeploymentError naming both ends, a store
     step's leg included (its calling platform's entry for the service), and
-    so does an assignment key that names no function of the application.
+    so do an assignment key that names no function of the application and an
+    external service named like a platform, whose one ``networkLatency``
+    entry would serve both.
     """
     specs = {p.id: p for p in cfg.platforms}
+    for svc in app.external_services:
+        if svc in specs:
+            raise DeploymentError(f"external service {svc!r} is also a platform id; one networkLatency entry "
+                                  "cannot serve both")
     names = {fn.name for fn in app.functions}
     for name in cfg.assignment:
         if name not in names:

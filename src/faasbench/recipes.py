@@ -3,10 +3,8 @@
 Latency constants are illustrative defaults chosen inside realistic ranges
 (cross-provider publish legs a few tens of ms, trigger pipelines 100-400 ms,
 glue-code compute ~1 ms); they parameterize the simulator, they are not
-measured truth. ``exp1_single_cloud`` accepts distribution overrides and
-``exp3_three_way_factory`` a trigger-delay override, so the same topology can
-run with constant or sampled latencies; ``exp2_edge_cloud`` accepts a clock
-offset for the cloud platform.
+measured truth. A recipe is a fixed setup and takes no parameters; a variant
+is a ``dataclasses.replace`` of its platforms.
 """
 
 from __future__ import annotations
@@ -14,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .benchmarks import builtin_profile, load_builtin
-from .deployment import DeploymentConfig, PlatformSpec
-from .distributions import constant, parse_duration
+from .deployment import DeploymentConfig, PlatformSpec, default_config
+from .distributions import constant
 from .workload import LoadProfile
 
 KEYSTORE = "keystore"
@@ -41,26 +39,12 @@ def _assign_all(app_name: str, platform_id: str) -> dict[str, str]:
     return {fn.name: platform_id for fn in app.functions}
 
 
-def exp1_single_cloud(
-    network: str = "constant(15)",
-    db: str = "constant(3)",
-    cold_start: str = "constant(400)",
-) -> Recipe:
-    """Web shop and its store on one cloud platform."""
-    platform = PlatformSpec(
-        id="cloud-a",
-        cold_start_delay=parse_duration(cold_start),
-        network_latency={
-            "cloud-a": parse_duration(network),
-            "loadgen": parse_duration(network),
-            KEYSTORE: parse_duration(db),
-        },
-    )
-    cfg = DeploymentConfig(platforms=(platform,), assignment=_assign_all("webshop", "cloud-a"))
-    return Recipe("exp1-single-cloud", "webshop", cfg, builtin_profile("webshop"))
+def exp1_single_cloud() -> Recipe:
+    """Web shop and its store on one cloud platform: the default config."""
+    return Recipe("exp1-single-cloud", "webshop", default_config(load_builtin("webshop")), builtin_profile("webshop"))
 
 
-def _exp2_platforms(cloud_clock_offset_ms: float) -> tuple[PlatformSpec, PlatformSpec]:
+def _exp2_platforms() -> tuple[PlatformSpec, PlatformSpec]:
     edge = PlatformSpec(
         id="edge-1",
         cold_start_delay=constant(0),
@@ -81,14 +65,13 @@ def _exp2_platforms(cloud_clock_offset_ms: float) -> tuple[PlatformSpec, Platfor
             "loadgen": constant(40),
             KEYSTORE: constant(3),
         },
-        clock_offset_us=int(round(cloud_clock_offset_ms * 1000)),
     )
     return edge, cloud
 
 
-def exp2_edge_cloud(cloud_clock_offset_ms: float = 0.0) -> Recipe:
+def exp2_edge_cloud() -> Recipe:
     """Smart city split: traffic-light functions at the edge, rest in cloud."""
-    edge, cloud = _exp2_platforms(cloud_clock_offset_ms)
+    edge, cloud = _exp2_platforms()
     app = load_builtin("smartcity")
     assignment = {
         fn.name: ("edge-1" if fn.name in EDGE_FUNCTIONS else "cloud-a") for fn in app.functions
@@ -99,7 +82,7 @@ def exp2_edge_cloud(cloud_clock_offset_ms: float = 0.0) -> Recipe:
 
 def exp2_edge_only() -> Recipe:
     """Smart city entirely at the edge; only the store stays in the cloud."""
-    edge, cloud = _exp2_platforms(0.0)
+    edge, cloud = _exp2_platforms()
     cfg = DeploymentConfig(platforms=(edge, cloud), assignment=_assign_all("smartcity", "edge-1"))
     return Recipe("exp2-edge-only", "smartcity", cfg, builtin_profile("smartcity"))
 
@@ -122,12 +105,11 @@ _EXP3_CROSS = {
 _EXP3_TRIGGER = {"couch": 100, "panel": 250, "cushion": 400}
 
 
-def exp3_three_way_factory(trigger: str | None = None) -> Recipe:
+def exp3_three_way_factory() -> Recipe:
     """Smart factory split over three providers (couch / panel / cushion).
 
-    Every platform pair gets a distinct constant publish leg and, by default,
-    every destination a distinct trigger delay; pass ``trigger`` to replace
-    all the trigger delays with one expression (e.g. a lognormal).
+    Every platform pair gets a distinct constant publish leg, and every
+    destination a distinct trigger delay.
     """
     platforms = []
     for pid in _EXP3_PARTS:
@@ -140,7 +122,7 @@ def exp3_three_way_factory(trigger: str | None = None) -> Recipe:
                 id=pid,
                 cold_start_delay=constant(0),
                 network_latency=net,
-                trigger_delay=parse_duration(trigger) if trigger else constant(_EXP3_TRIGGER[pid]),
+                trigger_delay=constant(_EXP3_TRIGGER[pid]),
             )
         )
     assignment = {fn: pid for pid, fns in _EXP3_PARTS.items() for fn in fns}

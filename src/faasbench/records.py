@@ -93,6 +93,8 @@ _intern = sys.intern
 _KIND_OF = {kind: kind for kind in RECORD_KINDS}
 _MODE_OF = {_NONE: None, **{mode: mode for mode in MODES}}
 _DB_OP_OF = {_NONE: None, "get": "get", "set": "set"}
+# the cold-start column holds only these; any other value is refused
+_COLD_OF = {_NONE: None, "0": False, "1": True}
 # a timestamp must lie strictly between these, so the analyzer's float
 # arithmetic on durations and quartiles cannot overflow
 _TS_LOW, _TS_HIGH = -2 ** 63, 2 ** 63
@@ -120,7 +122,10 @@ def parse_record(line: str) -> TraceRecord:
     callee = None if callee == _NONE else _intern(callee)
     mode = _MODE_OF.get(mode, mode)
     executor_key = None if executor_key == _NONE else _intern(executor_key)
-    cold = None if cold == _NONE else cold == "1"
+    try:
+        cold = _COLD_OF[cold]
+    except KeyError:
+        raise MalformedRecord(f"coldStart must be 0, 1 or -, got {cold!r}") from None
     db_op = _DB_OP_OF.get(db_op, db_op)
     _check_fields(kind, start, end, callee, mode, executor_key, cold, db_op)
     if start <= _TS_LOW or end >= _TS_HIGH:  # start <= end is checked above
@@ -178,7 +183,8 @@ class RecordSink:
              cold_start: bool | None = None, db_op: str | None = None) -> None:
         """Append one record of this platform at virtual time ``at_us``, given
         by its fields, or count it in ``drops`` when the rate limiter drops
-        it; raises MalformedRecord where ``TraceRecord.check`` would."""
+        it; raises MalformedRecord for fields that form no valid record, whose
+        line ``parse_record`` would refuse."""
         _check_fields(kind, start_us, end_us, callee, mode, executor_key, cold_start, db_op)
         if self.lines_per_second is not None:
             window = at_us // 1_000_000

@@ -30,8 +30,9 @@ collector alone, so no pause nests.
 
 Only the simulator needs numpy, and ``analyze_file`` parses nothing with it.
 So this module reaches ``simulator`` through a module ``__getattr__`` (PEP
-562): the first read of ``runner.SimEnvironment`` imports it, and an offline
-analysis never loads numpy (~11 MB of resident memory). ``run_benchmark``
+562), the package's one lazy import: the first read of
+``runner.SimEnvironment`` imports it, and an offline analysis never loads
+numpy (~11 MB of resident memory). ``run_benchmark``
 reads ``SimEnvironment`` as an attribute of this module, not as a global
 name, which would never reach ``__getattr__``. So a caller that reads
 ``runner.SimEnvironment`` before it times a run pays the import outside its
@@ -55,14 +56,9 @@ from .analysis import (AnalysisError, PhaseWindow, RunAnalysis, analyze_log_text
                        write_reports)
 from .applications import ApplicationSpec, InvalidApplication, validate
 from .benchmarks import BENCHMARK_NAMES, load_builtin
-from .deployment import (
-    DeploymentConfig,
-    PlatformSpec,
-    compile as compile_deployment,
-    deploy_all,
-    teardown,
-)
-from .distributions import REQUIRED, constant, read, read_document
+# default_config is read as runner.default_config by the benchmark's workloads
+from .deployment import DeploymentConfig, compile as compile_deployment, default_config, deploy_all, teardown
+from .distributions import REQUIRED, read, read_document
 from .workload import ExecutionStats, LoadProfile, ProfileError, execute, schedule, validate_profile_against_app
 
 if TYPE_CHECKING:
@@ -125,18 +121,6 @@ def _collector_paused():
             gc.unfreeze()
         if enabled:
             gc.enable()
-
-
-def default_config(app: ApplicationSpec) -> DeploymentConfig:
-    """Single-platform deployment covering the whole application, on ``cloud-a``."""
-    platform_id = "cloud-a"
-    network = {platform_id: constant(15), "loadgen": constant(15)}
-    for svc in app.external_services:
-        network[svc] = constant(3)
-    return DeploymentConfig(
-        platforms=(PlatformSpec(platform_id, network_latency=network),),
-        assignment={fn.name: platform_id for fn in app.functions},
-    )
 
 
 def load_app(name_or_path: str) -> ApplicationSpec:

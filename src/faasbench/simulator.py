@@ -266,11 +266,12 @@ class SimEnvironment:
         self.platforms = {p.id: SimPlatform(self.run_id, p) for p in config.platforms}
         self.loadgen_sink = RecordSink(self.run_id, LOADGEN)
 
-    def sync_call(self, sink, function, context_id, parent_pair, target, route: CallRoute, kind):
+    def sync_call(self, sink, function, context_id, parent_pair, target, route: CallRoute):
         """One synchronous request from ``function`` (on a platform or the
         load generator) to ``target`` along ``route``: draws the pair id, the
         outbound leg, then the return leg, and records the caller's
-        OUTGOING_CALL in the caller's ``sink`` and a truth edge of ``kind``."""
+        OUTGOING_CALL in the caller's ``sink`` and a truth edge, ``root`` when
+        there is no ``parent_pair`` (the load generator's) and else ``sync``."""
         dst, out, back = route
         t0 = self.kernel.now
         pair = self.ids.new_id()
@@ -279,7 +280,7 @@ class SimEnvironment:
         yield back.sample(self.sample_rng)
         end = self.kernel.now
         sink.emit(end, OUTGOING_CALL, function, context_id, pair, t0, end, callee=target, mode=MODE_SYNC)
-        self._truth_edge(TruthEdge(context_id, parent_pair, pair, kind))
+        self._truth_edge(TruthEdge(context_id, parent_pair, pair, "root" if parent_pair is None else "sync"))
 
     # -- invocation machinery ----------------------------------------------
 
@@ -328,7 +329,7 @@ class SimEnvironment:
                     yield d
             elif step.kind == "call":
                 yield from self.sync_call(platform.sink, rfn.name, context_id, inbound_pair,
-                                          step.target, rfn.call_routes[step.target], "sync")
+                                          step.target, rfn.call_routes[step.target])
             elif step.kind == "publish":
                 # caller idles until the event is accepted downstream
                 yield self._publish(platform, rfn, context_id, inbound_pair, step)

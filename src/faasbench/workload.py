@@ -386,7 +386,6 @@ def execute(arrivals: list[Arrival], plan, env: SimEnvironment) -> ExecutionStat
 def _root_flow(env: SimEnvironment, plan, workflow: Workflow):
     context_id = env.ids.new_id()
     for step in workflow.steps:
-        yield from env.sync_call(env.loadgen_sink, LOADGEN, context_id, None,
-                                 step.entry, plan.entry_routes[step.entry], "root")
+        yield from env.sync_call(env.loadgen_sink, LOADGEN, context_id, None, step.entry, plan.entry_routes[step.entry])
         if step.think_time_us:
             yield step.think_time_us

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from faasbench.applications import EVENT_ASYNC, ApplicationSpec, FunctionSpec, H
 from faasbench.benchmarks import builtin_profile, load_builtin
 from faasbench.deployment import DeploymentConfig, PlatformSpec, compile as compile_deployment, deploy_all
 from faasbench.distributions import constant, parse_duration
+from faasbench.recipes import Recipe, recipe
 from faasbench.records import TraceRecord, _format_line
 from faasbench.simulator import SimEnvironment
 from faasbench.workload import LoadProfile, Phase, Workflow, WorkflowStep
@@ -31,6 +33,14 @@ def make_platform(pid: str = "p1", peers: dict | None = None, **kwargs) -> Platf
     )
     defaults.update(kwargs)
     return PlatformSpec(id=pid, **defaults)
+
+
+def recipe_with(name: str, platform: str | None = None, **fields) -> Recipe:
+    """The recipe ``name`` with ``fields`` replaced on each of its platforms,
+    or only on the one whose id is ``platform``."""
+    r = recipe(name)
+    platforms = tuple(replace(p, **fields) if platform in (None, p.id) else p for p in r.config.platforms)
+    return replace(r, config=replace(r.config, platforms=platforms))
 
 
 def single_platform_config(app: ApplicationSpec, platform: PlatformSpec) -> DeploymentConfig:

@@ -16,9 +16,10 @@ from faasbench.applications import ApplicationSpec, FunctionSpec, HTTP_SYNC, com
 from faasbench.benchmarks import builtin_profile, load_builtin
 from faasbench.cli import EXIT_OK, main as cli_main
 from faasbench.deployment import DeploymentConfig, PlatformSpec
-from faasbench.distributions import constant
+from faasbench.distributions import constant, parse_duration
 from faasbench.records import INVOCATION
 from faasbench.recipes import (
+    KEYSTORE,
     exp1_single_cloud,
     exp2_edge_cloud,
     exp2_edge_only,
@@ -27,6 +28,8 @@ from faasbench.recipes import (
 )
 from faasbench.runner import run_benchmark
 from faasbench.workload import LoadProfile, PeriodicSeries, Phase, US, schedule
+
+from conftest import recipe_with
 
 SEED = 15  # pinned; criterion 10's 3% band is ~0.4 sigma of a Poisson count
 
@@ -84,11 +87,13 @@ def test_criterion_2_conservation_identity(exp1_run):
 
 
 def test_criterion_3_parameter_recovery(outroot):
-    shop = exp1_single_cloud(network="lognormal(15,0.25)", db="lognormal(3,0.25)")
+    network = parse_duration("lognormal(15,0.25)")
+    shop = recipe_with("exp1-single-cloud", network_latency={"cloud-a": network, "loadgen": network,
+                                                             KEYSTORE: parse_duration("lognormal(3,0.25)")})
     res = run_recipe(shop, seed=9, scale=0.02, out_dir=outroot / "recovery-shop")
     oneway = pooled(res.analysis, "network_oneway")
     db = pooled(res.analysis, "db")
-    factory = exp3_three_way_factory(trigger="lognormal(100,0.25)")
+    factory = recipe_with("exp3-three-way-factory", trigger_delay=parse_duration("lognormal(100,0.25)"))
     res3 = run_recipe(factory, seed=9, scale=1.0, out_dir=outroot / "recovery-factory")
     trigger = pooled(res3.analysis, "trigger_delay")
 
@@ -210,7 +215,7 @@ def test_criterion_7_log_loss_degradation(outroot):
 
 def test_criterion_8_skew_immunity(outroot):
     base = run_recipe(exp2_edge_cloud(), seed=5, scale=0.05, out_dir=outroot / "skew-base")
-    skew = run_recipe(exp2_edge_cloud(cloud_clock_offset_ms=50), seed=5, scale=0.05,
+    skew = run_recipe(recipe_with("exp2-edge-cloud", "cloud-a", clock_offset_us=50_000), seed=5, scale=0.05,
                       out_dir=outroot / "skew-off")
     assert base.log_path.read_text() != skew.log_path.read_text()  # timestamps really did shift
     for metric in ("compute", "network", "network_oneway", "db", "trigger_delay",

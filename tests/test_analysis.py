@@ -34,6 +34,7 @@ from faasbench.analysis import (
 )
 from faasbench.benchmarks import builtin_profile, load_builtin
 from faasbench.charts import BOX_EDGE, INK, MEDIAN, _ticks, box_chart_png
+from faasbench.distributions import parse_duration
 from faasbench.records import (
     DB_CALL,
     HEADER_LINE,
@@ -45,12 +46,12 @@ from faasbench.records import (
     OUTGOING_CALL,
     TraceRecord,
 )
-from faasbench.recipes import exp3_three_way_factory, recipe
+from faasbench.recipes import KEYSTORE, exp3_three_way_factory, recipe
 from faasbench.runner import analyze_file, default_config, run_benchmark
 from faasbench.workload import execute, schedule
 
-from conftest import (burst_profile, deployed_env, parallel_publish_app, serialize_record, set_collector,
-                      truth_edges_by_context)
+from conftest import (burst_profile, deployed_env, parallel_publish_app, recipe_with, serialize_record,
+                      set_collector, truth_edges_by_context)
 
 MS = 1000
 
@@ -1019,11 +1020,10 @@ def test_trigger_records_follow_their_event_when_publishers_start_together(tmp_p
 def test_conservation_holds_per_tree_with_sampled_distributions(tmp_path):
     # each realized sample is conserved, so the identity is exact even when
     # every distribution is non-degenerate
-    from faasbench.recipes import exp1_single_cloud
-    from faasbench.runner import run_benchmark
-
-    r = exp1_single_cloud(network="lognormal(15,0.4)", db="exponential(3)",
-                          cold_start="uniform(100,500)")
+    network = parse_duration("lognormal(15,0.4)")
+    r = recipe_with("exp1-single-cloud", cold_start_delay=parse_duration("uniform(100,500)"),
+                    network_latency={"cloud-a": network, "loadgen": network,
+                                     KEYSTORE: parse_duration("exponential(3)")})
     res = run_benchmark(load_builtin(r.benchmark), r.config, r.profile,
                         seed=21, scale=0.005, out_dir=tmp_path)
     assert res.analysis.breakdowns

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from faasbench.applications import (
     ApplicationSpec,
+    BodyStep,
     EVENT_ASYNC,
     FunctionSpec,
     HTTP_SYNC,
@@ -131,6 +132,12 @@ def test_a_compute_step_needs_a_duration():
         "BadDuration [a]: compute duration must be a Duration, got 5",
         "BadDuration [a]: compute duration must be a Duration, got 'constant(1)'",
     ]
+
+
+def test_an_unknown_step_kind_built_in_code_is_a_violation():
+    # from_dict refuses the kind as it reads it; a step built in code reaches validate
+    fn = FunctionSpec("a", HTTP_SYNC, (BodyStep("sleep"),), entry_point=True)
+    assert [str(v) for v in validate(ApplicationSpec("bad", (fn,)))] == ["UnknownStepKind [a]: step kind 'sleep'"]
 
 
 def test_parallel_block_needs_two_branches():

@@ -10,16 +10,22 @@ themselves: ``child.py`` as source, since it imports its sibling
 ``workloads`` module, and ``bench.py`` as a module, whose import runs nothing.
 Both scripts also read the order of those calls in a run, which a test pins.
 The benchmark's own ground-truth check, ``child.check_run``, reads a run's
-result by attribute too, so the last test runs it on every workload at a
-twentieth of its scale.
+result by attribute too, so a test runs it on every workload at a twentieth
+of its scale. The last test runs ``bench.py``'s smallest row and its offline
+analysis as the script runs them, each in a fresh process.
 """
 
 import ast
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import faasbench
 from faasbench import analysis, runner
 from faasbench.benchmarks import builtin_profile, load_builtin
 
@@ -100,3 +106,22 @@ def test_the_benchmark_truth_check_passes_on_each_workload(workload, tmp_path, m
     out = check_run(result)
     assert (out["failed"], out["problems"]) == (0, [])
     assert out["attempted"] == result.stats.instances > 0
+
+
+def test_bench_runs_its_smallest_row_and_analyzes_it_offline(tmp_path):
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(Path(faasbench.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+
+    def bench(*args: str) -> dict:
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), *args], env=env,
+                              capture_output=True, encoding="utf-8", timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    run = bench("--one", "exp4-coldstart", str(tmp_path / "run"))
+    offline = bench("--analyze", run["log"], str(tmp_path / "offline"))
+    assert offline["summary_sha256"] == run["summary_sha256"]
+    # the row keeps its truth, so its analysis reads the log once and keeps every tree: no count stage
+    assert list(run["stages"]) == ["schedule", "execute", "simulate", "collect", "teardown", "write_log", "parse",
+                                   "trees", "decompose", "analyze_other", "summaries", "reports", "other"]
+    assert offline["numpy_loaded"] is False

@@ -71,19 +71,30 @@ def test_validate_broken_app(tmp_path, capsys):
     assert "UnknownTarget" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("functions, violations", [
+@pytest.mark.parametrize("document, violations", [
     # bodies are unconditional: without the check, run would never go idle
-    ([{"name": "a", "trigger": "http-sync", "entryPoint": True, "body": [{"kind": "call", "target": "b"}]},
-      {"name": "b", "trigger": "http-sync", "body": [{"kind": "call", "target": "a"}]}],
+    ({"functions": [{"name": "a", "trigger": "http-sync", "entryPoint": True,
+                     "body": [{"kind": "call", "target": "b"}]},
+                    {"name": "b", "trigger": "http-sync", "body": [{"kind": "call", "target": "a"}]}]},
      ["Cycle [a]: unbounded cycle a -> b -> a"]),
-    ([{"name": "a", "trigger": "http-sync", "entryPoint": True},
-      {"name": "b", "trigger": "http-sync"},
-      {"name": "c", "trigger": "http-sync"}],
+    ({"functions": [{"name": "a", "trigger": "http-sync", "entryPoint": True},
+                    {"name": "b", "trigger": "http-sync"},
+                    {"name": "c", "trigger": "http-sync"}]},
      ["Unreachable [b]: not reachable from any entry point", "Unreachable [c]: not reachable from any entry point"]),
-], ids=["cycle", "two-unreachable"])
-def test_an_invalid_app_is_rejected_by_validate_and_run(tmp_path, capsys, functions, violations):
+    ({"functions": [{"name": "a", "trigger": "cron", "entryPoint": True}]},
+     ["BadTriggerKind [a]: unknown trigger kind 'cron'", "AsyncEntryPoint [a]: entry points must be http-sync"]),
+    ({"functions": [{"name": "a", "trigger": "event-async", "entryPoint": True}]},
+     ["AsyncEntryPoint [a]: entry points must be http-sync"]),
+    # a platform's networkLatency entry for "loadgen" is the load generator's
+    # leg, so a store of that name would take the same entry
+    ({"externalServices": ["loadgen"],
+      "functions": [{"name": "a", "trigger": "http-sync", "entryPoint": True,
+                     "body": [{"kind": "dbGet", "key": "k"}]}]},
+     ["BadName: external service name 'loadgen' is reserved for the load generator"]),
+], ids=["cycle", "two-unreachable", "bad-trigger-kind", "async-entry-point", "loadgen-service"])
+def test_an_invalid_app_is_rejected_by_validate_and_run(tmp_path, capsys, document, violations):
     app = tmp_path / "app.json"
-    app.write_text(json.dumps({"name": "bad", "functions": functions}))
+    app.write_text(json.dumps({"name": "bad", **document}))
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps({
         "name": "one",
@@ -185,12 +196,15 @@ def test_validate_and_run_reject_the_publisher_prefix(tmp_path, capsys):
 
 @pytest.mark.parametrize("pid, reason", [
     ("loadgen", "platform id 'loadgen' is reserved for the load generator"),
+    ("keystore", "external service 'keystore' is also a platform id; one networkLatency entry cannot serve both"),
     *((name, f"platform id {name!r} must be a non-empty UTF-8 encodable string other than '-', with no whitespace")
       for name in [*_BAD_NAMES, "a b", "a\u3000b"]),
-], ids=["loadgen", *_BAD_NAME_IDS, "space", "ideographic-space"])
+], ids=["loadgen", "store", *_BAD_NAME_IDS, "space", "ideographic-space"])
 def test_run_rejects_a_platform_id_that_breaks_the_log(tmp_path, capsys, pid, reason):
-    # "loadgen" would read every call as a load-generator root; whitespace
-    # would also break the "#dropped <id> <count>" line
+    # "loadgen" would read every call as a load-generator root; the store's
+    # name would make one networkLatency entry serve both the calls between
+    # functions and the store steps; whitespace would also break the
+    # "#dropped <id> <count>" line
     assert _run_with_platform_id(tmp_path, pid) == EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {reason}\n"
     assert not (tmp_path / "out").exists()
@@ -330,15 +344,29 @@ def test_run_invalid_deployment_config(tmp_path):
     assert code == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("flag", ["--scale=nan", "--scale=inf", "--scale=-inf", "--scale=0", "--scale=-1",
-                                  "--seed=-3", "--max-parse-errors=-1"])
+# flag -> the reason argparse gives after "argument <flag>: "
+BAD_FLAGS = {
+    "--scale=nan": "must be finite and > 0, got 'nan'",
+    "--scale=inf": "must be finite and > 0, got 'inf'",
+    "--scale=-inf": "must be finite and > 0, got '-inf'",
+    "--scale=0": "must be finite and > 0, got '0'",
+    "--scale=-1": "must be finite and > 0, got '-1'",
+    "--scale=abc": "not a number: 'abc'",
+    "--seed=-3": "must be >= 0, got '-3'",
+    "--seed=x": "not an integer: 'x'",
+    "--max-parse-errors=-1": "must be >= 0, got '-1'",
+}
+
+
+@pytest.mark.parametrize("flag", BAD_FLAGS)
 def test_run_rejects_a_bad_scale_or_seed_at_the_boundary(tmp_path, capsys, flag):
     command = ("analyze", str(tmp_path / "raw.log")) if flag.startswith("--max-parse-errors") else ("run", "streaming")
     with pytest.raises(SystemExit) as exc:
         run_cli(*command, flag, "--out", str(tmp_path / "out"))
     assert exc.value.code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"argument {flag.split('=')[0]}:" in err and "Traceback" not in err
+    # argparse prints the usage, then the one line that names the flag
+    reason = f"faasbench {command[0]}: error: argument {flag.split('=')[0]}: {BAD_FLAGS[flag]}"
+    assert capsys.readouterr().err.splitlines()[-1] == reason
     assert not (tmp_path / "out").exists()
 
 
@@ -492,6 +520,12 @@ def _shipped(command: str, bench: str):
     ("validate", "webshop", ("functions", 0, "entryPoint"), "no",
      'function frontend: entryPoint must be true or false, got "no"'),
     ("validate", "webshop", ("externalServices",), "kv", 'externalServices must be an array, got "kv"'),
+    ("validate", "webshop", ("functions", 0, "body", 1, "kind"), "sleep",
+     "function frontend: body step 1 (sleep): unknown body step kind: 'sleep'"),
+    ("validate", "webshop", ("functions", 0, "body", 0, "duration"), "exponential(-1)",
+     "function frontend: body step 0 (compute): duration: exponential(mean) requires mean >= 0: (-1.0,)"),
+    ("validate", "webshop", ("functions", 0, "body", 0, "duration"), "constant(x)",
+     "function frontend: body step 0 (compute): duration: bad distribution arguments in 'constant(x)'"),
     ("config", "webshop", ("platforms", 0, "networkLatency"), "constant(1)",
      'platform cloud-a: networkLatency must be an object, got "constant(1)"'),
     ("config", "webshop", ("platforms",), "x", 'platforms must be an array, got "x"'),
@@ -515,12 +549,20 @@ def _shipped(command: str, bench: str):
     ("profile", "smartcity", ("phases", 0, "series", 0, "trainCount"), 0, "phases[0].series[0].trainCount must be >= 1"),
     ("profile", "smartcity", ("phases", 0, "series", 3, "trainSpacingSeconds"), 0,
      "phases[0].series[3].trainSpacingSeconds must round to at least 1 us when trainCount > 1"),
+    ("profile", "webshop", ("workflows", 0, "steps", 0, "thinkSeconds"), -1, "workflow 'browse': negative think time"),
+    ("profile", "streaming", ("phases", 0, "totalFlows"), 0, "burst needs totalFlows >= 1"),
+    ("profile", "webshop", ("phases", 0, "kind"), "ramp", "unknown phase kind 'ramp'"),
+    # movementPlan is reached through calls, but a series may start only at an entry point
+    ("profile", "smartcity", ("phases", 0, "series", 0, "entry"), "movementPlan",
+     "periodic series targets non-entry function 'movementPlan'"),
 ], ids=["function-not-an-object", "app-not-an-object", "functions-not-an-array", "body-not-an-array",
-        "target-not-a-string", "entry-point-not-a-boolean", "services-not-an-array", "latency-not-an-object",
+        "target-not-a-string", "entry-point-not-a-boolean", "services-not-an-array", "unknown-step-kind",
+        "negative-exponential-mean", "unparsable-constant", "latency-not-an-object",
         "platforms-not-an-array", "assignment-not-an-object", "keep-alive-a-string", "keep-alive-a-boolean",
         "config-not-an-object", "phases-not-an-array", "mix-not-an-object", "mix-weight-a-string",
         "infinite-total-flows", "total-flows-a-string", "profile-not-an-object", "huge-phase-duration",
-        "negative-phase-duration", "sub-microsecond-interval", "empty-train", "zero-train-spacing"])
+        "negative-phase-duration", "sub-microsecond-interval", "empty-train", "zero-train-spacing",
+        "negative-think-time", "zero-total-flows", "unknown-phase-kind", "series-at-a-non-entry"])
 def test_a_field_of_the_wrong_type_is_named_in_one_line(tmp_path, capsys, command, bench, path, value, reason):
     doc_path = tmp_path / "doc.json"
     doc_path.write_text(json.dumps(_changed(_shipped(command, bench), path, value)))

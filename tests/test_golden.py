@@ -13,13 +13,16 @@ versions instead of reporting a bare hash difference.
 
 import hashlib
 import platform
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from faasbench import recipes, runner
 from faasbench.benchmarks import builtin_profile, load_builtin
+from faasbench.distributions import parse_duration
+from faasbench.recipes import KEYSTORE
+
+from conftest import recipe_with
 
 SEED = 7
 RECORDED_WITH = {"python": "3.11.7", "numpy": "2.4.6"}
@@ -39,16 +42,18 @@ def _webshop_lognormal_rate_limited():
     # the recipes use constant legs, so their quantiles are all equal; sampled
     # legs and a rate limit that drops about an eighth of the lines make the
     # summary depend on the sample stream, the quantile rule and the limiter
-    r = recipes.exp1_single_cloud(network="lognormal(15, 0.5)", db="lognormal(3, 0.3)",
-                                  cold_start="lognormal(400, 0.3)")
-    limited = tuple(replace(p, log_lines_per_second=1000) for p in r.config.platforms)
-    return load_builtin(r.benchmark), replace(r.config, platforms=limited), r.profile
+    network = parse_duration("lognormal(15, 0.5)")
+    r = recipe_with("exp1-single-cloud", cold_start_delay=parse_duration("lognormal(400, 0.3)"),
+                    network_latency={"cloud-a": network, "loadgen": network,
+                                     KEYSTORE: parse_duration("lognormal(3, 0.3)")},
+                    log_lines_per_second=1000)
+    return load_builtin(r.benchmark), r.config, r.profile
 
 
 def _smartcity_edge_cloud_offset():
     # the only case whose logs carry a platform clock offset: the cloud writes
     # its timestamps 2.5 ms ahead of the edge
-    r = recipes.exp2_edge_cloud(cloud_clock_offset_ms=2.5)
+    r = recipe_with("exp2-edge-cloud", "cloud-a", clock_offset_us=2500)
     return load_builtin(r.benchmark), r.config, r.profile
 
 

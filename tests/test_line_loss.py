@@ -30,12 +30,12 @@ from hypothesis import strategies as st
 from faasbench.analysis import (ParseReport, analyze_records, analyze_stream, count_contexts, parse_logs,
                                 write_reports)
 from faasbench.benchmarks import load_builtin
-from faasbench.recipes import exp2_edge_cloud, recipe
+from faasbench.recipes import recipe
 from faasbench.records import DB_CALL, INVOCATION, TraceRecord
 from faasbench.runner import default_config
 from faasbench.workload import US, LoadProfile, Phase, Workflow, WorkflowStep, execute, schedule
 
-from conftest import burst_profile, deployed_env
+from conftest import burst_profile, deployed_env, recipe_with
 from test_generated_apps import generated_apps
 
 
@@ -56,7 +56,7 @@ def _recipe_case(r, scale):
 BASES = {
     "factory": lambda: _recipe_case(recipe("exp3-three-way-factory"), 0.05),
     "coldstart": lambda: _recipe_case(recipe("exp4-coldstart"), 0.02),
-    "edge-cloud-skewed": lambda: _recipe_case(exp2_edge_cloud(cloud_clock_offset_ms=2.5), 0.05),
+    "edge-cloud-skewed": lambda: _recipe_case(recipe_with("exp2-edge-cloud", "cloud-a", clock_offset_us=2500), 0.05),
     "webshop-two-step": _two_step_webshop,
 }
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faasbench import recipes, runner
+from faasbench import runner
 from faasbench.benchmarks import load_builtin
 from faasbench.records import (
     DB_CALL,
@@ -26,7 +26,7 @@ from faasbench.records import (
 )
 from faasbench.simulator import ID_BLOCK, IdSource
 
-from conftest import serialize_record
+from conftest import recipe_with, serialize_record
 
 
 def invocation_fields(**kw) -> dict:
@@ -102,13 +102,19 @@ def test_parse_rejects_wrong_field_count():
         parse_record("a\tb\tc\td\te")
 
 
-@pytest.mark.parametrize("cold, want", [("-", None), ("1", True), ("0", False), ("true", False), ("", False)])
+@pytest.mark.parametrize("cold, want", [("-", None), ("1", True), ("0", False), ("true", MalformedRecord),
+                                        ("", MalformedRecord), ("2", MalformedRecord)])
 def test_parse_maps_the_cold_field(cold, want):
+    # a damaged column is refused, not read as a warm start
     fields = serialize_record(make_invocation()).split("\t")
     fields[11] = cold
     if want is None:  # an INVOCATION needs its flag, so read "-" on a call record
         fields[2], fields[6], fields[7], fields[10] = OUTGOING_CALL, "callee", "sync", "-"
-    assert parse_record("\t".join(fields)).cold_start is want
+    if want is MalformedRecord:
+        with pytest.raises(MalformedRecord, match=f"coldStart must be 0, 1 or -, got {cold!r}"):
+            parse_record("\t".join(fields))
+    else:
+        assert parse_record("\t".join(fields)).cold_start is want
 
 
 def test_records_are_immutable():
@@ -116,6 +122,12 @@ def test_records_are_immutable():
     with pytest.raises(AttributeError):
         r.start_us = 0
     assert r._replace(start_us=0).start_us == 0 and r.start_us == 10
+
+
+def _reference_cold(column: str) -> bool | None:
+    if column not in ("-", "0", "1"):
+        raise MalformedRecord("coldStart")
+    return None if column == "-" else column == "1"
 
 
 def _reference_parse(line: str) -> TraceRecord:
@@ -127,7 +139,7 @@ def _reference_parse(line: str) -> TraceRecord:
         run_id=f[0], platform_id=f[1], kind=f[2], function=f[3], context_id=f[4], pair_id=f[5],
         callee=None if f[6] == "-" else f[6], mode=None if f[7] == "-" else f[7],
         start_us=int(f[8]), end_us=int(f[9]), executor_key=None if f[10] == "-" else f[10],
-        cold_start=None if f[11] == "-" else f[11] == "1", db_op=None if f[12] == "-" else f[12],
+        cold_start=_reference_cold(f[11]), db_op=None if f[12] == "-" else f[12],
     )
     _check_fields(record.kind, record.start_us, record.end_us, record.callee, record.mode, record.executor_key,
                   record.cold_start, record.db_op)
@@ -234,7 +246,7 @@ def test_sink_applies_clock_offset_to_lines_only():
 
 
 def test_simulated_lines_with_a_clock_offset_parse_back(tmp_path):
-    r = recipes.exp2_edge_cloud(cloud_clock_offset_ms=2.5)
+    r = recipe_with("exp2-edge-cloud", "cloud-a", clock_offset_us=2500)
     result = runner.run_benchmark(load_builtin(r.benchmark), r.config, r.profile, 7, tmp_path, scale=0.05)
     lines = result.log_path.read_text().splitlines()
     assert lines[0] == HEADER_LINE

@@ -388,8 +388,9 @@ def test_a_profile_built_in_code_holds_only_int_times_and_counts(build, reason):
      "phases[0]: a burst phase has no series"),
     (Phase("constantRate", US, rate_per_s=True, mix=(("w", 1.0),)), "phases[0].rate_per_s must be a number, got True"),
     (Phase("burst", US, mix=(("w", True),), total_flows=5), "phases[0].mix.w must be a number, got True"),
+    (Phase("ramp", US), "unknown phase kind 'ramp'"),
 ], ids=["pause-flows", "pause-mix", "pause-rate", "burst-rate", "periodic-mix", "rate-flows", "burst-series",
-        "bool-rate", "bool-weight"])
+        "bool-rate", "bool-weight", "unknown-kind"])
 def test_a_phase_built_in_code_holds_only_what_its_json_holds(phase, reason):
     # to_dict writes only the fields of the phase's kind, and JSON writes a bool
     # as true, which from_dict refuses as a number

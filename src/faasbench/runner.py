@@ -32,9 +32,9 @@ Only the simulator needs numpy, and ``analyze_file`` parses nothing with it.
 So this module reaches ``simulator`` through a module ``__getattr__`` (PEP
 562), the package's one lazy import: the first read of
 ``runner.SimEnvironment`` imports it, and an offline analysis never loads
-numpy (~11 MB of resident memory). ``run_benchmark``
-reads ``SimEnvironment`` as an attribute of this module, not as a global
-name, which would never reach ``__getattr__``. So a caller that reads
+numpy (~11 MB of resident memory). ``run_benchmark`` reads
+``SimEnvironment`` as an attribute of this module, not as a global name,
+which would never reach ``__getattr__``. So a caller that reads
 ``runner.SimEnvironment`` before it times a run pays the import outside its
 timer, and a subclass it assigns back to ``runner.SimEnvironment`` is the one
 the run builds."""

@@ -1,11 +1,12 @@
-"""Stage timings of four full runs at the paper's scales, for the committed
-``BENCH_*.json`` files.
+"""Stage timings of five full runs at the paper's scales, for the committed
+``BENCH_*.json`` files, and a paired comparison of two ``src`` trees.
 
-    PYTHONPATH=src python3 scripts/bench.py BENCH_<name>.json
+    PYTHONPATH=src python3 scripts/bench.py BENCH_<name>.json [--rows NAME,...]
+    PYTHONPATH=src python3 scripts/bench.py OUT.json --baseline-src DIR --pairs N [--rows NAME,...]
 
 Runs, each at seed 7 and each in a fresh process that imports faasbench from
 ``PYTHONPATH`` (point it at another checkout's ``src`` to measure that
-checkout):
+checkout); ``--rows`` runs only the named ones, in this order:
 
 * ``webshop``: webshop x1.0 on the default single-platform config and its
   built-in profile (the paper's default profile, about 800k records);
@@ -14,9 +15,12 @@ checkout):
   and the run's analysis streams its ``raw.log``. This is the row whose
   numbers match ``faasbench run``;
 * ``smartfactory``: smartfactory x1.0 on the default config and profile;
-* ``exp4-coldstart``: the ``exp4-coldstart`` recipe (streaming) at x0.1.
+* ``exp4-coldstart``: the ``exp4-coldstart`` recipe (streaming) at x0.1;
+* ``streaming``: the same recipe at x10, the size of the benchmark's
+  streaming-coldstart workload: 20,500 one-call contexts (61,500 records),
+  where the analyzer's fixed cost per context sets the time.
 
-The other three runs keep the truth and the trees, as ``run_benchmark`` does
+The other four runs keep the truth and the trees, as ``run_benchmark`` does
 by default (and as the benchmark's run mode and every truth check need), and
 analyze their ``raw.log`` through ``analyze_log_text``, which holds every
 record and tree.
@@ -59,16 +63,29 @@ its tracked files differ from it), the Python and numpy versions, and the
 sha256 of each run's ``raw.log`` and ``summary.json``, read in 1 MB chunks so
 the digest adds no copy of the log to the peak. Two files are comparable
 only when those digests are equal.
+
+With ``--baseline-src DIR --pairs N`` the script measures each row N times
+in the ``src`` tree at DIR (any checkout of the parent commit, such as a
+``git clone``) and N times in the one on ``PYTHONPATH``, alternating, with
+the baseline first in odd pairs. It exits 1, writing nothing, at the first
+pair whose ``raw.log`` or ``summary.json`` digests differ. Otherwise the file
+holds each side's revision and, per row, the digests and, per measure (the
+run's ``total_s`` and ``maxrss_mb``, each stage's ``wall_s``, and the
+offline ``analyze_file``'s wall time and peak), each side's median and
+quartiles and ``change_lower``, the count of pairs in which the change's
+value was lower.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import hashlib
 import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -83,6 +100,7 @@ RUNS = {
     "webshop-cli": ("webshop", None, 1.0, False),
     "smartfactory": ("smartfactory", None, 1.0, True),
     "exp4-coldstart": ("streaming", "exp4-coldstart", 0.1, True),
+    "streaming": ("streaming", "exp4-coldstart", 10.0, True),
 }
 # (module or class, attribute, stage), in the order a run reaches them
 TIMED = [
@@ -247,12 +265,80 @@ def analyze_offline(log: str, out_dir: str) -> dict:
             "numpy_loaded": "numpy" in sys.modules, "summary_sha256": sha256(Path(out_dir) / "summary.json")}
 
 
-def child(*args: str) -> dict:
-    """The JSON result of this script run in a fresh process with ``args``."""
-    proc = subprocess.run([sys.executable, __file__, *args], capture_output=True, text=True)
+def child(*args: str, src: str | None = None) -> dict:
+    """The JSON result of this script run in a fresh process with ``args``,
+    importing faasbench from ``src`` when given."""
+    env = None
+    if src is not None:
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, __file__, *args], capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         raise RuntimeError(f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def measure_row(name: str, src: str | None = None) -> dict:
+    """One row: its run, then the offline analysis of its raw.log, each in a
+    fresh process; raises RuntimeError when either fails or the two write
+    different summaries."""
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            run = child("--one", name, tmp, src=src)
+            run["analyze_file"] = child("--analyze", run.pop("log"), str(Path(tmp) / "offline"), src=src)
+        except RuntimeError as exc:
+            raise RuntimeError(f"{name}: {exc}") from None
+    if run["analyze_file"]["summary_sha256"] != run["summary_sha256"]:
+        raise RuntimeError(f"{name}: offline analyze_file wrote another summary.json than the run")
+    return run
+
+
+DIGESTS = ("raw_log_sha256", "summary_sha256")
+META = ("git_rev", "git_dirty", "python", "numpy")
+
+
+def measures(run: dict) -> dict[str, float]:
+    """The compared numbers of one row's run."""
+    return {"total_s": run["total_s"], "maxrss_mb": run["maxrss_mb"],
+            **{f"{stage}.wall_s": s["wall_s"] for stage, s in run["stages"].items()},
+            "analyze_file.wall_s": run["analyze_file"]["wall_s"],
+            "analyze_file.maxrss_mb": run["analyze_file"]["maxrss_mb"]}
+
+
+def spread(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": round(statistics.median(values), 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def compare(names: list[str], baseline_src: str, pairs: int) -> dict | None:
+    """Each row measured ``pairs`` times on each side, alternating; None at the
+    first pair whose digests differ."""
+    sides = {"baseline": baseline_src, "change": None}
+    runs: dict[str, dict[str, list]] = {name: {"baseline": [], "change": []} for name in names}
+    for i in range(1, pairs + 1):
+        order = ("baseline", "change") if i % 2 else ("change", "baseline")
+        for name in names:
+            got = {side: measure_row(name, sides[side]) for side in order}
+            print(f"{name} pair {i}: " + ", ".join(f"{side} {got[side]['total_s']:.2f} s" for side in order),
+                  file=sys.stderr)
+            if any(got["baseline"][key] != got["change"][key] for key in DIGESTS):
+                print(f"{name}: pair {i} wrote other digests on the two sides", file=sys.stderr)
+                return None
+            for side in order:
+                runs[name][side].append(got[side])
+    rows = {}
+    for name, by_side in runs.items():
+        base, change = ([measures(run) for run in by_side[side]] for side in sides)
+        shared = [key for key in base[0] if all(key in v for v in base + change)]  # a stage one side lacks is left out
+        rows[name] = {"records": by_side["change"][0]["records"], **{key: by_side["change"][0][key] for key in DIGESTS},
+                      "measures": {key: {"baseline": spread([v[key] for v in base]),
+                                         "change": spread([v[key] for v in change]),
+                                         "change_lower": sum(c[key] < b[key] for b, c in zip(base, change))}
+                                   for key in shared}}
+    first = {side: runs[names[0]][side][0] for side in sides}
+    return {"pairs": pairs,
+            "baseline": {k: first["baseline"][k] for k in META},
+            "change": {k: first["change"][k] for k in META},
+            "host": {"machine": platform.machine(), "cpus": os.cpu_count()}, "rows": rows}
 
 
 def main(argv: list[str]) -> int:
@@ -262,31 +348,40 @@ def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--analyze":
         print(json.dumps(analyze_offline(argv[1], argv[2])))
         return 0
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
-        return 2
-    runs = []
-    for name in RUNS:
-        with tempfile.TemporaryDirectory() as tmp:
-            try:
-                run = child("--one", name, tmp)
-                run["analyze_file"] = child("--analyze", run.pop("log"), str(Path(tmp) / "offline"))
-            except RuntimeError as exc:
-                print(f"{name}: {exc}", file=sys.stderr)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="the JSON file to write")
+    parser.add_argument("--rows", default=",".join(RUNS), help="comma-separated runs to measure (default: all)")
+    parser.add_argument("--baseline-src", help="the src directory of the checkout to compare against")
+    parser.add_argument("--pairs", type=int, help="alternating baseline/change pairs (with --baseline-src)")
+    args = parser.parse_args(argv)
+    names = args.rows.split(",")
+    if unknown := [name for name in names if name not in RUNS]:
+        parser.error(f"unknown row {unknown[0]!r} (choose from {', '.join(RUNS)})")
+    if (args.baseline_src is None) != (args.pairs is None) or (args.pairs is not None and args.pairs < 1):
+        parser.error("--baseline-src and --pairs N (N >= 1) go together")
+    try:
+        if args.baseline_src is not None:
+            report = compare(names, args.baseline_src, args.pairs)
+            if report is None:
                 return 1
-        if run["analyze_file"]["summary_sha256"] != run["summary_sha256"]:
-            print(f"{name}: offline analyze_file wrote another summary.json than the run", file=sys.stderr)
-            return 1
-        print(f"{name}: {run['records']} records, {run['total_s']:.2f} s, {run['maxrss_mb']:.0f} MB; "
-              f"analyze_file {run['analyze_file']['wall_s']:.2f} s, {run['analyze_file']['maxrss_mb']:.0f} MB",
-              file=sys.stderr)
-        runs.append(run)
-    meta = {key: runs[0][key] for key in ("git_rev", "git_dirty", "python", "numpy")}
+            Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+            return 0
+        runs = []
+        for name in names:
+            run = measure_row(name)
+            print(f"{name}: {run['records']} records, {run['total_s']:.2f} s, {run['maxrss_mb']:.0f} MB; "
+                  f"analyze_file {run['analyze_file']['wall_s']:.2f} s, {run['analyze_file']['maxrss_mb']:.0f} MB",
+                  file=sys.stderr)
+            runs.append(run)
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    meta = {key: runs[0][key] for key in META}
     for run in runs:
         for key in meta:
             del run[key]
     report = {**meta, "host": {"machine": platform.machine(), "cpus": os.cpu_count()}, "runs": runs}
-    Path(argv[0]).write_text(json.dumps(report, indent=2) + "\n")
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0
 
 

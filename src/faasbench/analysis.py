@@ -64,9 +64,14 @@ orphans and every node's calls and db calls in order from those sorts. A
 record's owner is found by bisect over its function's owner list. A context
 pays only for what it has: the async-call table is built only when it has an
 async call, a root node without calls is not linked, and the orphan scan
-runs only when a node is left unlinked. ``decompose`` and ``CallTree.nodes``
-each walk a tree in one loop over one explicit stack of nodes, so a publisher
-is a node like any other and any depth works.
+runs only when a node is left unlinked. ``decompose`` books a leaf (no
+calls, at most one store call; a one-call context has nothing else) with no
+sorted items, block scan or async-call loop. ``RunAnalysis.add`` reads the
+run's state into locals and adds the cold starts to it once per context, and
+a later invocation of a known executor builds no (start, end, pair id) key.
+``decompose`` and ``CallTree.nodes`` each walk a tree in one loop over one
+explicit stack of nodes, so a publisher is a node like any other and any
+depth works.
 
 All quantiles are nearest-rank, and ``summary_stats`` is the one code that
 takes them: the metric groups' figures and each cold-start timeline second's
@@ -463,8 +468,25 @@ def decompose(tree: CallTree, metrics: dict[str, dict[str, dict]]) -> LatencyBre
         node, conserved = stack.pop()
         rec = node.record
         calls = node.calls
+        db_calls = node.db_calls
+        compute = rec.end_us - rec.start_us
+        if not calls and len(db_calls) < 2:  # a leaf: no block, no callee, at most one store row
+            if db_calls:
+                db_rec = db_calls[0]
+                key = f"{rec.platform_id}/{db_rec.callee}"
+                g = db_rows.get(key) or db_rows.setdefault(key, {})
+                db = db_rec.end_us - db_rec.start_us
+                g[db] = g.get(db, 0) + 1
+                compute -= db
+                if conserved:
+                    total_db += db
+            g = compute_rows.get(rec.function) or compute_rows.setdefault(rec.function, {})
+            g[compute] = g.get(compute, 0) + 1
+            if conserved:
+                total_compute += compute
+            continue
         items = [(e.record.start_us, e.record.end_us, e) for e in calls if e.record.mode == MODE_SYNC]
-        items += [(db.start_us, db.end_us, db) for db in node.db_calls]
+        items += [(db.start_us, db.end_us, db) for db in db_calls]
         if len(items) > 1:
             items.sort(key=_start_end)
         base = len(stack)  # the node's children go above it, and are reversed to pop in visit order
@@ -509,7 +531,7 @@ def decompose(tree: CallTree, metrics: dict[str, dict[str, dict]]) -> LatencyBre
                         seq_db_us += db
             i = j
 
-        compute = rec.end_us - rec.start_us - seq_sync_us - seq_db_us - block_wait_us
+        compute -= seq_sync_us + seq_db_us + block_wait_us
         g = compute_rows.get(rec.function) or compute_rows.setdefault(rec.function, {})
         g[compute] = g.get(compute, 0) + 1
         if conserved:
@@ -684,7 +706,8 @@ class RunAnalysis:
     its groups, and each group is an exact multiset: a dict of value ->
     count. ``breakdowns`` are in context id order; ``trees``, in the same
     order, is kept only by ``analyze_records`` and is None after a streamed
-    analysis. ``total_invocations`` and ``total_cold`` count the invocations,
+    analysis. ``total_invocations`` (read off the execution durations) and
+    ``total_cold`` count the invocations,
     ``per_phase`` and ``timeline`` count them per phase and per second of the
     last burst, and ``cold_flag_mismatches`` checks their cold flags."""
 
@@ -694,7 +717,6 @@ class RunAnalysis:
         self.metrics: dict[str, dict[str, dict]] = {name: {} for name in METRIC_NAMES}
         self.breakdowns: list[LatencyBreakdown] = []
         self.trees: list[CallTree] | None = None
-        self.total_invocations = 0
         self.total_cold = 0
         self._phases = phases or []
         self._phase_starts = [ph.start_us for ph in self._phases]
@@ -715,6 +737,10 @@ class RunAnalysis:
     @property
     def incomplete_trees(self) -> int:
         return self.tree_count - self.complete_trees
+
+    @property
+    def total_invocations(self) -> int:
+        return sum(map(sum, map(dict.values, self.metrics["exec_duration"].values())))
 
     @property
     def per_phase(self) -> list[tuple[str, int, int]]:
@@ -742,43 +768,51 @@ class RunAnalysis:
         invocations, the trees' nodes, into the execution durations and the
         cold-start counts."""
         self.tree_count += len(trees)
+        metrics = self.metrics
         for tree in trees:
             if tree.complete:
-                self.breakdowns.append(decompose(tree, self.metrics))
-        exec_duration = self.metrics["exec_duration"]
+                self.breakdowns.append(decompose(tree, metrics))
+        exec_duration = metrics["exec_duration"]
         starts = self._phase_starts
+        ends = self._phase_ends
+        phase_invocations = self._phase_invocations
         burst = self._burst_start
+        timeline_exec = self._timeline_exec
         first = self._first
+        n_cold = 0  # the context's cold starts, added to the run's once
         for r in invocations:
             start = r.start_us
             d = r.end_us - start
             cold = r.cold_start
             g = exec_duration.get(r.function) or exec_duration.setdefault(r.function, {})
             g[d] = g.get(d, 0) + 1
-            self.total_invocations += 1
             if cold:
-                self.total_cold += 1
+                n_cold += 1
             if starts:
                 i = bisect_right(starts, start) - 1
-                if i >= 0 and start < self._phase_ends[i]:
-                    self._phase_invocations[i] += 1
-                    if cold:
+                if i >= 0 and start < ends[i]:
+                    phase_invocations[i] += 1
+                    if cold:  # rare, so the cold counters stay attributes
                         self._phase_cold[i] += 1
                 if burst is not None:
                     i = (start - burst) // 1_000_000
                     if 0 <= i < TIMELINE_SECONDS:
-                        g = self._timeline_exec[i]
+                        g = timeline_exec[i]
                         g[d] = g.get(d, 0) + 1
                         if cold:
                             self._timeline_cold[i] += 1
-            key = (start, r.end_us, r.pair_id)
             f = first.get(r.executor_key)
+            if f is not None and start > f[0][0]:
+                continue  # a later invocation of a known executor, the common case
+            key = (start, r.end_us, r.pair_id)
             if f is None or key < f[0]:
                 first[r.executor_key] = [key, 1, 1 if cold else 0]
             elif key == f[0]:  # the same first invocation in another context
                 f[1] += 1
                 if cold:
                     f[2] += 1
+        if n_cold:
+            self.total_cold += n_cold
 
 
 def analyze_records(records: list[TraceRecord], parse_report: ParseReport,
@@ -849,6 +883,14 @@ def analyze_stream(lines: Iterable[str], counts: Counter[str], phases: list[Phas
     return run
 
 
+def _csv_text(text: str) -> str:
+    """A text field as ``csv.writer`` writes it: quoted, each quote doubled,
+    when it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = False) -> None:
     """Write summary.json and the CSV tables into ``out_dir``, and with
     ``charts`` one box chart per metric into its ``charts`` directory."""
@@ -869,13 +911,14 @@ def write_reports(analysis: RunAnalysis, out_dir: str | Path, charts: bool = Fal
     emit_csv("summary.csv", stat_header,
              [[metric, group, *s] for metric, groups in summaries.items() for group, s in groups.items()])
 
-    emit_csv(
-        "trees.csv",
-        ["context", "entry", "root_round_trip_us", "compute_us", "network_us", "db_us", "residual_us"],
-        ((bd.context_id, bd.entry_function, bd.root_round_trip_us, bd.total_compute_us,
-          bd.total_network_us, bd.total_db_us, bd.conservation_residual_us)
-         for bd in analysis.breakdowns),
-    )
+    # a row per complete tree, each one f-string, which costs half of what csv.writer's row does,
+    # and its residual inline, which costs less than a property call
+    with (out / "trees.csv").open("w", encoding="utf-8", newline="") as fh:
+        fh.write("context,entry,root_round_trip_us,compute_us,network_us,db_us,residual_us\r\n")
+        fh.writelines(f"{_csv_text(bd.context_id)},{_csv_text(bd.entry_function)},{bd.root_round_trip_us},"
+                      f"{bd.total_compute_us},{bd.total_network_us},{bd.total_db_us},"
+                      f"{bd.root_round_trip_us - (bd.total_compute_us + bd.total_network_us + bd.total_db_us)}\r\n"
+                      for bd in analysis.breakdowns)
 
     for name, metric in (("trigger_delays.csv", "trigger_delay"), ("publish_latency.csv", "publish_latency")):
         emit_csv(name, stat_header[1:], [[g, *s] for g, s in summaries.get(metric, {}).items()])

@@ -10,10 +10,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from faasbench import analysis as analysis_module, runner
 from faasbench.analysis import (
     AnalysisError,
+    LatencyBreakdown,
     METRIC_NAMES,
     ParseReport,
     RunAnalysis,
@@ -953,6 +956,26 @@ def test_analyze_simulated_run_end_to_end(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "cold_starts.csv", "publish_latency.csv", "summary.csv", "summary.json", "timeline.csv", "trees.csv",
         "trigger_delays.csv"]
+
+
+# text fields as a hand-edited log may name them: commas, quotes and line breaks included
+TEXT = st.text(alphabet=st.sampled_from(',"\r\n ab\u00e9\u4e2d'), max_size=6) | st.text(max_size=6)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rows=st.lists(st.tuples(TEXT, TEXT, *[st.integers(-2**70, 2**70)] * 4), max_size=5))
+@example(rows=[("", "a,b", 1, 0, 0, 1), ('say "x"', "line\nbreak", 0, 0, 0, 0), ("a\rb", "c", 0, 0, 0, 0)])
+def test_trees_csv_rows_are_those_csv_writer_writes(rows, tmp_path_factory):
+    analysis = RunAnalysis()
+    analysis.breakdowns = [LatencyBreakdown(*row) for row in rows]
+    out = tmp_path_factory.mktemp("reports")
+    write_reports(analysis, out)
+    expected = out / "expected.csv"
+    with expected.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["context", "entry", "root_round_trip_us", "compute_us", "network_us", "db_us", "residual_us"])
+        writer.writerows((*row, row[2] - sum(row[3:])) for row in rows)
+    assert (out / "trees.csv").read_bytes() == expected.read_bytes()
 
 
 def test_analysis_matches_simulator_ground_truth():

@@ -11,16 +11,21 @@ themselves: ``child.py`` as source, since it imports its sibling
 Both scripts also read the order of those calls in a run, which a test pins.
 The benchmark's own ground-truth check, ``child.check_run``, reads a run's
 result by attribute too, so a test runs it on every workload at a twentieth
-of its scale. The last test runs ``bench.py``'s smallest row and its offline
-analysis as the script runs them, each in a fresh process.
+of its scale. The benchmark's traced ``analysis.decompose`` span wraps the module's
+``decompose``, so a test counts that both readers call it once per complete
+tree. The last tests run ``bench.py``'s smallest row and its offline analysis
+as the script runs them, each in a fresh process, and the same row as a
+one-pair comparison of a ``src`` tree with itself.
 """
 
 import ast
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -108,20 +113,81 @@ def test_the_benchmark_truth_check_passes_on_each_workload(workload, tmp_path, m
     assert out["attempted"] == result.stats.instances > 0
 
 
-def test_bench_runs_its_smallest_row_and_analyzes_it_offline(tmp_path):
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(Path(faasbench.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+def test_both_readers_decompose_each_complete_tree_once(tmp_path, monkeypatch):
+    # a webshop log with lines lost, so that some trees are incomplete and must not be decomposed
+    app = load_builtin("webshop")
+    result = runner.run_benchmark(app, runner.default_config(app), builtin_profile("webshop"), seed=7,
+                                  out_dir=tmp_path / "run", scale=0.002, keep_truth=False)
+    lines = result.log_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    damaged = tmp_path / "damaged.log"
+    damaged.write_text("".join(line for i, line in enumerate(lines) if i % 97 != 50), encoding="utf-8")
+    decomposed = []
+    decompose = analysis.decompose
 
+    def counted(tree, metrics):
+        decomposed.append(tree.context_id)
+        return decompose(tree, metrics)
+
+    monkeypatch.setattr(analysis, "decompose", counted)
+    kept = analysis.analyze_log_text(damaged.read_text(encoding="utf-8"))
+    complete = Counter(tree.context_id for tree in kept.trees if tree.complete)
+    assert 0 < kept.complete_trees < kept.tree_count
+    assert Counter(decomposed) == complete and len(decomposed) == kept.complete_trees
+    decomposed.clear()
+    streamed = runner.analyze_file(damaged)
+    assert Counter(decomposed) == complete and streamed.complete_trees == kept.complete_trees
+
+
+SRC = Path(faasbench.__file__).parents[1]
+# the stages of a row that keeps its truth: its analysis reads the log once and keeps every tree, so no count stage
+KEPT_STAGES = ["schedule", "execute", "simulate", "collect", "teardown", "write_log", "parse", "trees", "decompose",
+               "analyze_other", "summaries", "reports", "other"]
+
+
+def _bench(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), *args], env=env,
+                          capture_output=True, encoding="utf-8", timeout=300)
+
+
+def test_bench_runs_its_smallest_row_and_analyzes_it_offline(tmp_path):
     def bench(*args: str) -> dict:
-        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), *args], env=env,
-                              capture_output=True, encoding="utf-8", timeout=300)
+        proc = _bench(*args)
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
 
     run = bench("--one", "exp4-coldstart", str(tmp_path / "run"))
     offline = bench("--analyze", run["log"], str(tmp_path / "offline"))
     assert offline["summary_sha256"] == run["summary_sha256"]
-    # the row keeps its truth, so its analysis reads the log once and keeps every tree: no count stage
-    assert list(run["stages"]) == ["schedule", "execute", "simulate", "collect", "teardown", "write_log", "parse",
-                                   "trees", "decompose", "analyze_other", "summaries", "reports", "other"]
+    assert list(run["stages"]) == KEPT_STAGES
     assert offline["numpy_loaded"] is False
+
+
+def test_bench_compares_a_src_tree_with_itself_in_one_pair(tmp_path):
+    out = tmp_path / "pairs.json"
+    proc = _bench(str(out), "--rows", "exp4-coldstart", "--baseline-src", str(SRC), "--pairs", "1")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert report["pairs"] == 1 and report["baseline"]["git_rev"] == report["change"]["git_rev"]
+    assert list(report["rows"]) == ["exp4-coldstart"]
+    row = report["rows"]["exp4-coldstart"]
+    assert row["records"] > 0 and all(len(row[key]) == 64 for key in ("raw_log_sha256", "summary_sha256"))
+    assert list(row["measures"]) == (["total_s", "maxrss_mb"] + [f"{stage}.wall_s" for stage in KEPT_STAGES]
+                                     + ["analyze_file.wall_s", "analyze_file.maxrss_mb"])
+    for measure in row["measures"].values():
+        assert measure["change_lower"] in (0, 1)
+        for side in ("baseline", "change"):
+            assert measure[side]["q1"] == measure[side]["median"] == measure[side]["q3"]
+
+
+def test_bench_refuses_a_pair_whose_digests_differ(tmp_path):
+    # a copy of the package whose summary.json says another schema version
+    shutil.copytree(SRC / "faasbench", tmp_path / "src" / "faasbench", ignore=shutil.ignore_patterns("__pycache__"))
+    analysis_py = tmp_path / "src" / "faasbench" / "analysis.py"
+    analysis_py.write_text(analysis_py.read_text(encoding="utf-8").replace('"schemaVersion": 1', '"schemaVersion": 2'),
+                           encoding="utf-8")
+    out = tmp_path / "pairs.json"
+    proc = _bench(str(out), "--rows", "exp4-coldstart", "--baseline-src", str(tmp_path / "src"), "--pairs", "2")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == "exp4-coldstart: pair 1 wrote other digests on the two sides"
+    assert not out.exists()

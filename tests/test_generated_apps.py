@@ -1,7 +1,8 @@
 """The analyzer's guarantees on generated applications, checked against the
 simulator's ground truth, and its indifference to the order of a log's lines;
-and its summaries of generated value multisets, checked against the sorted
-list of every value.
+its decomposition, checked against the one before its leaf path; and its
+summaries of generated value multisets, checked against the sorted list of
+every value.
 
 Each application stays inside the domain where parent attribution is exact:
 every function is the target of at most one step, and entry points of none,
@@ -17,7 +18,19 @@ from fractions import Fraction
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from faasbench.analysis import METRIC_NAMES, SummaryStats, build_trees, decompose, parse_logs, summary_stats
+from faasbench.analysis import (
+    METRIC_NAMES,
+    AnalysisError,
+    CallTree,
+    LatencyBreakdown,
+    SummaryStats,
+    TreeEdge,
+    _start_end,
+    build_trees,
+    decompose,
+    parse_logs,
+    summary_stats,
+)
 from faasbench.applications import (
     EVENT_ASYNC,
     HTTP_SYNC,
@@ -32,7 +45,8 @@ from faasbench.applications import (
 )
 from faasbench.deployment import DeploymentConfig, PlatformSpec
 from faasbench.distributions import parse_duration
-from faasbench.records import DB_CALL
+from faasbench.records import (DB_CALL, INVOCATION, LOADGEN, MODE_ASYNC, MODE_SYNC, MODE_TRIGGER, OUTGOING_CALL,
+                               TraceRecord)
 from faasbench.runner import default_config, run_benchmark
 from faasbench.workload import execute, schedule
 
@@ -160,6 +174,191 @@ def test_trees_do_not_depend_on_the_order_of_the_lines(case, flows, seed, data):
     expected = _trees_as_read(records)
     for _ in range(2):
         assert _trees_as_read(data.draw(st.permutations(records))) == expected
+
+
+def _reference_decompose(tree: CallTree, metrics: dict[str, dict[str, dict]]) -> LatencyBreakdown:
+    """Split a complete tree (a root node in a context ``build_trees`` found
+    clean) into compute/network/db: count each tree-level metric row into its
+    group's value -> count dict in ``metrics`` (``RunAnalysis.metrics``, keyed
+    by ``METRIC_NAMES``; a missing group is created) and return the tree's
+    conserved totals; any other tree raises AnalysisError.
+
+    The walk counts a node's rows where it meets the node: per sync or db
+    call by (start, end) the call's rows, then the node's compute, then per
+    async call its publish row and a trigger-delay row per trigger call of
+    the publisher. Then it visits the node's sync callees by (start, end) and
+    its other callees (a publisher, a triggered invocation) in call order; a
+    sync callee outside a parallel block counts in the conserved totals when
+    its caller does, any other callee never."""
+    if not tree.complete:
+        raise AnalysisError(f"context {tree.context_id} is incomplete")
+    root = tree.root
+    root_rec = tree.root_node.record
+    round_trip = root.end_us - root.start_us
+    # a group is made only when ``get`` misses it: ``setdefault(key, {})`` would build a dict per row
+    groups = metrics["root_round_trip"]
+    g = groups.get(root.callee) or groups.setdefault(root.callee, {})
+    g[round_trip] = g.get(round_trip, 0) + 1
+    compute_rows = metrics["compute"]
+    network_rows = metrics["network"]
+    oneway_rows = metrics["network_oneway"]
+    db_rows = metrics["db"]
+    publish_rows = metrics["publish_latency"]
+    trigger_rows = metrics["trigger_delay"]
+    total_compute = total_db = 0
+    total_network = round_trip - (root_rec.end_us - root_rec.start_us)
+
+    stack = [(tree.root_node, True)]  # (node, whether it counts in the conserved totals)
+    while stack:
+        node, conserved = stack.pop()
+        rec = node.record
+        calls = node.calls
+        items = [(e.record.start_us, e.record.end_us, e) for e in calls if e.record.mode == MODE_SYNC]
+        items += [(db.start_us, db.end_us, db) for db in node.db_calls]
+        if len(items) > 1:
+            items.sort(key=_start_end)
+        base = len(stack)  # the node's children go above it, and are reversed to pop in visit order
+        seq_sync_us = 0
+        seq_db_us = 0
+        block_wait_us = 0
+        i = 0
+        n = len(items)
+        while i < n:
+            cluster_start, cluster_end, _ = items[i]
+            j = i + 1
+            while j < n and items[j][0] < cluster_end:
+                if items[j][1] > cluster_end:
+                    cluster_end = items[j][1]
+                j += 1
+            in_block = j - i > 1
+            if in_block:
+                block_wait_us += cluster_end - cluster_start
+            for start, end, item in items[i:j]:
+                if type(item) is TreeEdge:
+                    child = item.child
+                    child_rec = child.record
+                    network = end - start - (child_rec.end_us - child_rec.start_us)
+                    key = f"{rec.function}->{child_rec.function}"
+                    g = network_rows.get(key) or network_rows.setdefault(key, {})
+                    g[network] = g.get(network, 0) + 1
+                    key = f"{rec.platform_id}->{child_rec.platform_id}"
+                    g = oneway_rows.get(key) or oneway_rows.setdefault(key, {})
+                    oneway = network / 2
+                    g[oneway] = g.get(oneway, 0) + 1
+                    stack.append((child, conserved and not in_block))
+                    if not in_block:
+                        seq_sync_us += end - start
+                        if conserved:
+                            total_network += network
+                else:
+                    key = f"{rec.platform_id}/{item.callee}"
+                    g = db_rows.get(key) or db_rows.setdefault(key, {})
+                    db = end - start
+                    g[db] = g.get(db, 0) + 1
+                    if not in_block:
+                        seq_db_us += db
+            i = j
+
+        compute = rec.end_us - rec.start_us - seq_sync_us - seq_db_us - block_wait_us
+        g = compute_rows.get(rec.function) or compute_rows.setdefault(rec.function, {})
+        g[compute] = g.get(compute, 0) + 1
+        if conserved:
+            total_compute += compute
+            total_db += seq_db_us
+            total_network += block_wait_us
+
+        for e in calls:
+            mode = e.record.mode
+            if mode == MODE_SYNC:
+                continue
+            child = e.child
+            stack.append((child, False))  # an async subtree falls outside the root round trip
+            if mode == MODE_ASYNC:
+                pub_rec = child.record
+                key = f"{e.record.platform_id}->{pub_rec.platform_id}"
+                g = publish_rows.get(key) or publish_rows.setdefault(key, {})
+                publish = e.record.end_us - e.record.start_us - (pub_rec.end_us - pub_rec.start_us)
+                g[publish] = g.get(publish, 0) + 1
+                for t in child.calls:
+                    if t.record.mode == MODE_TRIGGER:
+                        g = trigger_rows.get(key) or trigger_rows.setdefault(key, {})
+                        delay = t.child.record.start_us - pub_rec.start_us
+                        g[delay] = g.get(delay, 0) + 1
+        if len(stack) - base > 1:
+            stack[base:] = reversed(stack[base:])
+
+    return LatencyBreakdown(tree.context_id, root.callee, round_trip, total_compute, total_network, total_db)
+
+
+def _decomposed(decompose_fn, trees):
+    """The breakdowns ``decompose_fn`` gives for the complete trees, counted
+    into one run's metrics, and those metrics as lists: the groups of each
+    metric in the order they were made, each with its rows in the order they
+    were first counted, and every row's count."""
+    metrics = {name: {} for name in METRIC_NAMES}
+    breakdowns = [decompose_fn(tree, metrics) for tree in trees if tree.complete]
+    return breakdowns, [(name, [(key, list(rows.items())) for key, rows in groups.items()])
+                        for name, groups in metrics.items()]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(generated_apps(), st.just((_TIE_APP, default_config(_TIE_APP)))), flows=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+def test_decompose_equals_the_decomposition_before_its_leaf_path(case, flows, seed):
+    app, config = case
+    env, plan = deployed_env(app, config, seed=seed)
+    execute(schedule(burst_profile([fn.name for fn in app.entry_points()], flows), env.loadgen_rng), plan, env)
+    env.run_until_idle()
+    trees = build_trees(parse_logs(env.collect_log(env.run_id))[0])
+    assert any(tree.complete for tree in trees)
+    assert _decomposed(decompose, trees) == _decomposed(_reference_decompose, trees)
+
+
+@st.composite
+def one_call_contexts(draw):
+    """(function, platform, store, clock offset, root start, out leg, execution,
+    back leg, cold, store calls) of a context of one call: a root call from the
+    load generator and its invocation, whose logged times run ``offset`` us off
+    the load generator's, with 0-2 store calls, each an (offset into the
+    invocation, duration) pair. A store call may take no time, and two may
+    overlap or start in the same microsecond."""
+    execution = draw(st.integers(0, 4_000))
+    store_calls = []
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, execution))
+        store_calls.append((at, draw(st.integers(0, execution - at))))
+    return (draw(st.sampled_from(("f", "g"))), draw(st.sampled_from(("p1", "p2"))), draw(st.sampled_from(("kv", "s3"))),
+            draw(st.sampled_from((0, 2_500, -7_000))), draw(st.integers(0, 3_000)), draw(st.integers(0, 500)),
+            execution, draw(st.integers(0, 500)), draw(st.booleans()), store_calls)
+
+
+def _one_call_records(n, function, platform, store, offset, start, out, execution, back, cold, store_calls):
+    """The log records of the ``n``-th context drawn by ``one_call_contexts``."""
+    ctx = f"{n:032x}"
+    invoked = start + out + offset
+    records = [
+        TraceRecord("r1", LOADGEN, OUTGOING_CALL, LOADGEN, ctx, f"{n}-root", start, start + out + execution + back,
+                    callee=function, mode=MODE_SYNC),
+        TraceRecord("r1", platform, INVOCATION, function, ctx, f"{n}-root", invoked, invoked + execution,
+                    executor_key=f"{platform}-{function}", cold_start=cold),
+    ]
+    records += [TraceRecord("r1", platform, DB_CALL, function, ctx, f"{n}-db{i}", invoked + at, invoked + at + took,
+                            callee=store, db_op="get")
+                for i, (at, took) in enumerate(store_calls)]
+    return records
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(contexts=st.lists(one_call_contexts(), min_size=1, max_size=4))
+@example(contexts=[("f", "p1", "kv", -7_000, 0, 100, 300, 100, True, [(300, 0)])])  # a zero-length call at the end
+@example(contexts=[("f", "p1", "kv", -7_000, 0, 0, 0, 0, True, [(0, 0), (0, 0)])])  # two in one instant
+@example(contexts=[("g", "p2", "s3", 2_500, 10, 5, 40, 5, False, []),
+                   ("f", "p1", "kv", 0, 0, 5, 40, 5, True, [(3, 9)])])  # two groups made in context order
+def test_decompose_of_one_call_contexts_equals_the_decomposition_before_its_leaf_path(contexts):
+    records = [r for n, ctx in enumerate(contexts) for r in _one_call_records(n, *ctx)]
+    trees = build_trees(records)
+    assert all(tree.complete for tree in trees) and len(trees) == len(contexts)
+    assert _decomposed(decompose, trees) == _decomposed(_reference_decompose, trees)
 
 
 def _summary_of_the_sorted_list(values) -> SummaryStats:

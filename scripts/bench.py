@@ -56,10 +56,13 @@ wrote, which must equal the run's. It also holds ``import_maxrss_mb``, the
 the interpreter, the standard library and faasbench (~22 MB on x86_64 Linux
 with Python 3.11.7), so ``maxrss_mb - import_maxrss_mb`` is the analysis' own
 memory; and ``numpy_loaded``, whether numpy was imported once the call
-returned, which an offline analysis never needs.
+returned. Each run holds ``numpy_loaded`` too: no faasbench process needs
+numpy, and the script itself never imports it.
 
 The file also records the git revision of the measured ``src`` (and whether
-its tracked files differ from it), the Python and numpy versions, and the
+its tracked files differ from it), the Python version, the installed numpy's
+version (read from its metadata; ``faasbench.rng`` draws numpy's streams,
+and the tests compare it with that numpy), and the
 sha256 of each run's ``raw.log`` and ``summary.json``, read in 1 MB chunks so
 the digest adds no copy of the log to the peak. Two files are comparable
 only when those digests are equal.
@@ -81,6 +84,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import importlib.metadata
 import json
 import os
 import platform
@@ -181,6 +185,15 @@ def source_revision(package_dir: Path) -> dict:
         return {"git_rev": None, "git_dirty": None}
 
 
+def numpy_version() -> str | None:
+    """The installed numpy's version, read without importing numpy; None
+    when it is not installed."""
+    try:
+        return importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
 def timed_owners() -> dict:
     """The module or class each ``TIMED`` row names, by its name there."""
     from faasbench import analysis, runner
@@ -193,8 +206,6 @@ def timed_owners() -> dict:
 def measure(name: str, out_dir: str) -> dict:
     """One run of ``RUNS[name]`` into ``out_dir``, in this process, with its
     stages timed."""
-    import numpy
-
     import faasbench
     from faasbench import runner
     from faasbench.benchmarks import builtin_profile, load_builtin
@@ -247,8 +258,9 @@ def measure(name: str, out_dir: str) -> dict:
                     "maxrss_mb": round(stages[stage]["maxrss_mb"], 1)}
             for stage in STAGES if stage in stages
         },
+        "numpy_loaded": "numpy" in sys.modules,
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
+        "numpy": numpy_version(),
         **source_revision(Path(faasbench.__file__).resolve().parent),
     }
 

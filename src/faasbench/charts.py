@@ -14,8 +14,7 @@ The image is drawn into one ``bytearray`` of RGB bytes per row, with a
 built-in 5x7 bitmap font (printable ASCII; any other character is drawn as
 ``?``), and encoded as an 8-bit RGB PNG with ``zlib`` at a fixed level and no
 timestamp chunk, so the bytes depend on the statistics alone. It needs only
-the standard library, so an offline ``faasbench analyze --charts`` loads no
-numpy.
+the standard library.
 """
 
 from __future__ import annotations

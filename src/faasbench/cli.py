@@ -18,8 +18,8 @@ from .applications import InvalidApplication, UnknownBenchmark, validate
 from .benchmarks import BENCHMARK_NAMES, builtin_profile
 from .deployment import DeploymentConfig, DeploymentError, default_config
 from .recipes import RECIPE_NAMES, UnknownRecipe, recipe
-from .records import SimulationError
 from .runner import REPORTS_DIR, analyze_file, load_app, run_benchmark
+from .simulator import SimulationError
 from .workload import LoadProfile, ProfileError
 
 EXIT_OK = 0

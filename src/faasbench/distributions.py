@@ -20,8 +20,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # numpy only annotates: the generator is the caller's
-    import numpy as np
+if TYPE_CHECKING:  # annotations only: the generator is the caller's
+    from .rng import Generator
 
 _DIST_RE = re.compile(r"^\s*(constant|uniform|lognormal|exponential)\s*\(([^)]*)\)\s*$")
 
@@ -33,9 +33,9 @@ MAX_SAMPLE_US = 2**53
 # writes read back as the same microsecond
 MAX_PROFILE_US = 2**51
 PROFILE_LIMIT = "2**51 us (about 71 years)"
-# numpy's ziggurat tails take the log of a 53-bit uniform, so a standard normal
-# draw stays below 12.3 and a standard exponential one below 44.5; the reach
-# check rounds both up
+# the ziggurat tails of faasbench.rng (numpy's, which tests/test_rng.py pins it
+# to) take the log of a 53-bit uniform, so a standard normal draw stays below
+# 12.3 and a standard exponential one below 44.5; the reach check rounds both up
 _NORMAL_REACH = 13.0
 _EXPONENTIAL_REACH = 45.0
 
@@ -88,7 +88,7 @@ class Duration:
             return math.exp(min(math.log(median) + _NORMAL_REACH * sigma, 709.0))
         return self.args[0] * _EXPONENTIAL_REACH
 
-    def sample(self, rng: np.random.Generator) -> int:
+    def sample(self, rng: Generator) -> int:
         """Draw one duration in integer microseconds.
 
         Constants consume no randomness so that configs which only differ in

@@ -40,11 +40,6 @@ class MalformedRecord(ValueError):
     """Record violates the schema (bad kind, endTs < startTs, missing fields)."""
 
 
-class SimulationError(Exception):
-    """A run cannot go on (``faasbench run`` exits 4). It lives here, not in
-    ``simulator``, so that the CLI can catch it without loading numpy."""
-
-
 class TraceRecord(NamedTuple):
     """One log line. A tuple: the analyzer holds every record of a run, and a
     tuple is built from a parsed line in one step and is immutable."""

@@ -52,8 +52,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
 from .deployment import CallRoute, DeploymentConfig, ResolvedFunction, publisher_name
 from .records import (
     DB_CALL,
@@ -65,9 +63,13 @@ from .records import (
     OUTGOING_CALL,
     HEADER_LINE,
     RecordSink,
-    SimulationError,
     format_drop_line,
 )
+from .rng import Generator, SeedSequence
+
+
+class SimulationError(Exception):
+    """A run cannot go on (``faasbench run`` exits 4)."""
 
 
 class Task:
@@ -171,18 +173,21 @@ class IdSource:
     """Seeded generator for 128-bit identifiers, rendered as 32 hex chars.
 
     Ids are drawn ``ID_BLOCK`` at a time: one ``rng.bytes(16 * ID_BLOCK)``
-    call, kept as hex and handed out in 32-char slices. ``Generator.bytes``
-    fills whole 32-bit words from the bit generator's stream, and 16 bytes are
-    exactly four words, so a block is the concatenation of the ids that one
+    call, kept as hex and handed out in 32-char slices. ``bytes`` fills whole
+    32-bit words from the bit generator's stream, and 16 bytes are exactly
+    four words, so a block is the concatenation of the ids that one
     ``rng.bytes(16)`` call per id would give: the id sequence is unchanged,
     at a fraction of the per-call overhead. Drawing ahead moves no other
-    stream, since the generator serves ids alone.
+    stream, since the generator serves ids alone. The run passes a
+    ``faasbench.rng.Generator``, whose ``bytes`` ``tests/test_rng.py`` pins
+    to numpy 2.4.6's, so the ids, and the log digests, are those a numpy
+    ``Generator`` would give.
 
     Confined to a single run's event loop; replaying the same seed replays
     the same id sequence.
     """
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: Generator):
         self._rng = rng
         self._block = ""
         self._pos = 0
@@ -242,27 +247,45 @@ class SimPlatform:
         self.idle: dict[str, list[tuple[int, str]]] = {}  # function -> [(idle since, executor key)]
 
 
-def _ignore(fact) -> None:
-    """Record nothing: a run that keeps no ground truth."""
+_new_fact = tuple.__new__  # builds a TruthEdge or TruthInvocation from its fields, as NamedTuple._make does
+
+
+def _recorder(facts: list, kind: type):
+    """A truth hook that appends the fact of ``kind`` its fields make to ``facts``."""
+    append = facts.append
+
+    def record(*fields) -> None:
+        append(_new_fact(kind, fields))
+
+    return record
+
+
+# the hooks of a run that keeps no ground truth: they build nothing
+def _no_edge(context_id, parent_pair, pair, kind) -> None:
+    pass
+
+
+def _no_invocation(context_id, pair, arrival_us, body_start_us, end_us, cold, executor_key) -> None:
+    pass
 
 
 class SimEnvironment:
     """All simulated platforms of one run behind a single event kernel. The
     run id is the first id the environment draws, and every sink writes it.
-    Without ``keep_truth`` the environment keeps no ground truth: ``truth`` is
-    None, and the five places that record it call a no-op, bound here once."""
+    The five places that record the ground truth pass a fact's fields to a
+    hook bound here once. Without ``keep_truth`` the environment keeps no
+    truth: ``truth`` is None, and the hooks are no-ops."""
 
     def __init__(self, config: DeploymentConfig, seed: int, keep_truth: bool = True):
-        ss = np.random.SeedSequence(seed)
-        ids_ss, sample_ss, loadgen_ss = ss.spawn(3)
-        self.ids = IdSource(np.random.default_rng(ids_ss))
+        ids_ss, sample_ss, loadgen_ss = SeedSequence(seed).spawn(3)
+        self.ids = IdSource(Generator(ids_ss))
         self.run_id = self.ids.new_run_id()
-        self.sample_rng = np.random.default_rng(sample_ss)
-        self.loadgen_rng = np.random.default_rng(loadgen_ss)
+        self.sample_rng = Generator(sample_ss)
+        self.loadgen_rng = Generator(loadgen_ss)
         self.kernel = Kernel()
         self.truth = GroundTruth() if keep_truth else None
-        self._truth_edge = self.truth.edges.append if keep_truth else _ignore
-        self._truth_invocation = self.truth.invocations.append if keep_truth else _ignore
+        self._truth_edge = _recorder(self.truth.edges, TruthEdge) if keep_truth else _no_edge
+        self._truth_invocation = _recorder(self.truth.invocations, TruthInvocation) if keep_truth else _no_invocation
         self.platforms = {p.id: SimPlatform(self.run_id, p) for p in config.platforms}
         self.loadgen_sink = RecordSink(self.run_id, LOADGEN)
 
@@ -280,7 +303,7 @@ class SimEnvironment:
         yield back.sample(self.sample_rng)
         end = self.kernel.now
         sink.emit(end, OUTGOING_CALL, function, context_id, pair, t0, end, callee=target, mode=MODE_SYNC)
-        self._truth_edge(TruthEdge(context_id, parent_pair, pair, "root" if parent_pair is None else "sync"))
+        self._truth_edge(context_id, parent_pair, pair, "root" if parent_pair is None else "sync")
 
     # -- invocation machinery ----------------------------------------------
 
@@ -318,8 +341,7 @@ class SimEnvironment:
         platform.idle.setdefault(rfn.name, []).append((end, executor_key))
         platform.sink.emit(end, INVOCATION, rfn.name, context_id, inbound_pair, arrival, end,
                            executor_key=executor_key, cold_start=cold)
-        self._truth_invocation(TruthInvocation(context_id, inbound_pair, arrival, body_start, end, cold,
-                                               executor_key))
+        self._truth_invocation(context_id, inbound_pair, arrival, body_start, end, cold, executor_key)
 
     def _run_body(self, platform, rfn, context_id, inbound_pair, steps):
         for step in steps:
@@ -356,7 +378,7 @@ class SimEnvironment:
         end = self.kernel.now
         platform.sink.emit(end, OUTGOING_CALL, function, context_id, pair1, t0, end,
                            callee=target, mode=MODE_ASYNC)
-        self._truth_edge(TruthEdge(context_id, inbound_pair, pair1, "async"))
+        self._truth_edge(context_id, inbound_pair, pair1, "async")
 
     def _start_publisher(self, platform: SimPlatform, context_id: str, pair1: str, target: str) -> Task:
         """Accept an event for ``target``, which runs on ``platform`` too:
@@ -367,7 +389,7 @@ class SimEnvironment:
         trig = platform.spec.trigger_delay.sample(self.sample_rng)
         platform.sink.emit(accept, OUTGOING_CALL, pub, context_id, pair2, accept, accept,
                            callee=target, mode=MODE_TRIGGER)
-        self._truth_edge(TruthEdge(context_id, pair1, pair2, "trigger"))
+        self._truth_edge(context_id, pair1, pair2, "trigger")
         self.kernel.spawn(self._trigger_fire(platform, target, context_id, pair2), delay_us=trig)
         return self.start_invocation(platform, pub, context_id, pair1)
 
@@ -382,7 +404,7 @@ class SimEnvironment:
         end = self.kernel.now
         op = "set" if step.kind == "dbSet" else "get"
         platform.sink.emit(end, DB_CALL, rfn.name, context_id, pair, t0, end, callee=service, db_op=op)
-        self._truth_edge(TruthEdge(context_id, inbound_pair, pair, "db"))
+        self._truth_edge(context_id, inbound_pair, pair, "db")
 
     def run_until_idle(self) -> None:
         self.kernel.run_until_idle()

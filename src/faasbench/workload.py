@@ -29,8 +29,7 @@ from .distributions import MAX_PROFILE_US, MAX_SAMPLE_US, PROFILE_LIMIT, REQUIRE
 from .records import LOADGEN
 
 if TYPE_CHECKING:  # annotations only
-    import numpy as np
-
+    from .rng import Generator
     from .simulator import SimEnvironment
 
 US = 1_000_000  # microseconds per second
@@ -326,7 +325,7 @@ def validate_profile_against_app(profile: LoadProfile, app) -> None:
                 raise ProfileError(f"periodic series targets non-entry function {series.entry!r}")
 
 
-def schedule(profile: LoadProfile, rng: np.random.Generator) -> list[Arrival]:
+def schedule(profile: LoadProfile, rng: Generator) -> list[Arrival]:
     """Synthesize the arrival list for one run; deterministic under the rng."""
     arrivals: list[Arrival] = []
     phase_start = 0
@@ -358,7 +357,7 @@ def schedule(profile: LoadProfile, rng: np.random.Generator) -> list[Arrival]:
     return arrivals
 
 
-def _pick(profile: LoadProfile, mix, rng: np.random.Generator) -> Workflow:
+def _pick(profile: LoadProfile, mix, rng: Generator) -> Workflow:
     r = rng.random()
     acc = 0.0
     for name, weight in mix:

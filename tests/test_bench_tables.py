@@ -160,7 +160,7 @@ def test_bench_runs_its_smallest_row_and_analyzes_it_offline(tmp_path):
     offline = bench("--analyze", run["log"], str(tmp_path / "offline"))
     assert offline["summary_sha256"] == run["summary_sha256"]
     assert list(run["stages"]) == KEPT_STAGES
-    assert offline["numpy_loaded"] is False
+    assert run["numpy_loaded"] is False and offline["numpy_loaded"] is False
 
 
 def test_bench_compares_a_src_tree_with_itself_in_one_pair(tmp_path):

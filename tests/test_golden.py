@@ -5,10 +5,11 @@ pinned seed.
 A refactor that keeps behaviour keeps these digests. Every report is pinned,
 not only ``summary.json``: the CSV tables are written by code of their own,
 and comparing a run's reports with ``analyze`` on its ``raw.log`` cannot see
-a change there, since both come from that code. The logs depend on
-numpy's ``Generator`` streams, so the digests were recorded together with the
-Python and numpy versions below; a mismatch under another toolchain names both
-versions instead of reporting a bare hash difference.
+a change there, since both come from that code. The logs depend on the
+streams of ``faasbench.rng``, which ``tests/test_rng.py`` pins to numpy's
+``Generator``, so the digests were recorded together with the Python and numpy
+versions below; a mismatch under another toolchain names both versions instead
+of reporting a bare hash difference.
 """
 
 import hashlib
@@ -147,6 +148,7 @@ def test_golden_digests(case, tmp_path):
     drift = [f"{k} {RECORDED_WITH[k]} recorded, {here[k]} here" for k in RECORDED_WITH if RECORDED_WITH[k] != here[k]]
     if drift:
         pytest.fail(f"{case}: {', '.join(wrong)} digests differ under another toolchain ({'; '.join(drift)}); "
-                    "they depend on numpy's Generator streams, so re-record them with this toolchain")
+                    "they depend on faasbench.rng, pinned to numpy's Generator streams by tests/test_rng.py, "
+                    "so check that test, then re-record them with this toolchain")
     pytest.fail(f"{case}: {', '.join(wrong)} digests differ with the recorded python {here['python']} and "
                 f"numpy {here['numpy']}: behaviour changed ({ {name: got[name] for name in wrong} })")

@@ -311,7 +311,7 @@ print(sorted(name for name in ("numpy", "faasbench") if name in sys.modules))
 
 @pytest.mark.parametrize("name", ["records", "distributions"])
 def test_the_module_loads_on_its_own_without_numpy(name):
-    # the offline analyzer's leaf modules use numpy at most in annotations
+    # the offline analyzer's leaf modules need neither numpy nor the rest of the package
     path = importlib.util.find_spec(f"faasbench.{name}").origin
     out = subprocess.run([sys.executable, "-c", _LOAD_ALONE, name, path], capture_output=True, encoding="utf-8",
                          check=True)

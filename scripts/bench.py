@@ -77,13 +77,20 @@ run's ``total_s`` and ``maxrss_mb``, each stage's ``wall_s``, and the
 offline ``analyze_file``'s wall time and peak), each side's median and
 quartiles and ``change_lower``, the count of pairs in which the change's
 value was lower.
+
+Before the first run, the script compiles each measured ``src`` tree with
+``compileall``. A module whose ``.pyc`` is stale is otherwise compiled again
+in every measured process when ``PYTHONDONTWRITEBYTECODE`` is set, and the
+set-up times read that.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import functools
 import hashlib
+import importlib.machinery
 import importlib.metadata
 import json
 import os
@@ -277,6 +284,15 @@ def analyze_offline(log: str, out_dir: str) -> dict:
             "numpy_loaded": "numpy" in sys.modules, "summary_sha256": sha256(Path(out_dir) / "summary.json")}
 
 
+def compile_package(src: str | None = None) -> None:
+    """Write the bytecode of the faasbench package in ``src``, or of the one
+    on ``sys.path``, so that no measured process compiles a stale module."""
+    spec = importlib.machinery.PathFinder.find_spec("faasbench", None if src is None else [src])
+    if spec is None:
+        raise RuntimeError(f"no faasbench package in {src or 'sys.path'}")
+    compileall.compile_dir(spec.submodule_search_locations[0], quiet=1)
+
+
 def child(*args: str, src: str | None = None) -> dict:
     """The JSON result of this script run in a fresh process with ``args``,
     importing faasbench from ``src`` when given."""
@@ -372,7 +388,9 @@ def main(argv: list[str]) -> int:
     if (args.baseline_src is None) != (args.pairs is None) or (args.pairs is not None and args.pairs < 1):
         parser.error("--baseline-src and --pairs N (N >= 1) go together")
     try:
+        compile_package()
         if args.baseline_src is not None:
+            compile_package(args.baseline_src)
             report = compare(names, args.baseline_src, args.pairs)
             if report is None:
                 return 1

@@ -24,10 +24,10 @@ Platform semantics:
 * Network legs are sampled one-way and independently per direction. Each
   leg's distribution is bound into the deployment plan by
   ``deployment.compile``; the simulator only samples it.
-* A publish delivers the event to the target platform's publisher function
-  (one delivery leg); the caller resumes at accept. The publisher runs with
-  ordinary executor semantics, and the triggered function's arrival is
-  scheduled at publisher-accept plus a trigger-delay sample.
+* A publish sends its event along one delivery leg, and the caller resumes
+  when it is accepted. There one delivery task schedules the triggered
+  function's arrival at accept plus a trigger-delay sample, runs the
+  publisher with ordinary executor semantics, then logs the async call.
 * Keyed-store operations cost one sample of the function's bound store leg;
   the store keeps no contents and is never a bottleneck.
 
@@ -106,10 +106,11 @@ class Kernel:
         self._heap: list[tuple[int, int, Task]] = []
         self._seq = itertools.count()
 
-    def spawn(self, gen, delay_us: int = 0, at_us: int | None = None) -> Task:
+    def spawn(self, gen, at_us: int | None = None) -> Task:
+        """Schedule a task running ``gen`` to start at ``at_us``, by default now."""
         task = Task(gen)
         now = self.now
-        fire = now + delay_us if at_us is None else at_us
+        fire = now if at_us is None else at_us
         if fire == now:
             self._ready.append(task)
         elif fire < now:
@@ -353,58 +354,47 @@ class SimEnvironment:
                 yield from self.sync_call(platform.sink, rfn.name, context_id, inbound_pair,
                                           step.target, rfn.call_routes[step.target])
             elif step.kind == "publish":
-                # caller idles until the event is accepted downstream
-                yield self._publish(platform, rfn, context_id, inbound_pair, step)
+                # the caller idles for the delivery leg, until the event is accepted downstream
+                t0 = self.kernel.now
+                pair = self.ids.new_id()
+                dst, leg = rfn.publish_routes[step.target]
+                d = leg.sample(self.sample_rng)
+                self.kernel.spawn(self._deliver(platform.sink, rfn.name, context_id, inbound_pair, t0, pair,
+                                                self.platforms[dst], step.target), at_us=t0 + d)
+                yield d
             elif step.kind in ("dbGet", "dbSet"):
-                yield from self._db_op(platform, rfn, context_id, inbound_pair, step)
+                service, leg = rfn.store
+                t0 = self.kernel.now
+                pair = self.ids.new_id()
+                yield leg.sample(self.sample_rng)
+                end = self.kernel.now
+                platform.sink.emit(end, DB_CALL, rfn.name, context_id, pair, t0, end, callee=service,
+                                   db_op="set" if step.kind == "dbSet" else "get")
+                self._truth_edge(context_id, inbound_pair, pair, "db")
             elif step.kind == "parallelBlock":
                 branches = [self.kernel.spawn(self._run_body(platform, rfn, context_id, inbound_pair, branch))
                             for branch in step.branches]
                 for branch in branches:
                     yield branch
 
-    def _publish(self, platform, rfn, context_id, inbound_pair, step) -> int:
-        """Send one event toward its publisher; returns the delivery leg."""
-        t0 = self.kernel.now
-        pair1 = self.ids.new_id()
-        dst, leg = rfn.publish_routes[step.target]
-        out = leg.sample(self.sample_rng)
-        delivery = self._async_delivery(platform, rfn.name, context_id, inbound_pair, t0, pair1, step.target, dst)
-        self.kernel.spawn(delivery, delay_us=out)
-        return out
-
-    def _async_delivery(self, platform, function, context_id, inbound_pair, t0, pair1, target, dst: str):
-        yield self._start_publisher(self.platforms[dst], context_id, pair1, target)
-        end = self.kernel.now
-        platform.sink.emit(end, OUTGOING_CALL, function, context_id, pair1, t0, end,
-                           callee=target, mode=MODE_ASYNC)
-        self._truth_edge(context_id, inbound_pair, pair1, "async")
-
-    def _start_publisher(self, platform: SimPlatform, context_id: str, pair1: str, target: str) -> Task:
-        """Accept an event for ``target``, which runs on ``platform`` too:
-        schedule the trigger and run the publisher."""
+    def _deliver(self, sink, function, context_id, inbound_pair, t0, pair1, platform: SimPlatform, target):
+        """The far side of ``function``'s publish at ``t0``: accept the event for ``target`` on
+        ``platform``, schedule the trigger, run the publisher, then log the async call in ``sink``."""
         accept = self.kernel.now
         pub = publisher_name(platform.spec.id)
         pair2 = self.ids.new_id()
-        trig = platform.spec.trigger_delay.sample(self.sample_rng)
+        delay = platform.spec.trigger_delay.sample(self.sample_rng)
         platform.sink.emit(accept, OUTGOING_CALL, pub, context_id, pair2, accept, accept,
                            callee=target, mode=MODE_TRIGGER)
         self._truth_edge(context_id, pair1, pair2, "trigger")
-        self.kernel.spawn(self._trigger_fire(platform, target, context_id, pair2), delay_us=trig)
-        return self.start_invocation(platform, pub, context_id, pair1)
+        self.kernel.spawn(self._trigger_fire(platform, target, context_id, pair2), at_us=accept + delay)
+        yield self.start_invocation(platform, pub, context_id, pair1)
+        end = self.kernel.now
+        sink.emit(end, OUTGOING_CALL, function, context_id, pair1, t0, end, callee=target, mode=MODE_ASYNC)
+        self._truth_edge(context_id, inbound_pair, pair1, "async")
 
     def _trigger_fire(self, platform: SimPlatform, target: str, context_id: str, pair2: str):
         yield self.start_invocation(platform, target, context_id, pair2)
-
-    def _db_op(self, platform, rfn, context_id, inbound_pair, step):
-        service, leg = rfn.store
-        t0 = self.kernel.now
-        pair = self.ids.new_id()
-        yield leg.sample(self.sample_rng)
-        end = self.kernel.now
-        op = "set" if step.kind == "dbSet" else "get"
-        platform.sink.emit(end, DB_CALL, rfn.name, context_id, pair, t0, end, callee=service, db_op=op)
-        self._truth_edge(context_id, inbound_pair, pair, "db")
 
     def run_until_idle(self) -> None:
         self.kernel.run_until_idle()

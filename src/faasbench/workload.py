@@ -312,8 +312,15 @@ class Arrival:
     workflow: Workflow
 
 
+# the most arrivals a run may ask for: ``schedule`` and ``execute`` hold about
+# 0.6 KB per arrival before the first event (tracemalloc: 13.0 MB for the
+# 20,500 of exp4-coldstart x10), so about 0.6 GB at this bound
+MAX_ARRIVALS = 1_000_000
+
+
 def validate_profile_against_app(profile: LoadProfile, app) -> None:
-    """Every workflow step and periodic series must target an entry point."""
+    """Every workflow step and periodic series must target an entry point,
+    and the phases may ask for at most ``MAX_ARRIVALS`` arrivals in all."""
     entries = {fn.name for fn in app.entry_points()}
     for wf in profile.workflows:
         for step in wf.steps:
@@ -323,6 +330,18 @@ def validate_profile_against_app(profile: LoadProfile, app) -> None:
         for series in phase.series:
             if series.entry not in entries:
                 raise ProfileError(f"periodic series targets non-entry function {series.entry!r}")
+    arrivals = sum(_arrivals(p) for p in profile.phases)
+    if not arrivals <= MAX_ARRIVALS:
+        raise ProfileError(f"the profile asks for {arrivals:.3g} arrivals, more than the {MAX_ARRIVALS} a run may have")
+
+
+def _arrivals(phase: Phase) -> float:
+    """The arrivals ``phase`` asks for: a constantRate phase its rate times its
+    duration, a burst its flows, and a periodic series its ticks times its
+    train, which ends with the phase (each kind sets only its own fields)."""
+    d = phase.duration_us
+    trains = sum(d // s.interval_us * min(s.train_count, d // max(1, s.train_spacing_us) + 1) for s in phase.series)
+    return phase.rate_per_s * (d / US) + phase.total_flows + trains
 
 
 def schedule(profile: LoadProfile, rng: Generator) -> list[Arrival]:

@@ -552,6 +552,8 @@ def _shipped(command: str, bench: str):
     ("profile", "webshop", ("workflows", 0, "steps", 0, "thinkSeconds"), -1, "workflow 'browse': negative think time"),
     ("profile", "streaming", ("phases", 0, "totalFlows"), 0, "burst needs totalFlows >= 1"),
     ("profile", "webshop", ("phases", 0, "kind"), "ramp", "unknown phase kind 'ramp'"),
+    ("profile", "webshop", ("phases", 0, "ratePerSecond"), 1e300,
+     "the profile asks for 9e+302 arrivals, more than the 1000000 a run may have"),
     # movementPlan is reached through calls, but a series may start only at an entry point
     ("profile", "smartcity", ("phases", 0, "series", 0, "entry"), "movementPlan",
      "periodic series targets non-entry function 'movementPlan'"),
@@ -562,7 +564,7 @@ def _shipped(command: str, bench: str):
         "config-not-an-object", "phases-not-an-array", "mix-not-an-object", "mix-weight-a-string",
         "infinite-total-flows", "total-flows-a-string", "profile-not-an-object", "huge-phase-duration",
         "negative-phase-duration", "sub-microsecond-interval", "empty-train", "zero-train-spacing",
-        "negative-think-time", "zero-total-flows", "unknown-phase-kind", "series-at-a-non-entry"])
+        "negative-think-time", "zero-total-flows", "unknown-phase-kind", "huge-rate", "series-at-a-non-entry"])
 def test_a_field_of_the_wrong_type_is_named_in_one_line(tmp_path, capsys, command, bench, path, value, reason):
     doc_path = tmp_path / "doc.json"
     doc_path.write_text(json.dumps(_changed(_shipped(command, bench), path, value)))
@@ -580,7 +582,8 @@ def test_a_field_of_the_wrong_type_is_named_in_one_line(tmp_path, capsys, comman
     ("1e308", None, "durationSeconds scaled by 1e+308 reaches 2**51 us (about 71 years)"),
     ("1e20", None, "durationSeconds scaled by 1e+20 reaches 2**51 us (about 71 years)"),
     ("0.002", 10**400, "totalFlows must be below 2**53"),
-], ids=["overflowing-scale", "endless-scale", "huge-total-flows"])
+    ("1e6", None, "the profile asks for 2.05e+09 arrivals, more than the 1000000 a run may have"),
+], ids=["overflowing-scale", "endless-scale", "huge-total-flows", "million-fold-scale"])
 def test_a_profile_past_2_53_is_named_in_one_line(tmp_path, capsys, scale, flows, reason):
     doc = builtin_profile("streaming").to_dict()
     if flows is not None:

@@ -430,14 +430,14 @@ class SingleHeapKernel:
 
 # one task's script: yield a delay (0 and -1 included), wait on the task
 # spawned n-th (pending or done, itself included), spawn a task running
-# script n with delay_us or at_us = now + d, or raise
-SPAWN = st.tuples(st.integers(0, 7), st.sampled_from(["delay_us", "at_us"]), st.integers(0, 3))
+# script n at now + d, or raise
+SPAWN = st.tuples(st.integers(0, 7), st.integers(0, 3))
 OP = st.one_of(st.tuples(st.just("delay"), st.integers(0, 3)), st.just(("delay", -1)),
                st.tuples(st.just("wait"), st.integers(0, 40)), st.tuples(st.just("spawn"), SPAWN),
                st.just(("raise",)))
-# spawns before a run: at_us = now + d with d in and out of time order (0
-# and -1, a spawn in the past, included) or delay_us = d
-RUN_SPAWN = st.tuples(st.integers(0, 7), st.sampled_from(["delay_us", "at_us"]), st.integers(-1, 6))
+# spawns before a run: at now + d, with d in and out of time order (0 and -1,
+# a spawn in the past, included)
+RUN_SPAWN = st.tuples(st.integers(0, 7), st.integers(-1, 6))
 
 
 def replay(kernel, scripts, runs):
@@ -445,10 +445,10 @@ def replay(kernel, scripts, runs):
     and each SimulationError with the now it was raised at."""
     trace, tasks = [], []
 
-    def start(script, how, d):
+    def start(script, d):
         if len(tasks) < 60:
             gen = task(len(tasks), scripts[script % len(scripts)])
-            tasks.append(kernel.spawn(gen, **{how: d if how == "delay_us" else kernel.now + d}))
+            tasks.append(kernel.spawn(gen, at_us=kernel.now + d))
 
     def task(tag, script):
         trace.append((tag, kernel.now))

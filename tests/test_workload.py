@@ -14,9 +14,11 @@ from faasbench.distributions import constant
 from faasbench.records import INVOCATION, LOADGEN, OUTGOING_CALL
 from faasbench.analysis import parse_logs
 from faasbench.runner import _read_phases, default_config
+from faasbench import runner
 from faasbench.workload import (
     Arrival,
     LoadProfile,
+    MAX_ARRIVALS,
     MAX_PROFILE_US,
     PHASE_FIELDS,
     PeriodicSeries,
@@ -25,8 +27,10 @@ from faasbench.workload import (
     US,
     Workflow,
     WorkflowStep,
+    _arrivals,
     execute,
     schedule,
+    validate_profile_against_app,
 )
 
 from conftest import deployed_env, make_platform, rarely, single_platform_config
@@ -492,8 +496,6 @@ def test_execute_multi_step_workflow_honors_think_time():
 
 
 def test_profile_must_target_entry_points():
-    from faasbench.workload import validate_profile_against_app
-
     app = load_builtin("webshop")
     bad = LoadProfile(
         "p",
@@ -503,6 +505,49 @@ def test_profile_must_target_entry_points():
     with pytest.raises(ProfileError):
         validate_profile_against_app(bad, app)
     validate_profile_against_app(builtin_profile("webshop"), app)  # fine
+
+
+ONE_FN_APP = ApplicationSpec("one", (FunctionSpec("fn", HTTP_SYNC, (compute(constant(2)),), entry_point=True),))
+
+
+@pytest.mark.parametrize("phase", [
+    dict(kind="constantRate", duration_us=1000 * US, rate_per_s=1000.0),
+    dict(kind="burst", duration_us=US, total_flows=MAX_ARRIVALS),
+    dict(kind="periodic", duration_us=MAX_ARRIVALS, series=(PeriodicSeries("fn", 1),)),
+    dict(kind="periodic", duration_us=1000 * US, series=(PeriodicSeries("fn", US, 1000, 1),)),
+], ids=["constant-rate", "burst", "periodic", "periodic-trains"])
+def test_a_profile_may_ask_for_max_arrivals_and_no_more(phase):
+    at_bound = flat_profile(**phase)
+    validate_profile_against_app(at_bound, ONE_FN_APP)
+    one_more = LoadProfile("p", at_bound.workflows,
+                           at_bound.phases + (Phase("burst", US, mix=(("w", 1.0),), total_flows=1),))
+    with pytest.raises(ProfileError, match=f"asks for 1e\\+06 arrivals, more than the {MAX_ARRIVALS} a run may have"):
+        validate_profile_against_app(one_more, ONE_FN_APP)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(duration=st.integers(0, 100), interval=st.integers(1, 30), count=st.integers(1, 10**400),
+       spacing=st.integers(1, 30))
+def test_a_periodic_phase_makes_no_more_arrivals_than_it_asks_for(duration, interval, count, spacing):
+    # a train that outlasts its phase is cut at the phase end, and so is its
+    # count: a trainCount too large for a float asks for a few arrivals
+    phase = Phase("periodic", duration, series=(PeriodicSeries("fn", interval, count, spacing),))
+    assert len(schedule(LoadProfile("p", (), (phase, Phase("pause", 1))), rng())) <= _arrivals(phase) <= 101 * 100
+
+
+@pytest.mark.parametrize("scale, rate", [(1e6, None), (1.0, 1e300)], ids=["million-fold-scale", "huge-rate"])
+def test_a_run_asking_for_too_many_arrivals_is_refused_before_it_schedules(tmp_path, monkeypatch, scale, rate):
+    app = load_builtin("webshop")
+    doc = builtin_profile("webshop").to_dict()
+    if rate is not None:
+        doc["phases"][0]["ratePerSecond"] = rate
+    profile = LoadProfile.from_dict(doc)
+    assert profile.scaled(scale)  # a profile that asks for too much can be built; only a run refuses it
+    monkeypatch.setattr(runner, "schedule", lambda *args: pytest.fail("scheduled a profile past MAX_ARRIVALS"))
+    out = tmp_path / "out"
+    with pytest.raises(ProfileError, match=f"arrivals, more than the {MAX_ARRIVALS} a run may have"):
+        runner.run_benchmark(app, default_config(app), profile, 7, out, scale=scale)
+    assert not out.exists()
 
 
 def test_a_periodic_series_calls_its_own_entry():

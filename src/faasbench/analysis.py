@@ -57,14 +57,18 @@ hundred invocations each executor. Only the pair ids stay the line's own
 strings. The dicts keyed on these columns also compare shared
 strings by identity before their characters.
 
-``_context_trees`` makes one pass over the context's records, held in one
-list: it classifies them, sorts the nodes once and the call and store
-records once, each by (start, pair id), and takes the owner lists, the
-orphans and every node's calls and db calls in order from those sorts. A
-record's owner is found by bisect over its function's owner list. A context
-pays only for what it has: the async-call table is built only when it has an
-async call, a root node without calls is not linked, and the orphan scan
-runs only when a node is left unlinked. ``decompose`` books a leaf (no
+``_context_trees`` builds a one-call context (a load-generator root call, its
+invocation and at most one store call inside that invocation, as in every
+context of ``exp4-coldstart``) directly: its one tree is complete, as the
+general path finds it, with no classification, sort, owner search or link.
+The general path, for any other context, makes one pass over the context's
+records, held in one list: it classifies them, sorts the nodes once and the
+call and store records once, each by (start, pair id), and takes the owner
+lists, the orphans and every node's calls and db calls in order from those
+sorts. A record's owner is found by bisect over its function's owner list. A
+context pays only for what it has: the async-call table is built only when it
+has an async call, a root node without calls is not linked, and the orphan
+scan runs only when a node is left unlinked. ``decompose`` books a leaf (no
 calls, at most one store call; a one-call context has nothing else) with no
 sorted items, block scan or async-call loop. ``RunAnalysis.add`` reads the
 run's state into locals and adds the cold starts to it once per context, and
@@ -259,7 +263,53 @@ def _context_trees(records: list[TraceRecord], run: RunAnalysis | None) -> list[
     node, and only here: every node lands in one tree, under a root or among
     the orphans, so the trees' nodes are the run's invocations. A lost DB_CALL
     is the one loss the schema cannot show: no pair of it reappears, so its
-    tree stays complete and its store time is booked as compute."""
+    tree stays complete and its store time is booked as compute.
+
+    A one-call context is built directly by ``_one_call_trees``: one
+    load-generator root call, the invocation of its pair and at most one
+    store call, in any log order, where the store call has the invocation's
+    function and platform and no mode, and starts and ends within the
+    invocation. Its one tree is complete, exactly as the general path,
+    ``_general_trees``, finds it: no pair is replayed or unmatched, no
+    invocation is an orphan, and the store call's one owner candidate
+    contains it. Any other context, a damaged one included, takes the
+    general path."""
+    return _one_call_trees(records, run) or _general_trees(records, run)
+
+
+def _one_call_trees(records: list[TraceRecord], run: RunAnalysis | None) -> list[CallTree] | None:
+    """The one complete tree of a one-call context, folded into ``run`` if
+    given; None for a context of any other shape."""
+    if not 1 < len(records) < 4:
+        return None
+    root = inv = db = None
+    for r in records:
+        kind = r.kind
+        if kind == INVOCATION and inv is None:
+            inv = r
+        elif kind == DB_CALL and db is None:
+            db = r
+        elif kind == OUTGOING_CALL and root is None and r.platform_id == LOADGEN:
+            root = r
+        else:
+            return None
+    if root is None or inv is None or inv.pair_id != root.pair_id:
+        return None
+    if db is None:
+        db_calls = []
+    elif (db.function == inv.function and db.platform_id == inv.platform_id and db.mode is None
+          and inv.start_us <= db.start_us and db.end_us <= inv.end_us):  # _find_owner's test of one candidate
+        db_calls = [db]
+    else:
+        return None
+    trees = [CallTree(root.context_id, root, TreeNode(inv, [], db_calls), True)]
+    if run is not None:
+        run.add(trees, (inv,))
+    return trees
+
+
+def _general_trees(records: list[TraceRecord], run: RunAnalysis | None) -> list[CallTree]:
+    """The trees of any context, by the rules of ``_context_trees``."""
     ctx = records[0].context_id
     # the context's records by kind, in log order
     nodes: dict[str, TreeNode] = {}

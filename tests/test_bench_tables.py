@@ -11,11 +11,13 @@ themselves: ``child.py`` as source, since it imports its sibling
 Both scripts also read the order of those calls in a run, which a test pins.
 The benchmark's own ground-truth check, ``child.check_run``, reads a run's
 result by attribute too, so a test runs it on every workload at a twentieth
-of its scale. The benchmark's traced ``analysis.decompose`` span wraps the module's
-``decompose``, so a test counts that both readers call it once per complete
-tree. The last tests run ``bench.py``'s smallest row and its offline analysis
-as the script runs them, each in a fresh process, and the same row as a
-one-pair comparison of a ``src`` tree with itself.
+of its scale. The benchmark's traced ``analysis.decompose`` span wraps the
+module's ``decompose``, so a test counts that both readers call it once per
+complete tree, and another that both build a one-call context without the
+general tree builder and any other context with it. The last tests run
+``bench.py``'s smallest row and its offline analysis as the script runs them,
+each in a fresh process, and the same row as a one-pair comparison of a
+``src`` tree with itself.
 """
 
 import ast
@@ -33,6 +35,7 @@ import pytest
 import faasbench
 from faasbench import analysis, runner
 from faasbench.benchmarks import builtin_profile, load_builtin
+from faasbench.recipes import recipe
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -136,6 +139,35 @@ def test_both_readers_decompose_each_complete_tree_once(tmp_path, monkeypatch):
     decomposed.clear()
     streamed = runner.analyze_file(damaged)
     assert Counter(decomposed) == complete and streamed.complete_trees == kept.complete_trees
+
+
+@pytest.mark.parametrize("recipe_name, scale, one_call", [("exp4-coldstart", 0.1, True), (None, 0.01, False)])
+def test_both_readers_build_only_other_shapes_with_the_general_path(recipe_name, scale, one_call, tmp_path,
+                                                                    monkeypatch):
+    # every context of exp4-coldstart is one call (streaming-coldstart's shape), and none of webshop's
+    if recipe_name is None:
+        app = load_builtin("webshop")
+        config, profile = runner.default_config(app), builtin_profile("webshop")
+    else:
+        r = recipe(recipe_name)
+        app, config, profile = load_builtin(r.benchmark), r.config, r.profile
+    result = runner.run_benchmark(app, config, profile, seed=7, out_dir=tmp_path / "run", scale=scale,
+                                  keep_truth=False)
+    general = []
+    general_trees = analysis._general_trees
+
+    def counted(records, run):
+        general.append(records[0].context_id)
+        return general_trees(records, run)
+
+    monkeypatch.setattr(analysis, "_general_trees", counted)
+    kept = analysis.analyze_log_text(result.log_path.read_text(encoding="utf-8"))
+    contexts = sorted(tree.context_id for tree in kept.trees)
+    assert contexts and kept.complete_trees == len(contexts) == result.stats.instances
+    assert sorted(general) == ([] if one_call else contexts)
+    general.clear()
+    streamed = runner.analyze_file(result.log_path)
+    assert sorted(general) == ([] if one_call else contexts) and streamed.complete_trees == len(contexts)
 
 
 SRC = Path(faasbench.__file__).parents[1]

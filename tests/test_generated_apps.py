@@ -1,8 +1,9 @@
 """The analyzer's guarantees on generated applications, checked against the
 simulator's ground truth, and its indifference to the order of a log's lines;
-its decomposition, checked against the one before its leaf path; and its
-summaries of generated value multisets, checked against the sorted list of
-every value.
+its decomposition, checked against the one before its leaf path; its direct
+tree of a one-call context, checked against the general path on mutated
+contexts; and its summaries of generated value multisets, checked against the
+sorted list of every value.
 
 Each application stays inside the domain where parent attribution is exact:
 every function is the target of at most one step, and entry points of none,
@@ -14,18 +15,23 @@ import math
 import tempfile
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from faasbench import analysis
 from faasbench.analysis import (
     METRIC_NAMES,
     AnalysisError,
     CallTree,
     LatencyBreakdown,
+    ParseReport,
+    PhaseWindow,
     SummaryStats,
     TreeEdge,
     _start_end,
+    analyze_records,
     build_trees,
     decompose,
     parse_logs,
@@ -359,6 +365,92 @@ def test_decompose_of_one_call_contexts_equals_the_decomposition_before_its_leaf
     trees = build_trees(records)
     assert all(tree.complete for tree in trees) and len(trees) == len(contexts)
     assert _decomposed(decompose, trees) == _decomposed(_reference_decompose, trees)
+
+
+# what can break the shape of a one-call context; a context draws a set of them
+ONE_CALL_MUTATIONS = ("drop the root", "drop the invocation", "drop a store call", "replay a line",
+                      "root of another pair", "root sent from a platform", "store call before the invocation",
+                      "store call after the invocation", "store call of another function",
+                      "store call on another platform", "store call in trigger mode", "second store call",
+                      "platform-side call")
+# phases around the drawn invocations' starts (-7,000 to 6,000 us), so each phase count can move
+ONE_CALL_PHASES = [PhaseWindow("0:burst", "burst", -10_000, -2_000), PhaseWindow("1:pause", "pause", -2_000, 1_000),
+                   PhaseWindow("2:burst", "burst", 1_000, 2_000_000)]
+
+
+def _mutated(n, records, mutations, line):
+    """A one-call context's records after each of ``mutations``: the
+    records' fields are changed, then lines are added, dropped and replayed;
+    ``line`` picks the line to replay."""
+    root, inv, *stores = records
+    if not stores and any(m.startswith("store call") for m in mutations):
+        stores = [TraceRecord("r1", inv.platform_id, DB_CALL, inv.function, inv.context_id, f"{n}-db", inv.start_us,
+                              inv.end_us, callee="kv", db_op="set")]
+    changed = {"store call before the invocation": {"start_us": inv.start_us - 1},
+             "store call after the invocation": {"end_us": inv.end_us + 1},
+             "store call of another function": {"function": "h"},
+             "store call on another platform": {"platform_id": "p3"},
+             "store call in trigger mode": {"mode": MODE_TRIGGER}}
+    for mutation, fields in changed.items():
+        if mutation in mutations:
+            stores[0] = stores[0]._replace(**fields)
+    if "root of another pair" in mutations:
+        root = root._replace(pair_id=f"{n}-other")
+    if "root sent from a platform" in mutations:
+        root = root._replace(platform_id=inv.platform_id)
+    if "second store call" in mutations:
+        stores.append(TraceRecord("r1", inv.platform_id, DB_CALL, inv.function, inv.context_id, f"{n}-db9",
+                                  inv.start_us, inv.start_us, callee="s3", db_op="get"))
+    if "platform-side call" in mutations:
+        stores.append(TraceRecord("r1", inv.platform_id, OUTGOING_CALL, inv.function, inv.context_id, f"{n}-call",
+                                  inv.start_us, inv.end_us, callee="h", mode=MODE_SYNC))
+    records = ([] if "drop the root" in mutations else [root]) + ([] if "drop the invocation" in mutations else [inv])
+    records += stores[1:] if "drop a store call" in mutations else stores
+    if records and "replay a line" in mutations:
+        records.append(records[line % len(records)])
+    return records
+
+
+def _folded(records):
+    """The trees of ``records`` and all that their fold into a run reports."""
+    run = analyze_records(records, ParseReport(), ONE_CALL_PHASES)
+    return (run.trees, [(metric, list(groups.items())) for metric, groups in run.summaries().items()], run.breakdowns,
+            run.tree_count, run.total_cold, run.per_phase, run.timeline, run.cold_flag_mismatches)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(contexts=st.lists(st.tuples(one_call_contexts(), st.sets(st.sampled_from(ONE_CALL_MUTATIONS), max_size=3),
+                                   st.integers(0, 3)), min_size=1, max_size=4),
+       order=st.none() | st.randoms(use_true_random=False))
+@example(contexts=[(("f", "p1", "kv", 0, 0, 5, 40, 5, True, [(3, 9)]), set(), 0),
+                   (("f", "p1", "kv", 0, 0, 5, 40, 5, False, [(3, 9)]), {"replay a line"}, 1)],
+         order=None)  # a replayed invocation on the same executor
+@example(contexts=[(("g", "p2", "s3", 2_500, 10, 5, 40, 5, False, [(0, 40)]), {"store call after the invocation"}, 0)],
+         order=None)  # a store call ending one microsecond after its invocation
+def test_a_one_call_context_folds_as_the_general_path_folds_it(contexts, order):
+    records = []
+    one_call = set()  # the contexts drawn with the shape and left with it
+    for n, (ctx, mutations, line) in enumerate(contexts):
+        context = _mutated(n, _one_call_records(n, *ctx), mutations, line)
+        if not mutations and len(ctx[-1]) < 2:
+            one_call.add(context[0].context_id)
+        records += context
+    if order is not None:
+        order.shuffle(records)
+    built = []
+    one_call_trees = analysis._one_call_trees
+
+    def counted(records, run):
+        trees = one_call_trees(records, run)
+        if trees is not None:
+            built.append(records[0].context_id)
+        return trees
+
+    with mock.patch.object(analysis, "_one_call_trees", counted):
+        folded = _folded(records)
+    assert one_call <= set(built)
+    with mock.patch.object(analysis, "_one_call_trees", lambda records, run: None):
+        assert _folded(records) == folded
 
 
 def _summary_of_the_sorted_list(values) -> SummaryStats:

@@ -72,8 +72,9 @@ in the ``src`` tree at DIR (any checkout of the parent commit, such as a
 ``git clone``) and N times in the one on ``PYTHONPATH``, alternating, with
 the baseline first in odd pairs. It exits 1, writing nothing, at the first
 pair whose ``raw.log`` or ``summary.json`` digests differ. Otherwise the file
-holds each side's revision and, per row, the digests and, per measure (the
-run's ``total_s`` and ``maxrss_mb``, each stage's ``wall_s``, and the
+holds each side's revision and, per row, the digests, each side's median
+and quartiles of its reference readings and, per measure (the run's
+``total_s``, ``setup_s`` and ``maxrss_mb``, each stage's ``wall_s``, and the
 offline ``analyze_file``'s wall time and peak), each side's median and
 quartiles and ``change_lower``, the count of pairs in which the change's
 value was lower.
@@ -82,6 +83,20 @@ Before the first run, the script compiles each measured ``src`` tree with
 ``compileall``. A module whose ``.pyc`` is stale is otherwise compiled again
 in every measured process when ``PYTHONDONTWRITEBYTECODE`` is set, and the
 set-up times read that.
+
+The script and each measured process pin themselves to one CPU, the
+highest-numbered one the script may use (``os.sched_setaffinity`` on their
+own process only). Before and after each measured process the script times
+``perfbench/reference.py``'s fixed work on that CPU, in a process of its
+own, and scales the measured process's times (``total_s``, ``setup_s``, each
+stage's ``wall_s`` and ``records_per_s``, and ``analyze_file``'s ``wall_s``)
+by ``REFERENCE_S`` over the mean of the two readings, as the benchmark
+does: they read as seconds at the reference speed. Each run and each ``analyze_file`` row holds its two
+readings as ``reference_s`` and the factor as ``speed_scale``, so an
+unscaled time is the scaled one over the factor. ``setup_s`` is the time
+from the run's process being spawned to its first ``run_until_idle`` call,
+as the benchmark measures it: the imports, validation, compile, deploy,
+``schedule`` and ``execute``.
 """
 
 from __future__ import annotations
@@ -92,6 +107,7 @@ import functools
 import hashlib
 import importlib.machinery
 import importlib.metadata
+import importlib.util
 import json
 import os
 import platform
@@ -103,6 +119,7 @@ import tempfile
 import time
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
 # name -> (built-in application, recipe or None for the default config and the built-in profile, scale,
 # keep_truth)
@@ -131,6 +148,29 @@ TIMED = [
 ]
 STAGES = ["schedule", "execute", "simulate", "collect", "teardown", "write_log", "count", "parse", "trees",
           "decompose", "analyze_other", "summaries", "reports", "other"]
+
+
+def pin_to_one_cpu() -> None:
+    """Run this process on the highest-numbered CPU it may use; a process it
+    starts inherits that, and pins itself to the same CPU."""
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+
+
+@functools.cache
+def reference():
+    """``perfbench/reference.py``, loaded by path: its ``REFERENCE_S`` and
+    ``reference_s``."""
+    spec = importlib.util.spec_from_file_location("perfbench_reference", ROOT / "perfbench" / "reference.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def reference_reading() -> float:
+    """One reading of the reference work, timed in a fresh process: a
+    measured process's ``ru_maxrss`` starts at the peak of the process that
+    spawned it, which the work's ~25 MB would raise."""
+    return child("--reference")[0]
 
 
 def maxrss_mb() -> float:
@@ -235,6 +275,7 @@ def measure(name: str, out_dir: str) -> dict:
     result = runner.run_benchmark(app, config, profile, seed=SEED, out_dir=out_dir, scale=scale,
                                   benchmark_name=bench, keep_truth=keep_truth)
     total_s = time.perf_counter() - start
+    first_event = timer.first_start["simulate"][0] + time.monotonic() - time.perf_counter()
     records = result.analysis.parse.records
     digests = {"raw_log_sha256": sha256(result.log_path),
                "summary_sha256": sha256(result.run_dir / "reports" / "summary.json")}
@@ -257,6 +298,7 @@ def measure(name: str, out_dir: str) -> dict:
         "log": str(result.log_path),
         "log_bytes": log_bytes,
         "total_s": round(total_s, 4),
+        "first_event": first_event,  # time.monotonic() as the simulation started
         "maxrss_mb": round(maxrss_mb(), 1),
         **digests,
         "stages": {
@@ -293,26 +335,50 @@ def compile_package(src: str | None = None) -> None:
     compileall.compile_dir(spec.submodule_search_locations[0], quiet=1)
 
 
-def child(*args: str, src: str | None = None) -> dict:
+def child(*args: str, src: str | None = None) -> tuple[dict, float]:
     """The JSON result of this script run in a fresh process with ``args``,
-    importing faasbench from ``src`` when given."""
+    importing faasbench from ``src`` when given, and the ``time.monotonic()``
+    at which the process was spawned."""
     env = None
     if src is not None:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    spawned = time.monotonic()
     proc = subprocess.run([sys.executable, __file__, *args], capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         raise RuntimeError(f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1]), spawned
+
+
+def speed_scaled(result: dict, readings: list[float]) -> None:
+    """Scale ``result``'s times to the reference speed that ``readings``, the
+    reference work's times before and after it, give, and record both."""
+    scale = reference().REFERENCE_S / statistics.mean(readings)
+    result["reference_s"] = [round(r, 4) for r in readings]
+    result["speed_scale"] = round(scale, 4)
+    for key in ("total_s", "setup_s", "wall_s"):
+        if key in result:
+            result[key] = round(result[key] * scale, 4)
+    for stage in result.get("stages", {}).values():
+        stage["wall_s"] = round(stage["wall_s"] * scale, 4)
+        if stage["records_per_s"] is not None:
+            stage["records_per_s"] = round(stage["records_per_s"] / scale)
 
 
 def measure_row(name: str, src: str | None = None) -> dict:
     """One row: its run, then the offline analysis of its raw.log, each in a
-    fresh process; raises RuntimeError when either fails or the two write
-    different summaries."""
+    fresh process and each scaled to the reference speed; raises
+    RuntimeError when either fails or the two write different summaries."""
+    readings = [reference_reading()]
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            run = child("--one", name, tmp, src=src)
-            run["analyze_file"] = child("--analyze", run.pop("log"), str(Path(tmp) / "offline"), src=src)
+            run, spawned = child("--one", name, tmp, src=src)
+            readings.append(reference_reading())
+            run["setup_s"] = run.pop("first_event") - spawned
+            speed_scaled(run, readings)
+            offline, _ = child("--analyze", run.pop("log"), str(Path(tmp) / "offline"), src=src)
+            readings.append(reference_reading())
+            speed_scaled(offline, readings[1:])
+            run["analyze_file"] = offline
         except RuntimeError as exc:
             raise RuntimeError(f"{name}: {exc}") from None
     if run["analyze_file"]["summary_sha256"] != run["summary_sha256"]:
@@ -326,7 +392,7 @@ META = ("git_rev", "git_dirty", "python", "numpy")
 
 def measures(run: dict) -> dict[str, float]:
     """The compared numbers of one row's run."""
-    return {"total_s": run["total_s"], "maxrss_mb": run["maxrss_mb"],
+    return {"total_s": run["total_s"], "setup_s": run["setup_s"], "maxrss_mb": run["maxrss_mb"],
             **{f"{stage}.wall_s": s["wall_s"] for stage, s in run["stages"].items()},
             "analyze_file.wall_s": run["analyze_file"]["wall_s"],
             "analyze_file.maxrss_mb": run["analyze_file"]["maxrss_mb"]}
@@ -358,6 +424,8 @@ def compare(names: list[str], baseline_src: str, pairs: int) -> dict | None:
         base, change = ([measures(run) for run in by_side[side]] for side in sides)
         shared = [key for key in base[0] if all(key in v for v in base + change)]  # a stage one side lacks is left out
         rows[name] = {"records": by_side["change"][0]["records"], **{key: by_side["change"][0][key] for key in DIGESTS},
+                      "reference_s": {side: spread([r for run in by_side[side] for r in run["reference_s"]])
+                                      for side in sides},
                       "measures": {key: {"baseline": spread([v[key] for v in base]),
                                          "change": spread([v[key] for v in change]),
                                          "change_lower": sum(c[key] < b[key] for b, c in zip(base, change))}
@@ -371,10 +439,16 @@ def compare(names: list[str], baseline_src: str, pairs: int) -> dict | None:
 
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--one":
+        pin_to_one_cpu()
         print(json.dumps(measure(argv[1], argv[2])))
         return 0
     if len(argv) == 3 and argv[0] == "--analyze":
+        pin_to_one_cpu()
         print(json.dumps(analyze_offline(argv[1], argv[2])))
+        return 0
+    if argv == ["--reference"]:
+        pin_to_one_cpu()
+        print(json.dumps(reference().reference_s()))
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="the JSON file to write")
@@ -387,6 +461,7 @@ def main(argv: list[str]) -> int:
         parser.error(f"unknown row {unknown[0]!r} (choose from {', '.join(RUNS)})")
     if (args.baseline_src is None) != (args.pairs is None) or (args.pairs is not None and args.pairs < 1):
         parser.error("--baseline-src and --pairs N (N >= 1) go together")
+    pin_to_one_cpu()
     try:
         compile_package()
         if args.baseline_src is not None:

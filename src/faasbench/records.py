@@ -69,8 +69,8 @@ def _check_fields(kind, start_us, end_us, callee, mode, executor_key, cold_start
         raise MalformedRecord("INVOCATION requires executorKey and coldStart")
     if kind == OUTGOING_CALL and (callee is None or mode not in MODES):
         raise MalformedRecord("OUTGOING_CALL requires calleeName and a valid mode")
-    if kind == DB_CALL and (callee is None or db_op not in ("get", "set")):
-        raise MalformedRecord("DB_CALL requires service name and dbOpKind get|set")
+    if kind == DB_CALL and (callee is None or db_op not in ("get", "set") or mode is not None):
+        raise MalformedRecord("DB_CALL requires service name, dbOpKind get|set and no mode")
 
 
 def _format_line(run_id, platform_id, kind, function, context_id, pair_id, start_us, end_us, callee, mode,

@@ -23,8 +23,9 @@ small run's set-up. ``tests/test_rng.py`` checks every method against numpy
   formulas, term for term, so each rounds as numpy's does.
 * ``normal`` and ``exponential`` are numpy's ziggurat samplers (Marsaglia &
   Tsang 2000), with its 256-entry tables, which ``_ziggurat`` holds as
-  read from numpy's compiled code; the rare wedge and tail branches call
-  ``math.exp`` and ``math.log1p``, the C library functions numpy calls.
+  read from numpy's compiled code and the first ``Generator`` decodes; the
+  rare wedge and tail branches call ``math.exp`` and ``math.log1p``, the C
+  library functions numpy calls.
 * ``bytes(n)`` is numpy's: ``n`` bytes of little-endian 32-bit words, each
   the low, then the high half of one output, with a half left over kept for
   the next ``bytes`` call (the other methods draw whole outputs and leave it
@@ -71,8 +72,15 @@ def _table(name: str) -> tuple:
     return struct.unpack("<256" + ("Q" if name[0] == "k" else "d"), bytes.fromhex(getattr(_ziggurat, name)))
 
 
-KI, WI, FI = _table("ki_double"), _table("wi_double"), _table("fi_double")
-KE, WE, FE = _table("ke_double"), _table("we_double"), _table("fe_double")
+# the ziggurat tables, decoded when the first Generator is built: a process
+# that only analyzes a log builds none
+KI = WI = FI = KE = WE = FE = None
+
+
+def _decode_tables() -> None:
+    global KI, WI, FI, KE, WE, FE
+    KI, WI, FI = _table("ki_double"), _table("wi_double"), _table("fi_double")
+    KE, WE, FE = _table("ke_double"), _table("we_double"), _table("fe_double")
 
 
 def _words32(n: int) -> list[int]:
@@ -152,6 +160,8 @@ class Generator:
     __slots__ = ("_state", "_inc", "_half")
 
     def __init__(self, seed_seq: SeedSequence):
+        if KI is None:
+            _decode_tables()
         w = seed_seq.generate_state(8)
         # four little-endian 64-bit words: the initial state's high and low
         # halves, then the stream selector's

@@ -9,9 +9,10 @@ sinks and their lines once the last reference to it goes.
 
 Invocations run as generator tasks that yield either a delay or another task
 to wait on, and are resumed with None. The kernel steps them in ``(fire_at,
-insertion order)`` from three queues (a ready FIFO, an arrival calendar and
-a heap; see :class:`Kernel`), so a fixed seed fully determines the emitted
-log byte stream.
+insertion order)`` from three queues (a ready FIFO, the run's time-ordered
+arrivals and a heap; see :class:`Kernel`), so a fixed seed fully determines
+the emitted log byte stream. An arrival becomes a task, its workflow's root
+flow, only when it is due.
 
 Platform semantics:
 
@@ -48,6 +49,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -83,26 +86,34 @@ class Task:
         self.waiters: list[Task] = []
 
 
+_due = operator.itemgetter(0)  # an arrival's time
+_NEVER = math.inf  # the due time when no arrival is left
+
+
 class Kernel:
     """Stable-priority event loop over (fire_at, insertion order), in three
     queues: ``_ready``, a FIFO of the tasks scheduled at ``now`` for ``now``
     (a zero delay, a finished task's waiters, a wait on a done task, a spawn
-    at ``now``); ``_calendar``, a sorted deque of ``(fire_at, seq, task)``
-    that takes each spawn no earlier than its last entry, such as the
-    arrivals ``workload.execute`` spawns in time order; and ``_heap`` for
-    every other future resume.
+    at ``now``); ``_arrivals``, the time-ordered arrivals that ``arrive``
+    hands over, walked by the index ``_next_arrival``, each started as a task
+    only when it is due; and ``_heap`` of ``(fire_at, seq, task)`` for every
+    other future resume.
 
-    The next task is the least head of the calendar and the heap while it is
-    due at ``now``, then the ready FIFO, then the least head again. That is
-    one heap's order by one invariant: a task is made ready only for ``now``
-    at ``now``, and ``now`` never decreases, so every calendar or heap entry
-    due at ``now`` was pushed before every ready task.
+    An arrival comes ahead of every other entry due in its microsecond, as
+    if it had been spawned before all of them: ``workload.execute`` hands
+    the arrivals over before the run spawns anything. After the arrivals due
+    at ``now``, the next task is the heap's head while it is due at ``now``,
+    then the ready FIFO, then the earlier of the next arrival and the heap's
+    head, the arrival on a tie. That is one heap's order by one invariant: a task is made ready
+    only for ``now`` at ``now``, and ``now`` never decreases, so every heap
+    entry due at ``now`` was pushed before every ready task.
     """
 
     def __init__(self) -> None:
         self.now = 0
         self._ready: deque[Task] = deque()
-        self._calendar: deque[tuple[int, int, Task]] = deque()
+        self._arrivals: list = []
+        self._next_arrival = 0
         self._heap: list[tuple[int, int, Task]] = []
         self._seq = itertools.count()
 
@@ -115,56 +126,78 @@ class Kernel:
             self._ready.append(task)
         elif fire < now:
             raise SimulationError(f"cannot schedule in the past ({fire} < {now})")
-        elif not self._calendar or self._calendar[-1][0] <= fire:
-            self._calendar.append((fire, next(self._seq), task))
         else:
             heapq.heappush(self._heap, (fire, next(self._seq), task))
         return task
 
-    def run_until_idle(self) -> None:
+    def arrive(self, arrivals: list) -> None:
+        """Hand over ``arrivals``, tuples whose first item is the time they are
+        due, in time order, between runs; ``run_until_idle(start)`` starts a
+        task running ``start(arrival)`` for each when it is due. Arrivals
+        still pending from an earlier hand-over stay ahead of those due at
+        the same time."""
+        if arrivals and arrivals[0][0] < self.now:
+            raise SimulationError(f"cannot schedule in the past ({arrivals[0][0]} < {self.now})")
+        pending = self._arrivals[self._next_arrival:]
+        self._arrivals = sorted(pending + arrivals, key=_due) if pending else arrivals
+        self._next_arrival = 0
+
+    def run_until_idle(self, start=None) -> None:
         """Step tasks in (fire_at, insertion order) until none is scheduled.
 
         A task yields an int delay to resume after it, or a Task to resume
-        once that task has finished; every resume sends None."""
-        ready, calendar, heap = self._ready, self._calendar, self._heap
+        once that task has finished; every resume sends None. ``start`` makes
+        the generator of each arrival that falls due. A run that raises keeps
+        the arrivals it has not started, for the next run."""
+        ready, arrivals, heap = self._ready, self._arrivals, self._heap
         seq = self._seq
         push = heapq.heappush
         pop = heapq.heappop
         next_ready = ready.popleft
-        next_arrival = calendar.popleft
         now = self.now
-        while True:
-            if ready and not (heap and heap[0][0] == now) and not (calendar and calendar[0][0] == now):
-                task = next_ready()
-            elif calendar and (not heap or calendar[0] < heap[0]):
-                now, _, task = next_arrival()
-                self.now = now
-            elif heap:
-                now, _, task = pop(heap)
-                self.now = now
-            else:
-                return
-            try:
-                cmd = next(task.gen)
-            except StopIteration:
-                task.done = True
-                ready.extend(task.waiters)
-                task.waiters.clear()
-                continue
-            if type(cmd) is not int:
-                if isinstance(cmd, Task):
-                    if cmd.done:
-                        ready.append(task)
-                    else:
-                        cmd.waiters.append(task)
+        i, n = self._next_arrival, len(arrivals)
+        due = arrivals[i][0] if i < n else _NEVER
+        try:
+            while True:
+                if due == now:
+                    task = Task(start(arrivals[i]))
+                    i += 1
+                    due = arrivals[i][0] if i < n else _NEVER
+                elif ready and not (heap and heap[0][0] == now):
+                    task = next_ready()
+                elif heap and heap[0][0] < due:
+                    now, _, task = pop(heap)
+                    self.now = now
+                elif i < n:
+                    now = self.now = due
                     continue
-                cmd = int(cmd)
-            if cmd > 0:
-                push(heap, (now + cmd, next(seq), task))
-            elif cmd == 0:
-                ready.append(task)
-            else:
-                raise SimulationError(f"negative delay {cmd}")
+                else:
+                    return
+                try:
+                    cmd = next(task.gen)
+                except StopIteration:
+                    task.done = True
+                    ready.extend(task.waiters)
+                    task.waiters.clear()
+                    continue
+                if type(cmd) is not int:
+                    if isinstance(cmd, Task):
+                        if cmd.done:
+                            ready.append(task)
+                        else:
+                            cmd.waiters.append(task)
+                        continue
+                    cmd = int(cmd)
+                if cmd > 0:
+                    push(heap, (now + cmd, next(seq), task))
+                elif cmd == 0:
+                    ready.append(task)
+                else:
+                    raise SimulationError(f"negative delay {cmd}")
+        finally:
+            if i == n:  # every arrival started: the list goes
+                self._arrivals, i = [], 0
+            self._next_arrival = i
 
 
 ID_BLOCK = 1024  # ids drawn per call to the generator
@@ -289,6 +322,22 @@ class SimEnvironment:
         self._truth_invocation = _recorder(self.truth.invocations, TruthInvocation) if keep_truth else _no_invocation
         self.platforms = {p.id: SimPlatform(self.run_id, p) for p in config.platforms}
         self.loadgen_sink = RecordSink(self.run_id, LOADGEN)
+        self._entry_routes: dict[str, CallRoute] = {}
+
+    def arrive(self, arrivals: list, entry_routes: dict[str, CallRoute]) -> None:
+        """Hand the time-ordered workflow ``arrivals`` to the kernel, which
+        starts each one's root flow when it is due: a fresh context, then a
+        call of each step's entry along its ``entry_routes`` route."""
+        self.kernel.arrive(arrivals)
+        self._entry_routes = entry_routes
+
+    def _root_flow(self, arrival):
+        context_id = self.ids.new_id()
+        routes = self._entry_routes
+        for step in arrival.workflow.steps:
+            yield from self.sync_call(self.loadgen_sink, LOADGEN, context_id, None, step.entry, routes[step.entry])
+            if step.think_time_us:
+                yield step.think_time_us
 
     def sync_call(self, sink, function, context_id, parent_pair, target, route: CallRoute):
         """One synchronous request from ``function`` (on a platform or the
@@ -397,7 +446,9 @@ class SimEnvironment:
         yield self.start_invocation(platform, target, context_id, pair2)
 
     def run_until_idle(self) -> None:
-        self.kernel.run_until_idle()
+        # the starter goes with the call: a kernel that kept a method bound
+        # to the environment would make a reference cycle of the two
+        self.kernel.run_until_idle(self._root_flow)
 
     def collect_log(self, run_id: str) -> list[str]:
         """The log lines of run ``run_id``: header, then per sink (loadgen, then

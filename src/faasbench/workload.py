@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .analysis import PhaseWindow
 from .distributions import MAX_PROFILE_US, MAX_SAMPLE_US, PROFILE_LIMIT, REQUIRED, read, read_document
-from .records import LOADGEN
 
 if TYPE_CHECKING:  # annotations only
     from .rng import Generator
@@ -306,15 +307,19 @@ def _phase_from_dict(d: dict) -> Phase:
     raise ProfileError(f"unknown phase kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class Arrival:
+class Arrival(NamedTuple):
+    """A workflow instance due at ``at_us``. A tuple: a run holds one per
+    arrival until the run ends."""
+
     at_us: int
     workflow: Workflow
 
 
+_at = itemgetter(0)  # an arrival's time
+
 # the most arrivals a run may ask for: ``schedule`` and ``execute`` hold about
-# 0.6 KB per arrival before the first event (tracemalloc: 13.0 MB for the
-# 20,500 of exp4-coldstart x10), so about 0.6 GB at this bound
+# 0.12 KB per arrival before the first event (tracemalloc: 2.4 MB for the
+# 20,500 of exp4-coldstart x10), so about 0.12 GB at this bound
 MAX_ARRIVALS = 1_000_000
 
 
@@ -345,21 +350,36 @@ def _arrivals(phase: Phase) -> float:
 
 
 def schedule(profile: LoadProfile, rng: Generator) -> list[Arrival]:
-    """Synthesize the arrival list for one run; deterministic under the rng."""
+    """Synthesize the arrival list for one run; deterministic under the rng.
+
+    A mixed phase picks each workflow with one ``random()`` draw: the first
+    one whose cumulative weight, summed in mix order, exceeds the draw, or
+    the mix's last when the weights sum to less than the draw."""
     arrivals: list[Arrival] = []
+    append = arrivals.append
+    random = rng.random
     phase_start = 0
     for phase in profile.phases:
         phase_end = phase_start + phase.duration_us
+        if phase.mix:
+            cumulative = []
+            acc = 0.0
+            for _, weight in phase.mix:
+                acc += weight
+                cumulative.append(acc)
+            workflows = [profile.workflow(name) for name, _ in phase.mix]
+            last = len(workflows) - 1
         if phase.kind == "constantRate":
             mean_gap = US / phase.rate_per_s
             t = phase_start + rng.exponential(mean_gap)
             while t < phase_end:
-                arrivals.append(Arrival(int(round(t)), _pick(profile, phase.mix, rng)))
+                append(Arrival(int(round(t)), workflows[min(bisect_right(cumulative, random()), last)]))
                 t += rng.exponential(mean_gap)
         elif phase.kind == "burst":
             gap = phase.duration_us / phase.total_flows
             for i in range(phase.total_flows):
-                arrivals.append(Arrival(phase_start + int(round(i * gap)), _pick(profile, phase.mix, rng)))
+                append(Arrival(phase_start + int(round(i * gap)),
+                               workflows[min(bisect_right(cumulative, random()), last)]))
         elif phase.kind == "periodic":
             for series in phase.series:
                 wf = Workflow(name=series.entry, steps=(WorkflowStep(entry=series.entry),))
@@ -369,21 +389,11 @@ def schedule(profile: LoadProfile, rng: Generator) -> list[Arrival]:
                         at = tick + j * series.train_spacing_us
                         if at > phase_end:
                             break
-                        arrivals.append(Arrival(at, wf))
+                        append(Arrival(at, wf))
                     tick += series.interval_us
         phase_start = phase_end
-    arrivals.sort(key=lambda a: a.at_us)
+    arrivals.sort(key=_at)
     return arrivals
-
-
-def _pick(profile: LoadProfile, mix, rng: Generator) -> Workflow:
-    r = rng.random()
-    acc = 0.0
-    for name, weight in mix:
-        acc += weight
-        if r < acc:
-            return profile.workflow(name)
-    return profile.workflow(mix[-1][0])
 
 
 @dataclass(frozen=True)
@@ -392,18 +402,11 @@ class ExecutionStats:
 
 
 def execute(arrivals: list[Arrival], plan, env: SimEnvironment) -> ExecutionStats:
-    """Stamp a fresh context per workflow instance and call the entry
+    """Hand the arrivals to the simulation, which starts each when it is due:
+    a fresh context per workflow instance, whose steps call the entry
     functions where the plan placed them; the load generator records one
     OUTGOING_CALL per root request (client-side round trip). Every entry
-    must be one that ``validate_profile_against_app`` accepted."""
-    for arrival in arrivals:
-        env.kernel.spawn(_root_flow(env, plan, arrival.workflow), at_us=arrival.at_us)
+    must be one that ``validate_profile_against_app`` accepted. A list out
+    of time order runs as if each arrival were spawned in list order."""
+    env.arrive(sorted(arrivals, key=_at), plan.entry_routes)
     return ExecutionStats(instances=len(arrivals))
-
-
-def _root_flow(env: SimEnvironment, plan, workflow: Workflow):
-    context_id = env.ids.new_id()
-    for step in workflow.steps:
-        yield from env.sync_call(env.loadgen_sink, LOADGEN, context_id, None, step.entry, plan.entry_routes[step.entry])
-        if step.think_time_us:
-            yield step.think_time_us

@@ -204,8 +204,9 @@ def test_bench_compares_a_src_tree_with_itself_in_one_pair(tmp_path):
     assert list(report["rows"]) == ["exp4-coldstart"]
     row = report["rows"]["exp4-coldstart"]
     assert row["records"] > 0 and all(len(row[key]) == 64 for key in ("raw_log_sha256", "summary_sha256"))
-    assert list(row["measures"]) == (["total_s", "maxrss_mb"] + [f"{stage}.wall_s" for stage in KEPT_STAGES]
+    assert list(row["measures"]) == (["total_s", "setup_s", "maxrss_mb"] + [f"{stage}.wall_s" for stage in KEPT_STAGES]
                                      + ["analyze_file.wall_s", "analyze_file.maxrss_mb"])
+    assert all(0 < row["reference_s"][side]["median"] for side in ("baseline", "change"))
     for measure in row["measures"].values():
         assert measure["change_lower"] in (0, 1)
         for side in ("baseline", "change"):

@@ -16,13 +16,13 @@ from faasbench.benchmarks import builtin_profile, load_builtin
 from faasbench.cli import EXIT_RUN
 
 # a fresh interpreter imports the runner and the CLI, evaluates one check
-# with the run's raw.log and an output directory, and prints whether it held
-# and whether numpy was loaded
+# with the run's raw.log and an output directory, and prints whether it held,
+# whether numpy was loaded and whether the ziggurat tables were decoded
 _CALL = """
 import sys
-from faasbench import cli, runner
+from faasbench import cli, rng, runner
 log, out = sys.argv[2:4]
-print(eval(sys.argv[1]), "numpy" in sys.modules)
+print(eval(sys.argv[1]), "numpy" in sys.modules, rng.KI is not None)
 """
 
 
@@ -38,7 +38,10 @@ print(eval(sys.argv[1]), "numpy" in sys.modules)
 def test_no_numpy_outside_the_simulator(streaming_run, tmp_path, check):
     proc = _python(_CALL, check, str(streaming_run / "raw.log"), str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "True False"  # the check held, and numpy was not loaded
+    held, numpy_loaded, decoded = proc.stdout.splitlines()[-1].split()
+    assert (held, numpy_loaded) == ("True", "False")  # the check held, and numpy was not loaded
+    # only a simulation builds a Generator, and so decodes the tables
+    assert decoded == str(check.startswith("cli.main(['run'"))
     if "charts" in check:
         assert list(tmp_path.glob("charts/*.png"))
 

@@ -218,9 +218,12 @@ _CALL = dict(function="fn", context_id="c" * 32, pair_id="b" * 32, start_us=5, e
     dict(_CALL, kind=OUTGOING_CALL, mode="sync"),
     dict(_CALL, kind=DB_CALL, callee="kv", db_op="drop"),
     dict(_CALL, kind=DB_CALL, callee="kv"),
+    dict(_CALL, kind=DB_CALL, callee="kv", db_op="get", mode="sync"),
+    dict(_CALL, kind=DB_CALL, callee="kv", db_op="get", mode="async"),
+    dict(_CALL, kind=DB_CALL, callee="kv", db_op="set", mode="trigger"),
     dict(_CALL, kind="WEIRD", callee="other", mode="sync"),
 ], ids=["end-before-start", "no-executor-key", "no-cold-flag", "bad-mode", "no-mode", "no-callee", "bad-db-op",
-        "no-db-op", "unknown-kind"])
+        "no-db-op", "db-sync-mode", "db-async-mode", "db-trigger-mode", "unknown-kind"])
 def test_sink_rejects_at_emit_each_record_that_check_rejects(fields):
     record = TraceRecord(run_id="r1", platform_id="p1", **fields)
     with pytest.raises(MalformedRecord):  # the log's reader refuses its line

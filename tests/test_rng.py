@@ -74,6 +74,7 @@ def test_a_million_draws_take_every_layers_rare_branch(monkeypatch, method, k, f
     # a draw reads the k table once per try, at the try's layer; only a
     # layer's wedge test reads the f table, so the last k read names its layer
     last, wedges = [None], set()
+    rng.Generator(rng.SeedSequence(0))  # the first Generator decodes the tables
     monkeypatch.setattr(rng, k, _Watched(getattr(rng, k), lambda i: last.__setitem__(0, i)))
     monkeypatch.setattr(rng, f, _Watched(getattr(rng, f), lambda i: wedges.add(last[0])))
     tails = 0

@@ -1,3 +1,4 @@
+import functools
 import gc
 import heapq
 import itertools
@@ -27,7 +28,7 @@ from faasbench.analysis import parse_logs
 from faasbench.benchmarks import load_builtin
 from faasbench.recipes import RECIPE_NAMES, recipe
 from faasbench.simulator import Kernel, SimEnvironment, SimulationError, Task
-from faasbench.workload import execute, schedule
+from faasbench.workload import Arrival, Workflow, WorkflowStep, execute, schedule
 
 from conftest import deployed_env, invoke, make_platform, set_collector, single_platform_config
 
@@ -303,8 +304,8 @@ def test_kernel_tie_break_is_stable_insertion_order():
 
 
 def test_kernel_orders_one_microsecond_across_its_queues():
-    # at t=10: two arrivals in the calendar (seq 0 and 2), a resume that t=5
-    # pushed onto the heap (seq 3), then the zero-delay resumes made at t=10
+    # at t=10: the two arrivals handed over, in their order, then a resume
+    # that t=5 pushed onto the heap, then the zero-delay resumes made at t=10
     # in the order they were made, and last the waiter of a task that
     # finished at t=10
     kernel = Kernel()
@@ -336,12 +337,12 @@ def test_kernel_orders_one_microsecond_across_its_queues():
         yield b
         step("d after b")
 
-    kernel.spawn(arrival(), at_us=10)
+    arrivals = [(10, arrival), (10, late_arrival)]
+    kernel.arrive(arrivals)
     b = kernel.spawn(early(), at_us=5)
-    kernel.spawn(late_arrival(), at_us=10)
     kernel.spawn(waiter(), at_us=1)
-    assert len(kernel._calendar) == 2 and len(kernel._heap) == 2
-    kernel.run_until_idle()
+    assert kernel._arrivals is arrivals and len(kernel._heap) == 2
+    kernel.run_until_idle(lambda item: item[1]())
     assert order == [("d", 1), ("b", 5), ("a", 10), ("c", 10), ("b+5", 10), ("a+0", 10), ("b+5+0", 10),
                      ("a+0+0", 10), ("d after b", 10)]
 
@@ -376,6 +377,31 @@ def test_kernel_steps_in_insertion_order_after_a_run_raised():
     kernel.spawn(tagged("w"), at_us=kernel.now)
     kernel.run_until_idle()
     assert order == ["x", "y", "z", "x+0", "w", "z+1", "w+1"] and kernel.now == 4
+
+
+def test_kernel_keeps_the_arrivals_a_run_that_raised_did_not_start():
+    # b, due at t=2, raises; the next run starts c, due in the same
+    # microsecond, then a's resume pushed at t=1, then d: no arrival is lost
+    # or started twice
+    kernel = Kernel()
+    order = []
+
+    def start(arrival):
+        tag = arrival[1]
+        order.append((tag, kernel.now))
+        if tag == "b":
+            raise SimulationError("b fails")
+        yield 1
+        order.append((tag + "+1", kernel.now))
+
+    kernel.arrive([(1, "a"), (2, "b"), (2, "c"), (3, "d")])
+    with pytest.raises(SimulationError, match="b fails"):
+        kernel.run_until_idle(start)
+    assert order == [("a", 1), ("b", 2)] and kernel.now == 2
+    kernel.run_until_idle(start)
+    assert order == [("a", 1), ("b", 2), ("c", 2), ("a+1", 2), ("d", 3), ("c+1", 3), ("d+1", 4)]
+    kernel.run_until_idle(start)  # nothing is left to start
+    assert len(order) == 7 and kernel.now == 4
 
 
 class SingleHeapKernel:
@@ -429,8 +455,9 @@ class SingleHeapKernel:
 
 
 # one task's script: yield a delay (0 and -1 included), wait on the task
-# spawned n-th (pending or done, itself included), spawn a task running
-# script n at now + d, or raise
+# spawned n-th (pending or done, itself included; an arrival's wait before
+# any spawn is a zero delay), spawn a task running script n at now + d, or
+# raise
 SPAWN = st.tuples(st.integers(0, 7), st.integers(0, 3))
 OP = st.one_of(st.tuples(st.just("delay"), st.integers(0, 3)), st.just(("delay", -1)),
                st.tuples(st.just("wait"), st.integers(0, 40)), st.tuples(st.just("spawn"), SPAWN),
@@ -440,9 +467,11 @@ OP = st.one_of(st.tuples(st.just("delay"), st.integers(0, 3)), st.just(("delay",
 RUN_SPAWN = st.tuples(st.integers(0, 7), st.integers(-1, 6))
 
 
-def replay(kernel, scripts, runs):
-    """Spawn and run ``scripts`` on ``kernel``: the (task, now) of every step,
-    and each SimulationError with the now it was raised at."""
+def replay(kernel, scripts, runs, arrivals=()):
+    """Spawn and run ``scripts`` on ``kernel``, after handing it ``arrivals``,
+    ``(at, script)`` pairs in time order: the (task, now) of every step, and
+    each SimulationError with the now it was raised at. ``Kernel`` starts each
+    arrival when it is due, and the reference spawns them all first."""
     trace, tasks = [], []
 
     def start(script, d):
@@ -458,14 +487,26 @@ def replay(kernel, scripts, runs):
             elif op[0] == "raise":
                 raise SimulationError(f"task {tag} fails")
             else:
-                yield op[1] if op[0] == "delay" else tasks[op[1] % len(tasks)]
+                yield op[1] if op[0] == "delay" else tasks[op[1] % len(tasks)] if tasks else 0
                 trace.append((tag, kernel.now))
 
+    def arrival(item):
+        k, script = item[1:]
+        return task(f"arrival {k}", scripts[script % len(scripts)])
+
+    items = [(at, k, script) for k, (at, script) in enumerate(arrivals)]
+    if isinstance(kernel, Kernel):
+        kernel.arrive(items)
+        run = functools.partial(kernel.run_until_idle, arrival)
+    else:
+        for item in items:
+            kernel.spawn(arrival(item), at_us=item[0])
+        run = kernel.run_until_idle
     for spawns in runs + [[], []]:  # two more runs finish what a raise left
         try:
             for spawn in spawns:
                 start(*spawn)
-            kernel.run_until_idle()
+            run()
         except SimulationError as exc:
             trace.append((str(exc), kernel.now))
     return trace
@@ -473,9 +514,11 @@ def replay(kernel, scripts, runs):
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(scripts=st.lists(st.lists(OP, max_size=6), min_size=1, max_size=8),
-       runs=st.lists(st.lists(RUN_SPAWN, max_size=8), min_size=1, max_size=3))
-def test_kernel_steps_in_single_heap_order(scripts, runs):
-    assert replay(Kernel(), scripts, runs) == replay(SingleHeapKernel(), scripts, runs)
+       runs=st.lists(st.lists(RUN_SPAWN, max_size=8), min_size=1, max_size=3),
+       arrivals=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=8))
+def test_kernel_steps_in_single_heap_order(scripts, runs, arrivals):
+    arrivals.sort(key=lambda a: a[0])
+    assert replay(Kernel(), scripts, runs, arrivals) == replay(SingleHeapKernel(), scripts, runs, arrivals)
 
 
 def test_parallel_block_joins_at_max_branch():
@@ -601,8 +644,9 @@ def test_run_benchmark_keeps_a_callers_frozen_objects(collector_restored, tmp_pa
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_run_benchmark_pauses_the_collector_over_set_up(enabled, collector_restored, monkeypatch, tmp_path):
-    # set-up spawns a task and a generator per arrival, the simulation a line
-    # per record and the analysis a node per invocation; at a threshold of 50
+    # set-up makes a tuple per arrival, the simulation a task and a generator
+    # per invocation and a line per record, and the analysis a node per
+    # invocation; at a threshold of 50
     # they would set off collections all the way, from deploy to the reports
     starts = []
     marks = []  # (call, collections started so far, collector on) as each wrapped call starts and ends
@@ -656,6 +700,24 @@ def test_simulation_creates_no_reference_cycles(name, collector_restored):
     freed = weakref.ref(env)
     del env
     assert freed() is None  # reference counting alone frees it, with the collector still off
+
+
+def test_a_run_that_raised_frees_its_environment(collector_restored):
+    # the first arrival finds its function gone and raises with two arrivals
+    # pending; the kernel holds them as they were handed over, and no
+    # starter, so reference counting alone frees the environment
+    app = simple_app()
+    gc.collect()
+    gc.disable()
+    env, plan = deployed_env(app, single_platform_config(app, make_platform()))
+    wf = Workflow("w", (WorkflowStep("fn"),))
+    execute([Arrival(i * 1_000_000, wf) for i in range(3)], plan, env)
+    teardown(env.platforms)
+    with pytest.raises(SimulationError, match="not deployed"):
+        env.run_until_idle()
+    freed = weakref.ref(env)
+    del env
+    assert freed() is None
 
 
 def test_run_benchmark_frees_its_environment_on_return(collector_restored, monkeypatch, tmp_path):

@@ -1,6 +1,7 @@
 import json
 import signal
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,9 @@ from faasbench.records import INVOCATION, LOADGEN, OUTGOING_CALL
 from faasbench.analysis import parse_logs
 from faasbench.runner import _read_phases, default_config
 from faasbench import runner
+from faasbench.recipes import recipe
+from faasbench.rng import Generator
+from faasbench.simulator import SimulationError
 from faasbench.workload import (
     Arrival,
     LoadProfile,
@@ -449,6 +453,154 @@ def test_a_mix_that_names_a_workflow_twice_is_refused():
                     (Phase("burst", US, mix=(("w", 0.5), ("w", 0.5)), total_flows=1),))
 
 
+# -- schedule against the one it replaced --------------------------------------
+
+
+def reference_schedule(profile: LoadProfile, rng: Generator) -> list[Arrival]:
+    """``schedule`` as it was before it summed each mix once per phase,
+    verbatim bar its name, with its ``_pick``: the reference arrivals."""
+    arrivals: list[Arrival] = []
+    phase_start = 0
+    for phase in profile.phases:
+        phase_end = phase_start + phase.duration_us
+        if phase.kind == "constantRate":
+            mean_gap = US / phase.rate_per_s
+            t = phase_start + rng.exponential(mean_gap)
+            while t < phase_end:
+                arrivals.append(Arrival(int(round(t)), _pick(profile, phase.mix, rng)))
+                t += rng.exponential(mean_gap)
+        elif phase.kind == "burst":
+            gap = phase.duration_us / phase.total_flows
+            for i in range(phase.total_flows):
+                arrivals.append(Arrival(phase_start + int(round(i * gap)), _pick(profile, phase.mix, rng)))
+        elif phase.kind == "periodic":
+            for series in phase.series:
+                wf = Workflow(name=series.entry, steps=(WorkflowStep(entry=series.entry),))
+                tick = phase_start + series.interval_us
+                while tick <= phase_end:
+                    for j in range(series.train_count):
+                        at = tick + j * series.train_spacing_us
+                        if at > phase_end:
+                            break
+                        arrivals.append(Arrival(at, wf))
+                    tick += series.interval_us
+        phase_start = phase_end
+    arrivals.sort(key=lambda a: a.at_us)
+    return arrivals
+
+
+def _pick(profile: LoadProfile, mix, rng: Generator) -> Workflow:
+    r = rng.random()
+    acc = 0.0
+    for name, weight in mix:
+        acc += weight
+        if r < acc:
+            return profile.workflow(name)
+    return profile.workflow(mix[-1][0])
+
+
+class ScriptedRng:
+    """Draws from fixed lists, each in a cycle: ``random`` the next of
+    ``uniforms`` and ``exponential(scale)`` ``scale`` times the next of
+    ``gaps``. Its state is the count of each draw."""
+
+    def __init__(self, uniforms, gaps):
+        self.uniforms, self.gaps = uniforms, gaps
+        self.state = [0, 0]
+
+    def random(self) -> float:
+        self.state[0] += 1
+        return self.uniforms[(self.state[0] - 1) % len(self.uniforms)]
+
+    def exponential(self, scale: float) -> float:
+        self.state[1] += 1
+        return scale * self.gaps[(self.state[1] - 1) % len(self.gaps)]
+
+
+BELOW_ONE = 1 - 2**-53  # the largest draw random() can make
+MIX_NAMES = [f"w{i}" for i in range(10)]
+
+
+@st.composite
+def small_profiles(draw):
+    """A profile of 1-4 phases of every kind, short enough to schedule in a
+    test: mixes of 1-10 workflows whose weights, counts over their sum, may
+    be 0 and may sum to just below 1, and periodic trains that may run past
+    the next tick."""
+    workflows = tuple(Workflow(n, (WorkflowStep(f"fn{i % 3}"),)) for i, n in enumerate(MIX_NAMES))
+    phases = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["constantRate", "burst", "periodic", "pause"]))
+        duration = draw(st.integers(0, 20_000))
+        if kind == "periodic":
+            series = tuple(PeriodicSeries(draw(st.sampled_from(["fn0", "fn1"])), draw(st.integers(100, 5_000)),
+                                          draw(st.integers(1, 5)), draw(st.integers(1, 5_000)))
+                           for _ in range(draw(st.integers(0, 2))))
+            phases.append(Phase(kind, duration, series=series))
+        elif kind == "pause":
+            phases.append(Phase(kind, duration))
+        else:
+            names = draw(st.lists(st.sampled_from(MIX_NAMES), min_size=1, unique=True))
+            counts = draw(st.lists(st.integers(0, 3), min_size=len(names), max_size=len(names)))
+            assume(sum(counts))
+            mix = tuple((n, c / sum(counts)) for n, c in zip(names, counts))
+            if kind == "burst":
+                phases.append(Phase(kind, duration, mix=mix, total_flows=draw(st.integers(1, 300))))
+            else:
+                phases.append(Phase(kind, duration, rate_per_s=draw(st.floats(1.0, 20_000.0)), mix=mix))
+    assume(sum(p.duration_us for p in phases) > 0)
+    return LoadProfile("p", workflows, tuple(phases))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(profile=small_profiles(), seed=st.integers(0, 2**32),
+       uniforms=st.lists(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                                   st.sampled_from([0.0, 0.1, 0.30000000000000004, 0.5, BELOW_ONE])), min_size=1),
+       gaps=st.lists(st.floats(0.2, 3.0), min_size=1))
+def test_schedule_makes_the_arrivals_and_draws_of_the_schedule_it_replaced(profile, seed, uniforms, gaps):
+    def arrivals(made):
+        return [(a.at_us, a.workflow) for a in made]
+
+    ours, theirs = rng(seed), rng(seed)
+    assert arrivals(schedule(profile, ours)) == arrivals(reference_schedule(profile, theirs))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    ours, theirs = ScriptedRng(uniforms, gaps), ScriptedRng(uniforms, gaps)
+    assert arrivals(schedule(profile, ours)) == arrivals(reference_schedule(profile, theirs))
+    assert ours.state == theirs.state
+
+
+def test_a_draw_past_a_mix_that_sums_below_one_picks_its_last_workflow():
+    # ten weights of 0.1 sum to just below 1 in floats, so the largest draw
+    # passes them all and falls to the mix's last workflow, x, of weight 0
+    names = MIX_NAMES + ["x"]
+    mix = tuple((n, 0.1) for n in MIX_NAMES) + (("x", 0.0),)
+    profile = LoadProfile("p", tuple(Workflow(n, (WorkflowStep("fn"),)) for n in names),
+                          (Phase("burst", US, mix=mix, total_flows=2),))
+    assert sum(w for _, w in profile.phases[0].mix) == BELOW_ONE
+    for schedule_of in (schedule, reference_schedule):
+        made = schedule_of(profile, ScriptedRng([BELOW_ONE, 0.95], [1.0]))
+        assert [a.workflow.name for a in made] == ["x", "w9"]
+
+
+def test_schedule_and_execute_hold_under_0_2_kb_per_arrival():
+    # the benchmark's streaming-coldstart: exp4-coldstart x10, 20,500
+    # arrivals, held as tuples until each is due (632 B each when execute
+    # spawned a task and a generator per arrival up front)
+    r = recipe("exp4-coldstart")
+    env, plan = deployed_env(load_builtin(r.benchmark), r.config, seed=7)
+    profile = r.profile.scaled(10)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        arrivals = schedule(profile, env.loadgen_rng)
+        execute(arrivals, plan, env)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(arrivals) == 20_500
+    assert held / len(arrivals) < 200
+
+
 # -- execution ---------------------------------------------------------------
 
 
@@ -493,6 +645,22 @@ def test_execute_multi_step_workflow_honors_think_time():
     assert len({r.context_id for r in roots}) == 1  # the instance shares one context
     first_rt = roots[0].end_us - roots[0].start_us
     assert roots[1].start_us == roots[0].start_us + first_rt + 5 * US
+
+
+def test_execute_runs_a_list_out_of_time_order_as_its_stable_sort():
+    # arrivals that share a time start in list order, as if each were
+    # spawned in turn; one due before the kernel's now is refused
+    wf_a, wf_b = Workflow("a", (WorkflowStep("fn"),)), Workflow("b", (WorkflowStep("fn", think_time_us=7),))
+    listed = [Arrival(2000, wf_a), Arrival(0, wf_b), Arrival(2000, wf_b), Arrival(0, wf_a)]
+    logs = []
+    for arrivals in (listed, sorted(listed, key=lambda a: a.at_us)):
+        env, plan = one_fn_env()
+        assert execute(arrivals, plan, env).instances == 4
+        env.run_until_idle()
+        logs.append(env.collect_log(env.run_id))
+    assert logs[0] == logs[1] and len(logs[0]) == 3 + 4 * 2
+    with pytest.raises(SimulationError, match=r"cannot schedule in the past \(0 < "):
+        execute([Arrival(0, wf_a)], plan, env)
 
 
 def test_profile_must_target_entry_points():
